@@ -131,7 +131,8 @@ class OperatorSpace:
 
     def vecs(self) -> np.ndarray:
         """Row-stack of column-stacking vectorizations, shape (dim, out*in)."""
-        return self.mats.transpose(0, 2, 1).reshape(self.dim, -1)
+        return self.mats.transpose(0, 2, 1).reshape(
+            self.dim, self.dim_out * self.dim_in)
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Coefficients of m against the orthonormal basis (no residual check)."""
@@ -195,14 +196,20 @@ def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
 def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """HS-orthonormal basis of {X : lefts[i] X = X rights[i] for all i}.
 
-    lefts act on the codomain, rights on the domain of X.
+    lefts act on the codomain, rights on the domain of X.  With more than
+    one constraint the stacked (k*n1*n2, n1*n2) system is first reduced to
+    its square triangular factor by a QR, whose SVD has the same singular
+    values and right vectors, so the tall left factor of a thin SVD is
+    never formed.  A single constraint is already square and is taken as is.
     """
     A = [as_matrix(m) for m in lefts]
     B = [as_matrix(m) for m in rights]
     if len(A) != len(B):
         raise DimensionMismatch(f"{len(A)} left factors vs {len(B)} right factors")
-    n2 = _check_common_shape(A)[0] if A else 0
-    n1 = _check_common_shape(B)[0] if B else 0
+    if not A:
+        raise DimensionMismatch("need at least one constraint")
+    n2 = _check_common_shape(A)[0]
+    n1 = _check_common_shape(B)[0]
     for m in A:
         if m.shape[0] != m.shape[1]:
             raise DimensionMismatch("left factors must be square")
@@ -212,10 +219,14 @@ def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace
     N = n1 * n2
     I1 = np.eye(n1)
     I2 = np.eye(n2)
-    rows = [np.kron(I1, a) - np.kron(b.T, I2) for a, b in zip(A, B)]
-    M = np.vstack(rows)
-    if M.shape[0] < N:
-        M = np.vstack([M, np.zeros((N - M.shape[0], N), dtype=np.complex128)])
+    # Fortran order lets the QR overwrite the system in place
+    M = np.empty((len(A) * N, N), dtype=np.complex128, order="F")
+    for i, (a, b) in enumerate(zip(A, B)):
+        M[i * N:(i + 1) * N] = np.kron(I1, a) - np.kron(b.T, I2)
+    if len(A) > 1:
+        # "raw" slices R from the top N rows; "r" would triu-copy all k*N rows
+        M = scipy.linalg.qr(M, mode="raw", overwrite_a=True,
+                            check_finite=False)[1]
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
     # anchor the cut at the operator scale of the constraints so a system
     # that is zero up to roundoff yields the full space, not noise vectors
@@ -278,19 +289,27 @@ def subspace_intersection(s1: OperatorSpace, s2: OperatorSpace,
                           tol: float = DEFAULT_TOL) -> OperatorSpace:
     """Orthonormal basis of the intersection of two spans.
 
-    Eigenvectors of P1 + P2 with eigenvalue 2 span the intersection; the
-    cut on 2 - eigenvalue reuses the global rank-cut discipline.
+    The singular values of the cross-Gram matrix of the two bases are the
+    cosines of the principal angles; the intersection is spanned by the
+    pairs at cosine 1.  The cut sees the spectrum of 2 - (P1 + P2), whose
+    values are 1 - cos and 1 + cos per angle, 1 on the unpaired directions
+    and 2 on the joint complement, and reuses the global rank-cut
+    discipline.
     """
     if (s1.dim_out, s1.dim_in) != (s2.dim_out, s2.dim_in):
         raise DimensionMismatch("ambient shapes differ")
-    P = s1.projector() + s2.projector()
-    w, V = np.linalg.eigh((P + P.conj().T) / 2.0)
-    d = np.clip(2.0 - w, 0.0, None)
+    N = s1.dim_out * s1.dim_in
+    U, cos, _ = np.linalg.svd(s1.vecs().conj() @ s2.vecs().T)
+    # each 1 + cos stands for a direction outside both spans; when d1 + d2 > N
+    # the surplus cosines are forced to 1 and have no such partner
+    surplus = max(s1.dim + s2.dim - N, 0)
+    d = np.concatenate([
+        1.0 - cos,
+        1.0 + cos[surplus:],
+        np.ones(abs(s1.dim - s2.dim)),
+        np.full(max(N - s1.dim - s2.dim, 0), 2.0),
+    ])
     n_out, gap = rank_cut(d, tol, "subspace_intersection", floor=2.0)
-    n_in = w.size - n_out
-    order = np.argsort(d)  # smallest deviation from 2 first
-    cols = V[:, order[:n_in]]
-    mats = np.stack([unvec(cols[:, j], s1.dim_out, s1.dim_in)
-                     for j in range(n_in)]) if n_in else \
-        np.zeros((0, s1.dim_out, s1.dim_in), dtype=np.complex128)
+    n_in = d.size - n_out
+    mats = np.tensordot(U[:, :n_in].T, s1.mats, axes=1)
     return OperatorSpace(s1.dim_out, s1.dim_in, mats, gap)

@@ -1,16 +1,25 @@
 """Integration tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import modfactor
+
 CLI = [sys.executable, "-m", "modfactor.cli"]
+# the subprocess imports the same package as the tests, installed or not
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+    str(Path(modfactor.__file__).resolve().parents[1]),
+    os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(*args, **kw):
-    return subprocess.run(CLI + list(args), capture_output=True, text=True, **kw)
+    return subprocess.run(CLI + list(args), capture_output=True, text=True,
+                          env=ENV, **kw)
 
 
 @pytest.fixture(scope="module")
