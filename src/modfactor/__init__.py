@@ -43,7 +43,6 @@ from .tensorcalc import (
     TensorProduct,
     flip_unitary,
     interior_tensor,
-    tensor_with_space,
     unit_identities,
 )
 from .factorizations import (

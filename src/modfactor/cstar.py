@@ -73,20 +73,13 @@ def _validate_algebra(space: OperatorSpace, tol: float) -> None:
     ident = np.eye(n, dtype=np.complex128)
     if space.distance(ident) > tol * np.sqrt(n):
         raise ValidationError("algebra does not contain the ambient identity")
-    bflat = mats.reshape(k, -1)
-    adjflat = mats.conj().transpose(0, 2, 1).reshape(k, -1)
-    resid = adjflat - (adjflat @ bflat.conj().T) @ bflat
-    rnorm = np.linalg.norm(resid, axis=1)
+    rnorm = space.span_residual(mats.conj().transpose(0, 2, 1))
     if rnorm.size and rnorm.max() > tol:
         raise ValidationError(
             f"adjoint of basis element {int(np.argmax(rnorm))} leaves the span"
         )
     for i in range(k):
-        prods = np.matmul(mats[i], mats).reshape(k, -1)
-        coeffs = prods @ bflat.conj().T
-        res = prods - coeffs @ bflat
-        rel = np.linalg.norm(res, axis=1) / np.maximum(
-            1.0, np.linalg.norm(prods, axis=1))
+        rel = space.span_residual(np.matmul(mats[i], mats))
         if rel.max() > tol:
             raise ValidationError(
                 f"product of basis elements ({i}, {int(np.argmax(rel))}) leaves the span"
@@ -99,10 +92,7 @@ def algebra_from_span(mats, tol: float = DEFAULT_TOL,
     space = hs_orthonormalize(mats, tol)
     if space.dim_out != space.dim_in:
         raise DimensionMismatch("algebra elements must be square")
-    if validate:
-        _validate_algebra(space, tol)
-    n = space.dim_out
-    return FiniteCStarAlgebra(n, space, np.eye(n, dtype=np.complex128))
+    return _from_space(space, tol, validate)
 
 
 def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
@@ -116,10 +106,7 @@ def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
     gram = flat @ flat.conj().T
     if np.abs(gram - np.eye(k)).max() > 1e-8:
         raise ValidationError("stored algebra basis is not HS-orthonormal")
-    space = OperatorSpace(arr.shape[1], arr.shape[2], arr)
-    _validate_algebra(space, tol)
-    n = space.dim_out
-    return FiniteCStarAlgebra(n, space, np.eye(n, dtype=np.complex128))
+    return _from_space(OperatorSpace(arr.shape[1], arr.shape[2], arr), tol)
 
 
 def _from_space(space: OperatorSpace, tol: float = DEFAULT_TOL,
@@ -212,7 +199,7 @@ def _minimal_central_projections(Z: FiniteCStarAlgebra, tol: float) -> list[np.n
         projs = [V[:, g] @ V[:, g].conj().T for g in groups]
         ok = True
         for p in projs:
-            if Z.space.distance(p) > 100.0 * tol * max(1.0, hs_norm(p)):
+            if not Z.space.contains(p, 100.0 * tol):
                 ok = False
                 break
             pz = hs_orthonormalize([p @ z for z in Z.basis], tol)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cstar import FiniteCStarAlgebra, build_algebra, commutant
+from .cstar import FiniteCStarAlgebra, build_algebra
 from .errors import (
     DimensionMismatch,
     PreconditionError,
@@ -33,6 +33,7 @@ from .hilbmod import (
     HilbertModule,
     Homomorphism,
     as_bimodule,
+    check_qons_family,
     commutant_lifting,
     dual_module,
     finite_rank_algebra,
@@ -44,9 +45,10 @@ from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
     as_matrix,
+    column_support,
     hs_orthonormalize,
     op_norm,
-    rank_cut,
+    solve_intertwiners,
     subspace_equal,
 )
 from .tensorcalc import (
@@ -60,7 +62,9 @@ from .tensorcalc import (
     flip_unitary,
     identity_unitary,
     interior_tensor,
+    intertwining_residual,
     map_from_spanning,
+    unitarity_residual,
 )
 
 __all__ = [
@@ -114,21 +118,39 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
         raise ValidationError("theta's domain is not the adjointable algebra of E")
     KF = finite_rank_algebra(F, tol)
     for i, img in enumerate(theta.images):
-        if KF.space.distance(img) > 1e-6 * max(1.0, np.linalg.norm(img)):
+        if not KF.space.contains(img, 1e-6):
             raise ValidationError(
                 f"theta image of basis element {i} leaves the adjointable algebra of F"
             )
     theta.validate(tol)
 
 
-def _theta_residual(theta: Homomorphism, tensor_corr: Correspondence,
-                    U: np.ndarray) -> float:
-    """max over the domain basis of ||theta(a) - U (a (.) id) U*||."""
-    res = 0.0
+def _unit_tensor(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
+                 corr: Correspondence, method: str, tol: float) -> TensorProduct:
+    """E (.) corr with theta's domain acting on E, checked to have F's total
+    dimension (the finite-dimensional form of surjectivity)."""
+    tp = interior_tensor(as_bimodule(E, theta.domain, tol), corr, tol)
+    r = tp.result.module.dim_H
+    if r != F.dim_H:
+        raise ValidationError(
+            f"dimension count failed for the {method} method: E (.) corr has "
+            f"total dimension {r}, F has {F.dim_H}"
+        )
+    return tp
+
+
+def _certify(method: str, tp: TensorProduct, F_corr: Correspondence,
+             theta: Homomorphism, U: np.ndarray):
+    """(certified unitary, residual report keys) of U: E (.) corr -> F,
+    including max over the domain basis of ||theta(a) - U (a (.) id) U*||."""
+    unitary = certify_module_unitary(tp.result, F_corr, U, {"method": method})
+    t_res = 0.0
     for a, img in zip(theta.domain.basis, theta.images):
-        lifted = U @ tensor_corr.act(a) @ U.conj().T
-        res = max(res, op_norm(img - lifted))
-    return float(res)
+        lifted = U @ tp.result.act(a) @ U.conj().T
+        t_res = max(t_res, op_norm(img - lifted))
+    return unitary, {"residual_unitary": unitary.residual_unitary,
+                     "residual_intertwine": unitary.residual_intertwine,
+                     "theta_residual": float(t_res)}
 
 
 def _f_as_target(F: HilbertModule, theta: Homomorphism,
@@ -176,32 +198,19 @@ def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     tp1 = interior_tensor(dual_corr, F_corr, tol)
     Ftheta = tp1.result
 
-    X = as_bimodule(E, theta.domain, tol)
-    tp2 = interior_tensor(X, Ftheta, tol)
-    r2 = tp2.result.module.dim_H
-    if r2 != F.dim_H:
-        raise ValidationError(
-            f"dimension count failed: E (.) corr has total dimension {r2}, "
-            f"F has {F.dim_H}"
-        )
+    tp2 = _unit_tensor(E, F, theta, Ftheta, "dual", tol)
     lift = _dual_lift(dual_corr)
-    k = E.dim
-    w = F.dim_H
     phis = []
-    for i in range(k):
-        Ni = np.hstack([theta.apply(E.basis[i] @ (lift @ u), tol)
-                        for u in dual_mod.basis])
+    for x in E.basis:
+        Ni = np.hstack([theta.apply(x @ (lift @ u), tol) for u in dual_mod.basis])
         phis.append(Ni @ tp1.S_pinv)
     U = np.hstack(phis) @ tp2.S_pinv
-    unitary = certify_module_unitary(tp2.result, F_corr, U, {"method": "dual"})
-    t_res = _theta_residual(theta, tp2.result, U)
+    unitary, residuals = _certify("dual", tp2, F_corr, theta, U)
     report = {
         "dims": {"correspondence": Ftheta.module.dim,
                  "correspondence_total": Ftheta.module.dim_H,
                  "F_total": F.dim_H},
-        "residual_unitary": unitary.residual_unitary,
-        "residual_intertwine": unitary.residual_intertwine,
-        "theta_residual": t_res,
+        **residuals,
         "gram_gap": tp1.gap,
     }
     aux = {"E": E, "F": F, "theta": theta, "tp_corr": tp1, "tp_unit": tp2,
@@ -241,41 +250,17 @@ def factor_unit_vector(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     corr = Correspondence(mod, E.base, hom)
     corr.validate(tol)
 
-    X = as_bimodule(E, theta.domain, tol)
-    tp = interior_tensor(X, corr, tol)
-    if tp.result.module.dim_H != F.dim_H:
-        raise ValidationError("dimension count failed for the compression method")
+    tp = _unit_tensor(E, F, theta, corr, "unit_vector", tol)
     M = np.hstack([theta.apply(x @ xi.conj().T, tol) @ V for x in E.basis])
     U = M @ tp.S_pinv
-    F_corr = _f_as_target(F, theta, tol)
-    unitary = certify_module_unitary(tp.result, F_corr, U, {"method": "unit_vector"})
-    t_res = _theta_residual(theta, tp.result, U)
+    unitary, residuals = _certify("unit_vector", tp, _f_as_target(F, theta, tol), theta, U)
     report = {
         "dims": {"correspondence": mod.dim, "correspondence_total": mod.dim_H,
                  "F_total": F.dim_H},
-        "residual_unitary": unitary.residual_unitary,
-        "residual_intertwine": unitary.residual_intertwine,
-        "theta_residual": t_res,
+        **residuals,
     }
     aux = {"E": E, "F": F, "theta": theta, "xi": xi, "isometry": V, "tp_unit": tp}
     return FactorizationResult("unit_vector", corr, unitary, report, aux)
-
-
-def check_qons_family(E: HilbertModule, family, tol: float = DEFAULT_TOL) -> float:
-    """Residual of the family conditions: e_a e_b* = delta * projection and
-    sum <e_b, e_b> = unit."""
-    res = 0.0
-    for i, e in enumerate(family):
-        for j, f in enumerate(family):
-            prod = e @ f.conj().T
-            if i != j:
-                res = max(res, op_norm(prod))
-            else:
-                res = max(res, op_norm(prod @ prod - prod),
-                          op_norm(prod - prod.conj().T))
-    total = sum(e.conj().T @ e for e in family)
-    res = max(res, op_norm(total - E.base.unit))
-    return float(res)
 
 
 def factor_qons(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
@@ -327,25 +312,18 @@ def factor_qons(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     corr = Correspondence(mod, E.base, hom)
     corr.validate(tol)
 
-    X = as_bimodule(E, theta.domain, tol)
-    tp = interior_tensor(X, corr, tol)
-    if tp.result.module.dim_H != F.dim_H:
-        raise ValidationError("dimension count failed for the direct-sum method")
+    tp = _unit_tensor(E, F, theta, corr, "qons", tol)
     M = np.hstack([
         np.hstack([theta.apply(x @ family[b_idx].conj().T, tol) @ V
                    for b_idx, V in enumerate(isometries)])
         for x in E.basis
     ])
     U = M @ tp.S_pinv
-    F_corr = _f_as_target(F, theta, tol)
-    unitary = certify_module_unitary(tp.result, F_corr, U, {"method": "qons"})
-    t_res = _theta_residual(theta, tp.result, U)
+    unitary, residuals = _certify("qons", tp, _f_as_target(F, theta, tol), theta, U)
     report = {
         "dims": {"correspondence": mod.dim, "correspondence_total": H_B,
                  "summands": dims, "F_total": F.dim_H},
-        "residual_unitary": unitary.residual_unitary,
-        "residual_intertwine": unitary.residual_intertwine,
-        "theta_residual": t_res,
+        **residuals,
         "family_residual": fam_res,
     }
     aux = {"E": E, "F": F, "theta": theta, "family": family,
@@ -367,12 +345,9 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if not full:
         raise PreconditionError("the commutant method requires a full module")
     validate_theta(E, F, theta, tol)
-    W = hs_orthonormalize(
-        _intertwiner_mats(theta), tol)
+    W = hs_orthonormalize(_intertwiner_mats(theta, tol), tol)
     # totality of the intertwiner space on H_F
-    stacked = np.hstack(list(W.mats)) if W.dim else np.zeros((F.dim_H, 0))
-    sv = np.linalg.svd(stacked, compute_uv=False) if stacked.size else np.array([])
-    tot_rank = rank_cut(sv, tol, "intertwiner totality")[0]
+    tot_rank = column_support(W.mats, tol, "intertwiner totality")[0]
     if tot_rank != F.dim_H:
         raise ValidationError(
             f"intertwiner space acts on a proper subspace ({tot_rank} of {F.dim_H})"
@@ -421,24 +396,17 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     Fpp = Correspondence(Fpp_mod, E.base, tau)
     Fpp.validate(tol)
 
-    X = as_bimodule(E, theta.domain, tol)
-    tp = interior_tensor(X, Fpp, tol)
-    if tp.result.module.dim_H != F.dim_H:
-        raise ValidationError("dimension count failed for the commutant method")
+    tp = _unit_tensor(E, F, theta, Fpp, "commutant", tol)
     k = E.dim
     T = np.hstack([np.hstack([W.mats[j] @ E.basis[i] for j in range(kw)])
                    for i in range(k)])
     D = tp.S @ np.kron(np.eye(k), S_P)
     U = map_from_spanning(D, T)
-    F_corr = _f_as_target(F, theta, tol)
-    unitary = certify_module_unitary(tp.result, F_corr, U, {"method": "commutant"})
-    t_res = _theta_residual(theta, tp.result, U)
+    unitary, residuals = _certify("commutant", tp, _f_as_target(F, theta, tol), theta, U)
     report = {
         "dims": {"correspondence": Fpp_mod.dim, "correspondence_total": rP,
                  "prime": prime_mod.dim, "F_total": F.dim_H},
-        "residual_unitary": unitary.residual_unitary,
-        "residual_intertwine": unitary.residual_intertwine,
-        "theta_residual": t_res,
+        **residuals,
         "rho_inverse_conditioning": conditioning,
         "chain": {"totality_rank": tot_rank,
                   "flip_residual": flip.residual_unitary,
@@ -450,16 +418,14 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     return prime, FactorizationResult("commutant", Fpp, unitary, report, aux)
 
 
-def _intertwiner_mats(theta: Homomorphism) -> list[np.ndarray]:
-    from .numkernel import solve_intertwiners
-    space = solve_intertwiners(list(theta.images), list(theta.domain.basis))
+def _intertwiner_mats(theta: Homomorphism, tol: float) -> list[np.ndarray]:
+    space = solve_intertwiners(list(theta.images), list(theta.domain.basis), tol)
     return list(space.mats)
 
 
 def _solve_corr_intertwiners(prime: Correspondence, C: FiniteCStarAlgebra,
                              tol: float) -> OperatorSpace:
     """{Z : prime_left(c') Z = Z c'} for c' in the commutant of C."""
-    from .numkernel import solve_intertwiners
     Cp = prime.left
     lefts = [prime.act(cp, tol) for cp in Cp.basis]
     return solve_intertwiners(lefts, list(Cp.basis), tol)
@@ -515,7 +481,7 @@ def _cmp_dual_to_unit_vector(ra, rb, tol):
     lift = ra.aux["dual_lift"]
     xi = rb.aux["xi"]
     V = rb.aux["isometry"]
-    dual_mod = _dual_basis_module(ra)
+    dual_mod = ra.aux["dual"].module
     M = np.hstack([V.conj().T @ theta.apply(xi @ (lift @ u), tol)
                    for u in dual_mod.basis])
     U = M @ tp1.S_pinv
@@ -529,7 +495,7 @@ def _cmp_dual_to_qons(ra, rb, tol):
     lift = ra.aux["dual_lift"]
     family = rb.aux["family"]
     isometries = rb.aux["isometries"]
-    dual_mod = _dual_basis_module(ra)
+    dual_mod = ra.aux["dual"].module
     cols = []
     for u in dual_mod.basis:
         xstar = lift @ u
@@ -560,7 +526,7 @@ def _cmp_dual_to_commutant(ra, rb, tol):
     E: HilbertModule = ra.aux["E"]
     F: HilbertModule = ra.aux["F"]
     lift = ra.aux["dual_lift"]
-    dual_mod = _dual_basis_module(ra)
+    dual_mod = ra.aux["dual"].module
     W: OperatorSpace = rb.aux["W"]
     S_P = rb.aux["S_P"]
     G = E.dim_G
@@ -580,10 +546,6 @@ def _cmp_dual_to_commutant(ra, rb, tol):
     U = map_from_spanning(D, T)
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", "commutant")})
-
-
-def _dual_basis_module(ra) -> HilbertModule:
-    return ra.aux["dual"].module
 
 
 _DIRECT_COMPARISONS = {
@@ -631,22 +593,18 @@ def hilbert_space_intertwiners(theta: Homomorphism, tol: float = DEFAULT_TOL):
     n = _require_full_matrix_domain(theta)
     theta.validate(tol)
     k = theta.codomain_dim
-    space = hs_orthonormalize(_intertwiner_mats(theta), tol)
+    space = hs_orthonormalize(_intertwiner_mats(theta, tol), tol)
     scaled = np.stack([x * np.sqrt(n) for x in space.mats]) if space.dim else \
         np.zeros((0, k, n), dtype=np.complex128)
     m = space.dim
     if m * n != k:
         raise ValidationError(f"dimension count failed: {m} * {n} != {k}")
     U = np.hstack(list(scaled))
-    ru = max(op_norm(U.conj().T @ U - np.eye(m * n)),
-             op_norm(U @ U.conj().T - np.eye(k)))
-    ri = 0.0
-    for a in theta.domain.basis:
-        lhs = theta.apply(a, tol) @ U
-        rhs = U @ np.kron(np.eye(m), a)
-        ri = max(ri, op_norm(lhs - rhs))
+    basis = theta.domain.basis
+    ri = intertwining_residual(U, [np.kron(np.eye(m), a) for a in basis],
+                               [theta.apply(a, tol) for a in basis])
     corr = _scalar_column_correspondence(m, scaled)
-    u = ModuleUnitary(("intertwiners (x) H",), ("K",), U, float(ru), float(ri),
+    u = ModuleUnitary(("intertwiners (x) H",), ("K",), U, unitarity_residual(U), ri,
                       {"kind": "intertwiner factor"})
     return corr, u
 
@@ -671,15 +629,11 @@ def hilbert_space_compression(theta: Homomorphism, omega, tol: float = DEFAULT_T
         h[s, 0] = 1.0
         blocks.append(theta.apply(h @ omega.conj().T, tol) @ V)
     U = np.hstack(blocks)
-    ru = max(op_norm(U.conj().T @ U - np.eye(n * m)),
-             op_norm(U @ U.conj().T - np.eye(k)))
-    ri = 0.0
-    for a in theta.domain.basis:
-        lhs = theta.apply(a, tol) @ U
-        rhs = U @ np.kron(a, np.eye(m))
-        ri = max(ri, op_norm(lhs - rhs))
+    basis = theta.domain.basis
+    ri = intertwining_residual(U, [np.kron(a, np.eye(m)) for a in basis],
+                               [theta.apply(a, tol) for a in basis])
     corr = _scalar_column_correspondence(m, np.stack([V]))
-    u = ModuleUnitary(("H (x) compression",), ("K",), U, float(ru), float(ri),
+    u = ModuleUnitary(("H (x) compression",), ("K",), U, unitarity_residual(U), ri,
                       {"kind": "compression factor"})
     corr.meta["isometry"] = V
     return corr, u
@@ -701,11 +655,9 @@ def intertwiner_composition_law(theta2: Homomorphism, theta1: Homomorphism,
             prod = x2 @ x1
             cols.append(np.array([scalar_inner(bt, prod) for bt in basis]))
     Wmat = np.stack(cols, axis=1) if cols else np.zeros((m, 0))
-    ru = max(op_norm(Wmat.conj().T @ Wmat - np.eye(Wmat.shape[1])),
-             op_norm(Wmat @ Wmat.conj().T - np.eye(m)))
     return ModuleUnitary(("intertwiners2 (x) intertwiners1",),
                          ("intertwiners of the composition",),
-                         Wmat, float(ru), 0.0, {"law": "intertwiner composition"})
+                         Wmat, unitarity_residual(Wmat), 0.0, {"law": "intertwiner composition"})
 
 
 def compression_composition_law(theta2: Homomorphism, theta1: Homomorphism,
@@ -729,11 +681,9 @@ def compression_composition_law(theta2: Homomorphism, theta1: Homomorphism,
             vec_k = theta2.apply(x1 @ omega2.conj().T, tol) @ x2
             cols.append((V.conj().T @ vec_k)[:, 0])
     Wmat = np.stack(cols, axis=1) if cols else np.zeros((V.shape[1], 0))
-    ru = max(op_norm(Wmat.conj().T @ Wmat - np.eye(Wmat.shape[1])),
-             op_norm(Wmat @ Wmat.conj().T - np.eye(V.shape[1])))
     return ModuleUnitary(("compression1 (x) compression2",),
                          ("compression of the composition",),
-                         Wmat, float(ru), 0.0, {"law": "compression composition"})
+                         Wmat, unitarity_residual(Wmat), 0.0, {"law": "compression composition"})
 
 
 # ---------------------------------------------------------------------------

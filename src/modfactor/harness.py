@@ -40,9 +40,9 @@ from .hilbmod import (
     module_from_parts,
     verify_unit_vector,
 )
-from .numkernel import OperatorSpace
 from .numkernel import (
     DEFAULT_TOL,
+    OperatorSpace,
     hs_orthonormalize,
     op_norm,
     subspace_equal,
@@ -365,7 +365,7 @@ def _random_projection_in(span_mats, rng) -> np.ndarray:
     if gaps[cut - 1] < 1e-6 * spread:
         return ident
     P = V[:, cut:] @ V[:, cut:].conj().T
-    if space.distance(P) > 1e-8 * max(1.0, float(np.linalg.norm(P))):
+    if not space.contains(P, 1e-8):
         return ident
     return P
 

@@ -24,9 +24,11 @@ from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
     as_matrix,
+    column_support,
     hs_norm,
     hs_orthonormalize,
     op_norm,
+    psd_sqrt_pinv,
     rank_cut,
     solve_intertwiners,
     subspace_contains,
@@ -49,6 +51,7 @@ __all__ = [
     "bimodule_center",
     "verify_unit_vector",
     "quasi_orthonormal_system",
+    "check_qons_family",
     "dual_qons_family",
     "commutant_lifting",
     "module_from_representation",
@@ -136,14 +139,6 @@ class Homomorphism:
         imgs = np.stack([self.apply(m, tol) for m in inner.images])
         return Homomorphism(inner.domain, self.codomain_dim, imgs)
 
-    def power(self, t: int, tol: float = DEFAULT_TOL) -> "Homomorphism":
-        if t < 1:
-            raise PreconditionError("power requires t >= 1")
-        out = self
-        for _ in range(t - 1):
-            out = self.compose(out, tol)
-        return out
-
 
 def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
     return Homomorphism(A, A.ambient_dim, A.basis.copy())
@@ -218,11 +213,9 @@ class Correspondence:
                 not subspace_equal(self.left_action.domain.space, self.left.space, 1e-6)[0]:
             raise ValidationError("left_action domain differs from the left algebra")
         self.left_action.validate(tol)
-        basis = self.module.basis
+        space = self.module.space
         for i, img in enumerate(self.left_action.images):
-            moved = np.matmul(img, basis)
-            resid = _batch_span_residual(self.module.space, moved)
-            if resid > 100.0 * tol:
+            if space.span_residual(np.matmul(img, space.mats)).max() > 100.0 * tol:
                 raise ValidationError(
                     f"left action of basis element {i} leaves the module span"
                 )
@@ -244,59 +237,34 @@ class QuasiONS:
 # construction and validation
 
 
-def _trim_columns(mats: np.ndarray, dim_H: int, tol: float):
-    """Isometry onto the joint column span; None if already nondegenerate."""
-    stacked = np.hstack(list(mats)) if len(mats) else np.zeros((dim_H, 0))
-    if stacked.shape[1] == 0:
-        raise ValidationError("module is zero")
-    U, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    r, _ = rank_cut(s, tol, "module nondegeneracy trim")
-    if r == dim_H:
-        return None
-    return U[:, :r]
-
-
 def module_from_parts(base: FiniteCStarAlgebra, space: OperatorSpace,
                       tol: float = DEFAULT_TOL, validate: bool = True) -> HilbertModule:
     """Wrap an orthonormal operator space as a module, validating invariants
     and trimming H to the nondegenerate part (trim is reported, not fatal)."""
     if space.dim_in != base.ambient_dim:
         raise DimensionMismatch("module domain must be the base algebra's ambient space")
-    mats = space.mats
+    if space.dim == 0:
+        raise ValidationError("module is zero")
     trimmed_from = None
     h_embed = None
-    V = _trim_columns(mats, space.dim_out, tol)
-    if V is not None:
+    r, V = column_support(space.mats, tol, "module nondegeneracy trim")
+    if r != space.dim_out:
         trimmed_from = space.dim_out
         h_embed = V
-        mats = np.einsum("ij,kjl->kil", V.conj().T, mats)
-        space = OperatorSpace(V.shape[1], space.dim_in, mats, space.gap)
+        mats = np.einsum("ij,kjl->kil", V.conj().T, space.mats)
+        space = OperatorSpace(r, space.dim_in, mats, space.gap)
     mod = HilbertModule(base, space, trimmed_from, h_embed)
     if validate:
         _validate_module(mod, tol)
     return mod
 
 
-def _batch_span_residual(space: OperatorSpace, mats: np.ndarray) -> float:
-    """Largest relative HS distance of a batch of matrices from a span."""
-    if mats.size == 0:
-        return 0.0
-    flat = mats.reshape(mats.shape[0], -1)
-    bflat = space.mats.reshape(space.dim, -1)
-    coeffs = flat @ bflat.conj().T
-    resid = flat - coeffs @ bflat
-    scales = np.maximum(1.0, np.linalg.norm(flat, axis=1))
-    return float((np.linalg.norm(resid, axis=1) / scales).max())
-
-
 def _validate_module(E: HilbertModule, tol: float) -> None:
     for i, x in enumerate(E.basis):
-        moved = np.matmul(x[None, :, :], E.base.basis)
-        if _batch_span_residual(E.space, moved) > 100.0 * tol:
+        if E.space.span_residual(np.matmul(x, E.base.basis)).max() > 100.0 * tol:
             raise ValidationError(f"right action moves basis element {i} out of the span")
     for i, x in enumerate(E.basis):
-        prods = np.matmul(x.conj().T[None, :, :], E.basis)
-        if _batch_span_residual(E.base.space, prods) > 100.0 * tol:
+        if E.base.space.span_residual(np.matmul(x.conj().T, E.basis)).max() > 100.0 * tol:
             raise ValidationError(
                 f"an inner product against basis element {i} leaves the base algebra"
             )
@@ -328,7 +296,7 @@ def inner_product(E: HilbertModule, x, y, tol: float = DEFAULT_TOL) -> np.ndarra
     E.coeffs(x, tol)
     E.coeffs(y, tol)
     p = x.conj().T @ y
-    if E.base.space.distance(p) > 100.0 * tol * max(1.0, hs_norm(p)):
+    if not E.base.space.contains(p, 100.0 * tol):
         raise ValidationError("inner product leaves the base algebra")
     return p
 
@@ -340,9 +308,7 @@ def finite_rank_algebra(E: HilbertModule, tol: float = DEFAULT_TOL) -> FiniteCSt
     key = ("finite_rank", tol)
     if key not in E._cache:
         prods = [x @ y.conj().T for x in E.basis for y in E.basis]
-        space = hs_orthonormalize(prods, tol)
-        from .cstar import _from_space
-        E._cache[key] = _from_space(space, tol, validate=False)
+        E._cache[key] = _from_space(hs_orthonormalize(prods, tol), tol, validate=False)
     return E._cache[key]
 
 
@@ -411,7 +377,8 @@ def dual_module(E: HilbertModule, tol: float = DEFAULT_TOL) -> Correspondence:
 
 
 def _ideal_data(E: HilbertModule, tol: float):
-    """(uncompressed ideal span, support isometry or None)."""
+    """(uncompressed ideal span, support isometry or None, the ideal as an
+    algebra on its support space)."""
     key = ("ideal", tol)
     if key in E._cache:
         return E._cache[key]
@@ -426,24 +393,22 @@ def _ideal_data(E: HilbertModule, tol: float):
             for b2 in E.base.basis:
                 triples.append(b1 @ s @ b2)
     span = hs_orthonormalize(triples, tol)
-    stacked = np.hstack(list(span.mats))
-    U, sv, _ = np.linalg.svd(stacked, full_matrices=False)
-    r, _ = rank_cut(sv, tol, "ideal support")
-    V = None if r == E.dim_G else U[:, :r]
-    E._cache[key] = (span, V)
-    return span, V
+    r, V = column_support(span.mats, tol, "ideal support")
+    if r == E.dim_G:
+        V = None
+        ideal = _from_space(span, tol, validate=False)
+    else:
+        mats = np.einsum("ij,kjl,lm->kim", V.conj().T, span.mats, V)
+        ideal = _from_space(hs_orthonormalize(mats, tol), tol, validate=False)
+    E._cache[key] = (span, V, ideal)
+    return span, V, ideal
 
 
 def is_full(E: HilbertModule, tol: float = DEFAULT_TOL):
     """(full?, ideal): the ideal generated by the inner products, returned as
     an algebra on its support space."""
-    span, V = _ideal_data(E, tol)
+    span, _, ideal = _ideal_data(E, tol)
     eq, _ = subspace_equal(span, E.base.space, 1e-6)
-    if V is None:
-        ideal = _from_space(span, tol, validate=False)
-    else:
-        mats = np.einsum("ij,kjl,lm->kim", V.conj().T, span.mats, V)
-        ideal = _from_space(hs_orthonormalize(mats, tol), tol, validate=False)
     return eq, ideal
 
 
@@ -453,14 +418,10 @@ def fullification(E: HilbertModule, tol: float = DEFAULT_TOL):
     The base is compressed to the support of the ideal; module elements are
     restricted accordingly.  Identity isometry when E is already full.
     """
-    span, V = _ideal_data(E, tol)
+    _, V, base = _ideal_data(E, tol)
     if V is None:
-        base = _from_space(span, tol, validate=False)
         mats = E.basis.copy()
     else:
-        base = _from_space(hs_orthonormalize(
-            np.einsum("ij,kjl,lm->kim", V.conj().T, span.mats, V), tol),
-            tol, validate=False)
         mats = np.einsum("kij,jl->kil", E.basis, V)
     space = OperatorSpace(E.dim_H, base.ambient_dim, np.ascontiguousarray(mats))
     mod = module_from_parts(base, space, tol)
@@ -472,14 +433,11 @@ def bimodule_center(X: Correspondence, tol: float = DEFAULT_TOL) -> OperatorSpac
     if X.left.ambient_dim != X.base.ambient_dim or \
             not subspace_equal(X.left.space, X.base.space, 1e-6)[0]:
         raise PreconditionError("bimodule_center requires left algebra equal to the base")
-    k = X.module.dim
     rows = []
     for b, img in zip(X.left.basis, X.left_action.images):
         block = np.stack([(img @ x - x @ b).reshape(-1) for x in X.module.basis], axis=1)
         rows.append(block)
     M = np.vstack(rows)
-    if M.shape[0] < k:
-        M = np.vstack([M, np.zeros((k - M.shape[0], k), dtype=np.complex128)])
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
     scale = max(1.0, float(np.abs(M).max()) * np.sqrt(M.shape[0]))
     r, gap = rank_cut(s, tol, "bimodule_center", floor=scale)
@@ -504,8 +462,6 @@ def quasi_orthonormal_system(E: HilbertModule, tol: float = DEFAULT_TOL) -> Quas
     m = (q x)*(q x), e = q x pinv_sqrt(m), p = support(m).  Each step removes
     rank(m) >= 1 from q, so at most dim_H steps occur.
     """
-    from .numkernel import psd_sqrt_pinv
-
     q = np.eye(E.dim_H, dtype=np.complex128)
     members = []
     for _ in range(E.dim_H + 1):
@@ -521,9 +477,9 @@ def quasi_orthonormal_system(E: HilbertModule, tol: float = DEFAULT_TOL) -> Quas
         _, pinv_sq, support = psd_sqrt_pinv(m, tol)
         e = qx @ pinv_sq
         p = support
-        if E.space.distance(e) > 1e-6 * max(1.0, hs_norm(e)):
+        if not E.space.contains(e, 1e-6):
             raise ValidationError("quasi-orthonormal element left the module span")
-        if E.base.space.distance(p) > 1e-6 * max(1.0, hs_norm(p)):
+        if not E.base.space.contains(p, 1e-6):
             raise ValidationError("quasi-orthonormal projection left the base algebra")
         members.append((e, p))
         q = q - e @ e.conj().T
@@ -549,6 +505,23 @@ def _qons_residual(E: HilbertModule, members) -> float:
     return res
 
 
+def check_qons_family(E: HilbertModule, family, tol: float = DEFAULT_TOL) -> float:
+    """Residual of the family conditions: e_a e_b* = delta * projection and
+    sum <e_b, e_b> = unit."""
+    res = 0.0
+    for i, e in enumerate(family):
+        for j, f in enumerate(family):
+            prod = e @ f.conj().T
+            if i != j:
+                res = max(res, op_norm(prod))
+            else:
+                res = max(res, op_norm(prod @ prod - prod),
+                          op_norm(prod - prod.conj().T))
+    total = sum(e.conj().T @ e for e in family)
+    res = max(res, op_norm(total - E.base.unit))
+    return float(res)
+
+
 def dual_qons_family(E: HilbertModule, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
     """Family (e_b) in E whose adjoints, paired with e_b e_b*, form a
     complete quasi-orthonormal system for the dual module.
@@ -562,16 +535,7 @@ def dual_qons_family(E: HilbertModule, tol: float = DEFAULT_TOL) -> list[np.ndar
     dual = dual_module(E, tol)
     qons = quasi_orthonormal_system(dual.module, tol)
     family = [u.conj().T for (u, _) in qons.members]
-    res = 0.0
-    for i, e in enumerate(family):
-        for j, f in enumerate(family):
-            prod = e @ f.conj().T
-            if i != j:
-                res = max(res, op_norm(prod))
-            else:
-                res = max(res, op_norm(prod @ prod - prod), op_norm(prod - prod.conj().T))
-    total = sum(e.conj().T @ e for e in family)
-    res = max(res, op_norm(total - E.base.unit))
+    res = check_qons_family(E, family, tol)
     if res > 1e-7:
         raise ValidationError(f"dual family postconditions failed ({res:.3e})")
     return family

@@ -30,6 +30,7 @@ __all__ = [
     "hs_norm",
     "op_norm",
     "rank_cut",
+    "column_support",
     "hs_orthonormalize",
     "solve_intertwiners",
     "psd_sqrt_pinv",
@@ -150,10 +151,29 @@ class OperatorSpace:
     def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.distance(m) <= tol * max(1.0, hs_norm(m))
 
+    def span_residual(self, mats: np.ndarray) -> np.ndarray:
+        """Relative HS distance ||m - P m|| / max(1, ||m||) of each matrix of
+        a batch from the span."""
+        flat = mats.reshape(mats.shape[0], -1)
+        bflat = self.mats.reshape(self.dim, -1)
+        resid = flat - (flat @ bflat.conj().T) @ bflat
+        return np.linalg.norm(resid, axis=1) / np.maximum(1.0, np.linalg.norm(flat, axis=1))
+
     def projector(self) -> np.ndarray:
         """Orthogonal projection onto the span, acting on vec space."""
         v = self.vecs()
         return v.T @ v.conj()
+
+
+def column_support(mats: np.ndarray, tol: float, what: str):
+    """(rank, isometry onto the joint column span) of a batch of matrices
+    with a common row count, the rank cut on the singular values of
+    [m_1 | ... | m_k]."""
+    k, rows, cols = mats.shape
+    stacked = mats.transpose(1, 0, 2).reshape(rows, k * cols)
+    U, s, _ = np.linalg.svd(stacked, full_matrices=False)
+    rank, _ = rank_cut(s, tol, what)
+    return rank, U[:, :rank]
 
 
 def _check_common_shape(mats: list[np.ndarray]) -> tuple[int, int]:

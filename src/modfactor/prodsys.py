@@ -20,12 +20,18 @@ from .numkernel import DEFAULT_TOL, op_norm
 from .tensorcalc import (
     ModuleUnitary,
     TensorProduct,
+    _module_of,
     associator,
     certify_module_unitary,
     interior_tensor,
     map_from_spanning,
 )
-from .factorizations import FactorizationResult, factor_dual
+from .factorizations import (
+    FactorizationResult,
+    compression_composition_law,
+    factor_dual,
+    intertwiner_composition_law,
+)
 
 __all__ = [
     "ProductSystem",
@@ -53,17 +59,17 @@ class ProductSystem:
 
 
 def _chain_unitary(res_left: FactorizationResult, res_right: FactorizationResult,
-                   theta_right: Homomorphism, tol: float = DEFAULT_TOL):
-    """Unitary corr_left (.) corr_right -> corr_of_composition realizing
+                   res_comp: FactorizationResult, tol: float = DEFAULT_TOL):
+    """Unitary corr_left (.) corr_right -> corr_comp realizing
     (x* . y) (x) (y'* . z) -> x* . theta_right(y y'*) z.
 
-    corr_left factors theta_left: Ba(E) -> Ba(F); corr_right factors
-    theta_right: Ba(F) -> Ba(G); the target is the dual-method
-    correspondence of theta_right o theta_left.
+    All three are dual-method results: corr_left factors theta_left:
+    Ba(E) -> Ba(F), corr_right factors theta_right: Ba(F) -> Ba(G), and
+    corr_comp factors theta_right o theta_left.  The map is built in the
+    coordinates of corr_comp's own Gram quotient and certified against the
+    same correspondence.
     """
-    comp = theta_right.compose(res_left.aux["theta"], tol)
-    res_comp = factor_dual(res_left.aux["E"], res_right.aux["F"], comp, tol)
-
+    theta_right: Homomorphism = res_right.aux["theta"]
     tp = interior_tensor(res_left.correspondence, res_right.correspondence, tol)
     left_mod = res_left.correspondence.module
     dual_left = res_left.aux["dual"].module
@@ -95,7 +101,7 @@ def _chain_unitary(res_left: FactorizationResult, res_right: FactorizationResult
     U = map_from_spanning(D, T)
     unit = certify_module_unitary(tp.result, res_comp.correspondence, U,
                                   {"kind": "tensor multiplication"})
-    return unit, tp, res_comp
+    return unit, tp
 
 
 def discrete_product_system(E: HilbertModule, theta: Homomorphism, n: int,
@@ -107,25 +113,21 @@ def discrete_product_system(E: HilbertModule, theta: Homomorphism, n: int,
     if theta.codomain_dim != E.dim_H:
         raise ValidationError("theta must be an endomorphism of the operators on E's total space")
     for i, img in enumerate(theta.images):
-        if theta.domain.space.distance(img) > 1e-6 * max(1.0, np.linalg.norm(img)):
+        if not theta.domain.space.contains(img, 1e-6):
             raise ValidationError(
                 f"theta image of basis element {i} leaves the adjointable algebra"
             )
-    results = []
-    for t in range(1, n + 1):
-        results.append(factor_dual(E, E, theta.power(t, tol), tol))
+    powers = [theta]
+    for _ in range(n - 1):
+        powers.append(theta.compose(powers[-1], tol))
+    results = [factor_dual(E, E, power, tol) for power in powers]
     members = [r.correspondence for r in results]
     mult = {}
     tensors = {}
     for s in range(1, n):
         for t in range(1, n - s + 1):
-            unit, tp, _ = _chain_unitary(results[s - 1], results[t - 1],
-                                         theta.power(t, tol), tol)
-            # re-target the unitary at the stored member E_{s+t}
-            unit = certify_module_unitary(tp.result, members[s + t - 1],
-                                          unit.map, unit.meta)
-            mult[(s, t)] = unit
-            tensors[(s, t)] = tp
+            mult[(s, t)], tensors[(s, t)] = _chain_unitary(
+                results[s - 1], results[t - 1], results[s + t - 1], tol)
     return ProductSystem(E, theta, members, results, mult, tensors)
 
 
@@ -169,9 +171,8 @@ def _lifted_total_map(tp_from: TensorProduct, tp_to: TensorProduct,
     if side == "right":  # id on the left factor, w on the right factor
         k = tp_from.k_left
         return tp_to.S @ np.kron(np.eye(k), w.map) @ tp_from.S_pinv
-    src_mod = w.source.module if isinstance(w.source, Correspondence) else w.source
-    tgt_mod = w.target.module if isinstance(w.target, Correspondence) else w.target
-    C = np.stack([tgt_mod.space.coeffs(w.map @ x) for x in src_mod.basis], axis=1)
+    C = np.stack([_module_of(w.target).space.coeffs(w.map @ x)
+                  for x in _module_of(w.source).basis], axis=1)
     wtot = tp_from.right_total
     return tp_to.S @ np.kron(C, np.eye(wtot)) @ tp_from.S_pinv
 
@@ -234,7 +235,8 @@ def composition_contravariance(E: HilbertModule, F: HilbertModule,
     factors."""
     res1 = factor_dual(E, F, theta1, tol)
     res2 = factor_dual(F, G_mod, theta2, tol)
-    unit, tp, res_comp = _chain_unitary(res1, res2, theta2, tol)
+    res_comp = factor_dual(E, G_mod, theta2.compose(theta1, tol), tol)
+    unit, tp = _chain_unitary(res1, res2, res_comp, tol)
     report = {
         "dims": {"corr1": res1.correspondence.module.dim,
                  "corr2": res2.correspondence.module.dim,
@@ -244,10 +246,6 @@ def composition_contravariance(E: HilbertModule, F: HilbertModule,
     }
     if theta1.domain.dim == theta1.domain.ambient_dim ** 2 and \
             theta2.domain.dim == theta2.domain.ambient_dim ** 2:
-        from .factorizations import (
-            compression_composition_law,
-            intertwiner_composition_law,
-        )
         # Hilbert-space case: both adjointable algebras are full matrix algebras
         ha = intertwiner_composition_law(theta2, theta1, tol)
         omega = np.zeros(theta1.domain.ambient_dim); omega[0] = 1.0

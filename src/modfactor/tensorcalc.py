@@ -28,6 +28,7 @@ from .hilbmod import (
     Correspondence,
     HilbertModule,
     Homomorphism,
+    _ideal_data,
     algebra_bimodule,
     as_bimodule,
     dual_module,
@@ -48,10 +49,11 @@ __all__ = [
     "TensorProduct",
     "interior_tensor",
     "unit_identities",
-    "tensor_with_space",
     "flip_unitary",
     "associator",
     "certify_module_unitary",
+    "unitarity_residual",
+    "intertwining_residual",
     "compose_unitaries",
     "adjoint_unitary",
     "identity_unitary",
@@ -85,6 +87,18 @@ def _module_of(obj) -> HilbertModule:
     return obj.module if isinstance(obj, Correspondence) else obj
 
 
+def unitarity_residual(U: np.ndarray) -> float:
+    """max(||U*U - 1||, ||UU* - 1||)."""
+    return max(op_norm(U.conj().T @ U - np.eye(U.shape[1])),
+               op_norm(U @ U.conj().T - np.eye(U.shape[0])))
+
+
+def intertwining_residual(U: np.ndarray, src_imgs, tgt_imgs) -> float:
+    """max over pairs of ||U s - t U||."""
+    return max((op_norm(U @ s - t @ U) for s, t in zip(src_imgs, tgt_imgs)),
+               default=0.0)
+
+
 def certify_module_unitary(source, target, U: np.ndarray,
                            meta: dict | None = None) -> ModuleUnitary:
     """Measure unitarity and bimodule intertwining residuals of U.
@@ -100,17 +114,14 @@ def certify_module_unitary(source, target, U: np.ndarray,
             f"map shape {U.shape} does not match target/source total spaces "
             f"({tgt.dim_H}, {src.dim_H})"
         )
-    ru = max(op_norm(U.conj().T @ U - np.eye(src.dim_H)),
-             op_norm(U @ U.conj().T - np.eye(tgt.dim_H)))
+    ru = unitarity_residual(U)
     ri = 0.0
     for x in src.basis:
-        y = U @ x
-        ri = max(ri, tgt.space.distance(y))
+        ri = max(ri, tgt.space.distance(U @ x))
     if isinstance(source, Correspondence) and isinstance(target, Correspondence):
-        for a in source.left.basis:
-            lhs = U @ source.act(a)
-            rhs = target.act(a) @ U
-            ri = max(ri, op_norm(lhs - rhs))
+        basis = source.left.basis
+        ri = max(ri, intertwining_residual(U, [source.act(a) for a in basis],
+                                           [target.act(a) for a in basis]))
     return ModuleUnitary(source, target, U, float(ru), float(ri), meta or {})
 
 
@@ -250,15 +261,6 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
     return TensorProduct(X, Y, result, S, S_pinv, gap)
 
 
-def tensor_with_space(E: HilbertModule):
-    """The concrete total space H = E (.) G and the embedding x -> L_x.
-
-    Modules are stored concretely, so the embedding is the identity on the
-    stored representation; returned for interface completeness.
-    """
-    return E.dim_H, (lambda x: as_matrix(x))
-
-
 # ---------------------------------------------------------------------------
 # unit identities
 
@@ -284,8 +286,7 @@ def unit_identities(E: HilbertModule, tol: float = DEFAULT_TOL):
 
     # u2: E* (.) E  ->  B_E as a B-B correspondence: the inner-product ideal
     # as operators from G to its support space, with both actions from B
-    from .hilbmod import _ideal_data
-    ideal_span, V = _ideal_data(E, tol)
+    ideal_span, V, _ = _ideal_data(E, tol)
     if V is None:
         V = np.eye(E.dim_G, dtype=np.complex128)
     rank = V.shape[1]

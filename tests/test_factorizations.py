@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from modfactor import cstar, factorizations, hilbmod, numkernel
 from modfactor.cstar import build_algebra, commutant
 from modfactor.errors import PreconditionError, UnsupportedPair, ValidationError
 from modfactor.factorizations import (
@@ -221,6 +222,22 @@ class TestFactorCommutant:
         assert res.unitary.residual <= 1e-8
         assert res.report["theta_residual"] <= 1e-8
         assert res.report["chain"]["flip_residual"] <= 1e-8
+
+    def test_tol_reaches_every_intertwiner_solve(self, monkeypatch):
+        inst = seeded_instance(5)
+        theta = amplification(2, 3)
+        seen = []
+        real = numkernel.solve_intertwiners
+
+        def spy(lefts, rights, tol=numkernel.DEFAULT_TOL):
+            seen.append(tol)
+            return real(lefts, rights, tol)
+
+        for mod in (numkernel, cstar, hilbmod, factorizations):
+            monkeypatch.setattr(mod, "solve_intertwiners", spy)
+        factor_commutant(inst.E, inst.F, inst.theta, tol=1e-10)
+        hilbert_space_intertwiners(theta, tol=1e-10)
+        assert seen and set(seen) == {1e-10}
 
 
 class TestCompare:

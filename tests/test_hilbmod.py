@@ -22,12 +22,13 @@ from modfactor.hilbmod import (
     identity_homomorphism,
     inner_product,
     is_full,
+    module_from_parts,
     module_from_representation,
     module_over_itself,
     quasi_orthonormal_system,
     verify_unit_vector,
 )
-from modfactor.numkernel import hs_orthonormalize, op_norm, subspace_equal
+from modfactor.numkernel import OperatorSpace, hs_orthonormalize, op_norm, subspace_equal
 from conftest import matrix_unit
 
 
@@ -70,6 +71,11 @@ class TestBuildModule:
         assert E.dim == 2
         assert E.dim_H == 2
         assert E.trimmed_from == 3
+
+    def test_zero_module_rejected(self, block_algebra):
+        empty = OperatorSpace(3, 3, np.zeros((0, 3, 3), dtype=complex))
+        with pytest.raises(ValidationError, match="module is zero"):
+            module_from_parts(block_algebra, empty)
 
     def test_inner_product_outside_base_rejected(self):
         B = build_algebra([(1, 1), (1, 1)])  # diagonal algebra in M2

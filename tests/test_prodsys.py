@@ -4,6 +4,7 @@ import scipy.linalg
 
 from modfactor.cstar import build_algebra, hermitian_basis
 from modfactor.errors import ValidationError
+from modfactor.harness import generate_random_instance
 from modfactor.hilbmod import (
     Homomorphism,
     build_module,
@@ -14,6 +15,7 @@ from modfactor.prodsys import (
     discrete_product_system,
     verify_associativity,
 )
+from test_acceptance import BATCH_SPECS
 
 
 def column_module(n):
@@ -50,6 +52,16 @@ def test_identity_endomorphism_members_are_the_base(golden_module, block_algebra
     assert [m.module.dim for m in ps.members] == [block_algebra.dim] * 3
     rep = verify_associativity(ps)
     assert rep["max_residual"] <= 1e-10
+
+
+@pytest.mark.parametrize("seed", range(1000, 1010))
+def test_identity_endomorphism_on_seeded_modules(seed):
+    # E_s (.) E_t -> E_{s+t} must be certified against the stored member,
+    # whose Gram coordinates are the ones the map was built in
+    spec = BATCH_SPECS[(seed - 1000) % len(BATCH_SPECS)]
+    E = generate_random_instance(spec, seed).E
+    rep = verify_associativity(discrete_product_system(E, identity_endo(E), 3))
+    assert rep["max_residual"] <= 1e-8
 
 
 def test_inner_endomorphism_on_columns_gives_lines():

@@ -23,7 +23,6 @@ from modfactor.tensorcalc import (
     flip_unitary,
     interior_tensor,
     map_from_spanning,
-    tensor_with_space,
     unit_identities,
 )
 from conftest import matrix_unit
@@ -130,28 +129,6 @@ class TestUnitIdentities:
         assert u1.residual <= 1e-10
         assert u2.residual <= 1e-10
         assert u2.target.module.dim == 1
-
-
-class TestTensorWithSpace:
-    def test_identity_module(self, block_algebra):
-        E = module_over_itself(block_algebra)
-        dim_H, embed = tensor_with_space(E)
-        assert dim_H == block_algebra.ambient_dim
-
-    def test_golden(self, golden_module):
-        assert tensor_with_space(golden_module)[0] == 3
-
-    def test_inner_products_through_the_embedding(self, golden_module, rng):
-        _, embed = tensor_with_space(golden_module)
-        c1 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        c2 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        x = np.tensordot(c1, golden_module.basis, axes=1)
-        y = np.tensordot(c2, golden_module.basis, axes=1)
-        lx, ly = embed(x), embed(y)
-        assert np.allclose(lx.conj().T @ ly, x.conj().T @ y, atol=1e-12)
-        # L_{xb} = L_x b
-        b = golden_module.base.basis[1]
-        assert np.allclose(embed(x @ b), embed(x) @ b, atol=1e-12)
 
 
 class TestFlipUnitary:
