@@ -2,14 +2,24 @@
 """Write the canonical outputs of modfactor on its fixed inputs, one file each.
 
 Usage: OPENBLAS_NUM_THREADS=1 python scripts/canonical_outputs.py OUTDIR [--large]
+       python scripts/canonical_outputs.py --compare OLD NEW
 
 For the golden fixture (built in code and parsed from fixtures/golden.json)
 and the 50 seeded-batch instances, it writes the instance JSON and the
 canonical verification report; ``--large`` adds instance ``a`` of the
-ROADMAP (about 7 s).  It also writes the golden product system's
+ROADMAP (about 4 s).  It also writes the golden product system's
 associativity report and the composition and Hilbert-space residuals of
 two amplifications.  Run it on two checkouts and compare them with
 ``diff -r``: a change that keeps the numbers leaves no difference.
+
+``--compare OLD NEW`` compares two such directories in substance.  It fails
+on a missing file, on any difference in a boolean, string or integer, in
+an array's length or in anything under a ``dims`` key, and on any report
+whose ``passed`` is not true.  It prints the number of changed files and
+the largest change of the residuals (absolute, with the largest changed
+residual) and of the gaps (in decades, with the smallest changed gap);
+float changes elsewhere, such as instance entries re-expressed in another
+basis, are counted but do not fail.
 """
 
 import argparse
@@ -68,11 +78,85 @@ def _amplification(n: int, m: int) -> Homomorphism:
     return Homomorphism(Mn, n * m, np.stack([np.kron(b, np.eye(m)) for b in Mn.basis]))
 
 
+def _kind(path: tuple) -> str:
+    """Which float a key path names: a gap, a residual or anything else."""
+    if any("gap" in str(p) for p in path):
+        return "gap"
+    if path[0].endswith(".instance.json") or \
+            any(str(p) in ("tolerances", "rho_inverse_conditioning") for p in path):
+        return "other"
+    return "residual"
+
+
+def _walk(old, new, path: tuple, faults: list, changes: list) -> None:
+    where = "/".join(str(p) for p in path)
+    if type(old) is not type(new):
+        faults.append(f"{where}: {type(old).__name__} became {type(new).__name__}")
+    elif isinstance(old, dict):
+        if old.keys() != new.keys():
+            faults.append(f"{where}: keys {sorted(old.keys() ^ new.keys())} differ")
+        for key in sorted(old.keys() & new.keys()):
+            _walk(old[key], new[key], path + (key,), faults, changes)
+    elif isinstance(old, list):
+        if len(old) != len(new):
+            faults.append(f"{where}: length {len(old)} became {len(new)}")
+        for i, (a, b) in enumerate(zip(old, new)):
+            _walk(a, b, path + (i,), faults, changes)
+    elif isinstance(old, float) and "dims" not in path:
+        if old != new and not (np.isnan(old) and np.isnan(new)):
+            changes.append((_kind(path), old, new, where))
+    elif old != new:
+        faults.append(f"{where}: {old!r} became {new!r}")
+
+
+def compare(old_dir: Path, new_dir: Path) -> int:
+    """Exit status 0 iff NEW keeps every flag, string, integer, dimension and
+    shape of OLD and every report in both passed."""
+    names = sorted({p.name for p in old_dir.glob("*.json")} |
+                   {p.name for p in new_dir.glob("*.json")})
+    faults, changes, changed = [], [], 0
+    for name in names:
+        if not (old_dir / name).exists() or not (new_dir / name).exists():
+            faults.append(f"{name}: present on one side only")
+            continue
+        old = json.loads((old_dir / name).read_text())
+        new = json.loads((new_dir / name).read_text())
+        if name.endswith(".report.json"):
+            for side, rep in (("old", old), ("new", new)):
+                if rep.get("passed") is not True:
+                    faults.append(f"{name}: the {side} report did not pass")
+        before = len(changes)
+        _walk(old, new, (name,), faults, changes)
+        changed += len(changes) > before
+    print(f"{len(names)} files, {changed} with changed floats")
+    res = [(abs(b - a), max(a, b), w) for k, a, b, w in changes if k == "residual"]
+    if res:
+        big = max(res)
+        print(f"residuals: {len(res)} changed, largest change {big[0]:.3e} at {big[2]}, "
+              f"largest changed residual {max(r[1] for r in res):.3e}")
+    gaps = [(abs(np.log10(b) - np.log10(a)), min(a, b), w)
+            for k, a, b, w in changes if k == "gap"]
+    if gaps:
+        big = max(gaps)
+        print(f"gaps: {len(gaps)} changed, largest change {big[0]:.2f} decades at "
+              f"{big[2]}, smallest changed gap {min(g[1] for g in gaps):.3e}")
+    print(f"other floats: {sum(k == 'other' for k, *_ in changes)} changed")
+    for fault in faults:
+        print(f"FAIL {fault}")
+    return 1 if faults else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("outdir")
+    ap.add_argument("outdir", nargs="?")
     ap.add_argument("--large", action="store_true", help="also write instance a")
+    ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two output directories instead of writing one")
     args = ap.parse_args()
+    if args.compare:
+        return compare(Path(args.compare[0]), Path(args.compare[1]))
+    if args.outdir is None:
+        ap.error("OUTDIR is required unless --compare is given")
     out = Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
 

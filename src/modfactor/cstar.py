@@ -57,13 +57,30 @@ class FiniteCStarAlgebra:
     def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.space.contains(m, tol)
 
-    def coeffs(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Basis coefficients of an element; ValidationError if m leaves the span."""
-        c = self.space.coeffs(m)
-        resid = hs_norm(m - np.tensordot(c, self.basis, axes=1))
-        if resid > tol * max(1.0, hs_norm(m)):
-            raise ValidationError(f"element leaves the algebra span (residual {resid:.3e})")
-        return c
+    def structure_constants(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """c[i, j, k] with b_i b_j = sum_k c[i, j, k] b_k, shape (k, k, k).
+
+        Computed once per tolerance (the basis is read-only, so the cached
+        constants cannot go stale); ValidationError when the basis is not
+        multiplicatively closed, which is not cached.
+        """
+        key = ("structure_constants", tol)
+        if key not in self._cache:
+            self._cache[key] = _structure_constants(self.basis, tol)
+        return self._cache[key]
+
+
+def _structure_constants(basis: np.ndarray, tol: float) -> np.ndarray:
+    k = basis.shape[0]
+    flat = basis.reshape(k, -1)
+    prods = np.matmul(basis[:, None], basis[None]).reshape(k * k, -1)
+    cprod = prods @ flat.conj().T
+    closure = np.linalg.norm(prods - cprod @ flat, axis=1)
+    if closure.max() > 100.0 * tol:
+        raise ValidationError("domain basis is not multiplicatively closed")
+    cprod = cprod.reshape(k, k, k)
+    cprod.setflags(write=False)
+    return cprod
 
 
 def _validate_algebra(space: OperatorSpace, tol: float) -> None:

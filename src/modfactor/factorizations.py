@@ -55,6 +55,7 @@ from .tensorcalc import (
     ModuleUnitary,
     TensorProduct,
     _gram_coordinates,
+    _induced_action,
     _representation_inverter,
     adjoint_unitary,
     certify_module_unitary,
@@ -144,10 +145,8 @@ def _certify(method: str, tp: TensorProduct, F_corr: Correspondence,
     """(certified unitary, residual report keys) of U: E (.) corr -> F,
     including max over the domain basis of ||theta(a) - U (a (.) id) U*||."""
     unitary = certify_module_unitary(tp.result, F_corr, U, {"method": method})
-    t_res = 0.0
-    for a, img in zip(theta.domain.basis, theta.images):
-        lifted = U @ tp.result.act(a) @ U.conj().T
-        t_res = max(t_res, op_norm(img - lifted))
+    lifted = U @ tp.result.left_action.apply_many(theta.domain.basis) @ U.conj().T
+    t_res = max(op_norm(d) for d in theta.images - lifted)
     return unitary, {"residual_unitary": unitary.residual_unitary,
                      "residual_intertwine": unitary.residual_intertwine,
                      "theta_residual": float(t_res)}
@@ -200,11 +199,12 @@ def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
 
     tp2 = _unit_tensor(E, F, theta, Ftheta, "dual", tol)
     lift = _dual_lift(dual_corr)
-    phis = []
-    for x in E.basis:
-        Ni = np.hstack([theta.apply(x @ (lift @ u), tol) for u in dual_mod.basis])
-        phis.append(Ni @ tp1.S_pinv)
-    U = np.hstack(phis) @ tp2.S_pinv
+    # theta(x (lift u)) for every pair (x, u), x major
+    k, ku, d = E.dim, dual_mod.dim, F.dim_H
+    pairs = np.matmul(E.basis[:, None], np.matmul(lift, dual_mod.basis)[None])
+    imgs = theta.apply_many(pairs.reshape(k * ku, E.dim_H, E.dim_H), tol)
+    N = imgs.reshape(k, ku, d, d).transpose(0, 2, 1, 3).reshape(k, d, ku * d)
+    U = np.hstack(list(N @ tp1.S_pinv)) @ tp2.S_pinv
     unitary, residuals = _certify("dual", tp2, F_corr, theta, U)
     report = {
         "dims": {"correspondence": Ftheta.module.dim,
@@ -242,16 +242,13 @@ def factor_unit_vector(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     mod = module_from_parts(F.base, space, tol)
     if mod.h_embed is not None:
         raise ValidationError("compressed submodule is degenerate")
-    imgs = np.stack([
-        V.conj().T @ theta.apply(xi @ b @ xi.conj().T, tol) @ V
-        for b in E.base.basis
-    ])
+    imgs = V.conj().T @ theta.apply_many(xi @ E.base.basis @ xi.conj().T, tol) @ V
     hom = Homomorphism(E.base, mod.dim_H, imgs)
     corr = Correspondence(mod, E.base, hom)
     corr.validate(tol)
 
     tp = _unit_tensor(E, F, theta, corr, "unit_vector", tol)
-    M = np.hstack([theta.apply(x @ xi.conj().T, tol) @ V for x in E.basis])
+    M = np.hstack(list(theta.apply_many(E.basis @ xi.conj().T, tol) @ V))
     U = M @ tp.S_pinv
     unitary, residuals = _certify("unit_vector", tp, _f_as_target(F, theta, tol), theta, U)
     report = {
@@ -299,25 +296,19 @@ def factor_qons(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     space = hs_orthonormalize(blocks, tol)
     mod = module_from_parts(F.base, space, tol)
 
-    imgs = []
-    for b in E.base.basis:
-        img = np.zeros((H_B, H_B), dtype=np.complex128)
-        for bi, Vi in enumerate(isometries):
-            for bj, Vj in enumerate(isometries):
-                img[offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = \
-                    Vi.conj().T @ theta.apply(
-                        family[bi] @ b @ family[bj].conj().T, tol) @ Vj
-        imgs.append(img)
-    hom = Homomorphism(E.base, H_B, np.stack(imgs))
+    imgs = np.zeros((E.base.dim, H_B, H_B), dtype=np.complex128)
+    for bi, (ei, Vi) in enumerate(zip(family, isometries)):
+        for bj, (ej, Vj) in enumerate(zip(family, isometries)):
+            imgs[:, offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = \
+                Vi.conj().T @ theta.apply_many(ei @ E.base.basis @ ej.conj().T, tol) @ Vj
+    hom = Homomorphism(E.base, H_B, imgs)
     corr = Correspondence(mod, E.base, hom)
     corr.validate(tol)
 
     tp = _unit_tensor(E, F, theta, corr, "qons", tol)
-    M = np.hstack([
-        np.hstack([theta.apply(x @ family[b_idx].conj().T, tol) @ V
-                   for b_idx, V in enumerate(isometries)])
-        for x in E.basis
-    ])
+    M = np.hstack(list(np.concatenate(
+        [theta.apply_many(E.basis @ e.conj().T, tol) @ V
+         for e, V in zip(family, isometries)], axis=2)))
     U = M @ tp.S_pinv
     unitary, residuals = _certify("qons", tp, _f_as_target(F, theta, tol), theta, U)
     report = {
@@ -345,7 +336,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if not full:
         raise PreconditionError("the commutant method requires a full module")
     validate_theta(E, F, theta, tol)
-    W = hs_orthonormalize(_intertwiner_mats(theta, tol), tol)
+    W = _intertwiner_space(theta, tol)
     # totality of the intertwiner space on H_F
     tot_rank = column_support(W.mats, tol, "intertwiner totality")[0]
     if tot_rank != F.dim_H:
@@ -374,12 +365,8 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if prime_mod.dim_H != rP:
         raise ValidationError("re-concretized intertwiner module is degenerate")
     Cp = sigma_p.domain
-    cp_imgs = []
-    for cp in Cp.basis:
-        act = sigma_p.apply(cp, tol)
-        D = np.stack([W.coeffs(act @ w) for w in W.mats], axis=1)
-        cp_imgs.append(S_P @ np.kron(D, np.eye(G)) @ S_P_pinv)
-    prime = Correspondence(prime_mod, Cp, Homomorphism(Cp, rP, np.stack(cp_imgs)))
+    cp_imgs = _induced_action(sigma_p.apply_many(Cp.basis, tol), W, S_P, S_P_pinv)
+    prime = Correspondence(prime_mod, Cp, Homomorphism(Cp, rP, cp_imgs))
     prime.validate(tol)
 
     # flip-chain link: the abstract E (.) W (.) G Gram equals the concrete one
@@ -391,8 +378,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if Fpp_mod.h_embed is not None:
         raise ValidationError("factorizing correspondence is degenerate on its total space")
     lifted = commutant_lifting(prime_mod, tol)
-    tau_imgs = np.stack([lifted.apply(b, tol) for b in E.base.basis])
-    tau = Homomorphism(E.base, rP, tau_imgs)
+    tau = Homomorphism(E.base, rP, lifted.apply_many(E.base.basis, tol))
     Fpp = Correspondence(Fpp_mod, E.base, tau)
     Fpp.validate(tol)
 
@@ -418,17 +404,17 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     return prime, FactorizationResult("commutant", Fpp, unitary, report, aux)
 
 
-def _intertwiner_mats(theta: Homomorphism, tol: float) -> list[np.ndarray]:
-    space = solve_intertwiners(list(theta.images), list(theta.domain.basis), tol)
-    return list(space.mats)
+def _intertwiner_space(theta: Homomorphism, tol: float) -> OperatorSpace:
+    """HS-orthonormal basis of {X : theta(a) X = X a}."""
+    return solve_intertwiners(list(theta.images), list(theta.domain.basis), tol)
 
 
 def _solve_corr_intertwiners(prime: Correspondence, C: FiniteCStarAlgebra,
                              tol: float) -> OperatorSpace:
     """{Z : prime_left(c') Z = Z c'} for c' in the commutant of C."""
     Cp = prime.left
-    lefts = [prime.act(cp, tol) for cp in Cp.basis]
-    return solve_intertwiners(lefts, list(Cp.basis), tol)
+    return solve_intertwiners(prime.left_action.apply_many(Cp.basis, tol),
+                              list(Cp.basis), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +468,8 @@ def _cmp_dual_to_unit_vector(ra, rb, tol):
     xi = rb.aux["xi"]
     V = rb.aux["isometry"]
     dual_mod = ra.aux["dual"].module
-    M = np.hstack([V.conj().T @ theta.apply(xi @ (lift @ u), tol)
-                   for u in dual_mod.basis])
+    M = np.hstack(list(V.conj().T @ theta.apply_many(
+        xi @ np.matmul(lift, dual_mod.basis), tol)))
     U = M @ tp1.S_pinv
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", "unit_vector")})
@@ -496,14 +482,10 @@ def _cmp_dual_to_qons(ra, rb, tol):
     family = rb.aux["family"]
     isometries = rb.aux["isometries"]
     dual_mod = ra.aux["dual"].module
-    cols = []
-    for u in dual_mod.basis:
-        xstar = lift @ u
-        cols.append(np.vstack([
-            V.conj().T @ theta.apply(e @ xstar, tol)
-            for e, V in zip(family, isometries)
-        ]))
-    M = np.hstack(cols)
+    xstars = np.matmul(lift, dual_mod.basis)
+    M = np.hstack(list(np.concatenate(
+        [V.conj().T @ theta.apply_many(e @ xstars, tol)
+         for e, V in zip(family, isometries)], axis=1)))
     U = M @ tp1.S_pinv
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", "qons")})
@@ -593,7 +575,7 @@ def hilbert_space_intertwiners(theta: Homomorphism, tol: float = DEFAULT_TOL):
     n = _require_full_matrix_domain(theta)
     theta.validate(tol)
     k = theta.codomain_dim
-    space = hs_orthonormalize(_intertwiner_mats(theta, tol), tol)
+    space = _intertwiner_space(theta, tol)
     scaled = np.stack([x * np.sqrt(n) for x in space.mats]) if space.dim else \
         np.zeros((0, k, n), dtype=np.complex128)
     m = space.dim
@@ -602,7 +584,7 @@ def hilbert_space_intertwiners(theta: Homomorphism, tol: float = DEFAULT_TOL):
     U = np.hstack(list(scaled))
     basis = theta.domain.basis
     ri = intertwining_residual(U, [np.kron(np.eye(m), a) for a in basis],
-                               [theta.apply(a, tol) for a in basis])
+                               theta.apply_many(basis, tol))
     corr = _scalar_column_correspondence(m, scaled)
     u = ModuleUnitary(("intertwiners (x) H",), ("K",), U, unitarity_residual(U), ri,
                       {"kind": "intertwiner factor"})
@@ -631,7 +613,7 @@ def hilbert_space_compression(theta: Homomorphism, omega, tol: float = DEFAULT_T
     U = np.hstack(blocks)
     basis = theta.domain.basis
     ri = intertwining_residual(U, [np.kron(a, np.eye(m)) for a in basis],
-                               [theta.apply(a, tol) for a in basis])
+                               theta.apply_many(basis, tol))
     corr = _scalar_column_correspondence(m, np.stack([V]))
     u = ModuleUnitary(("H (x) compression",), ("K",), U, unitarity_residual(U), ri,
                       {"kind": "compression factor"})

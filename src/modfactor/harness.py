@@ -284,8 +284,9 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
             not subspace_equal(F2.space, F.space, 1e-6)[0]:
         raise ValidationError(
             "instance F is not the module induced by the recorded oracle")
-    theta_dist = max(op_norm(theta.apply(a, tol) - theta2.apply(a, tol))
-                     for a in theta.domain.basis)
+    basis = theta.domain.basis
+    theta_dist = max(op_norm(d) for d in
+                     theta.apply_many(basis, tol) - theta2.apply_many(basis, tol))
     if theta_dist > 1e-6:
         raise ValidationError(
             "instance theta is not induced by the recorded oracle")
@@ -481,17 +482,12 @@ def oracle_unitary(res_dual: FactorizationResult, M: Correspondence, tp_F,
     E: HilbertModule = res_dual.aux["E"]
     lift = res_dual.aux["dual_lift"]
     dual_mod = res_dual.aux["dual"].module
-    dom_cols = []
-    tgt_cols = []
-    for j, u in enumerate(dual_mod.basis):
-        xstar = lift @ u
-        S1j = tp1.block(j)
-        for mi, y in enumerate(E.basis):
-            block = tp_F.block(mi)  # H_M -> H_F
-            dom_cols.append(S1j @ block)
-            tgt_cols.append(M.act(xstar @ y, tol))
-    D = np.hstack(dom_cols)
-    T = np.hstack(tgt_cols)
+    # tp_F.block(mi) maps H_M -> H_F
+    D = np.hstack([tp1.block(j) @ tp_F.block(mi)
+                   for j in range(dual_mod.dim) for mi in range(E.dim)])
+    pairs = np.matmul(np.matmul(lift, dual_mod.basis)[:, None], E.basis[None])
+    T = np.hstack(list(M.left_action.apply_many(
+        pairs.reshape(-1, E.dim_G, E.dim_G), tol)))
     U = map_from_spanning(D, T)
     return certify_module_unitary(res_dual.correspondence, M, U,
                                   {"kind": "oracle link"})

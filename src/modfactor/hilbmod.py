@@ -84,9 +84,34 @@ class Homomorphism:
         self.images.setflags(write=False)
         self._validated_at: float | None = None
 
+    def apply_many(self, mats, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Images of a batch (m, n, n) of domain elements, shape (m, d, d).
+
+        One GEMM against the flattened domain basis gives the coefficients,
+        one the span residuals and one the images.  ValidationError if an
+        element lies farther than tol * max(1, ||m||) from the domain span.
+        """
+        dom = self.domain
+        n = dom.ambient_dim
+        arr = np.asarray(mats, dtype=np.complex128)
+        if arr.ndim != 3 or arr.shape[1:] != (n, n):
+            raise DimensionMismatch(
+                f"expected a batch of {n}x{n} matrices, got shape {arr.shape}")
+        flat = arr.reshape(arr.shape[0], n * n)
+        if not np.isfinite(flat).all():
+            raise ValueError("matrix contains NaN or Inf entries")
+        bflat = dom.basis.reshape(dom.dim, n * n)
+        c = flat @ bflat.conj().T
+        resid = np.linalg.norm(flat - c @ bflat, axis=1)
+        excess = resid - tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
+        if excess.size and excess.max() > 0.0:
+            raise ValidationError(
+                f"element leaves the algebra span (residual {resid[np.argmax(excess)]:.3e})")
+        d = self.codomain_dim
+        return (c @ self.images.reshape(dom.dim, d * d)).reshape(-1, d, d)
+
     def apply(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        c = self.domain.coeffs(as_matrix(a), tol)
-        return np.tensordot(c, self.images, axes=1)
+        return self.apply_many(np.asarray(a)[None], tol)[0]
 
     def image_space(self, tol: float = DEFAULT_TOL) -> OperatorSpace:
         return hs_orthonormalize(self.images, tol)
@@ -109,23 +134,20 @@ class Homomorphism:
         unit_img = self.apply(dom.unit, tol)
         if op_norm(unit_img - np.eye(self.codomain_dim)) > 100.0 * tol:
             raise ValidationError("homomorphism is not unital")
-        adj = np.stack([b.conj().T for b in dom.basis])
-        cadj = np.einsum("kij,mij->mk", dom.basis.conj(), adj)
-        star_want = np.tensordot(cadj, self.images, axes=1)
-        star_got = self.images.conj().transpose(0, 2, 1)
-        star_res = np.linalg.norm((star_want - star_got).reshape(k, -1), axis=1)
+        imflat = self.images.reshape(k, -1)
+        bflat = dom.basis.reshape(k, -1)
+        cadj = dom.basis.conj().transpose(0, 2, 1).reshape(k, -1) @ bflat.conj().T
+        star_want = cadj @ imflat
+        star_got = self.images.conj().transpose(0, 2, 1).reshape(k, -1)
+        star_res = np.linalg.norm(star_want - star_got, axis=1)
         if star_res.max() > 100.0 * tol * np.sqrt(self.codomain_dim):
             i = int(np.argmax(star_res))
             raise ValidationError(f"homomorphism not *-preserving at basis element {i}")
-        prods = np.einsum("iab,jbc->ijac", dom.basis, dom.basis)
-        cprod = np.einsum("kab,ijab->ijk", dom.basis.conj(), prods)
-        closure = prods - np.einsum("ijk,kab->ijab", cprod, dom.basis)
-        if np.linalg.norm(closure.reshape(k * k, -1), axis=1).max() > 100.0 * tol:
-            raise ValidationError("domain basis is not multiplicatively closed")
+        cprod = dom.structure_constants(tol)
         for i in range(k):
-            want = np.tensordot(cprod[i], self.images, axes=1)
-            got = np.matmul(self.images[i], self.images)
-            res = np.linalg.norm((want - got).reshape(k, -1), axis=1)
+            want = cprod[i] @ imflat
+            got = np.matmul(self.images[i], self.images).reshape(k, -1)
+            res = np.linalg.norm(want - got, axis=1)
             j = int(np.argmax(res))
             scale = max(1.0, float(np.linalg.norm(want[j])))
             if res[j] > 100.0 * tol * scale:
@@ -136,8 +158,8 @@ class Homomorphism:
 
     def compose(self, inner: "Homomorphism", tol: float = DEFAULT_TOL) -> "Homomorphism":
         """self after inner."""
-        imgs = np.stack([self.apply(m, tol) for m in inner.images])
-        return Homomorphism(inner.domain, self.codomain_dim, imgs)
+        return Homomorphism(inner.domain, self.codomain_dim,
+                            self.apply_many(inner.images, tol))
 
 
 def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
@@ -550,8 +572,7 @@ def module_from_representation(B: FiniteCStarAlgebra, rho_p: Homomorphism,
     if rho_p.domain.ambient_dim != B.ambient_dim or \
             not subspace_equal(rho_p.domain.space, Bp.space, 1e-6)[0]:
         raise PreconditionError("rho' must be defined on the commutant of B")
-    lefts = [rho_p.apply(bp, tol) for bp in Bp.basis]
-    space = solve_intertwiners(lefts, list(Bp.basis), tol)
+    space = solve_intertwiners(rho_p.apply_many(Bp.basis, tol), list(Bp.basis), tol)
     return module_from_parts(B, space, tol)
 
 
@@ -566,8 +587,7 @@ def commutant_bimodule(X: Correspondence, tol: float = DEFAULT_TOL) -> Correspon
     rho = X.left_action
     if op_norm(rho.apply(A.unit) - np.eye(X.module.dim_H)) > 1e-6:
         raise PreconditionError("left action must be unital")
-    lefts = [rho.apply(a, tol) for a in A.basis]
-    space = solve_intertwiners(lefts, list(A.basis), tol)
+    space = solve_intertwiners(rho.apply_many(A.basis, tol), list(A.basis), tol)
     Ap = commutant(A, tol)
     mod = module_from_parts(Ap, space, tol)
     rho_p = commutant_lifting(X.module, tol)

@@ -120,8 +120,8 @@ def certify_module_unitary(source, target, U: np.ndarray,
         ri = max(ri, tgt.space.distance(U @ x))
     if isinstance(source, Correspondence) and isinstance(target, Correspondence):
         basis = source.left.basis
-        ri = max(ri, intertwining_residual(U, [source.act(a) for a in basis],
-                                           [target.act(a) for a in basis]))
+        ri = max(ri, intertwining_residual(U, source.left_action.apply_many(basis),
+                                           target.left_action.apply_many(basis)))
     return ModuleUnitary(source, target, U, float(ru), float(ri), meta or {})
 
 
@@ -215,6 +215,21 @@ def _gram_coordinates(gram: np.ndarray, tol: float):
     return S, S_pinv, gap
 
 
+def _induced_action(acts: np.ndarray, space: OperatorSpace, S: np.ndarray,
+                   S_pinv: np.ndarray) -> np.ndarray:
+    """Images S (C_a (x) 1_w) S+ on a Gram quotient of span(space) (x) C^w,
+    where C_a[c, x] is the coefficient of acts[a] @ x_x along x_c."""
+    m, k = len(acts), space.dim
+    r, w = S.shape[0], S.shape[1] // k
+    moved = np.matmul(acts[:, None], space.mats[None]).reshape(m * k, -1)
+    C = (moved @ space.mats.reshape(k, -1).conj().T).reshape(m, k, k)
+    # S (C_a (x) 1_w) without forming the Kronecker product: contract S's
+    # left-factor index with C_a, keeping its C^w index
+    St = S.reshape(r, k, w).transpose(0, 2, 1).reshape(r * w, k)
+    SC = (St @ C.transpose(0, 2, 1)).reshape(m, r, w, k).transpose(0, 1, 3, 2)
+    return SC.reshape(m, r, k * w) @ S_pinv
+
+
 def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorProduct:
     """Interior tensor product X (.) Y of a module/correspondence over B with
     a correspondence whose left algebra is B."""
@@ -228,13 +243,15 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
         )
     k = Xm.dim
     w = Ym.dim_H
-    gram = np.zeros((k * w, k * w), dtype=np.complex128)
-    for i in range(k):
-        for j in range(i, k):
-            blockij = Y.act(Xm.basis[i].conj().T @ Xm.basis[j])
-            gram[i * w:(i + 1) * w, j * w:(j + 1) * w] = blockij
-            if j > i:
-                gram[j * w:(j + 1) * w, i * w:(i + 1) * w] = blockij.conj().T
+    # blocks rho(<x_i, x_j>) for i <= j, the lower triangle by adjoints
+    iu, ju = np.triu_indices(k)
+    B = Xm.basis
+    blocks = Y.left_action.apply_many(
+        np.matmul(B[iu].conj().transpose(0, 2, 1), B[ju]), tol)
+    gram = np.empty((k, k, w, w), dtype=np.complex128)
+    gram[ju, iu] = blocks.conj().transpose(0, 2, 1)
+    gram[iu, ju] = blocks
+    gram = gram.transpose(0, 2, 1, 3).reshape(k * w, k * w)
     S, S_pinv, gap = _gram_coordinates(gram, tol)
     r = S.shape[0]
     elements = []
@@ -249,11 +266,8 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
 
     result: object
     if isinstance(X, Correspondence):
-        images = []
-        for a in X.left.basis:
-            C = np.stack([Xm.space.coeffs(X.act(a) @ x) for x in Xm.basis], axis=1)
-            images.append(S @ np.kron(C, np.eye(w)) @ S_pinv)
-        hom = Homomorphism(X.left, r, np.stack(images))
+        acts = X.left_action.apply_many(X.left.basis, tol)
+        hom = Homomorphism(X.left, r, _induced_action(acts, Xm.space, S, S_pinv))
         result = Correspondence(mod, X.left, hom)
         result.validate(tol)
     else:

@@ -136,3 +136,41 @@ def test_product_system(golden_path, tmp_path):
 def test_random_requires_spec_or_golden():
     r = run_cli("random")
     assert r.returncode == 2
+
+
+def test_canonical_outputs_compare(tmp_path):
+    """scripts/canonical_outputs.py --compare tolerates float changes and
+    fails on a changed flag, string, dimension, length or failed report."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "canonical_outputs.py"
+    base = {"passed": True, "dims": {"F_total": 3}, "summands": [1, 2],
+            "dual": {"status": "ok", "residual_unitary": 1e-16, "gram_gap": 1e15}}
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "x.report.json").write_text(json.dumps(base))
+
+    def compare(**changes):
+        body = json.loads(json.dumps(base))
+        for path, value in changes.items():
+            *keys, last = path.split("__")
+            target = body
+            for key in keys:
+                target = target[key]
+            target[last] = value
+        (new / "x.report.json").write_text(json.dumps(body))
+        return subprocess.run([sys.executable, str(script), "--compare", str(old), str(new)],
+                              capture_output=True, text=True, env=ENV)
+
+    assert compare().returncode == 0
+    r = compare(dual__residual_unitary=3e-16, dual__gram_gap=1e16)
+    assert r.returncode == 0, r.stdout
+    assert "1 with changed floats" in r.stdout
+    assert "largest change 2.000e-16" in r.stdout
+    assert "largest change 1.00 decades" in r.stdout
+    for bad in ({"passed": False}, {"dual__status": "failed"}, {"dims__F_total": 4},
+                {"summands": [1, 2, 3]}):
+        assert compare(**bad).returncode == 1, bad
+    (new / "x.report.json").unlink()
+    assert compare().returncode == 0
+    (new / "y.report.json").write_text(json.dumps(base))
+    assert compare().returncode == 1

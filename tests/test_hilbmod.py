@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modfactor.cstar import build_algebra, commutant, star_isomorphic
+from modfactor import cstar
+from modfactor.cstar import (
+    FiniteCStarAlgebra,
+    algebra_from_basis,
+    build_algebra,
+    commutant,
+    star_isomorphic,
+)
 from modfactor.errors import NotInModule, PreconditionError, ValidationError
 from modfactor.hilbmod import (
     Correspondence,
@@ -402,3 +409,99 @@ class TestCommutantBimodule:
         from modfactor.numkernel import solve_intertwiners
         oracle = solve_intertwiners(list(Mn.basis), list(Mn.basis))
         assert Xp.module.dim == oracle.dim == 1
+
+
+def _apply_reference(hom, a):
+    """The per-element evaluation apply_many replaced: coefficients by an
+    einsum against the basis, images by a tensordot."""
+    c = np.einsum("kij,ij->k", hom.domain.basis.conj(), a)
+    return np.tensordot(c, hom.images, axes=1)
+
+
+def _haar_conjugated(blocks, seed):
+    A = build_algebra(blocks)
+    rng = np.random.default_rng(seed)
+    n = A.ambient_dim
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    return algebra_from_basis([u @ b @ u.conj().T for b in A.basis])
+
+
+def _amplified(A, m):
+    return Homomorphism(A, A.ambient_dim * m,
+                        np.stack([np.kron(b, np.eye(m)) for b in A.basis]))
+
+
+def _random_elements(A, count, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((count, A.dim)) + 1j * rng.standard_normal((count, A.dim))
+    return np.tensordot(c, A.basis, axes=1)
+
+
+class TestApplyMany:
+    def _homomorphisms(self):
+        from modfactor.harness import golden_instance
+        yield golden_instance().theta
+        yield _amplified(_haar_conjugated([(2, 1), (1, 2)], 7), 2)
+
+    def test_agrees_with_per_element_evaluation(self):
+        for hom in self._homomorphisms():
+            mats = np.concatenate([hom.domain.basis,
+                                   _random_elements(hom.domain, 6, 11)])
+            got = hom.apply_many(mats)
+            assert got.shape == (len(mats), hom.codomain_dim, hom.codomain_dim)
+            for m, g in zip(mats, got):
+                assert np.abs(g - _apply_reference(hom, m)).max() <= 1e-12
+                assert np.abs(g - hom.apply(m)).max() <= 1e-12
+
+    def test_one_element_outside_the_span_fails_the_batch(self):
+        for hom in self._homomorphisms():
+            n = hom.domain.ambient_dim
+            rng = np.random.default_rng(3)
+            outside = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            assert not hom.domain.contains(outside)
+            mats = _random_elements(hom.domain, 5, 4)
+            mats[2] = outside
+            with pytest.raises(ValidationError, match="leaves the algebra span"):
+                hom.apply_many(mats)
+
+    def test_empty_batch(self):
+        for hom in self._homomorphisms():
+            n, d = hom.domain.ambient_dim, hom.codomain_dim
+            assert hom.apply_many(np.zeros((0, n, n))).shape == (0, d, d)
+
+
+class TestStructureConstants:
+    def _spy(self, monkeypatch):
+        fills = []
+        real = cstar._structure_constants
+
+        def spy(basis, tol):
+            fills.append(tol)
+            return real(basis, tol)
+
+        monkeypatch.setattr(cstar, "_structure_constants", spy)
+        return fills
+
+    def test_shared_domain_is_filled_once_per_tolerance(self, monkeypatch):
+        fills = self._spy(monkeypatch)
+        A = build_algebra([(1, 1), (2, 1)])
+        identity_homomorphism(A).validate()
+        _amplified(A, 2).validate()
+        assert fills == [1e-9]
+        _amplified(A, 3).validate(1e-10)
+        assert fills == [1e-9, 1e-10]
+        c = A.structure_constants()
+        prods = np.matmul(A.basis[:, None], A.basis[None])
+        assert np.abs(np.tensordot(c, A.basis, axes=1) - prods).max() <= 1e-12
+
+    def test_open_domain_fails_on_every_validation(self, monkeypatch):
+        fills = self._spy(monkeypatch)
+        e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+        # I/sqrt(2), E12, E21: orthonormal, *-closed, but E12 E21 = E11 is outside
+        mats = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), e12, e12.T])
+        A = FiniteCStarAlgebra(2, OperatorSpace(2, 2, mats), np.eye(2, dtype=complex))
+        hom = Homomorphism(A, 2, mats.copy())
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="not multiplicatively closed"):
+                hom.validate()
+        assert len(fills) == 2

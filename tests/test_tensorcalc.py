@@ -47,6 +47,39 @@ def seeded_module(seed, blocks=((1, 1), (2, 1)), mult=2):
 
 
 class TestInteriorTensor:
+    def test_batched_gram_and_action_match_the_loops(self):
+        E = seeded_module(3)
+        X = as_bimodule(E)
+        Y = algebra_bimodule(E.base)
+        tp = interior_tensor(X, Y)
+        k, w = E.dim, Y.module.dim_H
+        # the per-pair and per-element loops the batched code replaced
+        gram = np.zeros((k * w, k * w), dtype=complex)
+        for i in range(k):
+            for j in range(k):
+                gram[i * w:(i + 1) * w, j * w:(j + 1) * w] = \
+                    Y.act(E.basis[i].conj().T @ E.basis[j])
+        assert np.abs(tp.S.conj().T @ tp.S - gram).max() <= 1e-12
+        for a, img in zip(X.left.basis, tp.result.left_action.images):
+            C = np.stack([E.space.coeffs(X.act(a) @ x) for x in E.basis], axis=1)
+            want = tp.S @ np.kron(C, np.eye(w)) @ tp.S_pinv
+            assert np.abs(img - want).max() <= 1e-12
+
+    def test_tol_reaches_every_homomorphism_application(self, golden_module,
+                                                       block_algebra, monkeypatch):
+        seen = []
+        real = Homomorphism.apply_many
+
+        def spy(self, mats, tol=1e-9):
+            seen.append(tol)
+            return real(self, mats, tol)
+
+        X = as_bimodule(golden_module, None, tol=1e-10)
+        Y = algebra_bimodule(block_algebra, tol=1e-10)
+        monkeypatch.setattr(Homomorphism, "apply_many", spy)
+        interior_tensor(X, Y, tol=1e-10)
+        assert seen and set(seen) == {1e-10}
+
     def test_module_times_algebra_is_the_module(self, golden_module, block_algebra):
         tp = interior_tensor(as_bimodule(golden_module), algebra_bimodule(block_algebra))
         assert tp.result.module.dim == golden_module.dim
