@@ -66,19 +66,15 @@ class FiniteCStarAlgebra:
         """
         key = ("structure_constants", tol)
         if key not in self._cache:
-            self._cache[key] = _structure_constants(self.basis, tol)
+            self._cache[key] = _structure_constants(self.space, tol)
         return self._cache[key]
 
 
-def _structure_constants(basis: np.ndarray, tol: float) -> np.ndarray:
-    k = basis.shape[0]
-    flat = basis.reshape(k, -1)
-    prods = np.matmul(basis[:, None], basis[None]).reshape(k * k, -1)
-    cprod = prods @ flat.conj().T
-    closure = np.linalg.norm(prods - cprod @ flat, axis=1)
+def _structure_constants(space: OperatorSpace, tol: float) -> np.ndarray:
+    basis = space.mats
+    cprod, closure = space.decompose(np.matmul(basis[:, None], basis[None]))
     if closure.max() > 100.0 * tol:
         raise ValidationError("domain basis is not multiplicatively closed")
-    cprod = cprod.reshape(k, k, k)
     cprod.setflags(write=False)
     return cprod
 
@@ -103,13 +99,12 @@ def _validate_algebra(space: OperatorSpace, tol: float) -> None:
             )
 
 
-def algebra_from_span(mats, tol: float = DEFAULT_TOL,
-                      validate: bool = True) -> FiniteCStarAlgebra:
+def algebra_from_span(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
     """Orthonormalize a spanning set and validate *-algebra closure."""
     space = hs_orthonormalize(mats, tol)
     if space.dim_out != space.dim_in:
         raise DimensionMismatch("algebra elements must be square")
-    return _from_space(space, tol, validate)
+    return _from_space(space, tol)
 
 
 def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
@@ -214,16 +209,9 @@ def _minimal_central_projections(Z: FiniteCStarAlgebra, tol: float) -> list[np.n
         splits = np.nonzero(np.diff(ev) > 1e-3 * spread)[0]
         groups = np.split(np.arange(ev.size), splits + 1)
         projs = [V[:, g] @ V[:, g].conj().T for g in groups]
-        ok = True
-        for p in projs:
-            if not Z.space.contains(p, 100.0 * tol):
-                ok = False
-                break
-            pz = hs_orthonormalize([p @ z for z in Z.basis], tol)
-            if pz.dim != 1:
-                ok = False
-                break
-        if ok:
+        if (Z.space.span_residual(np.stack(projs)) > 100.0 * tol).any():
+            continue
+        if all(hs_orthonormalize([p @ z for z in Z.basis], tol).dim == 1 for p in projs):
             return projs
     raise ToleranceAmbiguity("could not separate minimal central projections")
 

@@ -32,6 +32,7 @@ from .hilbmod import (
     Correspondence,
     HilbertModule,
     Homomorphism,
+    _pairwise_inner,
     as_bimodule,
     check_qons_family,
     commutant_lifting,
@@ -118,11 +119,10 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if not subspace_equal(theta.domain.space, KE.space, 1e-6)[0]:
         raise ValidationError("theta's domain is not the adjointable algebra of E")
     KF = finite_rank_algebra(F, tol)
-    for i, img in enumerate(theta.images):
-        if not KF.space.contains(img, 1e-6):
-            raise ValidationError(
-                f"theta image of basis element {i} leaves the adjointable algebra of F"
-            )
+    bad = np.flatnonzero(KF.space.span_residual(theta.images) > 1e-6)
+    if bad.size:
+        raise ValidationError(
+            f"theta image of basis element {bad[0]} leaves the adjointable algebra of F")
     theta.validate(tol)
 
 
@@ -146,10 +146,9 @@ def _certify(method: str, tp: TensorProduct, F_corr: Correspondence,
     including max over the domain basis of ||theta(a) - U (a (.) id) U*||."""
     unitary = certify_module_unitary(tp.result, F_corr, U, {"method": method})
     lifted = U @ tp.result.left_action.apply_many(theta.domain.basis) @ U.conj().T
-    t_res = max(op_norm(d) for d in theta.images - lifted)
     return unitary, {"residual_unitary": unitary.residual_unitary,
                      "residual_intertwine": unitary.residual_intertwine,
-                     "theta_residual": float(t_res)}
+                     "theta_residual": float(op_norm(theta.images - lifted).max())}
 
 
 def _f_as_target(F: HilbertModule, theta: Homomorphism,
@@ -351,11 +350,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     # re-concretize prime over the base commutant on G
     kw = W.dim
     G = E.dim_G
-    gram = np.zeros((kw * G, kw * G), dtype=np.complex128)
-    for j in range(kw):
-        for l in range(kw):
-            pre, _ = inv(W.mats[j].conj().T @ W.mats[l])
-            gram[j * G:(j + 1) * G, l * G:(l + 1) * G] = pre
+    gram = inv(_pairwise_inner(W.mats))[0].transpose(0, 2, 1, 3).reshape(kw * G, kw * G)
     S_P, S_P_pinv, gap_P = _gram_coordinates(gram, tol)
     rP = S_P.shape[0]
     Bp = rho_p.domain
@@ -511,21 +506,15 @@ def _cmp_dual_to_commutant(ra, rb, tol):
     dual_mod = ra.aux["dual"].module
     W: OperatorSpace = rb.aux["W"]
     S_P = rb.aux["S_P"]
-    G = E.dim_G
-    dom_cols = []
-    tgt_cols = []
-    for j, u in enumerate(dual_mod.basis):
-        xstar = lift @ u  # operator H_E -> G
-        S1j = tp1.block(j)
-        for l, w in enumerate(W.mats):
-            SPl = S_P[:, l * G:(l + 1) * G]
-            for m, y in enumerate(E.basis):
-                z = w @ y  # H_E columns... operator G -> H_F
-                dom_cols.append(S1j @ z)
-                tgt_cols.append(SPl @ (xstar @ y))
-    D = np.hstack(dom_cols)
-    T = np.hstack(tgt_cols)
-    U = map_from_spanning(D, T)
+    ku, kw = dual_mod.dim, W.dim
+    # column blocks (j, l, m): S1_j (w_l y_m) and S_P,l (x_j* y_m), x_j* = lift u_j
+    S1 = tp1.S.reshape(-1, ku, tp1.right_total).transpose(1, 0, 2)[:, None, None]
+    SP = S_P.reshape(-1, kw, E.dim_G).transpose(1, 0, 2)[None, :, None]
+    D = S1 @ np.matmul(W.mats[:, None], E.basis[None])[None]
+    T = SP @ np.matmul(np.matmul(lift, dual_mod.basis)[:, None], E.basis[None])[:, None]
+    # hstack the (rows, G) blocks in (j, l, m) order
+    U = map_from_spanning(np.moveaxis(D, -2, 0).reshape(D.shape[-2], -1),
+                          np.moveaxis(T, -2, 0).reshape(T.shape[-2], -1))
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", "commutant")})
 
@@ -559,10 +548,7 @@ def _require_full_matrix_domain(theta: Homomorphism) -> int:
 def _scalar_column_correspondence(m: int, matrices: np.ndarray) -> Correspondence:
     """A Hilbert space C^m packaged as a correspondence over the scalars."""
     scalars = build_algebra([(1, 1)])
-    cols = np.zeros((m, m, 1), dtype=np.complex128)
-    for t in range(m):
-        cols[t, t, 0] = 1.0
-    mod = HilbertModule(scalars, OperatorSpace(m, 1, cols))
+    mod = HilbertModule(scalars, OperatorSpace(m, 1, np.eye(m, dtype=np.complex128)[:, :, None]))
     return Correspondence(mod, scalars,
                           Homomorphism(scalars, m,
                                        np.stack([np.eye(m, dtype=np.complex128)])),
@@ -576,8 +562,7 @@ def hilbert_space_intertwiners(theta: Homomorphism, tol: float = DEFAULT_TOL):
     theta.validate(tol)
     k = theta.codomain_dim
     space = _intertwiner_space(theta, tol)
-    scaled = np.stack([x * np.sqrt(n) for x in space.mats]) if space.dim else \
-        np.zeros((0, k, n), dtype=np.complex128)
+    scaled = space.mats * np.sqrt(n)
     m = space.dim
     if m * n != k:
         raise ValidationError(f"dimension count failed: {m} * {n} != {k}")

@@ -82,13 +82,16 @@ def _encode_matrix(m: np.ndarray):
 
 
 def _decode_complex(v, where: str) -> complex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 2
-            and all(isinstance(t, (int, float)) for t in v)):
-        raise ParseError(f"{where}: expected a [re, im] pair, got {v!r}")
-    return complex(v[0], v[1])
+    try:
+        if isinstance(v, (list, tuple)) and len(v) == 2 and \
+                not any(isinstance(t, bool) for t in v):
+            return complex(*v)
+    except (TypeError, OverflowError):
+        pass
+    raise ParseError(f"{where}: expected a [re, im] pair of numbers, got {v!r}")
 
 
-def _decode_matrix(m, where: str) -> np.ndarray:
+def _decode_matrix(m, where: str, shape: tuple | None = None) -> np.ndarray:
     if not isinstance(m, list) or not m or not all(isinstance(r, list) for r in m):
         raise ParseError(f"{where}: expected a nested array matrix")
     width = len(m[0])
@@ -98,7 +101,30 @@ def _decode_matrix(m, where: str) -> np.ndarray:
             raise ParseError(f"{where}[{i}]: ragged matrix row")
         rows.append([_decode_complex(v, f"{where}[{i}][{j}]")
                      for j, v in enumerate(row)])
-    return np.array(rows, dtype=np.complex128)
+    out = np.array(rows, dtype=np.complex128)
+    if not np.isfinite(out).all():
+        raise ParseError(f"{where}: NaN or Inf entry")
+    if shape is not None and out.shape != shape:
+        raise ParseError(f"{where}: shape {out.shape} is not {shape}")
+    return out
+
+
+def _decode_matrices(v, where: str, shape: tuple | None = None) -> list[np.ndarray]:
+    """A nonempty list of matrices of one shape: ``shape`` where given, else
+    the first matrix's."""
+    if not isinstance(v, list) or not v:
+        raise ParseError(f"{where}: expected a nonempty list of matrices")
+    mats = []
+    for i, m in enumerate(v):
+        mats.append(_decode_matrix(m, f"{where}[{i}]", shape))
+        shape = mats[0].shape
+    return mats
+
+
+def _decode_dim(v, where: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ParseError(f"{where}: expected a positive integer, got {v!r}")
+    return v
 
 
 def _encode_algebra(A: FiniteCStarAlgebra):
@@ -109,12 +135,8 @@ def _encode_algebra(A: FiniteCStarAlgebra):
 def _decode_algebra(obj, where: str, tol: float) -> FiniteCStarAlgebra:
     if not isinstance(obj, dict) or "basis" not in obj or "ambient_dim" not in obj:
         raise ParseError(f"{where}: expected an algebra object")
-    mats = [_decode_matrix(m, f"{where}.basis[{i}]")
-            for i, m in enumerate(obj["basis"])]
-    n = int(obj["ambient_dim"])
-    for i, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise ParseError(f"{where}.basis[{i}]: shape {m.shape} is not ({n}, {n})")
+    n = _decode_dim(obj["ambient_dim"], f"{where}.ambient_dim")
+    mats = _decode_matrices(obj["basis"], f"{where}.basis", (n, n))
     # keep the stored basis verbatim so index-aligned data (homomorphism
     # images, left actions) survives the round trip
     return algebra_from_basis(mats, tol)
@@ -129,8 +151,7 @@ def _decode_module(obj, where: str, tol: float) -> HilbertModule:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ParseError(f"{where}: expected a module object")
     base = _decode_algebra(obj.get("base"), f"{where}.base", tol)
-    gens = [_decode_matrix(m, f"{where}.generators[{i}]")
-            for i, m in enumerate(obj["generators"])]
+    gens = _decode_matrices(obj["generators"], f"{where}.generators")
     arr = np.stack(gens)
     flat = arr.reshape(len(gens), -1)
     gram = flat @ flat.conj().T
@@ -142,7 +163,7 @@ def _decode_module(obj, where: str, tol: float) -> HilbertModule:
     else:
         E = build_module(base, gens, tol)
     want = obj.get("dim_H")
-    if want is not None and int(want) != E.dim_H:
+    if want is not None and _decode_dim(want, f"{where}.dim_H") != E.dim_H:
         raise ValidationError(
             f"{where}: declared dim_H {want} differs from the nondegenerate "
             f"span dimension {E.dim_H}"
@@ -159,9 +180,8 @@ def _decode_hom(obj, where: str, tol: float) -> Homomorphism:
     if not isinstance(obj, dict) or "images" not in obj:
         raise ParseError(f"{where}: expected a homomorphism object")
     dom = _decode_algebra(obj.get("domain"), f"{where}.domain", tol)
-    d = int(obj.get("codomain_dim", 0))
-    imgs = [_decode_matrix(m, f"{where}.images[{i}]")
-            for i, m in enumerate(obj["images"])]
+    d = _decode_dim(obj.get("codomain_dim"), f"{where}.codomain_dim")
+    imgs = _decode_matrices(obj["images"], f"{where}.images", (d, d))
     if len(imgs) != dom.dim:
         raise ParseError(f"{where}: {len(imgs)} images for a basis of size {dom.dim}")
     hom = Homomorphism(dom, d, np.stack(imgs))
@@ -179,8 +199,8 @@ def _encode_correspondence(X: Correspondence):
 def _decode_correspondence(obj, where: str, tol: float) -> Correspondence:
     mod = _decode_module(obj, where, tol)
     left = _decode_algebra(obj.get("left"), f"{where}.left", tol)
-    imgs = [_decode_matrix(m, f"{where}.left_action[{i}]")
-            for i, m in enumerate(obj.get("left_action", []))]
+    imgs = _decode_matrices(obj.get("left_action"), f"{where}.left_action",
+                            (mod.dim_H, mod.dim_H))
     if len(imgs) != left.dim:
         raise ParseError(f"{where}: left action must list one matrix per basis element")
     corr = Correspondence(mod, left, Homomorphism(left, mod.dim_H, np.stack(imgs)))
@@ -264,16 +284,18 @@ def instance_from_json(obj, tol: float = DEFAULT_TOL) -> Instance:
     if oracle is not None:
         oracle = _decode_correspondence(oracle, "instance.oracle", tol)
         _check_oracle_consistency(E, F, theta, oracle, tol)
+    shape = (E.dim_H, E.dim_G)
     xi = obj.get("unit_vector")
     if xi is not None:
-        xi = _decode_matrix(xi, "instance.unit_vector")
+        xi = _decode_matrix(xi, "instance.unit_vector", shape)
         if not verify_unit_vector(E, xi, tol):
             raise ValidationError("instance.unit_vector: not a unit vector of E")
-    family = obj.get("qons_family")
+    family = obj.get("qons_family") or None
     if family is not None:
-        family = [_decode_matrix(e, f"instance.qons_family[{i}]")
-                  for i, e in enumerate(family)]
+        family = _decode_matrices(family, "instance.qons_family", shape)
     notes = obj.get("notes") or {}
+    if not isinstance(notes, dict):
+        raise ParseError("instance.notes: expected an object")
     return Instance(B, C, E, F, theta, oracle, xi, family, dict(notes))
 
 
@@ -285,9 +307,8 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
         raise ValidationError(
             "instance F is not the module induced by the recorded oracle")
     basis = theta.domain.basis
-    theta_dist = max(op_norm(d) for d in
-                     theta.apply_many(basis, tol) - theta2.apply_many(basis, tol))
-    if theta_dist > 1e-6:
+    diff = theta.apply_many(basis, tol) - theta2.apply_many(basis, tol)
+    if op_norm(diff).max() > 1e-6:
         raise ValidationError(
             "instance theta is not induced by the recorded oracle")
     return tp_F
@@ -334,13 +355,21 @@ class GenSpec:
         if not isinstance(obj, dict) or "blocks_B" not in obj or "blocks_C" not in obj:
             raise ParseError("generator spec needs blocks_B and blocks_C")
         return GenSpec(
-            blocks_B=[tuple(map(int, b)) for b in obj["blocks_B"]],
-            blocks_C=[tuple(map(int, b)) for b in obj["blocks_C"]],
-            module_multiplicity=int(obj.get("module_multiplicity", 2)),
-            corr_multiplicity=int(obj.get("corr_multiplicity", 1)),
+            blocks_B=_decode_blocks(obj["blocks_B"], "blocks_B"),
+            blocks_C=_decode_blocks(obj["blocks_C"], "blocks_C"),
+            module_multiplicity=_decode_dim(obj.get("module_multiplicity", 2),
+                                            "module_multiplicity"),
+            corr_multiplicity=_decode_dim(obj.get("corr_multiplicity", 1),
+                                          "corr_multiplicity"),
             with_unit_vector=bool(obj.get("with_unit_vector", False)),
             compress=bool(obj.get("compress", True)),
         )
+
+
+def _decode_blocks(v, where: str) -> list:
+    if not isinstance(v, list) or not all(isinstance(b, list) and len(b) == 2 for b in v):
+        raise ParseError(f"{where}: expected a list of [size, multiplicity] pairs, got {v!r}")
+    return [tuple(_decode_dim(t, where) for t in b) for b in v]
 
 
 def _random_projection_in(span_mats, rng) -> np.ndarray:
@@ -410,7 +439,8 @@ def generate_random_instance(spec: GenSpec, seed: int,
         m = m + 1
         xi = np.zeros((m * G, G), dtype=np.complex128)
         xi[(m - 1) * G:, :] = np.eye(G)
-    gens = [q @ np.kron(_col(m, a), x) for a in range(m) for x in B.basis]
+    cols = np.eye(m, dtype=np.complex128)[:, :, None]
+    gens = [q @ np.kron(col, x) for col in cols for x in B.basis]
     E = build_module(B, gens, tol)
     if xi is not None and E.h_embed is not None:
         xi = E.h_embed.conj().T @ xi
@@ -429,18 +459,14 @@ def generate_random_instance(spec: GenSpec, seed: int,
     # M: compress the commuting pair b -> 1 (x) b (x) 1, c' -> 1 (x) 1 (x) c'
     mc = spec.corr_multiplicity
     Bp = commutant(B, tol)
-    Cp = commutant(C, tol)
     pair_commutant = [np.kron(np.kron(_eij(mc, a, b), bp), c)
                       for a in range(mc) for b in range(mc)
                       for bp in Bp.basis for c in C.basis]
     qM = _random_projection_in(pair_commutant, rng) if spec.compress else \
         np.eye(mc * B.ambient_dim * L, dtype=np.complex128)
-    Mgens = []
-    for a in range(mc):
-        for g in range(B.ambient_dim):
-            for c in C.basis:
-                Mgens.append(qM @ np.kron(np.kron(_col(mc, a), _col(B.ambient_dim, g)), c))
-    Mmod = build_module(C, Mgens, tol)
+    # e_a (x) e_g (x) c for a < mc, g < dim G, in that order
+    cols = np.eye(mc * B.ambient_dim, dtype=np.complex128)[:, :, None]
+    Mmod = build_module(C, [qM @ np.kron(col, c) for col in cols for c in C.basis], tol)
     VM = Mmod.h_embed if Mmod.h_embed is not None else \
         np.eye(mc * B.ambient_dim * L, dtype=np.complex128)
     rho_imgs = np.stack([
@@ -458,12 +484,6 @@ def _eij(n: int, i: int, j: int) -> np.ndarray:
     m = np.zeros((n, n), dtype=np.complex128)
     m[i, j] = 1.0
     return m
-
-
-def _col(n: int, i: int) -> np.ndarray:
-    v = np.zeros((n, 1), dtype=np.complex128)
-    v[i, 0] = 1.0
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -87,22 +87,19 @@ class Homomorphism:
     def apply_many(self, mats, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Images of a batch (m, n, n) of domain elements, shape (m, d, d).
 
-        One GEMM against the flattened domain basis gives the coefficients,
-        one the span residuals and one the images.  ValidationError if an
-        element lies farther than tol * max(1, ||m||) from the domain span.
+        The domain's ``decompose`` gives the coefficients and the span
+        residuals, one GEMM against the flattened images the results.
+        ValidationError if an element lies farther than tol * max(1, ||m||)
+        from the domain span.
         """
         dom = self.domain
-        n = dom.ambient_dim
         arr = np.asarray(mats, dtype=np.complex128)
-        if arr.ndim != 3 or arr.shape[1:] != (n, n):
-            raise DimensionMismatch(
-                f"expected a batch of {n}x{n} matrices, got shape {arr.shape}")
-        flat = arr.reshape(arr.shape[0], n * n)
-        if not np.isfinite(flat).all():
+        if arr.ndim != 3:
+            raise DimensionMismatch(f"expected a batch of matrices, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
             raise ValueError("matrix contains NaN or Inf entries")
-        bflat = dom.basis.reshape(dom.dim, n * n)
-        c = flat @ bflat.conj().T
-        resid = np.linalg.norm(flat - c @ bflat, axis=1)
+        c, resid = dom.space.decompose(arr)
+        flat = arr.reshape(len(arr), dom.ambient_dim ** 2)
         excess = resid - tol * np.maximum(1.0, np.linalg.norm(flat, axis=1))
         if excess.size and excess.max() > 0.0:
             raise ValidationError(
@@ -201,8 +198,8 @@ class HilbertModule:
         return np.hstack(list(self.basis))
 
     def coeffs(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-        c = self.space.coeffs(x)
-        resid = hs_norm(x - np.tensordot(c, self.basis, axes=1))
+        c, resid = self.space.decompose(x)
+        resid = float(resid)
         if resid > tol * max(1.0, hs_norm(x)):
             raise NotInModule(f"element leaves the module span (residual {resid:.3e})")
         return c
@@ -236,11 +233,11 @@ class Correspondence:
             raise ValidationError("left_action domain differs from the left algebra")
         self.left_action.validate(tol)
         space = self.module.space
-        for i, img in enumerate(self.left_action.images):
-            if space.span_residual(np.matmul(img, space.mats)).max() > 100.0 * tol:
-                raise ValidationError(
-                    f"left action of basis element {i} leaves the module span"
-                )
+        moved = np.matmul(self.left_action.images[:, None], space.mats[None])
+        bad = np.flatnonzero(space.span_residual(moved).max(axis=1) > 100.0 * tol)
+        if bad.size:
+            raise ValidationError(
+                f"left action of basis element {bad[0]} leaves the module span")
 
 
 @dataclass(eq=False)
@@ -260,7 +257,7 @@ class QuasiONS:
 
 
 def module_from_parts(base: FiniteCStarAlgebra, space: OperatorSpace,
-                      tol: float = DEFAULT_TOL, validate: bool = True) -> HilbertModule:
+                      tol: float = DEFAULT_TOL) -> HilbertModule:
     """Wrap an orthonormal operator space as a module, validating invariants
     and trimming H to the nondegenerate part (trim is reported, not fatal)."""
     if space.dim_in != base.ambient_dim:
@@ -276,20 +273,30 @@ def module_from_parts(base: FiniteCStarAlgebra, space: OperatorSpace,
         mats = np.einsum("ij,kjl->kil", V.conj().T, space.mats)
         space = OperatorSpace(r, space.dim_in, mats, space.gap)
     mod = HilbertModule(base, space, trimmed_from, h_embed)
-    if validate:
-        _validate_module(mod, tol)
+    _validate_module(mod, tol)
     return mod
 
 
 def _validate_module(E: HilbertModule, tol: float) -> None:
-    for i, x in enumerate(E.basis):
-        if E.space.span_residual(np.matmul(x, E.base.basis)).max() > 100.0 * tol:
-            raise ValidationError(f"right action moves basis element {i} out of the span")
-    for i, x in enumerate(E.basis):
-        if E.base.space.span_residual(np.matmul(x.conj().T, E.basis)).max() > 100.0 * tol:
-            raise ValidationError(
-                f"an inner product against basis element {i} leaves the base algebra"
-            )
+    X = E.basis
+    moved = E.space.span_residual(np.matmul(X[:, None], E.base.basis[None]))
+    bad = np.flatnonzero(moved.max(axis=1) > 100.0 * tol)
+    if bad.size:
+        raise ValidationError(f"right action moves basis element {bad[0]} out of the span")
+    inner = E.base.space.span_residual(_pairwise_inner(X))
+    bad = np.flatnonzero(inner.max(axis=1) > 100.0 * tol)
+    if bad.size:
+        raise ValidationError(
+            f"an inner product against basis element {bad[0]} leaves the base algebra")
+
+
+def _adjoints(mats: np.ndarray) -> np.ndarray:
+    return mats.conj().transpose(0, 2, 1)
+
+
+def _pairwise_inner(mats: np.ndarray) -> np.ndarray:
+    """The products m_i* m_j of a stack, shape (k, k, c, c)."""
+    return np.matmul(_adjoints(mats)[:, None], mats[None])
 
 
 def build_module(base: FiniteCStarAlgebra, generators, tol: float = DEFAULT_TOL) -> HilbertModule:
@@ -342,16 +349,16 @@ def commutant_lifting(E: HilbertModule, tol: float = DEFAULT_TOL) -> Homomorphis
         return E._cache[key]
     Bp = commutant(E.base, tol)
     X = E.stacked()
-    Xp = np.linalg.pinv(X)
-    images = []
-    for bp in Bp.basis:
-        Y = np.hstack([x @ bp for x in E.basis])
-        R = Y @ Xp
-        resid = op_norm(R @ X - Y)
-        if resid > 100.0 * tol * max(1.0, op_norm(Y)):
-            raise ValidationError(f"commutant lifting relation failed (residual {resid:.3e})")
-        images.append(R)
-    hom = Homomorphism(Bp, E.dim_H, np.stack(images))
+    # Y[b'] = [x_1 b' | ... | x_k b'], so that rho'(b') X = Y[b']
+    Y = np.matmul(E.basis[None], Bp.basis[:, None]).transpose(0, 2, 1, 3).reshape(
+        Bp.dim, E.dim_H, X.shape[1])
+    R = Y @ np.linalg.pinv(X)
+    resid = op_norm(R @ X - Y)
+    bad = np.flatnonzero(resid > 100.0 * tol * np.maximum(1.0, op_norm(Y)))
+    if bad.size:
+        raise ValidationError(
+            f"commutant lifting relation failed (residual {resid[bad[0]]:.3e})")
+    hom = Homomorphism(Bp, E.dim_H, R)
     hom.validate(tol)
     E._cache[key] = hom
     return hom
@@ -384,15 +391,10 @@ def dual_module(E: HilbertModule, tol: float = DEFAULT_TOL) -> Correspondence:
     adj = np.stack([x.conj().T for x in E.basis])
     space = OperatorSpace(E.dim_G, E.dim_H, adj)
     mod = module_from_parts(K, space, tol)
-    if mod.h_embed is None:
-        left = E.base
-        action = identity_homomorphism(E.base)
-    else:
-        V = mod.h_embed
-        imgs = np.stack([V.conj().T @ b @ V for b in E.base.basis])
-        left = E.base
-        action = Homomorphism(E.base, mod.dim_H, imgs)
-    corr = Correspondence(mod, left, action)
+    V = mod.h_embed
+    action = identity_homomorphism(E.base) if V is None else \
+        Homomorphism(E.base, mod.dim_H, V.conj().T @ E.base.basis @ V)
+    corr = Correspondence(mod, E.base, action)
     corr.validate(tol)
     E._cache[key] = corr
     return corr
@@ -455,17 +457,14 @@ def bimodule_center(X: Correspondence, tol: float = DEFAULT_TOL) -> OperatorSpac
     if X.left.ambient_dim != X.base.ambient_dim or \
             not subspace_equal(X.left.space, X.base.space, 1e-6)[0]:
         raise PreconditionError("bimodule_center requires left algebra equal to the base")
-    rows = []
-    for b, img in zip(X.left.basis, X.left_action.images):
-        block = np.stack([(img @ x - x @ b).reshape(-1) for x in X.module.basis], axis=1)
-        rows.append(block)
-    M = np.vstack(rows)
+    # row block b, column x: the entries of rho(b) x - x b
+    Xb = X.module.basis
+    defect = X.left_action.images[:, None] @ Xb[None] - Xb[None] @ X.left.basis[:, None]
+    M = defect.reshape(X.left.dim, len(Xb), -1).transpose(0, 2, 1).reshape(-1, len(Xb))
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
     scale = max(1.0, float(np.abs(M).max()) * np.sqrt(M.shape[0]))
     r, gap = rank_cut(s, tol, "bimodule_center", floor=scale)
-    coeff = Vh[r:, :].conj()
-    mats = np.stack([np.tensordot(c, X.module.basis, axes=1) for c in coeff]) \
-        if coeff.shape[0] else np.zeros((0, X.module.dim_H, X.module.dim_G), dtype=np.complex128)
+    mats = np.tensordot(Vh[r:, :].conj(), Xb, axes=1)
     return OperatorSpace(X.module.dim_H, X.module.dim_G, mats, gap)
 
 
@@ -489,59 +488,59 @@ def quasi_orthonormal_system(E: HilbertModule, tol: float = DEFAULT_TOL) -> Quas
     for _ in range(E.dim_H + 1):
         if op_norm(q) <= 1000.0 * tol:
             break
-        norms = np.array([op_norm(q @ x) for x in E.basis])
+        qX = q @ E.basis
+        norms = op_norm(qX)
         best = int(np.argmax(norms))
         if norms[best] <= 1000.0 * tol:
             raise StallError("no generator reduces the residual projection")
-        x = E.basis[best]
-        qx = q @ x
+        qx = qX[best]
         m = qx.conj().T @ qx
         _, pinv_sq, support = psd_sqrt_pinv(m, tol)
         e = qx @ pinv_sq
-        p = support
-        if not E.space.contains(e, 1e-6):
-            raise ValidationError("quasi-orthonormal element left the module span")
-        if not E.base.space.contains(p, 1e-6):
-            raise ValidationError("quasi-orthonormal projection left the base algebra")
-        members.append((e, p))
+        members.append((e, support))
         q = q - e @ e.conj().T
     else:
         raise StallError("quasi-orthonormalization exceeded dim_H steps")
-    residual = _qons_residual(E, members)
+    es = np.stack([e for e, _ in members])
+    ps = np.stack([p for _, p in members])
+    if (E.space.span_residual(es) > 1e-6).any():
+        raise ValidationError("quasi-orthonormal element left the module span")
+    if (E.base.space.span_residual(ps) > 1e-6).any():
+        raise ValidationError("quasi-orthonormal projection left the base algebra")
+    residual = _qons_residual(E, es, ps)
     if residual > 1e-7:
         raise ValidationError(f"quasi-orthonormal invariants failed ({residual:.3e})")
     return QuasiONS(members, residual)
 
 
-def _qons_residual(E: HilbertModule, members) -> float:
-    res = 0.0
-    total = np.zeros((E.dim_H, E.dim_H), dtype=np.complex128)
-    for i, (e, p) in enumerate(members):
-        res = max(res, op_norm(p @ p - p), op_norm(p - p.conj().T))
-        res = max(res, op_norm(e.conj().T @ e - p))
-        total += e @ e.conj().T
-        for j, (f, _) in enumerate(members):
-            if i != j:
-                res = max(res, op_norm(e.conj().T @ f))
-    res = max(res, op_norm(total - np.eye(E.dim_H)))
-    return res
+def _pairwise_residual(prods: np.ndarray) -> tuple[np.ndarray, float]:
+    """(diagonal, largest off-diagonal operator norm) of a pairwise product
+    stack (m, m, r, c)."""
+    m = len(prods)
+    diag = prods[np.arange(m), np.arange(m)]
+    return diag, float(op_norm(prods[~np.eye(m, dtype=bool)]).max(initial=0.0))
+
+
+def _projection_residual(p: np.ndarray) -> float:
+    """max over a stack of ||p p - p|| and ||p - p*||."""
+    return float(max(op_norm(p @ p - p).max(), op_norm(p - _adjoints(p)).max()))
+
+
+def _qons_residual(E: HilbertModule, es: np.ndarray, ps: np.ndarray) -> float:
+    """<e_a, e_b> = delta p_a with p_a projections, and sum e e* = 1."""
+    gram, cross = _pairwise_residual(_pairwise_inner(es))
+    total = (es @ _adjoints(es)).sum(axis=0)
+    return max(_projection_residual(ps), float(op_norm(gram - ps).max()), cross,
+               op_norm(total - np.eye(E.dim_H)))
 
 
 def check_qons_family(E: HilbertModule, family, tol: float = DEFAULT_TOL) -> float:
     """Residual of the family conditions: e_a e_b* = delta * projection and
     sum <e_b, e_b> = unit."""
-    res = 0.0
-    for i, e in enumerate(family):
-        for j, f in enumerate(family):
-            prod = e @ f.conj().T
-            if i != j:
-                res = max(res, op_norm(prod))
-            else:
-                res = max(res, op_norm(prod @ prod - prod),
-                          op_norm(prod - prod.conj().T))
-    total = sum(e.conj().T @ e for e in family)
-    res = max(res, op_norm(total - E.base.unit))
-    return float(res)
+    f = np.asarray(family)
+    diag, cross = _pairwise_residual(_pairwise_inner(_adjoints(f)))
+    total = (_adjoints(f) @ f).sum(axis=0)
+    return max(cross, _projection_residual(diag), op_norm(total - E.base.unit))
 
 
 def dual_qons_family(E: HilbertModule, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -594,8 +593,7 @@ def commutant_bimodule(X: Correspondence, tol: float = DEFAULT_TOL) -> Correspon
     Bp = rho_p.domain
     if mod.h_embed is not None:
         V = mod.h_embed
-        imgs = np.stack([V.conj().T @ m @ V for m in rho_p.images])
-        rho_p = Homomorphism(Bp, mod.dim_H, imgs)
+        rho_p = Homomorphism(Bp, mod.dim_H, V.conj().T @ rho_p.images @ V)
     corr = Correspondence(mod, Bp, rho_p)
     corr.validate(tol)
     return corr

@@ -68,11 +68,12 @@ def hs_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
-def op_norm(x: np.ndarray) -> float:
-    """Operator (spectral) norm."""
-    if x.size == 0:
-        return 0.0
-    return float(np.linalg.norm(x, 2))
+def op_norm(x: np.ndarray):
+    """Operator (spectral) norm of a matrix (a float), or the per-matrix
+    norms of a stack (..., r, c) from one stacked SVD."""
+    x = np.asarray(x)
+    n = np.linalg.norm(x, 2, axis=(-2, -1)) if x.size else np.zeros(x.shape[:-2])
+    return float(n) if x.ndim == 2 else n
 
 
 def rank_cut(values: np.ndarray, tol: float, what: str = "rank cut",
@@ -135,29 +136,45 @@ class OperatorSpace:
         return self.mats.transpose(0, 2, 1).reshape(
             self.dim, self.dim_out * self.dim_in)
 
+    def _flat(self) -> np.ndarray:
+        return self.mats.reshape(self.dim, self.dim_out * self.dim_in)
+
+    def decompose(self, mats) -> tuple[np.ndarray, np.ndarray]:
+        """(coefficients (..., dim), HS distances (...)) of a matrix or a batch
+        (..., out, in) against the orthonormal basis: one GEMM gives the
+        coefficients and one the residuals."""
+        arr = np.asarray(mats)
+        if arr.ndim < 2 or arr.shape[-2:] != (self.dim_out, self.dim_in):
+            raise DimensionMismatch(
+                f"expected a batch of {self.dim_out}x{self.dim_in} matrices, "
+                f"got shape {arr.shape}")
+        lead = arr.shape[:-2]
+        flat = arr.reshape(int(np.prod(lead)), self.dim_out * self.dim_in)
+        bflat = self._flat()
+        c = flat @ bflat.conj().T
+        dist = np.linalg.norm(flat - c @ bflat, axis=1)
+        return c.reshape(lead + (self.dim,)), dist.reshape(lead)
+
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Coefficients of m against the orthonormal basis (no residual check)."""
-        return np.einsum("kij,ij->k", self.mats.conj(), m)
+        return self.decompose(m)[0]
 
     def project(self, m: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.dim_out, self.dim_in), dtype=np.complex128)
-        return np.tensordot(self.coeffs(m), self.mats, axes=1)
+        return (self.coeffs(m) @ self._flat()).reshape(self.dim_out, self.dim_in)
 
     def distance(self, m: np.ndarray) -> float:
         """HS distance of m from the span."""
-        return hs_norm(m - self.project(m))
+        return float(self.decompose(m)[1])
 
     def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-        return self.distance(m) <= tol * max(1.0, hs_norm(m))
+        return bool(self.span_residual(m) <= tol)
 
     def span_residual(self, mats: np.ndarray) -> np.ndarray:
         """Relative HS distance ||m - P m|| / max(1, ||m||) of each matrix of
-        a batch from the span."""
-        flat = mats.reshape(mats.shape[0], -1)
-        bflat = self.mats.reshape(self.dim, -1)
-        resid = flat - (flat @ bflat.conj().T) @ bflat
-        return np.linalg.norm(resid, axis=1) / np.maximum(1.0, np.linalg.norm(flat, axis=1))
+        a batch (..., out, in) from the span."""
+        dist = self.decompose(mats)[1]
+        flat = np.asarray(mats).reshape(dist.size, self.dim_out * self.dim_in)
+        return dist / np.maximum(1.0, np.linalg.norm(flat, axis=1)).reshape(dist.shape)
 
     def projector(self) -> np.ndarray:
         """Orthogonal projection onto the span, acting on vec space."""
@@ -250,7 +267,7 @@ def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
     # anchor the cut at the operator scale of the constraints so a system
     # that is zero up to roundoff yields the full space, not noise vectors
-    scale = max([1e-30] + [op_norm(a) + op_norm(b) for a, b in zip(A, B)])
+    scale = max(1e-30, float((op_norm(np.stack(A)) + op_norm(np.stack(B))).max()))
     rank, gap = rank_cut(s, tol, "solve_intertwiners", floor=scale)
     null = Vh[rank:, :].conj()
     basis = np.stack([unvec(row, n2, n1) for row in null]) if null.shape[0] else \
@@ -302,7 +319,7 @@ def subspace_equal(s1: OperatorSpace, s2: OperatorSpace, tol: float = DEFAULT_TO
 def subspace_contains(big: OperatorSpace, small: OperatorSpace,
                       tol: float = DEFAULT_TOL) -> bool:
     """Whether every basis element of ``small`` lies in the span of ``big``."""
-    return all(big.contains(m, tol) for m in small.mats)
+    return bool((big.span_residual(small.mats) <= tol).all())
 
 
 def subspace_intersection(s1: OperatorSpace, s2: OperatorSpace,

@@ -112,11 +112,10 @@ def discrete_product_system(E: HilbertModule, theta: Homomorphism, n: int,
         raise PreconditionError("need at least one step")
     if theta.codomain_dim != E.dim_H:
         raise ValidationError("theta must be an endomorphism of the operators on E's total space")
-    for i, img in enumerate(theta.images):
-        if not theta.domain.space.contains(img, 1e-6):
-            raise ValidationError(
-                f"theta image of basis element {i} leaves the adjointable algebra"
-            )
+    bad = np.flatnonzero(theta.domain.space.span_residual(theta.images) > 1e-6)
+    if bad.size:
+        raise ValidationError(
+            f"theta image of basis element {bad[0]} leaves the adjointable algebra")
     powers = [theta]
     for _ in range(n - 1):
         powers.append(theta.compose(powers[-1], tol))
@@ -171,8 +170,7 @@ def _lifted_total_map(tp_from: TensorProduct, tp_to: TensorProduct,
     if side == "right":  # id on the left factor, w on the right factor
         k = tp_from.k_left
         return tp_to.S @ np.kron(np.eye(k), w.map) @ tp_from.S_pinv
-    C = np.stack([_module_of(w.target).space.coeffs(w.map @ x)
-                  for x in _module_of(w.source).basis], axis=1)
+    C = _module_of(w.target).space.coeffs(w.map @ _module_of(w.source).basis).T
     wtot = tp_from.right_total
     return tp_to.S @ np.kron(C, np.eye(wtot)) @ tp_from.S_pinv
 

@@ -29,6 +29,7 @@ from .hilbmod import (
     HilbertModule,
     Homomorphism,
     _ideal_data,
+    _pairwise_inner,
     algebra_bimodule,
     as_bimodule,
     dual_module,
@@ -95,8 +96,10 @@ def unitarity_residual(U: np.ndarray) -> float:
 
 def intertwining_residual(U: np.ndarray, src_imgs, tgt_imgs) -> float:
     """max over pairs of ||U s - t U||."""
-    return max((op_norm(U @ s - t @ U) for s, t in zip(src_imgs, tgt_imgs)),
-               default=0.0)
+    src, tgt = np.asarray(src_imgs), np.asarray(tgt_imgs)
+    if not len(src):
+        return 0.0
+    return float(op_norm(U @ src - tgt @ U).max())
 
 
 def certify_module_unitary(source, target, U: np.ndarray,
@@ -115,9 +118,7 @@ def certify_module_unitary(source, target, U: np.ndarray,
             f"({tgt.dim_H}, {src.dim_H})"
         )
     ru = unitarity_residual(U)
-    ri = 0.0
-    for x in src.basis:
-        ri = max(ri, tgt.space.distance(U @ x))
+    ri = float(tgt.space.decompose(U @ src.basis)[1].max())
     if isinstance(source, Correspondence) and isinstance(target, Correspondence):
         basis = source.left.basis
         ri = max(ri, intertwining_residual(U, source.left_action.apply_many(basis),
@@ -193,10 +194,7 @@ class TensorProduct:
         c = _module_of(self.left).coeffs(as_matrix(x))
         d = _module_of(self.right).coeffs(as_matrix(y))
         ymat = np.tensordot(d, _module_of(self.right).basis, axes=1)
-        out = np.zeros((self.S.shape[0], ymat.shape[1]), dtype=np.complex128)
-        for i in range(self.k_left):
-            out += c[i] * (self.block(i) @ ymat)
-        return out
+        return self.S @ np.kron(c[:, None], ymat)
 
 
 def _gram_coordinates(gram: np.ndarray, tol: float):
@@ -310,9 +308,8 @@ def unit_identities(E: HilbertModule, tol: float = DEFAULT_TOL):
                       np.ascontiguousarray(
                           np.einsum("ij,kjl->kil", V.conj().T, ideal_span.mats))),
         tol)
-    imgs = np.stack([V.conj().T @ b @ V for b in E.base.basis])
     target2 = Correspondence(ideal_mod, E.base,
-                             Homomorphism(E.base, rank, imgs))
+                             Homomorphism(E.base, rank, V.conj().T @ E.base.basis @ V))
     target2.validate(tol)
     tp2 = interior_tensor(Estar, as_bimodule(E, None, tol), tol)
     # U sends coord(u_j (x) h) to V* (V_d u_j) h in the ideal's support space
@@ -339,19 +336,11 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     if W.dim_in != E.dim_H:
         raise DimensionMismatch("W must compose with module elements on H")
     k, kw, g = E.dim, W.dim, E.dim_G
-    inv = _representation_inverter(rho_p)
-    # abstract Gram over indices (i, j, s): x_i (x) w_j (x) g_s
-    n = k * kw * g
-    gram = np.zeros((n, n), dtype=np.complex128)
-    for j in range(kw):
-        for l in range(kw):
-            bprime, _ = inv(W.mats[j].conj().T @ W.mats[l])
-            for i in range(k):
-                for m in range(k):
-                    blk = bprime @ (E.basis[i].conj().T @ E.basis[m])
-                    r0 = (i * kw + j) * g
-                    c0 = (m * kw + l) * g
-                    gram[r0:r0 + g, c0:c0 + g] = blk
+    # abstract Gram over indices (i, j, s): x_i (x) w_j (x) g_s, block
+    # (i, j), (m, l) = rho'^{-1}(w_j* w_l) <x_i, x_m>
+    bprime = _representation_inverter(rho_p)(_pairwise_inner(W.mats))[0]
+    blocks = np.matmul(bprime[None, :, None], _pairwise_inner(E.basis)[:, None, :, None])
+    gram = blocks.transpose(0, 1, 4, 2, 3, 5).reshape(k * kw * g, k * kw * g)
     # concrete vectors
     cols = np.hstack([W.mats[j] @ E.basis[i]
                       for i in range(k) for j in range(kw)])
@@ -396,8 +385,8 @@ def associator(tp_left: TensorProduct, tp_xy: TensorProduct,
                 kappa = np.zeros(wz, dtype=np.complex128)
                 kappa[u] = 1.0
                 dom_cols.append(tp_left.lift(c, kappa))
-                inner = tp_yz.lift(_unitvec(ky, b), kappa)  # (y_b (x) kappa)
-                tgt_cols.append(tp_right.lift(_unitvec(kx, a), inner))
+                inner = tp_yz.lift(np.eye(ky)[b], kappa)  # (y_b (x) kappa)
+                tgt_cols.append(tp_right.lift(np.eye(kx)[a], inner))
     D = np.stack(dom_cols, axis=1)
     T = np.stack(tgt_cols, axis=1)
     U = map_from_spanning(D, T)
@@ -405,25 +394,22 @@ def associator(tp_left: TensorProduct, tp_xy: TensorProduct,
                                   {"associator": True})
 
 
-def _unitvec(n: int, i: int) -> np.ndarray:
-    v = np.zeros(n, dtype=np.complex128)
-    v[i] = 1.0
-    return v
-
-
 def _representation_inverter(rho: Homomorphism):
     """Least-squares inverse of a faithful representation, with conditioning.
 
-    Returns a callable m -> (preimage, conditioning).
+    One SVD of the stacked images gives both: the pseudo-inverse keeps the
+    singular values above 1e-15 times the largest (``np.linalg.pinv``'s
+    default cutoff).  Returns a callable m -> (preimage, conditioning) that
+    takes a matrix or a stack (..., d, d).
     """
     P = np.stack([img.reshape(-1) for img in rho.images], axis=1)
-    Pp = np.linalg.pinv(P)
-    s = np.linalg.svd(P, compute_uv=False)
-    cond = float(s[0] / s[-1]) if s.size and s[-1] > 0 else np.inf
+    U, s, Vh = np.linalg.svd(P, full_matrices=False)
+    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s[0])
+    Pp = (Vh.conj().T * inv_s) @ U.conj().T
+    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
 
     def inv(m: np.ndarray):
-        c = Pp @ m.reshape(-1)
-        pre = np.tensordot(c, rho.domain.basis, axes=1)
-        return pre, cond
+        c = m.reshape(m.shape[:-2] + (-1,)) @ Pp.T
+        return np.tensordot(c, rho.domain.basis, axes=1), cond
 
     return inv

@@ -138,6 +138,20 @@ def test_random_requires_spec_or_golden():
     assert r.returncode == 2
 
 
+def test_hostile_input_is_one_line_parse_error(golden_path, tmp_path):
+    inst = json.loads(golden_path.read_text())
+    inst["theta"]["images"][0][0][0] = [float("nan"), 0.0]
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(inst))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"blocks_B": [[1, "a"]], "blocks_C": [[1, 1]]}))
+    for args in (("validate", str(bad)), ("random", "--spec", str(spec))):
+        r = run_cli(*args)
+        assert r.returncode == 1, (args, r.stderr)
+        assert "ParseError" in r.stderr and "Traceback" not in r.stderr
+        assert len(r.stderr.strip().splitlines()) == 1
+
+
 def test_canonical_outputs_compare(tmp_path):
     """scripts/canonical_outputs.py --compare tolerates float changes and
     fails on a changed flag, string, dimension, length or failed report."""

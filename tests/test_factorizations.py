@@ -133,6 +133,25 @@ class TestFactorDual:
             factor_dual(golden_module, golden_module, theta)
 
 
+def theta_outside_K(golden_module):
+    """The golden identity with images 3 and 4 pushed off K(E) along E12,
+    image 4 the farther."""
+    K = finite_rank_algebra(golden_module)
+    imgs = K.basis.copy()
+    imgs[3] += 0.5 * matrix_unit(1, 2)
+    imgs[4] += 2.0 * matrix_unit(1, 2)
+    return Homomorphism(K, 3, imgs)
+
+
+class TestValidateTheta:
+    def test_names_the_first_image_outside_K_F(self, golden_module):
+        with pytest.raises(ValidationError, match="theta image of basis element 3 "):
+            validate_theta(golden_module, golden_module, theta_outside_K(golden_module))
+
+    def test_golden_identity_passes(self, golden_module):
+        validate_theta(golden_module, golden_module, golden_identity(golden_module))
+
+
 class TestFactorUnitVector:
     def test_algebra_module_with_identity(self, block_algebra):
         E = module_over_itself(block_algebra)

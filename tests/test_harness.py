@@ -75,6 +75,68 @@ class TestParsing:
         assert "basis" in msg and ("pair" in msg or "element" in msg)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def _golden_json():
+    return instance_to_json(golden_instance())
+
+
+def _seeded_json():
+    return instance_to_json(generate_random_instance(SPEC, 5))
+
+
+def _put(path, value):
+    def mutate(obj):
+        *keys, last = path
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return mutate
+
+
+# (source, mutation): each must give ParseError, never a bare numpy or
+# Python error and never a silent coercion
+HOSTILE = {
+    "nan_in_theta_image": (_golden_json, _put(["theta", "images", 0, 0, 0], [NAN, 0.0])),
+    "inf_in_theta_image": (_golden_json, _put(["theta", "images", 1, 1, 1], [0.0, INF])),
+    "inf_in_basis": (_golden_json, _put(["B", "basis", 0, 0, 0], [INF, 0.0])),
+    "nan_in_generator": (_golden_json, _put(["E", "generators", 0, 0, 0], [0.0, NAN])),
+    "nan_in_unit_vector": (_golden_json, _put(["unit_vector"], [[[NAN, 0.0]] * 3] * 3)),
+    "bool_entry": (_golden_json, _put(["theta", "images", 0, 0, 0], [True, 0.0])),
+    "string_ambient_dim": (_golden_json, _put(["B", "ambient_dim"], "x")),
+    "zero_codomain_dim": (_golden_json, _put(["theta", "codomain_dim"], 0)),
+    "float_dim_H": (_golden_json, _put(["E", "dim_H"], 3.5)),
+    "oversized_ambient_dim": (_golden_json, _put(["B", "ambient_dim"], 10 ** 9)),
+    "ragged_row": (_golden_json, _put(["E", "generators", 0, 1], [[0.0, 0.0]])),
+    "empty_basis": (_golden_json, _put(["C", "basis"], [])),
+    "empty_generators": (_golden_json, _put(["F", "generators"], [])),
+    "mixed_generator_shapes": (_golden_json, _put(["E", "generators", 3], [[[0.0, 0.0]] * 3] * 2)),
+    "image_shape": (_golden_json, _put(["theta", "images", 2], [[[1.0, 0.0]] * 2] * 2)),
+    "unit_vector_shape": (_golden_json, _put(["unit_vector"], [[[1.0, 0.0]] * 2] * 3)),
+    "qons_family_shape": (_golden_json, _put(["qons_family"], [[[[1.0, 0.0]] * 2] * 3])),
+    "left_action_shape": (_seeded_json, _put(["oracle", "left_action", 1], [[[1.0, 0.0]]])),
+    "nan_in_left_action": (_seeded_json, _put(["oracle", "left_action", 0, 0, 0], [NAN, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE))
+def test_hostile_input_is_a_parse_error(name, tmp_path):
+    source, mutate = HOSTILE[name]
+    obj = source()
+    mutate(obj)
+    p = tmp_path / "hostile.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ParseError):
+        parse_instance(str(p))
+
+
+@pytest.mark.parametrize("blocks", [[[1, "a"]], [[1]], 3, [[1, True]]])
+def test_hostile_generator_spec_is_a_parse_error(blocks):
+    with pytest.raises(ParseError):
+        GenSpec.from_json({"blocks_B": blocks, "blocks_C": [[1, 1]]})
+
+
 class TestGenerator:
     def test_deterministic_given_seed(self):
         a = instance_to_json(generate_random_instance(SPEC, 42))

@@ -505,3 +505,17 @@ class TestStructureConstants:
             with pytest.raises(ValidationError, match="not multiplicatively closed"):
                 hom.validate()
         assert len(fills) == 2
+
+
+class TestCorrespondenceValidate:
+    def test_names_the_first_left_image_leaving_the_span(self):
+        # the diagonal module over the diagonal algebra on C^3; the left
+        # algebra C (+) M2 has basis E11, E22, E23, E32, E33, so images 2
+        # and 3 leave the diagonal span
+        D = build_algebra([(1, 1), (1, 1), (1, 1)])
+        E = build_module(D, [np.eye(3, dtype=complex)])
+        A = build_algebra([(1, 1), (2, 1)])
+        corr = Correspondence(E, A, identity_homomorphism(A))
+        with pytest.raises(ValidationError, match="left action of basis element 2 "):
+            corr.validate()
+        Correspondence(E, D, identity_homomorphism(D)).validate()

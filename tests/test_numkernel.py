@@ -317,3 +317,97 @@ class TestSubspaceIntersection:
             eq, dist = subspace_equal(a, b)
             assert not eq and abs(dist - 1.0) <= 1e-12
         assert subspace_equal(empty, empty) == (True, 0.0)
+
+
+def _einsum_decomposition(space, m):
+    """The per-matrix evaluation decompose replaced: coefficients by an
+    einsum against the basis, the projection by a tensordot."""
+    c = np.einsum("kij,ij->k", space.mats.conj(), m)
+    proj = np.tensordot(c, space.mats, axes=1) if space.dim else np.zeros_like(m)
+    return c, np.linalg.norm(m - proj)
+
+
+def _haar_conjugated_space(blocks, seed):
+    A = build_algebra(blocks)
+    rng = np.random.default_rng(seed)
+    n = A.ambient_dim
+    u = np.linalg.qr(random_complex(rng, n, n))[0]
+    return OperatorSpace(n, n, np.stack([u @ b @ u.conj().T for b in A.basis]))
+
+
+class TestDecompose:
+    def _spaces(self, golden_module):
+        yield golden_module.space
+        yield _haar_conjugated_space([(2, 1), (1, 2)], 5)
+
+    def test_against_the_einsum_reference(self, golden_module, rng):
+        for space in self._spaces(golden_module):
+            inside = np.tensordot(random_complex(rng, 3, space.dim), space.mats, axes=1)
+            mats = np.concatenate([
+                space.mats, inside,
+                random_complex(rng, 4, space.dim_out, space.dim_in)])
+            coeffs, dist = space.decompose(mats)
+            assert coeffs.shape == (len(mats), space.dim) and dist.shape == (len(mats),)
+            for m, c, d in zip(mats, coeffs, dist):
+                c_ref, d_ref = _einsum_decomposition(space, m)
+                assert np.abs(c - c_ref).max() <= 1e-12
+                assert abs(d - d_ref) <= 1e-12
+                assert abs(space.distance(m) - d_ref) <= 1e-12
+                assert np.abs(space.coeffs(m) - c_ref).max() <= 1e-12
+                assert np.abs(space.project(m) - m).max() <= d_ref + 1e-12
+            assert dist[:space.dim + 3].max() <= 1e-12
+            assert dist[-4:].min() > 0.1
+            # the views agree with the batch
+            rel = space.span_residual(mats)
+            assert np.array_equal(
+                rel, dist / np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2))))
+            assert [space.contains(m) for m in mats] == list(rel <= 1e-9)
+
+    def test_leading_axes_are_kept(self, golden_module, rng):
+        space = golden_module.space
+        mats = random_complex(rng, 2, 3, space.dim_out, space.dim_in)
+        coeffs, dist = space.decompose(mats)
+        assert coeffs.shape == (2, 3, space.dim) and dist.shape == (2, 3)
+        flat_c, flat_d = space.decompose(mats.reshape(6, space.dim_out, space.dim_in))
+        assert np.array_equal(coeffs.reshape(6, -1), flat_c)
+        assert np.array_equal(dist.reshape(6), flat_d)
+
+    def test_empty_batch(self, golden_module):
+        space = golden_module.space
+        coeffs, dist = space.decompose(np.zeros((0, space.dim_out, space.dim_in)))
+        assert coeffs.shape == (0, space.dim) and dist.shape == (0,)
+        assert space.span_residual(np.zeros((0, space.dim_out, space.dim_in))).shape == (0,)
+
+    def test_zero_dimensional_space(self, rng):
+        empty = OperatorSpace(2, 3, np.zeros((0, 2, 3), dtype=complex))
+        m = random_complex(rng, 2, 3)
+        coeffs, dist = empty.decompose(m[None])
+        assert coeffs.shape == (1, 0)
+        assert abs(dist[0] - np.linalg.norm(m)) <= 1e-12
+        assert np.array_equal(empty.project(m), np.zeros((2, 3)))
+        assert not empty.contains(m)
+        assert empty.contains(np.zeros((2, 3)))
+        assert subspace_contains(hs_orthonormalize([m]), empty)
+
+    def test_shape_mismatch(self, golden_module):
+        with pytest.raises(DimensionMismatch):
+            golden_module.space.decompose(np.zeros((2, 3, 2)))
+
+
+class TestOpNorm:
+    def test_stack_equals_the_per_matrix_loop(self, rng):
+        for shape in ((7, 5, 4), (3, 4, 4), (1, 1, 6), (2, 3, 2, 2)):
+            stack = random_complex(rng, *shape)
+            loop = np.array([op_norm(m) for m in stack.reshape(-1, *shape[-2:])])
+            assert np.array_equal(op_norm(stack), loop.reshape(shape[:-2]))
+            assert all(op_norm(m) == float(np.linalg.norm(m, 2))
+                       for m in stack.reshape(-1, *shape[-2:]))
+
+    def test_matrix_gives_a_float(self, rng):
+        assert isinstance(op_norm(random_complex(rng, 3, 2)), float)
+        assert op_norm(np.zeros((0, 3))) == 0.0
+
+    def test_empty_stack(self):
+        assert op_norm(np.zeros((0, 3, 3))).shape == (0,)
+        assert np.array_equal(op_norm(np.zeros((2, 0, 3))), np.zeros(2))
+        assert op_norm(np.zeros((0, 3, 3))).max(initial=0.0) == 0.0

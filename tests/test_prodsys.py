@@ -100,6 +100,12 @@ def test_rejects_non_endomorphism(golden_module):
         discrete_product_system(golden_module, theta, 2)
 
 
+def test_names_the_first_image_outside_the_domain(golden_module):
+    from test_factorizations import theta_outside_K
+    with pytest.raises(ValidationError, match="theta image of basis element 3 "):
+        discrete_product_system(golden_module, theta_outside_K(golden_module), 2)
+
+
 def test_composition_identity_comparison(golden_module):
     theta = identity_endo(golden_module)
     rep = composition_contravariance(golden_module, golden_module, golden_module,

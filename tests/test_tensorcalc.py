@@ -259,3 +259,32 @@ class TestAssociativity:
         tp_right = interior_tensor(X, tp_yz.result)
         alpha = associator(tp_left, tp_xy, tp_right, tp_yz)
         assert alpha.residual <= 1e-8
+
+
+class TestRepresentationInverter:
+    def _representations(self, golden_module):
+        yield commutant_lifting(golden_module)
+        yield commutant_lifting(seeded_module(3))
+        # numerically rank-deficient: the second singular value lies below
+        # pinv's cutoff of 1e-15 times the first, so it must be dropped
+        A = build_algebra([(1, 1), (1, 1)])
+        tiny = 1e-17 * np.diag([1.0, -1.0]).astype(complex)
+        yield Homomorphism(A, 2, np.stack([np.eye(2, dtype=complex), tiny]))
+
+    def test_matches_pinv_and_a_separate_svd(self, golden_module):
+        from modfactor.tensorcalc import _representation_inverter
+        rng = np.random.default_rng(8)
+        for rho in self._representations(golden_module):
+            P = np.stack([img.reshape(-1) for img in rho.images], axis=1)
+            Pp = np.linalg.pinv(P)
+            s = np.linalg.svd(P, compute_uv=False)
+            cond_ref = s[0] / s[-1] if s[-1] > 0 else np.inf
+            inv = _representation_inverter(rho)
+            d = rho.codomain_dim
+            mats = list(rho.images) + [np.eye(d)] + \
+                list(rng.standard_normal((2, d, d)) + 1j * rng.standard_normal((2, d, d)))
+            for m in mats:
+                pre, cond = inv(m)
+                ref = np.tensordot(Pp @ m.reshape(-1), rho.domain.basis, axes=1)
+                assert np.abs(pre - ref).max() <= 1e-12
+                assert cond == cond_ref or abs(cond - cond_ref) <= 1e-12 * cond_ref
