@@ -17,6 +17,10 @@ class NotPSD(ModfactorError):
     """Matrix is not positive semidefinite (or not Hermitian) within tolerance."""
 
 
+class NonFiniteInput(ModfactorError, ValueError):
+    """An input matrix has NaN or Inf entries."""
+
+
 class ValidationError(ModfactorError):
     """A structural invariant failed numerical validation."""
 

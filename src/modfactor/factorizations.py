@@ -33,11 +33,12 @@ from .hilbmod import (
     HilbertModule,
     Homomorphism,
     _pairwise_inner,
+    adjointable_residual,
     as_bimodule,
     check_qons_family,
     commutant_lifting,
     dual_module,
-    finite_rank_algebra,
+    finite_rank_products,
     is_full,
     module_from_parts,
     verify_unit_vector,
@@ -50,7 +51,6 @@ from .numkernel import (
     hs_orthonormalize,
     op_norm,
     solve_intertwiners,
-    subspace_equal,
 )
 from .tensorcalc import (
     ModuleUnitary,
@@ -110,16 +110,19 @@ class FactorizationResult:
 
 def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
                    tol: float = DEFAULT_TOL) -> None:
-    """theta must be a unital *-homomorphism from B^a(E) into B^a(F)."""
+    """theta must be a unital *-homomorphism from B^a(E) into B^a(F), for
+    nondegenerate E and F.  Membership is tested by invariance
+    (``adjointable_residual``), not against a built finite-rank algebra: the
+    domain must lie in B^a(E) and contain every x y* of E."""
     if theta.domain.ambient_dim != E.dim_H:
         raise ValidationError("theta's domain does not act on E's total space")
     if theta.codomain_dim != F.dim_H:
         raise ValidationError("theta's images do not act on F's total space")
-    KE = finite_rank_algebra(E, tol)
-    if not subspace_equal(theta.domain.space, KE.space, 1e-6)[0]:
+    dom = theta.domain
+    if adjointable_residual(E, dom.basis, tol, "E").max() > 1e-6 or \
+            dom.space.span_residual(finite_rank_products(E)).max() > 1e-6:
         raise ValidationError("theta's domain is not the adjointable algebra of E")
-    KF = finite_rank_algebra(F, tol)
-    bad = np.flatnonzero(KF.space.span_residual(theta.images) > 1e-6)
+    bad = np.flatnonzero(adjointable_residual(F, theta.images, tol, "F") > 1e-6)
     if bad.size:
         raise ValidationError(
             f"theta image of basis element {bad[0]} leaves the adjointable algebra of F")
@@ -659,13 +662,14 @@ def compression_composition_law(theta2: Homomorphism, theta1: Homomorphism,
 
 def is_morita_equivalence(M: Correspondence, tol: float = DEFAULT_TOL) -> bool:
     """True iff M is full over its base and the left action is a
-    *-isomorphism onto the finite-rank operators of M."""
+    *-isomorphism onto the finite-rank operators of M: its image lies in
+    B^a(M) = K(M) and contains every rank-one operator x y*."""
     full, _ = is_full(M.module, tol)
     if not full:
         return False
     if not M.left_action.is_faithful(tol):
         return False
-    K = finite_rank_algebra(M.module, tol)
+    if adjointable_residual(M.module, M.left_action.images, tol).max() > 1e-6:
+        return False
     img = M.left_action.image_space(tol)
-    eq, _ = subspace_equal(img, K.space, 1e-6)
-    return bool(eq)
+    return bool(img.span_residual(finite_rank_products(M.module)).max() <= 1e-6)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPSD, ToleranceAmbiguity
+from .errors import DimensionMismatch, NonFiniteInput, NotPSD, ToleranceAmbiguity
 
 DEFAULT_TOL = 1e-9
 
@@ -24,6 +24,8 @@ __all__ = [
     "DEFAULT_TOL",
     "OperatorSpace",
     "as_matrix",
+    "as_stack",
+    "require_finite",
     "vec",
     "unvec",
     "hs_inner",
@@ -39,13 +41,36 @@ __all__ = [
 ]
 
 
+def require_finite(a: np.ndarray) -> None:
+    """NonFiniteInput unless every entry of a is finite."""
+    if not np.isfinite(a).all():
+        raise NonFiniteInput("matrix contains NaN or Inf entries")
+
+
 def as_matrix(m) -> np.ndarray:
     """Coerce to a finite complex128 2-d array."""
     a = np.array(m, dtype=np.complex128, copy=True, order="C")
     if a.ndim != 2:
         raise DimensionMismatch(f"expected a matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix contains NaN or Inf entries")
+    require_finite(a)
+    return a
+
+
+def as_stack(mats) -> np.ndarray:
+    """Coerce a nonempty batch of equal-shape matrices, an (m, r, c) array or
+    a sequence, to a finite complex128 (m, r, c) array with one conversion
+    and one finiteness check."""
+    if not (isinstance(mats, np.ndarray) and mats.ndim == 3):
+        mats = list(mats)
+        shapes = {np.shape(m) for m in mats}
+        if len(shapes) > 1:
+            raise DimensionMismatch(f"mixed shapes {sorted(shapes)}")
+    if not len(mats):
+        raise DimensionMismatch("need at least one matrix")
+    a = np.asarray(mats, dtype=np.complex128)
+    if a.ndim != 3:
+        raise DimensionMismatch(f"expected a batch of matrices, got shape {a.shape}")
+    require_finite(a)
     return a
 
 
@@ -193,16 +218,6 @@ def column_support(mats: np.ndarray, tol: float, what: str):
     return rank, U[:, :rank]
 
 
-def _check_common_shape(mats: list[np.ndarray]) -> tuple[int, int]:
-    if not mats:
-        raise DimensionMismatch("need at least one matrix")
-    r, c = mats[0].shape
-    for m in mats[1:]:
-        if m.shape != (r, c):
-            raise DimensionMismatch(f"mixed shapes {m.shape} vs {(r, c)}")
-    return r, c
-
-
 def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """HS-orthonormal basis of the span of ``mats``.
 
@@ -211,9 +226,9 @@ def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
     inputs (e.g. matrix units) stay structured instead of being mixed
     inside degenerate singular subspaces.
     """
-    arr = [as_matrix(m) for m in mats]
-    r, c = _check_common_shape(arr)
-    A = np.stack([vec(m) for m in arr], axis=1)  # (r*c, k)
+    arr = as_stack(mats)
+    k, r, c = arr.shape
+    A = arr.transpose(2, 1, 0).reshape(r * c, k)  # column j is vec(mats[j])
     s = np.linalg.svd(A, compute_uv=False)
     rank, gap = rank_cut(s, tol, "hs_orthonormalize")
     if rank == 0:
@@ -223,10 +238,11 @@ def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
     # Pivoted QR is rank-revealing in practice; fall back to SVD vectors if
     # the leading pivots fail to carry the whole span.
     resid = A - Q @ (Q.conj().T @ A)
-    if np.linalg.norm(resid) > 10.0 * tol * s[0] * max(1.0, np.sqrt(len(arr))):
+    if np.linalg.norm(resid) > 10.0 * tol * s[0] * max(1.0, np.sqrt(k)):
         U = np.linalg.svd(A, full_matrices=False)[0]
         Q = U[:, :rank]
-    basis = np.stack([unvec(Q[:, j], r, c) for j in range(rank)])
+    # each basis matrix is unvec of a column of Q, kept column-major in memory
+    basis = np.ascontiguousarray(Q.T).reshape(rank, c, r).transpose(0, 2, 1)
     return OperatorSpace(r, c, basis, gap)
 
 
@@ -239,20 +255,16 @@ def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace
     values and right vectors, so the tall left factor of a thin SVD is
     never formed.  A single constraint is already square and is taken as is.
     """
-    A = [as_matrix(m) for m in lefts]
-    B = [as_matrix(m) for m in rights]
+    A = as_stack(lefts)
+    B = as_stack(rights)
     if len(A) != len(B):
         raise DimensionMismatch(f"{len(A)} left factors vs {len(B)} right factors")
-    if not A:
-        raise DimensionMismatch("need at least one constraint")
-    n2 = _check_common_shape(A)[0]
-    n1 = _check_common_shape(B)[0]
-    for m in A:
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch("left factors must be square")
-    for m in B:
-        if m.shape[0] != m.shape[1]:
-            raise DimensionMismatch("right factors must be square")
+    n2 = A.shape[1]
+    n1 = B.shape[1]
+    if A.shape[2] != n2:
+        raise DimensionMismatch("left factors must be square")
+    if B.shape[2] != n1:
+        raise DimensionMismatch("right factors must be square")
     N = n1 * n2
     I1 = np.eye(n1)
     I2 = np.eye(n2)
@@ -267,11 +279,10 @@ def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
     # anchor the cut at the operator scale of the constraints so a system
     # that is zero up to roundoff yields the full space, not noise vectors
-    scale = max(1e-30, float((op_norm(np.stack(A)) + op_norm(np.stack(B))).max()))
+    scale = max(1e-30, float((op_norm(A) + op_norm(B)).max()))
     rank, gap = rank_cut(s, tol, "solve_intertwiners", floor=scale)
-    null = Vh[rank:, :].conj()
-    basis = np.stack([unvec(row, n2, n1) for row in null]) if null.shape[0] else \
-        np.zeros((0, n2, n1), dtype=np.complex128)
+    # row j of the null basis is vec of the j-th solution
+    basis = Vh[rank:, :].conj().reshape(-1, n1, n2).transpose(0, 2, 1)
     return OperatorSpace(n2, n1, basis, gap)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from modfactor import cstar, factorizations, hilbmod, numkernel
+from modfactor import cstar, factorizations, harness, hilbmod, numkernel, tensorcalc
 from modfactor.cstar import build_algebra, commutant
 from modfactor.errors import PreconditionError, UnsupportedPair, ValidationError
 from modfactor.factorizations import (
@@ -22,7 +22,9 @@ from modfactor.factorizations import (
 from modfactor.harness import GenSpec, generate_random_instance, oracle_unitary
 from modfactor.hilbmod import (
     Correspondence,
+    HilbertModule,
     Homomorphism,
+    adjointable_residual,
     algebra_bimodule,
     as_bimodule,
     build_module,
@@ -31,7 +33,7 @@ from modfactor.hilbmod import (
     module_over_itself,
     verify_unit_vector,
 )
-from modfactor.numkernel import op_norm
+from modfactor.numkernel import OperatorSpace, op_norm
 from conftest import matrix_unit
 
 
@@ -150,6 +152,119 @@ class TestValidateTheta:
 
     def test_golden_identity_passes(self, golden_module):
         validate_theta(golden_module, golden_module, golden_identity(golden_module))
+
+
+def first_image_outside_K_F(F, theta):
+    """The former membership test, against the built finite-rank algebra of
+    F: index of the first image farther than 1e-6 from K(F), or None."""
+    bad = np.flatnonzero(finite_rank_algebra(F).space.span_residual(theta.images) > 1e-6)
+    return int(bad[0]) if bad.size else None
+
+
+def first_image_not_adjointable(F, theta):
+    bad = np.flatnonzero(adjointable_residual(F, theta.images) > 1e-6)
+    return int(bad[0]) if bad.size else None
+
+
+def pushed_off_K_F(F, theta, pushes, seed):
+    """A copy of theta with image i moved by t times a fixed unit operator
+    orthogonal to K(F), for each (i, t) in pushes."""
+    rng = np.random.default_rng(seed)
+    d = F.dim_H
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    z = z - finite_rank_algebra(F).space.project(z)
+    z /= np.linalg.norm(z)
+    imgs = theta.images.copy()
+    for i, t in pushes:
+        imgs[i % len(imgs)] += t * z
+    return Homomorphism(theta.domain, theta.codomain_dim, imgs)
+
+
+def _adjointable_cases(golden_module):
+    yield "golden", golden_module, golden_identity(golden_module)
+    yield "amplification", column_module(6), amplification(2, 3)
+    for seed in range(1000, 1010):
+        inst = seeded_instance(seed, blocks_C=((2, 1), (1, 1)))
+        yield f"seed {seed}", inst.F, inst.theta
+
+
+class TestAdjointableInvariance:
+    """The invariance test agrees with the former test against K(F)."""
+
+    def test_agrees_with_the_finite_rank_oracle(self, golden_module):
+        proper = 0
+        for name, F, theta in _adjointable_cases(golden_module):
+            assert first_image_not_adjointable(F, theta) is None, name
+            assert first_image_outside_K_F(F, theta) is None, name
+            if finite_rank_algebra(F).dim == F.dim_H ** 2:
+                continue  # K(F) is all of B(H): nothing lies off it
+            proper += 1
+            m = theta.domain.dim
+            for pushes in ([(m - 1, 1.0)], [(1, 1e-3), (m - 1, 2.0)],
+                           [(0, 1e-12)], [(m // 2, 5e-5), (1, 1e-11)]):
+                moved = pushed_off_K_F(F, theta, pushes, seed=len(name))
+                want = first_image_outside_K_F(F, moved)
+                got = first_image_not_adjointable(F, moved)
+                assert got == want, (name, pushes)
+        assert proper >= 8
+
+    def test_golden_images_pushed_off_K(self, golden_module):
+        theta = theta_outside_K(golden_module)
+        assert first_image_outside_K_F(golden_module, theta) == 3
+        assert first_image_not_adjointable(golden_module, theta) == 3
+
+    def test_finite_rank_algebra_is_never_built_on_F(self, tmp_path, monkeypatch):
+        seen = []
+        real = hilbmod.finite_rank_algebra
+
+        def spy(E, *args, **kwargs):
+            seen.append(E)
+            return real(E, *args, **kwargs)
+
+        for mod in (hilbmod, harness, tensorcalc, factorizations):
+            monkeypatch.setattr(mod, "finite_rank_algebra", spy, raising=False)
+        inst = seeded_instance(1001, blocks_C=((2, 1), (1, 1)))
+        path = tmp_path / "instance.json"
+        harness.save_instance(inst, str(path))
+        seen.clear()
+        parsed = harness.parse_instance(str(path))
+        assert harness.run_verification(parsed).passed
+        assert seen  # the spy sees the calls on E
+        assert parsed.E.dim_H != parsed.F.dim_H
+        assert all(m is not parsed.F and m.dim_H != parsed.F.dim_H for m in seen)
+
+
+def degenerate_columns(n, r):
+    """The first r unit columns of C^n over the scalars, built directly so
+    that H is not trimmed to their span."""
+    C1 = build_algebra([(1, 1)])
+    cols = np.eye(n, dtype=np.complex128)[:, :r].T[:, :, None]
+    return HilbertModule(C1, OperatorSpace(n, 1, cols))
+
+
+class TestNondegeneracyPrecondition:
+    def test_degenerate_F_is_rejected(self):
+        # the unital theta(1) = 1 on C^3 maps the span of e1, e2 into itself,
+        # but 1 is not in K(F), which lives on that span only
+        E = column_module(1)
+        F = degenerate_columns(3, 2)
+        theta = Homomorphism(E.base, 3, np.eye(3, dtype=np.complex128)[None])
+        with pytest.raises(ValidationError, match="F is degenerate"):
+            validate_theta(E, F, theta)
+
+    def test_degenerate_E_is_rejected(self):
+        E = degenerate_columns(2, 1)
+        theta = Homomorphism(build_algebra([(2, 1)]), 2,
+                             build_algebra([(2, 1)]).basis.copy())
+        with pytest.raises(ValidationError, match="E is degenerate"):
+            validate_theta(E, column_module(2), theta)
+
+    def test_complement_projection_would_pass_unguarded(self):
+        F = degenerate_columns(3, 2)
+        p = np.zeros((1, 3, 3), dtype=np.complex128)
+        p[0, 2, 2] = 1.0  # kills F, so T F and T* F stay in F
+        with pytest.raises(ValidationError, match="module is degenerate"):
+            adjointable_residual(F, p)
 
 
 class TestFactorUnitVector:

@@ -11,7 +11,13 @@ from modfactor.cstar import (
     commutant,
     star_isomorphic,
 )
-from modfactor.errors import NotInModule, PreconditionError, ValidationError
+from modfactor.errors import (
+    ModfactorError,
+    NonFiniteInput,
+    NotInModule,
+    PreconditionError,
+    ValidationError,
+)
 from modfactor.hilbmod import (
     Correspondence,
     Homomorphism,
@@ -90,6 +96,26 @@ class TestBuildModule:
         with pytest.raises(ValidationError):
             build_module(B, [np.array([[0, 1], [1, 0]], dtype=complex),
                              np.eye(2, dtype=complex)])
+
+
+class TestNonFiniteInput:
+    def _nan(self):
+        g = matrix_unit(2, 1)
+        g[1, 2] = np.nan
+        return g
+
+    def test_build_module(self, block_algebra):
+        with pytest.raises(NonFiniteInput) as err:
+            build_module(block_algebra, [self._nan()])
+        assert isinstance(err.value, ModfactorError)
+        assert isinstance(err.value, ValueError)
+
+    def test_apply(self, block_algebra):
+        hom = identity_homomorphism(block_algebra)
+        with pytest.raises(NonFiniteInput):
+            hom.apply(self._nan())
+        with pytest.raises(NonFiniteInput):
+            hom.apply_many(np.stack([np.eye(3), self._nan()]))
 
 
 class TestInnerProduct:

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfactor.cstar import build_algebra
-from modfactor.errors import DimensionMismatch, NotPSD, ToleranceAmbiguity
+from modfactor.errors import (
+    DimensionMismatch,
+    ModfactorError,
+    NonFiniteInput,
+    NotPSD,
+    ToleranceAmbiguity,
+)
 from modfactor.numkernel import (
     OperatorSpace,
     hs_inner,
@@ -59,6 +66,37 @@ class TestHsOrthonormalize:
     def test_mixed_shapes_rejected(self):
         with pytest.raises(DimensionMismatch):
             hs_orthonormalize([np.eye(2), np.eye(3)])
+
+    def test_empty_input_rejected(self):
+        for empty in ([], np.zeros((0, 2, 2))):
+            with pytest.raises(DimensionMismatch):
+                hs_orthonormalize(empty)
+
+    def test_array_and_sequence_inputs_agree(self, rng):
+        # a stack is taken as is, a sequence is stacked once; either way
+        # vec(basis[j]) is, to the byte, column j of the pivoted QR of the
+        # per-matrix stack of vectorizations
+        mats = random_complex(rng, 5, 3, 4)
+        mats[4] = mats[0] + 2 * mats[1]
+        a = hs_orthonormalize(mats)
+        b = hs_orthonormalize([m.tolist() for m in mats])
+        assert a.dim == 4
+        assert a.mats.tobytes() == b.mats.tobytes()
+        ref = np.stack([vec(m) for m in mats], axis=1)
+        Q = scipy.linalg.qr(ref, mode="economic", pivoting=True)[0][:, :4]
+        assert np.array_equal(np.stack([vec(m) for m in a.mats], axis=1), Q)
+        gram = np.array([[hs_inner(x, y) for y in a.mats] for x in a.mats])
+        assert np.abs(gram - np.eye(4)).max() <= 1e-12
+        assert subspace_contains(a, OperatorSpace(3, 4, mats / 10.0), 1e-9)
+
+    def test_non_finite_entry_rejected(self):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = np.nan
+        for bad in ([np.eye(2), m], np.stack([np.eye(2), m])):
+            with pytest.raises(NonFiniteInput) as err:
+                hs_orthonormalize(bad)
+            assert isinstance(err.value, ModfactorError)
+            assert isinstance(err.value, ValueError)
 
     def test_ambiguous_rank_cut_is_reported(self):
         from modfactor.errors import ToleranceAmbiguity
