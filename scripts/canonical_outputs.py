@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Write the canonical outputs of modfactor on its fixed inputs, one file each.
 
-Usage: OPENBLAS_NUM_THREADS=1 python scripts/canonical_outputs.py OUTDIR [--large]
+Usage: OPENBLAS_NUM_THREADS=1 python scripts/canonical_outputs.py OUTDIR [--large] [--xl]
        python scripts/canonical_outputs.py --compare OLD NEW
 
 For the golden fixture (built in code and parsed from fixtures/golden.json)
 and the 50 seeded-batch instances, it writes the instance JSON and the
 canonical verification report; ``--large`` adds instance ``a`` of the
-ROADMAP (about 4 s).  It also writes the golden product system's
-associativity report and the composition and Hilbert-space residuals of
-two amplifications.  Run it on two checkouts and compare them with
+ROADMAP (about 4 s) and ``--xl`` instance ``b`` (about 11 s, 350 MB peak
+RSS).  It also writes the golden product system's associativity report
+and the composition and Hilbert-space residuals of two amplifications.
+Run it on two checkouts and compare them with
 ``diff -r``: a change that keeps the numbers leaves no difference.
 
 ``--compare OLD NEW`` compares two such directories in substance.  It fails
@@ -38,6 +39,7 @@ from modfactor.factorizations import (  # noqa: E402
     hilbert_space_intertwiners,
 )
 from modfactor.harness import (  # noqa: E402
+    GenSpec,
     generate_random_instance,
     golden_instance,
     instance_to_json,
@@ -57,6 +59,11 @@ from workloads import (  # noqa: E402
     LARGE_SEED,
     LARGE_SPEC,
 )
+
+
+# ROADMAP instance ``b`` (H_F = 36), the target of its speed item.
+XL_SPEC = GenSpec(blocks_B=[(3, 1), (3, 1)], blocks_C=[(2, 1), (1, 1)], compress=False)
+XL_SEED = 1
 
 
 def _dump(path: Path, obj) -> None:
@@ -150,6 +157,7 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("outdir", nargs="?")
     ap.add_argument("--large", action="store_true", help="also write instance a")
+    ap.add_argument("--xl", action="store_true", help="also write instance b")
     ap.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                     help="compare two output directories instead of writing one")
     args = ap.parse_args()
@@ -168,6 +176,8 @@ def main() -> int:
         _instance_outputs(out, f"batch_{BATCH_SEED + j}", inst)
     if args.large:
         _instance_outputs(out, "large", generate_random_instance(LARGE_SPEC, LARGE_SEED))
+    if args.xl:
+        _instance_outputs(out, "xl", generate_random_instance(XL_SPEC, XL_SEED))
 
     _dump(out / "golden.product_system.json",
           verify_associativity(discrete_product_system(golden.E, golden.theta, 3)))

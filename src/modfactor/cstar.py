@@ -14,6 +14,7 @@ from .errors import DimensionMismatch, ToleranceAmbiguity, ValidationError
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
+    eigh_desc,
     hs_norm,
     hs_orthonormalize,
     solve_intertwiners,
@@ -204,9 +205,9 @@ def _minimal_central_projections(Z: FiniteCStarAlgebra, tol: float) -> list[np.n
     for attempt in range(8):
         w = np.cos((np.arange(k) + 1.0) * (attempt + 1.0) * 0.731) + 2.0
         h = np.tensordot(w, hb, axes=1)
-        ev, V = np.linalg.eigh(h)
-        spread = max(ev.max() - ev.min(), 1.0)
-        splits = np.nonzero(np.diff(ev) > 1e-3 * spread)[0]
+        ev, V = eigh_desc(h)
+        spread = max(ev[0] - ev[-1], 1.0)
+        splits = np.nonzero(-np.diff(ev) > 1e-3 * spread)[0]
         groups = np.split(np.arange(ev.size), splits + 1)
         projs = [V[:, g] @ V[:, g].conj().T for g in groups]
         if (Z.space.span_residual(np.stack(projs)) > 100.0 * tol).any():

@@ -43,8 +43,9 @@ from .hilbmod import (
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
+    eigh_desc,
     hs_orthonormalize,
-    op_norm,
+    norm_exceeds,
     subspace_equal,
 )
 from .factorizations import (
@@ -308,7 +309,7 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
             "instance F is not the module induced by the recorded oracle")
     basis = theta.domain.basis
     diff = theta.apply_many(basis, tol) - theta2.apply_many(basis, tol)
-    if op_norm(diff).max() > 1e-6:
+    if norm_exceeds(diff, 1e-6).any():
         raise ValidationError(
             "instance theta is not induced by the recorded oracle")
     return tp_F
@@ -384,17 +385,16 @@ def _random_projection_in(span_mats, rng) -> np.ndarray:
     hb = hermitian_basis(space)
     w = rng.standard_normal(hb.shape[0])
     h = np.tensordot(w, hb, axes=1)
-    n = h.shape[0]
-    ident = np.eye(n, dtype=np.complex128)
-    ev, V = np.linalg.eigh(h)
-    spread = float(ev.max() - ev.min()) if ev.size else 0.0
-    if ev.size < 2 or spread < 1e-8:
+    ident = np.eye(h.shape[0], dtype=np.complex128)
+    ev, V = eigh_desc(h)
+    spread = float(ev[0] - ev[-1])
+    if spread < 1e-8:
         return ident
-    gaps = np.diff(ev)
+    gaps = -np.diff(ev)
     cut = int(np.argmax(gaps)) + 1
     if gaps[cut - 1] < 1e-6 * spread:
         return ident
-    P = V[:, cut:] @ V[:, cut:].conj().T
+    P = V[:, :cut] @ V[:, :cut].conj().T
     if not space.contains(P, 1e-8):
         return ident
     return P

@@ -28,6 +28,7 @@ from .numkernel import (
     column_support,
     hs_norm,
     hs_orthonormalize,
+    norm_exceeds,
     op_norm,
     psd_sqrt_pinv,
     rank_cut,
@@ -86,6 +87,8 @@ class Homomorphism:
             )
         self.images.setflags(write=False)
         self._validated_at: float | None = None
+        # (E, F, tol) of the last passed factorizations.validate_theta
+        self._theta_verdict: tuple | None = None
 
     def apply_many(self, mats, tol: float = DEFAULT_TOL) -> np.ndarray:
         """Images of a batch (m, n, n) of domain elements, shape (m, d, d).
@@ -131,7 +134,7 @@ class Homomorphism:
         dom = self.domain
         k = dom.dim
         unit_img = self.apply(dom.unit, tol)
-        if op_norm(unit_img - np.eye(self.codomain_dim)) > 100.0 * tol:
+        if norm_exceeds(unit_img - np.eye(self.codomain_dim), 100.0 * tol):
             raise ValidationError("homomorphism is not unital")
         imflat = self.images.reshape(k, -1)
         bflat = dom.basis.reshape(k, -1)
@@ -507,10 +510,10 @@ def verify_unit_vector(E: HilbertModule, xi, tol: float = DEFAULT_TOL) -> bool:
 def quasi_orthonormal_system(E: HilbertModule, tol: float = DEFAULT_TOL) -> QuasiONS:
     """Greedy complete quasi-orthonormal system.
 
-    Repeat: with q the projection complementary to sum e e*, pick the basis
-    element x maximizing ||q L_x|| (lowest index on ties), set
-    m = (q x)*(q x), e = q x pinv_sqrt(m), p = support(m).  Each step removes
-    rank(m) >= 1 from q, so at most dim_H steps occur.
+    Repeat: with q the projection complementary to sum e e*, pick the first
+    basis element x whose ||q L_x|| is within a relative tol of the largest,
+    set m = (q x)*(q x), e = q x pinv_sqrt(m), p = support(m).  Each step
+    removes rank(m) >= 1 from q, so at most dim_H steps occur.
     """
     q = np.eye(E.dim_H, dtype=np.complex128)
     members = []
@@ -519,7 +522,7 @@ def quasi_orthonormal_system(E: HilbertModule, tol: float = DEFAULT_TOL) -> Quas
             break
         qX = q @ E.basis
         norms = op_norm(qX)
-        best = int(np.argmax(norms))
+        best = int(np.flatnonzero(norms >= (1.0 - tol) * norms.max())[0])
         if norms[best] <= 1000.0 * tol:
             raise StallError("no generator reduces the residual projection")
         qx = qX[best]

@@ -31,6 +31,8 @@ __all__ = [
     "hs_inner",
     "hs_norm",
     "op_norm",
+    "norm_exceeds",
+    "eigh_desc",
     "rank_cut",
     "column_support",
     "hs_orthonormalize",
@@ -99,6 +101,26 @@ def op_norm(x: np.ndarray):
     x = np.asarray(x)
     n = np.linalg.norm(x, 2, axis=(-2, -1)) if x.size else np.zeros(x.shape[:-2])
     return float(n) if x.ndim == 2 else n
+
+
+def norm_exceeds(x: np.ndarray, bound: float):
+    """op_norm(x) > bound, for a matrix or per matrix of a stack.  The SVD
+    runs only where the Frobenius norm, an upper bound, does not settle the
+    answer (a 1e-10 relative margin covers roundoff in either norm)."""
+    x = np.asarray(x)
+    out = ~(np.linalg.norm(x, axis=(-2, -1)) * (1.0 + 1e-10) <= bound)
+    if x.ndim == 2:
+        return bool(out and op_norm(x) > bound)
+    out[out] = op_norm(x[out]) > bound
+    return out
+
+
+def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues in descending order, eigenvectors as columns) of the
+    Hermitian part of h, from one MRRR (LAPACK zheevr) decomposition."""
+    h = np.asarray(h)
+    w, V = scipy.linalg.eigh((h + h.conj().T) / 2.0, driver="evr", check_finite=False)
+    return w[::-1], V[:, ::-1]
 
 
 def rank_cut(values: np.ndarray, tol: float, what: str = "rank cut",
@@ -297,22 +319,17 @@ def psd_sqrt_pinv(m, tol: float = DEFAULT_TOL):
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("psd_sqrt_pinv expects a square matrix")
     scale = max(1.0, op_norm(a))
-    if op_norm(a - a.conj().T) > 100.0 * tol * scale:
+    if norm_exceeds(a - a.conj().T, 100.0 * tol * scale):
         raise NotPSD("matrix is not Hermitian within tolerance")
-    h = (a + a.conj().T) / 2.0
-    w, V = np.linalg.eigh(h)
-    if w.size and w.min() < -tol * scale:
-        raise NotPSD(f"eigenvalue {w.min():.6e} below -tol*scale")
-    rank, _ = rank_cut(w[::-1], tol, "psd_sqrt_pinv")
-    keep = np.zeros_like(w, dtype=bool)
-    if rank:
-        keep[np.argsort(w)[::-1][:rank]] = True
-    wk = np.where(keep, np.clip(w, 0.0, None), 0.0)
-    sq = (V * np.sqrt(wk)) @ V.conj().T
-    inv = np.zeros_like(wk)
-    inv[keep] = 1.0 / np.sqrt(wk[keep])
-    pinv_sq = (V * inv) @ V.conj().T
-    support = (V * keep.astype(float)) @ V.conj().T
+    w, V = eigh_desc(a)
+    if w.size and w[-1] < -tol * scale:
+        raise NotPSD(f"eigenvalue {w[-1]:.6e} below -tol*scale")
+    rank, _ = rank_cut(w, tol, "psd_sqrt_pinv")
+    V = V[:, :rank]
+    root = np.sqrt(w[:rank])
+    sq = (V * root) @ V.conj().T
+    pinv_sq = (V / root) @ V.conj().T
+    support = V @ V.conj().T
     return sq, pinv_sq, support
 
 

@@ -40,7 +40,9 @@ from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
     as_matrix,
+    eigh_desc,
     hs_orthonormalize,
+    norm_exceeds,
     op_norm,
     rank_cut,
 )
@@ -199,11 +201,7 @@ class TensorProduct:
 
 def _gram_coordinates(gram: np.ndarray, tol: float):
     """(S, S_pinv, gap) with S diag(sqrt(w)) V* restricted to the support."""
-    g = (gram + gram.conj().T) / 2.0
-    w, V = np.linalg.eigh(g)
-    order = np.argsort(w)[::-1]
-    w = w[order]
-    V = V[:, order]
+    w, V = eigh_desc(gram)
     r, gap = rank_cut(w, tol, "tensor Gram cut")
     if r == 0:
         raise ValidationError("tensor product collapsed to zero")
@@ -344,9 +342,9 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     # concrete vectors
     cols = np.hstack([W.mats[j] @ E.basis[i]
                       for i in range(k) for j in range(kw)])
-    conc = cols.conj().T @ cols
-    scale = max(1.0, op_norm(conc))
-    if op_norm(gram - conc) > 1e-6 * scale:
+    # ||cols* cols|| = ||cols||^2, from the thin factor instead of the Gram
+    scale = max(1.0, op_norm(cols) ** 2)
+    if norm_exceeds(gram - cols.conj().T @ cols, 1e-6 * scale):
         raise ValidationError(
             "abstract and concrete Gram matrices differ: the factors are not "
             "a compatible module/commutant-module pair"

@@ -153,6 +153,46 @@ class TestValidateTheta:
     def test_golden_identity_passes(self, golden_module):
         validate_theta(golden_module, golden_module, golden_identity(golden_module))
 
+    def test_a_failed_check_raises_every_time(self, golden_module):
+        theta = theta_outside_K(golden_module)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="basis element 3 "):
+                validate_theta(golden_module, golden_module, theta)
+
+    def test_the_verdict_is_kept_for_the_same_modules_only(self, golden_module, monkeypatch):
+        calls = []
+        real = factorizations.adjointable_residual
+
+        def spy(E, mats, tol=numkernel.DEFAULT_TOL, what="module"):
+            calls.append(what)
+            return real(E, mats, tol, what)
+
+        monkeypatch.setattr(factorizations, "adjointable_residual", spy)
+        theta = golden_identity(golden_module)
+        validate_theta(golden_module, golden_module, theta)
+        validate_theta(golden_module, golden_module, theta)
+        assert calls.count("F") == 1
+        validate_theta(golden_module, golden_module, theta, tol=1e-10)
+        copy = HilbertModule(golden_module.base, golden_module.space)
+        validate_theta(golden_module, copy, theta)
+        assert calls.count("F") == 3
+
+    def test_one_verify_performs_one_invariance_check(self, tmp_path, monkeypatch):
+        checked = []
+        real = factorizations.adjointable_residual
+
+        def spy(E, mats, tol=numkernel.DEFAULT_TOL, what="module"):
+            if what == "F":
+                checked.append(E)
+            return real(E, mats, tol, what)
+
+        monkeypatch.setattr(factorizations, "adjointable_residual", spy)
+        path = tmp_path / "instance.json"
+        harness.save_instance(seeded_instance(1001, blocks_C=((2, 1), (1, 1))), str(path))
+        parsed = harness.parse_instance(str(path))
+        assert harness.run_verification(parsed).passed
+        assert checked == [parsed.F]
+
 
 def first_image_outside_K_F(F, theta):
     """The former membership test, against the built finite-rank algebra of
@@ -356,6 +396,28 @@ class TestFactorCommutant:
         assert res.unitary.residual <= 1e-8
         assert res.report["theta_residual"] <= 1e-8
         assert res.report["chain"]["flip_residual"] <= 1e-8
+
+    def test_no_svd_of_the_abstract_gram_size(self, monkeypatch):
+        # the flip identification decides its Gram check by a Frobenius
+        # screen and takes its scale from the thin factor, so no SVD sees
+        # a matrix as large as the abstract E (.) W (.) G Gram
+        inst = seeded_instance(5)
+        W = factorizations._intertwiner_space(inst.theta, numkernel.DEFAULT_TOL)
+        n = inst.E.dim * W.dim * inst.E.dim_G
+        shapes = []
+        # the module whose svd np.linalg.norm calls (numpy 1.x: linalg.linalg)
+        impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg
+        real = impl.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(impl, "svd", spy)
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        factor_commutant(inst.E, inst.F, inst.theta)
+        assert shapes  # the spy sees the SVDs
+        assert all(min(s) < n for s in shapes), n
 
     def test_tol_reaches_every_intertwiner_solve(self, monkeypatch):
         inst = seeded_instance(5)

@@ -20,6 +20,7 @@ from modfactor.errors import (
 )
 from modfactor.hilbmod import (
     Correspondence,
+    HilbertModule,
     Homomorphism,
     adjointable_algebra,
     algebra_bimodule,
@@ -291,6 +292,24 @@ class TestQuasiOrthonormalSystems:
         assert len(q) == 3
         for _, p in q.members:
             assert np.allclose(p, [[1.0]], atol=1e-10)
+
+    def test_roundoff_does_not_choose_the_members(self):
+        # seeded modules and their duals tie in ||q L_x|| at several steps: a
+        # 1e-15 change of the basis keeps the member order and the supports
+        E = seeded_module(1)
+        rng = np.random.default_rng(0)
+        for M in (E, dual_module(E).module):
+            ref = quasi_orthonormal_system(M)
+            for _ in range(4):
+                shape = M.basis.shape
+                noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                basis = M.basis + 1e-15 * noise
+                moved = HilbertModule(M.base, OperatorSpace(M.dim_H, M.dim_G, basis))
+                q = quasi_orthonormal_system(moved)
+                assert [np.trace(p).real.round() for _, p in q.members] == \
+                    [np.trace(p).real.round() for _, p in ref.members]
+                for (e, _), (e0, _) in zip(q.members, ref.members):
+                    assert np.abs(e - e0).max() <= 1e-12
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000))

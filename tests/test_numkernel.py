@@ -14,8 +14,10 @@ from modfactor.errors import (
 )
 from modfactor.numkernel import (
     OperatorSpace,
+    eigh_desc,
     hs_inner,
     hs_orthonormalize,
+    norm_exceeds,
     op_norm,
     psd_sqrt_pinv,
     rank_cut,
@@ -449,3 +451,53 @@ class TestOpNorm:
         assert op_norm(np.zeros((0, 3, 3))).shape == (0,)
         assert np.array_equal(op_norm(np.zeros((2, 0, 3))), np.zeros(2))
         assert op_norm(np.zeros((0, 3, 3))).max(initial=0.0) == 0.0
+
+
+class TestEighDesc:
+    """Against numpy's eigh of the Hermitian part."""
+
+    def _check(self, h):
+        w, V = eigh_desc(h)
+        herm = (h + h.conj().T) / 2.0
+        ref = np.linalg.eigh(herm)[0]
+        scale = max(1.0, float(np.abs(ref).max()))
+        assert np.all(np.diff(w) <= 0.0)
+        assert np.abs(w - ref[::-1]).max() <= 1e-12 * scale
+        assert np.abs(V.conj().T @ V - np.eye(len(w))).max() <= 1e-12
+        assert np.abs((V * w) @ V.conj().T - herm).max() <= 1e-12 * scale
+        return w, V
+
+    def test_rank_deficient_gram(self, rng):
+        a = random_complex(rng, 5, 60)
+        w, _ = self._check(a.conj().T @ a)
+        assert rank_cut(w, 1e-9)[0] == 5
+
+    def test_one_by_one(self):
+        w, V = self._check(np.array([[2.5 + 0.0j]]))
+        assert w.tolist() == [2.5] and abs(abs(V[0, 0]) - 1.0) <= 1e-15
+
+    def test_non_hermitian_input_uses_the_hermitian_part(self, rng):
+        self._check(random_complex(rng, 7, 7))
+
+
+class TestNormExceeds:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([(), (3,), (2, 2)]),
+           st.integers(1, 5), st.integers(1, 5), st.booleans(), st.booleans(),
+           st.sampled_from([0.0, 0.5, 1.0 - 1e-12, 1.0 - 1e-15, 1.0, 1.0 + 1e-15, 2.0]))
+    def test_agrees_with_op_norm(self, seed, lead, r, c, rank_one, at_frobenius, rel):
+        rng = np.random.default_rng(seed)
+        if rank_one:  # ||x||_2 = ||x||_F: the screen alone cannot decide near the bound
+            x = random_complex(rng, *lead, r, 1) @ random_complex(rng, *lead, 1, c)
+        else:
+            x = random_complex(rng, *lead, r, c)
+        one = x.reshape(-1, r, c)[rng.integers(x.size // (r * c))]
+        bound = rel * (np.linalg.norm(one) if at_frobenius else op_norm(one))
+        got = norm_exceeds(x, bound)
+        assert np.array_equal(got, op_norm(x) > bound)
+        assert isinstance(got, bool) if x.ndim == 2 else got.shape == lead
+
+    def test_empty_inputs(self):
+        assert norm_exceeds(np.zeros((0, 3)), 0.0) is False
+        assert norm_exceeds(np.zeros((0, 3, 3)), 1.0).shape == (0,)
+        assert not norm_exceeds(np.zeros((2, 0, 3)), 0.0).any()
