@@ -20,11 +20,14 @@ whose ``passed`` is not true.  It prints the number of changed files and
 the largest change of the residuals (absolute, with the largest changed
 residual) and of the gaps (in decades, with the smallest changed gap);
 float changes elsewhere, such as instance entries re-expressed in another
-basis, are counted but do not fail.
+basis, are counted but do not fail.  Then it lists each key path where a
+float changed, with batch numbers and list indices folded to ``*``, and the
+number of files where it changed.
 """
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -116,6 +119,18 @@ def _walk(old, new, path: tuple, faults: list, changes: list) -> None:
         faults.append(f"{where}: {old!r} became {new!r}")
 
 
+def _folded_paths(changes: list) -> dict:
+    """{key path with batch numbers and list indices folded to '*': names of
+    the files where a float under it changed}."""
+    out = {}
+    for *_, where in changes:
+        name, *keys = where.split("/")
+        folded = [re.sub(r"_\d+\.", "_*.", name)] + \
+            ["*" if k.isdigit() else k for k in keys]
+        out.setdefault("/".join(folded), set()).add(name)
+    return out
+
+
 def compare(old_dir: Path, new_dir: Path) -> int:
     """Exit status 0 iff NEW keeps every flag, string, integer, dimension and
     shape of OLD and every report in both passed."""
@@ -148,6 +163,8 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         print(f"gaps: {len(gaps)} changed, largest change {big[0]:.2f} decades at "
               f"{big[2]}, smallest changed gap {min(g[1] for g in gaps):.3e}")
     print(f"other floats: {sum(k == 'other' for k, *_ in changes)} changed")
+    for path, files in sorted(_folded_paths(changes).items()):
+        print(f"{path}: {len(files)} file{'s' if len(files) != 1 else ''}")
     for fault in faults:
         print(f"FAIL {fault}")
     return 1 if faults else 0

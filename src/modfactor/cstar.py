@@ -80,13 +80,11 @@ def _structure_constants(space: OperatorSpace, tol: float) -> np.ndarray:
     return cprod
 
 
-def _validate_algebra(space: OperatorSpace, tol: float) -> None:
-    n = space.dim_out
+def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
+    """A, after checking *-closure (``_from_space`` has checked the identity)."""
+    space = A.space
     mats = space.mats
     k = space.dim
-    ident = np.eye(n, dtype=np.complex128)
-    if space.distance(ident) > tol * np.sqrt(n):
-        raise ValidationError("algebra does not contain the ambient identity")
     rnorm = space.span_residual(mats.conj().transpose(0, 2, 1))
     if rnorm.size and rnorm.max() > tol:
         raise ValidationError(
@@ -98,6 +96,7 @@ def _validate_algebra(space: OperatorSpace, tol: float) -> None:
             raise ValidationError(
                 f"product of basis elements ({i}, {int(np.argmax(rel))}) leaves the span"
             )
+    return A
 
 
 def algebra_from_span(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
@@ -105,7 +104,7 @@ def algebra_from_span(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
     space = hs_orthonormalize(mats, tol)
     if space.dim_out != space.dim_in:
         raise DimensionMismatch("algebra elements must be square")
-    return _from_space(space, tol)
+    return _validate_algebra(_from_space(space, tol), tol)
 
 
 def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
@@ -119,17 +118,14 @@ def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
     gram = flat @ flat.conj().T
     if np.abs(gram - np.eye(k)).max() > 1e-8:
         raise ValidationError("stored algebra basis is not HS-orthonormal")
-    return _from_space(OperatorSpace(arr.shape[1], arr.shape[2], arr), tol)
+    return _validate_algebra(_from_space(OperatorSpace(arr.shape[1], arr.shape[2], arr), tol), tol)
 
 
-def _from_space(space: OperatorSpace, tol: float = DEFAULT_TOL,
-                validate: bool = True) -> FiniteCStarAlgebra:
-    """Constructed (mathematically *-closed) spans may pass validate=False;
-    the identity membership is always checked."""
+def _from_space(space: OperatorSpace, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
+    """A span as an algebra after checking that it holds the identity; spans
+    not *-closed by construction go through ``_validate_algebra`` too."""
     n = space.dim_out
-    if validate:
-        _validate_algebra(space, tol)
-    elif space.distance(np.eye(n, dtype=np.complex128)) > tol * np.sqrt(n):
+    if space.distance(np.eye(n, dtype=np.complex128)) > tol * np.sqrt(n):
         raise ValidationError("algebra does not contain the ambient identity")
     return FiniteCStarAlgebra(n, space, np.eye(n, dtype=np.complex128))
 
@@ -166,7 +162,7 @@ def commutant(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> FiniteCStarAlg
     key = ("commutant", tol)
     if key not in A._cache:
         space = solve_intertwiners(A.basis, A.basis, tol)
-        A._cache[key] = _from_space(space, tol, validate=False)
+        A._cache[key] = _from_space(space, tol)
     return A._cache[key]
 
 
@@ -174,7 +170,7 @@ def center(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebr
     """A intersected with its commutant."""
     c = commutant(A, tol)
     space = subspace_intersection(A.space, c.space, tol)
-    return _from_space(space, tol, validate=False)
+    return _from_space(space, tol)
 
 
 def hermitian_basis(space: OperatorSpace) -> np.ndarray:

@@ -6,7 +6,8 @@ a certified unitary u: E (.) corr -> F with theta(a) = u (a (.) id) u*.
 
 Methods:
   dual        through the dual module: corr = E* (.) F
-  unit_vector compression by theta(xi xi*) for a unit vector xi
+  unit_vector compression by theta(xi xi*) for a unit vector xi: the qons
+              method on the one-member family {xi}
   qons        direct sum of compressions along a quasi-orthonormal family
   commutant   intertwiner space of theta, then its bimodule commutant
 
@@ -233,47 +234,69 @@ def _range_isometry(P: np.ndarray, tol: float) -> np.ndarray:
     return V[:, :int((w > 0.5).sum())]
 
 
-def factor_unit_vector(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
-                       xi, tol: float = DEFAULT_TOL) -> FactorizationResult:
-    """Compression method: corr = range of theta(xi xi*) inside F with left
-    action b . y = theta(xi b xi*) y; unitary x . y -> theta(x xi*) y."""
-    xi = as_matrix(xi)
-    if not verify_unit_vector(E, xi, tol):
-        raise PreconditionError("xi is not a unit vector of E")
-    validate_theta(E, F, theta, tol)
-    P = theta.apply(xi @ xi.conj().T, tol)
-    V = _range_isometry(P, tol)
-    space = hs_orthonormalize([V.conj().T @ y for y in F.basis], tol)
-    mod = module_from_parts(F.base, space, tol)
-    if mod.h_embed is not None:
-        raise ValidationError("compressed submodule is degenerate")
-    imgs = V.conj().T @ theta.apply_many(xi @ E.base.basis @ xi.conj().T, tol) @ V
-    hom = Homomorphism(E.base, mod.dim_H, imgs)
-    corr = Correspondence(mod, E.base, hom)
-    corr.validate(tol)
-
-    tp = _unit_tensor(E, F, theta, corr, "unit_vector", tol)
-    M = np.hstack(list(theta.apply_many(E.basis @ xi.conj().T, tol) @ V))
-    U = M @ tp.S_pinv
-    unitary, residuals = _certify("unit_vector", tp, _f_as_target(F, theta, tol), theta, U)
-    report = {
-        "dims": {"correspondence": mod.dim, "correspondence_total": mod.dim_H,
-                 "F_total": F.dim_H},
-        **residuals,
-    }
-    aux = {"E": E, "F": F, "theta": theta, "xi": xi, "isometry": V, "tp_unit": tp}
-    return FactorizationResult("unit_vector", corr, unitary, report, aux)
-
-
-def factor_qons(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
-                family, tol: float = DEFAULT_TOL) -> FactorizationResult:
-    """Direct-sum method along a quasi-orthonormal family (e_b).
+def _compressions(method: str, E: HilbertModule, F: HilbertModule,
+                  theta: Homomorphism, family: list, tol: float):
+    """The compression construction shared by the unit-vector and QONS methods.
 
     corr = external direct sum of the compressions theta(e_b e_b*) F (the
     summands need not be orthogonal inside F) with matrix left action
     b . y_b = (+)_b' theta(e_b' b e_b*) y_b; the unitary sends
-    x (.) y to sum_b theta(x e_b*) y_b.
+    x (.) y to sum_b theta(x e_b*) y_b.  Summand bases placed in disjoint
+    row blocks are HS-orthogonal, so stacking them is already orthonormal.
     """
+    validate_theta(E, F, theta, tol)
+    isometries = [_range_isometry(theta.apply(e @ e.conj().T, tol), tol) for e in family]
+    offs = np.concatenate([[0], np.cumsum([V.shape[1] for V in isometries])])
+    H_B = int(offs[-1])
+
+    comps = [hs_orthonormalize([V.conj().T @ y for y in F.basis], tol) for V in isometries]
+    mats = np.concatenate([np.pad(c.mats, ((0, 0), (offs[b], H_B - offs[b + 1]), (0, 0)))
+                           for b, c in enumerate(comps)])
+    space = OperatorSpace(H_B, F.dim_G, mats, min(c.gap for c in comps))
+    mod = module_from_parts(F.base, space, tol)
+    if mod.h_embed is not None:
+        raise ValidationError("compressed submodule is degenerate")
+
+    imgs = np.zeros((E.base.dim, H_B, H_B), dtype=np.complex128)
+    for bi, (ei, Vi) in enumerate(zip(family, isometries)):
+        for bj, (ej, Vj) in enumerate(zip(family, isometries)):
+            imgs[:, offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = \
+                Vi.conj().T @ theta.apply_many(ei @ E.base.basis @ ej.conj().T, tol) @ Vj
+    corr = Correspondence(mod, E.base, Homomorphism(E.base, H_B, imgs))
+    corr.validate(tol)
+
+    tp = _unit_tensor(E, F, theta, corr, method, tol)
+    M = np.hstack(list(np.concatenate(
+        [theta.apply_many(E.basis @ e.conj().T, tol) @ V
+         for e, V in zip(family, isometries)], axis=2)))
+    unitary, residuals = _certify(method, tp, _f_as_target(F, theta, tol), theta, M @ tp.S_pinv)
+    report = {
+        "dims": {"correspondence": mod.dim, "correspondence_total": H_B,
+                 "F_total": F.dim_H},
+        **residuals,
+    }
+    aux = {"E": E, "F": F, "theta": theta, "family": family,
+           "isometries": isometries, "offsets": offs, "tp_unit": tp}
+    return FactorizationResult(method, corr, unitary, report, aux)
+
+
+def factor_unit_vector(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
+                       xi, tol: float = DEFAULT_TOL) -> FactorizationResult:
+    """Compression method: the QONS method on the one-member family {xi}.
+    corr = range of theta(xi xi*) inside F with left action
+    b . y = theta(xi b xi*) y; unitary x . y -> theta(x xi*) y."""
+    xi = as_matrix(xi)
+    if not verify_unit_vector(E, xi, tol):
+        raise PreconditionError("xi is not a unit vector of E")
+    res = _compressions("unit_vector", E, F, theta, [xi], tol)
+    res.aux.update(xi=xi, isometry=res.aux["isometries"][0])
+    return res
+
+
+def factor_qons(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
+                family, tol: float = DEFAULT_TOL) -> FactorizationResult:
+    """Direct-sum method along a quasi-orthonormal family (e_b): the direct
+    sum of the compressions theta(e_b e_b*) F (see ``_compressions``)."""
     family = [as_matrix(e) for e in family]
     if not family:
         raise PreconditionError("empty quasi-orthonormal family")
@@ -282,49 +305,10 @@ def factor_qons(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
         raise PreconditionError(
             f"family violates the quasi-orthonormal conditions (residual {fam_res:.3e})"
         )
-    validate_theta(E, F, theta, tol)
-    isometries = []
-    for e in family:
-        P = theta.apply(e @ e.conj().T, tol)
-        isometries.append(_range_isometry(P, tol))
-    dims = [V.shape[1] for V in isometries]
-    offs = np.concatenate([[0], np.cumsum(dims)])
-    H_B = int(offs[-1])
-
-    blocks = []
-    for b_idx, V in enumerate(isometries):
-        comp = hs_orthonormalize([V.conj().T @ y for y in F.basis], tol)
-        for f in comp.mats:
-            big = np.zeros((H_B, F.dim_G), dtype=np.complex128)
-            big[offs[b_idx]:offs[b_idx + 1], :] = f
-            blocks.append(big)
-    space = hs_orthonormalize(blocks, tol)
-    mod = module_from_parts(F.base, space, tol)
-
-    imgs = np.zeros((E.base.dim, H_B, H_B), dtype=np.complex128)
-    for bi, (ei, Vi) in enumerate(zip(family, isometries)):
-        for bj, (ej, Vj) in enumerate(zip(family, isometries)):
-            imgs[:, offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = \
-                Vi.conj().T @ theta.apply_many(ei @ E.base.basis @ ej.conj().T, tol) @ Vj
-    hom = Homomorphism(E.base, H_B, imgs)
-    corr = Correspondence(mod, E.base, hom)
-    corr.validate(tol)
-
-    tp = _unit_tensor(E, F, theta, corr, "qons", tol)
-    M = np.hstack(list(np.concatenate(
-        [theta.apply_many(E.basis @ e.conj().T, tol) @ V
-         for e, V in zip(family, isometries)], axis=2)))
-    U = M @ tp.S_pinv
-    unitary, residuals = _certify("qons", tp, _f_as_target(F, theta, tol), theta, U)
-    report = {
-        "dims": {"correspondence": mod.dim, "correspondence_total": H_B,
-                 "summands": dims, "F_total": F.dim_H},
-        **residuals,
-        "family_residual": fam_res,
-    }
-    aux = {"E": E, "F": F, "theta": theta, "family": family,
-           "isometries": isometries, "offsets": offs, "tp_unit": tp}
-    return FactorizationResult("qons", corr, unitary, report, aux)
+    res = _compressions("qons", E, F, theta, family, tol)
+    res.report["dims"]["summands"] = [V.shape[1] for V in res.aux["isometries"]]
+    res.report["family_residual"] = fam_res
+    return res
 
 
 def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
@@ -462,20 +446,6 @@ def _require_same_theta(ra: FactorizationResult, rb: FactorizationResult) -> Non
         raise PreconditionError("results do not factor the same homomorphism")
 
 
-def _cmp_dual_to_unit_vector(ra, rb, tol):
-    tp1: TensorProduct = ra.aux["tp_corr"]
-    theta: Homomorphism = ra.aux["theta"]
-    lift = ra.aux["dual_lift"]
-    xi = rb.aux["xi"]
-    V = rb.aux["isometry"]
-    dual_mod = ra.aux["dual"].module
-    M = np.hstack(list(V.conj().T @ theta.apply_many(
-        xi @ np.matmul(lift, dual_mod.basis), tol)))
-    U = M @ tp1.S_pinv
-    return certify_module_unitary(ra.correspondence, rb.correspondence, U,
-                                  {"pair": ("dual", "unit_vector")})
-
-
 def _cmp_dual_to_qons(ra, rb, tol):
     tp1: TensorProduct = ra.aux["tp_corr"]
     theta: Homomorphism = ra.aux["theta"]
@@ -489,7 +459,7 @@ def _cmp_dual_to_qons(ra, rb, tol):
          for e, V in zip(family, isometries)], axis=1)))
     U = M @ tp1.S_pinv
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
-                                  {"pair": ("dual", "qons")})
+                                  {"pair": ("dual", rb.method)})
 
 
 def _cmp_unit_vector_to_unit_vector(ra, rb, tol):
@@ -526,7 +496,7 @@ def _cmp_dual_to_commutant(ra, rb, tol):
 
 
 _DIRECT_COMPARISONS = {
-    ("dual", "unit_vector"): _cmp_dual_to_unit_vector,
+    ("dual", "unit_vector"): _cmp_dual_to_qons,
     ("dual", "qons"): _cmp_dual_to_qons,
     ("unit_vector", "unit_vector"): _cmp_unit_vector_to_unit_vector,
     ("dual", "commutant"): _cmp_dual_to_commutant,

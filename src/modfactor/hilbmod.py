@@ -348,7 +348,7 @@ def finite_rank_algebra(E: HilbertModule, tol: float = DEFAULT_TOL) -> FiniteCSt
     key = ("finite_rank", tol)
     if key not in E._cache:
         prods = finite_rank_products(E).reshape(-1, E.dim_H, E.dim_H)
-        E._cache[key] = _from_space(hs_orthonormalize(prods, tol), tol, validate=False)
+        E._cache[key] = _from_space(hs_orthonormalize(prods, tol), tol)
     return E._cache[key]
 
 
@@ -407,7 +407,7 @@ def adjointable_algebra(E: HilbertModule, tol: float = DEFAULT_TOL) -> FiniteCSt
     rho_p = commutant_lifting(E, tol)
     img = rho_p.image_space(tol)
     space = solve_intertwiners(img.mats, img.mats, tol)
-    Ba = _from_space(space, tol, validate=False)
+    Ba = _from_space(space, tol)
     if Ba.space.span_residual(finite_rank_products(E)).max() > 1e-6:
         raise ValidationError("adjointable algebra does not contain the finite-rank algebra")
     E._cache[key] = Ba
@@ -439,23 +439,16 @@ def _ideal_data(E: HilbertModule, tol: float):
     key = ("ideal", tol)
     if key in E._cache:
         return E._cache[key]
-    inner = hs_orthonormalize(_pairwise_inner(E.basis).reshape(-1, E.dim_G, E.dim_G), tol)
-    triples = []
-    for s in inner.mats:
-        triples.append(s)
-        for b1 in E.base.basis:
-            triples.append(b1 @ s)
-            triples.append(s @ b1)
-            for b2 in E.base.basis:
-                triples.append(b1 @ s @ b2)
-    span = hs_orthonormalize(triples, tol)
+    # the inner products already span a two-sided *-ideal:
+    # <x, y> b = <x, y b>, b <x, y> = <x b*, y> and <x, y>* = <y, x>
+    span = hs_orthonormalize(_pairwise_inner(E.basis).reshape(-1, E.dim_G, E.dim_G), tol)
     r, V = column_support(span.mats, tol, "ideal support")
     if r == E.dim_G:
         V = None
-        ideal = _from_space(span, tol, validate=False)
+        ideal = _from_space(span, tol)
     else:
         mats = np.einsum("ij,kjl,lm->kim", V.conj().T, span.mats, V)
-        ideal = _from_space(hs_orthonormalize(mats, tol), tol, validate=False)
+        ideal = _from_space(hs_orthonormalize(mats, tol), tol)
     E._cache[key] = (span, V, ideal)
     return span, V, ideal
 

@@ -188,3 +188,22 @@ def test_canonical_outputs_compare(tmp_path):
     assert compare().returncode == 0
     (new / "y.report.json").write_text(json.dumps(base))
     assert compare().returncode == 1
+
+
+def test_canonical_outputs_compare_lists_changed_paths(tmp_path):
+    """--compare folds batch numbers and list indices of changed floats and
+    counts the files per folded key path."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "canonical_outputs.py"
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+    for seed, moved in ((1001, [0, 1]), (1002, [1]), (1003, [])):
+        body = {"passed": True, "r": [1e-16, 2e-16], "s": 1e-16}
+        (old / f"batch_{seed}.report.json").write_text(json.dumps(body))
+        body["r"] = [v * (3 if i in moved else 1) for i, v in enumerate(body["r"])]
+        (new / f"batch_{seed}.report.json").write_text(json.dumps(body))
+    r = subprocess.run([sys.executable, str(script), "--compare", str(old), str(new)],
+                       capture_output=True, text=True, env=ENV)
+    assert r.returncode == 0, r.stdout
+    assert "batch_*.report.json/r/*: 2 files" in r.stdout
+    assert "/s:" not in r.stdout

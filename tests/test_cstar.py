@@ -94,6 +94,14 @@ def test_validation_rejects_non_closed_span():
         algebra_from_span([np.eye(2), matrix_unit(1, 2, 2)])
 
 
+def test_missing_identity_is_reported_before_closure():
+    # E12 alone is neither unital nor *-closed: the identity check runs first
+    with pytest.raises(ValidationError, match="identity"):
+        algebra_from_span([matrix_unit(1, 2, 2)])
+    with pytest.raises(ValidationError, match="identity"):
+        algebra_from_basis([matrix_unit(1, 2, 2)])
+
+
 def test_algebra_from_basis_requires_orthonormal():
     with pytest.raises(ValidationError):
         algebra_from_basis([np.eye(2)])  # HS norm sqrt(2), not 1

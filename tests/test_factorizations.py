@@ -358,11 +358,46 @@ class TestFactorQons:
         u = compare(res_uv, res_q, via=res_d)
         assert u.residual <= 1e-8
 
+    def test_one_orthonormalization_per_member(self, golden_module, monkeypatch):
+        calls = []
+        real = factorizations.hs_orthonormalize
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(factorizations, "hs_orthonormalize", spy)
+        theta = golden_identity(golden_module)
+        fam = dual_qons_family(golden_module)
+        assert len(fam) > 1
+        factor_qons(golden_module, golden_module, theta, fam)
+        assert len(calls) == len(fam)
+
     def test_rejects_bad_family(self, golden_module):
         theta = golden_identity(golden_module)
         with pytest.raises(PreconditionError):
             factor_qons(golden_module, golden_module, theta,
                         [matrix_unit(2, 1)])  # sums to E11, not the unit
+
+
+# the first ten seeded-batch instances that carry a unit vector
+_UNIT_VECTOR_SEEDS = [1000 + j for j in range(25) if j % 5 in (2, 4)]
+
+
+@pytest.mark.parametrize("seed", _UNIT_VECTOR_SEEDS)
+def test_unit_vector_method_is_the_singleton_qons_method(seed):
+    from test_acceptance import BATCH_SPECS
+    inst = generate_random_instance(BATCH_SPECS[(seed - 1000) % len(BATCH_SPECS)], seed)
+    assert inst.unit_vector is not None
+    res_uv = factor_unit_vector(inst.E, inst.F, inst.theta, inst.unit_vector)
+    res_q = factor_qons(inst.E, inst.F, inst.theta, [inst.unit_vector])
+    assert np.array_equal(res_q.correspondence.module.basis,
+                          res_uv.correspondence.module.basis)
+    assert np.array_equal(res_q.correspondence.left_action.images,
+                          res_uv.correspondence.left_action.images)
+    assert np.array_equal(res_q.unitary.map, res_uv.unitary.map)
+    assert "summands" not in res_uv.report["dims"]
+    assert "family_residual" not in res_uv.report
 
 
 class TestFactorCommutant:

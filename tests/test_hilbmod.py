@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modfactor import cstar
+from modfactor import cstar, hilbmod
 from modfactor.cstar import (
     FiniteCStarAlgebra,
     algebra_from_basis,
@@ -215,6 +215,38 @@ class TestFullness:
 
     def test_module_over_itself_full(self, block_algebra):
         assert is_full(module_over_itself(block_algebra))[0]
+
+    @staticmethod
+    def _triple_ideal(E, tol=1e-9):
+        """The ideal generated by the inner products s as the span of s,
+        b1 s, s b1 and b1 s b2 over base basis elements b1, b2."""
+        inner = hs_orthonormalize(
+            hilbmod._pairwise_inner(E.basis).reshape(-1, E.dim_G, E.dim_G), tol)
+        triples = []
+        for s in inner.mats:
+            triples += [s] + [b @ s for b in E.base.basis] + [s @ b for b in E.base.basis]
+            triples += [b1 @ s @ b2 for b1 in E.base.basis for b2 in E.base.basis]
+        return hs_orthonormalize(triples, tol)
+
+    @pytest.mark.parametrize("case", ["golden", "corner", "random_corner",
+                                      "seeded_1", "seeded_2", "seeded_3"])
+    def test_inner_products_already_span_the_ideal(self, case, golden_module,
+                                                   block_algebra):
+        if case == "golden":
+            E = golden_module
+        elif case == "corner":
+            E = build_module(block_algebra, [matrix_unit(2, 1), matrix_unit(3, 1)])
+        elif case == "random_corner":
+            # generators supported on the M2 block: the ideal is that block
+            rng = np.random.default_rng(7)
+            x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+            E = build_module(block_algebra, [x @ np.diag([0.0, 1.0, 1.0])])
+        else:
+            E = seeded_module(int(case[-1]))
+        span = hilbmod._ideal_data(E, 1e-9)[0]
+        eq, dist = subspace_equal(span, self._triple_ideal(E), 1e-9)
+        assert eq, dist
+        assert is_full(E)[0] == (case not in ("corner", "random_corner"))
 
 
 class TestBimoduleCenter:
