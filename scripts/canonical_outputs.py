@@ -8,8 +8,10 @@ For the golden fixture (built in code and parsed from fixtures/golden.json)
 and the 50 seeded-batch instances, it writes the instance JSON and the
 canonical verification report; ``--large`` adds instance ``a`` of the
 ROADMAP (about 4 s) and ``--xl`` instance ``b`` (about 11 s, 350 MB peak
-RSS).  It also writes the golden product system's associativity report
-and the composition and Hilbert-space residuals of two amplifications.
+RSS).  It also writes the associativity reports of the golden product
+system and of the product-system benchmark's inputs 0-4 at seed 2000
+(inner automorphisms of seeded modules), and the composition and
+Hilbert-space residuals of two amplifications.
 Run it on two checkouts and compare them with
 ``diff -r``: a change that keeps the numbers leaves no difference.
 
@@ -61,12 +63,17 @@ from workloads import (  # noqa: E402
     BATCH_SPECS,
     LARGE_SEED,
     LARGE_SPEC,
+    PRODUCT_STEPS,
+    ProductSystem,
 )
 
 
 # ROADMAP instance ``b`` (H_F = 36), the target of its speed item.
 XL_SPEC = GenSpec(blocks_B=[(3, 1), (3, 1)], blocks_C=[(2, 1), (1, 1)], compress=False)
 XL_SEED = 1
+# The product-system workload's inputs 0..PRODUCT_OPS-1 at this seed.
+PRODUCT_SEED = 2000
+PRODUCT_OPS = 5
 
 
 def _dump(path: Path, obj) -> None:
@@ -198,6 +205,12 @@ def main() -> int:
 
     _dump(out / "golden.product_system.json",
           verify_associativity(discrete_product_system(golden.E, golden.theta, 3)))
+    product = ProductSystem(str(out))
+    seeded = {}
+    for i in range(PRODUCT_OPS):
+        E, theta = product.inputs(PRODUCT_SEED, i)
+        seeded[str(i)] = verify_associativity(discrete_product_system(E, theta, PRODUCT_STEPS))
+    _dump(out / "seeded.product_system.json", seeded)
     theta1, theta2 = _amplification(2, 2), _amplification(4, 3)
     _dump(out / "amplification.contravariance.json",
           composition_contravariance(_column_module(2), _column_module(4),

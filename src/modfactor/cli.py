@@ -12,15 +12,10 @@ import json
 import sys
 
 from .errors import ModfactorError
-from .factorizations import (
-    factor_commutant,
-    factor_dual,
-    factor_qons,
-    factor_unit_vector,
-)
 from .harness import (
     GenSpec,
     VerifyConfig,
+    factorize,
     generate_random_instance,
     golden_instance,
     instance_to_json,
@@ -28,7 +23,6 @@ from .harness import (
     run_verification,
     save_instance,
 )
-from .hilbmod import dual_qons_family, fullification, is_full
 from .prodsys import discrete_product_system, verify_associativity
 
 METHOD_CHOICES = ("dual", "unit-vector", "qons", "commutant")
@@ -57,27 +51,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    tol = args.tol
     try:
-        inst = parse_instance(args.instance, tol)
-        E, F, theta = inst.E, inst.F, inst.theta
-        method = args.method
-        if method in ("qons", "commutant"):
-            full, _ = is_full(E, tol)
-            if not full:
-                E, _ = fullification(E, tol)
-        if method == "dual":
-            res = factor_dual(E, F, theta, tol)
-        elif method == "unit-vector":
-            if inst.unit_vector is None:
-                print("ERROR: instance carries no unit vector", file=sys.stderr)
-                return 1
-            res = factor_unit_vector(E, F, theta, inst.unit_vector, tol)
-        elif method == "qons":
-            family = inst.qons_family or dual_qons_family(E, tol)
-            res = factor_qons(E, F, theta, family, tol)
-        else:
-            res = factor_commutant(E, F, theta, tol)[1]
+        inst = parse_instance(args.instance, args.tol)
+        res = factorize(inst, args.method.replace("-", "_"), args.tol)
     except ModfactorError as e:
         print(f"ERROR: {type(e).__name__}: {e}", file=sys.stderr)
         return 1

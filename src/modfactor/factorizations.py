@@ -33,6 +33,7 @@ from .hilbmod import (
     Correspondence,
     HilbertModule,
     Homomorphism,
+    _adjoints,
     _pairwise_inner,
     adjointable_residual,
     as_bimodule,
@@ -57,6 +58,7 @@ from .numkernel import (
 from .tensorcalc import (
     ModuleUnitary,
     TensorProduct,
+    _column_blocks,
     _gram_coordinates,
     _induced_action,
     _representation_inverter,
@@ -64,6 +66,7 @@ from .tensorcalc import (
     certify_module_unitary,
     compose_unitaries,
     flip_unitary,
+    hstack_blocks,
     identity_unitary,
     interior_tensor,
     intertwining_residual,
@@ -168,14 +171,6 @@ def _f_as_target(F: HilbertModule, theta: Homomorphism,
     return corr
 
 
-def _dual_lift(dual_corr: Correspondence) -> np.ndarray:
-    """Isometry re-expanding compressed dual elements to operators H -> G."""
-    V = dual_corr.module.h_embed
-    if V is None:
-        return np.eye(dual_corr.module.dim_H, dtype=np.complex128)
-    return V
-
-
 def induced_homomorphism(E: HilbertModule, M: Correspondence,
                          tol: float = DEFAULT_TOL):
     """The converse direction: F = E (.) M and theta(a) = a (.) id on the
@@ -193,25 +188,25 @@ def induced_homomorphism(E: HilbertModule, M: Correspondence,
 def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
                 tol: float = DEFAULT_TOL) -> FactorizationResult:
     """Correspondence E* (.) F with inner product <x* . y, x'* . y'> =
-    <y, theta(x x'*) y'>; the unitary sends x . (y* . z) to theta(x y*) z."""
+    <y, theta(x x'*) y'>; the unitary sends x . (y* . z) to theta(x y*) z.
+
+    Dual element j is x_j* for E's basis element x_j, also where the dual's
+    total space is trimmed: it then stores V* x_j* with V V* x_j* = x_j*."""
     validate_theta(E, F, theta, tol)
     Estar = dual_module(E, tol)
     # re-express the dual over theta's domain algebra so all bases align
     dual_mod = module_from_parts(theta.domain, Estar.module.space, tol)
-    dual_mod.trimmed_from = Estar.module.trimmed_from
-    dual_mod.h_embed = Estar.module.h_embed
     dual_corr = Correspondence(dual_mod, Estar.left, Estar.left_action)
     F_corr = _f_as_target(F, theta, tol)
     tp1 = interior_tensor(dual_corr, F_corr, tol)
     Ftheta = tp1.result
 
     tp2 = _unit_tensor(E, F, theta, Ftheta, "dual", tol)
-    lift = _dual_lift(dual_corr)
-    # theta(x (lift u)) for every pair (x, u), x major
-    k, ku, d = E.dim, dual_mod.dim, F.dim_H
-    pairs = np.matmul(E.basis[:, None], np.matmul(lift, dual_mod.basis)[None])
-    imgs = theta.apply_many(pairs.reshape(k * ku, E.dim_H, E.dim_H), tol)
-    N = imgs.reshape(k, ku, d, d).transpose(0, 2, 1, 3).reshape(k, d, ku * d)
+    # theta(x_i x_j*) for every pair (i, j), i major
+    k, d = E.dim, F.dim_H
+    pairs = np.matmul(E.basis[:, None], _adjoints(E.basis)[None])
+    imgs = theta.apply_many(pairs.reshape(k * k, E.dim_H, E.dim_H), tol)
+    N = imgs.reshape(k, k, d, d).transpose(0, 2, 1, 3).reshape(k, d, k * d)
     U = np.hstack(list(N @ tp1.S_pinv)) @ tp2.S_pinv
     unitary, residuals = _certify("dual", tp2, F_corr, theta, U)
     report = {
@@ -222,7 +217,7 @@ def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
         "gram_gap": tp1.gap,
     }
     aux = {"E": E, "F": F, "theta": theta, "tp_corr": tp1, "tp_unit": tp2,
-           "dual": dual_corr, "dual_lift": lift}
+           "dual": dual_corr}
     return FactorizationResult("dual", Ftheta, unitary, report, aux)
 
 
@@ -344,8 +339,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     S_P, S_P_pinv, gap_P = _gram_coordinates(gram, tol)
     rP = S_P.shape[0]
     Bp = rho_p.domain
-    prime_space = hs_orthonormalize(
-        [S_P[:, j * G:(j + 1) * G] for j in range(kw)], tol)
+    prime_space = hs_orthonormalize(_column_blocks(S_P, kw), tol)
     prime_mod = module_from_parts(Bp, prime_space, tol)
     if prime_mod.dim_H != rP:
         raise ValidationError("re-concretized intertwiner module is degenerate")
@@ -449,11 +443,9 @@ def _require_same_theta(ra: FactorizationResult, rb: FactorizationResult) -> Non
 def _cmp_dual_to_qons(ra, rb, tol):
     tp1: TensorProduct = ra.aux["tp_corr"]
     theta: Homomorphism = ra.aux["theta"]
-    lift = ra.aux["dual_lift"]
     family = rb.aux["family"]
     isometries = rb.aux["isometries"]
-    dual_mod = ra.aux["dual"].module
-    xstars = np.matmul(lift, dual_mod.basis)
+    xstars = _adjoints(ra.aux["E"].basis)
     M = np.hstack(list(np.concatenate(
         [V.conj().T @ theta.apply_many(e @ xstars, tol)
          for e, V in zip(family, isometries)], axis=1)))
@@ -477,20 +469,13 @@ def _cmp_dual_to_commutant(ra, rb, tol):
     """Through the flip chain: x* (x) (w y g) -> w (x) <x, y> g."""
     tp1: TensorProduct = ra.aux["tp_corr"]
     E: HilbertModule = ra.aux["E"]
-    F: HilbertModule = ra.aux["F"]
-    lift = ra.aux["dual_lift"]
-    dual_mod = ra.aux["dual"].module
     W: OperatorSpace = rb.aux["W"]
     S_P = rb.aux["S_P"]
-    ku, kw = dual_mod.dim, W.dim
-    # column blocks (j, l, m): S1_j (w_l y_m) and S_P,l (x_j* y_m), x_j* = lift u_j
-    S1 = tp1.S.reshape(-1, ku, tp1.right_total).transpose(1, 0, 2)[:, None, None]
-    SP = S_P.reshape(-1, kw, E.dim_G).transpose(1, 0, 2)[None, :, None]
-    D = S1 @ np.matmul(W.mats[:, None], E.basis[None])[None]
-    T = SP @ np.matmul(np.matmul(lift, dual_mod.basis)[:, None], E.basis[None])[:, None]
-    # hstack the (rows, G) blocks in (j, l, m) order
-    U = map_from_spanning(np.moveaxis(D, -2, 0).reshape(D.shape[-2], -1),
-                          np.moveaxis(T, -2, 0).reshape(T.shape[-2], -1))
+    # column blocks (j, l, m): S1_j (w_l y_m) and S_P,l (x_j* y_m)
+    D = tp1.blocks()[:, None, None] @ np.matmul(W.mats[:, None], E.basis[None])[None]
+    T = _column_blocks(S_P, W.dim)[None, :, None] @ \
+        np.matmul(_adjoints(E.basis)[:, None], E.basis[None])[:, None]
+    U = map_from_spanning(hstack_blocks(D), hstack_blocks(T))
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", "commutant")})
 

@@ -26,12 +26,14 @@ from .errors import (
     InfeasibleSpec,
     ModfactorError,
     ParseError,
+    PreconditionError,
     ValidationError,
 )
 from .hilbmod import (
     Correspondence,
     HilbertModule,
     Homomorphism,
+    _adjoints,
     build_module,
     dual_qons_family,
     finite_rank_algebra,
@@ -49,6 +51,7 @@ from .numkernel import (
     subspace_equal,
 )
 from .factorizations import (
+    METHODS,
     FactorizationResult,
     compare,
     factor_commutant,
@@ -58,7 +61,13 @@ from .factorizations import (
     induced_homomorphism,
     validate_theta,
 )
-from .tensorcalc import certify_module_unitary, compose_unitaries, map_from_spanning, unit_identities
+from .tensorcalc import (
+    certify_module_unitary,
+    compose_unitaries,
+    hstack_blocks,
+    map_from_spanning,
+    unit_identities,
+)
 
 __all__ = [
     "Instance",
@@ -69,6 +78,7 @@ __all__ = [
     "parse_instance",
     "instance_to_json",
     "save_instance",
+    "factorize",
     "run_verification",
     "oracle_unitary",
 ]
@@ -247,9 +257,10 @@ def instance_to_json(inst: Instance) -> dict:
 
 
 def save_instance(inst: Instance, path: str) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(instance_to_json(inst), sort_keys=True, separators=(",", ":"))
     with open(path, "w") as f:
-        json.dump(instance_to_json(inst), f, sort_keys=True, separators=(",", ":"))
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def parse_instance(path: str, tol: float = DEFAULT_TOL) -> Instance:
@@ -498,23 +509,47 @@ def oracle_unitary(res_dual: FactorizationResult, M: Correspondence, tp_F,
     ``tp_F`` is the tensor product realizing F = E (.) M (recomputed and
     cross-checked against the instance's F for loaded instances).
     """
-    tp1 = res_dual.aux["tp_corr"]
     E: HilbertModule = res_dual.aux["E"]
-    lift = res_dual.aux["dual_lift"]
-    dual_mod = res_dual.aux["dual"].module
-    # tp_F.block(mi) maps H_M -> H_F
-    D = np.hstack([tp1.block(j) @ tp_F.block(mi)
-                   for j in range(dual_mod.dim) for mi in range(E.dim)])
-    pairs = np.matmul(np.matmul(lift, dual_mod.basis)[:, None], E.basis[None])
-    T = np.hstack(list(M.left_action.apply_many(
-        pairs.reshape(-1, E.dim_G, E.dim_G), tol)))
-    U = map_from_spanning(D, T)
+    # column blocks (j, m): tp_F's block m maps H_M -> H_F
+    D = res_dual.aux["tp_corr"].blocks()[:, None] @ tp_F.blocks()[None]
+    pairs = np.matmul(_adjoints(E.basis)[:, None], E.basis[None])
+    T = M.left_action.apply_many(pairs.reshape(-1, E.dim_G, E.dim_G), tol)
+    U = map_from_spanning(hstack_blocks(D), hstack_blocks(T))
     return certify_module_unitary(res_dual.correspondence, M, U,
                                   {"kind": "oracle link"})
 
 
 # ---------------------------------------------------------------------------
 # verification
+
+
+def _factoring_module(E: HilbertModule, tol: float):
+    """(the module every method factors, whether E is full): E itself when it
+    is full, else its fullification."""
+    full, _ = is_full(E, tol)
+    return (E if full else fullification(E, tol)[0]), full
+
+
+def factorize(inst: Instance, method: str, tol: float = DEFAULT_TOL,
+              E_run: HilbertModule | None = None) -> FactorizationResult:
+    """Run one method (a name in ``METHODS``) on the instance exactly as
+    ``run_verification`` does: on E's fullification when E is not full.
+    ``E_run`` passes that module in when it is already built."""
+    if E_run is None:
+        E_run, _ = _factoring_module(inst.E, tol)
+    F, theta = inst.F, inst.theta
+    if method == "dual":
+        return factor_dual(E_run, F, theta, tol)
+    if method == "unit_vector":
+        if inst.unit_vector is None:
+            raise PreconditionError("instance carries no unit vector")
+        return factor_unit_vector(E_run, F, theta, inst.unit_vector, tol)
+    if method == "qons":
+        family = inst.qons_family or dual_qons_family(E_run, tol)
+        return factor_qons(E_run, F, theta, family, tol)
+    if method == "commutant":
+        return factor_commutant(E_run, F, theta, tol)[1]
+    raise PreconditionError(f"unknown method {method!r}")
 
 
 @dataclass
@@ -580,21 +615,20 @@ def run_verification(inst: Instance, config: VerifyConfig | None = None) -> Veri
     }
 
     t0 = time.perf_counter()
-    E, F, theta = inst.E, inst.F, inst.theta
-    full, _ = is_full(E, tol)
+    F, theta = inst.F, inst.theta
+    E_run, full = _factoring_module(inst.E, tol)
     body["fullified"] = not full
-    if not full:
-        E_run, _ = fullification(E, tol)
-    else:
-        E_run = E
     timings["setup"] = time.perf_counter() - t0
 
     results: dict[str, FactorizationResult] = {}
-
-    def run_method(name, fn):
+    for name in METHODS:
+        if name == "unit_vector" and inst.unit_vector is None:
+            body["methods"][name] = {
+                "status": "not_applicable", "reason": "no unit vector supplied"}
+            continue
         t = time.perf_counter()
         try:
-            res = fn()
+            res = factorize(inst, name, tol, E_run)
             results[name] = res
             body["methods"][name] = {"status": "ok", **res.to_json(config.emit_unitaries)}
         except ModfactorError as e:
@@ -602,25 +636,9 @@ def run_verification(inst: Instance, config: VerifyConfig | None = None) -> Veri
                                      "reason": f"{type(e).__name__}: {e}"}
         timings[name] = time.perf_counter() - t
 
-    run_method("dual", lambda: factor_dual(E_run, F, theta, tol))
-
-    if inst.unit_vector is not None:
-        run_method("unit_vector",
-                   lambda: factor_unit_vector(E_run, F, theta, inst.unit_vector, tol))
-    else:
-        body["methods"]["unit_vector"] = {
-            "status": "not_applicable", "reason": "no unit vector supplied"}
-
-    def qons_run():
-        family = inst.qons_family or dual_qons_family(E_run, tol)
-        return factor_qons(E_run, F, theta, family, tol)
-
-    run_method("qons", qons_run)
-    run_method("commutant", lambda: factor_commutant(E_run, F, theta, tol)[1])
-
     # pairwise comparisons through the defining formulas
     t0 = time.perf_counter()
-    names = [n for n in ("dual", "unit_vector", "qons", "commutant") if n in results]
+    names = [n for n in METHODS if n in results]
     via = results.get("dual")
     for i, a in enumerate(names):
         for b in names[i + 1:]:

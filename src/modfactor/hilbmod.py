@@ -26,7 +26,6 @@ from .numkernel import (
     as_matrix,
     as_stack,
     column_support,
-    hs_norm,
     hs_orthonormalize,
     norm_exceeds,
     op_norm,
@@ -203,10 +202,13 @@ class HilbertModule:
         return np.hstack(list(self.basis))
 
     def coeffs(self, x: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Coefficients (..., dim) of an element or a batch (..., dim_H, dim_G).
+        NotInModule if one lies farther than tol * max(1, ||x||) from the span."""
         c, resid = self.space.decompose(x)
-        resid = float(resid)
-        if resid > tol * max(1.0, hs_norm(x)):
-            raise NotInModule(f"element leaves the module span (residual {resid:.3e})")
+        excess = resid - tol * np.maximum(1.0, np.linalg.norm(x, axis=(-2, -1)))
+        if excess.size and excess.max() > 0.0:
+            raise NotInModule("element leaves the module span "
+                              f"(residual {resid.flat[np.argmax(excess)]:.3e})")
         return c
 
 

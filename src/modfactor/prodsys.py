@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, ValidationError
-from .hilbmod import Correspondence, HilbertModule, Homomorphism, as_bimodule
+from .hilbmod import Correspondence, HilbertModule, Homomorphism, _adjoints, as_bimodule
 from .numkernel import DEFAULT_TOL, op_norm
 from .tensorcalc import (
     ModuleUnitary,
@@ -23,6 +23,7 @@ from .tensorcalc import (
     _module_of,
     associator,
     certify_module_unitary,
+    hstack_blocks,
     interior_tensor,
     map_from_spanning,
 )
@@ -71,34 +72,20 @@ def _chain_unitary(res_left: FactorizationResult, res_right: FactorizationResult
     """
     theta_right: Homomorphism = res_right.aux["theta"]
     tp = interior_tensor(res_left.correspondence, res_right.correspondence, tol)
-    left_mod = res_left.correspondence.module
-    dual_left = res_left.aux["dual"].module
-    tp_left: TensorProduct = res_left.aux["tp_corr"]
-    F_mid: HilbertModule = res_left.aux["F"]
-    tp_right: TensorProduct = res_right.aux["tp_corr"]
-    dual_right = res_right.aux["dual"].module
-    lift_right = res_right.aux["dual_lift"]
-    tp_comp: TensorProduct = res_comp.aux["tp_corr"]
-
-    k_dual = dual_left.dim
-    kF = F_mid.dim
-    dom_cols = []
-    tgt_cols = []
-    for j in range(k_dual):
-        comp_block = tp_comp.block(j)
-        for m in range(kF):
-            elt = tp_left.block(j) @ F_mid.basis[m]
-            c = left_mod.coeffs(elt)
-            for l in range(dual_right.dim):
-                middle = F_mid.basis[m] @ (lift_right @ dual_right.basis[l])
-                img = theta_right.apply(middle, tol)
-                # domain: (x_j* . y_m) (x) coord_t(x_l* (x) e_u), u over the
-                # right factor's target total space
-                dom_cols.append(tp.S @ np.kron(c[:, None], tp_right.block(l)))
-                tgt_cols.append(comp_block @ img)
-    D = np.hstack(dom_cols)
-    T = np.hstack(tgt_cols)
-    U = map_from_spanning(D, T)
+    y = res_left.aux["F"].basis
+    # c[j, m]: coefficients of x_j* . y_m in corr_left
+    c = res_left.correspondence.module.coeffs(
+        res_left.aux["tp_corr"].blocks()[:, None] @ y[None])
+    # column blocks (j, m, l), u over the right factor's target total space:
+    # (x_j* . y_m) (x) coord_t(x_l* (x) e_u) -> x_j* . theta_right(y_m x_l*) e_u,
+    # the latter in corr_comp's coordinates
+    D = np.tensordot(c, tp.blocks(), axes=1)[:, :, None] @ \
+        res_right.aux["tp_corr"].blocks()[None, None]
+    pairs = np.matmul(y[:, None], _adjoints(res_right.aux["E"].basis)[None])
+    imgs = theta_right.apply_many(pairs.reshape(-1, *pairs.shape[2:]), tol)
+    T = res_comp.aux["tp_corr"].blocks()[:, None, None] @ \
+        imgs.reshape(*pairs.shape[:2], *imgs.shape[1:])[None]
+    U = map_from_spanning(hstack_blocks(D), hstack_blocks(T))
     unit = certify_module_unitary(tp.result, res_comp.correspondence, U,
                                   {"kind": "tensor multiplication"})
     return unit, tp

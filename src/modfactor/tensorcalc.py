@@ -28,6 +28,7 @@ from .hilbmod import (
     Correspondence,
     HilbertModule,
     Homomorphism,
+    _adjoints,
     _ideal_data,
     _pairwise_inner,
     algebra_bimodule,
@@ -60,6 +61,7 @@ __all__ = [
     "compose_unitaries",
     "adjoint_unitary",
     "identity_unitary",
+    "hstack_blocks",
     "map_from_spanning",
 ]
 
@@ -147,6 +149,12 @@ def identity_unitary(obj) -> ModuleUnitary:
     return certify_module_unitary(obj, obj, np.eye(mod.dim_H, dtype=np.complex128))
 
 
+def hstack_blocks(blocks: np.ndarray) -> np.ndarray:
+    """[b_0 | b_1 | ...] of a stack of blocks (..., r, w), in C order of the
+    leading indices."""
+    return np.moveaxis(blocks, -2, 0).reshape(blocks.shape[-2], -1)
+
+
 def map_from_spanning(domain_vecs: np.ndarray, target_vecs: np.ndarray) -> np.ndarray:
     """Least-squares linear map sending spanning columns to target columns."""
     return target_vecs @ np.linalg.pinv(domain_vecs)
@@ -180,15 +188,10 @@ class TensorProduct:
     def right_total(self) -> int:
         return _module_of(self.right).dim_H
 
-    def block(self, i: int) -> np.ndarray:
-        """Column block of S for left-basis element i (maps right total -> result total)."""
-        w = self.right_total
-        return self.S[:, i * w:(i + 1) * w]
-
-    def lift(self, coeffs: np.ndarray, kappa: np.ndarray) -> np.ndarray:
-        """Total-space vector of an elementary tensor with left-factor
-        coefficients ``coeffs`` and right total vector ``kappa``."""
-        return self.S @ np.kron(coeffs, kappa)
+    def blocks(self) -> np.ndarray:
+        """The column blocks of S as a stack (k_left, r, right_total): block i
+        maps the right total space into the result's, x_i (x) kappa -> S_i kappa."""
+        return _column_blocks(self.S, self.k_left)
 
     def embed(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Module element of the result for x in the left span and y in the
@@ -197,6 +200,12 @@ class TensorProduct:
         d = _module_of(self.right).coeffs(as_matrix(y))
         ymat = np.tensordot(d, _module_of(self.right).basis, axes=1)
         return self.S @ np.kron(c[:, None], ymat)
+
+
+def _column_blocks(S: np.ndarray, k: int) -> np.ndarray:
+    """Gram coordinates S over k elementary factors (factor index major) as
+    the stack (k, r, w) of their column blocks S[:, i*w:(i+1)*w]."""
+    return S.reshape(len(S), k, -1).transpose(1, 0, 2)
 
 
 def _gram_coordinates(gram: np.ndarray, tol: float):
@@ -250,12 +259,9 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
     gram = gram.transpose(0, 2, 1, 3).reshape(k * w, k * w)
     S, S_pinv, gap = _gram_coordinates(gram, tol)
     r = S.shape[0]
-    elements = []
-    for i in range(k):
-        Si = S[:, i * w:(i + 1) * w]
-        for y in Ym.basis:
-            elements.append(Si @ y)
-    space = hs_orthonormalize(elements, tol)
+    # x_i (x) y for every pair, i major
+    elements = _column_blocks(S, k)[:, None] @ Ym.basis[None]
+    space = hs_orthonormalize(elements.reshape(-1, r, Ym.dim_G), tol)
     mod = module_from_parts(Ym.base, space, tol)
     if mod.dim_H != r:
         raise ValidationError("tensor module is degenerate on its own total space")
@@ -290,7 +296,7 @@ def unit_identities(E: HilbertModule, tol: float = DEFAULT_TOL):
     tp1 = interior_tensor(Ecorr, Estar, tol)
     target1 = algebra_bimodule(K, tol)
     # U sends coord(x_i (x) g~) to x_i (V_d g~) in H
-    M1 = np.hstack([x @ V_d for x in E.basis])
+    M1 = np.hstack(list(E.basis @ V_d))
     u1 = certify_module_unitary(tp1.result, target1, M1 @ tp1.S_pinv,
                                 {"identity": "module-times-dual"})
 
@@ -310,8 +316,8 @@ def unit_identities(E: HilbertModule, tol: float = DEFAULT_TOL):
                              Homomorphism(E.base, rank, V.conj().T @ E.base.basis @ V))
     target2.validate(tol)
     tp2 = interior_tensor(Estar, as_bimodule(E, None, tol), tol)
-    # U sends coord(u_j (x) h) to V* (V_d u_j) h in the ideal's support space
-    M2 = np.hstack([V.conj().T @ (V_d @ u) for u in Estar.module.basis])
+    # U sends coord(x_j* (x) h) to V* x_j* h in the ideal's support space
+    M2 = np.hstack(list(V.conj().T @ _adjoints(E.basis)))
     u2 = certify_module_unitary(tp2.result, target2, M2 @ tp2.S_pinv,
                                 {"identity": "dual-times-module"})
     return u1, u2
@@ -368,25 +374,13 @@ def associator(tp_left: TensorProduct, tp_xy: TensorProduct,
     tp_xy = X (.) Y, tp_left = (X (.) Y) (.) Z, tp_yz = Y (.) Z,
     tp_right = X (.) (Y (.) Z).
     """
-    X = _module_of(tp_xy.left)
     Y = _module_of(tp_xy.right)
-    Z = _module_of(tp_yz.right)
-    kx, ky, wz = X.dim, Y.dim, Z.dim_H
-    dom_cols = []
-    tgt_cols = []
-    XY = _module_of(tp_xy.result)
-    for a in range(kx):
-        for b in range(ky):
-            elt = tp_xy.block(a) @ Y.basis[b]          # element of X (.) Y
-            c = XY.coeffs(elt)
-            for u in range(wz):
-                kappa = np.zeros(wz, dtype=np.complex128)
-                kappa[u] = 1.0
-                dom_cols.append(tp_left.lift(c, kappa))
-                inner = tp_yz.lift(np.eye(ky)[b], kappa)  # (y_b (x) kappa)
-                tgt_cols.append(tp_right.lift(np.eye(kx)[a], inner))
-    D = np.stack(dom_cols, axis=1)
-    T = np.stack(tgt_cols, axis=1)
+    # (x_a (x) y_b) (x) e_u -> x_a (x) (y_b (x) e_u), columns in (a, b, u) order;
+    # c[a, b] are the coefficients of x_a (x) y_b in X (.) Y
+    c = _module_of(tp_xy.result).coeffs(tp_xy.blocks()[:, None] @ Y.basis[None])
+    D = hstack_blocks(np.tensordot(c, tp_left.blocks(), axes=1))
+    # T = S_right (1 (x) S_yz)
+    T = hstack_blocks(tp_right.blocks() @ tp_yz.S)
     U = map_from_spanning(D, T)
     return certify_module_unitary(tp_left.result, tp_right.result, U,
                                   {"associator": True})

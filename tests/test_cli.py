@@ -9,6 +9,9 @@ from pathlib import Path
 import pytest
 
 import modfactor
+from modfactor.harness import Instance, save_instance
+from modfactor.hilbmod import Homomorphism, finite_rank_algebra
+from conftest import corner_module
 
 CLI = [sys.executable, "-m", "modfactor.cli"]
 # the subprocess imports the same package as the tests, installed or not
@@ -77,6 +80,24 @@ def test_verify_reports_are_byte_identical(golden_path, tmp_path):
     assert run_cli("verify", "--instance", str(golden_path),
                    "--report", str(p2)).returncode == 0
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_factorize_runs_a_method_as_verify_does(block_algebra, tmp_path):
+    # E is not full, so verify factors its fullification; factorize must too
+    E = corner_module("random_corner", block_algebra)
+    K = finite_rank_algebra(E)
+    inst = tmp_path / "corner.json"
+    save_instance(Instance(E.base, E.base, E, E, Homomorphism(K, E.dim_H, K.basis.copy())),
+                  str(inst))
+    rep, vrep = tmp_path / "dual.json", tmp_path / "verify.json"
+    r = run_cli("factorize", "--method", "dual", "--instance", str(inst), "--report", str(rep))
+    assert r.returncode == 0, r.stderr
+    run_cli("verify", "--instance", str(inst), "--report", str(vrep))
+    body = json.loads(vrep.read_text())
+    assert body["fullified"] is True
+    dual = body["methods"]["dual"]
+    assert dual.pop("status") == "ok"
+    assert json.loads(rep.read_text()) == dual
 
 
 def test_random_roundtrip_and_factorize(spec_path, tmp_path):

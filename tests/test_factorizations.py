@@ -28,13 +28,15 @@ from modfactor.hilbmod import (
     algebra_bimodule,
     as_bimodule,
     build_module,
+    dual_module,
     dual_qons_family,
     finite_rank_algebra,
+    fullification,
     module_over_itself,
     verify_unit_vector,
 )
 from modfactor.numkernel import OperatorSpace, op_norm
-from conftest import matrix_unit
+from conftest import corner_module, matrix_unit
 
 
 def column_module(n):
@@ -125,6 +127,21 @@ class TestFactorDual:
         link = oracle_unitary(res, inst.oracle, tp_F)
         assert link.residual_unitary <= 1e-8
         assert link.residual_intertwine <= 1e-8
+
+    @pytest.mark.parametrize("case", ["corner", "random_corner"])
+    def test_non_full_module_takes_the_trimmed_dual(self, case, block_algebra):
+        # the dual of a non-full module lives on a trimmed part of G; dual
+        # element j is still x_j*, so the run matches the one on E's
+        # fullification, which is what verify factors
+        E = corner_module(case, block_algebra)
+        assert dual_module(E).module.h_embed is not None
+        theta = golden_identity(E)
+        res = factor_dual(E, E, theta)
+        for key in ("residual_unitary", "residual_intertwine", "theta_residual"):
+            assert res.report[key] <= 1e-8
+        E_full, _ = fullification(E)
+        assert dual_module(E_full).module.h_embed is None
+        assert res.report["dims"] == factor_dual(E_full, E, theta).report["dims"]
 
     def test_rejects_broken_theta(self, golden_module):
         K = finite_rank_algebra(golden_module)

@@ -43,7 +43,7 @@ from modfactor.hilbmod import (
     verify_unit_vector,
 )
 from modfactor.numkernel import OperatorSpace, hs_orthonormalize, op_norm, subspace_equal
-from conftest import matrix_unit
+from conftest import corner_module, matrix_unit
 
 
 def scalars(n=1):
@@ -142,6 +142,23 @@ class TestInnerProduct:
             inner_product(golden_module, np.eye(3), matrix_unit(2, 1))
 
 
+class TestCoeffs:
+    def test_batch_gives_the_coefficients(self, golden_module, rng):
+        c = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        batch = np.tensordot(c, golden_module.basis, axes=1)
+        assert np.abs(golden_module.coeffs(batch) - c).max() <= 1e-12
+
+    def test_batch_with_one_element_off_the_span(self, golden_module):
+        # E11 is orthogonal to the four off-corner matrix units; its
+        # residual 1 exceeds tol * max(1, ||E11||) however the batch is shaped
+        batch = np.concatenate([golden_module.basis, matrix_unit(1, 1)[None]])
+        with pytest.raises(NotInModule, match="residual 1.000e"):
+            golden_module.coeffs(batch)
+        with pytest.raises(NotInModule):
+            golden_module.coeffs(batch[None, ::-1])
+        golden_module.coeffs(batch[:-1])  # the in-span part passes
+
+
 class TestOperatorAlgebras:
     def test_golden_finite_rank(self, golden_module, block_algebra):
         K = finite_rank_algebra(golden_module)
@@ -234,13 +251,9 @@ class TestFullness:
                                                    block_algebra):
         if case == "golden":
             E = golden_module
-        elif case == "corner":
-            E = build_module(block_algebra, [matrix_unit(2, 1), matrix_unit(3, 1)])
-        elif case == "random_corner":
-            # generators supported on the M2 block: the ideal is that block
-            rng = np.random.default_rng(7)
-            x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
-            E = build_module(block_algebra, [x @ np.diag([0.0, 1.0, 1.0])])
+        elif case in ("corner", "random_corner"):
+            # random_corner: the ideal is the M2 block
+            E = corner_module(case, block_algebra)
         else:
             E = seeded_module(int(case[-1]))
         span = hilbmod._ideal_data(E, 1e-9)[0]

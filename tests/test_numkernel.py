@@ -107,6 +107,26 @@ class TestHsOrthonormalize:
         with pytest.raises(ToleranceAmbiguity):
             hs_orthonormalize([a, a + noise])
 
+    def test_svd_fallback_when_pivoted_qr_misses_the_span(self):
+        # Kahan's matrix K_120(c=0.2) with column j scaled by 1 - 25 eps j:
+        # column-pivoted QR keeps the natural order, so its leading 119
+        # columns miss the span that the SVD rank of 119 asks for
+        n, c, tol = 120, 0.2, 1e-9
+        K = np.diag(np.sqrt(1 - c * c) ** np.arange(n)) @ \
+            (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        K = K * (1.0 - 25.0 * np.finfo(float).eps * np.arange(n))
+        mats = K.T[:, :, None].astype(complex)  # column j as a 120x1 matrix
+        s = np.linalg.svd(K, compute_uv=False)
+        assert s[-1] / s[0] < 1e-11 and s[-2] / s[0] > 1e-3  # a clean cut at 119
+        Q = scipy.linalg.qr(K, mode="economic", pivoting=True)[0][:, :n - 1]
+        fallback_threshold = 10.0 * tol * s[0] * np.sqrt(n)
+        assert np.linalg.norm(K - Q @ (Q.T @ K)) > 1e4 * fallback_threshold
+        out = hs_orthonormalize(mats, tol)
+        assert out.dim == n - 1
+        v = out.vecs()
+        assert np.abs(v.conj() @ v.T - np.eye(n - 1)).max() <= 1e-12
+        assert out.span_residual(mats).max() <= 1e-9
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(2, 4))
     def test_idempotent(self, seed, count, n):

@@ -4,17 +4,23 @@ import scipy.linalg
 
 from modfactor.cstar import build_algebra, hermitian_basis
 from modfactor.errors import ValidationError
+from modfactor.factorizations import factor_dual
 from modfactor.harness import generate_random_instance
 from modfactor.hilbmod import (
     Homomorphism,
+    as_bimodule,
     build_module,
+    dual_module,
     finite_rank_algebra,
 )
+from modfactor.numkernel import op_norm
 from modfactor.prodsys import (
+    _chain_unitary,
     composition_contravariance,
     discrete_product_system,
     verify_associativity,
 )
+from modfactor.tensorcalc import _module_of, associator, interior_tensor, map_from_spanning
 from test_acceptance import BATCH_SPECS
 
 
@@ -148,3 +154,89 @@ def test_report_lists_member_dimensions(golden_module):
     assert len(rep["member_dims"]) == 3
     assert set(rep["triple"]) == {"1,1,1"}
     assert set(rep["module_action"]) == {"1,1", "1,2", "2,1"}
+
+
+# The per-element constructions that the batched _chain_unitary and
+# associator replace, kept as references: one coefficient solve,
+# homomorphism image and Kronecker product per column.
+
+
+def _block(tp, i):
+    w = tp.right_total
+    return tp.S[:, i * w:(i + 1) * w]
+
+
+def chain_unitary_loop(res_left, res_right, res_comp, tol=1e-9):
+    theta_right = res_right.aux["theta"]
+    tp = interior_tensor(res_left.correspondence, res_right.correspondence, tol)
+    left_mod = res_left.correspondence.module
+    F_mid = res_left.aux["F"]
+    tp_left, tp_right, tp_comp = (r.aux["tp_corr"] for r in (res_left, res_right, res_comp))
+    dual_right = dual_module(res_right.aux["E"]).module
+    lift = dual_right.h_embed if dual_right.h_embed is not None else np.eye(dual_right.dim_H)
+    dom, tgt = [], []
+    for j in range(res_left.aux["E"].dim):
+        for m in range(F_mid.dim):
+            c = left_mod.coeffs(_block(tp_left, j) @ F_mid.basis[m])
+            for l in range(dual_right.dim):
+                img = theta_right.apply(F_mid.basis[m] @ (lift @ dual_right.basis[l]), tol)
+                dom.append(tp.S @ np.kron(c[:, None], _block(tp_right, l)))
+                tgt.append(_block(tp_comp, j) @ img)
+    return map_from_spanning(np.hstack(dom), np.hstack(tgt))
+
+
+def associator_loop(tp_left, tp_xy, tp_right, tp_yz):
+    kx, ky = _module_of(tp_xy.left).dim, _module_of(tp_xy.right).dim
+    Y, XY, wz = _module_of(tp_xy.right), _module_of(tp_xy.result), tp_yz.right_total
+    dom, tgt = [], []
+    for a in range(kx):
+        for b in range(ky):
+            c = XY.coeffs(_block(tp_xy, a) @ Y.basis[b])
+            for u in range(wz):
+                kappa = np.eye(wz)[u]
+                dom.append(tp_left.S @ np.kron(c, kappa))
+                inner = tp_yz.S @ np.kron(np.eye(ky)[b], kappa)
+                tgt.append(tp_right.S @ np.kron(np.eye(kx)[a], inner))
+    return map_from_spanning(np.stack(dom, axis=1), np.stack(tgt, axis=1))
+
+
+def _associator_cases(ps):
+    """The associator arguments of verify_associativity on a 3-step system:
+    the triple (1, 1, 1) and the module coherences (s, t), s + t <= 3."""
+    tp_11 = ps.tensors[(1, 1)]
+    yield (interior_tensor(tp_11.result, ps.member(1)), tp_11,
+           interior_tensor(ps.member(1), tp_11.result), tp_11)
+    for s, t in ((1, 1), (1, 2), (2, 1)):
+        tp_Es = ps.results[s - 1].aux["tp_unit"]
+        tp_st = ps.tensors[(s, t)]
+        E_left = as_bimodule(ps.E, ps.results[s - 1].aux["theta"].domain)
+        yield (interior_tensor(tp_Es.result, ps.member(t)), tp_Es,
+               interior_tensor(E_left, tp_st.result), tp_st)
+
+
+@pytest.mark.parametrize("seed", [None] + list(range(2000, 2005)))
+def test_batched_maps_match_the_per_element_loops(seed, golden_module):
+    # the golden module under an inner automorphism, and the inputs of the
+    # product-system benchmark at seed 2000, ops 0-4
+    if seed is None:
+        E, theta = golden_module, inner_endo(golden_module, 11)
+    else:
+        E = generate_random_instance(BATCH_SPECS[(seed - 2000) % len(BATCH_SPECS)], seed).E
+        theta = inner_endo(E, seed)
+    ps = discrete_product_system(E, theta, 3)
+    for (s, t), u in ps.mult.items():
+        ref = chain_unitary_loop(ps.results[s - 1], ps.results[t - 1], ps.results[s + t - 1])
+        assert op_norm(u.map - ref) <= 1e-12, (s, t)
+    for args in _associator_cases(ps):
+        assert op_norm(associator(*args).map - associator_loop(*args)) <= 1e-12
+
+
+def test_batched_chain_matches_the_loop_across_modules():
+    # E -> F -> G with three different modules (composition_contravariance)
+    n, m1, m2 = 2, 2, 3
+    E, F, G = column_module(n), column_module(n * m1), column_module(n * m1 * m2)
+    theta1, theta2 = amplification(n, m1), amplification(n * m1, m2)
+    res1, res2 = factor_dual(E, F, theta1), factor_dual(F, G, theta2)
+    res_comp = factor_dual(E, G, theta2.compose(theta1))
+    unit, _ = _chain_unitary(res1, res2, res_comp)
+    assert op_norm(unit.map - chain_unitary_loop(res1, res2, res_comp)) <= 1e-12
