@@ -10,8 +10,11 @@ canonical verification report; ``--large`` adds instance ``a`` of the
 ROADMAP (about 4 s) and ``--xl`` instance ``b`` (about 11 s, 350 MB peak
 RSS).  It also writes the associativity reports of the golden product
 system and of the product-system benchmark's inputs 0-4 at seed 2000
-(inner automorphisms of seeded modules), and the composition and
-Hilbert-space residuals of two amplifications.
+(inner automorphisms of seeded modules), the composition and
+Hilbert-space residuals of two amplifications, and, for each rung of the
+algebra-structure benchmark's ladder at one seed, [ambient dimension,
+commutant dimension, center dimension, blocks] (integers only, so any change
+fails ``--compare``).
 Run it on two checkouts and compare them with
 ``diff -r``: a change that keeps the numbers leaves no difference.
 
@@ -64,6 +67,7 @@ from workloads import (  # noqa: E402
     LARGE_SEED,
     LARGE_SPEC,
     PRODUCT_STEPS,
+    AlgebraStructure,
     ProductSystem,
 )
 
@@ -74,6 +78,8 @@ XL_SEED = 1
 # The product-system workload's inputs 0..PRODUCT_OPS-1 at this seed.
 PRODUCT_SEED = 2000
 PRODUCT_OPS = 5
+# The algebra-structure workload's input 0 at this seed.
+ALGEBRA_SEED = 2000
 
 
 def _dump(path: Path, obj) -> None:
@@ -211,6 +217,9 @@ def main() -> int:
         E, theta = product.inputs(PRODUCT_SEED, i)
         seeded[str(i)] = verify_associativity(discrete_product_system(E, theta, PRODUCT_STEPS))
     _dump(out / "seeded.product_system.json", seeded)
+    algebra = AlgebraStructure(str(out))
+    algebra.setup()
+    _dump(out / "algebra_structure.json", algebra.op(algebra.inputs(ALGEBRA_SEED, 0)))
     theta1, theta2 = _amplification(2, 2), _amplification(4, 3)
     _dump(out / "amplification.contravariance.json",
           composition_contravariance(_column_module(2), _column_module(4),

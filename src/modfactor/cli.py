@@ -133,15 +133,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, certified=True):
         sp.add_argument("--tol", type=float, default=1e-9,
                         help="relative tolerance for rank decisions (default 1e-9)")
-        sp.add_argument("--cert-tol", type=float, default=1e-8,
-                        help="acceptance threshold for certification residuals")
+        if certified:
+            sp.add_argument("--cert-tol", type=float, default=1e-8,
+                            help="acceptance threshold for certification residuals")
 
     sp = sub.add_parser("validate", help="validate an instance file")
     sp.add_argument("instance")
-    common(sp)
+    common(sp, certified=False)
     sp.set_defaults(fn=cmd_validate)
 
     sp = sub.add_parser("factorize", help="run one factorization method")
@@ -167,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", default=None)
     sp.add_argument("--golden", action="store_true",
                     help="emit the golden fixture instead of a random instance")
-    common(sp)
+    common(sp, certified=False)
     sp.set_defaults(fn=cmd_random)
 
     sp = sub.add_parser("product-system", help="discrete product system checks")

@@ -17,8 +17,8 @@ from .numkernel import (
     eigh_desc,
     hs_norm,
     hs_orthonormalize,
+    rank_cut,
     solve_intertwiners,
-    subspace_intersection,
 )
 
 __all__ = [
@@ -167,10 +167,14 @@ def commutant(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> FiniteCStarAlg
 
 
 def center(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
-    """A intersected with its commutant."""
-    c = commutant(A, tol)
-    space = subspace_intersection(A.space, c.space, tol)
-    return _from_space(space, tol)
+    """z = sum_l z_l b_l commuting with every b_i: the null space of the
+    commutators [b_l, b_i] = sum_k (c[l, i, k] - c[i, l, k]) b_k (scale 1)."""
+    c = A.structure_constants(tol)
+    M = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(-1, A.dim)
+    _, s, Vh = np.linalg.svd(M, full_matrices=False)
+    rank, gap = rank_cut(s, tol, "center", floor=1.0)
+    mats = np.tensordot(Vh[rank:].conj(), A.basis, axes=1)
+    return _from_space(OperatorSpace(A.ambient_dim, A.ambient_dim, mats, gap), tol)
 
 
 def hermitian_basis(space: OperatorSpace) -> np.ndarray:
@@ -191,34 +195,30 @@ def hermitian_basis(space: OperatorSpace) -> np.ndarray:
 
 
 def _minimal_central_projections(Z: FiniteCStarAlgebra, tol: float) -> list[np.ndarray]:
-    """Spectral projections of a generic Hermitian central element.
-
-    Deterministic: fixed weight sequences, retried with different weights if
-    an accidental eigenvalue collision merges two minimal projections.
-    """
-    hb = hermitian_basis(Z.space)
-    k = hb.shape[0]
-    for attempt in range(8):
-        w = np.cos((np.arange(k) + 1.0) * (attempt + 1.0) * 0.731) + 2.0
-        h = np.tensordot(w, hb, axes=1)
-        ev, V = eigh_desc(h)
-        spread = max(ev[0] - ev[-1], 1.0)
-        splits = np.nonzero(-np.diff(ev) > 1e-3 * spread)[0]
-        groups = np.split(np.arange(ev.size), splits + 1)
-        projs = [V[:, g] @ V[:, g].conj().T for g in groups]
-        if (Z.space.span_residual(np.stack(projs)) > 100.0 * tol).any():
-            continue
-        if all(hs_orthonormalize([p @ z for z in Z.basis], tol).dim == 1 for p in projs):
-            return projs
-    raise ToleranceAmbiguity("could not separate minimal central projections")
+    """Minimal projections of a commutative algebra Z by joint refinement: each
+    element of Z's Hermitian basis in turn splits every current projection
+    into its eigenspaces, so no generic weights are needed."""
+    frames = [np.eye(Z.ambient_dim, dtype=np.complex128)]
+    for h in hermitian_basis(Z.space):
+        refined = []
+        for V in frames:
+            ev, W = eigh_desc(V.conj().T @ h @ V)
+            splits = np.nonzero(-np.diff(ev) > 1e-3 * max(ev[0] - ev[-1], 1.0))[0]
+            refined += np.split(V @ W, splits + 1, axis=1)
+        frames = refined
+    projs = [V @ V.conj().T for V in frames]
+    if (Z.space.span_residual(np.stack(projs)) > 100.0 * tol).any():
+        raise ToleranceAmbiguity("a spectral projection leaves the center's span")
+    if any(hs_orthonormalize(p @ Z.basis, tol).dim != 1 for p in projs):
+        raise ToleranceAmbiguity("a spectral projection of the center is not minimal")
+    return projs
 
 
 def block_decomposition(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL):
     """Wedderburn data [(size, multiplicity), ...], sorted."""
-    Z = center(A, tol)
     blocks = []
-    for p in _minimal_central_projections(Z, tol):
-        ideal = hs_orthonormalize([b @ p for b in A.basis], tol)
+    for p in _minimal_central_projections(center(A, tol), tol):
+        ideal = hs_orthonormalize(A.basis @ p, tol)
         n = round(np.sqrt(ideal.dim))
         if n * n != ideal.dim:
             raise ToleranceAmbiguity(

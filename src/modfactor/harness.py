@@ -373,9 +373,16 @@ class GenSpec:
                                             "module_multiplicity"),
             corr_multiplicity=_decode_dim(obj.get("corr_multiplicity", 1),
                                           "corr_multiplicity"),
-            with_unit_vector=bool(obj.get("with_unit_vector", False)),
-            compress=bool(obj.get("compress", True)),
+            with_unit_vector=_decode_flag(obj, "with_unit_vector", False),
+            compress=_decode_flag(obj, "compress", True),
         )
+
+
+def _decode_flag(obj: dict, where: str, default: bool) -> bool:
+    v = obj.get(where, default)
+    if not isinstance(v, bool):
+        raise ParseError(f"{where}: expected true or false, got {v!r}")
+    return v
 
 
 def _decode_blocks(v, where: str) -> list:
@@ -426,6 +433,8 @@ def generate_random_instance(spec: GenSpec, seed: int,
             raise InfeasibleSpec(f"{name} must be nonempty pairs of positive integers")
     if spec.module_multiplicity < 1 or spec.corr_multiplicity < 1:
         raise InfeasibleSpec("multiplicities must be positive")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InfeasibleSpec(f"seed must be a nonnegative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     notes = {"seed": seed}
 

@@ -39,7 +39,6 @@ __all__ = [
     "solve_intertwiners",
     "psd_sqrt_pinv",
     "subspace_equal",
-    "subspace_intersection",
 ]
 
 
@@ -243,28 +242,25 @@ def column_support(mats: np.ndarray, tol: float, what: str):
 def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """HS-orthonormal basis of the span of ``mats``.
 
-    The numerical rank is decided by singular values > tol * largest;
-    the basis itself comes from a column-pivoted QR so that structured
-    inputs (e.g. matrix units) stay structured instead of being mixed
-    inside degenerate singular subspaces.
+    One column-pivoted QR, A P = Q R: the rank counts singular values of R
+    (which are A's) > tol * largest, and the basis is the leading columns of
+    Q, so that structured inputs (e.g. matrix units) stay structured instead
+    of being mixed inside degenerate singular subspaces.
     """
     arr = as_stack(mats)
     k, r, c = arr.shape
     A = arr.transpose(2, 1, 0).reshape(r * c, k)  # column j is vec(mats[j])
-    s = np.linalg.svd(A, compute_uv=False)
+    Q, R, _ = scipy.linalg.qr(A, mode="economic", pivoting=True)
+    s = np.linalg.svd(R, compute_uv=False)
     rank, gap = rank_cut(s, tol, "hs_orthonormalize")
     if rank == 0:
         return OperatorSpace(r, c, np.zeros((0, r, c), dtype=np.complex128), gap)
-    Q, _, _ = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    Q = Q[:, :rank]
-    # Pivoted QR is rank-revealing in practice; fall back to SVD vectors if
-    # the leading pivots fail to carry the whole span.
-    resid = A - Q @ (Q.conj().T @ A)
-    if np.linalg.norm(resid) > 10.0 * tol * s[0] * max(1.0, np.sqrt(k)):
-        U = np.linalg.svd(A, full_matrices=False)[0]
-        Q = U[:, :rank]
+    # ||R[rank:, rank:]|| is A's distance from the span of the leading pivots;
+    # if they miss the span, rotate Q by R's left singular vectors
+    if np.linalg.norm(R[rank:, rank:]) > 10.0 * tol * s[0] * max(1.0, np.sqrt(k)):
+        Q = Q @ np.linalg.svd(R)[0]
     # each basis matrix is unvec of a column of Q, kept column-major in memory
-    basis = np.ascontiguousarray(Q.T).reshape(rank, c, r).transpose(0, 2, 1)
+    basis = np.ascontiguousarray(Q[:, :rank].T).reshape(rank, c, r).transpose(0, 2, 1)
     return OperatorSpace(r, c, basis, gap)
 
 
@@ -349,32 +345,3 @@ def subspace_contains(big: OperatorSpace, small: OperatorSpace,
     """Whether every basis element of ``small`` lies in the span of ``big``."""
     return bool((big.span_residual(small.mats) <= tol).all())
 
-
-def subspace_intersection(s1: OperatorSpace, s2: OperatorSpace,
-                          tol: float = DEFAULT_TOL) -> OperatorSpace:
-    """Orthonormal basis of the intersection of two spans.
-
-    The singular values of the cross-Gram matrix of the two bases are the
-    cosines of the principal angles; the intersection is spanned by the
-    pairs at cosine 1.  The cut sees the spectrum of 2 - (P1 + P2), whose
-    values are 1 - cos and 1 + cos per angle, 1 on the unpaired directions
-    and 2 on the joint complement, and reuses the global rank-cut
-    discipline.
-    """
-    if (s1.dim_out, s1.dim_in) != (s2.dim_out, s2.dim_in):
-        raise DimensionMismatch("ambient shapes differ")
-    N = s1.dim_out * s1.dim_in
-    U, cos, _ = np.linalg.svd(s1.vecs().conj() @ s2.vecs().T)
-    # each 1 + cos stands for a direction outside both spans; when d1 + d2 > N
-    # the surplus cosines are forced to 1 and have no such partner
-    surplus = max(s1.dim + s2.dim - N, 0)
-    d = np.concatenate([
-        1.0 - cos,
-        1.0 + cos[surplus:],
-        np.ones(abs(s1.dim - s2.dim)),
-        np.full(max(N - s1.dim - s2.dim, 0), 2.0),
-    ])
-    n_out, gap = rank_cut(d, tol, "subspace_intersection", floor=2.0)
-    n_in = d.size - n_out
-    mats = np.tensordot(U[:, :n_in].T, s1.mats, axes=1)
-    return OperatorSpace(s1.dim_out, s1.dim_in, mats, gap)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import modfactor
+from modfactor.cli import build_parser
 from modfactor.harness import Instance, save_instance
 from modfactor.hilbmod import Homomorphism, finite_rank_algebra
 from conftest import corner_module
@@ -159,17 +160,30 @@ def test_random_requires_spec_or_golden():
     assert r.returncode == 2
 
 
-def test_hostile_input_is_one_line_parse_error(golden_path, tmp_path):
+def test_cert_tol_only_where_residuals_are_certified():
+    p = build_parser()
+    for argv in (["validate", "x.json"], ["random", "--golden"]):
+        with pytest.raises(SystemExit):
+            p.parse_args(argv + ["--cert-tol", "1e-6"])
+    for argv in (["verify", "--instance", "x.json"], ["product-system", "--instance", "x.json"],
+                 ["factorize", "--method", "dual", "--instance", "x.json"]):
+        assert p.parse_args(argv + ["--cert-tol", "1e-6"]).cert_tol == 1e-6
+
+
+def test_hostile_input_is_one_line_parse_error(golden_path, spec_path, tmp_path):
     inst = json.loads(golden_path.read_text())
     inst["theta"]["images"][0][0][0] = [float("nan"), 0.0]
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(inst))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"blocks_B": [[1, "a"]], "blocks_C": [[1, 1]]}))
-    for args in (("validate", str(bad)), ("random", "--spec", str(spec))):
+    for args, error in ((("validate", str(bad)), "ParseError"),
+                        (("random", "--spec", str(spec)), "ParseError"),
+                        (("random", "--spec", str(spec_path), "--seed", "-1"),
+                         "InfeasibleSpec")):
         r = run_cli(*args)
         assert r.returncode == 1, (args, r.stderr)
-        assert "ParseError" in r.stderr and "Traceback" not in r.stderr
+        assert error in r.stderr and "Traceback" not in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
 
 

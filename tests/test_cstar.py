@@ -3,7 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modfactor import cstar
 from modfactor.cstar import (
+    FiniteCStarAlgebra,
+    _minimal_central_projections,
     algebra_from_basis,
     algebra_from_span,
     block_decomposition,
@@ -12,9 +15,19 @@ from modfactor.cstar import (
     commutant,
     star_isomorphic,
 )
-from modfactor.errors import ValidationError
+from modfactor.errors import ToleranceAmbiguity, ValidationError
 from modfactor.numkernel import hs_orthonormalize, subspace_equal
 from conftest import matrix_unit
+
+
+def haar_conjugated(blocks, seed):
+    """build_algebra(blocks) conjugated by a Haar unitary drawn from seed."""
+    A = build_algebra(blocks)
+    rng = np.random.default_rng(seed)
+    n = A.ambient_dim
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    return algebra_from_basis(list(np.einsum("ab,kbc,dc->kad", u, A.basis, u.conj())))
 
 
 block_patterns = st.lists(
@@ -135,3 +148,40 @@ def test_center_shared_with_commutant(blocks):
     A = build_algebra(blocks)
     eq, dist = subspace_equal(center(A).space, center(commutant(A)).space)
     assert eq, dist
+
+
+def test_structure_solves_no_commutant(monkeypatch):
+    """center, block_decomposition and star_isomorphic work inside A: they
+    neither build the commutant nor solve an intertwiner system."""
+    calls = []
+    for name in ("commutant", "solve_intertwiners"):
+        real = getattr(cstar, name)
+        monkeypatch.setattr(cstar, name, lambda *a, _n=name, _f=real, **kw:
+                            calls.append(_n) or _f(*a, **kw))
+    A = haar_conjugated([(1, 1), (2, 1), (1, 2)], 3)
+    assert center(A).dim == 3
+    assert block_decomposition(A) == [(1, 1), (1, 2), (2, 1)]
+    assert star_isomorphic(A, build_algebra([(2, 3), (1, 1), (1, 1)]))
+    assert calls == []
+
+
+@pytest.mark.parametrize("blocks", [[(2, 1)] * 3, [(1, 2)] * 2, [(1, 1)] * 6])
+def test_identical_and_abelian_blocks_under_haar_conjugation(blocks):
+    # every element of the center's Hermitian basis can take one value on
+    # several blocks; the joint refinement must still separate all of them
+    for seed in range(20):
+        A = haar_conjugated(blocks, seed)
+        assert center(A).dim == len(blocks), seed
+        assert block_decomposition(A) == sorted(blocks), seed
+
+
+@pytest.mark.parametrize("mats", [
+    [matrix_unit(i, j, 2) for i in (1, 2) for j in (1, 2)],  # M2: p Z has dim 2
+    [np.eye(3), np.diag([1.0, 2.0, 4.0])],  # rank-one splits leave the span
+], ids=["not_minimal", "leaves_span"])
+def test_central_projection_checks(mats):
+    space = hs_orthonormalize(mats)
+    n = space.dim_out
+    Z = FiniteCStarAlgebra(n, space, np.eye(n, dtype=complex))
+    with pytest.raises(ToleranceAmbiguity):
+        _minimal_central_projections(Z, 1e-9)

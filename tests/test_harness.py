@@ -137,6 +137,15 @@ def test_hostile_generator_spec_is_a_parse_error(blocks):
         GenSpec.from_json({"blocks_B": blocks, "blocks_C": [[1, 1]]})
 
 
+@pytest.mark.parametrize("flag", ["compress", "with_unit_vector"])
+def test_generator_flags_must_be_json_booleans(flag):
+    spec = {"blocks_B": [[1, 1]], "blocks_C": [[1, 1]]}
+    for value in ("false", "no", 0, 1, None):
+        with pytest.raises(ParseError):
+            GenSpec.from_json({**spec, flag: value})
+    assert getattr(GenSpec.from_json({**spec, flag: False}), flag) is False
+
+
 class TestGenerator:
     def test_deterministic_given_seed(self):
         a = instance_to_json(generate_random_instance(SPEC, 42))
@@ -186,6 +195,9 @@ class TestGenerator:
         with pytest.raises(InfeasibleSpec):
             generate_random_instance(
                 GenSpec(blocks_B=[(0, 1)], blocks_C=[(1, 1)]), 0)
+        for seed in (-1, 1.5, "3", True):
+            with pytest.raises(InfeasibleSpec):
+                generate_random_instance(SPEC, seed)
 
 
 class TestVerification:

@@ -24,7 +24,6 @@ from modfactor.numkernel import (
     solve_intertwiners,
     subspace_contains,
     subspace_equal,
-    subspace_intersection,
     vec,
     unvec,
 )
@@ -272,108 +271,12 @@ class TestSubspaceEqual:
             subspace_equal(hs_orthonormalize([np.eye(2)]),
                            hs_orthonormalize([np.eye(3)]))
 
-
-def test_subspace_intersection(rng):
-    a = random_complex(rng, 3, 3)
-    b = random_complex(rng, 3, 3)
-    c = random_complex(rng, 3, 3)
-    s1 = hs_orthonormalize([a, b])
-    s2 = hs_orthonormalize([a, c])
-    inter = subspace_intersection(s1, s2)
-    assert inter.dim == 1
-    assert inter.distance(a / np.linalg.norm(a)) <= 1e-9
-
-
-def _projector_sum_intersection(s1, s2, tol=1e-9):
-    """Oracle: eigenvectors of P1 + P2 at eigenvalue 2, cut on 2 - eigenvalue."""
-    P = s1.projector() + s2.projector()
-    w, V = np.linalg.eigh((P + P.conj().T) / 2.0)
-    d = np.clip(2.0 - w, 0.0, None)
-    n_out, gap = rank_cut(d, tol, "oracle", floor=2.0)
-    cols = V[:, np.argsort(d)[:w.size - n_out]]
-    mats = np.zeros((cols.shape[1], s1.dim_out, s1.dim_in), dtype=complex)
-    for j in range(cols.shape[1]):
-        mats[j] = unvec(cols[:, j], s1.dim_out, s1.dim_in)
-    return OperatorSpace(s1.dim_out, s1.dim_in, mats, gap)
-
-
-def _planted_pair(rng, n, common, extra1, extra2):
-    """Two random spans of n x n matrices sharing exactly ``common`` dimensions."""
-    shared = [random_complex(rng, n, n) for _ in range(common)]
-    s1 = hs_orthonormalize(shared + [random_complex(rng, n, n) for _ in range(extra1)])
-    s2 = hs_orthonormalize(shared + [random_complex(rng, n, n) for _ in range(extra2)])
-    return s1, s2
-
-
-class TestSubspaceIntersection:
-    # (n, common, extra1, extra2); the last three have d1 + d2 > n^2, which
-    # forces intersecting directions beyond the planted ones
-    @pytest.mark.parametrize("shape", [
-        (3, 0, 2, 3), (3, 1, 2, 0), (3, 2, 1, 4), (3, 3, 0, 2), (4, 3, 5, 5),
-        (3, 1, 5, 4), (2, 1, 2, 2), (2, 0, 3, 3),
-    ])
-    @pytest.mark.parametrize("seed", range(3))
-    def test_against_projector_sum_oracle(self, shape, seed):
-        n, common, extra1, extra2 = shape
-        rng = np.random.default_rng(seed)
-        s1, s2 = _planted_pair(rng, n, common, extra1, extra2)
-        expected = s1.dim + s2.dim - min(n * n, common + extra1 + extra2)
-        oracle = _projector_sum_intersection(s1, s2)
-        for a, b in ((s1, s2), (s2, s1)):
-            inter = subspace_intersection(a, b)
-            assert inter.dim == oracle.dim == expected
-            # nothing is dropped without an intersection; otherwise only
-            # roundoff is, and the cut is far from both sides
-            if expected == 0:
-                assert np.isinf(inter.gap) and np.isinf(oracle.gap)
-            else:
-                assert inter.gap > 1e6 and oracle.gap > 1e6
-            eq, dist = subspace_equal(inter, oracle)
-            assert eq, dist
-            gram = inter.vecs().conj() @ inter.vecs().T
-            assert np.allclose(gram, np.eye(inter.dim), atol=1e-12)
-            assert subspace_contains(a, inter) and subspace_contains(b, inter)
-
-    def test_equal_spaces(self, rng):
-        s1 = hs_orthonormalize([random_complex(rng, 3, 3) for _ in range(4)])
-        u = np.linalg.qr(random_complex(rng, 4, 4))[0]
-        s2 = hs_orthonormalize(np.tensordot(u, s1.mats, axes=1))
-        inter = subspace_intersection(s1, s2)
-        assert inter.dim == _projector_sum_intersection(s1, s2).dim == 4
-        eq, dist = subspace_equal(inter, s1)
-        assert eq, dist
-
-    def test_whole_space(self):
-        # P1 + P2 = 2*I: every value sits at the intersection and nothing is
-        # kept above the cut, so no gap is reported (this seed leaves some
-        # 1 - cos above zero, where a finite gap would show)
-        rng = np.random.default_rng(4)
-        s1 = hs_orthonormalize([matrix_unit(i, j, 2) for i in (1, 2) for j in (1, 2)])
-        s2 = hs_orthonormalize([random_complex(rng, 2, 2) for _ in range(4)])
-        inter = subspace_intersection(s1, s2)
-        assert inter.dim == 4
-        assert np.isinf(inter.gap)
-        assert np.isinf(_projector_sum_intersection(s1, s2).gap)
-
-    def test_near_miss_is_ambiguous(self):
-        # 1 - cos(theta) = 1.98e-9 lies within a factor 10 of the cut 2e-9
-        theta = 6.3e-5
-        s1 = hs_orthonormalize([matrix_unit(1, 1, 2)])
-        s2 = hs_orthonormalize(
-            [np.cos(theta) * matrix_unit(1, 1, 2) + np.sin(theta) * matrix_unit(1, 2, 2)])
-        with pytest.raises(ToleranceAmbiguity):
-            _projector_sum_intersection(s1, s2)
-        with pytest.raises(ToleranceAmbiguity):
-            subspace_intersection(s1, s2)
-
     def test_empty_space(self):
         empty = OperatorSpace(2, 2, np.zeros((0, 2, 2), dtype=complex))
         ident = hs_orthonormalize([np.eye(2)])
         assert empty.vecs().shape == (0, 4)
         assert empty.projector().shape == (4, 4)
         for a, b in ((empty, ident), (ident, empty)):
-            inter = subspace_intersection(a, b)
-            assert inter.dim == 0 and inter.mats.shape == (0, 2, 2)
             eq, dist = subspace_equal(a, b)
             assert not eq and abs(dist - 1.0) <= 1e-12
         assert subspace_equal(empty, empty) == (True, 0.0)
