@@ -14,7 +14,10 @@ system and of the product-system benchmark's inputs 0-4 at seed 2000
 Hilbert-space residuals of two amplifications, and, for each rung of the
 algebra-structure benchmark's ladder at one seed, [ambient dimension,
 commutant dimension, center dimension, blocks] (integers only, so any change
-fails ``--compare``).
+fails ``--compare``).  ``dictionary.json`` holds, for the golden module and
+the 50 seeded-batch modules E, the dimension of the adjointable algebra of
+E and the dims and the subspace distance to E of the module rebuilt from
+its commutant lifting and of the double bimodule commutant of E.
 Run it on two checkouts and compare them with
 ``diff -r``: a change that keeps the numbers leaves no difference.
 
@@ -54,7 +57,16 @@ from modfactor.harness import (  # noqa: E402
     parse_instance,
     run_verification,
 )
-from modfactor.hilbmod import Homomorphism, build_module  # noqa: E402
+from modfactor.hilbmod import (  # noqa: E402
+    Homomorphism,
+    adjointable_algebra,
+    as_bimodule,
+    build_module,
+    commutant_bimodule,
+    commutant_lifting,
+    module_from_representation,
+)
+from modfactor.numkernel import subspace_equal  # noqa: E402
 from modfactor.prodsys import (  # noqa: E402
     composition_contravariance,
     discrete_product_system,
@@ -89,6 +101,17 @@ def _dump(path: Path, obj) -> None:
 def _instance_outputs(out: Path, name: str, inst) -> None:
     _dump(out / f"{name}.instance.json", instance_to_json(inst))
     (out / f"{name}.report.json").write_text(run_verification(inst).to_canonical_json())
+
+
+def _dictionary(E) -> dict:
+    """The module <-> representation dictionary on E: dim B^a(E), and the
+    dims [dim, dim_H, dim_G] and the distance to E of the two round trips."""
+    def trip(M):
+        return {"dims": [M.dim, M.dim_H, M.dim_G],
+                "distance": float(subspace_equal(M.space, E.space)[1])}
+    return {"dims": {"adjointable": adjointable_algebra(E).dim},
+            "representation": trip(module_from_representation(E.base, commutant_lifting(E))),
+            "double_commutant": trip(commutant_bimodule(commutant_bimodule(as_bimodule(E))).module)}
 
 
 def _column_module(n: int):
@@ -201,9 +224,12 @@ def main() -> int:
     golden = golden_instance()
     _instance_outputs(out, "golden", golden)
     _instance_outputs(out, "golden_parsed", parse_instance(str(ROOT / "fixtures" / "golden.json")))
+    dictionary = {"golden": _dictionary(golden.E)}
     for j in range(BATCH_SIZE):
         inst = generate_random_instance(BATCH_SPECS[j % len(BATCH_SPECS)], BATCH_SEED + j)
         _instance_outputs(out, f"batch_{BATCH_SEED + j}", inst)
+        dictionary[f"batch_{BATCH_SEED + j}"] = _dictionary(inst.E)
+    _dump(out / "dictionary.json", dictionary)
     if args.large:
         _instance_outputs(out, "large", generate_random_instance(LARGE_SPEC, LARGE_SEED))
     if args.xl:

@@ -25,7 +25,6 @@ from .hilbmod import (
     QuasiONS,
     adjointable_algebra,
     build_module,
-    bimodule_center,
     commutant_bimodule,
     commutant_lifting,
     dual_module,

@@ -181,7 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag in ("tol", "cert_tol"):
+        if not 0.0 < getattr(args, flag, 1.0) < float("inf"):
+            parser.error(f"--{flag.replace('_', '-')} must be finite and > 0")
     if args.command == "random" and not args.golden and not args.spec:
         print("ERROR: random needs --spec or --golden", file=sys.stderr)
         return 2

@@ -62,40 +62,39 @@ class FiniteCStarAlgebra:
         """c[i, j, k] with b_i b_j = sum_k c[i, j, k] b_k, shape (k, k, k).
 
         Computed once per tolerance (the basis is read-only, so the cached
-        constants cannot go stale); ValidationError when the basis is not
-        multiplicatively closed, which is not cached.
+        constants cannot go stale), with every product within 100 * tol of
+        the span; validated algebras hold them from their stricter check.
         """
         key = ("structure_constants", tol)
         if key not in self._cache:
-            self._cache[key] = _structure_constants(self.space, tol)
+            _structure_constants(self, tol, 100.0 * tol)
         return self._cache[key]
 
 
-def _structure_constants(space: OperatorSpace, tol: float) -> np.ndarray:
-    basis = space.mats
-    cprod, closure = space.decompose(np.matmul(basis[:, None], basis[None]))
-    if closure.max() > 100.0 * tol:
-        raise ValidationError("domain basis is not multiplicatively closed")
+def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.ndarray:
+    """Decompose all k^2 products b_i b_j against the span at once and cache
+    the coefficients under tol; ValidationError naming the pair when a
+    product lies farther than ``bound`` (HS) from the span, not cached."""
+    basis = A.basis
+    cprod, closure = A.space.decompose(np.matmul(basis[:, None], basis[None]))
+    if closure.max() > bound:
+        i, j = np.unravel_index(np.argmax(closure), closure.shape)
+        raise ValidationError(f"domain basis is not multiplicatively closed: the "
+                              f"product of basis elements ({i}, {j}) leaves the span")
     cprod.setflags(write=False)
+    A._cache[("structure_constants", tol)] = cprod
     return cprod
 
 
 def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
-    """A, after checking *-closure (``_from_space`` has checked the identity)."""
-    space = A.space
-    mats = space.mats
-    k = space.dim
-    rnorm = space.span_residual(mats.conj().transpose(0, 2, 1))
+    """A, after checking *-closure and multiplicative closure within tol
+    (``_from_space`` has checked the identity)."""
+    rnorm = A.space.span_residual(A.basis.conj().transpose(0, 2, 1))
     if rnorm.size and rnorm.max() > tol:
         raise ValidationError(
             f"adjoint of basis element {int(np.argmax(rnorm))} leaves the span"
         )
-    for i in range(k):
-        rel = space.span_residual(np.matmul(mats[i], mats))
-        if rel.max() > tol:
-            raise ValidationError(
-                f"product of basis elements ({i}, {int(np.argmax(rel))}) leaves the span"
-            )
+    _structure_constants(A, tol, tol)
     return A
 
 

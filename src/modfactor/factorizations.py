@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cstar import FiniteCStarAlgebra, build_algebra
+from .cstar import build_algebra
 from .errors import (
     DimensionMismatch,
     PreconditionError,
@@ -41,6 +41,7 @@ from .hilbmod import (
     commutant_lifting,
     dual_module,
     finite_rank_products,
+    intertwiner_space,
     is_full,
     module_from_parts,
     verify_unit_vector,
@@ -53,7 +54,6 @@ from .numkernel import (
     eigh_desc,
     hs_orthonormalize,
     op_norm,
-    solve_intertwiners,
 )
 from .tensorcalc import (
     ModuleUnitary,
@@ -320,7 +320,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if not full:
         raise PreconditionError("the commutant method requires a full module")
     validate_theta(E, F, theta, tol)
-    W = _intertwiner_space(theta, tol)
+    W = intertwiner_space(theta, tol)
     # totality of the intertwiner space on H_F
     tot_rank = column_support(W.mats, tol, "intertwiner totality")[0]
     if tot_rank != F.dim_H:
@@ -352,8 +352,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     flip = flip_unitary(E, W, rho_p, tol)
 
     # the bimodule commutant of prime, concretely over F's base
-    Fpp_space = _solve_corr_intertwiners(prime, F.base, tol)
-    Fpp_mod = module_from_parts(F.base, Fpp_space, tol)
+    Fpp_mod = module_from_parts(F.base, intertwiner_space(prime.left_action, tol), tol)
     if Fpp_mod.h_embed is not None:
         raise ValidationError("factorizing correspondence is degenerate on its total space")
     lifted = commutant_lifting(prime_mod, tol)
@@ -381,19 +380,6 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
            "S_P_pinv": S_P_pinv, "rho_p": rho_p, "sigma_p": sigma_p,
            "prime": prime, "tp_unit": tp, "flip": flip}
     return prime, FactorizationResult("commutant", Fpp, unitary, report, aux)
-
-
-def _intertwiner_space(theta: Homomorphism, tol: float) -> OperatorSpace:
-    """HS-orthonormal basis of {X : theta(a) X = X a}."""
-    return solve_intertwiners(list(theta.images), list(theta.domain.basis), tol)
-
-
-def _solve_corr_intertwiners(prime: Correspondence, C: FiniteCStarAlgebra,
-                             tol: float) -> OperatorSpace:
-    """{Z : prime_left(c') Z = Z c'} for c' in the commutant of C."""
-    Cp = prime.left
-    return solve_intertwiners(prime.left_action.apply_many(Cp.basis, tol),
-                              list(Cp.basis), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +508,7 @@ def hilbert_space_intertwiners(theta: Homomorphism, tol: float = DEFAULT_TOL):
     n = _require_full_matrix_domain(theta)
     theta.validate(tol)
     k = theta.codomain_dim
-    space = _intertwiner_space(theta, tol)
+    space = intertwiner_space(theta, tol)
     scaled = space.mats * np.sqrt(n)
     m = space.dim
     if m * n != k:

@@ -582,6 +582,9 @@ class VerificationReport:
         return json.dumps(self.body, sort_keys=True, separators=(",", ":")) + "\n"
 
     def to_text(self) -> str:
+        def residual(rep, key, label="residual"):  # or the stage's recorded error
+            value = rep.get(key)
+            return f"{label} {value:.2e}" if value is not None else f"error: {rep.get('error')}"
         lines = [f"verification: {'PASS' if self.passed else 'FAIL'}"]
         for name, rep in sorted(self.body["methods"].items()):
             status = rep.get("status")
@@ -593,13 +596,12 @@ class VerificationReport:
             else:
                 lines.append(f"  method {name:<12} {status}: {rep.get('reason', '')}")
         for pair, rep in sorted(self.body["comparisons"].items()):
-            lines.append(f"  compare {pair:<18} residual {rep['residual']:.2e}"
+            lines.append(f"  compare {pair:<18} {residual(rep, 'residual')}"
                          + ("  (composed)" if rep.get("composed") else ""))
-        ui = self.body["unit_identities"]
-        lines.append(f"  unit identities residual {ui['max_residual']:.2e}")
+        lines.append(f"  unit identities {residual(self.body['unit_identities'], 'max_residual')}")
         if self.body.get("oracle"):
             orc = self.body["oracle"]
-            lines.append(f"  oracle links max residual {orc['max_residual']:.2e}")
+            lines.append(f"  oracle links {residual(orc, 'max_residual', 'max residual')}")
         lines.append(f"  tolerances {self.body['tolerances']}")
         return "\n".join(lines) + "\n"
 

@@ -51,7 +51,6 @@ __all__ = [
     "dual_module",
     "is_full",
     "fullification",
-    "bimodule_center",
     "verify_unit_vector",
     "quasi_orthonormal_system",
     "check_qons_family",
@@ -63,6 +62,7 @@ __all__ = [
     "algebra_bimodule",
     "as_bimodule",
     "identity_homomorphism",
+    "intertwiner_space",
 ]
 
 
@@ -165,6 +165,13 @@ class Homomorphism:
 
 def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
     return Homomorphism(A, A.ambient_dim, A.basis.copy())
+
+
+def intertwiner_space(rho: Homomorphism, tol: float = DEFAULT_TOL) -> OperatorSpace:
+    """HS-orthonormal basis of {X : rho(a) X = X a for a in rho's domain},
+    the one intertwiner solve of every representation (the identity
+    representation's is ``cstar.commutant``)."""
+    return solve_intertwiners(rho.images, rho.domain.basis, tol)
 
 
 @dataclass(eq=False)
@@ -407,9 +414,7 @@ def adjointable_algebra(E: HilbertModule, tol: float = DEFAULT_TOL) -> FiniteCSt
     if key in E._cache:
         return E._cache[key]
     rho_p = commutant_lifting(E, tol)
-    img = rho_p.image_space(tol)
-    space = solve_intertwiners(img.mats, img.mats, tol)
-    Ba = _from_space(space, tol)
+    Ba = commutant(_from_space(rho_p.image_space(tol), tol), tol)
     if Ba.space.span_residual(finite_rank_products(E)).max() > 1e-6:
         raise ValidationError("adjointable algebra does not contain the finite-rank algebra")
     E._cache[key] = Ba
@@ -477,22 +482,6 @@ def fullification(E: HilbertModule, tol: float = DEFAULT_TOL):
     space = OperatorSpace(E.dim_H, base.ambient_dim, np.ascontiguousarray(mats))
     mod = module_from_parts(base, space, tol)
     return mod, (np.eye(E.dim_G, dtype=np.complex128) if V is None else V)
-
-
-def bimodule_center(X: Correspondence, tol: float = DEFAULT_TOL) -> OperatorSpace:
-    """{x in X : b x = x b for all b in the base}, for left algebra = base."""
-    if X.left.ambient_dim != X.base.ambient_dim or \
-            not subspace_equal(X.left.space, X.base.space, 1e-6)[0]:
-        raise PreconditionError("bimodule_center requires left algebra equal to the base")
-    # row block b, column x: the entries of rho(b) x - x b
-    Xb = X.module.basis
-    defect = X.left_action.images[:, None] @ Xb[None] - Xb[None] @ X.left.basis[:, None]
-    M = defect.reshape(X.left.dim, len(Xb), -1).transpose(0, 2, 1).reshape(-1, len(Xb))
-    _, s, Vh = np.linalg.svd(M, full_matrices=False)
-    scale = max(1.0, float(np.abs(M).max()) * np.sqrt(M.shape[0]))
-    r, gap = rank_cut(s, tol, "bimodule_center", floor=scale)
-    mats = np.tensordot(Vh[r:, :].conj(), Xb, axes=1)
-    return OperatorSpace(X.module.dim_H, X.module.dim_G, mats, gap)
 
 
 def verify_unit_vector(E: HilbertModule, xi, tol: float = DEFAULT_TOL) -> bool:
@@ -598,8 +587,7 @@ def module_from_representation(B: FiniteCStarAlgebra, rho_p: Homomorphism,
     if rho_p.domain.ambient_dim != B.ambient_dim or \
             not subspace_equal(rho_p.domain.space, Bp.space, 1e-6)[0]:
         raise PreconditionError("rho' must be defined on the commutant of B")
-    space = solve_intertwiners(rho_p.apply_many(Bp.basis, tol), list(Bp.basis), tol)
-    return module_from_parts(B, space, tol)
+    return module_from_parts(B, intertwiner_space(rho_p, tol), tol)
 
 
 def commutant_bimodule(X: Correspondence, tol: float = DEFAULT_TOL) -> Correspondence:
@@ -609,19 +597,15 @@ def commutant_bimodule(X: Correspondence, tol: float = DEFAULT_TOL) -> Correspon
     Right action of A' is composition; the left action of B' is the
     commutant lifting of the right structure of X.
     """
-    A = X.left
-    rho = X.left_action
+    A, rho = X.left, X.left_action
     if op_norm(rho.apply(A.unit) - np.eye(X.module.dim_H)) > 1e-6:
         raise PreconditionError("left action must be unital")
-    space = solve_intertwiners(rho.apply_many(A.basis, tol), list(A.basis), tol)
-    Ap = commutant(A, tol)
-    mod = module_from_parts(Ap, space, tol)
+    mod = module_from_parts(commutant(A, tol), intertwiner_space(rho, tol), tol)
     rho_p = commutant_lifting(X.module, tol)
-    Bp = rho_p.domain
-    if mod.h_embed is not None:
-        V = mod.h_embed
-        rho_p = Homomorphism(Bp, mod.dim_H, V.conj().T @ rho_p.images @ V)
-    corr = Correspondence(mod, Bp, rho_p)
+    V = mod.h_embed
+    if V is not None:
+        rho_p = Homomorphism(rho_p.domain, mod.dim_H, V.conj().T @ rho_p.images @ V)
+    corr = Correspondence(mod, rho_p.domain, rho_p)
     corr.validate(tol)
     return corr
 

@@ -339,9 +339,3 @@ def subspace_equal(s1: OperatorSpace, s2: OperatorSpace, tol: float = DEFAULT_TO
     d = op_norm(s1.projector() - s2.projector())
     return d <= tol, d
 
-
-def subspace_contains(big: OperatorSpace, small: OperatorSpace,
-                      tol: float = DEFAULT_TOL) -> bool:
-    """Whether every basis element of ``small`` lies in the span of ``big``."""
-    return bool((big.span_residual(small.mats) <= tol).all())
-

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import modfactor
-from modfactor.cli import build_parser
+from modfactor.cli import build_parser, main
 from modfactor.harness import Instance, save_instance
 from modfactor.hilbmod import Homomorphism, finite_rank_algebra
 from conftest import corner_module
@@ -168,6 +168,29 @@ def test_cert_tol_only_where_residuals_are_certified():
     for argv in (["verify", "--instance", "x.json"], ["product-system", "--instance", "x.json"],
                  ["factorize", "--method", "dual", "--instance", "x.json"]):
         assert p.parse_args(argv + ["--cert-tol", "1e-6"]).cert_tol == 1e-6
+
+
+def test_failed_stages_print_their_errors(golden_path):
+    # at tol 1e-30 every method and the unit identities fail, so the text
+    # report has no residual to format for them
+    r = run_cli("verify", "--instance", str(golden_path), "--tol", "1e-30")
+    assert r.returncode == 1, r.stderr
+    assert "verification: FAIL" in r.stdout
+    assert "unit identities error: ValidationError" in r.stdout
+    assert "Traceback" not in r.stderr
+
+
+def test_tolerances_must_be_finite_and_positive():
+    for flag in ("--tol", "--cert-tol"):
+        for value in ("nan", "0", "-1e-9", "inf", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--instance", "x.json", flag, value])
+            assert exc.value.code == 2, (flag, value)
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "x.json", "--tol", "nan"])
+    assert exc.value.code == 2
+    r = run_cli("verify", "--instance", "x.json", "--tol", "nan")
+    assert r.returncode == 2 and "--tol must be finite and > 0" in r.stderr
 
 
 def test_hostile_input_is_one_line_parse_error(golden_path, spec_path, tmp_path):

@@ -1,7 +1,10 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from modfactor import cstar, factorizations, harness, hilbmod, numkernel, tensorcalc
+from modfactor import factorizations, harness, hilbmod, numkernel, tensorcalc
 from modfactor.cstar import build_algebra, commutant
 from modfactor.errors import PreconditionError, UnsupportedPair, ValidationError
 from modfactor.factorizations import (
@@ -24,14 +27,18 @@ from modfactor.hilbmod import (
     Correspondence,
     HilbertModule,
     Homomorphism,
+    adjointable_algebra,
     adjointable_residual,
     algebra_bimodule,
     as_bimodule,
     build_module,
+    commutant_bimodule,
+    commutant_lifting,
     dual_module,
     dual_qons_family,
     finite_rank_algebra,
     fullification,
+    module_from_representation,
     module_over_itself,
     verify_unit_vector,
 )
@@ -454,7 +461,7 @@ class TestFactorCommutant:
         # screen and takes its scale from the thin factor, so no SVD sees
         # a matrix as large as the abstract E (.) W (.) G Gram
         inst = seeded_instance(5)
-        W = factorizations._intertwiner_space(inst.theta, numkernel.DEFAULT_TOL)
+        W = hilbmod.intertwiner_space(inst.theta, numkernel.DEFAULT_TOL)
         n = inst.E.dim * W.dim * inst.E.dim_G
         shapes = []
         # the module whose svd np.linalg.norm calls (numpy 1.x: linalg.linalg)
@@ -481,11 +488,43 @@ class TestFactorCommutant:
             seen.append(tol)
             return real(lefts, rights, tol)
 
-        for mod in (numkernel, cstar, hilbmod, factorizations):
-            monkeypatch.setattr(mod, "solve_intertwiners", spy)
+        _patch_every_binding(monkeypatch, spy)
         factor_commutant(inst.E, inst.F, inst.theta, tol=1e-10)
         hilbert_space_intertwiners(theta, tol=1e-10)
+        E = inst.E
+        module_from_representation(E.base, commutant_lifting(E, 1e-10), 1e-10)
+        commutant_bimodule(as_bimodule(E, tol=1e-10), 1e-10)
+        adjointable_algebra(E, 1e-10)
         assert seen and set(seen) == {1e-10}
+
+
+def _patch_every_binding(monkeypatch, spy):
+    """Replace solve_intertwiners in every modfactor module that binds it."""
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("modfactor") and hasattr(mod, "solve_intertwiners"):
+            monkeypatch.setattr(mod, "solve_intertwiners", spy)
+
+
+def test_every_intertwiner_solve_goes_through_one_entry_point(monkeypatch):
+    """Every solve_intertwiners call, bound in any modfactor module, is made
+    by hilbmod.intertwiner_space or by cstar.commutant."""
+    callers = set()
+    real = numkernel.solve_intertwiners
+
+    def spy(lefts, rights, tol=numkernel.DEFAULT_TOL):
+        code = sys._getframe(1).f_code
+        callers.add((Path(code.co_filename).stem, code.co_name))
+        return real(lefts, rights, tol)
+
+    _patch_every_binding(monkeypatch, spy)
+    inst = seeded_instance(5)
+    assert harness.run_verification(inst).passed
+    E = inst.E
+    module_from_representation(E.base, commutant_lifting(E))
+    commutant_bimodule(as_bimodule(E))
+    adjointable_algebra(E)
+    assert ("hilbmod", "intertwiner_space") in callers
+    assert callers <= {("hilbmod", "intertwiner_space"), ("cstar", "commutant")}, callers
 
 
 class TestCompare:

@@ -281,3 +281,5 @@ class TestOracleConsistency:
         rep = run_verification(bad)
         orc = rep.body["oracle"]
         assert orc is None or orc.get("max_residual") is None or not rep.passed
+        # a stage without a residual prints its recorded error
+        assert rep.to_text().startswith("verification: FAIL")

@@ -25,7 +25,6 @@ from modfactor.hilbmod import (
     adjointable_algebra,
     algebra_bimodule,
     as_bimodule,
-    bimodule_center,
     build_module,
     commutant_bimodule,
     commutant_lifting,
@@ -260,37 +259,6 @@ class TestFullness:
         eq, dist = subspace_equal(span, self._triple_ideal(E), 1e-9)
         assert eq, dist
         assert is_full(E)[0] == (case not in ("corner", "random_corner"))
-
-
-class TestBimoduleCenter:
-    def test_algebra_bimodule_center_is_the_center(self, block_algebra):
-        from modfactor.cstar import center
-        X = algebra_bimodule(block_algebra)
-        c = bimodule_center(X)
-        eq, _ = subspace_equal(c, center(block_algebra).space)
-        assert eq
-
-    def test_full_matrix_bimodule(self):
-        B = build_algebra([(2, 1)])
-        c = bimodule_center(algebra_bimodule(B))
-        assert c.dim == 1
-
-    def test_against_intertwiner_oracle(self, golden_module):
-        from modfactor.numkernel import solve_intertwiners
-        K = finite_rank_algebra(golden_module)
-        X = as_bimodule(module_over_itself(K), K)
-        c = bimodule_center(X)
-        oracle = solve_intertwiners(list(K.basis), list(K.basis))
-        inter = hs_orthonormalize(
-            [m for m in oracle.mats if K.space.distance(m) < 1e-9] or oracle.mats)
-        assert c.dim == inter.dim
-
-    def test_requires_matching_algebras(self):
-        E = column_module(3)
-        Mn = build_algebra([(3, 1)])
-        X = Correspondence(E, Mn, identity_homomorphism(Mn))
-        with pytest.raises(PreconditionError):
-            bimodule_center(X)
 
 
 class TestUnitVectors:
@@ -565,9 +533,9 @@ class TestStructureConstants:
         fills = []
         real = cstar._structure_constants
 
-        def spy(basis, tol):
+        def spy(A, tol, bound):
             fills.append(tol)
-            return real(basis, tol)
+            return real(A, tol, bound)
 
         monkeypatch.setattr(cstar, "_structure_constants", spy)
         return fills
@@ -595,6 +563,20 @@ class TestStructureConstants:
             with pytest.raises(ValidationError, match="not multiplicatively closed"):
                 hom.validate()
         assert len(fills) == 2
+
+    def test_validated_algebra_is_filled_once_by_its_closure_check(self, monkeypatch):
+        fills = self._spy(monkeypatch)
+        A = algebra_from_basis(list(build_algebra([(1, 1), (2, 1)]).basis))
+        assert fills == [1e-9]
+        identity_homomorphism(A).validate()
+        A.structure_constants()
+        assert fills == [1e-9]
+
+    def test_closure_check_names_the_pair(self):
+        e12 = np.array([[0, 1], [0, 0]], dtype=complex)
+        mats = [np.eye(2, dtype=complex) / np.sqrt(2), e12, e12.T]
+        with pytest.raises(ValidationError, match=r"not multiplicatively closed.*\(1, 2\)"):
+            algebra_from_basis(mats)
 
 
 class TestCorrespondenceValidate:
