@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from modfactor.errors import ModfactorError
 from modfactor.harness import GenSpec, generate_random_instance, run_verification
 
 SPECS = [
@@ -26,6 +27,8 @@ SPECS = [
             module_multiplicity=3, corr_multiplicity=1, with_unit_vector=True),
     GenSpec(blocks_B=[(2, 2)], blocks_C=[(2, 1)],
             module_multiplicity=1, corr_multiplicity=1),
+    GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(1, 2)],
+            module_multiplicity=2, corr_multiplicity=1, with_unit_vector=True),
 ]
 
 
@@ -42,8 +45,13 @@ def main() -> int:
     for i in range(args.count):
         spec = SPECS[i % len(SPECS)]
         seed = args.base_seed + i
-        inst = generate_random_instance(spec, seed)
-        report = run_verification(inst)
+        try:
+            inst = generate_random_instance(spec, seed)
+            report = run_verification(inst)
+        except ModfactorError as exc:
+            print(f"seed {seed}: {type(exc).__name__}: {exc}")
+            failures += 1
+            continue
         worst_theta = max(
             rep["theta_residual"] for rep in report.body["methods"].values()
             if rep["status"] == "ok")
@@ -55,6 +63,7 @@ def main() -> int:
             "seed": seed,
             "dim_E": inst.E.dim,
             "dim_F": inst.F.dim,
+            "H_F": inst.F.dim_H,
             "passed": report.passed,
             "worst_theta_residual": worst_theta,
             "worst_comparison_residual": worst_cmp,
@@ -66,7 +75,10 @@ def main() -> int:
     theta_res = np.array([r["worst_theta_residual"] for r in rows])
     cmp_res = np.array([r["worst_comparison_residual"] for r in rows])
     orc_res = np.array([r["oracle_residual"] for r in rows if r["oracle_residual"] is not None])
-    print(f"{len(rows)} instances in {elapsed:.1f}s, {failures} failures")
+    print(f"{args.count} instances in {elapsed:.1f}s, {failures} failures, "
+          f"max H_F {max((r['H_F'] for r in rows), default=0)}")
+    if not rows:
+        return 1
     print(f"theta residuals:      max {theta_res.max():.2e}  median {np.median(theta_res):.2e}")
     print(f"comparison residuals: max {cmp_res.max():.2e}  median {np.median(cmp_res):.2e}")
     if orc_res.size:

@@ -20,7 +20,6 @@ from .cstar import (
     algebra_from_basis,
     build_algebra,
     commutant,
-    hermitian_basis,
 )
 from .errors import (
     InfeasibleSpec,
@@ -395,15 +394,17 @@ def _random_projection_in(span_mats, rng) -> np.ndarray:
     """Spectral projection of a random Hermitian element of a *-closed span,
     cut at the largest spectral gap so the cut is never ambiguous.
 
-    Falls back to the identity when the spectrum is too degenerate to carry
-    a clean cut (e.g. the span is scalar), keeping the projection inside the
-    span in every case.
+    The element is the orthogonal projection onto the span of a seeded
+    Gaussian Hermitian matrix, so it depends on the span and not on the
+    basis the span is given in.  Falls back to the identity when the
+    spectrum is too degenerate to carry a clean cut (e.g. the span is
+    scalar), keeping the projection inside the span in every case.
     """
     space = hs_orthonormalize(span_mats)
-    hb = hermitian_basis(space)
-    w = rng.standard_normal(hb.shape[0])
-    h = np.tensordot(w, hb, axes=1)
-    ident = np.eye(h.shape[0], dtype=np.complex128)
+    n = space.dim_out
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = space.project((z + z.conj().T) / 2.0)
+    ident = np.eye(n, dtype=np.complex128)
     ev, V = eigh_desc(h)
     spread = float(ev[0] - ev[-1])
     if spread < 1e-8:

@@ -16,9 +16,20 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NonFiniteInput, NotPSD, ToleranceAmbiguity
+from .errors import (
+    DimensionMismatch,
+    NonFiniteInput,
+    NotPSD,
+    PreconditionError,
+    ToleranceAmbiguity,
+)
 
 DEFAULT_TOL = 1e-9
+# Seed of the stage-1 weights of solve_intertwiners.
+STAGE1_SEED = 2010
+# solve_intertwiners refuses to allocate a linear system larger than this;
+# it caps the ambient dimension of a commutant near 76.
+MAX_SYSTEM_BYTES = 2**30
 
 __all__ = [
     "DEFAULT_TOL",
@@ -264,14 +275,51 @@ def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
     return OperatorSpace(r, c, basis, gap)
 
 
+def _stage1_weights(k: int) -> np.ndarray:
+    """(2, k) weights of the two generic combinations of stage 1: complex
+    Gaussian, rows of unit norm, drawn from the fixed seed STAGE1_SEED so
+    that every solve is deterministic.  The solution never depends on them."""
+    rng = np.random.default_rng(STAGE1_SEED)
+    w = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
+def _check_system_bytes(nbytes: int, what: str) -> None:
+    if nbytes > MAX_SYSTEM_BYTES:
+        raise PreconditionError(
+            f"solve_intertwiners: the {what} system needs {nbytes / 2**20:.0f} MiB, "
+            f"above the {MAX_SYSTEM_BYTES / 2**20:.0f} MiB limit")
+
+
+def _null_space(M: np.ndarray, tol: float, floor: float, what: str):
+    """(orthonormal rows spanning the null space of M, gap of the cut).
+
+    A tall M is first reduced to its square triangular factor by a QR,
+    whose SVD has the same singular values and right vectors, so the tall
+    left factor of a thin SVD is never formed.  An F-ordered M is
+    overwritten."""
+    if M.shape[0] > M.shape[1]:
+        # "raw" slices R from the top rows; "r" would triu-copy all of them
+        M = scipy.linalg.qr(M, mode="raw", overwrite_a=True, check_finite=False)[1]
+    _, s, Vh = np.linalg.svd(M, full_matrices=False)
+    rank, gap = rank_cut(s, tol, what, floor=floor)
+    return Vh[rank:].conj(), gap
+
+
 def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """HS-orthonormal basis of {X : lefts[i] X = X rights[i] for all i}.
 
-    lefts act on the codomain, rights on the domain of X.  With more than
-    one constraint the stacked (k*n1*n2, n1*n2) system is first reduced to
-    its square triangular factor by a QR, whose SVD has the same singular
-    values and right vectors, so the tall left factor of a thin SVD is
-    never formed.  A single constraint is already square and is taken as is.
+    lefts act on the codomain, rights on the domain of X; N = n1*n2.
+    Stage 1 solves the (2N, N) Kronecker system of two generic combinations
+    of the k pairs (the pairs themselves when k <= 2); its null space W0
+    contains the answer, and is the answer when two generic elements
+    generate the constraints' algebra.  Stage 2 imposes every pair inside
+    W0 through the (k*N, dim W0) residual system, so the answer is exact
+    whatever the weights: a poor draw only makes W0 larger.  Both cuts are
+    anchored at the operator scale of the constraints, so a system that is
+    zero up to roundoff yields the full space, not noise vectors.  Raises
+    PreconditionError, stating the estimate, before allocating a system
+    larger than MAX_SYSTEM_BYTES.
     """
     A = as_stack(lefts)
     B = as_stack(rights)
@@ -283,25 +331,35 @@ def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace
         raise DimensionMismatch("left factors must be square")
     if B.shape[2] != n1:
         raise DimensionMismatch("right factors must be square")
+    k = len(A)
     N = n1 * n2
+    if k <= 2:
+        L, R = A, B
+    else:
+        w = _stage1_weights(k)
+        L, R = np.tensordot(w, A, axes=1), np.tensordot(w, B, axes=1)
+    _check_system_bytes(16 * len(L) * N * N, "stage-1")
+    scale = max(1e-30, float((op_norm(A) + op_norm(B)).max()))
     I1 = np.eye(n1)
     I2 = np.eye(n2)
     # Fortran order lets the QR overwrite the system in place
-    M = np.empty((len(A) * N, N), dtype=np.complex128, order="F")
-    for i, (a, b) in enumerate(zip(A, B)):
+    M = np.empty((len(L) * N, N), dtype=np.complex128, order="F")
+    for i, (a, b) in enumerate(zip(L, R)):
         M[i * N:(i + 1) * N] = np.kron(I1, a) - np.kron(b.T, I2)
-    if len(A) > 1:
-        # "raw" slices R from the top N rows; "r" would triu-copy all k*N rows
-        M = scipy.linalg.qr(M, mode="raw", overwrite_a=True,
-                            check_finite=False)[1]
-    _, s, Vh = np.linalg.svd(M, full_matrices=False)
-    # anchor the cut at the operator scale of the constraints so a system
-    # that is zero up to roundoff yields the full space, not noise vectors
-    scale = max(1e-30, float((op_norm(A) + op_norm(B)).max()))
-    rank, gap = rank_cut(s, tol, "solve_intertwiners", floor=scale)
     # row j of the null basis is vec of the j-th solution
-    basis = Vh[rank:, :].conj().reshape(-1, n1, n2).transpose(0, 2, 1)
-    return OperatorSpace(n2, n1, basis, gap)
+    null, gap = _null_space(M, tol, scale, "solve_intertwiners")
+    W0 = null.reshape(-1, n1, n2).transpose(0, 2, 1)
+    d0 = len(W0)
+    if k <= 2 or d0 == 0:
+        return OperatorSpace(n2, n1, W0, gap)
+    _check_system_bytes(16 * k * N * d0, "stage-2")
+    # residuals (d0, k, n2, n1); the transposed flat view is the F-ordered
+    # (k*N, d0) system whose column j holds every residual of W0[j]
+    res = np.matmul(A[None], W0[:, None])
+    res -= np.matmul(W0[:, None], B[None])
+    coef, gap2 = _null_space(res.reshape(d0, k * N).T, tol, scale,
+                             "solve_intertwiners stage 2")
+    return OperatorSpace(n2, n1, np.tensordot(coef, W0, axes=1), min(gap, gap2))
 
 
 def psd_sqrt_pinv(m, tol: float = DEFAULT_TOL):

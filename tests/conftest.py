@@ -3,12 +3,39 @@ import pytest
 
 from modfactor.cstar import build_algebra
 from modfactor.hilbmod import build_module
+from modfactor.numkernel import OperatorSpace, as_stack, op_norm, rank_cut
 
 
 def matrix_unit(i, j, n=3):
     m = np.zeros((n, n), dtype=np.complex128)
     m[i - 1, j - 1] = 1.0
     return m
+
+
+def kronecker_intertwiners(lefts, rights, tol=1e-9):
+    """Reference solve of {X : lefts[i] X = X rights[i]}: the null space of
+    the whole stacked (k*N, N) Kronecker system from one SVD, cut at the
+    operator scale of the constraints (column-stacking vec)."""
+    A, B = as_stack(lefts), as_stack(rights)
+    n2, n1 = A.shape[1], B.shape[1]
+    I1, I2 = np.eye(n1), np.eye(n2)
+    M = np.vstack([np.kron(I1, a) - np.kron(b.T, I2) for a, b in zip(A, B)])
+    _, s, Vh = np.linalg.svd(M, full_matrices=False)
+    rank, _ = rank_cut(s, tol, "reference", floor=float((op_norm(A) + op_norm(B)).max()))
+    mats = Vh[rank:].conj().reshape(-1, n1, n2).transpose(0, 2, 1)
+    return OperatorSpace(n2, n1, np.ascontiguousarray(mats))
+
+
+def haar_unitary(n, rng):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def haar_conjugated(blocks, rng):
+    """The basis of build_algebra(blocks) conjugated by a Haar unitary."""
+    A = build_algebra(blocks)
+    u = haar_unitary(A.ambient_dim, rng)
+    return np.einsum("ab,kbc,dc->kad", u, A.basis, u.conj())
 
 
 def corner_module(case, block_algebra):

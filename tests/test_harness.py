@@ -1,7 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
+from modfactor import cstar, harness
 from modfactor.errors import InfeasibleSpec, ParseError, ValidationError
 from modfactor.harness import (
     GenSpec,
@@ -13,6 +15,8 @@ from modfactor.harness import (
     save_instance,
 )
 from modfactor.hilbmod import Homomorphism, is_full
+from modfactor.numkernel import OperatorSpace, hs_orthonormalize
+from conftest import haar_unitary
 
 
 SPEC = GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(2, 1)],
@@ -198,6 +202,42 @@ class TestGenerator:
         for seed in (-1, 1.5, "3", True):
             with pytest.raises(InfeasibleSpec):
                 generate_random_instance(SPEC, seed)
+
+
+class TestSeededDrawIsBasisIndependent:
+    def test_same_projection_from_a_rotated_basis(self):
+        # the span the generator compresses E with: M_2 over C (+) M_2
+        B = cstar.build_algebra([(1, 1), (2, 1)])
+        mats = [np.kron(harness._eij(2, a, b), x)
+                for a in range(2) for b in range(2) for x in B.basis]
+        space = hs_orthonormalize(mats)
+        rotated = np.tensordot(haar_unitary(space.dim, np.random.default_rng(1)), space.mats, axes=1)
+        for seed in range(5):
+            P = harness._random_projection_in(space.mats, np.random.default_rng(seed))
+            Q = harness._random_projection_in(rotated, np.random.default_rng(seed))
+            assert 0 < round(np.trace(P).real) < 6
+            assert np.abs(P - Q).max() <= 1e-10
+
+    def test_rotated_commutant_basis_gives_the_same_instance(self, monkeypatch):
+        specs = [SPEC, GenSpec(blocks_B=[(2, 2)], blocks_C=[(2, 1)],
+                               module_multiplicity=1, corr_multiplicity=1)]
+
+        def dims(inst):
+            return (inst.E.dim, inst.E.dim_H, inst.F.dim, inst.F.dim_H, inst.oracle.module.dim)
+
+        seeds = range(1000, 1006)
+        before = [dims(generate_random_instance(spec, s)) for spec in specs for s in seeds]
+        real = cstar.commutant
+        rng = np.random.default_rng(2)
+
+        def rotated_commutant(A, tol):
+            Bp = real(A, tol)
+            mats = np.tensordot(haar_unitary(Bp.dim, rng), Bp.basis, axes=1)
+            return cstar._from_space(OperatorSpace(A.ambient_dim, A.ambient_dim, mats), tol)
+
+        monkeypatch.setattr(harness, "commutant", rotated_commutant)
+        after = [dims(generate_random_instance(spec, s)) for spec in specs for s in seeds]
+        assert after == before
 
 
 class TestVerification:

@@ -1,17 +1,22 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modfactor.cstar import build_algebra
+from modfactor import numkernel
+from modfactor.cstar import build_algebra, commutant
 from modfactor.errors import (
     DimensionMismatch,
     ModfactorError,
     NonFiniteInput,
     NotPSD,
+    PreconditionError,
     ToleranceAmbiguity,
 )
+from modfactor.harness import golden_instance
 from modfactor.numkernel import (
     OperatorSpace,
     eigh_desc,
@@ -26,7 +31,7 @@ from modfactor.numkernel import (
     vec,
     unvec,
 )
-from conftest import matrix_unit
+from conftest import haar_conjugated, kronecker_intertwiners, matrix_unit
 
 
 def random_complex(rng, *shape):
@@ -210,6 +215,98 @@ class TestSolveIntertwiners:
             [unvec(row, 12, 12) for row in Vh[rank:].conj()]))
         eq, dist = subspace_equal(out, null)
         assert eq, dist
+
+
+def _stage_dims(monkeypatch):
+    """Record the null-space dimension of every stage of solve_intertwiners."""
+    dims = []
+    real = numkernel._null_space
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        dims.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(numkernel, "_null_space", spy)
+    return dims
+
+
+def _one_basis_pair(k):
+    """Stage-1 weights whose two combinations are both the first pair."""
+    return np.tile(np.eye(1, k, dtype=np.complex128), (2, 1))
+
+
+class TestTwoStageSolve:
+    """The two-stage solve against the one-shot Kronecker reference."""
+
+    def _assert_matches_reference(self, lefts, rights):
+        out = solve_intertwiners(lefts, rights)
+        ref = kronecker_intertwiners(lefts, rights)
+        assert out.dim == ref.dim
+        eq, dist = subspace_equal(out, ref, 1e-8)
+        assert eq, dist
+        return out
+
+    @pytest.mark.parametrize("blocks", [[(2, 3), (3, 2)], [(3, 3), (2, 4)],
+                                        [(2, 2), (3, 2), (4, 2)]])
+    def test_haar_conjugated_ladder_commutants(self, blocks, rng):
+        mats = haar_conjugated(blocks, rng)
+        out = self._assert_matches_reference(mats, mats)
+        assert out.dim == sum(m * m for _, m in blocks)
+
+    def test_theta_of_the_golden_instance(self):
+        theta = golden_instance().theta
+        out = self._assert_matches_reference(theta.images, theta.domain.basis)
+        assert out.dim > 0
+
+    def test_family_that_is_not_star_closed(self, rng):
+        # lefts_i = P (a_i (+) c_i) P^-1, rights_i = Q (a_i (+) e_i) Q^-1 with
+        # invertible, non-unitary P and Q: the intertwiners carry the shared
+        # a-block, and the family is closed under no adjoint
+        k = 5
+        P, Q = random_complex(rng, 5, 5), random_complex(rng, 4, 4)
+        lefts, rights = [], []
+        for _ in range(k):
+            a = random_complex(rng, 2, 2)
+            lefts.append(P @ scipy.linalg.block_diag(a, random_complex(rng, 3, 3))
+                         @ np.linalg.inv(P))
+            rights.append(Q @ scipy.linalg.block_diag(a, random_complex(rng, 2, 2))
+                          @ np.linalg.inv(Q))
+        adjoints = np.stack([m.conj().T for m in lefts])
+        assert hs_orthonormalize(lefts).span_residual(adjoints).max() > 1e-3
+        out = self._assert_matches_reference(lefts, rights)
+        assert out.dim == 1
+
+    def test_poor_stage1_draw_gives_a_larger_w0_and_the_same_answer(self, monkeypatch, rng):
+        mats = haar_conjugated([(2, 3), (3, 2)], rng)
+        dims = _stage_dims(monkeypatch)
+        good = self._assert_matches_reference(mats, mats)
+        assert dims == [good.dim, good.dim]
+        monkeypatch.setattr(numkernel, "_stage1_weights", _one_basis_pair)
+        dims.clear()
+        poor = self._assert_matches_reference(mats, mats)
+        w0, final = dims
+        assert w0 > final == poor.dim == good.dim
+
+    def test_memory_guard_raises_before_allocating(self):
+        A = build_algebra([(10, 10)])  # a 100-dimensional algebra on C^100
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match=r"stage-1 system needs 3052 MiB"):
+                commutant(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, peak
+
+    def test_memory_guard_covers_stage_2(self, monkeypatch, rng):
+        # a poor draw makes W0 90-dimensional: the stage-2 system is 16*13*144*90
+        # bytes, 4x the stage-1 system
+        mats = haar_conjugated([(2, 3), (3, 2)], rng)
+        monkeypatch.setattr(numkernel, "_stage1_weights", _one_basis_pair)
+        monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 10**6)
+        with pytest.raises(PreconditionError, match="stage-2 system needs 3 MiB"):
+            solve_intertwiners(mats, mats)
 
 
 class TestPsdSqrtPinv:
