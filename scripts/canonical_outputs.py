@@ -6,9 +6,11 @@ Usage: OPENBLAS_NUM_THREADS=1 python scripts/canonical_outputs.py OUTDIR [--larg
 
 For the golden fixture (built in code and parsed from fixtures/golden.json)
 and the 50 seeded-batch instances, it writes the instance JSON and the
-canonical verification report; ``--large`` adds instance ``a`` of the
-ROADMAP (about 4 s) and ``--xl`` instance ``b`` (about 11 s, 350 MB peak
-RSS).  It also writes the associativity reports of the golden product
+canonical verification report; each batch instance also gets
+``batch_N.parsed.report.json``, the report of its saved instance file parsed
+back, the path ``modfactor verify`` takes.  ``--large`` adds instance ``a``
+of the ROADMAP (about 4 s) and ``--xl`` instance ``b`` (about 11 s, 350 MB
+peak RSS).  It also writes the associativity reports of the golden product
 system and of the product-system benchmark's inputs 0-4 at seed 2000
 (inner automorphisms of seeded modules), the composition and
 Hilbert-space residuals of two amplifications, and, for each rung of the
@@ -53,9 +55,9 @@ from modfactor.harness import (  # noqa: E402
     GenSpec,
     generate_random_instance,
     golden_instance,
-    instance_to_json,
     parse_instance,
     run_verification,
+    save_instance,
 )
 from modfactor.hilbmod import (  # noqa: E402
     Homomorphism,
@@ -98,9 +100,15 @@ def _dump(path: Path, obj) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _instance_outputs(out: Path, name: str, inst) -> None:
-    _dump(out / f"{name}.instance.json", instance_to_json(inst))
+def _instance_outputs(out: Path, name: str, inst, parsed: bool = False) -> None:
+    """The instance file and the report of inst; with ``parsed``, also the
+    report of the instance parsed back from that file."""
+    path = out / f"{name}.instance.json"
+    save_instance(inst, str(path))
     (out / f"{name}.report.json").write_text(run_verification(inst).to_canonical_json())
+    if parsed:
+        (out / f"{name}.parsed.report.json").write_text(
+            run_verification(parse_instance(str(path))).to_canonical_json())
 
 
 def _dictionary(E) -> dict:
@@ -227,7 +235,7 @@ def main() -> int:
     dictionary = {"golden": _dictionary(golden.E)}
     for j in range(BATCH_SIZE):
         inst = generate_random_instance(BATCH_SPECS[j % len(BATCH_SPECS)], BATCH_SEED + j)
-        _instance_outputs(out, f"batch_{BATCH_SEED + j}", inst)
+        _instance_outputs(out, f"batch_{BATCH_SEED + j}", inst, parsed=True)
         dictionary[f"batch_{BATCH_SEED + j}"] = _dictionary(inst.E)
     _dump(out / "dictionary.json", dictionary)
     if args.large:

@@ -14,6 +14,7 @@ from .errors import DimensionMismatch, ToleranceAmbiguity, ValidationError
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
+    _check_system_bytes,
     eigh_desc,
     hs_norm,
     hs_orthonormalize,
@@ -74,8 +75,11 @@ class FiniteCStarAlgebra:
 def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.ndarray:
     """Decompose all k^2 products b_i b_j against the span at once and cache
     the coefficients under tol; ValidationError naming the pair when a
-    product lies farther than ``bound`` (HS) from the span, not cached."""
+    product lies farther than ``bound`` (HS) from the span, not cached.
+    PreconditionError before forming a product stack over MAX_SYSTEM_BYTES."""
     basis = A.basis
+    _check_system_bytes(16 * len(basis) ** 2 * basis[0].size,
+                        "structure_constants: the product stack")
     cprod, closure = A.space.decompose(np.matmul(basis[:, None], basis[None]))
     if closure.max() > bound:
         i, j = np.unravel_index(np.argmax(closure), closure.shape)

@@ -114,14 +114,16 @@ class FactorizationResult:
 
 
 def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
-                   tol: float = DEFAULT_TOL) -> None:
+                   tol: float = DEFAULT_TOL) -> tuple[Correspondence, Correspondence]:
     """theta must be a unital *-homomorphism from B^a(E) into B^a(F), for
     nondegenerate E and F.  Membership is tested by invariance
     (``adjointable_residual``), not against a built finite-rank algebra: the
-    domain must lie in B^a(E) and contain every x y* of E.  A pass is kept
-    with theta, so a repeat on the same E, F and tol returns at once."""
-    if theta._theta_verdict == (E, F, tol):  # modules compare by identity
-        return
+    domain must lie in B^a(E) and contain every x y* of E.  Returns the two
+    validated correspondences every method factors theta through: E with
+    theta's domain acting and F with theta acting.  They are kept with
+    theta, so a repeat on the same E, F and tol returns them at once."""
+    if (theta._theta_verdict or ())[:3] == (E, F, tol):  # modules compare by identity
+        return theta._theta_verdict[3:]
     if theta.domain.ambient_dim != E.dim_H:
         raise ValidationError("theta's domain does not act on E's total space")
     if theta.codomain_dim != F.dim_H:
@@ -135,14 +137,17 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
         raise ValidationError(
             f"theta image of basis element {bad[0]} leaves the adjointable algebra of F")
     theta.validate(tol)
-    theta._theta_verdict = (E, F, tol)
+    F_corr = Correspondence(F, dom, theta)
+    F_corr.validate(tol)
+    theta._theta_verdict = (E, F, tol, as_bimodule(E, dom, tol), F_corr)
+    return theta._theta_verdict[3:]
 
 
-def _unit_tensor(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
-                 corr: Correspondence, method: str, tol: float) -> TensorProduct:
+def _unit_tensor(E_corr: Correspondence, F: HilbertModule, corr: Correspondence,
+                 method: str, tol: float) -> TensorProduct:
     """E (.) corr with theta's domain acting on E, checked to have F's total
     dimension (the finite-dimensional form of surjectivity)."""
-    tp = interior_tensor(as_bimodule(E, theta.domain, tol), corr, tol)
+    tp = interior_tensor(E_corr, corr, tol)
     r = tp.result.module.dim_H
     if r != F.dim_H:
         raise ValidationError(
@@ -163,14 +168,6 @@ def _certify(method: str, tp: TensorProduct, F_corr: Correspondence,
                      "theta_residual": float(op_norm(theta.images - lifted).max())}
 
 
-def _f_as_target(F: HilbertModule, theta: Homomorphism,
-                 tol: float = DEFAULT_TOL) -> Correspondence:
-    """F as a correspondence with the adjointable algebra of E acting through theta."""
-    corr = Correspondence(F, theta.domain, theta)
-    corr.validate(tol)
-    return corr
-
-
 def induced_homomorphism(E: HilbertModule, M: Correspondence,
                          tol: float = DEFAULT_TOL):
     """The converse direction: F = E (.) M and theta(a) = a (.) id on the
@@ -179,10 +176,8 @@ def induced_homomorphism(E: HilbertModule, M: Correspondence,
         raise DimensionMismatch("M's left algebra must act on E's base space")
     X = as_bimodule(E, None, tol)
     tp = interior_tensor(X, M, tol)
-    F = tp.result.module
-    theta = tp.result.left_action
-    theta.validate(tol)
-    return F, theta, tp
+    # interior_tensor has validated theta with its correspondence
+    return tp.result.module, tp.result.left_action, tp
 
 
 def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
@@ -192,16 +187,15 @@ def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
 
     Dual element j is x_j* for E's basis element x_j, also where the dual's
     total space is trimmed: it then stores V* x_j* with V V* x_j* = x_j*."""
-    validate_theta(E, F, theta, tol)
+    E_corr, F_corr = validate_theta(E, F, theta, tol)
     Estar = dual_module(E, tol)
     # re-express the dual over theta's domain algebra so all bases align
     dual_mod = module_from_parts(theta.domain, Estar.module.space, tol)
     dual_corr = Correspondence(dual_mod, Estar.left, Estar.left_action)
-    F_corr = _f_as_target(F, theta, tol)
     tp1 = interior_tensor(dual_corr, F_corr, tol)
     Ftheta = tp1.result
 
-    tp2 = _unit_tensor(E, F, theta, Ftheta, "dual", tol)
+    tp2 = _unit_tensor(E_corr, F, Ftheta, "dual", tol)
     # theta(x_i x_j*) for every pair (i, j), i major
     k, d = E.dim, F.dim_H
     pairs = np.matmul(E.basis[:, None], _adjoints(E.basis)[None])
@@ -239,7 +233,7 @@ def _compressions(method: str, E: HilbertModule, F: HilbertModule,
     x (.) y to sum_b theta(x e_b*) y_b.  Summand bases placed in disjoint
     row blocks are HS-orthogonal, so stacking them is already orthonormal.
     """
-    validate_theta(E, F, theta, tol)
+    E_corr, F_corr = validate_theta(E, F, theta, tol)
     isometries = [_range_isometry(theta.apply(e @ e.conj().T, tol), tol) for e in family]
     offs = np.concatenate([[0], np.cumsum([V.shape[1] for V in isometries])])
     H_B = int(offs[-1])
@@ -260,11 +254,11 @@ def _compressions(method: str, E: HilbertModule, F: HilbertModule,
     corr = Correspondence(mod, E.base, Homomorphism(E.base, H_B, imgs))
     corr.validate(tol)
 
-    tp = _unit_tensor(E, F, theta, corr, method, tol)
+    tp = _unit_tensor(E_corr, F, corr, method, tol)
     M = np.hstack(list(np.concatenate(
         [theta.apply_many(E.basis @ e.conj().T, tol) @ V
          for e, V in zip(family, isometries)], axis=2)))
-    unitary, residuals = _certify(method, tp, _f_as_target(F, theta, tol), theta, M @ tp.S_pinv)
+    unitary, residuals = _certify(method, tp, F_corr, theta, M @ tp.S_pinv)
     report = {
         "dims": {"correspondence": mod.dim, "correspondence_total": H_B,
                  "F_total": F.dim_H},
@@ -319,7 +313,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     full, _ = is_full(E, tol)
     if not full:
         raise PreconditionError("the commutant method requires a full module")
-    validate_theta(E, F, theta, tol)
+    E_corr, F_corr = validate_theta(E, F, theta, tol)
     W = intertwiner_space(theta, tol)
     # totality of the intertwiner space on H_F
     tot_rank = column_support(W.mats, tol, "intertwiner totality")[0]
@@ -360,13 +354,13 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     Fpp = Correspondence(Fpp_mod, E.base, tau)
     Fpp.validate(tol)
 
-    tp = _unit_tensor(E, F, theta, Fpp, "commutant", tol)
+    tp = _unit_tensor(E_corr, F, Fpp, "commutant", tol)
     k = E.dim
     T = np.hstack([np.hstack([W.mats[j] @ E.basis[i] for j in range(kw)])
                    for i in range(k)])
     D = tp.S @ np.kron(np.eye(k), S_P)
     U = map_from_spanning(D, T)
-    unitary, residuals = _certify("commutant", tp, _f_as_target(F, theta, tol), theta, U)
+    unitary, residuals = _certify("commutant", tp, F_corr, theta, U)
     report = {
         "dims": {"correspondence": Fpp_mod.dim, "correspondence_total": rP,
                  "prime": prime_mod.dim, "F_total": F.dim_H},
@@ -408,9 +402,12 @@ def compare(result_a: FactorizationResult, result_b: FactorizationResult,
             f"no direct formula for ({a} -> {b}); supply the dual-method "
             f"result to compose through"
         )
-    first = adjoint_unitary(compare(via, result_a, None, tol))
-    second = compare(via, result_b, None, tol)
-    out = compose_unitaries(first, second)
+    return _through_dual(compare(via, result_a, None, tol), compare(via, result_b, None, tol))
+
+
+def _through_dual(dual_to_a: ModuleUnitary, dual_to_b: ModuleUnitary) -> ModuleUnitary:
+    """corr_a -> corr_b from the comparisons dual -> a and dual -> b."""
+    out = compose_unitaries(adjoint_unitary(dual_to_a), dual_to_b)
     out.meta["composed"] = True
     out.meta["via"] = "dual"
     return out

@@ -52,6 +52,7 @@ from .numkernel import (
 from .factorizations import (
     METHODS,
     FactorizationResult,
+    _through_dual,
     compare,
     factor_commutant,
     factor_dual,
@@ -61,6 +62,7 @@ from .factorizations import (
     validate_theta,
 )
 from .tensorcalc import (
+    adjoint_unitary,
     certify_module_unitary,
     compose_unitaries,
     hstack_blocks,
@@ -236,6 +238,8 @@ class Instance:
     unit_vector: np.ndarray | None = None
     qons_family: list | None = None
     notes: dict = field(default_factory=dict)
+    # ((E, F, theta, oracle, tol), tensor F = E (.) oracle) of a passed oracle check
+    oracle_check: tuple | None = field(default=None, repr=False)
 
 
 def instance_to_json(inst: Instance) -> dict:
@@ -291,10 +295,10 @@ def instance_from_json(obj, tol: float = DEFAULT_TOL) -> Instance:
         F = build_module(C, list(F.basis), tol)
     theta = _decode_hom(obj.get("theta"), "instance.theta", tol)
     validate_theta(E, F, theta, tol)
-    oracle = obj.get("oracle")
+    oracle, kept = obj.get("oracle"), None
     if oracle is not None:
         oracle = _decode_correspondence(oracle, "instance.oracle", tol)
-        _check_oracle_consistency(E, F, theta, oracle, tol)
+        kept = ((E, F, theta, oracle, tol), _check_oracle_consistency(E, F, theta, oracle, tol))
     shape = (E.dim_H, E.dim_G)
     xi = obj.get("unit_vector")
     if xi is not None:
@@ -307,7 +311,7 @@ def instance_from_json(obj, tol: float = DEFAULT_TOL) -> Instance:
     notes = obj.get("notes") or {}
     if not isinstance(notes, dict):
         raise ParseError("instance.notes: expected an object")
-    return Instance(B, C, E, F, theta, oracle, xi, family, dict(notes))
+    return Instance(B, C, E, F, theta, oracle, xi, family, dict(notes), kept)
 
 
 def _check_oracle_consistency(E, F, theta, oracle, tol):
@@ -323,6 +327,15 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
         raise ValidationError(
             "instance theta is not induced by the recorded oracle")
     return tp_F
+
+
+def _oracle_tensor(inst: Instance, tol: float):
+    """The tensor realizing F = E (.) oracle: the kept one if the instance's
+    E, F, theta and oracle were checked at tol, else a fresh check's."""
+    key = (inst.E, inst.F, inst.theta, inst.oracle, tol)  # compared by identity
+    if inst.oracle_check is not None and inst.oracle_check[0] == key:
+        return inst.oracle_check[1]
+    return _check_oracle_consistency(*key)
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +510,9 @@ def generate_random_instance(spec: GenSpec, seed: int,
     M = Correspondence(Mmod, B, Homomorphism(B, Mmod.dim_H, rho_imgs))
     M.validate(tol)
 
-    F, theta, _ = induced_homomorphism(E, M, tol)
-    return Instance(B, C, E, F, theta, oracle=M, unit_vector=xi, notes=notes)
+    F, theta, tp_F = induced_homomorphism(E, M, tol)
+    return Instance(B, C, E, F, theta, oracle=M, unit_vector=xi, notes=notes,
+                    oracle_check=((E, F, theta, M, tol), tp_F))
 
 
 def _eij(n: int, i: int, j: int) -> np.ndarray:
@@ -514,11 +528,8 @@ def _eij(n: int, i: int, j: int) -> np.ndarray:
 def oracle_unitary(res_dual: FactorizationResult, M: Correspondence, tp_F,
                    tol: float = DEFAULT_TOL):
     """Certified unitary from the dual-method correspondence onto a seeded
-    oracle M, via x* (x) coord_F(y (x) h) -> rho_M(<x, y>) h.
-
-    ``tp_F`` is the tensor product realizing F = E (.) M (recomputed and
-    cross-checked against the instance's F for loaded instances).
-    """
+    oracle M, via x* (x) coord_F(y (x) h) -> rho_M(<x, y>) h, where the
+    tensor product ``tp_F`` realizes F = E (.) M."""
     E: HilbertModule = res_dual.aux["E"]
     # column blocks (j, m): tp_F's block m maps H_M -> H_F
     D = res_dual.aux["tp_corr"].blocks()[:, None] @ tp_F.blocks()[None]
@@ -627,7 +638,6 @@ def run_verification(inst: Instance, config: VerifyConfig | None = None) -> Veri
     }
 
     t0 = time.perf_counter()
-    F, theta = inst.F, inst.theta
     E_run, full = _factoring_module(inst.E, tol)
     body["fullified"] = not full
     timings["setup"] = time.perf_counter() - t0
@@ -648,19 +658,25 @@ def run_verification(inst: Instance, config: VerifyConfig | None = None) -> Veri
                                      "reason": f"{type(e).__name__}: {e}"}
         timings[name] = time.perf_counter() - t
 
-    # pairwise comparisons through the defining formulas
+    # pairwise comparisons; the composed pairs and oracle links reuse each dual -> X unitary
     t0 = time.perf_counter()
     names = [n for n in METHODS if n in results]
     via = results.get("dual")
+    units = {}  # "a->b": the certified unitary, or the error its comparison raised
     for i, a in enumerate(names):
         for b in names[i + 1:]:
             try:
-                u = compare(results[a], results[b], via=via, tol=tol)
+                if a == "dual" or via is None:
+                    u = compare(results[a], results[b], via=via, tol=tol)
+                else:
+                    u = _through_dual(_unwrap(units[f"dual->{a}"]), _unwrap(units[f"dual->{b}"]))
+                units[f"{a}->{b}"] = u
                 body["comparisons"][f"{a}->{b}"] = {
                     "residual": u.residual,
                     "composed": bool(u.meta.get("composed", False)),
                 }
             except ModfactorError as e:
+                units[f"{a}->{b}"] = e
                 body["comparisons"][f"{a}->{b}"] = {
                     "residual": None, "error": f"{type(e).__name__}: {e}"}
     timings["comparisons"] = time.perf_counter() - t0
@@ -679,22 +695,16 @@ def run_verification(inst: Instance, config: VerifyConfig | None = None) -> Veri
     timings["unit_identities"] = time.perf_counter() - t0
 
     # oracle links: every successful method's correspondence against M
-    if inst.oracle is not None and "dual" in results and full:
+    if inst.oracle is not None and via is not None and full:
         t0 = time.perf_counter()
-        res_dual = results["dual"]
         links = {}
         try:
-            tp_F = _check_oracle_consistency(E_run, F, theta, inst.oracle, tol)
-            link_dual = oracle_unitary(res_dual, inst.oracle, tp_F, tol)
-            links["dual"] = {"residual_unitary": link_dual.residual_unitary,
-                             "residual_intertwine": link_dual.residual_intertwine}
+            link_dual = oracle_unitary(via, inst.oracle, _oracle_tensor(inst, tol), tol)
             for name in names:
-                if name == "dual":
-                    continue
-                to_dual = compare(results[name], res_dual, via=res_dual, tol=tol)
-                chained = compose_unitaries(to_dual, link_dual)
-                links[name] = {"residual_unitary": chained.residual_unitary,
-                               "residual_intertwine": chained.residual_intertwine}
+                u = link_dual if name == "dual" else compose_unitaries(
+                    adjoint_unitary(_unwrap(units[f"dual->{name}"])), link_dual)
+                links[name] = {"residual_unitary": u.residual_unitary,
+                               "residual_intertwine": u.residual_intertwine}
             flat = [v for d in links.values() for v in d.values()]
             body["oracle"] = {"links": links, "max_residual": max(flat)}
         except ModfactorError as e:
@@ -709,6 +719,13 @@ def run_verification(inst: Instance, config: VerifyConfig | None = None) -> Veri
 
     body["passed"] = _decide_pass(body, ct)
     return VerificationReport(body, timings)
+
+
+def _unwrap(kept):
+    """A kept comparison unitary, or its comparison's error raised again."""
+    if isinstance(kept, ModfactorError):
+        raise kept
+    return kept
 
 
 def _decide_pass(body: dict, cert_tol: float) -> bool:

@@ -86,7 +86,7 @@ class Homomorphism:
             )
         self.images.setflags(write=False)
         self._validated_at: float | None = None
-        # (E, F, tol) of the last passed factorizations.validate_theta
+        # (E, F, tol, E_corr, F_corr) of the last passed validate_theta
         self._theta_verdict: tuple | None = None
 
     def apply_many(self, mats, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -27,8 +27,8 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 # Seed of the stage-1 weights of solve_intertwiners.
 STAGE1_SEED = 2010
-# solve_intertwiners refuses to allocate a linear system larger than this;
-# it caps the ambient dimension of a commutant near 76.
+# solve_intertwiners and structure_constants refuse to allocate a system
+# larger than this; it caps the ambient dimension of a commutant near 76.
 MAX_SYSTEM_BYTES = 2**30
 
 __all__ = [
@@ -37,9 +37,6 @@ __all__ = [
     "as_matrix",
     "as_stack",
     "require_finite",
-    "vec",
-    "unvec",
-    "hs_inner",
     "hs_norm",
     "op_norm",
     "norm_exceeds",
@@ -84,21 +81,6 @@ def as_stack(mats) -> np.ndarray:
         raise DimensionMismatch(f"expected a batch of matrices, got shape {a.shape}")
     require_finite(a)
     return a
-
-
-def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m).reshape(-1, order="F")
-
-
-def unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec`."""
-    return np.asarray(v).reshape((rows, cols), order="F")
-
-
-def hs_inner(x: np.ndarray, y: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product trace(x* y)."""
-    return complex(np.vdot(x, y))
 
 
 def hs_norm(x: np.ndarray) -> float:
@@ -287,7 +269,7 @@ def _stage1_weights(k: int) -> np.ndarray:
 def _check_system_bytes(nbytes: int, what: str) -> None:
     if nbytes > MAX_SYSTEM_BYTES:
         raise PreconditionError(
-            f"solve_intertwiners: the {what} system needs {nbytes / 2**20:.0f} MiB, "
+            f"{what} needs {nbytes / 2**20:.0f} MiB, "
             f"above the {MAX_SYSTEM_BYTES / 2**20:.0f} MiB limit")
 
 
@@ -338,7 +320,7 @@ def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace
     else:
         w = _stage1_weights(k)
         L, R = np.tensordot(w, A, axes=1), np.tensordot(w, B, axes=1)
-    _check_system_bytes(16 * len(L) * N * N, "stage-1")
+    _check_system_bytes(16 * len(L) * N * N, "solve_intertwiners: the stage-1 system")
     scale = max(1e-30, float((op_norm(A) + op_norm(B)).max()))
     I1 = np.eye(n1)
     I2 = np.eye(n2)
@@ -352,7 +334,7 @@ def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace
     d0 = len(W0)
     if k <= 2 or d0 == 0:
         return OperatorSpace(n2, n1, W0, gap)
-    _check_system_bytes(16 * k * N * d0, "stage-2")
+    _check_system_bytes(16 * k * N * d0, "solve_intertwiners: the stage-2 system")
     # residuals (d0, k, n2, n1); the transposed flat view is the F-ordered
     # (k*N, d0) system whose column j holds every residual of W0[j]
     res = np.matmul(A[None], W0[:, None])

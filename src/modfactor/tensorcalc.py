@@ -315,7 +315,7 @@ def unit_identities(E: HilbertModule, tol: float = DEFAULT_TOL):
     target2 = Correspondence(ideal_mod, E.base,
                              Homomorphism(E.base, rank, V.conj().T @ E.base.basis @ V))
     target2.validate(tol)
-    tp2 = interior_tensor(Estar, as_bimodule(E, None, tol), tol)
+    tp2 = interior_tensor(Estar, Ecorr, tol)
     # U sends coord(x_j* (x) h) to V* x_j* h in the ideal's support space
     M2 = np.hstack(list(V.conj().T @ _adjoints(E.basis)))
     u2 = certify_module_unitary(tp2.result, target2, M2 @ tp2.S_pinv,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from modfactor.cstar import (
     commutant,
     star_isomorphic,
 )
-from modfactor.errors import ToleranceAmbiguity, ValidationError
+from modfactor.errors import PreconditionError, ToleranceAmbiguity, ValidationError
 from modfactor.numkernel import hs_orthonormalize, subspace_equal
 from conftest import matrix_unit
 
@@ -185,3 +187,16 @@ def test_central_projection_checks(mats):
     Z = FiniteCStarAlgebra(n, space, np.eye(n, dtype=complex))
     with pytest.raises(ToleranceAmbiguity):
         _minimal_central_projections(Z, 1e-9)
+
+
+def test_structure_constants_memory_guard_raises_before_allocating():
+    A = build_algebra([(30, 1)])  # k = 900 basis elements on C^30
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError,
+                           match=r"structure_constants: the product stack needs 11124 MiB"):
+            A.structure_constants()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, peak

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from modfactor import cstar, harness
+from modfactor import cstar, factorizations, harness
 from modfactor.errors import InfeasibleSpec, ParseError, ValidationError
 from modfactor.harness import (
     GenSpec,
@@ -14,7 +15,7 @@ from modfactor.harness import (
     run_verification,
     save_instance,
 )
-from modfactor.hilbmod import Homomorphism, is_full
+from modfactor.hilbmod import Correspondence, Homomorphism, is_full
 from modfactor.numkernel import OperatorSpace, hs_orthonormalize
 from conftest import haar_unitary
 
@@ -323,3 +324,84 @@ class TestOracleConsistency:
         assert orc is None or orc.get("max_residual") is None or not rep.passed
         # a stage without a residual prints its recorded error
         assert rep.to_text().startswith("verification: FAIL")
+
+    def test_a_replaced_oracle_is_checked_again(self):
+        # the generator keeps the tensor of its own oracle; a replaced oracle
+        # must not reuse it
+        inst = generate_random_instance(SPEC, 31)
+        inst.oracle = generate_random_instance(SPEC, 32).oracle
+        rep = run_verification(inst)
+        assert not rep.passed
+        assert rep.body["oracle"]["error"] == \
+            "DimensionMismatch: M's left algebra must act on E's base space"
+
+
+UV_SPEC = dataclasses.replace(SPEC, with_unit_vector=True)
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a spy; returns the list of its calls' arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+class TestEachFactCheckedOnce:
+    def test_parse_and_verify_induce_the_oracle_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "i.json"
+        save_instance(generate_random_instance(SPEC, 23), str(p))
+        calls = _count_calls(monkeypatch, harness, "induced_homomorphism")
+        assert run_verification(parse_instance(str(p))).passed
+        assert len(calls) == 1
+
+    def test_a_generated_instance_keeps_its_induced_tensor(self, monkeypatch):
+        inst = generate_random_instance(SPEC, 23)
+        calls = _count_calls(monkeypatch, harness, "induced_homomorphism")
+        assert run_verification(inst).passed
+        assert calls == []
+
+    def test_theta_acting_on_F_is_validated_once(self, monkeypatch):
+        inst = generate_random_instance(UV_SPEC, 7)
+        calls = _count_calls(monkeypatch, Correspondence, "validate")
+        rep = run_verification(inst)
+        assert rep.passed and rep.body["methods"]["unit_vector"]["status"] == "ok"
+        on_F = [c for c in calls if c[0].module is inst.F and c[0].left_action is inst.theta]
+        assert len(on_F) == 1
+
+    def test_each_direct_comparison_runs_once(self, monkeypatch):
+        counts = {}
+        for pair, fn in list(factorizations._DIRECT_COMPARISONS.items()):
+            def spy(ra, rb, tol, pair=pair, fn=fn):
+                counts[pair] = counts.get(pair, 0) + 1
+                return fn(ra, rb, tol)
+            monkeypatch.setitem(factorizations._DIRECT_COMPARISONS, pair, spy)
+        rep = run_verification(generate_random_instance(UV_SPEC, 7))
+        assert rep.passed and len(rep.body["comparisons"]) == 6
+        assert counts == {("dual", "unit_vector"): 1, ("dual", "qons"): 1,
+                          ("dual", "commutant"): 1}
+
+    def test_a_failed_comparison_is_the_oracle_links_error(self, monkeypatch):
+        def boom(ra, rb, tol):
+            raise ValidationError("boom")
+
+        monkeypatch.setitem(factorizations._DIRECT_COMPARISONS, ("dual", "commutant"), boom)
+        rep = run_verification(generate_random_instance(SPEC, 17))
+        assert rep.body["comparisons"]["dual->commutant"]["error"] == "ValidationError: boom"
+        assert rep.body["comparisons"]["qons->commutant"]["error"] == "ValidationError: boom"
+        assert rep.body["oracle"]["error"] == "ValidationError: boom"
+        assert not rep.passed
+        assert "error: ValidationError: boom" in rep.to_text()
+
+    def test_validate_theta_returns_the_kept_correspondences(self):
+        inst = generate_random_instance(SPEC, 17)
+        E_corr, F_corr = factorizations.validate_theta(inst.E, inst.F, inst.theta)
+        assert E_corr.module is inst.E and E_corr.left is inst.theta.domain
+        assert F_corr.module is inst.F and F_corr.left_action is inst.theta
+        again = factorizations.validate_theta(inst.E, inst.F, inst.theta)
+        assert again[0] is E_corr and again[1] is F_corr

@@ -20,7 +20,6 @@ from modfactor.harness import golden_instance
 from modfactor.numkernel import (
     OperatorSpace,
     eigh_desc,
-    hs_inner,
     hs_orthonormalize,
     norm_exceeds,
     op_norm,
@@ -28,20 +27,12 @@ from modfactor.numkernel import (
     rank_cut,
     solve_intertwiners,
     subspace_equal,
-    vec,
-    unvec,
 )
 from conftest import haar_conjugated, kronecker_intertwiners, matrix_unit
 
 
 def random_complex(rng, *shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def test_vec_is_column_stacking():
-    m = np.array([[1.0, 3.0], [2.0, 4.0]], dtype=complex)
-    assert np.allclose(vec(m), [1, 2, 3, 4])
-    assert np.allclose(unvec(vec(m), 2, 2), m)
 
 
 class TestHsOrthonormalize:
@@ -53,7 +44,7 @@ class TestHsOrthonormalize:
     def test_matrix_units_stay_orthonormal(self):
         out = hs_orthonormalize([matrix_unit(1, 1, 2), matrix_unit(2, 2, 2)])
         assert out.dim == 2
-        gram = np.array([[hs_inner(x, y) for y in out.mats] for x in out.mats])
+        gram = np.array([[np.vdot(x, y) for y in out.mats] for x in out.mats])
         assert np.allclose(gram, np.eye(2), atol=1e-12)
 
     def test_rank_matches_svd_oracle(self, rng):
@@ -87,10 +78,10 @@ class TestHsOrthonormalize:
         b = hs_orthonormalize([m.tolist() for m in mats])
         assert a.dim == 4
         assert a.mats.tobytes() == b.mats.tobytes()
-        ref = np.stack([vec(m) for m in mats], axis=1)
+        ref = np.stack([m.reshape(-1, order="F") for m in mats], axis=1)
         Q = scipy.linalg.qr(ref, mode="economic", pivoting=True)[0][:, :4]
-        assert np.array_equal(np.stack([vec(m) for m in a.mats], axis=1), Q)
-        gram = np.array([[hs_inner(x, y) for y in a.mats] for x in a.mats])
+        assert np.array_equal(np.stack([m.reshape(-1, order="F") for m in a.mats], axis=1), Q)
+        gram = np.array([[np.vdot(x, y) for y in a.mats] for x in a.mats])
         assert np.abs(gram - np.eye(4)).max() <= 1e-12
         assert (a.span_residual(mats / 10.0) <= 1e-9).all()
 
@@ -212,7 +203,7 @@ class TestSolveIntertwiners:
         _, s, Vh = np.linalg.svd(M)
         rank = int((s > 1e-9 * s[0]).sum())
         null = OperatorSpace(12, 12, np.stack(
-            [unvec(row, 12, 12) for row in Vh[rank:].conj()]))
+            [row.reshape((12, 12), order="F") for row in Vh[rank:].conj()]))
         eq, dist = subspace_equal(out, null)
         assert eq, dist
 
