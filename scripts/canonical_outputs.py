@@ -14,9 +14,9 @@ peak RSS).  It also writes the associativity reports of the golden product
 system and of the product-system benchmark's inputs 0-4 at seed 2000
 (inner automorphisms of seeded modules), the composition and
 Hilbert-space residuals of two amplifications, and, for each rung of the
-algebra-structure benchmark's ladder at one seed, [ambient dimension,
-commutant dimension, center dimension, blocks] (integers only, so any change
-fails ``--compare``).  ``dictionary.json`` holds, for the golden module and
+algebra-structure benchmark's ladder at each of the seeds 0-9, [ambient
+dimension, commutant dimension, center dimension, blocks] (integers only, so
+any change of dims fails ``--compare``).  ``dictionary.json`` holds, for the golden module and
 the 50 seeded-batch modules E, the dimension of the adjointable algebra of
 E and the dims and the subspace distance to E of the module rebuilt from
 its commutant lifting and of the double bimodule commutant of E.
@@ -92,8 +92,8 @@ XL_SEED = 1
 # The product-system workload's inputs 0..PRODUCT_OPS-1 at this seed.
 PRODUCT_SEED = 2000
 PRODUCT_OPS = 5
-# The algebra-structure workload's input 0 at this seed.
-ALGEBRA_SEED = 2000
+# The algebra-structure workload's input 0 at each of these seeds.
+ALGEBRA_SEEDS = range(10)
 
 
 def _dump(path: Path, obj) -> None:
@@ -253,7 +253,8 @@ def main() -> int:
     _dump(out / "seeded.product_system.json", seeded)
     algebra = AlgebraStructure(str(out))
     algebra.setup()
-    _dump(out / "algebra_structure.json", algebra.op(algebra.inputs(ALGEBRA_SEED, 0)))
+    _dump(out / "algebra_structure.json",
+          {str(seed): algebra.op(algebra.inputs(seed, 0)) for seed in ALGEBRA_SEEDS})
     theta1, theta2 = _amplification(2, 2), _amplification(4, 3)
     _dump(out / "amplification.contravariance.json",
           composition_contravariance(_column_module(2), _column_module(4),

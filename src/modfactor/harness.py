@@ -9,6 +9,8 @@ are collected separately and never enter the canonical form.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import time
 from dataclasses import dataclass, field
@@ -107,13 +109,19 @@ def _decode_matrix(m, where: str, shape: tuple | None = None) -> np.ndarray:
     if not isinstance(m, list) or not m or not all(isinstance(r, list) for r in m):
         raise ParseError(f"{where}: expected a nested array matrix")
     width = len(m[0])
-    rows = []
     for i, row in enumerate(m):
         if len(row) != width:
             raise ParseError(f"{where}[{i}]: ragged matrix row")
-        rows.append([_decode_complex(v, f"{where}[{i}][{j}]")
-                     for j, v in enumerate(row)])
-    out = np.array(rows, dtype=np.complex128)
+    entries = list(itertools.chain.from_iterable(m))
+    out = None  # one type scan (numpy would coerce a string, None or bool), one conversion
+    if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2} \
+            and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
+        with contextlib.suppress(OverflowError):  # an integer beyond the float range
+            out = np.array(entries, dtype=np.float64).view(np.complex128)
+    if out is None:  # entry by entry, naming the first that is not a pair of numbers
+        out = np.array([_decode_complex(v, f"{where}[{n // width}][{n % width}]")
+                        for n, v in enumerate(entries)], dtype=np.complex128)
+    out = out.reshape(len(m), width)
     if not np.isfinite(out).all():
         raise ParseError(f"{where}: NaN or Inf entry")
     if shape is not None and out.shape != shape:

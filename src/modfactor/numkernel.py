@@ -5,12 +5,12 @@ nullspace solving, PSD square roots / pseudo-inverses, and subspace
 comparison.  Everything downstream reduces its "canonical identification"
 claims to rank decisions made here, so every rank cut uses a single
 relative tolerance and records the spectral gap across the cut.
-
-Vectorization is column-stacking, fixed once: vec(AXB) = (B^T kron A) vec(X).
+Vectorization is column-stacking.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,13 +257,16 @@ def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
     return OperatorSpace(r, c, basis, gap)
 
 
+@functools.lru_cache(maxsize=64)
 def _stage1_weights(k: int) -> np.ndarray:
-    """(2, k) weights of the two generic combinations of stage 1: complex
-    Gaussian, rows of unit norm, drawn from the fixed seed STAGE1_SEED so
-    that every solve is deterministic.  The solution never depends on them."""
+    """Read-only (2, k) weights of solve_intertwiners' generic Hermitian
+    element and generic combination: complex Gaussian, rows of unit norm, from
+    the fixed seed STAGE1_SEED.  The solution never depends on them."""
     rng = np.random.default_rng(STAGE1_SEED)
     w = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
-    return w / np.linalg.norm(w, axis=1, keepdims=True)
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
+    w.setflags(write=False)
+    return w
 
 
 def _check_system_bytes(nbytes: int, what: str) -> None:
@@ -273,75 +276,79 @@ def _check_system_bytes(nbytes: int, what: str) -> None:
             f"above the {MAX_SYSTEM_BYTES / 2**20:.0f} MiB limit")
 
 
-def _null_space(M: np.ndarray, tol: float, floor: float, what: str):
-    """(orthonormal rows spanning the null space of M, gap of the cut).
+def _combine(c: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """sum_i c[..., i] mats[i] as one GEMM."""
+    return (c @ mats.reshape(len(mats), -1)).reshape(c.shape[:-1] + mats.shape[1:])
 
-    A tall M is first reduced to its square triangular factor by a QR,
-    whose SVD has the same singular values and right vectors, so the tall
-    left factor of a thin SVD is never formed.  An F-ordered M is
-    overwritten."""
+
+def _null_space(A, B, W, tol: float, floor: float, what: str):
+    """(orthonormal basis of {X in span W : A[i] X = X B[i] for all i}, gap).
+
+    The residual system M, column j holding W[j]'s residuals, is F-ordered;
+    a tall M is first reduced in place to its square triangular factor by a
+    QR, whose SVD has the same singular values and right vectors, so the
+    tall left factor of a thin SVD is never formed."""
+    if not len(W):
+        return W, np.inf
+    M = np.matmul(A[None], W[:, None])
+    M -= np.matmul(W[:, None], B[None])
+    M = M.reshape(len(W), -1).T
     if M.shape[0] > M.shape[1]:
         # "raw" slices R from the top rows; "r" would triu-copy all of them
         M = scipy.linalg.qr(M, mode="raw", overwrite_a=True, check_finite=False)[1]
     _, s, Vh = np.linalg.svd(M, full_matrices=False)
     rank, gap = rank_cut(s, tol, what, floor=floor)
-    return Vh[rank:].conj(), gap
+    return _combine(Vh[rank:].conj(), W), gap
 
 
 def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace:
-    """HS-orthonormal basis of {X : lefts[i] X = X rights[i] for all i}.
+    """HS-orthonormal basis of {X : lefts[i] X = X rights[i] for all i} for a
+    *-closed family (the pairs' span holds each pair's adjoint pair); N = n1*n2.
 
-    lefts act on the codomain, rights on the domain of X; N = n1*n2.
-    Stage 1 solves the (2N, N) Kronecker system of two generic combinations
-    of the k pairs (the pairs themselves when k <= 2); its null space W0
-    contains the answer, and is the answer when two generic elements
-    generate the constraints' algebra.  Stage 2 imposes every pair inside
-    W0 through the (k*N, dim W0) residual system, so the answer is exact
-    whatever the weights: a poor draw only makes W0 larger.  Both cuts are
-    anchored at the operator scale of the constraints, so a system that is
-    zero up to roundoff yields the full space, not noise vectors.  Raises
-    PreconditionError, stating the estimate, before allocating a system
-    larger than MAX_SYSTEM_BYTES.
+    Stage 1 fits h_R = g + g*, g a generic combination of the rights, as
+    sum v_i rights[i]; with h_L = sum v_i lefts[i], every solution X has
+    (lam_i - mu_j) (Q* X P)_ij = E_ij in their eigenbases, where ||E|| <=
+    (2 delta + eps ||h_R||) ||X||, delta = max(fit residual, ||h_L - h_L*||),
+    the last term the eigensolves' roundoff.  So for c = max(tol*scale,
+    sqrt(N)*delta/tol, ||h_R||/100), X is within (2 tol/sqrt(N) + 100 eps) ||X||
+    of W0 = span{q_i p_j* : |lam_i - mu_j| <= c}.  In W0 a generic combination
+    of the pairs (the pairs if k <= 2), then every pair (stage 2), is imposed
+    by one null space each, cut at the constraints' operator scale, so a
+    poor draw only makes W0 larger.  Raises PreconditionError when delta >
+    100*tol*scale, and before forming W0 when stage 2 may need more than
+    MAX_SYSTEM_BYTES (16*k*N*dim W0 bytes, which bounds W0's systems too).
     """
+    same = lefts is rights
     A = as_stack(lefts)
-    B = as_stack(rights)
+    B = A if same else as_stack(rights)
     if len(A) != len(B):
         raise DimensionMismatch(f"{len(A)} left factors vs {len(B)} right factors")
-    n2 = A.shape[1]
-    n1 = B.shape[1]
-    if A.shape[2] != n2:
-        raise DimensionMismatch("left factors must be square")
-    if B.shape[2] != n1:
-        raise DimensionMismatch("right factors must be square")
-    k = len(A)
-    N = n1 * n2
-    if k <= 2:
-        L, R = A, B
-    else:
-        w = _stage1_weights(k)
-        L, R = np.tensordot(w, A, axes=1), np.tensordot(w, B, axes=1)
-    _check_system_bytes(16 * len(L) * N * N, "solve_intertwiners: the stage-1 system")
-    scale = max(1e-30, float((op_norm(A) + op_norm(B)).max()))
-    I1 = np.eye(n1)
-    I2 = np.eye(n2)
-    # Fortran order lets the QR overwrite the system in place
-    M = np.empty((len(L) * N, N), dtype=np.complex128, order="F")
-    for i, (a, b) in enumerate(zip(L, R)):
-        M[i * N:(i + 1) * N] = np.kron(I1, a) - np.kron(b.T, I2)
-    # row j of the null basis is vec of the j-th solution
-    null, gap = _null_space(M, tol, scale, "solve_intertwiners")
-    W0 = null.reshape(-1, n1, n2).transpose(0, 2, 1)
-    d0 = len(W0)
-    if k <= 2 or d0 == 0:
-        return OperatorSpace(n2, n1, W0, gap)
-    _check_system_bytes(16 * k * N * d0, "solve_intertwiners: the stage-2 system")
-    # residuals (d0, k, n2, n1); the transposed flat view is the F-ordered
-    # (k*N, d0) system whose column j holds every residual of W0[j]
-    res = np.matmul(A[None], W0[:, None])
-    res -= np.matmul(W0[:, None], B[None])
-    coef, gap2 = _null_space(res.reshape(d0, k * N).T, tol, scale,
-                             "solve_intertwiners stage 2")
-    return OperatorSpace(n2, n1, np.tensordot(coef, W0, axes=1), min(gap, gap2))
+    k, n2, n1 = len(A), A.shape[1], B.shape[1]
+    if A.shape[2] != n2 or B.shape[2] != n1:
+        raise DimensionMismatch("left and right factors must be square")
+    scale = max(1e-30, float((2 * op_norm(A) if same else op_norm(A) + op_norm(B)).max()))
+    w = _stage1_weights(k)
+    g = _combine(w[0], B)
+    g += g.conj().T
+    v = np.linalg.lstsq(B.reshape(k, -1).T, g.ravel(), rcond=None)[0]
+    hR = _combine(v, B)
+    hL = hR if same else _combine(v, A)
+    delta = max(hs_norm(hR - g), hs_norm(hL - hL.conj().T))
+    if delta > 100.0 * tol * scale:
+        raise PreconditionError(f"solve_intertwiners: the family is not *-closed "
+                                f"(defect {delta:.3e} above {100.0 * tol * scale:.3e})")
+    lam, Q = eigh_desc(hL)
+    mu, P = (lam, Q) if same else eigh_desc(hR)
+    cut = max(tol * scale, np.sqrt(n1 * n2) * delta / tol, 1e-2 * np.abs(mu).max(initial=0.0))
+    i, j = np.nonzero(np.abs(lam[:, None] - mu[None, :]) <= cut)
+    _check_system_bytes(16 * k * n1 * n2 * len(i), "solve_intertwiners: the stage-2 system")
+    W = Q.T[i][:, :, None] * P.T.conj()[j][:, None, :]  # W[m] = q_i p_j*
+    gap = np.inf
+    if k > 2:
+        W, gap = _null_space(_combine(w[1:], A), _combine(w[1:], B), W, tol, scale,
+                             "solve_intertwiners")
+    W, gap2 = _null_space(A, B, W, tol, scale, "solve_intertwiners stage 2")
+    return OperatorSpace(n2, n1, W, min(gap, gap2))
 
 
 def psd_sqrt_pinv(m, tol: float = DEFAULT_TOL):

@@ -109,6 +109,11 @@ HOSTILE = {
     "nan_in_generator": (_golden_json, _put(["E", "generators", 0, 0, 0], [0.0, NAN])),
     "nan_in_unit_vector": (_golden_json, _put(["unit_vector"], [[[NAN, 0.0]] * 3] * 3)),
     "bool_entry": (_golden_json, _put(["theta", "images", 0, 0, 0], [True, 0.0])),
+    # entries numpy would coerce silently: a numeric string, None (to NaN) and
+    # an integer beyond the float range
+    "string_entry": (_golden_json, _put(["theta", "images", 0, 0, 0], ["1.0", 0.0])),
+    "null_entry": (_golden_json, _put(["B", "basis", 0, 1, 1], [None, 0.0])),
+    "huge_int_entry": (_golden_json, _put(["E", "generators", 0, 0, 0], [10 ** 400, 0.0])),
     "string_ambient_dim": (_golden_json, _put(["B", "ambient_dim"], "x")),
     "zero_codomain_dim": (_golden_json, _put(["theta", "codomain_dim"], 0)),
     "float_dim_H": (_golden_json, _put(["E", "dim_H"], 3.5)),

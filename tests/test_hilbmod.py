@@ -34,6 +34,7 @@ from modfactor.hilbmod import (
     fullification,
     identity_homomorphism,
     inner_product,
+    intertwiner_space,
     is_full,
     module_from_parts,
     module_from_representation,
@@ -436,6 +437,17 @@ class TestModuleRepresentationDictionary:
         back = module_from_representation(E.base, commutant_lifting(E))
         eq, dist = subspace_equal(back.space, E.space)
         assert eq, dist
+
+
+def test_intertwiner_space_refuses_images_that_are_not_star_closed():
+    # a -> S a S^-1 with S invertible and not unitary is a unital
+    # homomorphism of M2 that is not *-preserving: its images are not
+    # closed under adjoints, so the intertwiner solve refuses it
+    M2 = build_algebra([(2, 1)])
+    S = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
+    rho = Homomorphism(M2, 2, S @ M2.basis @ np.linalg.inv(S))
+    with pytest.raises(PreconditionError, match="not \\*-closed"):
+        intertwiner_space(rho)
 
 
 class TestCommutantBimodule:

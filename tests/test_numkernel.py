@@ -28,7 +28,7 @@ from modfactor.numkernel import (
     solve_intertwiners,
     subspace_equal,
 )
-from conftest import haar_conjugated, kronecker_intertwiners, matrix_unit
+from conftest import haar_conjugated, haar_unitary, kronecker_intertwiners, matrix_unit
 
 
 def random_complex(rng, *shape):
@@ -174,13 +174,17 @@ class TestSolveIntertwiners:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10_000))
     def test_outputs_satisfy_the_relations(self, seed):
-        rng = np.random.default_rng(seed)
-        lefts = [random_complex(rng, 3, 3) for _ in range(2)]
-        rights = [random_complex(rng, 2, 2) for _ in range(2)]
+        # a random *-representation: a Haar-conjugated amplification of a
+        # random block algebra, against the algebra Haar-conjugated
+        lefts, rights = _random_star_representation(np.random.default_rng(seed))
         out = solve_intertwiners(lefts, rights)
         for X in out.mats:
             for a, b in zip(lefts, rights):
                 assert op_norm(a @ X - X @ b) <= 1e-9 * max(1.0, op_norm(X))
+        ref = kronecker_intertwiners(lefts, rights)
+        assert out.dim == ref.dim
+        eq, dist = subspace_equal(out, ref, 1e-8)
+        assert eq, dist
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -222,9 +226,28 @@ def _stage_dims(monkeypatch):
     return dims
 
 
-def _one_basis_pair(k):
-    """Stage-1 weights whose two combinations are both the first pair."""
-    return np.tile(np.eye(1, k, dtype=np.complex128), (2, 1))
+def _random_star_representation(rng, m=None):
+    """(lefts, rights): the Haar-conjugated amplification b (x) 1_m of a
+    random block algebra's basis, and that basis Haar-conjugated."""
+    blocks = [tuple(int(x) for x in rng.integers(1, 3, size=2))
+              for _ in range(int(rng.integers(1, 3)))]
+    m = int(rng.integers(1, 3)) if m is None else m
+    basis = build_algebra(blocks).basis
+    n = basis.shape[1]
+    u, v = haar_unitary(n, rng), haar_unitary(n * m, rng)
+    amplified = np.stack([np.kron(b, np.eye(m)) for b in basis])
+    return v @ amplified @ v.conj().T, u @ basis @ u.conj().T
+
+
+def _unit_weights(mats):
+    """Weights whose Hermitian element and combination are both multiples of
+    the unit of the algebra that the orthonormal basis ``mats`` spans."""
+    c = np.trace(mats, axis1=1, axis2=2).conj()
+    return lambda k: np.tile(c / np.linalg.norm(c), (2, 1))
+
+
+# the algebra-structure benchmark's ladder, n = 12, 17, 18 and 24
+LADDER = [[(2, 3), (3, 2)], [(3, 3), (2, 4)], [(2, 2), (3, 2), (4, 2)], [(4, 3), (3, 4)]]
 
 
 class TestTwoStageSolve:
@@ -238,8 +261,7 @@ class TestTwoStageSolve:
         assert eq, dist
         return out
 
-    @pytest.mark.parametrize("blocks", [[(2, 3), (3, 2)], [(3, 3), (2, 4)],
-                                        [(2, 2), (3, 2), (4, 2)]])
+    @pytest.mark.parametrize("blocks", LADDER[:3])
     def test_haar_conjugated_ladder_commutants(self, blocks, rng):
         mats = haar_conjugated(blocks, rng)
         out = self._assert_matches_reference(mats, mats)
@@ -253,7 +275,8 @@ class TestTwoStageSolve:
     def test_family_that_is_not_star_closed(self, rng):
         # lefts_i = P (a_i (+) c_i) P^-1, rights_i = Q (a_i (+) e_i) Q^-1 with
         # invertible, non-unitary P and Q: the intertwiners carry the shared
-        # a-block, and the family is closed under no adjoint
+        # a-block (dim 1), and the family is closed under no adjoint, so the
+        # closed-form stage 1 does not apply
         k = 5
         P, Q = random_complex(rng, 5, 5), random_complex(rng, 4, 4)
         lefts, rights = [], []
@@ -265,15 +288,44 @@ class TestTwoStageSolve:
                           @ np.linalg.inv(Q))
         adjoints = np.stack([m.conj().T for m in lefts])
         assert hs_orthonormalize(lefts).span_residual(adjoints).max() > 1e-3
+        assert kronecker_intertwiners(lefts, rights).dim == 1
+        with pytest.raises(PreconditionError, match="not \\*-closed"):
+            solve_intertwiners(lefts, rights)
+
+    def test_roundoff_sized_defect_keeps_every_solution(self, rng):
+        # a non-Hermitian term of size 1e-12 on each left factor moves the
+        # eigenvalues of h_L off those of h_R by about that much, far above
+        # roundoff, so a cut of W0 at roundoff would drop solutions
+        lefts, rights = _random_star_representation(rng, m=3)
+        lefts = lefts + 1e-12 * random_complex(rng, *lefts.shape)
         out = self._assert_matches_reference(lefts, rights)
-        assert out.dim == 1
+        assert out.dim > 0
+
+    def test_ladder_rungs_form_no_kronecker_system(self, monkeypatch, rng):
+        # every residual system has one column per element of the span it is
+        # solved in; a Kronecker system would have N
+        columns = []
+        real = numkernel._null_space
+
+        def spy(A, B, W, *args, **kwargs):
+            columns.append(len(W))
+            return real(A, B, W, *args, **kwargs)
+
+        monkeypatch.setattr(numkernel, "_null_space", spy)
+        for blocks in LADDER:
+            mats = haar_conjugated(blocks, rng)
+            N = mats.shape[1] ** 2
+            columns.clear()
+            out = solve_intertwiners(mats, mats)
+            assert out.dim == sum(m * m for _, m in blocks)
+            assert columns and max(columns) < N, (N, columns)
 
     def test_poor_stage1_draw_gives_a_larger_w0_and_the_same_answer(self, monkeypatch, rng):
         mats = haar_conjugated([(2, 3), (3, 2)], rng)
         dims = _stage_dims(monkeypatch)
         good = self._assert_matches_reference(mats, mats)
         assert dims == [good.dim, good.dim]
-        monkeypatch.setattr(numkernel, "_stage1_weights", _one_basis_pair)
+        monkeypatch.setattr(numkernel, "_stage1_weights", _unit_weights(mats))
         dims.clear()
         poor = self._assert_matches_reference(mats, mats)
         w0, final = dims
@@ -283,7 +335,9 @@ class TestTwoStageSolve:
         A = build_algebra([(10, 10)])  # a 100-dimensional algebra on C^100
         tracemalloc.start()
         try:
-            with pytest.raises(PreconditionError, match=r"stage-1 system needs 3052 MiB"):
+            # W0 has dimension 1000 (ten eigenvalues of multiplicity ten):
+            # stage 2 is bounded by 16*100*10^4*1000 bytes
+            with pytest.raises(PreconditionError, match=r"stage-2 system needs 15259 MiB"):
                 commutant(A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -291,12 +345,12 @@ class TestTwoStageSolve:
         assert peak < 64 * 2**20, peak
 
     def test_memory_guard_covers_stage_2(self, monkeypatch, rng):
-        # a poor draw makes W0 90-dimensional: the stage-2 system is 16*13*144*90
-        # bytes, 4x the stage-1 system
+        # a poor draw (h a multiple of the unit) makes W0 the whole 144-dimensional
+        # space: the stage-1 system is 16*144*144 bytes, stage 2 at most 13x that
         mats = haar_conjugated([(2, 3), (3, 2)], rng)
-        monkeypatch.setattr(numkernel, "_stage1_weights", _one_basis_pair)
+        monkeypatch.setattr(numkernel, "_stage1_weights", _unit_weights(mats))
         monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 10**6)
-        with pytest.raises(PreconditionError, match="stage-2 system needs 3 MiB"):
+        with pytest.raises(PreconditionError, match="stage-2 system needs 4 MiB"):
             solve_intertwiners(mats, mats)
 
 
