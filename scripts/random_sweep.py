@@ -5,7 +5,8 @@ Usage: python scripts/random_sweep.py [--count 50] [--base-seed 0] [--json out.j
 
 Every instance carries its oracle, so the sweep reports how far each
 construction lands from the seeded ground truth, together with
-cross-method comparison residuals.
+cross-method comparison residuals and the commutant method's flip
+residual (``chain.flip_residual``).
 """
 
 import argparse
@@ -59,6 +60,8 @@ def main() -> int:
             (rep["residual"] for rep in report.body["comparisons"].values()
              if rep.get("residual") is not None), default=0.0)
         oracle = report.body["oracle"]["max_residual"] if report.body["oracle"] else None
+        commutant = report.body["methods"]["commutant"]
+        flip = commutant["chain"]["flip_residual"] if commutant["status"] == "ok" else None
         rows.append({
             "seed": seed,
             "dim_E": inst.E.dim,
@@ -68,6 +71,7 @@ def main() -> int:
             "worst_theta_residual": worst_theta,
             "worst_comparison_residual": worst_cmp,
             "oracle_residual": oracle,
+            "flip_residual": flip,
         })
         failures += 0 if report.passed else 1
     elapsed = time.perf_counter() - t0
@@ -75,12 +79,15 @@ def main() -> int:
     theta_res = np.array([r["worst_theta_residual"] for r in rows])
     cmp_res = np.array([r["worst_comparison_residual"] for r in rows])
     orc_res = np.array([r["oracle_residual"] for r in rows if r["oracle_residual"] is not None])
+    flip_res = np.array([r["flip_residual"] for r in rows if r["flip_residual"] is not None])
     print(f"{args.count} instances in {elapsed:.1f}s, {failures} failures, "
           f"max H_F {max((r['H_F'] for r in rows), default=0)}")
     if not rows:
         return 1
     print(f"theta residuals:      max {theta_res.max():.2e}  median {np.median(theta_res):.2e}")
     print(f"comparison residuals: max {cmp_res.max():.2e}  median {np.median(cmp_res):.2e}")
+    if flip_res.size:
+        print(f"flip residuals:       max {flip_res.max():.2e}  median {np.median(flip_res):.2e}")
     if orc_res.size:
         print(f"oracle residuals:     max {orc_res.max():.2e}  median {np.median(orc_res):.2e}")
     if args.json:

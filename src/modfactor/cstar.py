@@ -71,6 +71,18 @@ class FiniteCStarAlgebra:
             _structure_constants(self, tol, 100.0 * tol)
         return self._cache[key]
 
+    def structure_support(self, tol: float = DEFAULT_TOL) -> list:
+        """Per basis element i, (cols, block): the l with some c[i, j, l] != 0,
+        and c[i][:, cols].  Every other constant of c[i] is exactly 0, so
+        b_i b_j = sum over l in cols of c[i, j, l] b_l (matrix-unit bases are
+        sparse, generic ones have full support).  Cached with the constants."""
+        key = ("structure_support", tol)
+        if key not in self._cache:
+            c = self.structure_constants(tol)
+            self._cache[key] = [(cols, ci[:, cols]) for ci, cols in
+                                zip(c, map(np.flatnonzero, (c != 0).any(axis=1)))]
+        return self._cache[key]
+
 
 def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.ndarray:
     """Decompose all k^2 products b_i b_j against the span at once and cache

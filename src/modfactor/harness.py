@@ -743,7 +743,8 @@ def _decide_pass(body: dict, cert_tol: float) -> bool:
             ok = False
         elif rep["status"] == "ok":
             if max(rep["residual_unitary"], rep["residual_intertwine"],
-                   rep["theta_residual"]) > cert_tol:
+                   rep["theta_residual"],
+                   rep.get("chain", {}).get("flip_residual", 0.0)) > cert_tol:
                 ok = False
     for rep in body["comparisons"].values():
         if rep.get("residual") is None or rep["residual"] > cert_tol:

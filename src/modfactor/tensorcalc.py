@@ -336,6 +336,11 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     abstract Gram (computed through rho'^{-1} inner products) must equal the
     concrete Gram of the vectors w x g; their equality is exactly the flip
     identification, verified rather than assumed.
+
+    The coordinates S+ = V Sigma^{-1} come from the thin SVD of the concrete
+    factor (rank cut on sigma^2), so U = cols S+ is isometric by
+    construction; the residual also measures S+* gram S+ against the
+    identity, so the abstract Gram still certifies the flip.
     """
     if W.dim_in != E.dim_H:
         raise DimensionMismatch("W must compose with module elements on H")
@@ -348,16 +353,21 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     # concrete vectors
     cols = np.hstack([W.mats[j] @ E.basis[i]
                       for i in range(k) for j in range(kw)])
-    # ||cols* cols|| = ||cols||^2, from the thin factor instead of the Gram
-    scale = max(1.0, op_norm(cols) ** 2)
+    _, s, Vh = np.linalg.svd(cols, full_matrices=False)
+    # ||cols* cols|| = sigma_0^2, from the thin factor instead of the Gram
+    scale = max(1.0, s[0] ** 2)
     if norm_exceeds(gram - cols.conj().T @ cols, 1e-6 * scale):
         raise ValidationError(
             "abstract and concrete Gram matrices differ: the factors are not "
             "a compatible module/commutant-module pair"
         )
-    S, S_pinv, gap = _gram_coordinates(gram, tol)
+    r, gap = rank_cut(s ** 2, tol, "tensor Gram cut")
+    if r == 0:
+        raise ValidationError("tensor product collapsed to zero")
+    S_pinv = Vh[:r].conj().T / s[:r]
     U = cols @ S_pinv
-    ru = op_norm(U.conj().T @ U - np.eye(S.shape[0]))
+    eye = np.eye(r)
+    ru = max(op_norm(U.conj().T @ U - eye), op_norm(S_pinv.conj().T @ gram @ S_pinv - eye))
     return ModuleUnitary(("abstract tensor", "E.W.G"), ("concrete span", "W L_E G"),
                          U, float(ru), 0.0, {"gap": gap})
 

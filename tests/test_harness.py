@@ -292,6 +292,21 @@ class TestVerification:
                 or "*-preserving" in entry["reason"]
         assert rep.body["unit_identities"]["max_residual"] <= 1e-8
 
+    def test_flip_residual_above_cert_fails(self, monkeypatch):
+        real = factorizations.flip_unitary
+
+        def loose(*args, **kwargs):
+            u = real(*args, **kwargs)
+            u.residual_unitary = 1e-3
+            return u
+
+        monkeypatch.setattr(factorizations, "flip_unitary", loose)
+        rep = run_verification(golden_instance())
+        commutant = rep.body["methods"]["commutant"]
+        assert commutant["status"] == "ok"
+        assert commutant["chain"]["flip_residual"] == 1e-3
+        assert not rep.passed
+
     def test_text_rendering(self):
         rep = run_verification(golden_instance())
         text = rep.to_text()

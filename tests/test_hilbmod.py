@@ -591,6 +591,82 @@ class TestStructureConstants:
             algebra_from_basis(mats)
 
 
+def _dense_product_residuals(hom, tol=1e-9):
+    """The former multiplicativity check, kept as the reference: for each
+    basis element i, the dense (k, k) @ (k, d^2) product of the structure
+    constants with the flattened images against the k products
+    theta(b_i) theta(b_j).  Returns the residuals (k, k) and the wanted
+    sums (k, k, d^2)."""
+    k = hom.domain.dim
+    c = hom.domain.structure_constants(tol)
+    imflat = hom.images.reshape(k, -1)
+    want = np.stack([c[i] @ imflat for i in range(k)])
+    got = np.matmul(hom.images[:, None], hom.images[None]).reshape(k, k, -1)
+    return np.linalg.norm(want - got, axis=2), want
+
+
+def _adjoint_pair(A):
+    """Basis indices (m, n), m != n, with b_m* = b_n and b_m traceless (no
+    unit component)."""
+    b = A.basis
+    overlap = np.abs(np.einsum("kij,lji->kl", b, b))  # |<b_l, b_k*>|
+    for m in range(A.dim):
+        n = int(np.argmax(overlap[m]))
+        if n != m and overlap[m, n] > 1 - 1e-12 and abs(np.trace(b[m])) < 1e-12:
+            return m, n
+    raise AssertionError("no traceless adjoint pair in the basis")
+
+
+def _seeded_theta():
+    # uncompressed instances keep theta's domain on a matrix-unit basis
+    from modfactor.harness import GenSpec, generate_random_instance
+    spec = GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(2, 1)], compress=False)
+    return generate_random_instance(spec, 5).theta
+
+
+# name -> (homomorphism factory, whether every c[i] has full support)
+MULTIPLICATIVITY_CASES = {
+    "haar_conjugated": (lambda: _amplified(_haar_conjugated([(2, 1), (1, 2)], 7), 2), True),
+    "build_algebra": (lambda: _amplified(build_algebra([(1, 1), (2, 2)]), 2), False),
+    "seeded_theta": (_seeded_theta, False),
+    "identity": (lambda: identity_homomorphism(build_algebra([(2, 1), (3, 1)])), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MULTIPLICATIVITY_CASES))
+class TestMultiplicativityCheck:
+    def test_residuals_match_the_dense_check(self, case):
+        make, dense = MULTIPLICATIVITY_CASES[case]
+        hom = make()
+        k = hom.domain.dim
+        full = [len(cols) == k for cols, _ in hom.domain.structure_support()]
+        assert all(full) if dense else not any(full)
+        ref_res, ref_want = _dense_product_residuals(hom)
+        for i, (res, want) in enumerate(hom._product_residuals(1e-9)):
+            assert np.abs(res - ref_res[i]).max() <= 1e-12
+            assert np.abs(want - ref_want[i]).max() <= 1e-12
+        hom.validate()
+
+    def test_names_the_pair_the_dense_check_names(self, case):
+        make, _ = MULTIPLICATIVITY_CASES[case]
+        hom = make()
+        # scaling the images of an adjoint pair of traceless elements by one
+        # real factor keeps theta unital and *-preserving but not
+        # multiplicative
+        m, n = _adjoint_pair(hom.domain)
+        imgs = hom.images.copy()
+        imgs[[m, n]] *= 1.01
+        bad = Homomorphism(hom.domain, hom.codomain_dim, imgs)
+        ref_res, ref_want = _dense_product_residuals(bad)
+        bound = 100.0 * 1e-9 * np.maximum(1.0, np.linalg.norm(ref_want, axis=2))
+        i = next(i for i in range(len(ref_res))
+                 if ref_res[i].max() > bound[i, np.argmax(ref_res[i])])
+        j = int(np.argmax(ref_res[i]))
+        with pytest.raises(ValidationError,
+                           match=rf"not multiplicative on basis pair \({i}, {j}\)"):
+            bad.validate()
+
+
 class TestCorrespondenceValidate:
     def test_names_the_first_left_image_leaving_the_span(self):
         # the diagonal module over the diagonal algebra on C^3; the left

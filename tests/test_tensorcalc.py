@@ -187,6 +187,39 @@ class TestFlipUnitary:
         with pytest.raises(ValidationError):
             flip_unitary(golden_module, bad, rho_p)
 
+    def test_no_eigensolve(self, golden_module, monkeypatch):
+        # the coordinates come from the thin SVD of the concrete factor
+        from modfactor import numkernel, tensorcalc
+        rho_p = commutant_lifting(golden_module)
+        W = rho_p.image_space()
+        calls = []
+        for owner in (numkernel, tensorcalc):
+            monkeypatch.setattr(owner, "eigh_desc",
+                                lambda h, calls=calls: calls.append(h.shape))
+        u = flip_unitary(golden_module, W, rho_p)
+        assert calls == []
+        assert u.residual_unitary <= 1e-10
+
+    def test_residual_measures_the_abstract_gram(self, golden_module, monkeypatch):
+        # U = cols S+ is isometric by construction, so only the abstract Gram
+        # can show a defect below the 1e-6 screen: scale its (0, 0) block of
+        # module inner products by 1 + 1e-7
+        from modfactor import tensorcalc
+        rho_p = commutant_lifting(golden_module)
+        W = rho_p.image_space()
+        real = tensorcalc._pairwise_inner
+
+        def perturbed(mats):
+            out = real(mats)
+            if mats is golden_module.basis:
+                out[0, 0] *= 1.0 + 1e-7
+            return out
+
+        monkeypatch.setattr(tensorcalc, "_pairwise_inner", perturbed)
+        u = flip_unitary(golden_module, W, rho_p)
+        assert u.residual_unitary > 1e-8
+        assert op_norm(u.map.conj().T @ u.map - np.eye(u.map.shape[1])) <= 1e-12
+
     def test_flip_applied_twice_is_the_identity(self, golden_module):
         # build both orderings of the abstract triple-tensor coordinates and
         # check that the flip map (swap the first two factors) composed with
