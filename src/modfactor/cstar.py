@@ -71,6 +71,12 @@ class FiniteCStarAlgebra:
             _structure_constants(self, tol, 100.0 * tol)
         return self._cache[key]
 
+    def closure_residuals(self, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """HS distances (k, k) of the products b_i b_j from the span, found
+        and bounded with the structure constants."""
+        self.structure_constants(tol)
+        return self._cache[("closure", tol)]
+
     def structure_support(self, tol: float = DEFAULT_TOL) -> list:
         """Per basis element i, (cols, block): the l with some c[i, j, l] != 0,
         and c[i][:, cols].  Every other constant of c[i] is exactly 0, so
@@ -98,7 +104,9 @@ def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.
         raise ValidationError(f"domain basis is not multiplicatively closed: the "
                               f"product of basis elements ({i}, {j}) leaves the span")
     cprod.setflags(write=False)
+    closure.setflags(write=False)
     A._cache[("structure_constants", tol)] = cprod
+    A._cache[("closure", tol)] = closure
     return cprod
 
 

@@ -338,8 +338,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if prime_mod.dim_H != rP:
         raise ValidationError("re-concretized intertwiner module is degenerate")
     Cp = sigma_p.domain
-    cp_imgs = _induced_action(sigma_p.apply_many(Cp.basis, tol), W, S_P, S_P_pinv)
-    prime = Correspondence(prime_mod, Cp, Homomorphism(Cp, rP, cp_imgs))
+    prime = Correspondence(prime_mod, Cp, _induced_action(sigma_p, W, S_P, S_P_pinv, tol))
     prime.validate(tol)
 
     # flip-chain link: the abstract E (.) W (.) G Gram equals the concrete one

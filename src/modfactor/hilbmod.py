@@ -86,6 +86,11 @@ class Homomorphism:
             )
         self.images.setflags(write=False)
         self._validated_at: float | None = None
+        # the largest product residual (HS) certified by the last pass
+        self._defect: float | None = None
+        # tol -> (k, k) upper bounds on the product residuals, set where the
+        # map is built when its construction certifies them; see validate
+        self._product_bounds = None
         # (E, F, tol, E_corr, F_corr) of the last passed validate_theta
         self._theta_verdict: tuple | None = None
 
@@ -126,7 +131,12 @@ class Homomorphism:
         """Unitality, *-preservation and multiplicativity on the basis.
 
         Residuals are measured in Frobenius norm; results are cached so a
-        shared homomorphism is only validated once per tolerance.
+        shared homomorphism is only validated once per tolerance.  The
+        product residuals come from the product loop, or from
+        ``_product_bounds`` where the construction certifies upper bounds
+        on them (the identity's closure residuals, an induced action's
+        certificate); each must stay under 100 * tol * max(1, ||want||), and
+        the largest is kept as ``_defect``.
         """
         if self._validated_at is not None and self._validated_at <= tol:
             return
@@ -144,14 +154,24 @@ class Homomorphism:
         if star_res.max() > 100.0 * tol * np.sqrt(self.codomain_dim):
             i = int(np.argmax(star_res))
             raise ValidationError(f"homomorphism not *-preserving at basis element {i}")
+        if self._product_bounds is None:
+            rows, what = self._product_residuals(tol), "homomorphism not multiplicative"
+        else:
+            rows = ((res, None) for res in self._product_bounds(tol))
+            what = "multiplicativity certificate fails"
         bound = 100.0 * tol
-        for i, (res, want) in enumerate(self._product_residuals(tol)):
+        defect = 0.0
+        for i, (res, want) in enumerate(rows):
             j = int(np.argmax(res))
             # the scale max(1, ||want_j||) only matters above the bound
-            if res[j] > bound and res[j] > bound * max(1.0, float(np.linalg.norm(want[j]))):
-                raise ValidationError(
-                    f"homomorphism not multiplicative on basis pair ({i}, {j})"
-                )
+            if res[j] > bound:
+                if want is None:
+                    cols, block = dom.structure_support(tol)[i]
+                    want = block @ imflat[cols]
+                if res[j] > bound * max(1.0, float(np.linalg.norm(want[j]))):
+                    raise ValidationError(f"{what} on basis pair ({i}, {j})")
+            defect = max(defect, float(res[j]))
+        self._defect = defect
         self._validated_at = tol
 
     def _product_residuals(self, tol: float):
@@ -173,7 +193,13 @@ class Homomorphism:
 
 
 def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
-    return Homomorphism(A, A.ambient_dim, A.basis.copy())
+    """A acting on its ambient space.  Its product residuals are A's closure
+    residuals ||b_i b_j - sum_l c[i, j, l] b_l||, which
+    ``A.structure_constants`` has already bounded, so ``validate`` reads
+    them instead of forming the k^2 products again."""
+    hom = Homomorphism(A, A.ambient_dim, A.basis.copy())
+    hom._product_bounds = A.closure_residuals
+    return hom
 
 
 def intertwiner_space(rho: Homomorphism, tol: float = DEFAULT_TOL) -> OperatorSpace:
@@ -283,6 +309,15 @@ def module_from_parts(base: FiniteCStarAlgebra, space: OperatorSpace,
                       tol: float = DEFAULT_TOL) -> HilbertModule:
     """Wrap an orthonormal operator space as a module, validating invariants
     and trimming H to the nondegenerate part (trim is reported, not fatal)."""
+    mod = _trimmed_module(base, space, tol)
+    _validate_module(mod, tol)
+    return mod
+
+
+def _trimmed_module(base: FiniteCStarAlgebra, space: OperatorSpace,
+                    tol: float) -> HilbertModule:
+    """The nondegeneracy trim of ``module_from_parts`` without its invariant
+    checks, for spans that are modules by construction."""
     if space.dim_in != base.ambient_dim:
         raise DimensionMismatch("module domain must be the base algebra's ambient space")
     if space.dim == 0:
@@ -295,9 +330,7 @@ def module_from_parts(base: FiniteCStarAlgebra, space: OperatorSpace,
         h_embed = V
         mats = np.einsum("ij,kjl->kil", V.conj().T, space.mats)
         space = OperatorSpace(r, space.dim_in, mats, space.gap)
-    mod = HilbertModule(base, space, trimmed_from, h_embed)
-    _validate_module(mod, tol)
-    return mod
+    return HilbertModule(base, space, trimmed_from, h_embed)
 
 
 def _validate_module(E: HilbertModule, tol: float) -> None:
@@ -636,9 +669,17 @@ def algebra_bimodule(B: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> Corresp
 def as_bimodule(E: HilbertModule, left: FiniteCStarAlgebra | None = None,
                 tol: float = DEFAULT_TOL) -> Correspondence:
     """E as a correspondence with a concrete algebra on H acting by
-    multiplication from the left; defaults to the finite-rank algebra."""
+    multiplication from the left; defaults to the finite-rank algebra K(E).
+    K(E)'s validated identity action is kept on E, so E is checked as a
+    K(E)-bimodule once per tolerance (the action, not the correspondence,
+    is kept: a correspondence holds E and would make a reference cycle)."""
+    key = ("bimodule", tol)
     if left is None:
         left = finite_rank_algebra(E, tol)
+    if key in E._cache and E._cache[key].domain is left:
+        return Correspondence(E, left, E._cache[key])
     corr = Correspondence(E, left, identity_homomorphism(left))
     corr.validate(tol)
+    if left is E._cache.get(("finite_rank", tol)):
+        E._cache[key] = corr.left_action
     return corr

@@ -31,6 +31,7 @@ from .hilbmod import (
     _adjoints,
     _ideal_data,
     _pairwise_inner,
+    _trimmed_module,
     algebra_bimodule,
     as_bimodule,
     dual_module,
@@ -220,24 +221,81 @@ def _gram_coordinates(gram: np.ndarray, tol: float):
     return S, S_pinv, gap
 
 
-def _induced_action(acts: np.ndarray, space: OperatorSpace, S: np.ndarray,
-                   S_pinv: np.ndarray) -> np.ndarray:
-    """Images S (C_a (x) 1_w) S+ on a Gram quotient of span(space) (x) C^w,
-    where C_a[c, x] is the coefficient of acts[a] @ x_x along x_c."""
+def _fro_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each row (or matrix) of a complex stack, from its
+    real view."""
+    v = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
+                    S_pinv: np.ndarray, tol: float) -> Homomorphism:
+    """pi(a) = S (C_a (x) 1_w) S+ on a Gram quotient of span(space) (x) C^w,
+    certified as a unital *-homomorphism without forming its k^2 products.
+
+    C_a[c, x] is the coefficient of rho(a) x_x along x_c, R_X(a) the norm of
+    rho(a) x_x minus that expansion over x, and D_b = (C_b (x) 1) S+ - S+ pi(b)
+    the range-invariance residual.  With Delta_ab = C_a C_b - C_ab,
+
+        pi(a) pi(b) - pi(ab) = S (Delta_ab (x) 1) S+ - S (C_a (x) 1) D_b,
+        ||Delta_ab|| <= ||rho(a) rho(b) - rho(ab)|| + ||rho(a)|| R_X(b),
+
+    so each product residual on A's basis is at most (norms bounded by HS)
+
+        ||S|| ||C_a|| ||D_b|| + ||S|| ||S+|| (mu + ||rho(a)|| R_X(b)),
+
+    mu being rho's certified ``_defect``; ``validate`` takes these bounds in
+    place of the product loop and runs its own unit and star checks.  On
+    the elementary tensors S (e_x (x) y), pi(a) leaves the module span by at
+    most ||S (C_a (x) 1)(1 - S+ S)|| <= ||S||^2 ||D_(a*)|| + ||S|| ||C_a* - C_(a*)||,
+    which must stay under 100 * tol (ValidationError naming the certificate).
+    """
+    rho.validate(tol)
+    A = rho.domain
+    acts = rho.apply_many(A.basis, tol)
     m, k = len(acts), space.dim
     r, w = S.shape[0], S.shape[1] // k
+    xflat = space.mats.reshape(k, -1)
     moved = np.matmul(acts[:, None], space.mats[None]).reshape(m * k, -1)
-    C = (moved @ space.mats.reshape(k, -1).conj().T).reshape(m, k, k)
+    C = (moved @ xflat.conj().T).reshape(m, k, k)
+    R_X = _fro_norms((moved - C.reshape(m * k, k) @ xflat).reshape(m, -1))
     # S (C_a (x) 1_w) without forming the Kronecker product: contract S's
     # left-factor index with C_a, keeping its C^w index
     St = S.reshape(r, k, w).transpose(0, 2, 1).reshape(r * w, k)
     SC = (St @ C.transpose(0, 2, 1)).reshape(m, r, w, k).transpose(0, 1, 3, 2)
-    return SC.reshape(m, r, k * w) @ S_pinv
+    images = SC.reshape(m, r, k * w) @ S_pinv
+    # C[a] is C_a transposed, so (C_a (x) 1) S+ is C_a @ S+ over the x index
+    CS = C.transpose(0, 2, 1) @ S_pinv.reshape(k, w * r)
+    R_inv = _fro_norms(CS.reshape(m, k * w, r) - S_pinv @ images)
+
+    norm_S = float(_fro_norms(S).max())  # S S* is diagonal
+    bounds = norm_S * (np.outer(_fro_norms(C), R_inv) + np.linalg.norm(S_pinv)
+                       * (rho._defect + np.outer(_fro_norms(acts), R_X)))
+    bflat = A.basis.reshape(m, -1)
+    cadj = A.basis.conj().transpose(0, 2, 1).reshape(m, -1) @ bflat.conj().T
+    star_C = _fro_norms(C.conj().transpose(0, 2, 1).reshape(m, -1) - cadj @ C.reshape(m, -1))
+    span = norm_S ** 2 * (np.abs(cadj) @ R_inv) + norm_S * star_C
+    bad = np.flatnonzero(span > 100.0 * tol)
+    if bad.size:
+        raise ValidationError(
+            f"induced left action fails its range-invariance certificate at basis "
+            f"element {bad[0]} (bound {span[bad[0]]:.3e})")
+    hom = Homomorphism(A, r, images)
+    hom._product_bounds = lambda _tol: bounds
+    hom.validate(tol)
+    return hom
 
 
 def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorProduct:
     """Interior tensor product X (.) Y of a module/correspondence over B with
-    a correspondence whose left algebra is B."""
+    a correspondence whose left algebra is B.
+
+    The result is a module by construction and is not re-validated: it is
+    spanned by the S_i y (block i of S, y in Y's basis), so the right action
+    comes from Y's, and (S_i y)* (S_j y') = y* rho(<x_i, x_j>) y' - y* E_ij y'
+    with E = Gram - S* S, ||E|| at most the largest eigenvalue the cut
+    dropped.  X's left action induces the certified ``_induced_action``.
+    """
     Xm = _module_of(X)
     Ym = _module_of(Y)
     if not isinstance(Y, Correspondence):
@@ -262,16 +320,14 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
     # x_i (x) y for every pair, i major
     elements = _column_blocks(S, k)[:, None] @ Ym.basis[None]
     space = hs_orthonormalize(elements.reshape(-1, r, Ym.dim_G), tol)
-    mod = module_from_parts(Ym.base, space, tol)
+    mod = _trimmed_module(Ym.base, space, tol)
     if mod.dim_H != r:
         raise ValidationError("tensor module is degenerate on its own total space")
 
     result: object
     if isinstance(X, Correspondence):
-        acts = X.left_action.apply_many(X.left.basis, tol)
-        hom = Homomorphism(X.left, r, _induced_action(acts, Xm.space, S, S_pinv))
-        result = Correspondence(mod, X.left, hom)
-        result.validate(tol)
+        action = _induced_action(X.left_action, Xm.space, S, S_pinv, tol)
+        result = Correspondence(mod, X.left, action)
     else:
         result = mod
     return TensorProduct(X, Y, result, S, S_pinv, gap)

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modfactor import cstar, factorizations, harness
 from modfactor.errors import InfeasibleSpec, ParseError, ValidationError
@@ -425,3 +427,86 @@ class TestEachFactCheckedOnce:
         assert F_corr.module is inst.F and F_corr.left_action is inst.theta
         again = factorizations.validate_theta(inst.E, inst.F, inst.theta)
         assert again[0] is E_corr and again[1] is F_corr
+
+
+class TestCertifiedConstructions:
+    def test_product_loop_runs_only_on_maps_from_input(self, tmp_path, monkeypatch):
+        # ROADMAP instance a: parse and verify run the k^2 product loop only
+        # for theta, the parsed oracle left action, the commutant liftings
+        # and the other maps built from data; induced actions and identity
+        # representations are certified where they are built
+        import traceback
+
+        from modfactor import hilbmod
+        spec = GenSpec(blocks_B=[(2, 1), (3, 1)], blocks_C=[(2, 1)], compress=False)
+        path = tmp_path / "a.json"
+        save_instance(generate_random_instance(spec, 1), str(path))
+        identities = []
+        real_identity = hilbmod.identity_homomorphism
+
+        def identity_spy(A):
+            hom = real_identity(A)
+            identities.append(hom)
+            return hom
+
+        runs = []
+        real_loop = Homomorphism._product_residuals
+
+        def loop_spy(hom, tol):
+            runs.append((hom, {f.name for f in traceback.extract_stack()}))
+            return real_loop(hom, tol)
+
+        monkeypatch.setattr(hilbmod, "identity_homomorphism", identity_spy)
+        monkeypatch.setattr(Homomorphism, "_product_residuals", loop_spy)
+        assert run_verification(parse_instance(str(path))).passed
+        assert identities
+        assert 1 <= len(runs) <= 9
+        for hom, frames in runs:
+            assert "interior_tensor" not in frames and "_induced_action" not in frames
+            assert not any(hom is h for h in identities)
+        callers = set().union(*(frames for _, frames in runs))
+        assert {"_decode_hom", "_decode_correspondence", "commutant_lifting"} <= callers
+
+
+def _dims(obj):
+    """Every value under a ``dims`` key of a report body, by key path."""
+    out = {}
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                if key == "dims":
+                    out[path] = value
+                else:
+                    walk(value, f"{path}.{key}")
+
+    walk(obj, "")
+    return out
+
+
+def _rotated_golden(seed):
+    """The golden instance after a seeded unitary change of basis of G (the
+    base space, shared by B = C) and of H (E = F's total space)."""
+    from modfactor.cstar import algebra_from_basis
+    from modfactor.hilbmod import module_from_parts
+    g = golden_instance()
+    rng = np.random.default_rng(seed)
+    u_G = haar_unitary(g.E.dim_G, rng)
+    u_H = haar_unitary(g.E.dim_H, rng)
+    B = algebra_from_basis(list(u_G @ g.B.basis @ u_G.conj().T))
+    gens = np.ascontiguousarray(u_H @ g.E.basis @ u_G.conj().T)
+    E = module_from_parts(B, OperatorSpace(g.E.dim_H, g.E.dim_G, gens))
+    K = algebra_from_basis(list(u_H @ g.theta.domain.basis @ u_H.conj().T))
+    theta = Homomorphism(K, E.dim_H, u_H @ g.theta.images @ u_H.conj().T)
+    return harness.Instance(B, B, E, E, theta, notes={"name": "golden rotated"})
+
+
+class TestChangeOfBasis:
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_golden_verifies_with_the_same_dims(self, seed):
+        want = _dims(run_verification(golden_instance()).body)
+        assert want
+        report = run_verification(_rotated_golden(seed))
+        assert report.passed
+        assert _dims(report.body) == want

@@ -584,6 +584,47 @@ class TestStructureConstants:
         A.structure_constants()
         assert fills == [1e-9]
 
+    def test_identity_reads_the_closure_residuals(self, monkeypatch):
+        # the identity's product residuals are the closure residuals, so its
+        # validate forms no products and keeps their largest as its defect
+        A = _haar_conjugated([(2, 1), (1, 2)], 3)
+        loops = []
+        monkeypatch.setattr(Homomorphism, "_product_residuals",
+                            lambda hom, tol: loops.append(hom) or iter(()))
+        hom = identity_homomorphism(A)
+        hom.validate()
+        assert not loops
+        closure = A.closure_residuals()
+        prods = np.matmul(A.basis[:, None], A.basis[None])
+        want = np.tensordot(A.structure_constants(), A.basis, axes=1)
+        assert np.allclose(closure, np.linalg.norm(prods - want, axis=(2, 3)), atol=1e-15)
+        assert hom._defect == closure.max() <= 1e-13
+
+    def test_bimodule_over_the_finite_rank_algebra_is_checked_once(self, golden_module,
+                                                                  monkeypatch):
+        import gc
+        import weakref
+        E = build_module(golden_module.base, list(golden_module.basis))
+        X = as_bimodule(E)
+        checks = []
+        real = Correspondence.validate
+        monkeypatch.setattr(Correspondence, "validate",
+                            lambda corr, tol=1e-9: checks.append(corr) or real(corr, tol))
+        again = as_bimodule(E, finite_rank_algebra(E))
+        assert again.left_action is X.left_action and not checks
+        other = algebra_from_basis(list(finite_rank_algebra(E).basis))
+        assert as_bimodule(E, other).left is other and len(checks) == 1
+        assert as_bimodule(E, None, 1e-10).left_action is not X.left_action
+        assert as_bimodule(E).left_action is X.left_action and len(checks) == 2
+        # the cache keeps no reference cycle through E
+        ref = weakref.ref(E)
+        del E, X, again, checks[:]
+        gc.disable()
+        try:
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_closure_check_names_the_pair(self):
         e12 = np.array([[0, 1], [0, 0]], dtype=complex)
         mats = [np.eye(2, dtype=complex) / np.sqrt(2), e12, e12.T]

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -321,3 +323,120 @@ class TestRepresentationInverter:
                 ref = np.tensordot(Pp @ m.reshape(-1), rho.domain.basis, axes=1)
                 assert np.abs(pre - ref).max() <= 1e-12
                 assert cond == cond_ref or abs(cond - cond_ref) <= 1e-12 * cond_ref
+
+
+# ---------------------------------------------------------------------------
+# the induced-action certificate
+
+
+def _reference_product_residuals(hom, tol=1e-9):
+    """The product loop the certificate replaces, kept as the reference:
+    residuals (k, k) of theta(b_i) theta(b_j) - sum_l c[i, j, l] theta(b_l)
+    and the norms (k, k) of those sums."""
+    k = hom.domain.dim
+    c = hom.domain.structure_constants(tol)
+    imflat = hom.images.reshape(k, -1)
+    want = np.stack([c[i] @ imflat for i in range(k)])
+    got = np.matmul(hom.images[:, None], hom.images[None]).reshape(k, k, -1)
+    return np.linalg.norm(want - got, axis=2), np.linalg.norm(want, axis=2)
+
+
+def _batch_instances(count):
+    """The first ``count`` instances of the acceptance suite's seeded batch."""
+    from modfactor.harness import GenSpec, generate_random_instance
+    specs = [
+        GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(2, 1)],
+                module_multiplicity=2, corr_multiplicity=1),
+        GenSpec(blocks_B=[(2, 1)], blocks_C=[(1, 1), (1, 1)],
+                module_multiplicity=2, corr_multiplicity=2),
+        GenSpec(blocks_B=[(1, 1), (1, 1)], blocks_C=[(2, 1)],
+                module_multiplicity=3, corr_multiplicity=1, with_unit_vector=True),
+        GenSpec(blocks_B=[(2, 2)], blocks_C=[(2, 1)],
+                module_multiplicity=1, corr_multiplicity=1),
+        GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(1, 2)],
+                module_multiplicity=2, corr_multiplicity=1, with_unit_vector=True),
+    ]
+    return [generate_random_instance(specs[i % 5], 1000 + i) for i in range(count)]
+
+
+def _spy_induced_actions(monkeypatch):
+    """Record every certified induced action, from interior_tensor and from
+    the commutant method's intertwiner module."""
+    from modfactor import factorizations, tensorcalc
+    made = []
+    real = tensorcalc._induced_action
+
+    def spy(*args):
+        hom = real(*args)
+        made.append(hom)
+        return hom
+
+    monkeypatch.setattr(tensorcalc, "_induced_action", spy)
+    monkeypatch.setattr(factorizations, "_induced_action", spy)
+    return made
+
+
+class TestInducedActionCertificate:
+    def test_bound_dominates_the_product_loop(self, monkeypatch):
+        from modfactor.harness import golden_instance, run_verification
+        made = _spy_induced_actions(monkeypatch)
+        for inst in [golden_instance()] + _batch_instances(10):
+            assert run_verification(inst).passed
+        assert len(made) >= 11 * 6
+        for hom in made:
+            bounds = hom._product_bounds(1e-9)
+            res, want = _reference_product_residuals(hom)
+            assert (res <= bounds).all()
+            assert (bounds <= 100 * 1e-9 * np.maximum(1.0, want)).all()
+            assert hom._validated_at == 1e-9 and hom._defect == bounds.max()
+
+    def test_bound_is_the_docstring_formula(self, golden_module):
+        # the bound spelled out with Kronecker products on the golden
+        # K(E)-bimodule against E*
+        from modfactor.tensorcalc import _induced_action
+        X, Y = as_bimodule(golden_module), dual_module(golden_module)
+        tp = interior_tensor(X, Y)
+        S, Sp = tp.S, tp.S_pinv
+        rho, x = X.left_action, X.module.basis
+        w = Y.module.dim_H
+        acts = rho.apply_many(X.left.basis)
+        # C[a][c, x]: the coefficient of rho(a) x_x along x_c
+        C = np.einsum("cij,ail,xlj->acx", x.conj(), acts, x)
+        images = tp.result.left_action.images
+        D = np.stack([np.kron(Ca, np.eye(w)) @ Sp - Sp @ P for Ca, P in zip(C, images)])
+        R_X = np.array([np.linalg.norm(acts[a] @ x - np.einsum("cx,cij->xij", C[a], x))
+                        for a in range(len(acts))])
+        want = np.linalg.norm(S, 2) * (
+            np.outer(np.linalg.norm(C, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2)))
+            + np.linalg.norm(Sp) * (rho._defect + np.outer(
+                np.linalg.norm(acts, axis=(1, 2)), R_X)))
+        got = _induced_action(rho, X.module.space, S, Sp, 1e-9)._product_bounds(1e-9)
+        assert np.allclose(got, want, rtol=1e-6, atol=1e-30)
+        assert np.array_equal(tp.result.left_action._product_bounds(1e-9), got)
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_perturbed_coordinates_fail_the_certificate(self, golden_module, monkeypatch,
+                                                        block):
+        from modfactor import factorizations, harness, tensorcalc
+        real = tensorcalc._gram_coordinates
+        width = []  # the right factor's total dimension, when known
+
+        def perturbed(gram, tol):
+            S, S_pinv, gap = real(gram, tol)
+            S = S.copy()
+            w = width[0] if width else 1
+            S[:, block * w:(block + 1) * w] += 1e-6  # one column block
+            return S, S_pinv, gap
+
+        monkeypatch.setattr(tensorcalc, "_gram_coordinates", perturbed)
+        monkeypatch.setattr(factorizations, "_gram_coordinates", perturbed)
+        X, Y = as_bimodule(golden_module), dual_module(golden_module)
+        width.append(Y.module.dim_H)
+        with pytest.raises(ValidationError, match="range-invariance certificate"):
+            interior_tensor(X, Y)
+        # through verify, where the block widths vary, one column of the block
+        width.clear()
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "golden.json"
+        report = harness.run_verification(harness.parse_instance(str(fixture)))
+        assert not report.passed
+        assert "range-invariance certificate" in report.to_canonical_json()
