@@ -28,7 +28,8 @@ on a missing file, on any difference in a boolean, string or integer, in
 an array's length or in anything under a ``dims`` key, and on any report
 whose ``passed`` is not true.  It prints the number of changed files and
 the largest change of the residuals (absolute, with the largest changed
-residual) and of the gaps (in decades, with the smallest changed gap);
+residual) and of the gaps (in decades, with the smallest changed gap; a
+gap that goes to or from inf is counted on its own line);
 float changes elsewhere, such as instance entries re-expressed in another
 basis, are counted but do not fail.  Then it lists each key path where a
 float changed, with batch numbers and list indices folded to ``*``, and the
@@ -200,12 +201,18 @@ def compare(old_dir: Path, new_dir: Path) -> int:
         big = max(res)
         print(f"residuals: {len(res)} changed, largest change {big[0]:.3e} at {big[2]}, "
               f"largest changed residual {max(r[1] for r in res):.3e}")
+    gap_changes = [(a, b, w) for k, a, b, w in changes if k == "gap"]
     gaps = [(abs(np.log10(b) - np.log10(a)), min(a, b), w)
-            for k, a, b, w in changes if k == "gap"]
+            for a, b, w in gap_changes if np.isfinite(a) and np.isfinite(b)]
     if gaps:
         big = max(gaps)
         print(f"gaps: {len(gaps)} changed, largest change {big[0]:.2f} decades at "
               f"{big[2]}, smallest changed gap {min(g[1] for g in gaps):.3e}")
+    to_inf = [w for a, b, w in gap_changes if np.isinf(b)]
+    from_inf = [w for a, b, w in gap_changes if np.isinf(a)]
+    if to_inf or from_inf:
+        print(f"gaps to or from inf: {len(to_inf)} became inf, {len(from_inf)} became "
+              f"finite, first at {(to_inf or from_inf)[0]}")
     print(f"other floats: {sum(k == 'other' for k, *_ in changes)} changed")
     for path, files in sorted(_folded_paths(changes).items()):
         print(f"{path}: {len(files)} file{'s' if len(files) != 1 else ''}")

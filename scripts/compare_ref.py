@@ -7,9 +7,13 @@ It unpacks ``git archive REF`` into a temporary directory, runs
 ``scripts/canonical_outputs.py`` there and in the work tree (each with
 ``OPENBLAS_NUM_THREADS=1`` and its own ``src``), runs ``--compare`` on the two
 output directories, and prints how many files ``diff -r`` finds different.
-``--large`` is passed on to both runs.  The exit status is that of
-``--compare``, or 1 when the file count is not zero.  It needs no network
-and creates no git worktree; the temporary directory is removed at the end.
+Then it parses and verifies, with the work tree's ``src``, every instance
+file that REF wrote, so that files written by an older build are checked to
+stay readable.  ``--large`` is passed on to both runs.  The exit status is 0
+when ``--compare`` passes and every such file parses and verifies, else 1.
+A nonzero ``diff -r`` count alone (floats re-expressed or moved by
+roundoff) does not fail.  It needs no network and creates no git worktree;
+the temporary directory is removed at the end.
 """
 
 import argparse
@@ -21,15 +25,38 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ONE_THREAD = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+              "MKL_NUM_THREADS": "1"}
 
 
 def _outputs(checkout: Path, outdir: Path, large: bool) -> None:
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
-           "MKL_NUM_THREADS": "1"}
     cmd = [sys.executable, str(checkout / "scripts" / "canonical_outputs.py"), str(outdir)]
     if large:
         cmd.append("--large")
-    subprocess.run(cmd, cwd=checkout, env=env, check=True)
+    subprocess.run(cmd, cwd=checkout, env=ONE_THREAD, check=True)
+
+
+# Run with the work tree's src: parse and verify every *.instance.json of a
+# directory, print each failure, exit 1 if any.
+_VERIFY_FILES = """
+import sys
+from pathlib import Path
+sys.path.insert(0, sys.argv[1])
+from modfactor.errors import ModfactorError
+from modfactor.harness import parse_instance, run_verification
+files = sorted(Path(sys.argv[2]).glob("*.instance.json"))
+failed = 0
+for path in files:
+    try:
+        why = None if run_verification(parse_instance(str(path))).passed else "report failed"
+    except ModfactorError as e:
+        why = f"{type(e).__name__}: {e}"
+    if why:
+        failed += 1
+        print(f"FAIL {path.name}: {why}")
+print(f"instance files of the ref: {len(files)} parsed and verified, {failed} failed")
+sys.exit(int(failed != 0))
+"""
 
 
 def main() -> int:
@@ -56,7 +83,9 @@ def main() -> int:
                               capture_output=True, text=True).stdout
         changed = sum(1 for line in diff.splitlines() if line.strip())
         print(f"diff -r: {changed} files differ")
-        return status or int(changed != 0)
+        files = subprocess.run([sys.executable, "-c", _VERIFY_FILES, str(ROOT / "src"),
+                                str(old)], env=ONE_THREAD).returncode
+        return int(status != 0 or files != 0)
 
 
 if __name__ == "__main__":

@@ -46,10 +46,13 @@ from .hilbmod import (
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
+    _combine,
+    _stage1_weights,
     eigh_desc,
     hs_orthonormalize,
     norm_exceeds,
-    subspace_equal,
+    rank_cut,
+    solve_intertwiners,
 )
 from .factorizations import (
     METHODS,
@@ -64,6 +67,7 @@ from .factorizations import (
     validate_theta,
 )
 from .tensorcalc import (
+    TensorProduct,
     adjoint_unitary,
     certify_module_unitary,
     compose_unitaries,
@@ -323,18 +327,56 @@ def instance_from_json(obj, tol: float = DEFAULT_TOL) -> Instance:
 
 
 def _check_oracle_consistency(E, F, theta, oracle, tol):
-    """F must be the module induced by the oracle and theta the induced map."""
-    F2, theta2, tp_F = induced_homomorphism(E, oracle, tol)
-    if F2.dim_H != F.dim_H or F2.dim_G != F.dim_G or \
-            not subspace_equal(F2.space, F.space, 1e-6)[0]:
-        raise ValidationError(
-            "instance F is not the module induced by the recorded oracle")
+    """F must be the module induced by the oracle and theta the induced map,
+    up to one unitary U of the total spaces: U F2 = F and U theta2 U* = theta
+    for the rebuilt (F2, theta2), so a file does not depend on the
+    coordinates of the build that wrote it.
+
+    U = 1 when the file carries F2's own coordinates (it was written by this
+    build).  Else U is the polar part of a seeded generic member of the
+    intertwiners T (theta(a) T = T theta2(a), one ``solve_intertwiners``)
+    with T F2 inside span F (one null space).  Either is certified by
+    ``certify_module_unitary`` at 1e-6.  Returns the tensor realizing
+    F = E (.) oracle in F's coordinates: S -> U S and S+ -> S+ U*.
+    """
+    F2, theta2, tp = induced_homomorphism(E, oracle, tol)
+    not_F = ValidationError("instance F is not the module induced by the recorded oracle")
+    not_theta = ValidationError("instance theta is not induced by the recorded oracle")
+    if (F2.dim, F2.dim_H, F2.dim_G) != (F.dim, F.dim_H, F.dim_G):
+        raise not_F
     basis = theta.domain.basis
-    diff = theta.apply_many(basis, tol) - theta2.apply_many(basis, tol)
-    if norm_exceeds(diff, 1e-6).any():
-        raise ValidationError(
-            "instance theta is not induced by the recorded oracle")
-    return tp_F
+    imgs, imgs2 = theta.apply_many(basis, tol), theta2.apply_many(basis, tol)
+
+    def failure(U):
+        """The error U fails with, or None when U F2 = F and U theta2 U* = theta."""
+        if certify_module_unitary(F2, F, U).residual > 1e-6:
+            return not_F
+        return not_theta if norm_exceeds(U @ imgs2 - imgs @ U, 1e-6).any() else None
+
+    U = np.eye(F.dim_H, dtype=np.complex128)
+    if failure(U) is not None:
+        T = solve_intertwiners(imgs, imgs2, tol).mats
+        if not len(T):
+            raise not_theta
+        # the combinations of T that map F2 into span F: the null space of the
+        # residuals of every T_j f (f in F2's basis) off span F.  That system
+        # has dim F * dim_H * dim_G >= dim_H^2 >= len(T) rows (F2's total
+        # space is spanned by the ranges of its basis), so the thin SVD has
+        # all of V
+        moved = np.matmul(T[:, None], F2.basis[None])
+        off = moved - _combine(F.space.coeffs(moved), F.space.mats)
+        _, s, Vh = np.linalg.svd(off.reshape(len(T), -1).T, full_matrices=False)
+        rank = rank_cut(s, tol, "oracle module map", floor=1.0)[0]
+        if rank == len(T):
+            raise not_F
+        # polar part of a seeded generic member
+        X = _combine(_stage1_weights(len(T) - rank)[0] @ Vh[rank:].conj(), T)
+        W, _, Vx = np.linalg.svd(X)
+        U = W @ Vx
+        if (err := failure(U)) is not None:
+            raise err
+    F_corr = validate_theta(E, F, theta, tol)[1]
+    return TensorProduct(tp.left, tp.right, F_corr, U @ tp.S, tp.S_pinv @ U.conj().T, tp.gap)
 
 
 def _oracle_tensor(inst: Instance, tol: float):

@@ -116,32 +116,41 @@ def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def rank_cut(values: np.ndarray, tol: float, what: str = "rank cut",
-             floor: float = 0.0) -> tuple[int, float]:
-    """Count values above tol * max(values, floor) and report the gap across
-    the cut.
+             floor: float = 0.0, residual: float = 0.0) -> tuple[int, float]:
+    """Count values above tol * scale, scale = max(values, floor), and report
+    the gap across the cut: the smallest kept value over the largest dropped
+    one, floored at n * eps * scale for the gap only (n values), so that
+    roundoff never reports an infinite gap.
 
     ``floor`` anchors the cut at the natural scale of the producing problem,
     so a numerically-zero input (pure roundoff) yields rank 0 instead of
-    mistaking noise for signal.  Raises ToleranceAmbiguity when some value
-    lies within a factor of ten of the cut.
+    mistaking noise for signal.  ``residual`` bounds how far every value may
+    lie from the one it stands for (by Weyl, the norm of a perturbation); it
+    is added to the dropped values for the gap.  Raises ToleranceAmbiguity
+    when some value lies within a factor of ten of the cut, or the residual
+    is not a factor of ten below it.  The gap is inf only when nothing is
+    kept.
     """
     v = np.clip(np.asarray(values, dtype=float), 0.0, None)
     if v.size == 0 or max(v.max(), floor) <= 0.0:
         return 0, np.inf
-    cut = tol * max(v.max(), floor)
+    scale = max(v.max(), floor)
+    cut = tol * scale
     near = (v > cut / 10.0) & (v < cut * 10.0)
     if near.any():
         raise ToleranceAmbiguity(
             f"{what}: value {v[near].max():.6e} lies within a factor 10 "
             f"of the cut {cut:.6e}"
         )
-    rank = int((v > cut).sum())
-    dropped = v[v <= cut]
-    if rank == 0 or dropped.size == 0 or dropped.max() <= 0.0:
-        gap = np.inf
-    else:
-        gap = float(v[v > cut].min() / dropped.max())
-    return rank, gap
+    if residual > cut / 10.0:
+        raise ToleranceAmbiguity(
+            f"{what}: residual {residual:.6e} is not a factor 10 below "
+            f"the cut {cut:.6e}")
+    kept = v[v > cut]
+    if not kept.size:
+        return 0, np.inf
+    dropped = max(v[v <= cut].max(initial=0.0), v.size * np.finfo(float).eps * scale)
+    return kept.size, float(kept.min() / (dropped + residual))
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +158,7 @@ class OperatorSpace:
     """HS-orthonormal basis of a space of dim_out x dim_in complex matrices.
 
     ``gap`` is the spectral gap of the rank cut that produced the basis
-    (inf when nothing was cut).
+    (``rank_cut``'s; inf when no cut produced it).
     """
 
     dim_out: int

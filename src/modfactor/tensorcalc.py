@@ -6,10 +6,11 @@ space carries the semi-inner product
 
     <x (x) k, x' (x) k'> = <k, rho(<x, x'>) k'>,
 
-whose Gram matrix is eigendecomposed; the support defines coordinates
-S: elementary vectors -> C^r with S+ a right inverse.  The resulting module
-is re-concretized on the right factor's base space, so iterated
-constructions stay inside one uniform data model.
+whose Gram matrix is factored by a pivoted Cholesky and the factor's thin
+SVD; the support defines coordinates S: elementary vectors -> C^r with S+
+a right inverse.  The resulting module is re-concretized on the right
+factor's base space, so iterated constructions stay inside one uniform
+data model.
 
 "Canonical identification" is operationalized as: construct the specific
 map given by its defining formula on elementary tensors and certify
@@ -22,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import DimensionMismatch, PreconditionError, ValidationError
 from .hilbmod import (
@@ -42,7 +44,6 @@ from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
     as_matrix,
-    eigh_desc,
     hs_orthonormalize,
     norm_exceeds,
     op_norm,
@@ -209,16 +210,41 @@ def _column_blocks(S: np.ndarray, k: int) -> np.ndarray:
     return S.reshape(len(S), k, -1).transpose(1, 0, 2)
 
 
-def _gram_coordinates(gram: np.ndarray, tol: float):
-    """(S, S_pinv, gap) with S diag(sqrt(w)) V* restricted to the support."""
-    w, V = eigh_desc(gram)
-    r, gap = rank_cut(w, tol, "tensor Gram cut")
+def _factor_coordinates(Z: np.ndarray, tol: float, residual: float = 0.0):
+    """(S, S_pinv, gap) of a Gram matrix within ``residual`` (in norm) of
+    Z* Z, from the thin SVD Z = U Sigma V*: S = Sigma V* and S+ = V Sigma^-1
+    on the singular values that the cut on sigma^2 keeps.
+
+    By Weyl every eigenvalue of the Gram lies within ``residual`` of the
+    matching sigma^2 (or of 0), which ``rank_cut`` takes into account, and
+    ||Gram - S* S|| <= sigma_(r+1)^2 + residual, the denominator of the gap.
+    """
+    _, s, Vh = np.linalg.svd(Z, full_matrices=False)
+    r, gap = rank_cut(s ** 2, tol, "tensor Gram cut", residual=residual)
     if r == 0:
         raise ValidationError("tensor product collapsed to zero")
-    sq = np.sqrt(w[:r])
-    S = (V[:, :r] * sq).conj().T
-    S_pinv = V[:, :r] / sq
-    return S, S_pinv, gap
+    return s[:r, None] * Vh[:r], Vh[:r].conj().T / s[:r], gap
+
+
+def _gram_coordinates(gram: np.ndarray, tol: float):
+    """(S, S_pinv, gap) with S* S the Gram on its support and S S* diagonal.
+
+    A pivoted Cholesky (LAPACK zpstrf at its default stop, n eps max_i
+    gram_ii; it reads the upper triangle) gives a factor Z with as many rows
+    as pivots, in O(n r^2) instead of a full eigensolve.  The residual
+    ||gram - Z* Z||_F is measured and the coordinates come from Z's thin
+    SVD (``_factor_coordinates``), so noise pivots above the stop are cut
+    there.
+    """
+    n = len(gram)
+    c, piv, r0, _ = scipy.linalg.lapack.zpstrf(gram)
+    Z = np.zeros((r0, n), dtype=np.complex128)
+    Z[:, piv - 1] = np.triu(c[:r0])
+    # ||gram - Z* Z||_F in row panels, without a second n x n array
+    Zh = Z.conj().T
+    sq = sum(np.linalg.norm(gram[i:i + 512] - Zh[i:i + 512] @ Z) ** 2
+             for i in range(0, n, 512))
+    return _factor_coordinates(Z, tol, float(np.sqrt(sq)))
 
 
 def _fro_norms(stack: np.ndarray) -> np.ndarray:
@@ -242,9 +268,12 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
 
     so each product residual on A's basis is at most (norms bounded by HS)
 
-        ||S|| ||C_a|| ||D_b|| + ||S|| ||S+|| (mu + ||rho(a)|| R_X(b)),
+        ||S|| ||C_a|| ||D_b|| + ||S|| ||S+|| (mu + ||rho(a)|| R_X(b))
+            + 2 r eps ||pi(a)|| ||pi(b)||,
 
-    mu being rho's certified ``_defect``; ``validate`` takes these bounds in
+    mu being rho's certified ``_defect`` and the last term the rounding the
+    product loop would see on r x r images (where the rest is exactly 0 in
+    floating point, it is all that is left); ``validate`` takes these bounds in
     place of the product loop and runs its own unit and star checks.  On
     the elementary tensors S (e_x (x) y), pi(a) leaves the module span by at
     most ||S (C_a (x) 1)(1 - S+ S)|| <= ||S||^2 ||D_(a*)|| + ||S|| ||C_a* - C_(a*)||,
@@ -269,8 +298,10 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
     R_inv = _fro_norms(CS.reshape(m, k * w, r) - S_pinv @ images)
 
     norm_S = float(_fro_norms(S).max())  # S S* is diagonal
+    norm_pi = _fro_norms(images)
     bounds = norm_S * (np.outer(_fro_norms(C), R_inv) + np.linalg.norm(S_pinv)
-                       * (rho._defect + np.outer(_fro_norms(acts), R_X)))
+                       * (rho._defect + np.outer(_fro_norms(acts), R_X))) \
+        + 2 * r * np.finfo(float).eps * np.outer(norm_pi, norm_pi)
     bflat = A.basis.reshape(m, -1)
     cadj = A.basis.conj().transpose(0, 2, 1).reshape(m, -1) @ bflat.conj().T
     star_C = _fro_norms(C.conj().transpose(0, 2, 1).reshape(m, -1) - cadj @ C.reshape(m, -1))
@@ -293,8 +324,9 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
     The result is a module by construction and is not re-validated: it is
     spanned by the S_i y (block i of S, y in Y's basis), so the right action
     comes from Y's, and (S_i y)* (S_j y') = y* rho(<x_i, x_j>) y' - y* E_ij y'
-    with E = Gram - S* S, ||E|| at most the largest eigenvalue the cut
-    dropped.  X's left action induces the certified ``_induced_action``.
+    with E = Gram - S* S, ||E|| at most sigma_(r+1)^2 plus the measured
+    Cholesky residual (``_gram_coordinates``).  X's left action induces the
+    certified ``_induced_action``.
     """
     Xm = _module_of(X)
     Ym = _module_of(Y)
@@ -409,20 +441,16 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     # concrete vectors
     cols = np.hstack([W.mats[j] @ E.basis[i]
                       for i in range(k) for j in range(kw)])
-    _, s, Vh = np.linalg.svd(cols, full_matrices=False)
-    # ||cols* cols|| = sigma_0^2, from the thin factor instead of the Gram
-    scale = max(1.0, s[0] ** 2)
+    S, S_pinv, gap = _factor_coordinates(cols, tol)
+    # ||cols* cols|| = sigma_0^2 = ||S[0]||^2, from the thin factor
+    scale = max(1.0, np.linalg.norm(S[0]) ** 2)
     if norm_exceeds(gram - cols.conj().T @ cols, 1e-6 * scale):
         raise ValidationError(
             "abstract and concrete Gram matrices differ: the factors are not "
             "a compatible module/commutant-module pair"
         )
-    r, gap = rank_cut(s ** 2, tol, "tensor Gram cut")
-    if r == 0:
-        raise ValidationError("tensor product collapsed to zero")
-    S_pinv = Vh[:r].conj().T / s[:r]
     U = cols @ S_pinv
-    eye = np.eye(r)
+    eye = np.eye(len(S))
     ru = max(op_norm(U.conj().T @ U - eye), op_norm(S_pinv.conj().T @ gram @ S_pinv - eye))
     return ModuleUnitary(("abstract tensor", "E.W.G"), ("concrete span", "W L_E G"),
                          U, float(ru), 0.0, {"gap": gap})

@@ -358,6 +358,71 @@ class TestOracleConsistency:
             "DimensionMismatch: M's left algebra must act on E's base space"
 
 
+def _rotated_F(inst, u):
+    """inst with F's generators and theta's images moved by a unitary u of
+    H_F: F -> u F and theta -> u theta u*."""
+    from modfactor.hilbmod import module_from_parts
+    F = module_from_parts(inst.F.base, OperatorSpace(
+        inst.F.dim_H, inst.F.dim_G, np.ascontiguousarray(u @ inst.F.basis)))
+    theta = Homomorphism(inst.theta.domain, inst.theta.codomain_dim,
+                         u @ inst.theta.images @ u.conj().T)
+    return harness.Instance(inst.B, inst.C, inst.E, F, theta, inst.oracle,
+                            inst.unit_vector, inst.qons_family, inst.notes)
+
+
+class TestOracleUpToUnitary:
+    def test_a_rotated_F_parses_and_verifies(self, tmp_path, monkeypatch):
+        # the oracle check compares F up to a certified unitary of H_F, so
+        # files do not depend on the coordinates of the build that wrote them
+        solves = _count_calls(monkeypatch, harness, "solve_intertwiners")
+        for seed in (1, 23):  # H_F = 4 and 5
+            inst = generate_random_instance(SPEC, seed)
+            p = tmp_path / f"own_{seed}.json"
+            save_instance(inst, str(p))
+            parse_instance(str(p))
+            assert solves == []  # a file of this build is carried by U = 1
+            u = haar_unitary(inst.F.dim_H, np.random.default_rng(seed))
+            p = tmp_path / f"rotated_{seed}.json"
+            save_instance(_rotated_F(inst, u), str(p))
+            loaded = parse_instance(str(p))
+            assert len(solves) == 1
+            solves.clear()
+            assert np.abs(loaded.F.basis - u @ inst.F.basis).max() <= 1e-12
+            # the kept tensor reads F's coordinates: its elementary tensors
+            # x_i (x) m lie in the rotated F
+            tp = loaded.oracle_check[1]
+            assert tp.result.module is loaded.F
+            elements = tp.blocks()[:, None] @ loaded.oracle.module.basis[None]
+            assert loaded.F.space.decompose(elements)[1].max() <= 1e-10
+            rep = run_verification(loaded)
+            assert rep.passed
+            assert rep.body["oracle"]["max_residual"] <= 1e-8
+
+    def test_theta_conjugated_off_F_is_rejected(self, tmp_path):
+        # over C (+) C, a Haar unitary of H_F mixes F's two summands, so it
+        # does not preserve F and moves theta out of B^a(F)
+        spec = GenSpec(blocks_B=[(2, 1)], blocks_C=[(1, 1), (1, 1)],
+                       module_multiplicity=2, corr_multiplicity=2)
+        inst = generate_random_instance(spec, 5)
+        u = haar_unitary(inst.F.dim_H, np.random.default_rng(3))
+        bad = Instance_with(inst, Homomorphism(inst.theta.domain, inst.theta.codomain_dim,
+                                               u @ inst.theta.images @ u.conj().T))
+        p = tmp_path / "bad.json"
+        save_instance(bad, str(p))
+        with pytest.raises(ValidationError, match="leaves the adjointable algebra of F"):
+            parse_instance(str(p))
+
+    def test_an_oracle_inducing_another_F_is_rejected(self):
+        # seeds 1 and 8 share B and E's dimensions; seed 8's oracle induces
+        # an F of another dimension from seed 1's E
+        inst = generate_random_instance(SPEC, 1)
+        other = generate_random_instance(SPEC, 8)
+        assert np.allclose(inst.B.basis, other.B.basis)
+        with pytest.raises(ValidationError,
+                           match="instance F is not the module induced by the recorded oracle"):
+            harness._check_oracle_consistency(inst.E, inst.F, inst.theta, other.oracle, 1e-9)
+
+
 UV_SPEC = dataclasses.replace(SPEC, with_unit_vector=True)
 
 

@@ -133,6 +133,31 @@ class TestHsOrthonormalize:
         assert eq and dist <= 1e-9
 
 
+class TestRankCut:
+    EPS = np.finfo(float).eps
+
+    def test_nothing_dropped_reports_the_floored_gap(self):
+        # the dropped values are floored at n eps scale for the gap only
+        rank, gap = rank_cut([1.0, 0.5], 1e-9)
+        assert rank == 2 and gap == pytest.approx(0.5 / (2 * self.EPS))
+
+    def test_roundoff_below_the_floor_does_not_move_the_gap(self):
+        for tiny in (0.0, 1e-300, 1e-20):
+            assert rank_cut([1.0, 0.5, tiny], 1e-9) == (2, 0.5 / (3 * self.EPS))
+        rank, gap = rank_cut([1.0, 0.5, 1e-12], 1e-9)
+        assert rank == 2 and gap == pytest.approx(0.5e12)
+
+    def test_residual_enters_the_gap_and_the_ambiguity_check(self):
+        rank, gap = rank_cut([1.0, 0.5, 1e-12], 1e-9, residual=1e-12)
+        assert rank == 2 and gap == pytest.approx(0.25e12)
+        with pytest.raises(ToleranceAmbiguity, match="residual"):
+            rank_cut([1.0, 0.5], 1e-9, residual=2e-10)
+
+    def test_nothing_kept_is_rank_zero(self):
+        assert rank_cut([0.0, 0.0], 1e-9) == (0, np.inf)
+        assert rank_cut([1e-20], 1e-9, floor=1.0) == (0, np.inf)
+
+
 class TestSolveIntertwiners:
     def test_full_matrix_algebra_gives_scalars(self):
         basis = [matrix_unit(i, j, 3) for i in range(1, 4) for j in range(1, 4)]

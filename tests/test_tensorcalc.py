@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,7 @@ from modfactor.tensorcalc import (
     map_from_spanning,
     unit_identities,
 )
-from conftest import matrix_unit
+from conftest import haar_unitary, matrix_unit
 
 
 def scalar_correspondence(n):
@@ -191,13 +192,14 @@ class TestFlipUnitary:
 
     def test_no_eigensolve(self, golden_module, monkeypatch):
         # the coordinates come from the thin SVD of the concrete factor
-        from modfactor import numkernel, tensorcalc
+        from modfactor import numkernel
         rho_p = commutant_lifting(golden_module)
         W = rho_p.image_space()
         calls = []
-        for owner in (numkernel, tensorcalc):
-            monkeypatch.setattr(owner, "eigh_desc",
-                                lambda h, calls=calls: calls.append(h.shape))
+        monkeypatch.setattr(numkernel, "eigh_desc",
+                            lambda h, calls=calls: calls.append(h.shape))
+        monkeypatch.setattr(scipy.linalg, "eigh",
+                            lambda h, *a, calls=calls, **k: calls.append(h.shape))
         u = flip_unitary(golden_module, W, rho_p)
         assert calls == []
         assert u.residual_unitary <= 1e-10
@@ -264,6 +266,108 @@ class TestFlipUnitary:
         U1 = map_from_spanning(S1, cols1)
         U2 = map_from_spanning(S2, cols2)
         assert op_norm(U2 @ flip - U1) <= 1e-9
+
+
+def _eigh_coordinates(gram, tol=1e-9):
+    """The reference coordinates from a full eigensolve of the Gram:
+    S = diag(sqrt(w)) V* on the eigenvalues above tol * largest."""
+    w, V = np.linalg.eigh(gram)
+    w, V = w[::-1], V[:, ::-1]
+    r = int((w > tol * w[0]).sum())
+    return (V[:, :r] * np.sqrt(w[:r])).conj().T
+
+
+def _low_rank_gram(rng, n, spectrum):
+    """A PSD n x n Gram with the given nonzero eigenvalues, Haar eigenvectors."""
+    Q = haar_unitary(n, rng)[:, :len(spectrum)]
+    return (Q * np.asarray(spectrum)) @ Q.conj().T
+
+
+class TestGramCoordinates:
+    def test_matches_the_eigensolve(self):
+        from modfactor.tensorcalc import _gram_coordinates
+        rng = np.random.default_rng(11)
+        for n, spectrum in [(60, [3.0, 2.0, 1.0, 0.5, 0.1]),
+                            (130, np.linspace(1.0, 4.0, 17))]:
+            gram = _low_rank_gram(rng, n, spectrum)
+            S, Sp, gap = _gram_coordinates(gram, 1e-9)
+            S_ref = _eigh_coordinates(gram)
+            assert S.shape == S_ref.shape
+            # same support: S+ S is the projector of the eigenvector span
+            proj_ref = np.linalg.pinv(S_ref) @ S_ref
+            assert np.abs(Sp @ S - proj_ref).max() <= 1e-12
+            SS = S @ S.conj().T
+            assert np.abs(SS - np.diag(np.diag(SS))).max() <= 1e-12 * SS[0, 0].real
+            # the reported gap's denominator bounds ||Gram - S* S||
+            bound = np.diag(SS).real.min() / gap
+            assert np.linalg.norm(gram - S.conj().T @ S, 2) <= bound
+
+    def test_a_value_near_the_cut_is_ambiguous(self):
+        from modfactor.errors import ToleranceAmbiguity
+        from modfactor.tensorcalc import _gram_coordinates
+        gram = _low_rank_gram(np.random.default_rng(12), 40, [1.0, 0.5, 2e-9])
+        with pytest.raises(ToleranceAmbiguity):
+            _gram_coordinates(gram, 1e-9)
+
+    def test_noise_above_the_cholesky_stop_is_cut_by_the_svd(self):
+        # Hermitian noise of 1e-12 lies above zpstrf's default stop (n eps
+        # max gram_ii, about 1e-14 here), so the pivoted Cholesky keeps noise
+        # pivots; the cut on sigma^2 drops them
+        from modfactor.tensorcalc import _gram_coordinates
+        rng = np.random.default_rng(13)
+        n = 50
+        gram = _low_rank_gram(rng, n, [2.0, 1.0, 0.7, 0.3])
+        N = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        gram = gram + 1e-12 * (N @ N.conj().T) / n
+        assert scipy.linalg.lapack.zpstrf(gram)[2] > 4
+        S, Sp, gap = _gram_coordinates(gram, 1e-9)
+        S_ref = _eigh_coordinates(gram)
+        assert S.shape == S_ref.shape == (4, n)
+        assert np.abs(Sp @ S - np.linalg.pinv(S_ref) @ S_ref).max() <= 1e-10
+        assert 1e8 < gap < 1e12
+
+    def test_a_zero_residual_reports_the_floored_gap(self):
+        # an exactly factored Gram: residual 0 and nothing dropped, so the gap
+        # is the smallest value over the floor n eps scale (n = 2 values)
+        from modfactor.tensorcalc import _gram_coordinates
+        gram = np.diag([4.0, 0.0, 1.0, 0.0]).astype(complex)
+        S, Sp, gap = _gram_coordinates(gram, 1e-9)
+        assert S.shape == (2, 4)
+        assert np.abs(S.conj().T @ S - gram).max() <= 1e-15
+        assert gap == pytest.approx(1.0 / (2 * np.finfo(float).eps * 4.0), rel=1e-12)
+
+    def test_no_hermitian_solve_of_a_gram_size_on_instance_a(self, tmp_path, monkeypatch):
+        # ROADMAP instance a: parse and verify eigendecompose no tensor Gram
+        # (k * w); the Hermitian solves left are of H_F-sized matrices
+        from modfactor import factorizations, harness, tensorcalc
+        spec = harness.GenSpec(blocks_B=[(2, 1), (3, 1)], blocks_C=[(2, 1)], compress=False)
+        path = tmp_path / "a.json"
+        harness.save_instance(harness.generate_random_instance(spec, 1), str(path))
+        grams, solves = [], []
+        real = tensorcalc._gram_coordinates
+
+        def gram_spy(gram, tol):
+            grams.append(gram.copy())
+            return real(gram, tol)
+
+        def solve_spy(real_solve):
+            def spy(h, *args, **kwargs):
+                solves.append(np.array(h))
+                return real_solve(h, *args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(tensorcalc, "_gram_coordinates", gram_spy)
+        monkeypatch.setattr(factorizations, "_gram_coordinates", gram_spy)
+        for owner, name in [(scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
+                            (np.linalg, "eigh"), (np.linalg, "eigvalsh")]:
+            monkeypatch.setattr(owner, name, solve_spy(getattr(owner, name)))
+        assert harness.run_verification(harness.parse_instance(str(path))).passed
+        assert len(grams) >= 8 and solves
+        assert max(len(g) for g in grams) >= 500
+        for h in solves:
+            assert not any(g.shape == h.shape and np.allclose(g, h, atol=1e-12)
+                           for g in grams)
+        assert max(len(h) for h in solves) <= 20
 
 
 class TestAssociativity:
@@ -406,10 +510,12 @@ class TestInducedActionCertificate:
         D = np.stack([np.kron(Ca, np.eye(w)) @ Sp - Sp @ P for Ca, P in zip(C, images)])
         R_X = np.array([np.linalg.norm(acts[a] @ x - np.einsum("cx,cij->xij", C[a], x))
                         for a in range(len(acts))])
+        norm_pi = np.linalg.norm(images, axis=(1, 2))
         want = np.linalg.norm(S, 2) * (
             np.outer(np.linalg.norm(C, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2)))
             + np.linalg.norm(Sp) * (rho._defect + np.outer(
-                np.linalg.norm(acts, axis=(1, 2)), R_X)))
+                np.linalg.norm(acts, axis=(1, 2)), R_X))) \
+            + 2 * len(S) * np.finfo(float).eps * np.outer(norm_pi, norm_pi)
         got = _induced_action(rho, X.module.space, S, Sp, 1e-9)._product_bounds(1e-9)
         assert np.allclose(got, want, rtol=1e-6, atol=1e-30)
         assert np.array_equal(tp.result.left_action._product_bounds(1e-9), got)
