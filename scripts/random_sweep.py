@@ -6,7 +6,10 @@ Usage: python scripts/random_sweep.py [--count 50] [--base-seed 0] [--json out.j
 Every instance carries its oracle, so the sweep reports how far each
 construction lands from the seeded ground truth, together with
 cross-method comparison residuals and the commutant method's flip
-residual (``chain.flip_residual``).
+residual (``chain.flip_residual``).  It also prints the closest decision
+of every Wedderburn frame built in the sweep (each intertwiner solve): the
+smallest distance of a cluster separation and of a coupling from its cut,
+in decades (a decision under one decade raises ToleranceAmbiguity).
 """
 
 import argparse
@@ -16,6 +19,7 @@ import time
 
 import numpy as np
 
+from modfactor import numkernel
 from modfactor.errors import ModfactorError
 from modfactor.harness import GenSpec, generate_random_instance, run_verification
 
@@ -33,6 +37,22 @@ SPECS = [
 ]
 
 
+def _record_frame_margins(margins: dict) -> None:
+    """Wrap numkernel._decide so that every frame cut records its smallest
+    distance from the cut, in decades, under "cluster" or "coupling"."""
+    decide = numkernel._decide
+
+    def recording(v, cut, what, *args, **kwargs):
+        kind = what.rpartition(": ")[2]
+        if what.startswith("solve_intertwiners") and np.size(v) and cut > 0:
+            with np.errstate(divide="ignore"):
+                dist = float(np.abs(np.log10(np.asarray(v) / cut)).min())
+            margins[kind] = min(margins.get(kind, np.inf), dist)
+        return decide(v, cut, what, *args, **kwargs)
+
+    numkernel._decide = recording
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--count", type=int, default=50)
@@ -41,6 +61,8 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = []
+    margins = {}
+    _record_frame_margins(margins)
     t0 = time.perf_counter()
     failures = 0
     for i in range(args.count):
@@ -90,6 +112,9 @@ def main() -> int:
         print(f"flip residuals:       max {flip_res.max():.2e}  median {np.median(flip_res):.2e}")
     if orc_res.size:
         print(f"oracle residuals:     max {orc_res.max():.2e}  median {np.median(orc_res):.2e}")
+    print(f"closest frame decision: cluster separation "
+          f"{margins.get('cluster', np.inf):.2f} decades, coupling "
+          f"{margins.get('coupling', np.inf):.2f} decades from their cuts")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"rows": rows, "elapsed_s": elapsed}, f, indent=1)

@@ -10,16 +10,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ToleranceAmbiguity, ValidationError
+from .errors import DimensionMismatch, ValidationError
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
     _check_system_bytes,
-    eigh_desc,
     hs_norm,
     hs_orthonormalize,
-    rank_cut,
     solve_intertwiners,
+    wedderburn_frame,
 )
 
 __all__ = [
@@ -164,19 +163,14 @@ def build_algebra(blocks) -> FiniteCStarAlgebra:
         if n < 1 or m < 1:
             raise ValidationError(f"block sizes and multiplicities must be >= 1, got {(n, m)}")
     total = sum(n * m for n, m in blocks)
-    mats = []
-    offset = 0
+    mats, offset = [], 0
     for n, m in blocks:
-        Im = np.eye(m, dtype=np.complex128)
-        for k in range(n):
-            for l in range(n):
-                unit = np.zeros((n, n), dtype=np.complex128)
-                unit[k, l] = 1.0
-                big = np.zeros((total, total), dtype=np.complex128)
-                big[offset:offset + n * m, offset:offset + n * m] = np.kron(unit, Im)
-                mats.append(big / np.sqrt(m))
+        big = np.zeros((n * n, total, total), dtype=np.complex128)
+        big[:, offset:offset + n * m, offset:offset + n * m] = np.kron(
+            np.eye(n * n).reshape(n * n, n, n), np.eye(m)) / np.sqrt(m)
+        mats.append(big)
         offset += n * m
-    space = OperatorSpace(total, total, np.stack(mats))
+    space = OperatorSpace(total, total, np.concatenate(mats))
     return FiniteCStarAlgebra(total, space, np.eye(total, dtype=np.complex128))
 
 
@@ -189,15 +183,21 @@ def commutant(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> FiniteCStarAlg
     return A._cache[key]
 
 
+def _frame(A: FiniteCStarAlgebra, tol: float):
+    """A's certified Wedderburn frame, computed once per tolerance: A =
+    (+)_p M_{n_p} (x) 1_{m_p} in it."""
+    key = ("frame", tol)
+    if key not in A._cache:
+        A._cache[key] = wedderburn_frame(A.basis, A.basis, tol)
+    return A._cache[key]
+
+
 def center(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
-    """z = sum_l z_l b_l commuting with every b_i: the null space of the
-    commutators [b_l, b_i] = sum_k (c[l, i, k] - c[i, l, k]) b_k (scale 1)."""
-    c = A.structure_constants(tol)
-    M = (c - c.transpose(1, 0, 2)).transpose(1, 2, 0).reshape(-1, A.dim)
-    _, s, Vh = np.linalg.svd(M, full_matrices=False)
-    rank, gap = rank_cut(s, tol, "center", floor=1.0)
-    mats = np.tensordot(Vh[rank:].conj(), A.basis, axes=1)
-    return _from_space(OperatorSpace(A.ambient_dim, A.ambient_dim, mats, gap), tol)
+    """The span of the block projections of A's frame, HS-normalized."""
+    frame = _frame(A, tol)
+    projs = np.stack([np.einsum("xcj,ycj->xy", L, L.conj()) / np.sqrt(L[0].size)
+                      for L in frame.left])
+    return _from_space(OperatorSpace(A.ambient_dim, A.ambient_dim, projs, frame.gap), tol)
 
 
 def hermitian_basis(space: OperatorSpace) -> np.ndarray:
@@ -217,43 +217,9 @@ def hermitian_basis(space: OperatorSpace) -> np.ndarray:
     return hs_orthonormalize(herm, DEFAULT_TOL).mats
 
 
-def _minimal_central_projections(Z: FiniteCStarAlgebra, tol: float) -> list[np.ndarray]:
-    """Minimal projections of a commutative algebra Z by joint refinement: each
-    element of Z's Hermitian basis in turn splits every current projection
-    into its eigenspaces, so no generic weights are needed."""
-    frames = [np.eye(Z.ambient_dim, dtype=np.complex128)]
-    for h in hermitian_basis(Z.space):
-        refined = []
-        for V in frames:
-            ev, W = eigh_desc(V.conj().T @ h @ V)
-            splits = np.nonzero(-np.diff(ev) > 1e-3 * max(ev[0] - ev[-1], 1.0))[0]
-            refined += np.split(V @ W, splits + 1, axis=1)
-        frames = refined
-    projs = [V @ V.conj().T for V in frames]
-    if (Z.space.span_residual(np.stack(projs)) > 100.0 * tol).any():
-        raise ToleranceAmbiguity("a spectral projection leaves the center's span")
-    if any(hs_orthonormalize(p @ Z.basis, tol).dim != 1 for p in projs):
-        raise ToleranceAmbiguity("a spectral projection of the center is not minimal")
-    return projs
-
-
 def block_decomposition(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL):
-    """Wedderburn data [(size, multiplicity), ...], sorted."""
-    blocks = []
-    for p in _minimal_central_projections(center(A, tol), tol):
-        ideal = hs_orthonormalize(A.basis @ p, tol)
-        n = round(np.sqrt(ideal.dim))
-        if n * n != ideal.dim:
-            raise ToleranceAmbiguity(
-                f"block ideal dimension {ideal.dim} is not a perfect square"
-            )
-        r = round(float(np.trace(p).real))
-        if r % n:
-            raise ToleranceAmbiguity(
-                f"central projection rank {r} not divisible by block size {n}"
-            )
-        blocks.append((n, r // n))
-    return sorted(blocks)
+    """Wedderburn data [(size, multiplicity), ...] of A's frame, sorted."""
+    return sorted((n, m) for n, m, _ in _frame(A, tol).blocks)
 
 
 def star_isomorphic(A1: FiniteCStarAlgebra, A2: FiniteCStarAlgebra,

@@ -120,10 +120,11 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     (``adjointable_residual``), not against a built finite-rank algebra: the
     domain must lie in B^a(E) and contain every x y* of E.  Returns the two
     validated correspondences every method factors theta through: E with
-    theta's domain acting and F with theta acting.  They are kept with
-    theta, so a repeat on the same E, F and tol returns them at once."""
+    theta's domain acting and F with theta acting.  The verdict is kept with
+    theta, so a repeat on the same E, F and tol returns them at once (F's,
+    which holds theta, rebuilt: kept, it would make a reference cycle)."""
     if (theta._theta_verdict or ())[:3] == (E, F, tol):  # modules compare by identity
-        return theta._theta_verdict[3:]
+        return theta._theta_verdict[3], Correspondence(F, theta.domain, theta)
     if theta.domain.ambient_dim != E.dim_H:
         raise ValidationError("theta's domain does not act on E's total space")
     if theta.codomain_dim != F.dim_H:
@@ -139,8 +140,8 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     theta.validate(tol)
     F_corr = Correspondence(F, dom, theta)
     F_corr.validate(tol)
-    theta._theta_verdict = (E, F, tol, as_bimodule(E, dom, tol), F_corr)
-    return theta._theta_verdict[3:]
+    theta._theta_verdict = (E, F, tol, as_bimodule(E, dom, tol))
+    return theta._theta_verdict[3], F_corr
 
 
 def _unit_tensor(E_corr: Correspondence, F: HilbertModule, corr: Correspondence,

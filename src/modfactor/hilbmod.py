@@ -91,7 +91,7 @@ class Homomorphism:
         # tol -> (k, k) upper bounds on the product residuals, set where the
         # map is built when its construction certifies them; see validate
         self._product_bounds = None
-        # (E, F, tol, E_corr, F_corr) of the last passed validate_theta
+        # (E, F, tol, E_corr) of the last passed validate_theta
         self._theta_verdict: tuple | None = None
 
     def apply_many(self, mats, tol: float = DEFAULT_TOL) -> np.ndarray:

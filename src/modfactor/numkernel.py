@@ -1,7 +1,7 @@
 """Dense complex linear-algebra kernel.
 
-Hilbert-Schmidt orthonormal operator spaces, intertwiner (Sylvester-type)
-nullspace solving, PSD square roots / pseudo-inverses, and subspace
+Hilbert-Schmidt orthonormal operator spaces, Wedderburn frames and the
+intertwiners read off them, PSD square roots / pseudo-inverses, and subspace
 comparison.  Everything downstream reduces its "canonical identification"
 claims to rank decisions made here, so every rank cut uses a single
 relative tolerance and records the spectral gap across the cut.
@@ -25,10 +25,10 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-# Seed of the stage-1 weights of solve_intertwiners.
+# Seed of the weights of wedderburn_frame's generic elements.
 STAGE1_SEED = 2010
-# solve_intertwiners and structure_constants refuse to allocate a system
-# larger than this; it caps the ambient dimension of a commutant near 76.
+# wedderburn_frame and structure_constants refuse to allocate a stack larger
+# than this.
 MAX_SYSTEM_BYTES = 2**30
 
 __all__ = [
@@ -44,6 +44,8 @@ __all__ = [
     "rank_cut",
     "column_support",
     "hs_orthonormalize",
+    "WedderburnFrame",
+    "wedderburn_frame",
     "solve_intertwiners",
     "psd_sqrt_pinv",
     "subspace_equal",
@@ -136,21 +138,25 @@ def rank_cut(values: np.ndarray, tol: float, what: str = "rank cut",
         return 0, np.inf
     scale = max(v.max(), floor)
     cut = tol * scale
-    near = (v > cut / 10.0) & (v < cut * 10.0)
-    if near.any():
-        raise ToleranceAmbiguity(
-            f"{what}: value {v[near].max():.6e} lies within a factor 10 "
-            f"of the cut {cut:.6e}"
-        )
+    kept, gap = _decide(v, cut, what, v.size * np.finfo(float).eps * scale, residual)
     if residual > cut / 10.0:
         raise ToleranceAmbiguity(
             f"{what}: residual {residual:.6e} is not a factor 10 below "
             f"the cut {cut:.6e}")
-    kept = v[v > cut]
-    if not kept.size:
-        return 0, np.inf
-    dropped = max(v[v <= cut].max(initial=0.0), v.size * np.finfo(float).eps * scale)
-    return kept.size, float(kept.min() / (dropped + residual))
+    return int(kept.sum()), gap
+
+
+def _decide(v: np.ndarray, cut: float, what: str, floor: float, residual: float = 0.0):
+    """(v > cut, gap) of one cut, the gap the least value above it over the
+    largest below (floored, plus ``residual``; inf when none is above).
+    ToleranceAmbiguity when a value lies within a factor of ten of the cut."""
+    near = (v > cut / 10.0) & (v < cut * 10.0)
+    if near.any():
+        raise ToleranceAmbiguity(f"{what}: value {v[near].max():.6e} lies within a "
+                                 f"factor 10 of the cut {cut:.6e}")
+    above = v > cut
+    return above, np.inf if not above.any() else float(
+        v[above].min() / (max(v[~above].max(initial=0.0), floor) + residual))
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,9 +274,9 @@ def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
 
 @functools.lru_cache(maxsize=64)
 def _stage1_weights(k: int) -> np.ndarray:
-    """Read-only (2, k) weights of solve_intertwiners' generic Hermitian
-    element and generic combination: complex Gaussian, rows of unit norm, from
-    the fixed seed STAGE1_SEED.  The solution never depends on them."""
+    """Read-only (2, k) weights of wedderburn_frame's two generic elements:
+    complex Gaussian, rows of unit norm, from the fixed seed STAGE1_SEED.
+    The frame's certificate, not the draw, vouches for the result."""
     rng = np.random.default_rng(STAGE1_SEED)
     w = rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k))
     w /= np.linalg.norm(w, axis=1, keepdims=True)
@@ -290,43 +296,67 @@ def _combine(c: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return (c @ mats.reshape(len(mats), -1)).reshape(c.shape[:-1] + mats.shape[1:])
 
 
-def _null_space(A, B, W, tol: float, floor: float, what: str):
-    """(orthonormal basis of {X in span W : A[i] X = X B[i] for all i}, gap).
+@dataclass(frozen=True, eq=False)
+class WedderburnFrame:
+    """Unitary frames of the two sides of a family of pairs in which every
+    pair reads (+)_p a_p (x) 1, the same a_p on both sides: per block p, the
+    columns e_c (x) f_j as ``left[p][:, c, j]`` (n2, n_p, left multiplicity)
+    and ``right[p]`` (n1, n_p, right multiplicity).  ``gap`` is the least
+    ratio across a cluster or coupling cut (as in ``rank_cut``)."""
 
-    The residual system M, column j holding W[j]'s residuals, is F-ordered;
-    a tall M is first reduced in place to its square triangular factor by a
-    QR, whose SVD has the same singular values and right vectors, so the
-    tall left factor of a thin SVD is never formed."""
-    if not len(W):
-        return W, np.inf
-    M = np.matmul(A[None], W[:, None])
-    M -= np.matmul(W[:, None], B[None])
-    M = M.reshape(len(W), -1).T
-    if M.shape[0] > M.shape[1]:
-        # "raw" slices R from the top rows; "r" would triu-copy all of them
-        M = scipy.linalg.qr(M, mode="raw", overwrite_a=True, check_finite=False)[1]
-    _, s, Vh = np.linalg.svd(M, full_matrices=False)
-    rank, gap = rank_cut(s, tol, what, floor=floor)
-    return _combine(Vh[rank:].conj(), W), gap
+    left: list
+    right: list
+    gap: float
+
+    @property
+    def blocks(self) -> list:
+        """(n_p, left multiplicity, right multiplicity) per block."""
+        return [L.shape[1:] + R.shape[2:] for L, R in zip(self.left, self.right)]
+
+    def intertwiners(self) -> OperatorSpace:
+        """HS-orthonormal X = sum_c L_c Y R_c* / sqrt(n_p), one per block p and
+        matrix unit Y of its left-by-right multiplicity space."""
+        n2, n1 = len(self.left[0]), len(self.right[0])
+        mats = [np.matmul(L.transpose(2, 0, 1)[:, None], R.conj().transpose(2, 1, 0)[None])
+                .reshape(-1, n2, n1) / np.sqrt(L.shape[1]) for L, R in zip(self.left, self.right)]
+        return OperatorSpace(n2, n1, np.concatenate(mats), self.gap)
 
 
-def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace:
-    """HS-orthonormal basis of {X : lefts[i] X = X rights[i] for all i} for a
-    *-closed family (the pairs' span holds each pair's adjoint pair); N = n1*n2.
+def _clusters(eig, cut: float, floor: float, what: str):
+    """Clusters of per-side eigenpairs [(values descending, vectors)]: the
+    merged values are cut where sorted neighbours differ by more than
+    ``cut``.  Returns per cluster its per-side vectors, and the cut's gap."""
+    vals = np.sort(np.concatenate([w for w, _ in eig]))[::-1]
+    split, gap = _decide(-np.diff(vals), cut, f"{what}: cluster", floor)
+    t = (vals[:-1][split] + vals[1:][split]) / 2  # thresholds between clusters
+    return list(zip(*(np.split(U, np.searchsorted(-w, -t), axis=1) for w, U in eig))), gap
 
-    Stage 1 fits h_R = g + g*, g a generic combination of the rights, as
-    sum v_i rights[i]; with h_L = sum v_i lefts[i], every solution X has
-    (lam_i - mu_j) (Q* X P)_ij = E_ij in their eigenbases, where ||E|| <=
-    (2 delta + eps ||h_R||) ||X||, delta = max(fit residual, ||h_L - h_L*||),
-    the last term the eigensolves' roundoff.  So for c = max(tol*scale,
-    sqrt(N)*delta/tol, ||h_R||/100), X is within (2 tol/sqrt(N) + 100 eps) ||X||
-    of W0 = span{q_i p_j* : |lam_i - mu_j| <= c}.  In W0 a generic combination
-    of the pairs (the pairs if k <= 2), then every pair (stage 2), is imposed
-    by one null space each, cut at the constraints' operator scale, so a
-    poor draw only makes W0 larger.  Raises PreconditionError when delta >
-    100*tol*scale, and before forming W0 when stage 2 may need more than
-    MAX_SYSTEM_BYTES (16*k*N*dim W0 bytes, which bounds W0's systems too).
-    """
+
+def _spread(comps) -> float:
+    """An upper bound on the spread of the eigenvalues of Hermitian matrices."""
+    mid = [np.trace(C).real / len(C) for C in comps if len(C)]
+    return max(mid) - min(mid) + 2 * max(
+        hs_norm(C - np.trace(C).real / len(C) * np.eye(len(C))) for C in comps if len(C))
+
+
+def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame:
+    """Certified Wedderburn frame (Murota, Kanno, Kojima and Kojima, 2010) of
+    a *-closed family of pairs spanning a *-algebra of pairs: a basis and
+    its images under a *-representation.  Generic Hermitian h_r = g_r + g_r*,
+    g_r = sum_i w[r, i] rights[i] (r = 0, 1; ``_stage1_weights``), are fitted
+    as sum_i v_ri rights[i] and are sum_i v_ri lefts[i] on the left; delta is
+    the larger of the fit residual and ||h_L - h_L*||.  Each h_r, compressed
+    to each cluster, splits it where its sorted eigenvalues on both sides
+    differ by more than max(tol ||h||, 10 delta).  Clusters coupled through
+    g_1 (|Q_c* g_1 Q_d| normalised, cut at tol times the largest) form a
+    block, aligned to its first by those couplings.  Certificate, else
+    ToleranceAmbiguity: each cut clears a decade, the frame is unitary and
+    each pair in it is (+)_p a_p (x) 1, the rights' a_p on both sides, within
+    bound = 100 * tol * max_i (||lefts[i]|| + ||rights[i]||), HS norms.
+    PreconditionError when delta exceeds the bound, before a frame-coordinate
+    stack over MAX_SYSTEM_BYTES (16 k n^2 bytes), and unless the blocks
+    where the rights act hold sum n_p^2 = dim span(rights): then the a_p are
+    full, independent matrix algebras."""
     same = lefts is rights
     A = as_stack(lefts)
     B = A if same else as_stack(rights)
@@ -335,29 +365,84 @@ def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace
     k, n2, n1 = len(A), A.shape[1], B.shape[1]
     if A.shape[2] != n2 or B.shape[2] != n1:
         raise DimensionMismatch("left and right factors must be square")
-    scale = max(1e-30, float((2 * op_norm(A) if same else op_norm(A) + op_norm(B)).max()))
+    what = "solve_intertwiners"
+    _check_system_bytes(16 * k * max(n1, n2) ** 2, f"{what}: the frame-coordinate stack")
+    pairs = (A,) if same else (A, B)
+    bound = 100.0 * tol * max(1e-30, float(
+        (np.linalg.norm(A, axis=(1, 2)) + np.linalg.norm(B, axis=(1, 2))).max()))
     w = _stage1_weights(k)
-    g = _combine(w[0], B)
-    g += g.conj().T
-    v = np.linalg.lstsq(B.reshape(k, -1).T, g.ravel(), rcond=None)[0]
-    hR = _combine(v, B)
-    hL = hR if same else _combine(v, A)
-    delta = max(hs_norm(hR - g), hs_norm(hL - hL.conj().T))
-    if delta > 100.0 * tol * scale:
-        raise PreconditionError(f"solve_intertwiners: the family is not *-closed "
-                                f"(defect {delta:.3e} above {100.0 * tol * scale:.3e})")
-    lam, Q = eigh_desc(hL)
-    mu, P = (lam, Q) if same else eigh_desc(hR)
-    cut = max(tol * scale, np.sqrt(n1 * n2) * delta / tol, 1e-2 * np.abs(mu).max(initial=0.0))
-    i, j = np.nonzero(np.abs(lam[:, None] - mu[None, :]) <= cut)
-    _check_system_bytes(16 * k * n1 * n2 * len(i), "solve_intertwiners: the stage-2 system")
-    W = Q.T[i][:, :, None] * P.T.conj()[j][:, None, :]  # W[m] = q_i p_j*
-    gap = np.inf
-    if k > 2:
-        W, gap = _null_space(_combine(w[1:], A), _combine(w[1:], B), W, tol, scale,
-                             "solve_intertwiners")
-    W, gap2 = _null_space(A, B, W, tol, scale, "solve_intertwiners stage 2")
-    return OperatorSpace(n2, n1, W, min(gap, gap2))
+    g = _combine(w, B)
+    g += g.conj().transpose(0, 2, 1)
+    v, _, rank, _ = np.linalg.lstsq(B.reshape(k, -1).T, g.reshape(2, -1).T, rcond=None)
+    hs = [_combine(v.T, M) for M in pairs]
+    delta = max(hs_norm(hs[-1] - g), hs_norm(hs[0] - hs[0].conj().transpose(0, 2, 1)))
+    if delta > bound:
+        raise PreconditionError(f"{what}: the family is not *-closed "
+                                f"(defect {delta:.3e} above {bound:.3e})")
+    scale = max(hs_norm(h) for h in hs)
+    cut, floor = max(tol * scale, 10.0 * delta), (n1 + n2) * np.finfo(float).eps * scale
+    clusters, gap = _clusters([eigh_desc(h[0]) for h in hs], cut, floor, what)
+    gaps, refined = [gap], []
+    for c in clusters:  # h_1 compressed to each cluster splits what h_0 merged
+        comp = [V.conj().T @ h[1] @ V for V, h in zip(c, hs)]
+        if _spread(comp) < cut / 10:
+            refined.append(c)  # every eigenvalue within cut / 10: c stays whole
+            continue
+        sub, gap = _clusters([(w, V @ U) for V, (w, U) in zip(c, map(eigh_desc, comp))],
+                             cut, floor, what)
+        refined += sub
+        gaps.append(gap)
+    clusters = refined
+    # couplings through g_1, normalised so that those within block p are |(g_p)_cd|
+    nc = len(clusters)
+    dims = np.array([[V.shape[1] for V in c] for c in clusters])  # (clusters, sides)
+    offs = np.vstack([np.zeros(len(pairs), dtype=int), np.cumsum(dims, axis=0)])
+    G = [F.conj().T @ _combine(w[1], M) @ F for F, M in zip(map(np.hstack, zip(*clusters)), pairs)]
+    one_hot = [np.repeat(np.eye(nc), d, axis=0) for d in dims.T]
+    nu = np.sqrt(sum(m.T @ np.abs(Gs) ** 2 @ m for m, Gs in zip(one_hot, G))
+                 / np.maximum(dims[:, None], dims[None, :]).sum(axis=2).clip(1))
+    coupled = np.eye(nc, dtype=bool)
+    coupled[~coupled], gap = _decide(nu[~coupled], tol * nu.max(), f"{what}: coupling",
+                                     nu.size * np.finfo(float).eps * nu.max())
+    ref = np.argmax(coupled | coupled.T, axis=0)  # each cluster's first coupled one
+    if (ref[ref] != ref).any() or (dims != dims[ref]).any():
+        raise ToleranceAmbiguity(f"{what}: the couplings do not form blocks")
+
+    def aligned(d, s):
+        """Cluster d's side-s vectors, aligned to its block's first cluster."""
+        C = G[s][offs[ref[d], s]:offs[ref[d] + 1, s], offs[d, s]:offs[d + 1, s]]
+        V = clusters[d][s]
+        return V if ref[d] == d or not C.size else V @ C.conj().T * (len(C) ** 0.5 / hs_norm(C))
+    sides = [[np.stack([aligned(d, s) for d in np.flatnonzero(ref == b)], axis=1)
+              for b in np.unique(ref)] for s in range(len(pairs))]
+    frame = WedderburnFrame(sides[0], sides[-1], min(gaps + [gap]))
+    a = {}  # block p -> its a_p of every pair: the rights' where they act
+    for s in reversed(range(len(pairs))):
+        F = np.hstack([L.reshape(len(L), -1) for L in sides[s]])
+        if hs_norm(F.conj().T @ F - np.eye(len(F))) > bound:
+            raise ToleranceAmbiguity(f"{what}: the frame is not unitary")
+        T, o = np.matmul(np.matmul(F.conj().T, pairs[s]), F), 0
+        for p, (_, n, m) in enumerate(L.shape for L in sides[s]):
+            d = np.einsum("kajbj->kabj", T[:, o:o + n * m, o:o + n * m].reshape(k, n, m, n, m))
+            d -= a.setdefault(p, d.mean(axis=-1))[..., None] if m else 0.0
+            o += n * m
+        res = np.linalg.norm(T.reshape(k, -1), axis=1)
+        if res.max() > bound:
+            raise ToleranceAmbiguity(f"{what}: pair {int(np.argmax(res))} lies {res.max():.3e} "
+                                     f"from the frame's blocks (bound {bound:.3e})")
+    # a block where every right factor vanishes (a kernel) carries no algebra
+    held = sum(n * n for p, (n, _, mR) in enumerate(frame.blocks)
+               if mR and np.abs(a[p]).max() > bound)
+    if held != rank:
+        raise PreconditionError(f"{what}: the rights span {rank} dimensions, "
+                                f"not the {held} of their frame's algebra")
+    return frame
+
+
+def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace:
+    """HS-orthonormal basis of {X : lefts[i] X = X rights[i] for all i}, read
+    off the family's ``wedderburn_frame``: no null space is solved."""
+    return wedderburn_frame(lefts, rights, tol).intertwiners()
 
 
 def psd_sqrt_pinv(m, tol: float = DEFAULT_TOL):

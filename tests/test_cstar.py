@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfactor import cstar
+from modfactor import numkernel
 from modfactor.cstar import (
     FiniteCStarAlgebra,
-    _minimal_central_projections,
     algebra_from_basis,
     algebra_from_span,
     block_decomposition,
@@ -19,7 +19,7 @@ from modfactor.cstar import (
 )
 from modfactor.errors import PreconditionError, ToleranceAmbiguity, ValidationError
 from modfactor.numkernel import hs_orthonormalize, subspace_equal
-from conftest import matrix_unit
+from conftest import kronecker_intertwiners, matrix_unit
 
 
 def haar_conjugated(blocks, seed):
@@ -177,16 +177,36 @@ def test_identical_and_abelian_blocks_under_haar_conjugation(blocks):
         assert block_decomposition(A) == sorted(blocks), seed
 
 
-@pytest.mark.parametrize("mats", [
-    [matrix_unit(i, j, 2) for i in (1, 2) for j in (1, 2)],  # M2: p Z has dim 2
-    [np.eye(3), np.diag([1.0, 2.0, 4.0])],  # rank-one splits leave the span
+def _unit_weights(mats):
+    """Stage-1 weights whose two generic elements are multiples of the unit."""
+    c = np.trace(mats, axis1=1, axis2=2).conj()
+    return lambda k: np.tile(c / np.linalg.norm(c), (2, 1))
+
+
+@pytest.mark.parametrize("mats,error", [
+    ([matrix_unit(i, j, 2) for i in (1, 2) for j in (1, 2)], ToleranceAmbiguity),
+    ([np.eye(3), np.diag([1.0, 2.0, 4.0])], PreconditionError),
 ], ids=["not_minimal", "leaves_span"])
-def test_central_projection_checks(mats):
+def test_central_projection_checks(mats, error, monkeypatch):
+    # not_minimal: M2 with both generic elements multiples of the unit leaves
+    # one cluster of dimension 2, which the frame's certificate refuses.
+    # leaves_span: a span that is not an algebra; its frame's three blocks
+    # hold three dimensions, the span two, so the central projections would
+    # leave it
     space = hs_orthonormalize(mats)
     n = space.dim_out
     Z = FiniteCStarAlgebra(n, space, np.eye(n, dtype=complex))
-    with pytest.raises(ToleranceAmbiguity):
-        _minimal_central_projections(Z, 1e-9)
+    ref = kronecker_intertwiners(space.mats, space.mats)
+    if error is ToleranceAmbiguity:
+        assert center(Z).dim == ref.dim == 1
+        eq, dist = subspace_equal(commutant(Z).space, ref)
+        assert eq, dist
+        Z = FiniteCStarAlgebra(n, space, np.eye(n, dtype=complex))
+        monkeypatch.setattr(numkernel, "_stage1_weights", _unit_weights(space.mats))
+    with pytest.raises(error):
+        center(Z)
+    with pytest.raises(error):
+        block_decomposition(Z)
 
 
 def test_structure_constants_memory_guard_raises_before_allocating():

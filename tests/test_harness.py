@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -40,6 +42,21 @@ class TestGolden:
         assert methods["qons"]["status"] == "ok"
         assert methods["commutant"]["status"] == "ok"
         assert methods["unit_vector"]["status"] == "not_applicable"
+
+
+    def test_verification_leaves_no_reference_cycle(self):
+        # theta's verdict holds E's correspondence, not F's (which holds
+        # theta), so reference counting alone frees theta, E and F
+        gc.collect()
+        gc.disable()
+        try:
+            inst = golden_instance()
+            report = run_verification(inst)
+            refs = [weakref.ref(x) for x in (inst.theta, inst.E, inst.F)]
+            del inst, report
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
 
 
 class TestParsing:
@@ -485,13 +502,17 @@ class TestEachFactCheckedOnce:
         assert not rep.passed
         assert "error: ValidationError: boom" in rep.to_text()
 
-    def test_validate_theta_returns_the_kept_correspondences(self):
+    def test_validate_theta_returns_the_kept_correspondences(self, monkeypatch):
         inst = generate_random_instance(SPEC, 17)
         E_corr, F_corr = factorizations.validate_theta(inst.E, inst.F, inst.theta)
         assert E_corr.module is inst.E and E_corr.left is inst.theta.domain
         assert F_corr.module is inst.F and F_corr.left_action is inst.theta
+        checks = _count_calls(monkeypatch, factorizations, "adjointable_residual")
+        validations = _count_calls(monkeypatch, Correspondence, "validate")
         again = factorizations.validate_theta(inst.E, inst.F, inst.theta)
-        assert again[0] is E_corr and again[1] is F_corr
+        assert again[0] is E_corr
+        assert again[1].module is inst.F and again[1].left_action is inst.theta
+        assert checks == [] and validations == []
 
 
 class TestCertifiedConstructions:

@@ -3,11 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from modfactor import numkernel
-from modfactor.cstar import build_algebra, commutant
+from modfactor.cstar import (
+    algebra_from_basis,
+    block_decomposition,
+    build_algebra,
+    center,
+    commutant,
+)
 from modfactor.errors import (
     DimensionMismatch,
     ModfactorError,
@@ -27,6 +33,7 @@ from modfactor.numkernel import (
     rank_cut,
     solve_intertwiners,
     subspace_equal,
+    wedderburn_frame,
 )
 from conftest import haar_conjugated, haar_unitary, kronecker_intertwiners, matrix_unit
 
@@ -237,20 +244,6 @@ class TestSolveIntertwiners:
         assert eq, dist
 
 
-def _stage_dims(monkeypatch):
-    """Record the null-space dimension of every stage of solve_intertwiners."""
-    dims = []
-    real = numkernel._null_space
-
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        dims.append(len(out[0]))
-        return out
-
-    monkeypatch.setattr(numkernel, "_null_space", spy)
-    return dims
-
-
 def _random_star_representation(rng, m=None):
     """(lefts, rights): the Haar-conjugated amplification b (x) 1_m of a
     random block algebra's basis, and that basis Haar-conjugated."""
@@ -264,11 +257,25 @@ def _random_star_representation(rng, m=None):
     return v @ amplified @ v.conj().T, u @ basis @ u.conj().T
 
 
-def _unit_weights(mats):
-    """Weights whose Hermitian element and combination are both multiples of
-    the unit of the algebra that the orthonormal basis ``mats`` spans."""
+def _unit_weights(mats, generic_second_row=False):
+    """Weights whose Hermitian element, and unless ``generic_second_row``
+    also the second generic element, are multiples of the unit of the
+    algebra that the orthonormal basis ``mats`` spans."""
     c = np.trace(mats, axis1=1, axis2=2).conj()
-    return lambda k: np.tile(c / np.linalg.norm(c), (2, 1))
+    real = numkernel._stage1_weights
+
+    def weights(k):
+        w = np.tile(c / np.linalg.norm(c), (2, 1))
+        if generic_second_row:
+            w[1] = real(k)[1]
+        return w
+    return weights
+
+
+def _commutator_residual(mats, X):
+    """max |b X - X b| over the basis mats and the matrices X."""
+    comm = np.matmul(mats[:, None], X[None]) - np.matmul(X[None], mats[:, None])
+    return np.abs(comm).max()
 
 
 # the algebra-structure benchmark's ladder, n = 12, 17, 18 and 24
@@ -276,7 +283,7 @@ LADDER = [[(2, 3), (3, 2)], [(3, 3), (2, 4)], [(2, 2), (3, 2), (4, 2)], [(4, 3),
 
 
 class TestTwoStageSolve:
-    """The two-stage solve against the one-shot Kronecker reference."""
+    """The frame solve against the one-shot Kronecker reference."""
 
     def _assert_matches_reference(self, lefts, rights):
         out = solve_intertwiners(lefts, rights)
@@ -320,63 +327,169 @@ class TestTwoStageSolve:
     def test_roundoff_sized_defect_keeps_every_solution(self, rng):
         # a non-Hermitian term of size 1e-12 on each left factor moves the
         # eigenvalues of h_L off those of h_R by about that much, far above
-        # roundoff, so a cut of W0 at roundoff would drop solutions
+        # roundoff, so clusters cut at roundoff would drop solutions
         lefts, rights = _random_star_representation(rng, m=3)
         lefts = lefts + 1e-12 * random_complex(rng, *lefts.shape)
         out = self._assert_matches_reference(lefts, rights)
         assert out.dim > 0
 
-    def test_ladder_rungs_form_no_kronecker_system(self, monkeypatch, rng):
-        # every residual system has one column per element of the span it is
-        # solved in; a Kronecker system would have N
-        columns = []
-        real = numkernel._null_space
-
-        def spy(A, B, W, *args, **kwargs):
-            columns.append(len(W))
-            return real(A, B, W, *args, **kwargs)
-
-        monkeypatch.setattr(numkernel, "_null_space", spy)
+    def test_ladder_rungs_form_no_kronecker_system(self, rng):
+        # the frame works on k n x n matrices at a time: the solve allocates
+        # less than one N x N matrix, a k-th of the Kronecker system
         for blocks in LADDER:
             mats = haar_conjugated(blocks, rng)
             N = mats.shape[1] ** 2
-            columns.clear()
-            out = solve_intertwiners(mats, mats)
+            tracemalloc.start()
+            try:
+                out = solve_intertwiners(mats, mats)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 * N * N, (blocks, peak)
             assert out.dim == sum(m * m for _, m in blocks)
-            assert columns and max(columns) < N, (N, columns)
+            assert _commutator_residual(mats, out.mats) < 1e-12
 
-    def test_poor_stage1_draw_gives_a_larger_w0_and_the_same_answer(self, monkeypatch, rng):
+    def test_poor_stage1_draw_is_refused_or_exact(self, monkeypatch, rng):
+        # h a multiple of the unit merges every cluster: the second generic
+        # element refines them and the answer is the reference's; when it is
+        # a multiple of the unit too, the certificate refuses the frame
         mats = haar_conjugated([(2, 3), (3, 2)], rng)
-        dims = _stage_dims(monkeypatch)
         good = self._assert_matches_reference(mats, mats)
-        assert dims == [good.dim, good.dim]
+        monkeypatch.setattr(numkernel, "_stage1_weights",
+                            _unit_weights(mats, generic_second_row=True))
+        refined = self._assert_matches_reference(mats, mats)
+        assert refined.dim == good.dim == 13
         monkeypatch.setattr(numkernel, "_stage1_weights", _unit_weights(mats))
-        dims.clear()
-        poor = self._assert_matches_reference(mats, mats)
-        w0, final = dims
-        assert w0 > final == poor.dim == good.dim
+        with pytest.raises(ToleranceAmbiguity, match="from the frame's blocks"):
+            solve_intertwiners(mats, mats)
 
-    def test_memory_guard_raises_before_allocating(self):
+    def test_memory_guard_raises_before_allocating(self, monkeypatch):
         A = build_algebra([(10, 10)])  # a 100-dimensional algebra on C^100
+        # the frame-coordinate stack is 16*100*100^2 bytes, about 15 MiB
+        monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 2**20)
         tracemalloc.start()
         try:
-            # W0 has dimension 1000 (ten eigenvalues of multiplicity ten):
-            # stage 2 is bounded by 16*100*10^4*1000 bytes
-            with pytest.raises(PreconditionError, match=r"stage-2 system needs 15259 MiB"):
+            with pytest.raises(PreconditionError,
+                               match=r"frame-coordinate stack needs 15 MiB"):
                 commutant(A)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, peak
+        assert peak < 4 * 2**20, peak
 
-    def test_memory_guard_covers_stage_2(self, monkeypatch, rng):
-        # a poor draw (h a multiple of the unit) makes W0 the whole 144-dimensional
-        # space: the stage-1 system is 16*144*144 bytes, stage 2 at most 13x that
-        mats = haar_conjugated([(2, 3), (3, 2)], rng)
-        monkeypatch.setattr(numkernel, "_stage1_weights", _unit_weights(mats))
-        monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 10**6)
-        with pytest.raises(PreconditionError, match="stage-2 system needs 4 MiB"):
-            solve_intertwiners(mats, mats)
+    def test_commutant_of_m37(self):
+        # a full matrix algebra: its frame has 37 one-dimensional clusters
+        assert commutant(build_algebra([(37, 1)])).dim == 1
+
+    def test_commutant_at_ambient_dimension_100(self):
+        # M_10 (x) 1_10: the commutant is 1_10 (x) M_10
+        # (the projectors of subspace_equal would be 10^4 x 10^4)
+        out = commutant(build_algebra([(10, 10)]))
+        units = np.eye(100).reshape(100, 10, 10)
+        expected = np.stack([np.kron(np.eye(10), u) / np.sqrt(10) for u in units])
+        assert out.dim == 100
+        assert out.space.decompose(expected)[1].max() < 1e-12
+
+
+class TestWedderburnFrame:
+    def test_pairs_in_frame_coordinates(self, rng):
+        # lefts: the algebra amplified twice, rights: the algebra, both
+        # Haar-conjugated; every pair is (+)_p a_p (x) 1 with one a_p
+        blocks = [(2, 1), (3, 2)]
+        A = build_algebra(blocks)
+        u, v = haar_unitary(8, rng), haar_unitary(16, rng)
+        lefts = v @ np.stack([np.kron(b, np.eye(2)) for b in A.basis]) @ v.conj().T
+        rights = u @ A.basis @ u.conj().T
+        frame = wedderburn_frame(lefts, rights)
+        assert sorted(frame.blocks) == [(2, 2, 1), (3, 4, 2)]
+        for side, mats in ((frame.left, lefts), (frame.right, rights)):
+            F = np.hstack([L.reshape(len(L), -1) for L in side])
+            assert np.abs(F.conj().T @ F - np.eye(len(F))).max() < 1e-12
+            T = F.conj().T @ mats @ F
+            o = 0
+            for n, mL, mR in frame.blocks:
+                m = mL if side is frame.left else mR
+                a = np.einsum("kajbj->kab", T[:, o:o + n * m, o:o + n * m]
+                              .reshape(-1, n, m, n, m)) / m
+                T[:, o:o + n * m, o:o + n * m] -= np.stack([np.kron(x, np.eye(m)) for x in a])
+                o += n * m
+            assert np.abs(T).max() < 1e-12
+
+    def test_a_kernel_block_carries_no_algebra(self):
+        # a non-unital representation: every pair vanishes on the last
+        # coordinate, a block of the frame that holds no matrix algebra
+        basis = build_algebra([(1, 1), (2, 1)]).basis
+        mats = np.stack([scipy.linalg.block_diag(b, 0.0) for b in basis])
+        out = solve_intertwiners(mats, mats.copy())
+        ref = kronecker_intertwiners(mats, mats)
+        assert out.dim == ref.dim == 3
+        eq, dist = subspace_equal(out, ref)
+        assert eq, dist
+
+
+block_lists = st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3)
+
+
+class TestWedderburnFrameProperties:
+    """Haar-conjugated block algebras and random *-representations against
+    their known structure and the Kronecker reference."""
+
+    @seed(2010)
+    @settings(max_examples=25, deadline=None)
+    @given(block_lists, st.integers(0, 2**32 - 1))
+    def test_structure_of_haar_conjugated_algebras(self, blocks, draw):
+        mats = haar_conjugated(blocks, np.random.default_rng(draw))
+        A = algebra_from_basis(list(mats))
+        comm = commutant(A)
+        # a commuting orthonormal family of the commutant's dimension spans it
+        assert comm.dim == sum(m * m for _, m in blocks)
+        assert _commutator_residual(mats, comm.basis) < 1e-11
+        assert center(A).dim == len(blocks)
+        assert block_decomposition(A) == sorted(blocks)
+
+    @seed(2010)
+    @settings(max_examples=25, deadline=None)
+    @given(block_lists, st.integers(1, 2), st.integers(0, 2**32 - 1))
+    def test_intertwiners_of_random_representations(self, blocks, m, draw):
+        A = build_algebra(blocks)
+        n = A.ambient_dim
+        assume(m * n * n <= 400)  # keeps the Kronecker reference small
+        rng = np.random.default_rng(draw)
+        u, v = haar_unitary(n, rng), haar_unitary(n * m, rng)
+        lefts = v @ np.stack([np.kron(b, np.eye(m)) for b in A.basis]) @ v.conj().T
+        rights = u @ A.basis @ u.conj().T
+        out = solve_intertwiners(lefts, rights)
+        ref = kronecker_intertwiners(lefts, rights)
+        assert out.dim == ref.dim == m * sum(k * k for _, k in blocks)
+        eq, dist = subspace_equal(out, ref, 1e-8)
+        assert eq, dist
+
+    @seed(2010)
+    @settings(max_examples=40, deadline=None)
+    @given(block_lists, st.integers(-16, -3), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_near_degenerate_draw_is_exact_or_refused(self, blocks, decades, both, draw):
+        # weights within 10^decades of those whose generic element is the
+        # unit (row 0, or both rows): the frame gives the reference answer
+        # or raises ToleranceAmbiguity, never a wrong dimension
+        mats = haar_conjugated(blocks, np.random.default_rng(draw))
+        unit = _unit_weights(mats)
+        real = numkernel._stage1_weights
+
+        def weights(k):
+            w = unit(k) + 10.0 ** decades * real(k)
+            if not both:
+                w[1] = real(k)[1]
+            return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(numkernel, "_stage1_weights", weights)
+            try:
+                out = solve_intertwiners(mats, mats)
+            except ToleranceAmbiguity:
+                return
+        assert out.dim == sum(m * m for _, m in blocks)
+        # a poor draw costs accuracy, within the certificate's 100 * tol
+        assert _commutator_residual(mats, out.mats) < 1e-8
 
 
 class TestPsdSqrtPinv:
