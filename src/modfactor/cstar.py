@@ -15,11 +15,16 @@ from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
     _check_system_bytes,
+    _fro_norms,
+    as_stack,
     hs_norm,
     hs_orthonormalize,
-    solve_intertwiners,
     wedderburn_frame,
 )
+
+# The closure check forms the products b_i b_j in row blocks of about this
+# many bytes, so that they stay in cache.
+_CLOSURE_BLOCK_BYTES = 2**20
 
 __all__ = [
     "FiniteCStarAlgebra",
@@ -90,14 +95,27 @@ class FiniteCStarAlgebra:
 
 
 def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.ndarray:
-    """Decompose all k^2 products b_i b_j against the span at once and cache
-    the coefficients under tol; ValidationError naming the pair when a
+    """Decompose all k^2 products b_i b_j against the span and cache the
+    coefficients under tol; ValidationError naming the worst pair when a
     product lies farther than ``bound`` (HS) from the span, not cached.
-    PreconditionError before forming a product stack over MAX_SYSTEM_BYTES."""
+    The products b_i [b_0 | ... | b_{k-1}] of a block of rows i are one GEMM,
+    decomposed before the next block is formed.  PreconditionError when the
+    whole product stack would exceed MAX_SYSTEM_BYTES."""
     basis = A.basis
-    _check_system_bytes(16 * len(basis) ** 2 * basis[0].size,
-                        "structure_constants: the product stack")
-    cprod, closure = A.space.decompose(np.matmul(basis[:, None], basis[None]))
+    k, n, _ = basis.shape
+    _check_system_bytes(16 * k ** 2 * n ** 2, "structure_constants: the product stack")
+    bflat = basis.reshape(k, n * n)
+    bconj = bflat.conj().T
+    row = np.ascontiguousarray(basis.transpose(1, 0, 2)).reshape(n, k * n)
+    step = max(1, _CLOSURE_BLOCK_BYTES // (16 * k * n * n))
+    cprod, closure = np.empty((k, k, k), dtype=np.complex128), np.empty((k, k))
+    for i in range(0, k, step):
+        prods = (basis[i:i + step].reshape(-1, n) @ row).reshape(-1, n, k, n)
+        prods = prods.transpose(0, 2, 1, 3).reshape(-1, n * n)  # rows (i, j)
+        c = prods @ bconj
+        prods -= c @ bflat
+        cprod[i:i + step] = c.reshape(-1, k, k)
+        closure[i:i + step] = _fro_norms(prods).reshape(-1, k)
     if closure.max() > bound:
         i, j = np.unravel_index(np.argmax(closure), closure.shape)
         raise ValidationError(f"domain basis is not multiplicatively closed: the "
@@ -132,7 +150,7 @@ def algebra_from_span(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
 def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
     """Wrap an already-orthonormal basis verbatim (no re-orthonormalization,
     so index alignment with external data survives) and validate closure."""
-    arr = np.stack([np.asarray(m, dtype=np.complex128) for m in mats])
+    arr = as_stack(mats).copy()  # OperatorSpace freezes it, not the caller's
     if arr.shape[1] != arr.shape[2]:
         raise DimensionMismatch("algebra elements must be square")
     k = arr.shape[0]
@@ -178,8 +196,7 @@ def commutant(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> FiniteCStarAlg
     """{X : XA = AX for all A} on the same ambient space."""
     key = ("commutant", tol)
     if key not in A._cache:
-        space = solve_intertwiners(A.basis, A.basis, tol)
-        A._cache[key] = _from_space(space, tol)
+        A._cache[key] = _from_space(_frame(A, tol).intertwiners(), tol)
     return A._cache[key]
 
 
@@ -188,7 +205,7 @@ def _frame(A: FiniteCStarAlgebra, tol: float):
     (+)_p M_{n_p} (x) 1_{m_p} in it."""
     key = ("frame", tol)
     if key not in A._cache:
-        A._cache[key] = wedderburn_frame(A.basis, A.basis, tol)
+        A._cache[key] = wedderburn_frame(A.basis, A.space, tol)
     return A._cache[key]
 
 

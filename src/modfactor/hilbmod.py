@@ -206,7 +206,7 @@ def intertwiner_space(rho: Homomorphism, tol: float = DEFAULT_TOL) -> OperatorSp
     """HS-orthonormal basis of {X : rho(a) X = X a for a in rho's domain},
     the one intertwiner solve of every representation (the identity
     representation's is ``cstar.commutant``)."""
-    return solve_intertwiners(rho.images, rho.domain.basis, tol)
+    return solve_intertwiners(rho.images, rho.domain.space, tol)
 
 
 @dataclass(eq=False)

@@ -89,6 +89,13 @@ def hs_norm(x: np.ndarray) -> float:
     return float(np.linalg.norm(x))
 
 
+def _fro_norms(stack: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each row (or matrix) of a complex stack, from its
+    real view."""
+    v = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
 def op_norm(x: np.ndarray):
     """Operator (spectral) norm of a matrix (a float), or the per-matrix
     norms of a stack (..., r, c) from one stacked SVD."""
@@ -189,6 +196,11 @@ class OperatorSpace:
         """Row-stack of column-stacking vectorizations, shape (dim, out*in)."""
         return self.mats.transpose(0, 2, 1).reshape(
             self.dim, self.dim_out * self.dim_in)
+
+    def __getitem__(self, i):
+        """The i-th basis matrix, so that a space passes wherever a family of
+        matrices is read by index (the rights of ``solve_intertwiners``)."""
+        return self.mats[i]
 
     def _flat(self) -> np.ndarray:
         return self.mats.reshape(self.dim, self.dim_out * self.dim_in)
@@ -344,9 +356,11 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
     a *-closed family of pairs spanning a *-algebra of pairs: a basis and
     its images under a *-representation.  Generic Hermitian h_r = g_r + g_r*,
     g_r = sum_i w[r, i] rights[i] (r = 0, 1; ``_stage1_weights``), are fitted
-    as sum_i v_ri rights[i] and are sum_i v_ri lefts[i] on the left; delta is
-    the larger of the fit residual and ||h_L - h_L*||.  Each h_r, compressed
-    to each cluster, splits it where its sorted eigenvalues on both sides
+    as sum_i v_ri rights[i] and are sum_i v_ri lefts[i] on the left.  Rights
+    given as an (HS-orthonormal) OperatorSpace are fitted by one GEMM,
+    v_ri = <rights[i], h_r>, other families by least squares; delta is the
+    larger of the fit residual and ||h_L - h_L*||.  Each h_r, compressed to
+    each cluster, splits it where its sorted eigenvalues on both sides
     differ by more than max(tol ||h||, 10 delta).  Clusters coupled through
     g_1 (|Q_c* g_1 Q_d| normalised, cut at tol times the largest) form a
     block, aligned to its first by those couplings.  Certificate, else
@@ -357,6 +371,9 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
     stack over MAX_SYSTEM_BYTES (16 k n^2 bytes), and unless the blocks
     where the rights act hold sum n_p^2 = dim span(rights): then the a_p are
     full, independent matrix algebras."""
+    orthonormal = isinstance(rights, OperatorSpace)
+    if orthonormal:
+        rights = rights.mats
     same = lefts is rights
     A = as_stack(lefts)
     B = A if same else as_stack(rights)
@@ -373,8 +390,12 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
     w = _stage1_weights(k)
     g = _combine(w, B)
     g += g.conj().transpose(0, 2, 1)
-    v, _, rank, _ = np.linalg.lstsq(B.reshape(k, -1).T, g.reshape(2, -1).T, rcond=None)
-    hs = [_combine(v.T, M) for M in pairs]
+    if orthonormal:  # the fit is the coefficients, one GEMM
+        v, rank = g.reshape(2, -1) @ B.reshape(k, -1).conj().T, k
+    else:
+        v, _, rank, _ = np.linalg.lstsq(B.reshape(k, -1).T, g.reshape(2, -1).T, rcond=None)
+        v = v.T
+    hs = [_combine(v, M) for M in pairs]
     delta = max(hs_norm(hs[-1] - g), hs_norm(hs[0] - hs[0].conj().transpose(0, 2, 1)))
     if delta > bound:
         raise PreconditionError(f"{what}: the family is not *-closed "
@@ -441,7 +462,8 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
 
 def solve_intertwiners(lefts, rights, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """HS-orthonormal basis of {X : lefts[i] X = X rights[i] for all i}, read
-    off the family's ``wedderburn_frame``: no null space is solved."""
+    off the family's ``wedderburn_frame`` (rights a family of matrices or an
+    OperatorSpace): no null space is solved."""
     return wedderburn_frame(lefts, rights, tol).intertwiners()
 
 
@@ -471,12 +493,15 @@ def psd_sqrt_pinv(m, tol: float = DEFAULT_TOL):
 
 
 def subspace_equal(s1: OperatorSpace, s2: OperatorSpace, tol: float = DEFAULT_TOL):
-    """(equal, distance): operator-norm distance of the two span projections."""
+    """(equal, distance): operator-norm distance of the two span projections,
+    ||P1 - P2|| = max(||(1 - P2) P1||, ||(1 - P1) P2||), from the d x N
+    orthonormal bases (no N x N projector is formed)."""
     if (s1.dim_out, s1.dim_in) != (s2.dim_out, s2.dim_in):
         raise DimensionMismatch(
             f"ambient shapes differ: {(s1.dim_out, s1.dim_in)} vs "
             f"{(s2.dim_out, s2.dim_in)}"
         )
-    d = op_norm(s1.projector() - s2.projector())
+    q1, q2 = s1._flat(), s2._flat()
+    d = max(op_norm(q - (q @ p.conj().T) @ p) for q, p in ((q1, q2), (q2, q1)))
     return d <= tol, d
 

@@ -43,6 +43,7 @@ from .hilbmod import (
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
+    _fro_norms,
     as_matrix,
     hs_orthonormalize,
     norm_exceeds,
@@ -245,13 +246,6 @@ def _gram_coordinates(gram: np.ndarray, tol: float):
     sq = sum(np.linalg.norm(gram[i:i + 512] - Zh[i:i + 512] @ Z) ** 2
              for i in range(0, n, 512))
     return _factor_coordinates(Z, tol, float(np.sqrt(sq)))
-
-
-def _fro_norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each row (or matrix) of a complex stack, from its
-    real view."""
-    v = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", v, v))
 
 
 def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,9 +18,21 @@ from modfactor.cstar import (
     commutant,
     star_isomorphic,
 )
-from modfactor.errors import PreconditionError, ToleranceAmbiguity, ValidationError
-from modfactor.numkernel import hs_orthonormalize, subspace_equal
+from modfactor.errors import (
+    DimensionMismatch,
+    NonFiniteInput,
+    PreconditionError,
+    ToleranceAmbiguity,
+    ValidationError,
+)
+from modfactor.numkernel import OperatorSpace, hs_orthonormalize, subspace_equal
 from conftest import kronecker_intertwiners, matrix_unit
+
+
+def _bindings(name):
+    """(module, name) for every modfactor module that binds ``name``."""
+    return [(mod, name) for key, mod in list(sys.modules.items())
+            if key.startswith("modfactor") and hasattr(mod, name)]
 
 
 def haar_conjugated(blocks, seed):
@@ -156,9 +169,10 @@ def test_structure_solves_no_commutant(monkeypatch):
     """center, block_decomposition and star_isomorphic work inside A: they
     neither build the commutant nor solve an intertwiner system."""
     calls = []
-    for name in ("commutant", "solve_intertwiners"):
-        real = getattr(cstar, name)
-        monkeypatch.setattr(cstar, name, lambda *a, _n=name, _f=real, **kw:
+    # commutant where cstar binds it, solve_intertwiners in every module that does
+    for mod, name in [(cstar, "commutant")] + _bindings("solve_intertwiners"):
+        real = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda *a, _n=name, _f=real, **kw:
                             calls.append(_n) or _f(*a, **kw))
     A = haar_conjugated([(1, 1), (2, 1), (1, 2)], 3)
     assert center(A).dim == 3
@@ -220,3 +234,84 @@ def test_structure_constants_memory_guard_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_algebra_from_basis_rejects_non_finite_entries(bad):
+    basis = build_algebra([(1, 1), (2, 1)]).basis.copy()
+    basis[2, 1, 2] = bad
+    with pytest.raises(NonFiniteInput):
+        algebra_from_basis(basis)
+
+
+def test_algebra_from_basis_rejects_an_empty_basis():
+    with pytest.raises(DimensionMismatch):
+        algebra_from_basis([])
+
+
+def test_algebra_from_basis_leaves_the_callers_array_writeable():
+    basis = build_algebra([(1, 1), (2, 1)]).basis.copy()
+    A = algebra_from_basis(basis)
+    assert basis.flags.writeable and not A.basis.flags.writeable
+    basis[0] = 0.0
+    assert A.basis[0, 0, 0] != 0.0
+
+
+def test_one_frame_per_algebra_and_tol(monkeypatch):
+    frames = []
+    real = numkernel.wedderburn_frame
+    for mod, name in _bindings("wedderburn_frame"):
+        monkeypatch.setattr(mod, name, lambda *a, _f=real: frames.append(a[2]) or _f(*a))
+    A = haar_conjugated([(2, 2), (3, 1)], 4)
+    for tol in (1e-9, 1e-10):
+        assert commutant(A, tol).dim == 5
+        assert center(A, tol).dim == 2
+        assert block_decomposition(A, tol) == [(2, 2), (3, 1)]
+    assert frames == [1e-9, 1e-10]
+
+
+def test_orthonormal_rights_are_fitted_without_lstsq(monkeypatch):
+    fits = []
+    real = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **kw: fits.append(a) or real(*a, **kw))
+    A = haar_conjugated([(2, 2), (3, 1)], 5)
+    assert commutant(A).dim == 5 and center(A).dim == 2
+    assert fits == []
+
+
+def _one_shot_closure(A):
+    """The closure check the row blocks replaced: all k^2 products at once,
+    decomposed against the span."""
+    return A.space.decompose(np.matmul(A.basis[:, None], A.basis[None]))
+
+
+def _block_rows(A):
+    k, n = A.dim, A.ambient_dim
+    return max(1, cstar._CLOSURE_BLOCK_BYTES // (16 * k * n * n))
+
+
+def test_blocked_closure_check_matches_the_one_shot_check():
+    A = haar_conjugated([(4, 3), (3, 4)], 6)  # k = 25 on C^24
+    assert A.dim > 2 * _block_rows(A)  # at least three row blocks
+    cprod, closure = _one_shot_closure(A)
+    assert np.abs(A.structure_constants() - cprod).max() <= 1e-12
+    assert np.abs(A.closure_residuals() - closure).max() <= 1e-12
+
+
+def test_worst_product_in_a_later_row_block_is_named():
+    # M2 (x) 1_26 and one Hermitian X = E_11 (x) (f_1 f_2* + f_2 f_1*) / sqrt 2
+    # orthogonal to it: X^2 lies 0.69 from the span, every other product at
+    # most 1 / sqrt 26; X comes last, beyond the first row block
+    m = 26
+    flip = np.zeros((m, m))
+    flip[0, 1] = flip[1, 0] = 2 ** -0.5
+    X = np.kron(matrix_unit(1, 1, 2), flip)
+    u = np.linalg.qr(np.random.default_rng(7).standard_normal((2 * m,) * 2))[0]
+    mats = np.concatenate([build_algebra([(2, m)]).basis, X[None]])
+    mats = np.einsum("ab,kbc,dc->kad", u, mats, u)
+    Z = FiniteCStarAlgebra(2 * m, OperatorSpace(2 * m, 2 * m, mats), np.eye(2 * m))
+    closure = _one_shot_closure(Z)[1]
+    i, j = np.unravel_index(np.argmax(closure), closure.shape)
+    assert (i, j) == (4, 4) and i >= _block_rows(Z)
+    with pytest.raises(ValidationError, match=r"basis elements \(4, 4\) leaves the span"):
+        algebra_from_basis(mats)

@@ -415,6 +415,20 @@ class TestOracleUpToUnitary:
             assert rep.passed
             assert rep.body["oracle"]["max_residual"] <= 1e-8
 
+    def test_the_raw_theta2_images_are_fitted_by_least_squares(self, tmp_path, monkeypatch):
+        # theta2's images of the domain basis are not HS-orthonormal, so the
+        # moved-coordinates solve fits its generic elements by lstsq; every
+        # other solve of a parse has an orthonormal domain and needs none
+        fits = _count_calls(monkeypatch, np.linalg, "lstsq")
+        inst = generate_random_instance(SPEC, 1)
+        save_instance(inst, str(tmp_path / "own.json"))
+        parse_instance(str(tmp_path / "own.json"))
+        assert fits == []
+        u = haar_unitary(inst.F.dim_H, np.random.default_rng(1))
+        save_instance(_rotated_F(inst, u), str(tmp_path / "rotated.json"))
+        parse_instance(str(tmp_path / "rotated.json"))
+        assert [a[0].shape for a in fits] == [(inst.F.dim_H ** 2, inst.theta.domain.dim)]
+
     def test_theta_conjugated_off_F_is_rejected(self, tmp_path):
         # over C (+) C, a Haar unitary of H_F mixes F's two summands, so it
         # does not preserve F and moves theta out of B^a(F)

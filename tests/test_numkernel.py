@@ -560,6 +560,36 @@ class TestSubspaceEqual:
             assert not eq and abs(dist - 1.0) <= 1e-12
         assert subspace_equal(empty, empty) == (True, 0.0)
 
+    @pytest.mark.parametrize("d1,d2,noise", [
+        (3, 3, 0.0), (3, 3, 1e-7), (4, 4, 1.0), (2, 5, 1e-7), (5, 2, 1.0),
+        (0, 4, 0.0), (4, 0, 0.0), (0, 0, 0.0)])
+    def test_matches_the_projector_formula(self, rng, d1, d2, noise):
+        # spans of 3x4 matrices: the second shares min(d1, d2) of the first's
+        # basis matrices, moved by noise, and is completed at random
+        mats = random_complex(rng, max(d1, d2, 1), 3, 4)
+        s1 = hs_orthonormalize(mats[:d1]) if d1 else OperatorSpace(3, 4, mats[:0])
+        moved = mats[:d2] + noise * random_complex(rng, d2, 3, 4)
+        s2 = hs_orthonormalize(moved) if d2 else OperatorSpace(3, 4, mats[:0])
+        # the N x N projectors subspace_equal no longer forms
+        ref = op_norm(s1.projector() - s2.projector())
+        assert abs(subspace_equal(s1, s2)[1] - ref) <= 1e-12
+
+    def test_ambient_dimension_100_without_projectors(self):
+        # the commutant of M_10 (x) 1_10 is 1_10 (x) M_10: N = 10^4, so the
+        # two span projectors alone would take 3.2 GB
+        out = commutant(build_algebra([(10, 10)])).space
+        units = np.eye(100).reshape(100, 10, 10)
+        expected = OperatorSpace(100, 100, np.stack(
+            [np.kron(np.eye(10), u) / np.sqrt(10) for u in units]))
+        tracemalloc.start()
+        try:
+            eq, dist = subspace_equal(out, expected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eq and dist <= 1e-12, dist
+        assert peak < 64 * 2**20, peak
+
 
 def _einsum_decomposition(space, m):
     """The per-matrix evaluation decompose replaced: coefficients by an
