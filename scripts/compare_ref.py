@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare the canonical outputs of a git revision with those of the work tree.
 
-Usage: python scripts/compare_ref.py REF [--large]
+Usage: python scripts/compare_ref.py REF [--large] [--xl]
 
 It unpacks ``git archive REF`` into a temporary directory, runs
 ``scripts/canonical_outputs.py`` there and in the work tree (each with
@@ -9,7 +9,7 @@ It unpacks ``git archive REF`` into a temporary directory, runs
 output directories, and prints how many files ``diff -r`` finds different.
 Then it parses and verifies, with the work tree's ``src``, every instance
 file that REF wrote, so that files written by an older build are checked to
-stay readable.  ``--large`` is passed on to both runs.  The exit status is 0
+stay readable.  ``--large`` and ``--xl`` are passed on to both runs.  The exit status is 0
 when ``--compare`` passes and every such file parses and verifies, else 1.
 A nonzero ``diff -r`` count alone (floats re-expressed or moved by
 roundoff) does not fail.  It needs no network and creates no git worktree;
@@ -29,11 +29,9 @@ ONE_THREAD = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 
 
-def _outputs(checkout: Path, outdir: Path, large: bool) -> None:
+def _outputs(checkout: Path, outdir: Path, flags: list) -> None:
     cmd = [sys.executable, str(checkout / "scripts" / "canonical_outputs.py"), str(outdir)]
-    if large:
-        cmd.append("--large")
-    subprocess.run(cmd, cwd=checkout, env=ONE_THREAD, check=True)
+    subprocess.run(cmd + flags, cwd=checkout, env=ONE_THREAD, check=True)
 
 
 # Run with the work tree's src: parse and verify every *.instance.json of a
@@ -63,6 +61,7 @@ def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("ref", help="git revision to compare against")
     ap.add_argument("--large", action="store_true", help="also write instance a")
+    ap.add_argument("--xl", action="store_true", help="also write instance b")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory(prefix="compare_ref_") as tmp:
         tmp = Path(tmp)
@@ -75,8 +74,9 @@ def main() -> int:
         with tarfile.open(tar_path) as tar:
             tar.extractall(ref_tree, filter="data")
         old, new = tmp / "out_ref", tmp / "out_work"
-        _outputs(ref_tree, old, args.large)
-        _outputs(ROOT, new, args.large)
+        flags = [f for f, on in (("--large", args.large), ("--xl", args.xl)) if on]
+        _outputs(ref_tree, old, flags)
+        _outputs(ROOT, new, flags)
         status = subprocess.run([sys.executable, str(ROOT / "scripts" / "canonical_outputs.py"),
                                  "--compare", str(old), str(new)]).returncode
         diff = subprocess.run(["diff", "-rq", str(old), str(new)],

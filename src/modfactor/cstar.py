@@ -100,14 +100,15 @@ def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.
     product lies farther than ``bound`` (HS) from the span, not cached.
     The products b_i [b_0 | ... | b_{k-1}] of a block of rows i are one GEMM,
     decomposed before the next block is formed.  PreconditionError when the
-    whole product stack would exceed MAX_SYSTEM_BYTES."""
+    k^3 constants and one row block would exceed MAX_SYSTEM_BYTES."""
     basis = A.basis
     k, n, _ = basis.shape
-    _check_system_bytes(16 * k ** 2 * n ** 2, "structure_constants: the product stack")
+    step = min(k, max(1, _CLOSURE_BLOCK_BYTES // (16 * k * n * n)))
+    _check_system_bytes(16 * (k ** 3 + step * k * n * n),
+                        "structure_constants: the constants and one row block of products")
     bflat = basis.reshape(k, n * n)
     bconj = bflat.conj().T
     row = np.ascontiguousarray(basis.transpose(1, 0, 2)).reshape(n, k * n)
-    step = max(1, _CLOSURE_BLOCK_BYTES // (16 * k * n * n))
     cprod, closure = np.empty((k, k, k), dtype=np.complex128), np.empty((k, k))
     for i in range(0, k, step):
         prods = (basis[i:i + step].reshape(-1, n) @ row).reshape(-1, n, k, n)

@@ -61,16 +61,15 @@ from .tensorcalc import (
     _column_blocks,
     _gram_coordinates,
     _induced_action,
+    _map_from_factored,
     _representation_inverter,
     adjoint_unitary,
     certify_module_unitary,
     compose_unitaries,
     flip_unitary,
-    hstack_blocks,
     identity_unitary,
     interior_tensor,
     intertwining_residual,
-    map_from_spanning,
     unitarity_residual,
 )
 
@@ -117,12 +116,13 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
                    tol: float = DEFAULT_TOL) -> tuple[Correspondence, Correspondence]:
     """theta must be a unital *-homomorphism from B^a(E) into B^a(F), for
     nondegenerate E and F.  Membership is tested by invariance
-    (``adjointable_residual``), not against a built finite-rank algebra: the
-    domain must lie in B^a(E) and contain every x y* of E.  Returns the two
-    validated correspondences every method factors theta through: E with
-    theta's domain acting and F with theta acting.  The verdict is kept with
-    theta, so a repeat on the same E, F and tol returns them at once (F's,
-    which holds theta, rebuilt: kept, it would make a reference cycle)."""
+    (``adjointable_residual``): the domain must lie in B^a(E) = K(E) and
+    contain every x y* of E, and becomes E's ``finite_rank_algebra`` (if E
+    has none) when they lie within tol of it.  Returns the correspondences
+    every method factors theta through, validated: E with theta's domain
+    acting and F with theta acting.  The verdict is kept with theta, so a
+    repeat on the same E, F and tol returns them at once (F's rebuilt: it
+    holds theta, and kept it would make a reference cycle)."""
     if (theta._theta_verdict or ())[:3] == (E, F, tol):  # modules compare by identity
         return theta._theta_verdict[3], Correspondence(F, theta.domain, theta)
     if theta.domain.ambient_dim != E.dim_H:
@@ -130,8 +130,8 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if theta.codomain_dim != F.dim_H:
         raise ValidationError("theta's images do not act on F's total space")
     dom = theta.domain
-    if adjointable_residual(E, dom.basis, tol, "E").max() > 1e-6 or \
-            dom.space.span_residual(finite_rank_products(E)).max() > 1e-6:
+    spans = dom.space.span_residual(finite_rank_products(E)).max()
+    if adjointable_residual(E, dom.basis, tol, "E").max() > 1e-6 or spans > 1e-6:
         raise ValidationError("theta's domain is not the adjointable algebra of E")
     bad = np.flatnonzero(adjointable_residual(F, theta.images, tol, "F") > 1e-6)
     if bad.size:
@@ -140,6 +140,8 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     theta.validate(tol)
     F_corr = Correspondence(F, dom, theta)
     F_corr.validate(tol)
+    if spans <= tol:
+        E._cache.setdefault(("finite_rank", tol), dom)
     theta._theta_verdict = (E, F, tol, as_bimodule(E, dom, tol))
     return theta._theta_verdict[3], F_corr
 
@@ -189,10 +191,7 @@ def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     Dual element j is x_j* for E's basis element x_j, also where the dual's
     total space is trimmed: it then stores V* x_j* with V V* x_j* = x_j*."""
     E_corr, F_corr = validate_theta(E, F, theta, tol)
-    Estar = dual_module(E, tol)
-    # re-express the dual over theta's domain algebra so all bases align
-    dual_mod = module_from_parts(theta.domain, Estar.module.space, tol)
-    dual_corr = Correspondence(dual_mod, Estar.left, Estar.left_action)
+    dual_corr = dual_module(E, tol)  # over K(E), theta's domain when it spans K(E)
     tp1 = interior_tensor(dual_corr, F_corr, tol)
     Ftheta = tp1.result
 
@@ -355,11 +354,8 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     Fpp.validate(tol)
 
     tp = _unit_tensor(E_corr, F, Fpp, "commutant", tol)
-    k = E.dim
-    T = np.hstack([np.hstack([W.mats[j] @ E.basis[i] for j in range(kw)])
-                   for i in range(k)])
-    D = tp.S @ np.kron(np.eye(k), S_P)
-    U = map_from_spanning(D, T)
+    # x_i (x) S_P (w_j (x) g) -> w_j x_i g, blocks (i, j)
+    U = _map_from_factored(np.matmul(W.mats[None], E.basis[:, None]), S_P_pinv, tp.S_pinv)
     unitary, residuals = _certify("commutant", tp, F_corr, theta, U)
     report = {
         "dims": {"correspondence": Fpp_mod.dim, "correspondence_total": rP,
@@ -449,16 +445,12 @@ def _cmp_unit_vector_to_unit_vector(ra, rb, tol):
 
 
 def _cmp_dual_to_commutant(ra, rb, tol):
-    """Through the flip chain: x* (x) (w y g) -> w (x) <x, y> g."""
-    tp1: TensorProduct = ra.aux["tp_corr"]
-    E: HilbertModule = ra.aux["E"]
-    W: OperatorSpace = rb.aux["W"]
-    S_P = rb.aux["S_P"]
-    # column blocks (j, l, m): S1_j (w_l y_m) and S_P,l (x_j* y_m)
-    D = tp1.blocks()[:, None, None] @ np.matmul(W.mats[:, None], E.basis[None])[None]
-    T = _column_blocks(S_P, W.dim)[None, :, None] @ \
-        np.matmul(_adjoints(E.basis)[:, None], E.basis[None])[:, None]
-    U = map_from_spanning(hstack_blocks(D), hstack_blocks(T))
+    """Through the flip chain: x* (x) (w y g) -> w (x) <x, y> g, on domain
+    columns S1 (1 (x) [w_l y_m]), whose right inverse the flip keeps."""
+    # blocks (j, m, l): S_P,l (x_j* y_m), in the flip's (m, l) order
+    T = _column_blocks(rb.aux["S_P"], rb.aux["W"].dim)[None, None] @ \
+        _pairwise_inner(ra.aux["E"].basis)[:, :, None]
+    U = _map_from_factored(T, rb.aux["flip"].meta["right_inverse"], ra.aux["tp_corr"].S_pinv)
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", "commutant")})
 

@@ -34,7 +34,7 @@ from .hilbmod import (
     Correspondence,
     HilbertModule,
     Homomorphism,
-    _adjoints,
+    _pairwise_inner,
     build_module,
     dual_qons_family,
     finite_rank_algebra,
@@ -71,8 +71,7 @@ from .tensorcalc import (
     adjoint_unitary,
     certify_module_unitary,
     compose_unitaries,
-    hstack_blocks,
-    map_from_spanning,
+    _map_from_factored,
     unit_identities,
 )
 
@@ -579,13 +578,11 @@ def oracle_unitary(res_dual: FactorizationResult, M: Correspondence, tp_F,
                    tol: float = DEFAULT_TOL):
     """Certified unitary from the dual-method correspondence onto a seeded
     oracle M, via x* (x) coord_F(y (x) h) -> rho_M(<x, y>) h, where the
-    tensor product ``tp_F`` realizes F = E (.) M."""
+    tensor product ``tp_F`` realizes F = E (.) M, on domain columns S_corr (1 (x) S_F)."""
     E: HilbertModule = res_dual.aux["E"]
-    # column blocks (j, m): tp_F's block m maps H_M -> H_F
-    D = res_dual.aux["tp_corr"].blocks()[:, None] @ tp_F.blocks()[None]
-    pairs = np.matmul(_adjoints(E.basis)[:, None], E.basis[None])
-    T = M.left_action.apply_many(pairs.reshape(-1, E.dim_G, E.dim_G), tol)
-    U = map_from_spanning(hstack_blocks(D), hstack_blocks(T))
+    T = M.left_action.apply_many(_pairwise_inner(E.basis).reshape(-1, E.dim_G, E.dim_G), tol)
+    U = _map_from_factored(T.reshape(E.dim, E.dim, *T.shape[1:]), tp_F.S_pinv,
+                           res_dual.aux["tp_corr"].S_pinv)
     return certify_module_unitary(res_dual.correspondence, M, U,
                                   {"kind": "oracle link"})
 

@@ -395,7 +395,8 @@ def finite_rank_products(E: HilbertModule) -> np.ndarray:
 def finite_rank_algebra(E: HilbertModule, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
     """Span of the rank-one operators x y* on H; unital on H at finite
     dimension for nondegenerate modules.  The span is *-closed by
-    construction, so only identity membership is checked numerically."""
+    construction, so only identity membership is checked numerically.
+    ``validate_theta`` keeps theta's domain here when it spans the x y*."""
     key = ("finite_rank", tol)
     if key not in E._cache:
         prods = finite_rank_products(E).reshape(-1, E.dim_H, E.dim_H)
@@ -657,7 +658,10 @@ def commutant_bimodule(X: Correspondence, tol: float = DEFAULT_TOL) -> Correspon
 
 
 def module_over_itself(B: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> HilbertModule:
-    return build_module(B, [B.unit], tol)
+    """B on its own basis: its closure residuals certify the right action
+    and, B being *-closed, the inner products b* c."""
+    B.structure_constants(tol)
+    return HilbertModule(B, B.space)
 
 
 def algebra_bimodule(B: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> Correspondence:

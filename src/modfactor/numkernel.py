@@ -98,9 +98,10 @@ def _fro_norms(stack: np.ndarray) -> np.ndarray:
 
 def op_norm(x: np.ndarray):
     """Operator (spectral) norm of a matrix (a float), or the per-matrix
-    norms of a stack (..., r, c) from one stacked SVD."""
+    norms of a stack (..., r, c) from one stacked SVD: the largest singular
+    value, the one ``np.linalg.norm(x, 2)`` takes from the same LAPACK call."""
     x = np.asarray(x)
-    n = np.linalg.norm(x, 2, axis=(-2, -1)) if x.size else np.zeros(x.shape[:-2])
+    n = np.linalg.svd(x, compute_uv=False)[..., 0] if x.size else np.zeros(x.shape[:-2])
     return float(n) if x.ndim == 2 else n
 
 

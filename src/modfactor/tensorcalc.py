@@ -163,6 +163,14 @@ def map_from_spanning(domain_vecs: np.ndarray, target_vecs: np.ndarray) -> np.nd
     return target_vecs @ np.linalg.pinv(domain_vecs)
 
 
+def _map_from_factored(T: np.ndarray, R: np.ndarray, S_pinv: np.ndarray) -> np.ndarray:
+    """T (1 (x) R) S+, the map sending the columns of S (1 (x) D) to T's, for
+    right inverses R of D and S+ of S, with no Kronecker product.  T is the
+    stack (k, ..., r, w) of its column blocks in C order; 1 acts on k."""
+    rows = np.moveaxis(T, -2, 1).reshape(len(T), T.shape[-2], -1)
+    return hstack_blocks(rows @ R) @ S_pinv
+
+
 # ---------------------------------------------------------------------------
 # interior tensor product
 
@@ -282,14 +290,10 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
     moved = np.matmul(acts[:, None], space.mats[None]).reshape(m * k, -1)
     C = (moved @ xflat.conj().T).reshape(m, k, k)
     R_X = _fro_norms((moved - C.reshape(m * k, k) @ xflat).reshape(m, -1))
-    # S (C_a (x) 1_w) without forming the Kronecker product: contract S's
-    # left-factor index with C_a, keeping its C^w index
-    St = S.reshape(r, k, w).transpose(0, 2, 1).reshape(r * w, k)
-    SC = (St @ C.transpose(0, 2, 1)).reshape(m, r, w, k).transpose(0, 1, 3, 2)
-    images = SC.reshape(m, r, k * w) @ S_pinv
-    # C[a] is C_a transposed, so (C_a (x) 1) S+ is C_a @ S+ over the x index
-    CS = C.transpose(0, 2, 1) @ S_pinv.reshape(k, w * r)
-    R_inv = _fro_norms(CS.reshape(m, k * w, r) - S_pinv @ images)
+    # (C_a (x) 1_w) S+ without a Kronecker product (C[a] is C_a^T); pi(a) is S times it
+    CS = (C.transpose(0, 2, 1) @ S_pinv.reshape(k, w * r)).reshape(m, k * w, r)
+    images = S @ CS
+    R_inv = _fro_norms(CS - S_pinv @ images)
 
     norm_S = float(_fro_norms(S).max())  # S S* is diagonal
     norm_pi = _fro_norms(images)
@@ -422,7 +426,8 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     The coordinates S+ = V Sigma^{-1} come from the thin SVD of the concrete
     factor (rank cut on sigma^2), so U = cols S+ is isometric by
     construction; the residual also measures S+* gram S+ against the
-    identity, so the abstract Gram still certifies the flip.
+    identity, so the abstract Gram still certifies the flip.  meta keeps
+    S+ U*, a right inverse of cols when they span H.
     """
     if W.dim_in != E.dim_H:
         raise DimensionMismatch("W must compose with module elements on H")
@@ -447,7 +452,7 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     eye = np.eye(len(S))
     ru = max(op_norm(U.conj().T @ U - eye), op_norm(S_pinv.conj().T @ gram @ S_pinv - eye))
     return ModuleUnitary(("abstract tensor", "E.W.G"), ("concrete span", "W L_E G"),
-                         U, float(ru), 0.0, {"gap": gap})
+                         U, float(ru), 0.0, {"gap": gap, "right_inverse": S_pinv @ U.conj().T})
 
 
 # ---------------------------------------------------------------------------

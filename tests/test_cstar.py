@@ -228,12 +228,30 @@ def test_structure_constants_memory_guard_raises_before_allocating():
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError,
-                           match=r"structure_constants: the product stack needs 11124 MiB"):
+                           match=r"structure_constants: the constants and one row block "
+                                 r"of products needs 11136 MiB"):
             A.structure_constants()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20, peak
+
+
+def test_structure_constants_guard_prices_constants_and_one_row_block(monkeypatch):
+    # M_4 (x) 1_6 on C^24: k = 16, n = 24.  The k^2 products would take 2.25
+    # MiB; the constants (64 KiB) and a row block of 7 rows (1008 KiB) fit
+    # under 2 MiB, since the check never stacks every product
+    k, n = 16, 24
+    assert 16 * k ** 2 * n ** 2 > 2 * 2**20
+    monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 2 * 2**20)
+    A = haar_conjugated([(4, 6)], 11)  # algebra_from_basis runs the closure check
+    assert A.structure_constants(1e-9).shape == (k, k, k)
+
+
+def test_structure_constants_guard_refuses_constants_over_the_limit(monkeypatch):
+    monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 16 * 16 ** 3 - 1)
+    with pytest.raises(PreconditionError, match="the constants and one row block"):
+        haar_conjugated([(4, 6)], 11)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from modfactor import factorizations, harness, hilbmod, numkernel, tensorcalc
-from modfactor.cstar import build_algebra, commutant
+from modfactor.cstar import algebra_from_basis, build_algebra, commutant
 from modfactor.errors import PreconditionError, UnsupportedPair, ValidationError
 from modfactor.factorizations import (
     compare,
@@ -216,6 +217,27 @@ class TestValidateTheta:
         parsed = harness.parse_instance(str(path))
         assert harness.run_verification(parsed).passed
         assert checked == [parsed.F]
+
+
+    def test_a_domain_spanning_K_within_tol_becomes_K(self, block_algebra):
+        E = module_over_itself(block_algebra)
+        theta = Homomorphism(block_algebra, 3, block_algebra.basis.copy())
+        validate_theta(E, E, theta)
+        assert finite_rank_algebra(E) is block_algebra
+
+    def test_a_domain_spanning_K_only_within_1e_6_keeps_a_built_K(self, block_algebra):
+        # the domain U B U* for U = exp(i eps h) contains the x y* of E = B
+        # (K(E) = B) within about eps: inside 1e-6, outside tol
+        E = module_over_itself(block_algebra)
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        u = scipy.linalg.expm(1e-8j * (h + h.conj().T))
+        dom = algebra_from_basis(u @ block_algebra.basis @ u.conj().T)
+        spans = dom.space.span_residual(hilbmod.finite_rank_products(E)).max()
+        assert 1e-9 < spans < 1e-6
+        validate_theta(E, E, Homomorphism(dom, 3, dom.basis.copy()))
+        K = finite_rank_algebra(E)
+        assert K is not dom and K.dim == block_algebra.dim
 
 
 def first_image_outside_K_F(F, theta):

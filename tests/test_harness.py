@@ -1,14 +1,16 @@
 import dataclasses
 import gc
 import json
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modfactor import cstar, factorizations, harness
+from modfactor import cstar, factorizations, harness, hilbmod, tensorcalc
 from modfactor.errors import InfeasibleSpec, ParseError, ValidationError
 from modfactor.harness import (
     GenSpec,
@@ -527,6 +529,47 @@ class TestEachFactCheckedOnce:
         assert again[0] is E_corr
         assert again[1].module is inst.F and again[1].left_action is inst.theta
         assert checks == [] and validations == []
+
+
+class TestCertifyOnceReuse:
+    @staticmethod
+    def _parsed(tmp_path):
+        """The golden fixture and one seeded instance, each parsed from its file."""
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "golden.json"
+        seeded = tmp_path / "seeded.json"
+        save_instance(generate_random_instance(SPEC, 23), str(seeded))
+        return [str(fixture), str(seeded)]
+
+    def test_parse_and_verify_form_no_least_squares_map(self, tmp_path, monkeypatch):
+        paths = self._parsed(tmp_path)
+        calls = []
+        real = tensorcalc.map_from_spanning
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        for key, mod in list(sys.modules.items()):
+            if key.startswith("modfactor") and hasattr(mod, "map_from_spanning"):
+                monkeypatch.setattr(mod, "map_from_spanning", spy)
+        for path in paths:
+            assert run_verification(parse_instance(path)).passed
+        assert calls == []
+
+    def test_theta_domain_is_the_finite_rank_algebra_of_E(self, tmp_path):
+        for path in self._parsed(tmp_path):
+            inst = parse_instance(path)
+            assert hilbmod.finite_rank_algebra(inst.E) is inst.theta.domain
+            assert hilbmod.dual_module(inst.E).base is inst.theta.domain
+
+    def test_E_is_checked_as_a_K_bimodule_once(self, tmp_path, monkeypatch):
+        for path in self._parsed(tmp_path):
+            calls = _count_calls(monkeypatch, Correspondence, "validate")
+            inst = parse_instance(path)
+            assert run_verification(inst).passed
+            on_E = [c for c in calls if c[0].module is inst.E]
+            assert len(on_E) == 1 and on_E[0][0].left is inst.theta.domain
+            monkeypatch.undo()
 
 
 class TestCertifiedConstructions:

@@ -43,7 +43,7 @@ from modfactor.hilbmod import (
     verify_unit_vector,
 )
 from modfactor.numkernel import OperatorSpace, hs_orthonormalize, op_norm, subspace_equal
-from conftest import corner_module, matrix_unit
+from conftest import corner_module, haar_conjugated, matrix_unit
 
 
 def scalars(n=1):
@@ -75,6 +75,24 @@ class TestBuildModule:
         B = build_algebra([(2, 1)])
         E = module_over_itself(B)
         assert E.dim == 4
+
+    def test_algebra_bimodule_is_the_algebra_on_its_own_basis(self, monkeypatch, rng):
+        B = algebra_from_basis(haar_conjugated([(1, 1), (2, 2)], rng))
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return hs_orthonormalize(*args, **kwargs)
+
+        for mod in (hilbmod, cstar):
+            monkeypatch.setattr(mod, "hs_orthonormalize", spy)
+        X = algebra_bimodule(B)
+        assert calls == []
+        X.validate()
+        eq, dist = subspace_equal(X.module.space, B.space)
+        assert eq, dist
+        assert X.module.dim_H == X.module.dim_G == B.ambient_dim and X.module.h_embed is None
+        hilbmod._validate_module(X.module, 1e-9)
 
     def test_columns_over_scalars(self):
         B = scalars()

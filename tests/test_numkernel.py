@@ -675,6 +675,13 @@ class TestOpNorm:
             assert all(op_norm(m) == float(np.linalg.norm(m, 2))
                        for m in stack.reshape(-1, *shape[-2:]))
 
+    def test_bitwise_equal_to_numpy_spectral_norm(self, rng):
+        for shape in ((6, 6), (5, 3), (2, 7), (4, 5, 5), (3, 2, 4, 3)):
+            x = random_complex(rng, *shape)
+            want = np.linalg.norm(x, 2, axis=(-2, -1))
+            assert np.array_equal(op_norm(x), want)
+        assert np.array_equal(op_norm(np.zeros((0, 4, 4))), np.zeros(0))
+
     def test_matrix_gives_a_float(self, rng):
         assert isinstance(op_norm(random_complex(rng, 3, 2)), float)
         assert op_norm(np.zeros((0, 3))) == 0.0

@@ -520,6 +520,34 @@ class TestInducedActionCertificate:
         assert np.allclose(got, want, rtol=1e-6, atol=1e-30)
         assert np.array_equal(tp.result.left_action._product_bounds(1e-9), got)
 
+    @staticmethod
+    def _golden_fixture_tensor():
+        """E (.) E* of the golden fixture file, with K(E) acting on E."""
+        from modfactor.harness import parse_instance
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "golden.json"
+        E = parse_instance(str(fixture)).E
+        X = as_bimodule(E)
+        return X, interior_tensor(X, dual_module(E))
+
+    def test_images_are_the_kronecker_formula(self):
+        X, tp = self._golden_fixture_tensor()
+        x, w = X.module.basis, tp.right_total
+        acts = X.left_action.apply_many(X.left.basis)
+        C = np.einsum("cij,ail,xlj->acx", x.conj(), acts, x)
+        want = np.stack([tp.S @ np.kron(Ca, np.eye(w)) @ tp.S_pinv for Ca in C])
+        got = tp.result.left_action.images
+        assert len(got) == X.left.dim >= 2
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_corrupted_right_inverse_fails_the_certificate(self):
+        from modfactor.tensorcalc import _induced_action
+        X, tp = self._golden_fixture_tensor()
+        rng = np.random.default_rng(5)
+        bad = tp.S_pinv + 1e-3 * (rng.standard_normal(tp.S_pinv.shape)
+                                  + 1j * rng.standard_normal(tp.S_pinv.shape))
+        with pytest.raises(ValidationError, match="range-invariance certificate"):
+            _induced_action(X.left_action, X.module.space, tp.S, bad, 1e-9)
+
     @pytest.mark.parametrize("block", [0, 1])
     def test_perturbed_coordinates_fail_the_certificate(self, golden_module, monkeypatch,
                                                         block):
