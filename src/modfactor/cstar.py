@@ -19,12 +19,9 @@ from .numkernel import (
     as_stack,
     hs_norm,
     hs_orthonormalize,
+    row_blocks,
     wedderburn_frame,
 )
-
-# The closure check forms the products b_i b_j in row blocks of about this
-# many bytes, so that they stay in cache.
-_CLOSURE_BLOCK_BYTES = 2**20
 
 __all__ = [
     "FiniteCStarAlgebra",
@@ -103,20 +100,20 @@ def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.
     k^3 constants and one row block would exceed MAX_SYSTEM_BYTES."""
     basis = A.basis
     k, n, _ = basis.shape
-    step = min(k, max(1, _CLOSURE_BLOCK_BYTES // (16 * k * n * n)))
-    _check_system_bytes(16 * (k ** 3 + step * k * n * n),
+    blocks = row_blocks(k, 16 * k * n * n)
+    _check_system_bytes(16 * (k ** 3 + blocks[0].stop * k * n * n),
                         "structure_constants: the constants and one row block of products")
     bflat = basis.reshape(k, n * n)
     bconj = bflat.conj().T
     row = np.ascontiguousarray(basis.transpose(1, 0, 2)).reshape(n, k * n)
     cprod, closure = np.empty((k, k, k), dtype=np.complex128), np.empty((k, k))
-    for i in range(0, k, step):
-        prods = (basis[i:i + step].reshape(-1, n) @ row).reshape(-1, n, k, n)
+    for s in blocks:
+        prods = (basis[s].reshape(-1, n) @ row).reshape(-1, n, k, n)
         prods = prods.transpose(0, 2, 1, 3).reshape(-1, n * n)  # rows (i, j)
         c = prods @ bconj
         prods -= c @ bflat
-        cprod[i:i + step] = c.reshape(-1, k, k)
-        closure[i:i + step] = _fro_norms(prods).reshape(-1, k)
+        cprod[s] = c.reshape(-1, k, k)
+        closure[s] = _fro_norms(prods).reshape(-1, k)
     if closure.max() > bound:
         i, j = np.unravel_index(np.argmax(closure), closure.shape)
         raise ValidationError(f"domain basis is not multiplicatively closed: the "

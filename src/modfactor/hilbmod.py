@@ -32,6 +32,7 @@ from .numkernel import (
     psd_sqrt_pinv,
     rank_cut,
     require_finite,
+    row_blocks,
     solve_intertwiners,
     subspace_equal,
 )
@@ -281,12 +282,13 @@ class Correspondence:
                 not subspace_equal(self.left_action.domain.space, self.left.space, 1e-6)[0]:
             raise ValidationError("left_action domain differs from the left algebra")
         self.left_action.validate(tol)
-        space = self.module.space
-        moved = np.matmul(self.left_action.images[:, None], space.mats[None])
-        bad = np.flatnonzero(space.span_residual(moved).max(axis=1) > 100.0 * tol)
-        if bad.size:
-            raise ValidationError(
-                f"left action of basis element {bad[0]} leaves the module span")
+        space, images = self.module.space, self.left_action.images
+        for s in row_blocks(len(images), 16 * space.mats.size):
+            moved = np.matmul(images[s, None], space.mats[None])
+            bad = np.flatnonzero(space.span_residual(moved).max(axis=1) > 100.0 * tol)
+            if bad.size:
+                raise ValidationError(
+                    f"left action of basis element {s.start + bad[0]} leaves the module span")
 
 
 @dataclass(eq=False)
@@ -412,7 +414,8 @@ def adjointable_residual(E: HilbertModule, mats, tol: float = DEFAULT_TOL,
 
     For a nondegenerate E, K(E) = B^a(E) holds exactly those T with T E and
     T* E inside E.  ValidationError if E's columns do not span H, where a
-    projection onto the complement of their span would pass."""
+    projection onto the complement of their span would pass.  The products
+    are formed in row blocks over T, T and T* together."""
     T = as_stack(mats)
     d = E.dim_H
     if T.shape[1:] != (d, d):
@@ -421,10 +424,12 @@ def adjointable_residual(E: HilbertModule, mats, tol: float = DEFAULT_TOL,
     if rank != d:
         raise ValidationError(
             f"{what} is degenerate: its columns span {rank} of {d} dimensions")
-    m = len(T)
-    both = np.concatenate([T, _adjoints(T)]).reshape(2 * m * d, d)
-    prods = (both @ E.stacked()).reshape(2, m, d, E.dim, E.dim_G).transpose(0, 1, 3, 2, 4)
-    return E.space.span_residual(np.ascontiguousarray(prods)).max(axis=(0, 2))
+    X, out = E.stacked(), np.empty(len(T))
+    for s in row_blocks(len(T), 2 * 16 * d * X.shape[1]):
+        both = np.concatenate([T[s], _adjoints(T[s])]).reshape(-1, d)
+        prods = (both @ X).reshape(2, -1, d, E.dim, E.dim_G).transpose(0, 1, 3, 2, 4)
+        out[s] = E.space.span_residual(np.ascontiguousarray(prods)).max(axis=(0, 2))
+    return out
 
 
 def commutant_lifting(E: HilbertModule, tol: float = DEFAULT_TOL) -> Homomorphism:

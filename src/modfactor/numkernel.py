@@ -11,6 +11,7 @@ Vectorization is column-stacking.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,6 +31,10 @@ STAGE1_SEED = 2010
 # wedderburn_frame and structure_constants refuse to allocate a stack larger
 # than this.
 MAX_SYSTEM_BYTES = 2**30
+# The batched kernels form their stacks in row blocks of about this many
+# bytes (``row_blocks``), each reduced before the next is formed, so that a
+# block stays in cache and its pages are reused instead of faulted in anew.
+_BLOCK_BYTES = 2**18
 
 __all__ = [
     "DEFAULT_TOL",
@@ -40,6 +45,7 @@ __all__ = [
     "hs_norm",
     "op_norm",
     "norm_exceeds",
+    "row_blocks",
     "eigh_desc",
     "rank_cut",
     "column_support",
@@ -92,8 +98,17 @@ def hs_norm(x: np.ndarray) -> float:
 def _fro_norms(stack: np.ndarray) -> np.ndarray:
     """Frobenius norm of each row (or matrix) of a complex stack, from its
     real view."""
-    v = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    stack = np.ascontiguousarray(stack)
+    v = stack.reshape(len(stack), math.prod(stack.shape[1:])).view(np.float64)
     return np.sqrt(np.einsum("ij,ij->i", v, v))
+
+
+def row_blocks(n: int, row_bytes: int) -> list:
+    """Slices covering rows 0..n-1 in order, each of as many rows of
+    ``row_bytes`` bytes as fit in the kernels' block budget (at least one):
+    the one way a batched kernel bounds the stack it forms at a time."""
+    step = max(1, _BLOCK_BYTES // max(1, row_bytes))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
 def op_norm(x: np.ndarray):
@@ -105,12 +120,19 @@ def op_norm(x: np.ndarray):
     return float(n) if x.ndim == 2 else n
 
 
+def _fro_settles(fro, bound: float):
+    """True where a Frobenius norm ``fro``, an upper bound on the operator
+    norm, already shows op_norm <= bound (a 1e-10 relative margin covers
+    roundoff in either norm)."""
+    return fro * (1.0 + 1e-10) <= bound
+
+
 def norm_exceeds(x: np.ndarray, bound: float):
     """op_norm(x) > bound, for a matrix or per matrix of a stack.  The SVD
-    runs only where the Frobenius norm, an upper bound, does not settle the
-    answer (a 1e-10 relative margin covers roundoff in either norm)."""
+    runs only where the Frobenius norm does not settle the answer
+    (``_fro_settles``)."""
     x = np.asarray(x)
-    out = ~(np.linalg.norm(x, axis=(-2, -1)) * (1.0 + 1e-10) <= bound)
+    out = ~_fro_settles(np.linalg.norm(x, axis=(-2, -1)), bound)
     if x.ndim == 2:
         return bool(out and op_norm(x) > bound)
     out[out] = op_norm(x[out]) > bound
@@ -208,8 +230,8 @@ class OperatorSpace:
 
     def decompose(self, mats) -> tuple[np.ndarray, np.ndarray]:
         """(coefficients (..., dim), HS distances (...)) of a matrix or a batch
-        (..., out, in) against the orthonormal basis: one GEMM gives the
-        coefficients and one the residuals."""
+        (..., out, in) against the orthonormal basis: per row block, one GEMM
+        gives the coefficients and one the residuals."""
         arr = np.asarray(mats)
         if arr.ndim < 2 or arr.shape[-2:] != (self.dim_out, self.dim_in):
             raise DimensionMismatch(
@@ -218,8 +240,21 @@ class OperatorSpace:
         lead = arr.shape[:-2]
         flat = arr.reshape(int(np.prod(lead)), self.dim_out * self.dim_in)
         bflat = self._flat()
-        c = flat @ bflat.conj().T
-        dist = np.linalg.norm(flat - c @ bflat, axis=1)
+        bconj = bflat.conj().T
+
+        def part(rows):
+            c = rows @ bconj
+            res = c @ bflat
+            res -= rows
+            return c, _fro_norms(res)
+
+        row_bytes = 16 * flat.shape[1]
+        if len(flat) * row_bytes <= _BLOCK_BYTES:  # one block: no loop
+            c, dist = part(flat)
+        else:
+            c, dist = np.empty((len(flat), self.dim), dtype=np.complex128), np.empty(len(flat))
+            for s in row_blocks(len(flat), row_bytes):
+                c[s], dist[s] = part(flat[s])
         return c.reshape(lead + (self.dim,)), dist.reshape(lead)
 
     def coeffs(self, m: np.ndarray) -> np.ndarray:

@@ -44,11 +44,13 @@ from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
     _fro_norms,
+    _fro_settles,
     as_matrix,
     hs_orthonormalize,
     norm_exceeds,
     op_norm,
     rank_cut,
+    row_blocks,
 )
 
 __all__ = [
@@ -280,6 +282,8 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
     the elementary tensors S (e_x (x) y), pi(a) leaves the module span by at
     most ||S (C_a (x) 1)(1 - S+ S)|| <= ||S||^2 ||D_(a*)|| + ||S|| ||C_a* - C_(a*)||,
     which must stay under 100 * tol (ValidationError naming the certificate).
+    C and R_X, the (C_a (x) 1) S+ and D_a, and the star residuals are formed
+    in row blocks over a.
     """
     rho.validate(tol)
     A = rho.domain
@@ -287,13 +291,21 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
     m, k = len(acts), space.dim
     r, w = S.shape[0], S.shape[1] // k
     xflat = space.mats.reshape(k, -1)
-    moved = np.matmul(acts[:, None], space.mats[None]).reshape(m * k, -1)
-    C = (moved @ xflat.conj().T).reshape(m, k, k)
-    R_X = _fro_norms((moved - C.reshape(m * k, k) @ xflat).reshape(m, -1))
-    # (C_a (x) 1_w) S+ without a Kronecker product (C[a] is C_a^T); pi(a) is S times it
-    CS = (C.transpose(0, 2, 1) @ S_pinv.reshape(k, w * r)).reshape(m, k * w, r)
-    images = S @ CS
-    R_inv = _fro_norms(CS - S_pinv @ images)
+    xconj = xflat.conj().T
+    C, R_X = np.empty((m, k, k), dtype=np.complex128), np.empty(m)
+    for s in row_blocks(m, 16 * xflat.size):
+        moved = np.matmul(acts[s, None], space.mats[None]).reshape(-1, xflat.shape[1])
+        C[s] = (moved @ xconj).reshape(-1, k, k)
+        moved -= C[s].reshape(-1, k) @ xflat
+        R_X[s] = _fro_norms(moved.reshape(len(C[s]), -1))
+    Sp = S_pinv.reshape(k, w * r)
+    images, R_inv = np.empty((m, r, r), dtype=np.complex128), np.empty(m)
+    for s in row_blocks(m, 16 * k * w * r):
+        # (C_a (x) 1_w) S+ without a Kronecker product (C[a] is C_a^T); pi(a) is S times it
+        CS = (C[s].transpose(0, 2, 1) @ Sp).reshape(-1, k * w, r)
+        images[s] = S @ CS
+        CS -= S_pinv @ images[s]
+        R_inv[s] = _fro_norms(CS)
 
     norm_S = float(_fro_norms(S).max())  # S S* is diagonal
     norm_pi = _fro_norms(images)
@@ -302,7 +314,11 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
         + 2 * r * np.finfo(float).eps * np.outer(norm_pi, norm_pi)
     bflat = A.basis.reshape(m, -1)
     cadj = A.basis.conj().transpose(0, 2, 1).reshape(m, -1) @ bflat.conj().T
-    star_C = _fro_norms(C.conj().transpose(0, 2, 1).reshape(m, -1) - cadj @ C.reshape(m, -1))
+    star_C = np.empty(m)
+    for s in row_blocks(m, 16 * k * k):
+        diff = cadj[s] @ C.reshape(m, -1)
+        diff -= C[s].conj().transpose(0, 2, 1).reshape(len(diff), -1)
+        star_C[s] = _fro_norms(diff)
     span = norm_S ** 2 * (np.abs(cadj) @ R_inv) + norm_S * star_C
     bad = np.flatnonzero(span > 100.0 * tol)
     if bad.size:
@@ -341,10 +357,12 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
     B = Xm.basis
     blocks = Y.left_action.apply_many(
         np.matmul(B[iu].conj().transpose(0, 2, 1), B[ju]), tol)
-    gram = np.empty((k, k, w, w), dtype=np.complex128)
-    gram[ju, iu] = blocks.conj().transpose(0, 2, 1)
-    gram[iu, ju] = blocks
-    gram = gram.transpose(0, 2, 1, 3).reshape(k * w, k * w)
+    # written in place in the (k, w, k, w) layout of the (k w)^2 Gram; blocks
+    # is conjugated in place and back for the lower triangle
+    gram = np.empty((k, w, k, w), dtype=np.complex128)
+    gram[ju, :, iu] = np.conjugate(blocks, out=blocks).transpose(0, 2, 1)
+    gram[iu, :, ju] = np.conjugate(blocks, out=blocks)
+    gram = gram.reshape(k * w, k * w)
     S, S_pinv, gap = _gram_coordinates(gram, tol)
     r = S.shape[0]
     # x_i (x) y for every pair, i major
@@ -427,30 +445,51 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     factor (rank cut on sigma^2), so U = cols S+ is isometric by
     construction; the residual also measures S+* gram S+ against the
     identity, so the abstract Gram still certifies the flip.  meta keeps
-    S+ U*, a right inverse of cols when they span H.
+    S+ U*, a right inverse of cols when they span H.  The abstract Gram is
+    formed in row panels; it is formed whole only when the Frobenius norm of
+    its difference does not settle the check.
     """
     if W.dim_in != E.dim_H:
         raise DimensionMismatch("W must compose with module elements on H")
     k, kw, g = E.dim, W.dim, E.dim_G
-    # abstract Gram over indices (i, j, s): x_i (x) w_j (x) g_s, block
-    # (i, j), (m, l) = rho'^{-1}(w_j* w_l) <x_i, x_m>
+    n = k * kw * g
     bprime = _representation_inverter(rho_p)(_pairwise_inner(W.mats))[0]
-    blocks = np.matmul(bprime[None, :, None], _pairwise_inner(E.basis)[:, None, :, None])
-    gram = blocks.transpose(0, 1, 4, 2, 3, 5).reshape(k * kw * g, k * kw * g)
-    # concrete vectors
-    cols = np.hstack([W.mats[j] @ E.basis[i]
-                      for i in range(k) for j in range(kw)])
+    inner = _pairwise_inner(E.basis)
+
+    def panel(pairs: slice) -> np.ndarray:
+        """Rows (i, j, s) of the abstract Gram over x_i (x) w_j (x) g_s for
+        the pairs i kw + j in ``pairs``: block (i, j), (m, l) is
+        rho'^{-1}(w_j* w_l) <x_i, x_m>."""
+        i, j = divmod(np.arange(pairs.start, pairs.stop), kw)
+        blocks = np.matmul(bprime[j][:, None], inner[i][:, :, None])
+        return blocks.transpose(0, 3, 1, 2, 4).reshape(-1, n)
+
+    # concrete vectors w_j x_i, columns in the same (i, j, s) order
+    cols = hstack_blocks(np.matmul(W.mats[None], E.basis[:, None]))
     S, S_pinv, gap = _factor_coordinates(cols, tol)
     # ||cols* cols|| = sigma_0^2 = ||S[0]||^2, from the thin factor
-    scale = max(1.0, np.linalg.norm(S[0]) ** 2)
-    if norm_exceeds(gram - cols.conj().T @ cols, 1e-6 * scale):
+    bound = 1e-6 * max(1.0, np.linalg.norm(S[0]) ** 2)
+    # Gram - cols* cols screened by its Frobenius norm and S+* Gram S+, both
+    # summed over row panels
+    colsh = cols.conj().T
+    sq, gram_S = 0.0, np.zeros((len(S), len(S)), dtype=np.complex128)
+    for pairs in row_blocks(k * kw, 16 * g * n):
+        rows = slice(pairs.start * g, pairs.stop * g)
+        diff = panel(pairs)
+        gram_S += S_pinv[rows].conj().T @ (diff @ S_pinv)
+        diff -= colsh[rows] @ cols
+        sq += np.linalg.norm(diff) ** 2
+    # norm_exceeds's decision; the full difference only where its Frobenius
+    # screen does not settle it
+    if not _fro_settles(np.sqrt(sq), bound) and \
+            norm_exceeds(panel(slice(0, k * kw)) - colsh @ cols, bound):
         raise ValidationError(
             "abstract and concrete Gram matrices differ: the factors are not "
             "a compatible module/commutant-module pair"
         )
     U = cols @ S_pinv
     eye = np.eye(len(S))
-    ru = max(op_norm(U.conj().T @ U - eye), op_norm(S_pinv.conj().T @ gram @ S_pinv - eye))
+    ru = max(op_norm(U.conj().T @ U - eye), op_norm(gram_S - eye))
     return ModuleUnitary(("abstract tensor", "E.W.G"), ("concrete span", "W L_E G"),
                          U, float(ru), 0.0, {"gap": gap, "right_inverse": S_pinv @ U.conj().T})
 

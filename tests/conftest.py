@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from modfactor import numkernel
 from modfactor.cstar import build_algebra
 from modfactor.hilbmod import build_module
 from modfactor.numkernel import OperatorSpace, as_stack, op_norm, rank_cut
@@ -38,6 +41,14 @@ def haar_conjugated(blocks, rng):
     return np.einsum("ab,kbc,dc->kad", u, A.basis, u.conj())
 
 
+def instance_a():
+    """ROADMAP's instance a (H_F = 20): the uncompressed seed-1 instance on
+    blocks_B [(2, 1), (3, 1)] and blocks_C [(2, 1)]."""
+    from modfactor.harness import GenSpec, generate_random_instance
+    spec = GenSpec(blocks_B=[(2, 1), (3, 1)], blocks_C=[(2, 1)], compress=False)
+    return generate_random_instance(spec, 1)
+
+
 def corner_module(case, block_algebra):
     """A non-full module over C (+) M2: "corner" is spanned by E21 and E31,
     "random_corner" by a random generator supported on the M2 block."""
@@ -64,3 +75,21 @@ def golden_module(block_algebra):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def block_budget(monkeypatch):
+    """Set the byte budget of the kernels' row blocks for one test; returns
+    the setter."""
+    return lambda nbytes: monkeypatch.setattr(numkernel, "_BLOCK_BYTES", nbytes)
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the tracemalloc peak during the call, numpy's buffers
+    included)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

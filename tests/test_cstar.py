@@ -305,7 +305,7 @@ def _one_shot_closure(A):
 
 def _block_rows(A):
     k, n = A.dim, A.ambient_dim
-    return max(1, cstar._CLOSURE_BLOCK_BYTES // (16 * k * n * n))
+    return max(1, numkernel._BLOCK_BYTES // (16 * k * n * n))
 
 
 def test_blocked_closure_check_matches_the_one_shot_check():

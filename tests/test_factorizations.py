@@ -175,6 +175,12 @@ class TestValidateTheta:
         with pytest.raises(ValidationError, match="theta image of basis element 3 "):
             validate_theta(golden_module, golden_module, theta_outside_K(golden_module))
 
+    def test_a_later_row_block_names_the_same_image(self, golden_module, block_budget):
+        # one image a block: images 3 and 4 are checked in blocks 3 and 4
+        block_budget(1)
+        with pytest.raises(ValidationError, match="theta image of basis element 3 "):
+            validate_theta(golden_module, golden_module, theta_outside_K(golden_module))
+
     def test_golden_identity_passes(self, golden_module):
         validate_theta(golden_module, golden_module, golden_identity(golden_module))
 

@@ -23,6 +23,7 @@ from modfactor.hilbmod import (
     HilbertModule,
     Homomorphism,
     adjointable_algebra,
+    adjointable_residual,
     algebra_bimodule,
     as_bimodule,
     build_module,
@@ -42,8 +43,14 @@ from modfactor.hilbmod import (
     quasi_orthonormal_system,
     verify_unit_vector,
 )
-from modfactor.numkernel import OperatorSpace, hs_orthonormalize, op_norm, subspace_equal
-from conftest import corner_module, haar_conjugated, matrix_unit
+from modfactor.numkernel import (
+    OperatorSpace,
+    hs_orthonormalize,
+    op_norm,
+    row_blocks,
+    subspace_equal,
+)
+from conftest import corner_module, haar_conjugated, instance_a, matrix_unit, traced_peak
 
 
 def scalars(n=1):
@@ -750,3 +757,63 @@ class TestCorrespondenceValidate:
         with pytest.raises(ValidationError, match="left action of basis element 2 "):
             corr.validate()
         Correspondence(E, D, identity_homomorphism(D)).validate()
+
+
+def _one_shot_adjointable_residual(E, T):
+    """adjointable_residual before row blocks: every T x and T* x at once."""
+    m, d = len(T), E.dim_H
+    both = np.concatenate([T, T.conj().transpose(0, 2, 1)]).reshape(2 * m * d, d)
+    prods = (both @ E.stacked()).reshape(2, m, d, E.dim, E.dim_G).transpose(0, 1, 3, 2, 4)
+    return E.space.span_residual(np.ascontiguousarray(prods)).max(axis=(0, 2))
+
+
+def _one_shot_left_residuals(corr):
+    """Correspondence.validate's span residuals before row blocks."""
+    space = corr.module.space
+    moved = np.matmul(corr.left_action.images[:, None], space.mats[None])
+    return space.span_residual(moved).max(axis=1)
+
+
+class TestRowBlockedChecks:
+    def test_adjointable_residual_matches_the_one_shot_check(self, block_budget, rng):
+        # theta's domain K(E) of instance a and three operators outside it
+        inst = instance_a()
+        E, d = inst.E, inst.E.dim_H
+        T = np.concatenate([inst.theta.domain.basis, rng.standard_normal((3, d, d))])
+        T = np.ascontiguousarray(T[rng.permutation(len(T))], dtype=complex)
+        row = 2 * 16 * d * E.dim * E.dim_G
+        block_budget(5 * row)
+        assert len(row_blocks(len(T), row)) >= 3
+        ref = _one_shot_adjointable_residual(E, T)
+        assert (ref > 0.1).sum() == 3
+        assert np.abs(adjointable_residual(E, T) - ref).max() <= 1e-12
+
+    def test_adjointable_residual_peak_stays_below_the_one_shot_stack(self, block_budget):
+        inst = instance_a()
+        F, T = inst.F, inst.theta.images
+        stack = 2 * 16 * T.size * F.dim * F.dim_G // F.dim_H
+        block_budget(2**16)
+        _, peak = traced_peak(adjointable_residual, F, T)
+        assert peak < stack / 4, (peak, stack)
+
+    def test_left_action_in_a_later_row_block_is_named(self, block_budget):
+        # as test_names_the_first_left_image_leaving_the_span, one image a block
+        block_budget(1)
+        D = build_algebra([(1, 1), (1, 1), (1, 1)])
+        E = build_module(D, [np.eye(3, dtype=complex)])
+        A = build_algebra([(1, 1), (2, 1)])
+        assert row_blocks(A.dim, 16 * E.space.mats.size)[2] == slice(2, 3)
+        with pytest.raises(ValidationError, match="left action of basis element 2 "):
+            Correspondence(E, A, identity_homomorphism(A)).validate()
+
+    def test_correspondence_check_matches_and_stays_below_the_one_shot_stack(
+            self, block_budget):
+        inst = instance_a()
+        corr = Correspondence(inst.F, inst.theta.domain, inst.theta)
+        inst.theta.validate()
+        ref = _one_shot_left_residuals(corr)
+        assert ref.max() <= 1e-12
+        stack = 16 * len(inst.theta.images) * inst.F.space.mats.size
+        block_budget(2**16)
+        _, peak = traced_peak(corr.validate)
+        assert peak < stack / 4, (peak, stack)

@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from modfactor import numkernel
+from modfactor import cstar, numkernel
 from modfactor.cstar import (
     algebra_from_basis,
     block_decomposition,
@@ -21,8 +21,10 @@ from modfactor.errors import (
     NotPSD,
     PreconditionError,
     ToleranceAmbiguity,
+    ValidationError,
 )
 from modfactor.harness import golden_instance
+from modfactor.hilbmod import identity_homomorphism
 from modfactor.numkernel import (
     OperatorSpace,
     eigh_desc,
@@ -35,7 +37,13 @@ from modfactor.numkernel import (
     subspace_equal,
     wedderburn_frame,
 )
-from conftest import haar_conjugated, haar_unitary, kronecker_intertwiners, matrix_unit
+from conftest import (
+    haar_conjugated,
+    haar_unitary,
+    kronecker_intertwiners,
+    matrix_unit,
+    traced_peak,
+)
 
 
 def random_complex(rng, *shape):
@@ -664,6 +672,77 @@ class TestDecompose:
     def test_shape_mismatch(self, golden_module):
         with pytest.raises(DimensionMismatch):
             golden_module.space.decompose(np.zeros((2, 3, 2)))
+
+
+def _one_shot_decomposition(space, mats):
+    """The decomposition before row blocks: both GEMMs over the whole batch."""
+    flat = mats.reshape(len(mats), -1)
+    bflat = space.mats.reshape(space.dim, -1)
+    c = flat @ bflat.conj().T
+    return c, np.linalg.norm(flat - c @ bflat, axis=1)
+
+
+class TestRowBlocks:
+    def test_slices_cover_the_rows_in_order(self, block_budget):
+        block_budget(100)
+        assert numkernel.row_blocks(10, 30) == [slice(0, 3), slice(3, 6), slice(6, 9),
+                                               slice(9, 10)]
+        assert numkernel.row_blocks(10, 10) == [slice(0, 10)]
+        assert numkernel.row_blocks(3, 101) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        assert numkernel.row_blocks(0, 30) == []
+        assert numkernel.row_blocks(2, 0) == [slice(0, 2)]
+
+    def test_the_closure_check_has_no_budget_of_its_own(self):
+        assert not hasattr(cstar, "_CLOSURE_BLOCK_BYTES")
+
+
+class TestBlockedDecompose:
+    def _batch(self, rng):
+        space = _haar_conjugated_space([(2, 2), (3, 1)], 3)  # dim 13 on C^7
+        inside = np.tensordot(random_complex(rng, 40, space.dim), space.mats, axes=1)
+        mats = np.concatenate([inside, random_complex(rng, 20, space.dim_out, space.dim_in)])
+        return space, mats[rng.permutation(len(mats))]
+
+    def test_row_blocks_match_the_one_shot_decomposition(self, block_budget, rng):
+        space, mats = self._batch(rng)
+        block_budget(7 * 16 * 49)  # 7 rows a block, 9 blocks
+        assert len(numkernel.row_blocks(len(mats), 16 * 49)) >= 3
+        c_ref, d_ref = _one_shot_decomposition(space, mats)
+        coeffs, dist = space.decompose(mats)
+        assert np.abs(coeffs - c_ref).max() <= 1e-12
+        assert np.abs(dist - d_ref).max() <= 1e-12
+
+    def test_one_block_is_the_one_shot_gemm(self, rng, monkeypatch):
+        space, mats = self._batch(rng)
+        assert len(numkernel.row_blocks(len(mats), 16 * 49)) == 1
+
+        def no_loop(*args):
+            raise AssertionError("a batch within the budget runs no block loop")
+
+        monkeypatch.setattr(numkernel, "row_blocks", no_loop)
+        flat = mats.reshape(len(mats), -1)
+        coeffs, dist = space.decompose(mats)
+        assert np.array_equal(coeffs, flat @ space.mats.reshape(space.dim, -1).conj().T)
+        assert np.abs(dist - _one_shot_decomposition(space, mats)[1]).max() <= 1e-12
+
+    def test_the_worst_element_of_a_later_block_is_named(self, block_budget, rng):
+        A = algebra_from_basis(_haar_conjugated_space([(2, 2), (3, 1)], 3).mats)
+        hom = identity_homomorphism(A)
+        mats = np.tensordot(random_complex(rng, 30, A.dim), A.basis, axes=1)
+        mats[4] += 1e-3 * random_complex(rng, 7, 7)
+        mats[23] += 1e-2 * random_complex(rng, 7, 7)  # the worst, in block 7
+        worst = _one_shot_decomposition(A.space, mats)[1][23]
+        for budget in (numkernel._BLOCK_BYTES, 3 * 16 * 49):
+            block_budget(budget)
+            with pytest.raises(ValidationError, match=rf"\(residual {worst:.3e}\)"):
+                hom.apply_many(mats)
+
+    def test_peak_stays_below_the_one_shot_stack(self, block_budget, rng):
+        space = _haar_conjugated_space([(3, 3)], 4)  # dim 9 on C^9
+        mats = random_complex(rng, 400, 9, 9)
+        block_budget(16 * 81 * 8)
+        _, peak = traced_peak(space.decompose, mats)
+        assert peak < 16 * mats.size / 4, peak
 
 
 class TestOpNorm:

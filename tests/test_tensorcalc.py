@@ -19,7 +19,8 @@ from modfactor.hilbmod import (
     finite_rank_algebra,
     module_over_itself,
 )
-from modfactor.numkernel import OperatorSpace, op_norm
+from modfactor import numkernel
+from modfactor.numkernel import OperatorSpace, norm_exceeds, op_norm, row_blocks
 from modfactor.tensorcalc import (
     associator,
     certify_module_unitary,
@@ -28,7 +29,7 @@ from modfactor.tensorcalc import (
     map_from_spanning,
     unit_identities,
 )
-from conftest import haar_unitary, matrix_unit
+from conftest import haar_unitary, instance_a, matrix_unit, traced_peak
 
 
 def scalar_correspondence(n):
@@ -574,3 +575,230 @@ class TestInducedActionCertificate:
         report = harness.run_verification(harness.parse_instance(str(fixture)))
         assert not report.passed
         assert "range-invariance certificate" in report.to_canonical_json()
+
+
+def _fresh(rho):
+    """A copy of a homomorphism without its validation."""
+    return Homomorphism(rho.domain, rho.codomain_dim, rho.images)
+
+
+def _one_shot_induced_stacks(rho, space, S, S_pinv):
+    """(C, R_X, images, R_inv) of _induced_action before row blocks."""
+    acts = rho.apply_many(rho.domain.basis)
+    m, k = len(acts), space.dim
+    r, w = S.shape[0], S.shape[1] // k
+    xflat = space.mats.reshape(k, -1)
+    moved = np.matmul(acts[:, None], space.mats[None]).reshape(m * k, -1)
+    C = (moved @ xflat.conj().T).reshape(m, k, k)
+    R_X = np.linalg.norm((moved - C.reshape(m * k, k) @ xflat).reshape(m, -1), axis=1)
+    CS = (C.transpose(0, 2, 1) @ S_pinv.reshape(k, w * r)).reshape(m, k * w, r)
+    images = S @ CS
+    R_inv = np.linalg.norm((CS - S_pinv @ images).reshape(m, -1), axis=1)
+    return C, R_X, images, R_inv
+
+
+class TestRowBlockedInducedAction:
+    """E (.) E* of instance a with K(E) acting: m = 52, k = 26, w = 5, r = 10."""
+
+    @staticmethod
+    def _tensor():
+        E = instance_a().E
+        X = as_bimodule(E)
+        return X, interior_tensor(X, dual_module(E))
+
+    def _row_bytes(self, X, tp):
+        k, r = X.module.dim, len(tp.S)
+        return 16 * X.module.space.mats.size, 16 * k * tp.right_total * r
+
+    def test_blocks_match_the_one_shot_stacks(self, block_budget):
+        from modfactor.tensorcalc import _induced_action
+        X, tp = self._tensor()
+        rho, space = X.left_action, X.module.space
+        ref = _induced_action(_fresh(rho), space, tp.S, tp.S_pinv, 1e-9)
+        images = _one_shot_induced_stacks(rho, space, tp.S, tp.S_pinv)[2]
+        left, cs = self._row_bytes(X, tp)
+        block_budget(4 * max(left, cs))
+        m = X.left.dim
+        assert min(len(row_blocks(m, left)), len(row_blocks(m, cs))) >= 3
+        # the product bounds carry C (through its norms) and R_X
+        hom = _induced_action(_fresh(rho), space, tp.S, tp.S_pinv, 1e-9)
+        assert np.abs(hom.images - images).max() <= 1e-12
+        assert np.abs(hom.images - ref.images).max() <= 1e-12
+        assert np.abs(hom._product_bounds(1e-9) - ref._product_bounds(1e-9)).max() <= 1e-12
+
+    def test_a_later_block_names_the_same_element(self, block_budget):
+        from modfactor.tensorcalc import _induced_action
+        X, tp = self._tensor()
+        rho, space = _fresh(X.left_action), X.module.space
+        rho.validate(1e-9)
+        # corrupt rho(b_a), and so C_a, of the last basis element after rho's
+        # own check: its range-invariance residual D_a, and so the
+        # certificate of its adjoint, fails
+        acts = rho.apply_many(rho.domain.basis, 1e-9)
+        acts[-1] += 1e-3 * np.random.default_rng(3).standard_normal(acts[-1].shape)
+        rho.apply_many = lambda mats, tol: acts
+        names = []
+        for budget in (numkernel._BLOCK_BYTES, self._row_bytes(X, tp)[1]):
+            block_budget(budget)
+            with pytest.raises(ValidationError, match="range-invariance") as err:
+                _induced_action(rho, space, tp.S, tp.S_pinv, 1e-9)
+            names.append(str(err.value))
+        assert names[0] == names[1]
+        assert int(names[0].split("basis element ")[1].split()[0]) > 2
+
+    def test_peaks_stay_below_the_one_shot_stacks(self, block_budget):
+        from modfactor.tensorcalc import _induced_action
+        X, tp = self._tensor()
+        rho, space = _fresh(X.left_action), X.module.space
+        rho.validate()
+        peaks = []
+        for budget in (2**40, 2**15):  # one block (the one-shot stacks), then many
+            block_budget(budget)
+            peaks.append(traced_peak(_induced_action, rho, space, tp.S, tp.S_pinv, 1e-9)[1])
+        # validate's (m, r, r) stacks included in both
+        assert peaks[1] < peaks[0] / 2, peaks
+
+
+class TestGramLayout:
+    def test_the_gram_is_written_in_place(self, monkeypatch):
+        # the dual method's E* (.) F_theta of instance a: N = 26 * 20 = 520
+        import tracemalloc
+        from modfactor import tensorcalc
+        from modfactor.factorizations import validate_theta
+        from modfactor.hilbmod import _pairwise_inner
+        inst = instance_a()
+        _, F_corr = validate_theta(inst.E, inst.F, inst.theta)
+        X = dual_module(inst.E)
+        seen = []
+        real = tensorcalc._gram_coordinates
+
+        def spy(gram, tol):
+            peak = tracemalloc.get_traced_memory()[1]
+            seen.append((gram.copy(), peak))
+            return real(gram, tol)
+
+        monkeypatch.setattr(tensorcalc, "_gram_coordinates", spy)
+        traced_peak(interior_tensor, X, F_corr)
+        gram, peak = seen[0]
+        # the layout before: a (k, k, w, w) array and its transposed copy
+        k, w = X.module.dim, F_corr.module.dim_H
+        iu, ju = np.triu_indices(k)
+        blocks = F_corr.left_action.apply_many(_pairwise_inner(X.module.basis)[iu, ju])
+        ref = np.empty((k, k, w, w), dtype=complex)
+        ref[ju, iu] = blocks.conj().transpose(0, 2, 1)
+        ref[iu, ju] = blocks
+        assert np.array_equal(gram, ref.transpose(0, 2, 1, 3).reshape(k * w, k * w))
+        assert peak < 2 * gram.nbytes, (peak, gram.nbytes)
+
+
+def _flip_inputs(inst):
+    """(E, W, rho') of the commutant method's flip on an instance."""
+    from modfactor.hilbmod import intertwiner_space
+    return inst.E, intertwiner_space(inst.theta), commutant_lifting(inst.E)
+
+
+def _one_shot_flip(E, W, rho_p):
+    """(abstract Gram, concrete columns) of flip_unitary before row panels."""
+    from modfactor import tensorcalc
+    from modfactor.hilbmod import _pairwise_inner
+    k, kw, g = E.dim, W.dim, E.dim_G
+    bprime = tensorcalc._representation_inverter(rho_p)(_pairwise_inner(W.mats))[0]
+    blocks = np.matmul(bprime[None, :, None], _pairwise_inner(E.basis)[:, None, :, None])
+    gram = blocks.transpose(0, 1, 4, 2, 3, 5).reshape(k * kw * g, k * kw * g)
+    cols = np.hstack([W.mats[j] @ E.basis[i] for i in range(k) for j in range(kw)])
+    return gram, cols
+
+
+class TestRowPanelFlip:
+    def test_panels_match_the_one_shot_check(self, block_budget):
+        from modfactor.tensorcalc import _factor_coordinates
+        E, W, rho_p = _flip_inputs(instance_a())
+        gram, cols = _one_shot_flip(E, W, rho_p)
+        g, n = E.dim_G, len(gram)
+        block_budget(5 * 16 * g * n)
+        assert len(row_blocks(E.dim * W.dim, 16 * g * n)) >= 3
+        _, S_pinv, _ = _factor_coordinates(cols, 1e-9)
+        U = cols @ S_pinv
+        eye = np.eye(S_pinv.shape[1])
+        ru = max(op_norm(U.conj().T @ U - eye), op_norm(S_pinv.conj().T @ gram @ S_pinv - eye))
+        u = flip_unitary(E, W, rho_p)
+        assert np.abs(u.map - U).max() <= 1e-12
+        assert abs(u.residual_unitary - ru) <= 1e-12
+
+    def test_a_defect_in_a_later_panel_is_found(self, golden_module, block_budget,
+                                                monkeypatch):
+        # scale the last module inner-product block <x_k, x_k> by 1.01: only
+        # the last row panels of the abstract Gram change
+        from modfactor import tensorcalc
+        rho_p = commutant_lifting(golden_module)
+        W = rho_p.image_space()
+        real = tensorcalc._pairwise_inner
+
+        def scaled(mats):
+            out = real(mats)
+            if mats is golden_module.basis:
+                out[-1, -1] *= 1.01
+            return out
+
+        monkeypatch.setattr(tensorcalc, "_pairwise_inner", scaled)
+        block_budget(1)
+        assert len(row_blocks(golden_module.dim * W.dim, 1)) >= 3
+        with pytest.raises(ValidationError, match="abstract and concrete Gram"):
+            flip_unitary(golden_module, W, rho_p)
+
+    def test_peak_stays_below_the_one_shot_gram(self, block_budget):
+        E, W, rho_p = _flip_inputs(instance_a())
+        n = E.dim * W.dim * E.dim_G
+        block_budget(2**16)
+        _, peak = traced_peak(flip_unitary, E, W, rho_p)
+        assert peak < 16 * n * n / 2, (peak, 16 * n * n)
+
+    @pytest.mark.parametrize("op_over_bound", [0.8, 2.0])
+    def test_the_screen_falls_back_to_norm_exceeds(self, golden_module, monkeypatch,
+                                                   op_over_bound):
+        # bprime(j, l) += c delta_jl 1 adds c (G_E (x) 1_kw), permuted, to
+        # Gram - cols* cols (G_E the Gram of E's basis), of operator norm
+        # c ||G_E|| and Frobenius norm c sqrt(kw) ||G_E||_F
+        from modfactor import tensorcalc
+        rho_p = commutant_lifting(golden_module)
+        W = rho_p.image_space()
+        X = golden_module.stacked()
+        G_E = X.conj().T @ X
+        op, fro = np.linalg.norm(G_E, 2), np.sqrt(W.dim) * np.linalg.norm(G_E)
+        bound = 1e-6 * max(1.0, np.linalg.norm(X, 2) ** 2)
+        assert fro / op > 1.4
+        c = op_over_bound * bound / op
+        assert c * fro > bound * 1.1  # the Frobenius screen does not settle it
+        real = tensorcalc._representation_inverter
+
+        def shifted(rho):
+            inv = real(rho)
+
+            def f(m):
+                pre, cond = inv(m)
+                kw, g = pre.shape[0], pre.shape[-1]
+                return pre + c * np.eye(kw)[:, :, None, None] * np.eye(g), cond
+            return f
+
+        monkeypatch.setattr(tensorcalc, "_representation_inverter", shifted)
+        gram, cols = _one_shot_flip(golden_module, W, rho_p)
+        old = norm_exceeds(gram - cols.conj().T @ cols, bound)
+        assert old == (op_over_bound > 1)
+        checked = []
+        monkeypatch.setattr(tensorcalc, "norm_exceeds",
+                            lambda x, b: checked.append(x.shape) or norm_exceeds(x, b))
+        if old:
+            with pytest.raises(ValidationError, match="abstract and concrete Gram"):
+                flip_unitary(golden_module, W, rho_p)
+        else:
+            flip_unitary(golden_module, W, rho_p)
+        assert checked == [gram.shape]
+
+    def test_a_settled_screen_forms_no_full_difference(self, golden_module, monkeypatch):
+        from modfactor import tensorcalc
+        checked = []
+        monkeypatch.setattr(tensorcalc, "norm_exceeds",
+                            lambda x, b: checked.append(x.shape) or norm_exceeds(x, b))
+        rho_p = commutant_lifting(golden_module)
+        assert flip_unitary(golden_module, rho_p.image_space(), rho_p).residual_unitary <= 1e-10
+        assert checked == []
