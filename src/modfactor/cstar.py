@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, PreconditionError, ToleranceAmbiguity, ValidationError
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
@@ -26,7 +26,6 @@ from .numkernel import (
 __all__ = [
     "FiniteCStarAlgebra",
     "build_algebra",
-    "algebra_from_span",
     "commutant",
     "center",
     "block_decomposition",
@@ -64,8 +63,9 @@ class FiniteCStarAlgebra:
         """c[i, j, k] with b_i b_j = sum_k c[i, j, k] b_k, shape (k, k, k).
 
         Computed once per tolerance (the basis is read-only, so the cached
-        constants cannot go stale), with every product within 100 * tol of
-        the span; validated algebras hold them from their stricter check.
+        constants cannot go stale) on first use, with every product within
+        100 * tol of the span; an algebra validated by the direct closure
+        check holds them from that stricter check.
         """
         key = ("structure_constants", tol)
         if key not in self._cache:
@@ -125,24 +125,66 @@ def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.
     return cprod
 
 
+# Validation certifies closure from the frame when the direct check's work
+# k^2 n^2 (n + k) is above this.  A frame costs about 0.7 ms at any of these
+# sizes and pays only when it is read later; below 5e5 the direct check costs
+# under 0.25 ms.  Set from end-to-end runs (CHANGES.md): with no threshold
+# seeded-batch, whose algebras are mostly below 5e5 and mostly never read a
+# frame, ran 8% slower; at 4e6 algebra-structure's n = 12 and 17 rungs, which
+# read their frames right after validation, paid for both checks.
+_FRAME_CLOSURE_WORK = 5e5
+
+
+def _frame_closure_bound(A: FiniteCStarAlgebra, tol: float) -> float:
+    """An upper bound on the HS distance of every product b_i b_j from A's
+    span, as the direct check computes it, from A's frame F (inf when the
+    frame raises or its blocks' algebra D = (+)_p M_{n_p} (x) 1 is not near
+    span B).  The frame holds every block (sum n_p^2 = k), so span B and D
+    have equal dimension.
+
+    Each b_i lies within d_i = delta_i + 3 eps + 5 n^2 e of U D U*, U the
+    unitary nearest F: delta_i the frame's residual, eps its unitarity
+    defect, e the machine epsilon.  The last term is the rounding of the two
+    GEMMs forming F* b_i F (2 n^2 e) and of the one forming F* F (n^2 e,
+    taken 3 times with eps): a GEMM F* X errs by at most n e |F*| |X|
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 3.5, with
+    e = 2u covering complex products), and || |F| ||_2^2 <= ||F||_HS^2 ~ n.  So
+    ||(1 - P_B) P_D|| = ||(1 - P_D) P_B|| <= Delta = ||d||_2.  With b_i =
+    x_i + e_i, x_i in U D U*: b_i b_j = x_i x_j + x_i e_j + e_i b_j, and x_i
+    x_j, in the algebra U D U*, lies within Delta (1 + d_i)(1 + d_j) of span
+    B; the sum of the three is largest at d_i = d_j = max d.  The direct
+    check's own rounding is added last: the product (n e), its coefficients
+    against the basis (n^2 e sqrt k, since || |B| ||_2 <= sqrt k) and their
+    recombination (k e sqrt k).  Used for Delta < 1/2."""
+    try:
+        frame = _frame(A, tol)
+    except (ToleranceAmbiguity, PreconditionError):
+        return np.inf
+    k, n, e = A.dim, A.ambient_dim, np.finfo(float).eps
+    d = frame.residuals + 3.0 * frame.defect + 5.0 * n * n * e
+    delta, dmax = float(np.linalg.norm(d)), float(d.max())
+    if delta >= 0.5:
+        return np.inf
+    rounding = (n * n + np.sqrt(k) * (n * n + k)) * e
+    return dmax + (1.0 + dmax) * dmax + delta * (1.0 + dmax) ** 2 + rounding
+
+
 def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
     """A, after checking *-closure and multiplicative closure within tol
-    (``_from_space`` has checked the identity)."""
+    (``_from_space`` has checked the identity).  Closure of a basis above
+    ``_FRAME_CLOSURE_WORK`` is accepted when ``_frame_closure_bound`` is at
+    most tol, leaving the frame cached for ``commutant``, ``center`` and
+    ``block_decomposition``; every other basis, and every rejection, goes
+    through the direct check of all k^2 products."""
     rnorm = A.space.span_residual(A.basis.conj().transpose(0, 2, 1))
     if rnorm.size and rnorm.max() > tol:
         raise ValidationError(
             f"adjoint of basis element {int(np.argmax(rnorm))} leaves the span"
         )
-    _structure_constants(A, tol, tol)
+    k, n = A.dim, A.ambient_dim
+    if k * k * n * n * (n + k) <= _FRAME_CLOSURE_WORK or _frame_closure_bound(A, tol) > tol:
+        _structure_constants(A, tol, tol)
     return A
-
-
-def algebra_from_span(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
-    """Orthonormalize a spanning set and validate *-algebra closure."""
-    space = hs_orthonormalize(mats, tol)
-    if space.dim_out != space.dim_in:
-        raise DimensionMismatch("algebra elements must be square")
-    return _validate_algebra(_from_space(space, tol), tol)
 
 
 def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
@@ -200,10 +242,15 @@ def commutant(A: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> FiniteCStarAlg
 
 def _frame(A: FiniteCStarAlgebra, tol: float):
     """A's certified Wedderburn frame, computed once per tolerance: A =
-    (+)_p M_{n_p} (x) 1_{m_p} in it."""
+    (+)_p M_{n_p} (x) 1_{m_p} in it.  A refusal is cached and raised again."""
     key = ("frame", tol)
     if key not in A._cache:
-        A._cache[key] = wedderburn_frame(A.basis, A.space, tol)
+        try:
+            A._cache[key] = wedderburn_frame(A.basis, A.space, tol)
+        except (ToleranceAmbiguity, PreconditionError) as err:
+            A._cache[key] = err  # raised again by every later query
+    if isinstance(A._cache[key], Exception):
+        raise A._cache[key]
     return A._cache[key]
 
 

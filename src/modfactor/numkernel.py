@@ -350,11 +350,17 @@ class WedderburnFrame:
     pair reads (+)_p a_p (x) 1, the same a_p on both sides: per block p, the
     columns e_c (x) f_j as ``left[p][:, c, j]`` (n2, n_p, left multiplicity)
     and ``right[p]`` (n1, n_p, right multiplicity).  ``gap`` is the least
-    ratio across a cluster or coupling cut (as in ``rank_cut``)."""
+    ratio across a cluster or coupling cut (as in ``rank_cut``).  The
+    certificate's measurements: ``residuals`` (k,), per pair the HS norm of
+    F* x F outside (+)_p a_p (x) 1 (the larger over the two sides, F a
+    side's frame and x its factor), and ``defect``, the larger
+    ||F* F - 1|| (HS) over the sides."""
 
     left: list
     right: list
     gap: float
+    residuals: np.ndarray
+    defect: float
 
     @property
     def blocks(self) -> list:
@@ -472,11 +478,12 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
         return V if ref[d] == d or not C.size else V @ C.conj().T * (len(C) ** 0.5 / hs_norm(C))
     sides = [[np.stack([aligned(d, s) for d in np.flatnonzero(ref == b)], axis=1)
               for b in np.unique(ref)] for s in range(len(pairs))]
-    frame = WedderburnFrame(sides[0], sides[-1], min(gaps + [gap]))
     a = {}  # block p -> its a_p of every pair: the rights' where they act
+    residuals, defect = np.zeros(k), 0.0
     for s in reversed(range(len(pairs))):
         F = np.hstack([L.reshape(len(L), -1) for L in sides[s]])
-        if hs_norm(F.conj().T @ F - np.eye(len(F))) > bound:
+        defect = max(defect, hs_norm(F.conj().T @ F - np.eye(len(F))))
+        if defect > bound:
             raise ToleranceAmbiguity(f"{what}: the frame is not unitary")
         T, o = np.matmul(np.matmul(F.conj().T, pairs[s]), F), 0
         for p, (_, n, m) in enumerate(L.shape for L in sides[s]):
@@ -487,6 +494,9 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
         if res.max() > bound:
             raise ToleranceAmbiguity(f"{what}: pair {int(np.argmax(res))} lies {res.max():.3e} "
                                      f"from the frame's blocks (bound {bound:.3e})")
+        np.maximum(residuals, res, out=residuals)
+    residuals.setflags(write=False)
+    frame = WedderburnFrame(sides[0], sides[-1], min(gaps + [gap]), residuals, defect)
     # a block where every right factor vanishes (a kernel) carries no algebra
     held = sum(n * n for p, (n, _, mR) in enumerate(frame.blocks)
                if mR and np.abs(a[p]).max() > bound)

@@ -11,7 +11,6 @@ from modfactor import numkernel
 from modfactor.cstar import (
     FiniteCStarAlgebra,
     algebra_from_basis,
-    algebra_from_span,
     block_decomposition,
     build_algebra,
     center,
@@ -72,7 +71,7 @@ def test_commutant_of_full_matrix_algebra_is_scalars():
 
 
 def test_commutant_of_scalars_is_everything():
-    A = algebra_from_span([np.eye(4)])
+    A = algebra_from_basis(hs_orthonormalize([np.eye(4)]).mats)
     assert commutant(A).dim == 16
 
 
@@ -91,7 +90,8 @@ def test_center_examples(block_algebra):
         [matrix_unit(1, 1), matrix_unit(2, 2) + matrix_unit(3, 3)])
     eq, _ = subspace_equal(z.space, inter)
     assert z.dim == 2 and eq
-    diag = algebra_from_span([matrix_unit(i, i, 4) for i in range(1, 5)])
+    diag = algebra_from_basis(
+        hs_orthonormalize([matrix_unit(i, i, 4) for i in range(1, 5)]).mats)
     assert center(diag).dim == 4  # abelian algebra is its own center
 
 
@@ -103,7 +103,8 @@ def test_block_decomposition_examples(block_algebra):
 def test_block_decomposition_conjugation_invariant(block_algebra, rng):
     g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     u = np.linalg.qr(g)[0]
-    conj = algebra_from_span([u @ b @ u.conj().T for b in block_algebra.basis])
+    conj = algebra_from_basis(
+        hs_orthonormalize([u @ b @ u.conj().T for b in block_algebra.basis]).mats)
     assert block_decomposition(conj) == [(1, 1), (2, 1)]
 
 
@@ -119,13 +120,13 @@ def test_star_isomorphic(block_algebra, golden_module):
 def test_validation_rejects_non_closed_span():
     # the span of a single non-normal matrix unit is not *-closed
     with pytest.raises(ValidationError):
-        algebra_from_span([np.eye(2), matrix_unit(1, 2, 2)])
+        algebra_from_basis(hs_orthonormalize([np.eye(2), matrix_unit(1, 2, 2)]).mats)
 
 
 def test_missing_identity_is_reported_before_closure():
     # E12 alone is neither unital nor *-closed: the identity check runs first
     with pytest.raises(ValidationError, match="identity"):
-        algebra_from_span([matrix_unit(1, 2, 2)])
+        algebra_from_basis(hs_orthonormalize([matrix_unit(1, 2, 2)]).mats)
     with pytest.raises(ValidationError, match="identity"):
         algebra_from_basis([matrix_unit(1, 2, 2)])
 
@@ -152,7 +153,7 @@ def test_double_commutant(blocks, seed):
     n = A.ambient_dim
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     u = np.linalg.qr(g)[0]
-    A = algebra_from_span([u @ b @ u.conj().T for b in A.basis])
+    A = algebra_from_basis(hs_orthonormalize([u @ b @ u.conj().T for b in A.basis]).mats)
     eq, dist = subspace_equal(commutant(commutant(A)).space, A.space)
     assert eq, dist
 
@@ -244,7 +245,9 @@ def test_structure_constants_guard_prices_constants_and_one_row_block(monkeypatc
     k, n = 16, 24
     assert 16 * k ** 2 * n ** 2 > 2 * 2**20
     monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 2 * 2**20)
-    A = haar_conjugated([(4, 6)], 11)  # algebra_from_basis runs the closure check
+    # algebra_from_basis certifies this basis's closure from its frame;
+    # structure_constants runs the row-blocked check
+    A = haar_conjugated([(4, 6)], 11)
     assert A.structure_constants(1e-9).shape == (k, k, k)
 
 
@@ -280,12 +283,23 @@ def test_one_frame_per_algebra_and_tol(monkeypatch):
     real = numkernel.wedderburn_frame
     for mod, name in _bindings("wedderburn_frame"):
         monkeypatch.setattr(mod, name, lambda *a, _f=real: frames.append(a[2]) or _f(*a))
-    A = haar_conjugated([(2, 2), (3, 1)], 4)
+    A = haar_conjugated([(2, 2), (3, 1)], 4)  # validated by the direct check
+    assert frames == []
     for tol in (1e-9, 1e-10):
         assert commutant(A, tol).dim == 5
         assert center(A, tol).dim == 2
         assert block_decomposition(A, tol) == [(2, 2), (3, 1)]
     assert frames == [1e-9, 1e-10]
+    # M_21, k = 441: validation certifies closure from the frame the three
+    # queries then read; its k^3 structure constants (1.3 GiB, above
+    # MAX_SYSTEM_BYTES) are never formed
+    frames.clear()
+    M = haar_conjugated([(21, 1)], 4)
+    assert 16 * M.dim ** 3 > numkernel.MAX_SYSTEM_BYTES
+    assert commutant(M).dim == 1 and center(M).dim == 1
+    assert block_decomposition(M) == [(21, 1)]
+    assert frames == [1e-9]
+    assert ("structure_constants", 1e-9) not in M._cache
 
 
 def test_orthonormal_rights_are_fitted_without_lstsq(monkeypatch):
@@ -303,6 +317,11 @@ def _one_shot_closure(A):
     return A.space.decompose(np.matmul(A.basis[:, None], A.basis[None]))
 
 
+def _closure_work(A):
+    k, n = A.dim, A.ambient_dim
+    return k * k * n * n * (n + k)
+
+
 def _block_rows(A):
     k, n = A.dim, A.ambient_dim
     return max(1, numkernel._BLOCK_BYTES // (16 * k * n * n))
@@ -317,9 +336,11 @@ def test_blocked_closure_check_matches_the_one_shot_check():
 
 
 def test_worst_product_in_a_later_row_block_is_named():
-    # M2 (x) 1_26 and one Hermitian X = E_11 (x) (f_1 f_2* + f_2 f_1*) / sqrt 2
-    # orthogonal to it: X^2 lies 0.69 from the span, every other product at
-    # most 1 / sqrt 26; X comes last, beyond the first row block
+    # M2 (x) 1_m and one Hermitian X = E_11 (x) (f_1 f_2* + f_2 f_1*) / sqrt 2
+    # orthogonal to it: a unital, *-closed span where X^2 lies 0.69 from the
+    # span, every other product at most 1 / sqrt m; X comes last, beyond the
+    # first row block.  The frame route is tried first and gives the direct
+    # check's verdict
     m = 26
     flip = np.zeros((m, m))
     flip[0, 1] = flip[1, 0] = 2 ** -0.5
@@ -328,8 +349,94 @@ def test_worst_product_in_a_later_row_block_is_named():
     mats = np.concatenate([build_algebra([(2, m)]).basis, X[None]])
     mats = np.einsum("ab,kbc,dc->kad", u, mats, u)
     Z = FiniteCStarAlgebra(2 * m, OperatorSpace(2 * m, 2 * m, mats), np.eye(2 * m))
+    assert _closure_work(Z) > cstar._FRAME_CLOSURE_WORK
     closure = _one_shot_closure(Z)[1]
     i, j = np.unravel_index(np.argmax(closure), closure.shape)
     assert (i, j) == (4, 4) and i >= _block_rows(Z)
-    with pytest.raises(ValidationError, match=r"basis elements \(4, 4\) leaves the span"):
+    with pytest.raises(ValidationError) as direct:
+        cstar._structure_constants(Z, 1e-9, 1e-9)
+    with pytest.raises(ValidationError, match=r"basis elements \(4, 4\) leaves the span") as got:
         algebra_from_basis(mats)
+    assert str(got.value) == str(direct.value)
+
+
+# the algebra-structure benchmark ladder, the shape of theta's domain on
+# instance a, one algebra above n = 30, and the scalars on C^3, whose frame
+# is exact (delta = eps = 0) while the product (I / sqrt 3)^2 lies 1.9e-16
+# from the span: only the rounding terms cover it
+_CLOSURE_BOUND_CASES = [[(2, 3), (3, 2)], [(3, 3), (2, 4)], [(2, 2), (3, 2), (4, 2)],
+                        [(4, 3), (3, 4)], [(6, 1), (4, 1)], [(5, 7), (3, 2)], [(1, 3)]]
+
+
+@pytest.mark.parametrize("blocks", _CLOSURE_BOUND_CASES, ids=str)
+@pytest.mark.parametrize("conjugated", [True, False], ids=["haar", "matrix_units"])
+def test_frame_closure_bound_dominates_the_closure_residuals(blocks, conjugated):
+    # on matrix-unit bases the frame's residuals are roundoff or exactly 0,
+    # and only the rounding terms keep the bound above the direct residuals
+    A = haar_conjugated(blocks, 8) if conjugated else build_algebra(blocks)
+    tol = 1e-9
+    bound = cstar._frame_closure_bound(A, tol)
+    direct = A.closure_residuals(tol).max()
+    assert direct <= bound <= tol, (direct, bound)
+
+
+@pytest.mark.parametrize("blocks", [[(2, 3), (3, 2)], [(1, 1)] * 3], ids=str)
+def test_frame_closure_bound_dominates_a_measurable_defect(blocks):
+    # a basis perturbed by 1e-12 (Hermitian, then re-orthonormalized): its
+    # products leave the span by 5e-12 to 2e-11, far above roundoff, and
+    # the frame still certifies every block
+    A = build_algebra(blocks)
+    n = A.ambient_dim
+    rng = np.random.default_rng(3)
+    g = rng.standard_normal((A.dim, n, n)) + 1j * rng.standard_normal((A.dim, n, n))
+    mats = hs_orthonormalize(A.basis + 1e-12 * (g + g.conj().transpose(0, 2, 1))).mats
+    Z = FiniteCStarAlgebra(n, OperatorSpace(n, n, mats), np.eye(n, dtype=complex))
+    direct = _one_shot_closure(Z)[1].max()
+    assert 1e-12 < direct <= cstar._frame_closure_bound(Z, 1e-9) < np.inf
+
+
+def test_frame_closure_bound_needs_its_delta_term(monkeypatch):
+    # M_2 (+) M_1 on C^3 with three matrix units tilted off the blocks by
+    # t = 1e-6: e_11 - t e_13, e_12 + t e_32 and e_21 + t e_23.  Weights on
+    # e_22, e_33 and the Hermitian pair e_12 + e_21 + t (e_32 + e_23) give the
+    # standard frame, so each delta_i is the element's tilt; the product
+    # (e_12 + t e_32)(e_21 + t e_23) lies sqrt 5 t from the span, beyond the
+    # 2 max delta of the bound's first two terms: only Delta covers it
+    t = 1e-6
+    mats = np.array([matrix_unit(1, 1, 3) - t * matrix_unit(1, 3, 3),
+                     matrix_unit(1, 2, 3) + t * matrix_unit(3, 2, 3),
+                     matrix_unit(2, 1, 3) + t * matrix_unit(2, 3, 3),
+                     matrix_unit(2, 2, 3), matrix_unit(3, 3, 3)], dtype=complex)
+    mats /= np.linalg.norm(mats, axis=(1, 2))[:, None, None]
+    w = np.array([[0, 0, 0, 1, 2], [0, 1, 1, 0, 0]]) / np.array([[5 ** 0.5], [2 ** 0.5]])
+    monkeypatch.setattr(numkernel, "_stage1_weights", lambda k: w)
+    Z = FiniteCStarAlgebra(3, OperatorSpace(3, 3, mats), np.eye(3, dtype=complex))
+    bound = cstar._frame_closure_bound(Z, 100 * t)
+    residuals = cstar._frame(Z, 100 * t).residuals
+    direct = _one_shot_closure(Z)[1].max()
+    assert np.allclose(residuals, [t, t, t, 0, 0], rtol=1e-6, atol=1e-15)
+    assert 2.2 * t < direct <= bound < 100 * t
+    assert direct > 2.1 * residuals.max()
+
+
+def test_a_failed_frame_falls_back_to_the_direct_check(monkeypatch):
+    # both generic elements multiples of the unit: the frame is one cluster,
+    # which its certificate refuses; validation still accepts the algebra
+    # through the direct check, and commutant raises the cached refusal
+    # without building the frame again
+    A = build_algebra([(4, 3), (3, 4)])
+    assert _closure_work(A) > cstar._FRAME_CLOSURE_WORK
+    u = np.linalg.qr(np.random.default_rng(6).standard_normal((24, 24)))[0]
+    mats = np.einsum("ab,kbc,dc->kad", u, A.basis, u)
+    monkeypatch.setattr(numkernel, "_stage1_weights", _unit_weights(mats))
+    frames = []
+    real = numkernel.wedderburn_frame
+    for mod, name in _bindings("wedderburn_frame"):
+        monkeypatch.setattr(mod, name, lambda *a, _f=real: frames.append(a[2]) or _f(*a))
+    B = algebra_from_basis(mats)
+    assert ("structure_constants", 1e-9) in B._cache
+    assert isinstance(B._cache[("frame", 1e-9)], ToleranceAmbiguity)
+    for query in (commutant, center, block_decomposition):
+        with pytest.raises(ToleranceAmbiguity, match="from the frame's blocks"):
+            query(B)
+    assert frames == [1e-9]
