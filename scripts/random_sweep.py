@@ -9,7 +9,10 @@ cross-method comparison residuals and the commutant method's flip
 residual (``chain.flip_residual``).  It also prints the closest decision
 of every Wedderburn frame built in the sweep (each intertwiner solve): the
 smallest distance of a cluster separation and of a coupling from its cut,
-in decades (a decision under one decade raises ToleranceAmbiguity).
+in decades (a decision under one decade raises ToleranceAmbiguity).  Last,
+how many homomorphism checks on a domain holding its frame took the
+matrix-unit route (``Homomorphism._matrix_unit_bound`` at most 100 tol) and
+how many fell back to the product loop, with the largest bound / (100 tol).
 """
 
 import argparse
@@ -22,6 +25,7 @@ import numpy as np
 from modfactor import numkernel
 from modfactor.errors import ModfactorError
 from modfactor.harness import GenSpec, generate_random_instance, run_verification
+from modfactor.hilbmod import Homomorphism
 
 SPECS = [
     GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(2, 1)],
@@ -53,6 +57,19 @@ def _record_frame_margins(margins: dict) -> None:
     numkernel._decide = recording
 
 
+def _record_matrix_unit_bounds(ratios: list) -> None:
+    """Wrap Homomorphism._matrix_unit_bound so that every call records its
+    bound / (100 tol); the route is taken where that is at most 1."""
+    bound = Homomorphism._matrix_unit_bound
+
+    def recording(hom, frame, tol):
+        out = bound(hom, frame, tol)
+        ratios.append(out / (100.0 * tol))
+        return out
+
+    Homomorphism._matrix_unit_bound = recording
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--count", type=int, default=50)
@@ -61,8 +78,9 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = []
-    margins = {}
+    margins, ratios = {}, []
     _record_frame_margins(margins)
+    _record_matrix_unit_bounds(ratios)
     t0 = time.perf_counter()
     failures = 0
     for i in range(args.count):
@@ -115,6 +133,10 @@ def main() -> int:
     print(f"closest frame decision: cluster separation "
           f"{margins.get('cluster', np.inf):.2f} decades, coupling "
           f"{margins.get('coupling', np.inf):.2f} decades from their cuts")
+    taken = sum(r <= 1.0 for r in ratios)
+    print(f"matrix-unit route: {taken} homomorphism checks took it, "
+          f"{len(ratios) - taken} fell back to the product loop; largest bound / (100 tol) "
+          f"{max(ratios, default=0.0):.2e}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"rows": rows, "elapsed_s": elapsed}, f, indent=1)

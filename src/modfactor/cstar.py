@@ -14,6 +14,7 @@ from .errors import DimensionMismatch, PreconditionError, ToleranceAmbiguity, Va
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
+    WedderburnFrame,
     _check_system_bytes,
     _fro_norms,
     as_stack,
@@ -58,6 +59,16 @@ class FiniteCStarAlgebra:
 
     def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return self.space.contains(m, tol)
+
+    def adjoint_coefficients(self) -> np.ndarray:
+        """(k, k): row i holds the coefficients of b_i* against the basis.
+        Computed once (the basis is read-only), for every star check on A."""
+        if "adjoint_coefficients" not in self._cache:
+            bflat = self.basis.reshape(self.dim, -1)
+            cadj = self.basis.conj().transpose(0, 2, 1).reshape(self.dim, -1) @ bflat.conj().T
+            cadj.setflags(write=False)
+            self._cache["adjoint_coefficients"] = cadj
+        return self._cache["adjoint_coefficients"]
 
     def structure_constants(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """c[i, j, k] with b_i b_j = sum_k c[i, j, k] b_k, shape (k, k, k).
@@ -167,6 +178,22 @@ def _frame_closure_bound(A: FiniteCStarAlgebra, tol: float) -> float:
         return np.inf
     rounding = (n * n + np.sqrt(k) * (n * n + k)) * e
     return dmax + (1.0 + dmax) * dmax + delta * (1.0 + dmax) ** 2 + rounding
+
+
+def _held_frame(A: FiniteCStarAlgebra, tol: float):
+    """A's frame at tol if a query has already built it, else None (never
+    builds one; a cached refusal is None)."""
+    frame = A._cache.get(("frame", tol))
+    return frame if isinstance(frame, WedderburnFrame) else None
+
+
+def _held_closure_bound(A: FiniteCStarAlgebra, tol: float):
+    """``_frame_closure_bound`` from A's held frame when it is at most tol,
+    the bound that validation accepts; else None."""
+    if _held_frame(A, tol) is None:
+        return None
+    bound = _frame_closure_bound(A, tol)
+    return bound if bound <= tol else None
 
 
 def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:

@@ -54,11 +54,13 @@ from .numkernel import (
     eigh_desc,
     hs_orthonormalize,
     op_norm,
+    row_blocks,
 )
 from .tensorcalc import (
     ModuleUnitary,
     TensorProduct,
     _column_blocks,
+    _factored_rows,
     _gram_coordinates,
     _induced_action,
     _map_from_factored,
@@ -67,6 +69,7 @@ from .tensorcalc import (
     certify_module_unitary,
     compose_unitaries,
     flip_unitary,
+    hstack_blocks,
     identity_unitary,
     interior_tensor,
     intertwining_residual,
@@ -446,11 +449,17 @@ def _cmp_unit_vector_to_unit_vector(ra, rb, tol):
 
 def _cmp_dual_to_commutant(ra, rb, tol):
     """Through the flip chain: x* (x) (w y g) -> w (x) <x, y> g, on domain
-    columns S1 (1 (x) [w_l y_m]), whose right inverse the flip keeps."""
-    # blocks (j, m, l): S_P,l (x_j* y_m), in the flip's (m, l) order
-    T = _column_blocks(rb.aux["S_P"], rb.aux["W"].dim)[None, None] @ \
-        _pairwise_inner(ra.aux["E"].basis)[:, :, None]
-    U = _map_from_factored(T, rb.aux["flip"].meta["right_inverse"], ra.aux["tp_corr"].S_pinv)
+    columns S1 (1 (x) [w_l y_m]), whose right inverse the flip keeps.  The
+    stack T of blocks (j, m, l) = S_P,l (x_j* y_m), in the flip's (m, l)
+    order, is formed and contracted in row blocks over j."""
+    S_P = _column_blocks(rb.aux["S_P"], rb.aux["W"].dim)[None, None]
+    inner = _pairwise_inner(ra.aux["E"].basis)[:, :, None]
+    R = rb.aux["flip"].meta["right_inverse"]
+    k = len(inner)
+    rows = np.empty((k, S_P.shape[-2], R.shape[1]), dtype=np.complex128)
+    for s in row_blocks(k, 16 * k * S_P.size):
+        rows[s] = _factored_rows(S_P @ inner[s], R)
+    U = hstack_blocks(rows) @ ra.aux["tp_corr"].S_pinv
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", "commutant")})
 

@@ -12,7 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cstar import FiniteCStarAlgebra, commutant, _from_space
+from .cstar import (
+    FiniteCStarAlgebra,
+    _from_space,
+    _held_closure_bound,
+    _held_frame,
+    commutant,
+)
 from .errors import (
     DimensionMismatch,
     NotInModule,
@@ -23,6 +29,7 @@ from .errors import (
 from .numkernel import (
     DEFAULT_TOL,
     OperatorSpace,
+    _fro_norms,
     as_matrix,
     as_stack,
     column_support,
@@ -89,6 +96,9 @@ class Homomorphism:
         self._validated_at: float | None = None
         # the largest product residual (HS) certified by the last pass
         self._defect: float | None = None
+        # where that is an a-priori bound (the matrix-unit bound, a frame's
+        # closure bound): (hom, tol) -> the largest residual, measured
+        self._measure_defect = None
         # tol -> (k, k) upper bounds on the product residuals, set where the
         # map is built when its construction certifies them; see validate
         self._product_bounds = None
@@ -132,35 +142,50 @@ class Homomorphism:
         """Unitality, *-preservation and multiplicativity on the basis.
 
         Residuals are measured in Frobenius norm; results are cached so a
-        shared homomorphism is only validated once per tolerance.  The
-        product residuals come from the product loop, or from
-        ``_product_bounds`` where the construction certifies upper bounds
-        on them (the identity's closure residuals, an induced action's
-        certificate); each must stay under 100 * tol * max(1, ||want||), and
-        the largest is kept as ``_defect``.
+        shared homomorphism is only validated once per tolerance.  Each
+        product residual must stay under 100 * tol * max(1, ||want||), and
+        the largest certified is kept as ``_defect``.  The residuals are
+        bounded by ``_product_bounds`` where the construction certifies them
+        (the identity's closure bounds, an induced action's certificate),
+        else by ``_matrix_unit_bound`` when the domain already holds its
+        frame and that bound is at most 100 * tol, else computed by the
+        product loop, which makes every rejection.  Where the kept
+        ``_defect`` is an a-priori bound (the matrix-unit bound, the
+        identity's frame closure bound), ``_measure_defect`` measures the
+        residuals it bounds, for a certificate built on ``_defect`` that
+        the bound leaves too loose (``tensorcalc._induced_action``).
         """
         if self._validated_at is not None and self._validated_at <= tol:
             return
         dom = self.domain
-        k = dom.dim
+        k, d = dom.dim, self.codomain_dim
         unit_img = self.apply(dom.unit, tol)
-        if norm_exceeds(unit_img - np.eye(self.codomain_dim), 100.0 * tol):
+        if norm_exceeds(unit_img - np.eye(d), 100.0 * tol):
             raise ValidationError("homomorphism is not unital")
-        imflat = self.images.reshape(k, -1)
-        bflat = dom.basis.reshape(k, -1)
-        cadj = dom.basis.conj().transpose(0, 2, 1).reshape(k, -1) @ bflat.conj().T
-        star_want = cadj @ imflat
-        star_got = self.images.conj().transpose(0, 2, 1).reshape(k, -1)
-        star_res = np.linalg.norm(star_want - star_got, axis=1)
-        if star_res.max() > 100.0 * tol * np.sqrt(self.codomain_dim):
+        cadj, imflat = dom.adjoint_coefficients(), self.images.reshape(k, -1)
+        star_res = np.empty(k)
+        for s in row_blocks(k, 16 * d * d):
+            # theta(b_i*), conjugated and transposed in place, minus theta(b_i)
+            diff = (cadj[s] @ imflat).reshape(-1, d, d)
+            np.conjugate(diff, out=diff)
+            adj = diff.transpose(0, 2, 1)
+            adj -= self.images[s]
+            star_res[s] = _fro_norms(diff)
+        if star_res.max() > 100.0 * tol * np.sqrt(d):
             i = int(np.argmax(star_res))
             raise ValidationError(f"homomorphism not *-preserving at basis element {i}")
+        bound = 100.0 * tol
         if self._product_bounds is None:
+            frame = _held_frame(dom, tol)
+            defect = np.inf if frame is None else self._matrix_unit_bound(frame, tol)
+            if defect <= bound:
+                self._defect, self._validated_at = defect, tol
+                self._measure_defect = _loop_defect
+                return
             rows, what = self._product_residuals(tol), "homomorphism not multiplicative"
         else:
             rows = ((res, None) for res in self._product_bounds(tol))
             what = "multiplicativity certificate fails"
-        bound = 100.0 * tol
         defect = 0.0
         for i, (res, want) in enumerate(rows):
             j = int(np.argmax(res))
@@ -174,6 +199,94 @@ class Homomorphism:
             defect = max(defect, float(res[j]))
         self._defect = defect
         self._validated_at = tol
+        if self._product_bounds is None:
+            self._measure_defect = None
+
+    def _matrix_unit_bound(self, frame, tol: float) -> float:
+        """An upper bound on every residual ||theta(b_i) theta(b_j) - theta(b_i
+        b_j)|| as the product loop computes it (theta(x) = sum_l <b_l, x>
+        theta(b_l)), read off the domain's frame F = [L_p] without the
+        structure constants.  HS norms; e is the machine epsilon, and a GEMM
+        of inner length m errs by at most m e |A| |B| (Higham, Thm 3.5, as
+        in ``cstar._frame_closure_bound``).
+
+        The units e_cd = L_c L_d* (block p, L_c = L_p[:, c]) are mapped as
+        ``apply_many`` maps them (no unit need lie in the span) to T_cd.  Per
+        block V_c = T_c1 and R_cd = T_cd - V_c V_d*; G is W* W minus (+)_p 1
+        (x) T_11, for W = [V_c] over all blocks.  As R_c1 = V_c - V_c V_1* and
+        V_1 V_1* = V_1 - R_11 is Hermitian, exactly, for units u = cd and v =
+        c'd' ([d = c'] is 0 across blocks):
+
+            T_u T_v - [d = c'] T_cd' = [d = c'] (V_c (R_11 - R_11*) V_d'*
+                - R_c1 V_d'* - R_cd') + V_c G_dc' V_d'* + V_c V_d* R_v + R_u T_v.
+
+        Let U be the unitary nearest F (eps = ||F* F - 1||, the frame's
+        defect), f_u the exact matrix units of D = U (+)_p (M_n_p (x) 1) U*,
+        and psi linear on D with psi(f_u) = T_u.  Summing the terms in l2
+        over (u, v) (Cauchy-Schwarz; x = sum x_u f_u has ||x|| >= ||(x_u)||),
+        ||psi(x) psi(y) - psi(xy)|| <= M ||x|| ||y|| for x, y in D, with
+
+            M = r (sqrt(m) + m nu + 2 m^1.5 nu^2 + sqrt(k) (2 nu^2 + r)) + m nu^2 g:
+
+        r and g the l2 norms of all R and G plus d e ||W||^2 for their GEMMs,
+        m the largest block, nu^2 >= ||W||_op^2 the largest row sum of |W*
+        W| (which bounds its largest eigenvalue) plus its rounding d e
+        sqrt(N) ||W||^2 (N columns of blocks), and ||T_v||_op <= nu^2 + r.
+        With tau >= ||theta|| (tau^2 the largest row sum of the images'
+        |Gram| plus its rounding d^2 e omega sqrt(k) ||Theta||, Theta all
+        the images, omega = max_j ||theta(b_j)||), ||e_u - f_u|| <= gamma =
+        eps (2 + eps) + 2 n^2 e and the rounding alpha = 2 sqrt(n) e (n^2
+        sqrt(k) tau + k ||Theta||) of mapping e_u, theta differs from psi on
+        D by at most H ||x||, H = sqrt(k) (tau gamma + alpha).  Each b_i
+        lies within delta = max_i delta_i + 3 eps + 5 n^2 e of D
+        (``cstar._frame_closure_bound``): b_i = x_i + s_i.  So theta(b_i) =
+        psi(x_i) + r_i with ||r_i|| <= beta = H (1 + delta) + tau delta, and
+
+            theta(b_i) theta(b_j) - theta(b_i b_j) = psi(x_i) psi(x_j) - psi(x_i x_j)
+                - (theta - psi)(x_i x_j) - theta(s_i b_j + x_i s_j) + psi(x_i) r_j + r_i theta(b_j)
+
+        is at most (M + H)(1 + delta)^2 + tau delta (2 + delta) + (2 omega +
+        beta) beta.  The product loop's own rounding adds (d omega^2 + tau (n
+        + n^2 sqrt k) + 2 k ||Theta||) e (its product, its structure
+        constants and their sum), and every computed norm and difference the
+        factor 1 + (d^2 + 2) e.  The k products V_c V_d* and the Gram of W
+        are formed in row blocks."""
+        dom, d = self.domain, self.codomain_dim
+        k, n, e = dom.dim, dom.ambient_dim, np.finfo(float).eps
+        coeffs, c_of, d_of, v_of, t11, m = _matrix_units(dom, frame)
+        imflat = self.images.reshape(k, -1)
+        T = (coeffs @ imflat).reshape(k, d, d)
+        V, N = T[v_of], len(v_of)
+        r2 = g2 = row_sum = 0.0
+        for s in row_blocks(k, 3 * 16 * d * d):
+            R = T[s] - V[c_of[s]] @ V[d_of[s]].conj().transpose(0, 2, 1)
+            r2 += np.vdot(R, R).real
+        W = V.transpose(1, 0, 2).reshape(d, N * d)
+        for s in row_blocks(N, 16 * N * d * d):
+            G = V[s].conj().transpose(0, 2, 1) @ W  # rows of W* W
+            row_sum = max(row_sum, np.abs(G).sum(axis=2).max())
+            a = np.arange(s.start, s.stop)
+            G.reshape(len(a), d, N, d)[a - s.start, :, a, :] -= T[t11[a]]
+            g2 += np.vdot(G, G).real
+        im2, w2 = np.vdot(imflat, imflat).real, np.vdot(V, V).real
+        omega = float(_fro_norms(imflat).max())
+        tau = np.sqrt(np.abs(imflat @ imflat.conj().T).sum(axis=1).max()
+                      + d * d * e * omega * np.sqrt(k * im2))
+        nu2 = row_sum + d * e * np.sqrt(N) * w2
+        kappa = 1.0 + (d * d + 2) * e
+        r = kappa * (np.sqrt(r2) + d * e * w2)
+        g = kappa * (np.sqrt(g2) + d * e * w2)
+        M = r * (np.sqrt(m) + m * np.sqrt(nu2) + 2 * m ** 1.5 * nu2 + np.sqrt(k) * (2 * nu2 + r)) \
+            + m * nu2 * g
+        eps = frame.defect
+        gamma = eps * (2 + eps) + 2 * n * n * e
+        alpha = 2 * np.sqrt(n) * e * (n * n * np.sqrt(k) * tau + k * np.sqrt(im2))
+        H = np.sqrt(k) * (tau * gamma + alpha)
+        delta = float(frame.residuals.max()) + 3 * eps + 5 * n * n * e
+        beta = H * (1 + delta) + tau * delta
+        loop = (d * omega ** 2 + tau * (n + n * n * np.sqrt(k)) + 2 * k * np.sqrt(im2)) * e
+        return float(kappa * ((M + H) * (1 + delta) ** 2 + tau * delta * (2 + delta)
+                              + (2 * omega + beta) * beta + loop))
 
     def _product_residuals(self, tol: float):
         """For each basis element b_i, (res, want) over j: want[j] is
@@ -193,13 +306,43 @@ class Homomorphism:
                             self.apply_many(inner.images, tol))
 
 
+def _matrix_units(A: FiniteCStarAlgebra, frame):
+    """For ``Homomorphism._matrix_unit_bound``: the coefficients (k, k) of
+    the frame's units e_cd = L_c L_d* against A's basis (A's frame holds
+    every block, so sum n_p^2 = k); per unit, the indices of V_c and V_d
+    among all blocks' V; per V, the indices of its unit c1 and of its
+    block's unit 11; and the largest block."""
+    sizes = np.array([L.shape[1] for L in frame.left])
+    n = A.ambient_dim
+    units = np.concatenate([np.matmul(L[:, None], L.conj().transpose(0, 2, 1)[None])
+                            .reshape(-1, n * n) for L in (L.transpose(1, 0, 2) for L in frame.left)])
+    first, unit0 = np.cumsum(sizes) - sizes, np.cumsum(sizes ** 2) - sizes ** 2
+    return (units @ A.basis.reshape(A.dim, -1).conj().T,
+            np.concatenate([a + np.repeat(np.arange(s), s) for a, s in zip(first, sizes)]),
+            np.concatenate([a + np.tile(np.arange(s), s) for a, s in zip(first, sizes)]),
+            np.concatenate([o + s * np.arange(s) for o, s in zip(unit0, sizes)]),
+            np.repeat(unit0, sizes), int(sizes.max()))
+
+
+def _loop_defect(hom: Homomorphism, tol: float) -> float:
+    """The largest residual of hom's product loop."""
+    return max(float(res.max()) for res, _ in hom._product_residuals(tol))
+
+
 def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
     """A acting on its ambient space.  Its product residuals are A's closure
-    residuals ||b_i b_j - sum_l c[i, j, l] b_l||, which
-    ``A.structure_constants`` has already bounded, so ``validate`` reads
-    them instead of forming the k^2 products again."""
+    residuals ||b_i b_j - sum_l c[i, j, l] b_l||, so ``validate`` reads a
+    bound on them instead of forming the k^2 products again: the frame's
+    closure bound (``cstar._frame_closure_bound``, the same for every pair)
+    when A holds its frame and that bound certifies closure, else the
+    closure residuals that ``A.structure_constants`` has bounded."""
+    def bounds(tol):
+        r = _held_closure_bound(A, tol)
+        return A.closure_residuals(tol) if r is None else np.full((A.dim, A.dim), r)
+
     hom = Homomorphism(A, A.ambient_dim, A.basis.copy())
-    hom._product_bounds = A.closure_residuals
+    hom._product_bounds = bounds
+    hom._measure_defect = lambda _, tol: float(A.closure_residuals(tol).max())
     return hom
 
 
@@ -663,9 +806,11 @@ def commutant_bimodule(X: Correspondence, tol: float = DEFAULT_TOL) -> Correspon
 
 
 def module_over_itself(B: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> HilbertModule:
-    """B on its own basis: its closure residuals certify the right action
-    and, B being *-closed, the inner products b* c."""
-    B.structure_constants(tol)
+    """B on its own basis: its certified closure (the frame's closure bound,
+    else the closure residuals) covers the right action and, B being
+    *-closed, the inner products b* c."""
+    if _held_closure_bound(B, tol) is None:
+        B.structure_constants(tol)
     return HilbertModule(B, B.space)
 
 

@@ -169,8 +169,13 @@ def _map_from_factored(T: np.ndarray, R: np.ndarray, S_pinv: np.ndarray) -> np.n
     """T (1 (x) R) S+, the map sending the columns of S (1 (x) D) to T's, for
     right inverses R of D and S+ of S, with no Kronecker product.  T is the
     stack (k, ..., r, w) of its column blocks in C order; 1 acts on k."""
-    rows = np.moveaxis(T, -2, 1).reshape(len(T), T.shape[-2], -1)
-    return hstack_blocks(rows @ R) @ S_pinv
+    return hstack_blocks(_factored_rows(T, R)) @ S_pinv
+
+
+def _factored_rows(T: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """The blocks (k, r, c) of T (1 (x) R), one per index of T's first axis,
+    so that a caller may form T in row blocks over it."""
+    return np.moveaxis(T, -2, 1).reshape(len(T), T.shape[-2], -1) @ R
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +283,10 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
     mu being rho's certified ``_defect`` and the last term the rounding the
     product loop would see on r x r images (where the rest is exactly 0 in
     floating point, it is all that is left); ``validate`` takes these bounds in
-    place of the product loop and runs its own unit and star checks.  On
+    place of the product loop and runs its own unit and star checks.  Where
+    mu is an a-priori bound (``Homomorphism._measure_defect``) and some bound
+    exceeds 100 * tol, mu is measured and the bounds formed again: a large
+    ||S|| ||S+|| then multiplies rho's measured residuals, not their bound.  On
     the elementary tensors S (e_x (x) y), pi(a) leaves the module span by at
     most ||S (C_a (x) 1)(1 - S+ S)|| <= ||S||^2 ||D_(a*)|| + ||S|| ||C_a* - C_(a*)||,
     which must stay under 100 * tol (ValidationError naming the certificate).
@@ -309,11 +317,17 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
 
     norm_S = float(_fro_norms(S).max())  # S S* is diagonal
     norm_pi = _fro_norms(images)
-    bounds = norm_S * (np.outer(_fro_norms(C), R_inv) + np.linalg.norm(S_pinv)
-                       * (rho._defect + np.outer(_fro_norms(acts), R_X))) \
-        + 2 * r * np.finfo(float).eps * np.outer(norm_pi, norm_pi)
-    bflat = A.basis.reshape(m, -1)
-    cadj = A.basis.conj().transpose(0, 2, 1).reshape(m, -1) @ bflat.conj().T
+
+    def product_bounds(mu):
+        return norm_S * (np.outer(_fro_norms(C), R_inv) + np.linalg.norm(S_pinv)
+                         * (mu + np.outer(_fro_norms(acts), R_X))) \
+            + 2 * r * np.finfo(float).eps * np.outer(norm_pi, norm_pi)
+
+    bounds = product_bounds(rho._defect)
+    if bounds.max() > 100.0 * tol and rho._measure_defect is not None:
+        # rho's defect is an a-priori bound, too loose for this S: measure it
+        bounds = product_bounds(rho._measure_defect(rho, tol))
+    cadj = A.adjoint_coefficients()
     star_C = np.empty(m)
     for s in row_blocks(m, 16 * k * k):
         diff = cadj[s] @ C.reshape(m, -1)

@@ -49,6 +49,32 @@ def instance_a():
     return generate_random_instance(spec, 1)
 
 
+def instance_b():
+    """ROADMAP's instance b (H_F = 36): the uncompressed seed-1 instance on
+    blocks_B [(3, 1), (3, 1)] and blocks_C [(2, 1), (1, 1)]."""
+    from modfactor.harness import GenSpec, generate_random_instance
+    spec = GenSpec(blocks_B=[(3, 1), (3, 1)], blocks_C=[(2, 1), (1, 1)], compress=False)
+    return generate_random_instance(spec, 1)
+
+
+def batch_instances(count):
+    """The first ``count`` instances of the acceptance suite's seeded batch."""
+    from modfactor.harness import GenSpec, generate_random_instance
+    specs = [
+        GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(2, 1)],
+                module_multiplicity=2, corr_multiplicity=1),
+        GenSpec(blocks_B=[(2, 1)], blocks_C=[(1, 1), (1, 1)],
+                module_multiplicity=2, corr_multiplicity=2),
+        GenSpec(blocks_B=[(1, 1), (1, 1)], blocks_C=[(2, 1)],
+                module_multiplicity=3, corr_multiplicity=1, with_unit_vector=True),
+        GenSpec(blocks_B=[(2, 2)], blocks_C=[(2, 1)],
+                module_multiplicity=1, corr_multiplicity=1),
+        GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(1, 2)],
+                module_multiplicity=2, corr_multiplicity=1, with_unit_vector=True),
+    ]
+    return [generate_random_instance(specs[i % 5], 1000 + i) for i in range(count)]
+
+
 def corner_module(case, block_algebra):
     """A non-full module over C (+) M2: "corner" is spanned by E21 and E31,
     "random_corner" by a random generator supported on the M2 block."""

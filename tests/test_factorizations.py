@@ -44,7 +44,7 @@ from modfactor.hilbmod import (
     verify_unit_vector,
 )
 from modfactor.numkernel import OperatorSpace, op_norm
-from conftest import corner_module, matrix_unit
+from conftest import corner_module, instance_a, matrix_unit, traced_peak
 
 
 def column_module(n):
@@ -560,6 +560,41 @@ def test_every_intertwiner_solve_goes_through_one_entry_point(monkeypatch):
     adjointable_algebra(E)
     assert ("hilbmod", "intertwiner_space") in callers
     assert callers <= {("hilbmod", "intertwiner_space"), ("cstar", "commutant")}, callers
+
+
+def _one_shot_dual_to_commutant_map(ra, rb):
+    """The dual -> commutant map before row blocks, from the whole stack T
+    of blocks (j, m, l) = S_P,l (x_j* y_m) at once; returns it and T's
+    bytes."""
+    T = tensorcalc._column_blocks(rb.aux["S_P"], rb.aux["W"].dim)[None, None] @ \
+        hilbmod._pairwise_inner(ra.aux["E"].basis)[:, :, None]
+    U = tensorcalc._map_from_factored(T, rb.aux["flip"].meta["right_inverse"],
+                                      ra.aux["tp_corr"].S_pinv)
+    return U, T.nbytes
+
+
+class TestRowBlockedComparison:
+    def _results(self):
+        inst = instance_a()
+        return (factor_dual(inst.E, inst.F, inst.theta),
+                factor_commutant(inst.E, inst.F, inst.theta)[1])
+
+    def test_dual_to_commutant_matches_the_one_shot_map(self, block_budget):
+        ra, rb = self._results()
+        want, _ = _one_shot_dual_to_commutant_map(ra, rb)
+        k = ra.aux["E"].dim
+        row = 16 * k * rb.aux["S_P"].size  # one j of the stack
+        block_budget(3 * row)  # 3 of k = 26 rows a block, the last one shorter
+        got = compare(ra, rb)
+        assert np.abs(got.map - want).max() <= 1e-12
+        assert got.residual <= 1e-8
+
+    def test_dual_to_commutant_peak_stays_below_the_one_shot_stack(self, block_budget):
+        ra, rb = self._results()
+        _, stack = _one_shot_dual_to_commutant_map(ra, rb)
+        block_budget(2**16)
+        _, peak = traced_peak(compare, ra, rb)
+        assert peak < stack / 2
 
 
 class TestCompare:

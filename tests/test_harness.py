@@ -575,9 +575,10 @@ class TestCertifyOnceReuse:
 class TestCertifiedConstructions:
     def test_product_loop_runs_only_on_maps_from_input(self, tmp_path, monkeypatch):
         # ROADMAP instance a: parse and verify run the k^2 product loop only
-        # for theta, the parsed oracle left action, the commutant liftings
-        # and the other maps built from data; induced actions and identity
-        # representations are certified where they are built
+        # for the parsed oracle left action, the commutant liftings and the
+        # other maps built from data; induced actions and identity
+        # representations are certified where they are built, and theta,
+        # whose domain holds its frame from validation, on its matrix units
         import traceback
 
         from modfactor import hilbmod
@@ -599,16 +600,29 @@ class TestCertifiedConstructions:
             runs.append((hom, {f.name for f in traceback.extract_stack()}))
             return real_loop(hom, tol)
 
+        routed = []
+        real_route = Homomorphism._matrix_unit_bound
+
+        def route_spy(hom, frame, tol):
+            bound = real_route(hom, frame, tol)
+            routed.append((hom, bound <= 100 * tol))
+            return bound
+
         monkeypatch.setattr(hilbmod, "identity_homomorphism", identity_spy)
         monkeypatch.setattr(Homomorphism, "_product_residuals", loop_spy)
-        assert run_verification(parse_instance(str(path))).passed
+        monkeypatch.setattr(Homomorphism, "_matrix_unit_bound", route_spy)
+        inst = parse_instance(str(path))
+        assert run_verification(inst).passed
         assert identities
         assert 1 <= len(runs) <= 9
         for hom, frames in runs:
             assert "interior_tensor" not in frames and "_induced_action" not in frames
             assert not any(hom is h for h in identities)
         callers = set().union(*(frames for _, frames in runs))
-        assert {"_decode_hom", "_decode_correspondence", "commutant_lifting"} <= callers
+        assert {"_decode_correspondence", "commutant_lifting"} <= callers
+        # theta takes the matrix-unit route instead of the product loop
+        assert "_decode_hom" not in callers
+        assert [ok for hom, ok in routed if hom is inst.theta] == [True]
 
 
 def _dims(obj):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modfactor import cstar, hilbmod
+from modfactor import cstar, hilbmod, numkernel
 from modfactor.cstar import (
     FiniteCStarAlgebra,
     algebra_from_basis,
@@ -16,6 +16,7 @@ from modfactor.errors import (
     NonFiniteInput,
     NotInModule,
     PreconditionError,
+    ToleranceAmbiguity,
     ValidationError,
 )
 from modfactor.hilbmod import (
@@ -45,12 +46,22 @@ from modfactor.hilbmod import (
 )
 from modfactor.numkernel import (
     OperatorSpace,
+    WedderburnFrame,
     hs_orthonormalize,
     op_norm,
     row_blocks,
     subspace_equal,
 )
-from conftest import corner_module, haar_conjugated, instance_a, matrix_unit, traced_peak
+from conftest import (
+    batch_instances,
+    corner_module,
+    haar_conjugated,
+    haar_unitary,
+    instance_a,
+    instance_b,
+    matrix_unit,
+    traced_peak,
+)
 
 
 def scalars(n=1):
@@ -637,6 +648,56 @@ class TestStructureConstants:
         assert np.allclose(closure, np.linalg.norm(prods - want, axis=(2, 3)), atol=1e-15)
         assert hom._defect == closure.max() <= 1e-13
 
+    def test_identity_reads_the_frame_closure_bound(self, monkeypatch):
+        # an algebra validated through its frame: the identity's bounds are
+        # the frame's closure bound for every pair, and neither the identity
+        # nor A as a module over itself fills the structure constants
+        A = _haar_conjugated([(6, 1), (4, 1)], 5)
+        fills = self._spy(monkeypatch)
+        loops = []
+        monkeypatch.setattr(Homomorphism, "_product_residuals",
+                            lambda hom, tol: loops.append(hom) or iter(()))
+        hom = identity_homomorphism(A)
+        hom.validate()
+        r = cstar._frame_closure_bound(A, 1e-9)
+        assert np.array_equal(hom._product_bounds(1e-9), np.full((A.dim, A.dim), r))
+        assert hom._defect == r <= 1e-9
+        assert module_over_itself(A).space is A.space
+        algebra_bimodule(A).validate()
+        assert not fills and not loops
+        # A holds no frame at another tolerance: the closure residuals
+        identity_homomorphism(A).validate(1e-10)
+        assert fills == [1e-10]
+        # a certificate that the frame's bound leaves too loose measures the
+        # closure residuals instead
+        assert hom._measure_defect(hom, 1e-9) == A.closure_residuals(1e-9).max() < r
+
+    def test_adjoint_coefficients_are_computed_once_per_algebra(self):
+        A = _haar_conjugated([(2, 1), (1, 2)], 3)
+        cadj = A.adjoint_coefficients()
+        # row k holds <b_l, b_k*> over l
+        want = np.einsum("lij,kji->kl", A.basis.conj(), A.basis.conj())
+        assert np.abs(cadj - want).max() <= 1e-14
+        identity_homomorphism(A).validate()
+        _amplified(A, 2).validate()
+        assert A.adjoint_coefficients() is cadj and not cadj.flags.writeable
+
+    def test_star_check_names_the_element_the_reference_names(self):
+        # the image of a traceless element pushed off the adjoint relation
+        # (theta stays unital); the in-place check names the basis element
+        # with the largest ||theta(b_i*) - theta(b_i)*||
+        A = _haar_conjugated([(2, 1), (1, 2)], 3)
+        rng = np.random.default_rng(4)
+        imgs = _amplified(A, 2).images.copy()
+        m, _ = _adjoint_pair(A)
+        imgs[m] += 1e-5 * (rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+        bad = Homomorphism(A, 8, imgs)
+        want = np.tensordot(A.adjoint_coefficients(), imgs, axes=1)
+        ref = np.linalg.norm(want - imgs.conj().transpose(0, 2, 1), axis=(1, 2))
+        with pytest.raises(ValidationError,
+                           match=rf"not \*-preserving at basis element {int(np.argmax(ref))}$"):
+            bad.validate()
+
     def test_bimodule_over_the_finite_rank_algebra_is_checked_once(self, golden_module,
                                                                   monkeypatch):
         import gc
@@ -743,6 +804,193 @@ class TestMultiplicativityCheck:
         with pytest.raises(ValidationError,
                            match=rf"not multiplicative on basis pair \({i}, {j}\)"):
             bad.validate()
+
+
+def _standard_frame(blocks):
+    """The exact frame of build_algebra(blocks): per block (n_p, m_p) the
+    columns e_(offset + c m_p + j) as L[:, c, j], so that every certificate
+    measurement (residuals, defect) is exactly 0."""
+    n = sum(size * mult for size, mult in blocks)
+    eye, left, o = np.eye(n, dtype=complex), [], 0
+    for size, mult in blocks:
+        left.append(eye[:, o:o + size * mult].reshape(n, size, mult))
+        o += size * mult
+    k = sum(size * size for size, _ in blocks)
+    return WedderburnFrame(left, left, np.inf, np.zeros(k), 0.0)
+
+
+def _loop_max(hom, tol=1e-9):
+    """The largest residual of the product loop."""
+    return max(float(res.max()) for res, _ in hom._product_residuals(tol))
+
+
+def _haar_amplified(A, m, seed):
+    """a -> u (a (x) 1_m) u* for a Haar unitary u."""
+    u = haar_unitary(A.ambient_dim * m, np.random.default_rng(seed))
+    return Homomorphism(A, A.ambient_dim * m,
+                        np.stack([u @ np.kron(b, np.eye(m)) @ u.conj().T for b in A.basis]))
+
+
+class TestMatrixUnitRoute:
+    def test_matrix_unit_bound_dominates_the_product_loop(self):
+        # theta of every seeded-batch instance and of instances a and b on
+        # its domain K(E), and amplifications of Haar-conjugated domains
+        cases = [(f"batch {i}", inst.theta) for i, inst in enumerate(batch_instances(50))]
+        cases += [("a", instance_a().theta), ("b", instance_b().theta)]
+        for blocks in ([(6, 1), (4, 1)], [(3, 2), (2, 3)], [(1, 3)]):
+            A = _haar_conjugated(blocks, 11)
+            cases += [(f"{blocks} x 2", _amplified(A, 2)),
+                      (f"{blocks} conjugated", _haar_amplified(A, 3, 12))]
+        held = 0
+        for name, hom in cases:
+            try:
+                frame = cstar._frame(hom.domain, 1e-9)
+            except (ToleranceAmbiguity, PreconditionError):
+                continue
+            held += 1
+            bound = hom._matrix_unit_bound(frame, 1e-9)
+            assert _loop_max(hom) <= bound <= 100 * 1e-9, name
+        assert held == len(cases)
+
+    def test_matrix_unit_bound_covers_the_loops_rounding(self):
+        # C 1_5 on its exact frame: the unit's image is exactly 1, so R = G
+        # = 0 and delta = eps = 0, while the product loop reads about 1e-16
+        # (1/sqrt(5) is not exact); only the rounding terms cover it
+        A = build_algebra([(1, 5)])
+        hom = _amplified(A, 2)
+        assert np.array_equal(hom.apply(np.eye(5)), np.eye(10))
+        loop = _loop_max(hom)
+        assert 0.0 < loop <= hom._matrix_unit_bound(_standard_frame([(1, 5)]), 1e-9)
+
+    def test_matrix_unit_bound_needs_its_gram_term(self):
+        # theta(E_cd) = s_c s_d E_cd on M_2 with s = (1, 1 + 1e-6): on the
+        # exact frame every T_cd = V_c V_d* holds exactly (R = 0), and only
+        # the Gram residual V_2* V_2 - T_11 = ((1 + 1e-6)^2 - 1) E_11 shows
+        # that theta(E_12) theta(E_21) misses theta(E_11) by about 2e-6
+        A = build_algebra([(2, 1)])
+        s = np.array([1.0, 1.0 + 1e-6])
+        hom = Homomorphism(A, 2, np.einsum("c,d,cdij->cdij", s, s, A.basis.reshape(2, 2, 2, 2))
+                           .reshape(4, 2, 2))
+        loop = _loop_max(hom)
+        assert loop > 1e-6
+        assert loop <= hom._matrix_unit_bound(_standard_frame([(2, 1)]), 1e-9)
+
+    def test_matrix_unit_bound_needs_its_residual_term(self):
+        # theta(E_22) = (1 + 1e-6) E_22 on M_2 (the bound holds for any
+        # images, unital or not): V_1 = E_11 and V_2 = E_21 are exact, so G =
+        # 0, and only R_22 = 1e-6 E_22 shows that theta(E_22)^2 misses
+        # theta(E_22) by about 1e-6
+        A = build_algebra([(2, 1)])
+        imgs = A.basis.copy()
+        imgs[3] *= 1 + 1e-6
+        hom = Homomorphism(A, 2, imgs)
+        loop = _loop_max(hom)
+        assert loop > 1e-6
+        assert loop <= hom._matrix_unit_bound(_standard_frame([(2, 1)]), 1e-9)
+
+    def test_matrix_unit_bound_needs_its_frame_defect(self):
+        # a frame of M_2 off unitary by 1e-6, L = [(1, t), (0, 1)], and theta
+        # exact on its units, theta(L_c L_d*) = E_cd: R = G = 0 and every
+        # residual is 0, but L_2* L_1 = t makes theta(e_12) theta(e_11) miss
+        # theta(e_12 e_11) by about t; only the frame's defect covers it
+        t = 1e-6
+        A = build_algebra([(2, 1)])
+        L = np.array([[1, 0], [t, 1]], dtype=complex)
+        frame = WedderburnFrame([L[:, :, None]], [L[:, :, None]], np.inf, np.zeros(4),
+                                float(np.linalg.norm(L.conj().T @ L - np.eye(2))))
+        units = np.einsum("ic,jd->cdij", L, L.conj()).reshape(4, 2, 2)
+        coeffs = np.einsum("lij,uij->ul", A.basis.conj(), units)  # units on A's basis
+        hom = Homomorphism(A, 2, np.linalg.solve(coeffs, A.basis.reshape(4, 4)).reshape(4, 2, 2))
+        assert np.abs(hom.apply_many(units) - A.basis).max() <= 1e-15
+        loop = _loop_max(hom)
+        assert loop > 0.9 * t
+        assert loop <= hom._matrix_unit_bound(frame, 1e-9)
+
+    def test_matrix_unit_bound_needs_its_delta_term(self, monkeypatch):
+        # the span of test_cstar's tilted M_2 (+) M_1 on C^3 (three units
+        # tilted off the blocks by t = 1e-6; its frame, from fixed weights,
+        # is the standard one with residuals t) and theta sending the
+        # projections onto the span of the exact units e_u to e_u: R = G = 0
+        # and the frame is unitary, so only delta covers the loop's residual
+        t = 1e-6
+        mats = np.array([matrix_unit(1, 1, 3) - t * matrix_unit(1, 3, 3),
+                         matrix_unit(1, 2, 3) + t * matrix_unit(3, 2, 3),
+                         matrix_unit(2, 1, 3) + t * matrix_unit(2, 3, 3),
+                         matrix_unit(2, 2, 3), matrix_unit(3, 3, 3)], dtype=complex)
+        mats /= np.linalg.norm(mats, axis=(1, 2))[:, None, None]
+        w = np.array([[0, 0, 0, 1, 2], [0, 1, 1, 0, 0]]) / np.array([[5 ** 0.5], [2 ** 0.5]])
+        monkeypatch.setattr(numkernel, "_stage1_weights", lambda k: w)
+        Z = FiniteCStarAlgebra(3, OperatorSpace(3, 3, mats), np.eye(3, dtype=complex))
+        frame = cstar._frame(Z, 100 * t)
+        assert np.allclose(frame.residuals, [t, t, t, 0, 0], rtol=1e-6, atol=1e-15)
+        units = np.stack([matrix_unit(c, d, 3) for c, d in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]])
+        coeffs = np.einsum("lij,uij->ul", mats.conj(), units)
+        hom = Homomorphism(Z, 3, np.linalg.solve(coeffs, units.reshape(5, 9)).reshape(5, 3, 3))
+        assert np.abs(hom.apply_many(units, 100 * t) - units).max() <= 1e-15
+        loop = _loop_max(hom, 100 * t)
+        assert loop > 1e-12
+        assert loop <= hom._matrix_unit_bound(frame, 100 * t)
+
+    def test_a_corrupted_image_falls_back_to_the_product_loop(self, monkeypatch):
+        # the images of an adjoint pair of traceless elements scaled by
+        # 1 + 1e-6 keep theta unital and *-preserving but not multiplicative:
+        # the bound is above the rule, and the product loop names the pair
+        # the dense check names, with the message it has always had
+        A = _haar_conjugated([(6, 1), (4, 1)], 3)
+        assert cstar._held_frame(A, 1e-9) is not None
+        m, n = _adjoint_pair(A)
+        imgs = _amplified(A, 2).images.copy()
+        imgs[m] *= 1 + 1e-6
+        imgs[n] *= 1 + 1e-6
+        bad = Homomorphism(A, 20, imgs)
+        ref_res, ref_want = _dense_product_residuals(bad)
+        rule = 100.0 * 1e-9 * np.maximum(1.0, np.linalg.norm(ref_want, axis=2))
+        i = next(i for i in range(len(ref_res)) if ref_res[i].max() > rule[i, np.argmax(ref_res[i])])
+        j = int(np.argmax(ref_res[i]))
+        bounds = []
+        real = Homomorphism._matrix_unit_bound
+        monkeypatch.setattr(Homomorphism, "_matrix_unit_bound",
+                            lambda hom, frame, tol: bounds.append(real(hom, frame, tol)) or bounds[-1])
+        with pytest.raises(ValidationError,
+                           match=rf"^homomorphism not multiplicative on basis pair \({i}, {j}\)$"):
+            bad.validate()
+        assert len(bounds) == 1 and bounds[0] > 100 * 1e-9
+        assert bad._validated_at is None
+
+    def test_theta_of_instance_a_reads_no_structure_constants(self, tmp_path, monkeypatch):
+        # one parse and verify: theta's domain K(E) holds its frame from
+        # validation, so theta takes the matrix-unit route, K(E)'s identity
+        # reads the frame's closure bound, and neither fills the domain's
+        # structure constants or runs a product loop on it; the route builds
+        # no frame
+        import traceback
+
+        from modfactor.harness import parse_instance, run_verification, save_instance
+        path = tmp_path / "a.json"
+        save_instance(instance_a(), str(path))
+        fills, loops, frames = [], [], []
+        real_fill, real_loop, real_frame = (cstar._structure_constants,
+                                            Homomorphism._product_residuals,
+                                            cstar.wedderburn_frame)
+        monkeypatch.setattr(cstar, "_structure_constants",
+                            lambda A, tol, bound: fills.append(A) or real_fill(A, tol, bound))
+        monkeypatch.setattr(Homomorphism, "_product_residuals",
+                            lambda hom, tol: loops.append(hom.domain) or real_loop(hom, tol))
+
+        def frame_spy(*args):
+            frames.append({f.name for f in traceback.extract_stack()})
+            return real_frame(*args)
+
+        monkeypatch.setattr(cstar, "wedderburn_frame", frame_spy)
+        inst = parse_instance(str(path))
+        assert run_verification(inst).passed
+        dom = inst.theta.domain
+        assert cstar._held_frame(dom, 1e-9) is not None
+        assert fills and not any(A is dom for A in fills)
+        assert loops and not any(D is dom for D in loops)
+        assert inst.theta._validated_at == 1e-9 and 0.0 < inst.theta._defect <= 100 * 1e-9
+        assert frames and not any({"_matrix_unit_bound", "identity_homomorphism", "bounds"} & f
+                                  for f in frames)
 
 
 class TestCorrespondenceValidate:

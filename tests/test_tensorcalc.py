@@ -29,7 +29,14 @@ from modfactor.tensorcalc import (
     map_from_spanning,
     unit_identities,
 )
-from conftest import haar_unitary, instance_a, matrix_unit, traced_peak
+from conftest import (
+    batch_instances,
+    haar_conjugated,
+    haar_unitary,
+    instance_a,
+    matrix_unit,
+    traced_peak,
+)
 
 
 def scalar_correspondence(n):
@@ -446,24 +453,6 @@ def _reference_product_residuals(hom, tol=1e-9):
     return np.linalg.norm(want - got, axis=2), np.linalg.norm(want, axis=2)
 
 
-def _batch_instances(count):
-    """The first ``count`` instances of the acceptance suite's seeded batch."""
-    from modfactor.harness import GenSpec, generate_random_instance
-    specs = [
-        GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(2, 1)],
-                module_multiplicity=2, corr_multiplicity=1),
-        GenSpec(blocks_B=[(2, 1)], blocks_C=[(1, 1), (1, 1)],
-                module_multiplicity=2, corr_multiplicity=2),
-        GenSpec(blocks_B=[(1, 1), (1, 1)], blocks_C=[(2, 1)],
-                module_multiplicity=3, corr_multiplicity=1, with_unit_vector=True),
-        GenSpec(blocks_B=[(2, 2)], blocks_C=[(2, 1)],
-                module_multiplicity=1, corr_multiplicity=1),
-        GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(1, 2)],
-                module_multiplicity=2, corr_multiplicity=1, with_unit_vector=True),
-    ]
-    return [generate_random_instance(specs[i % 5], 1000 + i) for i in range(count)]
-
-
 def _spy_induced_actions(monkeypatch):
     """Record every certified induced action, from interior_tensor and from
     the commutant method's intertwiner module."""
@@ -485,7 +474,7 @@ class TestInducedActionCertificate:
     def test_bound_dominates_the_product_loop(self, monkeypatch):
         from modfactor.harness import golden_instance, run_verification
         made = _spy_induced_actions(monkeypatch)
-        for inst in [golden_instance()] + _batch_instances(10):
+        for inst in [golden_instance()] + batch_instances(10):
             assert run_verification(inst).passed
         assert len(made) >= 11 * 6
         for hom in made:
@@ -539,6 +528,32 @@ class TestInducedActionCertificate:
         got = tp.result.left_action.images
         assert len(got) == X.left.dim >= 2
         assert np.abs(got - want).max() <= 1e-12
+
+    def test_ill_conditioned_coordinates_measure_an_a_priori_defect(self):
+        # rho, Haar-conjugated M_6 (+) M_4 amplified twice, takes the
+        # matrix-unit route, so its defect mu is the route's bound, far above
+        # its product loop's.  With S = 1_20 (x) diag(1, 2^-13) on C^20 (x)
+        # C^2 (sigma_max / sigma_min = 8192, which the rank cut keeps), pi(a)
+        # = rho(a) (x) 1 and ||S+|| ~ 3.7e4 multiplies mu: the bound would
+        # fail the certificate, so mu is measured by the product loop and pi
+        # passes; rho keeps its certified bound
+        from modfactor.cstar import algebra_from_basis
+        from modfactor.tensorcalc import _induced_action
+        A = algebra_from_basis(haar_conjugated([(6, 1), (4, 1)], np.random.default_rng(3)))
+        rho = Homomorphism(A, 20, np.stack([np.kron(b, np.eye(2)) for b in A.basis]))
+        rho.validate()
+        loop = max(float(res.max()) for res, _ in rho._product_residuals(1e-9))
+        assert rho._measure_defect is not None and rho._defect > 1e3 * loop
+        space = OperatorSpace(20, 1, np.eye(20, dtype=complex)[:, :, None])
+        s = 2.0 ** -13
+        S, S_pinv = (np.kron(np.eye(20), np.diag([1.0, v])).astype(complex) for v in (s, 1 / s))
+        route = rho._defect
+        assert route * np.linalg.norm(S_pinv) > 100 * 1e-9
+        pi = _induced_action(rho, space, S, S_pinv, 1e-9)
+        assert rho._defect == route
+        assert pi._validated_at == 1e-9 and pi._defect <= 1e-9
+        want = np.stack([np.kron(m, np.eye(2)) for m in rho.images])
+        assert np.abs(pi.images - want).max() <= 1e-14
 
     def test_corrupted_right_inverse_fails_the_certificate(self):
         from modfactor.tensorcalc import _induced_action
