@@ -10,9 +10,12 @@ residual (``chain.flip_residual``).  It also prints the closest decision
 of every Wedderburn frame built in the sweep (each intertwiner solve): the
 smallest distance of a cluster separation and of a coupling from its cut,
 in decades (a decision under one decade raises ToleranceAmbiguity).  Last,
-how many homomorphism checks on a domain holding its frame took the
-matrix-unit route (``Homomorphism._matrix_unit_bound`` at most 100 tol) and
-how many fell back to the product loop, with the largest bound / (100 tol).
+per certificate kind of a homomorphism check (an identity's closure bound,
+an induced action's product bound, the matrix-unit bound on a domain
+holding its frame), how many checks were settled by it (at most 100 tol)
+and how many fell back to the product-residual kernel, with the largest
+certificate / (100 tol); and how many checks had no certificate and went
+to the kernel directly.
 """
 
 import argparse
@@ -57,17 +60,57 @@ def _record_frame_margins(margins: dict) -> None:
     numkernel._decide = recording
 
 
-def _record_matrix_unit_bounds(ratios: list) -> None:
-    """Wrap Homomorphism._matrix_unit_bound so that every call records its
-    bound / (100 tol); the route is taken where that is at most 1."""
-    bound = Homomorphism._matrix_unit_bound
+def _certificate_kind(bounds) -> str:
+    """The kind of a map's ``_product_bounds``, from where it was built."""
+    return "identity" if bounds.__qualname__.startswith("identity_homomorphism") \
+        else "induced action"
 
-    def recording(hom, frame, tol):
-        out = bound(hom, frame, tol)
-        ratios.append(out / (100.0 * tol))
+
+def _record_certificates(stats: dict) -> None:
+    """Wrap Homomorphism.validate so that every check of a map's products
+    records, under its certificate's kind, [checks, fallbacks to the kernel,
+    largest certificate / (100 tol)]; maps without one under "none"."""
+    validate = Homomorphism.validate
+    measured = Homomorphism._measured_defect
+    route = Homomorphism._matrix_unit_bound
+    open_checks = []  # per check in progress: [kind, ratio, fell back]
+
+    def recording_route(hom, frame, tol):
+        out = route(hom, frame, tol)
+        open_checks[-1][:2] = ["matrix units", out / (100.0 * tol)]
         return out
 
-    Homomorphism._matrix_unit_bound = recording
+    def recording_measured(hom, tol):
+        open_checks[-1][2] = True
+        return measured(hom, tol)
+
+    def recording_validate(hom, tol=numkernel.DEFAULT_TOL):
+        if hom._validated_at is not None and hom._validated_at <= tol:
+            return validate(hom, tol)
+        bounds, entry = hom._product_bounds, ["none", 0.0, False]
+        if bounds is not None:
+            entry[0] = _certificate_kind(bounds)
+
+            def certificate(t):
+                out = bounds(t)
+                entry[1] = out / (100.0 * t)
+                return out
+
+            hom._product_bounds = certificate
+        open_checks.append(entry)
+        try:
+            return validate(hom, tol)
+        finally:
+            hom._product_bounds = bounds
+            open_checks.pop()
+            row = stats.setdefault(entry[0], [0, 0, 0.0])
+            row[0] += 1
+            row[1] += entry[2]
+            row[2] = max(row[2], entry[1])
+
+    Homomorphism.validate = recording_validate
+    Homomorphism._measured_defect = recording_measured
+    Homomorphism._matrix_unit_bound = recording_route
 
 
 def main() -> int:
@@ -78,9 +121,9 @@ def main() -> int:
     args = ap.parse_args()
 
     rows = []
-    margins, ratios = {}, []
+    margins, certificates = {}, {}
     _record_frame_margins(margins)
-    _record_matrix_unit_bounds(ratios)
+    _record_certificates(certificates)
     t0 = time.perf_counter()
     failures = 0
     for i in range(args.count):
@@ -133,10 +176,12 @@ def main() -> int:
     print(f"closest frame decision: cluster separation "
           f"{margins.get('cluster', np.inf):.2f} decades, coupling "
           f"{margins.get('coupling', np.inf):.2f} decades from their cuts")
-    taken = sum(r <= 1.0 for r in ratios)
-    print(f"matrix-unit route: {taken} homomorphism checks took it, "
-          f"{len(ratios) - taken} fell back to the product loop; largest bound / (100 tol) "
-          f"{max(ratios, default=0.0):.2e}")
+    for kind, (checks, fallbacks, ratio) in sorted(certificates.items()):
+        if kind == "none":
+            print(f"no certificate: {checks} homomorphism checks measured by the kernel")
+        else:
+            print(f"{kind} certificate: {checks} homomorphism checks, {fallbacks} fell back "
+                  f"to the kernel; largest certificate / (100 tol) {ratio:.2e}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"rows": rows, "elapsed_s": elapsed}, f, indent=1)

@@ -70,70 +70,62 @@ class FiniteCStarAlgebra:
             self._cache["adjoint_coefficients"] = cadj
         return self._cache["adjoint_coefficients"]
 
-    def structure_constants(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """c[i, j, k] with b_i b_j = sum_k c[i, j, k] b_k, shape (k, k, k).
-
-        Computed once per tolerance (the basis is read-only, so the cached
-        constants cannot go stale) on first use, with every product within
-        100 * tol of the span; an algebra validated by the direct closure
-        check holds them from that stricter check.
-        """
-        key = ("structure_constants", tol)
-        if key not in self._cache:
-            _structure_constants(self, tol, 100.0 * tol)
-        return self._cache[key]
-
     def closure_residuals(self, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """HS distances (k, k) of the products b_i b_j from the span, found
-        and bounded with the structure constants."""
-        self.structure_constants(tol)
-        return self._cache[("closure", tol)]
-
-    def structure_support(self, tol: float = DEFAULT_TOL) -> list:
-        """Per basis element i, (cols, block): the l with some c[i, j, l] != 0,
-        and c[i][:, cols].  Every other constant of c[i] is exactly 0, so
-        b_i b_j = sum over l in cols of c[i, j, l] b_l (matrix-unit bases are
-        sparse, generic ones have full support).  Cached with the constants."""
-        key = ("structure_support", tol)
+        """HS distances (k, k) of the products b_i b_j from the span, computed
+        once per tolerance with every product within 100 * tol of the span
+        (an algebra validated by the direct check holds them from it)."""
+        key = ("closure", tol)
         if key not in self._cache:
-            c = self.structure_constants(tol)
-            self._cache[key] = [(cols, ci[:, cols]) for ci, cols in
-                                zip(c, map(np.flatnonzero, (c != 0).any(axis=1)))]
+            _certify_closure(self, tol, 100.0 * tol, *product_residuals(self, self.basis))
         return self._cache[key]
 
 
-def _structure_constants(A: FiniteCStarAlgebra, tol: float, bound: float) -> np.ndarray:
-    """Decompose all k^2 products b_i b_j against the span and cache the
-    coefficients under tol; ValidationError naming the worst pair when a
-    product lies farther than ``bound`` (HS) from the span, not cached.
-    The products b_i [b_0 | ... | b_{k-1}] of a block of rows i are one GEMM,
-    decomposed before the next block is formed.  PreconditionError when the
-    k^3 constants and one row block would exceed MAX_SYSTEM_BYTES."""
+def product_residuals(A: FiniteCStarAlgebra, *images) -> tuple:
+    """Per stack t (k, d, d) of images of A's basis, the HS norms (k, k) of
+    t_i t_j - sum_l c_ijl t_l, c_ijl = <b_l, b_i b_j>; on A's own basis, A's
+    closure residuals.  Per row block of i, the products b_i [b_0 | ... |
+    b_(k-1)] and c are formed once for every stack, and the sum runs over
+    the block's exactly nonzero columns of c (a matrix-unit basis is
+    sparse).  PreconditionError when one row would exceed MAX_SYSTEM_BYTES."""
     basis = A.basis
     k, n, _ = basis.shape
-    blocks = row_blocks(k, 16 * k * n * n)
-    _check_system_bytes(16 * (k ** 3 + blocks[0].stop * k * n * n),
-                        "structure_constants: the constants and one row block of products")
-    bflat = basis.reshape(k, n * n)
-    bconj = bflat.conj().T
-    row = np.ascontiguousarray(basis.transpose(1, 0, 2)).reshape(n, k * n)
-    cprod, closure = np.empty((k, k, k), dtype=np.complex128), np.empty((k, k))
-    for s in blocks:
-        prods = (basis[s].reshape(-1, n) @ row).reshape(-1, n, k, n)
-        prods = prods.transpose(0, 2, 1, 3).reshape(-1, n * n)  # rows (i, j)
+    row_bytes = 16 * k * (n * n + k + sum(t[0].size for t in images))
+    _check_system_bytes(row_bytes, "product_residuals: one row of products")
+    bconj = basis.reshape(k, -1).conj().T
+    # [t_0 | ... | t_(k-1)] per distinct stack: t_i t_j over a block of i and every j is one GEMM
+    wide = {id(t): np.ascontiguousarray(t.transpose(1, 0, 2)).reshape(len(t[0]), -1)
+            for t in (basis,) + images}
+
+    def products(t, s):  # rows (i, j)
+        d = len(t[0])
+        prods = (t[s].reshape(-1, d) @ wide[id(t)]).reshape(-1, d, k, d)
+        return prods.transpose(0, 2, 1, 3).reshape(-1, d * d)
+
+    out = [np.empty((k, k)) for _ in images]
+    for s in row_blocks(k, row_bytes):
+        prods = products(basis, s)
         c = prods @ bconj
-        prods -= c @ bflat
-        cprod[s] = c.reshape(-1, k, k)
-        closure[s] = _fro_norms(prods).reshape(-1, k)
+        cols = np.flatnonzero(c.any(axis=0))
+        sparse = len(cols) < k
+        c = c[:, cols] if sparse else c
+        for t, res in zip(images, out):
+            # the basis's own products serve c only, so they are reused
+            diff = prods if t is basis else products(t, s)
+            diff -= c @ (t.reshape(k, -1)[cols] if sparse else t.reshape(k, -1))
+            res[s] = _fro_norms(diff).reshape(-1, k)
+    return tuple(out)
+
+
+def _certify_closure(A: FiniteCStarAlgebra, tol: float, bound: float,
+                     closure: np.ndarray) -> None:
+    """Cache A's closure residuals under tol, or ValidationError naming the
+    worst pair when one is above ``bound``."""
     if closure.max() > bound:
         i, j = np.unravel_index(np.argmax(closure), closure.shape)
         raise ValidationError(f"domain basis is not multiplicatively closed: the "
                               f"product of basis elements ({i}, {j}) leaves the span")
-    cprod.setflags(write=False)
     closure.setflags(write=False)
-    A._cache[("structure_constants", tol)] = cprod
     A._cache[("closure", tol)] = closure
-    return cprod
 
 
 # Validation certifies closure from the frame when the direct check's work
@@ -188,12 +180,15 @@ def _held_frame(A: FiniteCStarAlgebra, tol: float):
 
 
 def _held_closure_bound(A: FiniteCStarAlgebra, tol: float):
-    """``_frame_closure_bound`` from A's held frame when it is at most tol,
-    the bound that validation accepts; else None."""
-    if _held_frame(A, tol) is None:
-        return None
-    bound = _frame_closure_bound(A, tol)
-    return bound if bound <= tol else None
+    """A certified bound on A's closure residuals at tol that forms no
+    product: its held frame's ``_frame_closure_bound`` when at most tol (the
+    bound validation accepts), else the largest of its cached closure
+    residuals; else None."""
+    bound = np.inf if _held_frame(A, tol) is None else _frame_closure_bound(A, tol)
+    if bound <= tol:
+        return bound
+    closure = A._cache.get(("closure", tol))
+    return None if closure is None else float(closure.max())
 
 
 def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
@@ -202,7 +197,7 @@ def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
     ``_FRAME_CLOSURE_WORK`` is accepted when ``_frame_closure_bound`` is at
     most tol, leaving the frame cached for ``commutant``, ``center`` and
     ``block_decomposition``; every other basis, and every rejection, goes
-    through the direct check of all k^2 products."""
+    through the direct check, ``product_residuals`` on A's own basis."""
     rnorm = A.space.span_residual(A.basis.conj().transpose(0, 2, 1))
     if rnorm.size and rnorm.max() > tol:
         raise ValidationError(
@@ -210,7 +205,7 @@ def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
         )
     k, n = A.dim, A.ambient_dim
     if k * k * n * n * (n + k) <= _FRAME_CLOSURE_WORK or _frame_closure_bound(A, tol) > tol:
-        _structure_constants(A, tol, tol)
+        _certify_closure(A, tol, tol, *product_residuals(A, A.basis))
     return A
 
 

@@ -14,10 +14,12 @@ import numpy as np
 
 from .cstar import (
     FiniteCStarAlgebra,
+    _certify_closure,
     _from_space,
     _held_closure_bound,
     _held_frame,
     commutant,
+    product_residuals,
 )
 from .errors import (
     DimensionMismatch,
@@ -96,11 +98,8 @@ class Homomorphism:
         self._validated_at: float | None = None
         # the largest product residual (HS) certified by the last pass
         self._defect: float | None = None
-        # where that is an a-priori bound (the matrix-unit bound, a frame's
-        # closure bound): (hom, tol) -> the largest residual, measured
-        self._measure_defect = None
-        # tol -> (k, k) upper bounds on the product residuals, set where the
-        # map is built when its construction certifies them; see validate
+        # tol -> an upper bound on every product residual, set where the map
+        # is built when its construction certifies them; see validate
         self._product_bounds = None
         # (E, F, tol, E_corr) of the last passed validate_theta
         self._theta_verdict: tuple | None = None
@@ -139,22 +138,14 @@ class Homomorphism:
         return rank_cut(s, tol, "homomorphism faithfulness")[0] == self.domain.dim
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
-        """Unitality, *-preservation and multiplicativity on the basis.
-
-        Residuals are measured in Frobenius norm; results are cached so a
-        shared homomorphism is only validated once per tolerance.  Each
-        product residual must stay under 100 * tol * max(1, ||want||), and
-        the largest certified is kept as ``_defect``.  The residuals are
-        bounded by ``_product_bounds`` where the construction certifies them
-        (the identity's closure bounds, an induced action's certificate),
-        else by ``_matrix_unit_bound`` when the domain already holds its
-        frame and that bound is at most 100 * tol, else computed by the
-        product loop, which makes every rejection.  Where the kept
-        ``_defect`` is an a-priori bound (the matrix-unit bound, the
-        identity's frame closure bound), ``_measure_defect`` measures the
-        residuals it bounds, for a certificate built on ``_defect`` that
-        the bound leaves too loose (``tensorcalc._induced_action``).
-        """
+        """Unitality, *-preservation and multiplicativity on the basis, in HS
+        norms, cached per tolerance.  Each product residual must stay under
+        100 * tol * max(1, ||want||); the largest certified is kept as
+        ``_defect``.  A certificate bounding them all (``_product_bounds``
+        where the construction certifies them, else ``_matrix_unit_bound``
+        when the domain holds its frame) is accepted when at most 100 * tol;
+        otherwise ``_measured_defect`` measures them and makes every
+        rejection."""
         if self._validated_at is not None and self._validated_at <= tol:
             return
         dom = self.domain
@@ -174,41 +165,40 @@ class Homomorphism:
         if star_res.max() > 100.0 * tol * np.sqrt(d):
             i = int(np.argmax(star_res))
             raise ValidationError(f"homomorphism not *-preserving at basis element {i}")
-        bound = 100.0 * tol
-        if self._product_bounds is None:
+        if self._product_bounds is not None:
+            defect = self._product_bounds(tol)
+        else:
             frame = _held_frame(dom, tol)
             defect = np.inf if frame is None else self._matrix_unit_bound(frame, tol)
-            if defect <= bound:
-                self._defect, self._validated_at = defect, tol
-                self._measure_defect = _loop_defect
-                return
-            rows, what = self._product_residuals(tol), "homomorphism not multiplicative"
+        if defect > 100.0 * tol:
+            defect = self._measured_defect(tol)
+        self._defect, self._validated_at = defect, tol
+
+    def _measured_defect(self, tol: float) -> float:
+        """The largest residual from ``cstar.product_residuals``, with the
+        domain's closure checked in the same pass unless already certified.
+        ValidationError on the first row i whose worst residual, at j, is
+        above 100 * tol * max(1, ||want||), want = sum_l c_ijl theta(b_l)."""
+        dom, bound = self.domain, 100.0 * tol
+        if _held_closure_bound(dom, tol) is not None:
+            res, = product_residuals(dom, self.images)
         else:
-            rows = ((res, None) for res in self._product_bounds(tol))
-            what = "multiplicativity certificate fails"
-        defect = 0.0
-        for i, (res, want) in enumerate(rows):
-            j = int(np.argmax(res))
-            # the scale max(1, ||want_j||) only matters above the bound
-            if res[j] > bound:
-                if want is None:
-                    cols, block = dom.structure_support(tol)[i]
-                    want = block @ imflat[cols]
-                if res[j] > bound * max(1.0, float(np.linalg.norm(want[j]))):
-                    raise ValidationError(f"{what} on basis pair ({i}, {j})")
-            defect = max(defect, float(res[j]))
-        self._defect = defect
-        self._validated_at = tol
-        if self._product_bounds is None:
-            self._measure_defect = None
+            closure, res = product_residuals(dom, dom.basis, self.images)
+            _certify_closure(dom, tol, bound, closure)
+        for i in np.flatnonzero(res.max(axis=1) > bound):
+            j = int(np.argmax(res[i]))
+            want = np.tensordot(dom.space.coeffs(dom.basis[i] @ dom.basis[j]), self.images, 1)
+            if res[i, j] > bound * max(1.0, float(np.linalg.norm(want))):
+                raise ValidationError(f"homomorphism not multiplicative on basis pair ({i}, {j})")
+        return float(res.max())
 
     def _matrix_unit_bound(self, frame, tol: float) -> float:
         """An upper bound on every residual ||theta(b_i) theta(b_j) - theta(b_i
-        b_j)|| as the product loop computes it (theta(x) = sum_l <b_l, x>
-        theta(b_l)), read off the domain's frame F = [L_p] without the
-        structure constants.  HS norms; e is the machine epsilon, and a GEMM
-        of inner length m errs by at most m e |A| |B| (Higham, Thm 3.5, as
-        in ``cstar._frame_closure_bound``).
+        b_j)|| as ``cstar.product_residuals`` computes it (theta(x) = sum_l
+        <b_l, x> theta(b_l)), read off the domain's frame F = [L_p] without
+        forming the k^2 products.  HS norms; e is the machine epsilon, and a
+        GEMM of inner length m errs by at most m e |A| |B| (Higham, Thm 3.5,
+        as in ``cstar._frame_closure_bound``).
 
         The units e_cd = L_c L_d* (block p, L_c = L_p[:, c]) are mapped as
         ``apply_many`` maps them (no unit need lie in the span) to T_cd.  Per
@@ -246,11 +236,11 @@ class Homomorphism:
                 - (theta - psi)(x_i x_j) - theta(s_i b_j + x_i s_j) + psi(x_i) r_j + r_i theta(b_j)
 
         is at most (M + H)(1 + delta)^2 + tau delta (2 + delta) + (2 omega +
-        beta) beta.  The product loop's own rounding adds (d omega^2 + tau (n
-        + n^2 sqrt k) + 2 k ||Theta||) e (its product, its structure
-        constants and their sum), and every computed norm and difference the
-        factor 1 + (d^2 + 2) e.  The k products V_c V_d* and the Gram of W
-        are formed in row blocks."""
+        beta) beta.  The kernel's own rounding adds (d omega^2 + tau (n + n^2
+        sqrt k) + 2 k ||Theta||) e (its product, the coefficients c_ijl and
+        their sum), and every computed norm and difference the factor 1 +
+        (d^2 + 2) e.  The k products V_c V_d* and the Gram of W are formed in
+        row blocks."""
         dom, d = self.domain, self.codomain_dim
         k, n, e = dom.dim, dom.ambient_dim, np.finfo(float).eps
         coeffs, c_of, d_of, v_of, t11, m = _matrix_units(dom, frame)
@@ -284,21 +274,9 @@ class Homomorphism:
         H = np.sqrt(k) * (tau * gamma + alpha)
         delta = float(frame.residuals.max()) + 3 * eps + 5 * n * n * e
         beta = H * (1 + delta) + tau * delta
-        loop = (d * omega ** 2 + tau * (n + n * n * np.sqrt(k)) + 2 * k * np.sqrt(im2)) * e
+        own = (d * omega ** 2 + tau * (n + n * n * np.sqrt(k)) + 2 * k * np.sqrt(im2)) * e
         return float(kappa * ((M + H) * (1 + delta) ** 2 + tau * delta * (2 + delta)
-                              + (2 * omega + beta) * beta + loop))
-
-    def _product_residuals(self, tol: float):
-        """For each basis element b_i, (res, want) over j: want[j] is
-        sum_l c[i, j, l] theta(b_l), summed over the support of c[i] only, and
-        res[j] the HS norm of theta(b_i) theta(b_j) - want[j]."""
-        k = self.domain.dim
-        imflat = self.images.reshape(k, -1)
-        for i, (cols, block) in enumerate(self.domain.structure_support(tol)):
-            want = block @ imflat[cols]
-            diff = np.matmul(self.images[i], self.images).reshape(k, -1)
-            diff -= want
-            yield np.linalg.norm(diff, axis=1), want
+                              + (2 * omega + beta) * beta + own))
 
     def compose(self, inner: "Homomorphism", tol: float = DEFAULT_TOL) -> "Homomorphism":
         """self after inner."""
@@ -324,25 +302,17 @@ def _matrix_units(A: FiniteCStarAlgebra, frame):
             np.repeat(unit0, sizes), int(sizes.max()))
 
 
-def _loop_defect(hom: Homomorphism, tol: float) -> float:
-    """The largest residual of hom's product loop."""
-    return max(float(res.max()) for res, _ in hom._product_residuals(tol))
-
-
 def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
     """A acting on its ambient space.  Its product residuals are A's closure
-    residuals ||b_i b_j - sum_l c[i, j, l] b_l||, so ``validate`` reads a
-    bound on them instead of forming the k^2 products again: the frame's
-    closure bound (``cstar._frame_closure_bound``, the same for every pair)
-    when A holds its frame and that bound certifies closure, else the
-    closure residuals that ``A.structure_constants`` has bounded."""
+    residuals ||b_i b_j - sum_l c_ijl b_l||, so ``validate`` reads a bound on
+    them instead of forming the k^2 products again (``cstar._held_closure_bound``,
+    else the largest of A's closure residuals, computed once)."""
     def bounds(tol):
         r = _held_closure_bound(A, tol)
-        return A.closure_residuals(tol) if r is None else np.full((A.dim, A.dim), r)
+        return float(A.closure_residuals(tol).max()) if r is None else r
 
     hom = Homomorphism(A, A.ambient_dim, A.basis.copy())
     hom._product_bounds = bounds
-    hom._measure_defect = lambda _, tol: float(A.closure_residuals(tol).max())
     return hom
 
 
@@ -479,16 +449,21 @@ def _trimmed_module(base: FiniteCStarAlgebra, space: OperatorSpace,
 
 
 def _validate_module(E: HilbertModule, tol: float) -> None:
-    X = E.basis
-    moved = E.space.span_residual(np.matmul(X[:, None], E.base.basis[None]))
-    bad = np.flatnonzero(moved.max(axis=1) > 100.0 * tol)
-    if bad.size:
-        raise ValidationError(f"right action moves basis element {bad[0]} out of the span")
-    inner = E.base.space.span_residual(_pairwise_inner(X))
-    bad = np.flatnonzero(inner.max(axis=1) > 100.0 * tol)
-    if bad.size:
-        raise ValidationError(
-            f"an inner product against basis element {bad[0]} leaves the base algebra")
+    """x b and x* y stay in their spans, in row blocks over the basis x; the
+    first x failing is named."""
+    X, B = E.basis, E.base.basis
+    for s in row_blocks(E.dim, 16 * len(B) * X[0].size):
+        bad = np.flatnonzero(E.space.span_residual(np.matmul(X[s, None], B[None]))
+                             .max(axis=1) > 100.0 * tol)
+        if bad.size:
+            raise ValidationError(
+                f"right action moves basis element {s.start + bad[0]} out of the span")
+    for s in row_blocks(E.dim, 16 * E.dim * B[0].size):
+        inner = np.matmul(_adjoints(X[s])[:, None], X[None])
+        bad = np.flatnonzero(E.base.space.span_residual(inner).max(axis=1) > 100.0 * tol)
+        if bad.size:
+            raise ValidationError(f"an inner product against basis element "
+                                  f"{s.start + bad[0]} leaves the base algebra")
 
 
 def _adjoints(mats: np.ndarray) -> np.ndarray:
@@ -806,11 +781,10 @@ def commutant_bimodule(X: Correspondence, tol: float = DEFAULT_TOL) -> Correspon
 
 
 def module_over_itself(B: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> HilbertModule:
-    """B on its own basis: its certified closure (the frame's closure bound,
-    else the closure residuals) covers the right action and, B being
-    *-closed, the inner products b* c."""
+    """B on its own basis: its certified closure covers the right action
+    and, B being *-closed, the inner products b* c."""
     if _held_closure_bound(B, tol) is None:
-        B.structure_constants(tol)
+        B.closure_residuals(tol)
     return HilbertModule(B, B.space)
 
 

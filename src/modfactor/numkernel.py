@@ -28,8 +28,8 @@ from .errors import (
 DEFAULT_TOL = 1e-9
 # Seed of the weights of wedderburn_frame's generic elements.
 STAGE1_SEED = 2010
-# wedderburn_frame and structure_constants refuse to allocate a stack larger
-# than this.
+# wedderburn_frame refuses to allocate a stack larger than this, and
+# cstar.product_residuals one row of products.
 MAX_SYSTEM_BYTES = 2**30
 # The batched kernels form their stacks in row blocks of about this many
 # bytes (``row_blocks``), each reduced before the next is formed, so that a

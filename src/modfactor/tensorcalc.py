@@ -280,13 +280,11 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
         ||S|| ||C_a|| ||D_b|| + ||S|| ||S+|| (mu + ||rho(a)|| R_X(b))
             + 2 r eps ||pi(a)|| ||pi(b)||,
 
-    mu being rho's certified ``_defect`` and the last term the rounding the
-    product loop would see on r x r images (where the rest is exactly 0 in
-    floating point, it is all that is left); ``validate`` takes these bounds in
-    place of the product loop and runs its own unit and star checks.  Where
-    mu is an a-priori bound (``Homomorphism._measure_defect``) and some bound
-    exceeds 100 * tol, mu is measured and the bounds formed again: a large
-    ||S|| ||S+|| then multiplies rho's measured residuals, not their bound.  On
+    mu being rho's certified ``_defect`` and the last term the rounding of
+    ``cstar.product_residuals`` on r x r images (all that is left where the
+    rest is exactly 0).  ``validate`` takes the largest bound as pi's
+    certificate and runs its own unit and star checks; where a large ||S||
+    ||S+|| lifts it above 100 * tol, it measures pi's residuals instead.  On
     the elementary tensors S (e_x (x) y), pi(a) leaves the module span by at
     most ||S (C_a (x) 1)(1 - S+ S)|| <= ||S||^2 ||D_(a*)|| + ||S|| ||C_a* - C_(a*)||,
     which must stay under 100 * tol (ValidationError naming the certificate).
@@ -317,16 +315,9 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
 
     norm_S = float(_fro_norms(S).max())  # S S* is diagonal
     norm_pi = _fro_norms(images)
-
-    def product_bounds(mu):
-        return norm_S * (np.outer(_fro_norms(C), R_inv) + np.linalg.norm(S_pinv)
-                         * (mu + np.outer(_fro_norms(acts), R_X))) \
-            + 2 * r * np.finfo(float).eps * np.outer(norm_pi, norm_pi)
-
-    bounds = product_bounds(rho._defect)
-    if bounds.max() > 100.0 * tol and rho._measure_defect is not None:
-        # rho's defect is an a-priori bound, too loose for this S: measure it
-        bounds = product_bounds(rho._measure_defect(rho, tol))
+    bound = float((norm_S * (np.outer(_fro_norms(C), R_inv) + np.linalg.norm(S_pinv)
+                             * (rho._defect + np.outer(_fro_norms(acts), R_X)))
+                   + 2 * r * np.finfo(float).eps * np.outer(norm_pi, norm_pi)).max())
     cadj = A.adjoint_coefficients()
     star_C = np.empty(m)
     for s in row_blocks(m, 16 * k * k):
@@ -340,7 +331,7 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
             f"induced left action fails its range-invariance certificate at basis "
             f"element {bad[0]} (bound {span[bad[0]]:.3e})")
     hom = Homomorphism(A, r, images)
-    hom._product_bounds = lambda _tol: bounds
+    hom._product_bounds = lambda _tol: bound
     hom.validate(tol)
     return hom
 

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -119,3 +120,32 @@ def traced_peak(fn, *args):
         return out, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def spy_product_residuals(monkeypatch):
+    """Record every call of ``cstar.product_residuals``, through every
+    modfactor module that binds it, as (A, stacks); returns the list."""
+    from modfactor import cstar
+    calls, real = [], cstar.product_residuals
+
+    def spy(A, *images):
+        calls.append((A, images))
+        return real(A, *images)
+
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("modfactor") and getattr(mod, "product_residuals", None) is real:
+            monkeypatch.setattr(mod, "product_residuals", spy)
+    return calls
+
+
+def dense_product_residuals(A, images):
+    """The reference for ``cstar.product_residuals``: the dense structure
+    constants c[i, j, l] = <b_l, b_i b_j> of all k^2 products at once, and
+    per pair ||t_i t_j - sum_l c[i, j, l] t_l|| and the norm of that sum.
+    On A's own basis the first are A's closure residuals."""
+    k = A.dim
+    prods = np.matmul(A.basis[:, None], A.basis[None])
+    c = np.einsum("lab,ijab->ijl", A.basis.conj(), prods)
+    want = np.tensordot(c, images, axes=1).reshape(k, k, -1)
+    got = np.matmul(images[:, None], images[None]).reshape(k, k, -1)
+    return np.linalg.norm(got - want, axis=2), np.linalg.norm(want, axis=2)

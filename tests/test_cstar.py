@@ -25,7 +25,12 @@ from modfactor.errors import (
     ValidationError,
 )
 from modfactor.numkernel import OperatorSpace, hs_orthonormalize, subspace_equal
-from conftest import kronecker_intertwiners, matrix_unit
+from conftest import (
+    dense_product_residuals,
+    kronecker_intertwiners,
+    matrix_unit,
+    spy_product_residuals,
+)
 
 
 def _bindings(name):
@@ -224,37 +229,55 @@ def test_central_projection_checks(mats, error, monkeypatch):
         block_decomposition(Z)
 
 
-def test_structure_constants_memory_guard_raises_before_allocating():
-    A = build_algebra([(30, 1)])  # k = 900 basis elements on C^30
+def _row_bytes(A):
+    """What product_residuals prices for A's closure: one row of products
+    b_i [b_0 | ... | b_(k-1)], its coefficients and their sum."""
+    k, n = A.dim, A.ambient_dim
+    return 16 * k * (2 * n * n + k)
+
+
+def test_product_residuals_memory_guard_raises_before_allocating(monkeypatch):
+    # M_30 (k = 900 on C^30): one row of its closure products, with their
+    # coefficients and sums, takes 37 MiB, above a 16 MiB limit, and the
+    # guard raises before any row is formed
+    A = build_algebra([(30, 1)])
+    assert _row_bytes(A) == 16 * 900 * 2700
+    monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 2**24)
     tracemalloc.start()
     try:
         with pytest.raises(PreconditionError,
-                           match=r"structure_constants: the constants and one row block "
-                                 r"of products needs 11136 MiB"):
-            A.structure_constants()
+                           match=r"product_residuals: one row of products needs 37 MiB"):
+            A.closure_residuals()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2**20, peak
+    assert peak < _row_bytes(A) / 16, peak
 
 
-def test_structure_constants_guard_prices_constants_and_one_row_block(monkeypatch):
+def test_product_residuals_guard_prices_one_row(monkeypatch):
     # M_4 (x) 1_6 on C^24: k = 16, n = 24.  The k^2 products would take 2.25
-    # MiB; the constants (64 KiB) and a row block of 7 rows (1008 KiB) fit
-    # under 2 MiB, since the check never stacks every product
-    k, n = 16, 24
-    assert 16 * k ** 2 * n ** 2 > 2 * 2**20
-    monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 2 * 2**20)
-    # algebra_from_basis certifies this basis's closure from its frame;
-    # structure_constants runs the row-blocked check
+    # MiB; one row of them with its coefficients fits a limit of exactly its
+    # size, since the check never stacks every product
     A = haar_conjugated([(4, 6)], 11)
-    assert A.structure_constants(1e-9).shape == (k, k, k)
+    k, n = 16, 24
+    assert 16 * k ** 2 * n ** 2 > 7 * _row_bytes(A)
+    monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", _row_bytes(A))
+    # algebra_from_basis certified this basis's closure from its frame;
+    # closure_residuals runs the row-blocked check
+    assert ("closure", 1e-9) not in A._cache
+    assert A.closure_residuals(1e-9).shape == (k, k)
 
 
-def test_structure_constants_guard_refuses_constants_over_the_limit(monkeypatch):
-    monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", 16 * 16 ** 3 - 1)
-    with pytest.raises(PreconditionError, match="the constants and one row block"):
-        haar_conjugated([(4, 6)], 11)
+def test_product_residuals_guard_refuses_a_row_over_the_limit(monkeypatch):
+    A = haar_conjugated([(4, 6)], 11)
+    monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", _row_bytes(A) - 1)
+    with pytest.raises(PreconditionError, match="one row of products"):
+        A.closure_residuals()
+    # a homomorphism's check prices its images' row too
+    monkeypatch.setattr(numkernel, "MAX_SYSTEM_BYTES", _row_bytes(A))
+    imgs = np.stack([np.kron(b, np.eye(2)) for b in A.basis])
+    with pytest.raises(PreconditionError, match="one row of products"):
+        cstar.product_residuals(A, imgs)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -291,15 +314,15 @@ def test_one_frame_per_algebra_and_tol(monkeypatch):
         assert block_decomposition(A, tol) == [(2, 2), (3, 1)]
     assert frames == [1e-9, 1e-10]
     # M_21, k = 441: validation certifies closure from the frame the three
-    # queries then read; its k^3 structure constants (1.3 GiB, above
-    # MAX_SYSTEM_BYTES) are never formed
+    # queries then read; its k^2 closure products (1.3 GiB) are never formed
     frames.clear()
+    passes = spy_product_residuals(monkeypatch)
     M = haar_conjugated([(21, 1)], 4)
-    assert 16 * M.dim ** 3 > numkernel.MAX_SYSTEM_BYTES
+    assert 16 * M.dim ** 2 * M.ambient_dim ** 2 > numkernel.MAX_SYSTEM_BYTES
     assert commutant(M).dim == 1 and center(M).dim == 1
     assert block_decomposition(M) == [(21, 1)]
     assert frames == [1e-9]
-    assert ("structure_constants", 1e-9) not in M._cache
+    assert ("closure", 1e-9) not in M._cache and not passes
 
 
 def test_orthonormal_rights_are_fitted_without_lstsq(monkeypatch):
@@ -323,16 +346,23 @@ def _closure_work(A):
 
 
 def _block_rows(A):
-    k, n = A.dim, A.ambient_dim
-    return max(1, numkernel._BLOCK_BYTES // (16 * k * n * n))
+    return max(1, numkernel._BLOCK_BYTES // _row_bytes(A))
 
 
 def test_blocked_closure_check_matches_the_one_shot_check():
     A = haar_conjugated([(4, 3), (3, 4)], 6)  # k = 25 on C^24
     assert A.dim > 2 * _block_rows(A)  # at least three row blocks
     cprod, closure = _one_shot_closure(A)
-    assert np.abs(A.structure_constants() - cprod).max() <= 1e-12
     assert np.abs(A.closure_residuals() - closure).max() <= 1e-12
+    # the coefficients the blocks form, through A's images in C^24 (x) C^2,
+    # whose residuals are those of the dense constants' sums
+    imgs = np.stack([np.kron(b, np.eye(2)) for b in A.basis])
+    imgs[3] *= 1 + 1e-6
+    ref, _ = dense_product_residuals(A, imgs)
+    assert ref.max() > 1e-7
+    assert np.abs(cstar.product_residuals(A, imgs)[0] - ref).max() <= 1e-12
+    assert np.abs(np.tensordot(cprod, A.basis, axes=1)
+                  - np.matmul(A.basis[:, None], A.basis[None])).max() <= 1e-12
 
 
 def test_worst_product_in_a_later_row_block_is_named():
@@ -354,7 +384,7 @@ def test_worst_product_in_a_later_row_block_is_named():
     i, j = np.unravel_index(np.argmax(closure), closure.shape)
     assert (i, j) == (4, 4) and i >= _block_rows(Z)
     with pytest.raises(ValidationError) as direct:
-        cstar._structure_constants(Z, 1e-9, 1e-9)
+        cstar._certify_closure(Z, 1e-9, 1e-9, *cstar.product_residuals(Z, Z.basis))
     with pytest.raises(ValidationError, match=r"basis elements \(4, 4\) leaves the span") as got:
         algebra_from_basis(mats)
     assert str(got.value) == str(direct.value)
@@ -434,7 +464,7 @@ def test_a_failed_frame_falls_back_to_the_direct_check(monkeypatch):
     for mod, name in _bindings("wedderburn_frame"):
         monkeypatch.setattr(mod, name, lambda *a, _f=real: frames.append(a[2]) or _f(*a))
     B = algebra_from_basis(mats)
-    assert ("structure_constants", 1e-9) in B._cache
+    assert ("closure", 1e-9) in B._cache
     assert isinstance(B._cache[("frame", 1e-9)], ToleranceAmbiguity)
     for query in (commutant, center, block_decomposition):
         with pytest.raises(ToleranceAmbiguity, match="from the frame's blocks"):

@@ -574,11 +574,12 @@ class TestCertifyOnceReuse:
 
 class TestCertifiedConstructions:
     def test_product_loop_runs_only_on_maps_from_input(self, tmp_path, monkeypatch):
-        # ROADMAP instance a: parse and verify run the k^2 product loop only
-        # for the parsed oracle left action, the commutant liftings and the
-        # other maps built from data; induced actions and identity
-        # representations are certified where they are built, and theta,
-        # whose domain holds its frame from validation, on its matrix units
+        # ROADMAP instance a: parse and verify run the product-residual
+        # kernel on a map's images only for the parsed oracle left action,
+        # the commutant liftings and the other maps built from data; induced
+        # actions and identity representations are certified where they are
+        # built, and theta, whose domain holds its frame from validation, on
+        # its matrix units
         import traceback
 
         from modfactor import hilbmod
@@ -594,11 +595,13 @@ class TestCertifiedConstructions:
             return hom
 
         runs = []
-        real_loop = Homomorphism._product_residuals
+        real_kernel = cstar.product_residuals
 
-        def loop_spy(hom, tol):
-            runs.append((hom, {f.name for f in traceback.extract_stack()}))
-            return real_loop(hom, tol)
+        def kernel_spy(A, *stacks):
+            # a map's images come last; a closure check alone passes A's basis
+            if stacks[-1] is not A.basis:
+                runs.append((stacks[-1], {f.name for f in traceback.extract_stack()}))
+            return real_kernel(A, *stacks)
 
         routed = []
         real_route = Homomorphism._matrix_unit_bound
@@ -609,18 +612,19 @@ class TestCertifiedConstructions:
             return bound
 
         monkeypatch.setattr(hilbmod, "identity_homomorphism", identity_spy)
-        monkeypatch.setattr(Homomorphism, "_product_residuals", loop_spy)
+        monkeypatch.setattr(cstar, "product_residuals", kernel_spy)
+        monkeypatch.setattr(hilbmod, "product_residuals", kernel_spy)
         monkeypatch.setattr(Homomorphism, "_matrix_unit_bound", route_spy)
         inst = parse_instance(str(path))
         assert run_verification(inst).passed
         assert identities
         assert 1 <= len(runs) <= 9
-        for hom, frames in runs:
+        for images, frames in runs:
             assert "interior_tensor" not in frames and "_induced_action" not in frames
-            assert not any(hom is h for h in identities)
+            assert not any(images is h.images for h in identities)
         callers = set().union(*(frames for _, frames in runs))
         assert {"_decode_correspondence", "commutant_lifting"} <= callers
-        # theta takes the matrix-unit route instead of the product loop
+        # theta takes the matrix-unit route instead of the kernel
         assert "_decode_hom" not in callers
         assert [ok for hom, ok in routed if hom is inst.theta] == [True]
 

@@ -55,11 +55,13 @@ from modfactor.numkernel import (
 from conftest import (
     batch_instances,
     corner_module,
+    dense_product_residuals,
     haar_conjugated,
     haar_unitary,
     instance_a,
     instance_b,
     matrix_unit,
+    spy_product_residuals,
     traced_peak,
 )
 
@@ -590,30 +592,41 @@ class TestApplyMany:
 
 class TestStructureConstants:
     def _spy(self, monkeypatch):
+        """Record the tolerance of every closure certified or refused
+        (``cstar._certify_closure``, wherever it is bound)."""
         fills = []
-        real = cstar._structure_constants
+        real = cstar._certify_closure
 
-        def spy(A, tol, bound):
+        def spy(A, tol, bound, closure):
             fills.append(tol)
-            return real(A, tol, bound)
+            return real(A, tol, bound, closure)
 
-        monkeypatch.setattr(cstar, "_structure_constants", spy)
+        monkeypatch.setattr(cstar, "_certify_closure", spy)
+        monkeypatch.setattr(hilbmod, "_certify_closure", spy)
         return fills
 
     def test_shared_domain_is_filled_once_per_tolerance(self, monkeypatch):
+        # the closure is checked once per tolerance, and a map on a domain
+        # whose closure is not yet certified gets it from its own kernel pass
         fills = self._spy(monkeypatch)
+        passes = spy_product_residuals(monkeypatch)
         A = build_algebra([(1, 1), (2, 1)])
         identity_homomorphism(A).validate()
         _amplified(A, 2).validate()
         assert fills == [1e-9]
         _amplified(A, 3).validate(1e-10)
         assert fills == [1e-9, 1e-10]
-        c = A.structure_constants()
-        prods = np.matmul(A.basis[:, None], A.basis[None])
-        assert np.abs(np.tensordot(c, A.basis, axes=1) - prods).max() <= 1e-12
+        assert [len(stacks) for _, stacks in passes] == [1, 1, 2]
+        assert passes[2][1][0] is A.basis
+        closure = A.closure_residuals()
+        assert np.abs(closure - dense_product_residuals(A, A.basis)[0]).max() <= 1e-12
 
     def test_open_domain_fails_on_every_validation(self, monkeypatch):
+        # a fresh domain that is not closed: every validation of a map on it,
+        # and of its identity, checks its closure again in one pass and
+        # raises, since a refused closure is not cached
         fills = self._spy(monkeypatch)
+        passes = spy_product_residuals(monkeypatch)
         e12 = np.array([[0, 1], [0, 0]], dtype=complex)
         # I/sqrt(2), E12, E21: orthonormal, *-closed, but E12 E21 = E11 is outside
         mats = np.stack([np.eye(2, dtype=complex) / np.sqrt(2), e12, e12.T])
@@ -622,55 +635,55 @@ class TestStructureConstants:
         for _ in range(2):
             with pytest.raises(ValidationError, match="not multiplicatively closed"):
                 hom.validate()
-        assert len(fills) == 2
+        assert len(fills) == 2 and [len(stacks) for _, stacks in passes] == [2, 2]
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="not multiplicatively closed"):
+                identity_homomorphism(A).validate()
+        assert len(fills) == 4 and hom._validated_at is None
 
     def test_validated_algebra_is_filled_once_by_its_closure_check(self, monkeypatch):
         fills = self._spy(monkeypatch)
         A = algebra_from_basis(list(build_algebra([(1, 1), (2, 1)]).basis))
         assert fills == [1e-9]
         identity_homomorphism(A).validate()
-        A.structure_constants()
+        A.closure_residuals()
+        _amplified(A, 2).validate()
         assert fills == [1e-9]
 
     def test_identity_reads_the_closure_residuals(self, monkeypatch):
         # the identity's product residuals are the closure residuals, so its
-        # validate forms no products and keeps their largest as its defect
+        # validate forms no products of its own and keeps their largest as
+        # its defect
         A = _haar_conjugated([(2, 1), (1, 2)], 3)
-        loops = []
-        monkeypatch.setattr(Homomorphism, "_product_residuals",
-                            lambda hom, tol: loops.append(hom) or iter(()))
+        passes = spy_product_residuals(monkeypatch)
         hom = identity_homomorphism(A)
         hom.validate()
-        assert not loops
         closure = A.closure_residuals()
-        prods = np.matmul(A.basis[:, None], A.basis[None])
-        want = np.tensordot(A.structure_constants(), A.basis, axes=1)
-        assert np.allclose(closure, np.linalg.norm(prods - want, axis=(2, 3)), atol=1e-15)
+        assert all(stacks == (A.basis,) for _, stacks in passes)
+        ref, _ = dense_product_residuals(A, A.basis)
+        assert np.allclose(closure, ref, atol=1e-15)
         assert hom._defect == closure.max() <= 1e-13
 
     def test_identity_reads_the_frame_closure_bound(self, monkeypatch):
-        # an algebra validated through its frame: the identity's bounds are
-        # the frame's closure bound for every pair, and neither the identity
-        # nor A as a module over itself fills the structure constants
+        # an algebra validated through its frame: the identity's certificate
+        # is the frame's closure bound, and neither the identity nor A as a
+        # module over itself runs the kernel
         A = _haar_conjugated([(6, 1), (4, 1)], 5)
         fills = self._spy(monkeypatch)
-        loops = []
-        monkeypatch.setattr(Homomorphism, "_product_residuals",
-                            lambda hom, tol: loops.append(hom) or iter(()))
+        passes = spy_product_residuals(monkeypatch)
         hom = identity_homomorphism(A)
         hom.validate()
         r = cstar._frame_closure_bound(A, 1e-9)
-        assert np.array_equal(hom._product_bounds(1e-9), np.full((A.dim, A.dim), r))
+        assert hom._product_bounds(1e-9) == r
         assert hom._defect == r <= 1e-9
         assert module_over_itself(A).space is A.space
         algebra_bimodule(A).validate()
-        assert not fills and not loops
+        assert not fills and not passes
         # A holds no frame at another tolerance: the closure residuals
         identity_homomorphism(A).validate(1e-10)
-        assert fills == [1e-10]
-        # a certificate that the frame's bound leaves too loose measures the
-        # closure residuals instead
-        assert hom._measure_defect(hom, 1e-9) == A.closure_residuals(1e-9).max() < r
+        assert fills == [1e-10] and len(passes) == 1
+        # which the frame's bound dominates
+        assert A.closure_residuals(1e-9).max() < r
 
     def test_adjoint_coefficients_are_computed_once_per_algebra(self):
         A = _haar_conjugated([(2, 1), (1, 2)], 3)
@@ -730,18 +743,9 @@ class TestStructureConstants:
             algebra_from_basis(mats)
 
 
-def _dense_product_residuals(hom, tol=1e-9):
-    """The former multiplicativity check, kept as the reference: for each
-    basis element i, the dense (k, k) @ (k, d^2) product of the structure
-    constants with the flattened images against the k products
-    theta(b_i) theta(b_j).  Returns the residuals (k, k) and the wanted
-    sums (k, k, d^2)."""
-    k = hom.domain.dim
-    c = hom.domain.structure_constants(tol)
-    imflat = hom.images.reshape(k, -1)
-    want = np.stack([c[i] @ imflat for i in range(k)])
-    got = np.matmul(hom.images[:, None], hom.images[None]).reshape(k, k, -1)
-    return np.linalg.norm(want - got, axis=2), want
+def _kernel_residuals(hom):
+    """The residuals (k, k) of ``cstar.product_residuals`` on hom's images."""
+    return cstar.product_residuals(hom.domain, hom.images)[0]
 
 
 def _adjoint_pair(A):
@@ -774,17 +778,28 @@ MULTIPLICATIVITY_CASES = {
 
 @pytest.mark.parametrize("case", sorted(MULTIPLICATIVITY_CASES))
 class TestMultiplicativityCheck:
-    def test_residuals_match_the_dense_check(self, case):
+    def test_residuals_match_the_dense_check(self, case, block_budget):
         make, dense = MULTIPLICATIVITY_CASES[case]
         hom = make()
-        k = hom.domain.dim
-        full = [len(cols) == k for cols, _ in hom.domain.structure_support()]
+        A, k = hom.domain, hom.domain.dim
+        c = np.einsum("lab,ijab->ijl", A.basis.conj(),
+                      np.matmul(A.basis[:, None], A.basis[None]))
+        full = [np.count_nonzero((c[i] != 0).any(axis=0)) == k for i in range(k)]
         assert all(full) if dense else not any(full)
-        ref_res, ref_want = _dense_product_residuals(hom)
-        for i, (res, want) in enumerate(hom._product_residuals(1e-9)):
-            assert np.abs(res - ref_res[i]).max() <= 1e-12
-            assert np.abs(want - ref_want[i]).max() <= 1e-12
+        ref_res, _ = dense_product_residuals(hom.domain, hom.images)
+        # also one row a block, where a sparse basis sums over fewest columns
+        for budget in (numkernel._BLOCK_BYTES, 1):
+            block_budget(budget)
+            assert np.abs(_kernel_residuals(hom) - ref_res).max() <= 1e-12
         hom.validate()
+        # and on a map that is not multiplicative, where the sums matter
+        m, n = _adjoint_pair(A)
+        imgs = hom.images.copy()
+        imgs[[m, n]] *= 1.01
+        bad = Homomorphism(A, hom.codomain_dim, imgs)
+        ref_res, _ = dense_product_residuals(bad.domain, bad.images)
+        assert ref_res.max() > 1e-3
+        assert np.abs(_kernel_residuals(bad) - ref_res).max() <= 1e-12
 
     def test_names_the_pair_the_dense_check_names(self, case):
         make, _ = MULTIPLICATIVITY_CASES[case]
@@ -796,8 +811,8 @@ class TestMultiplicativityCheck:
         imgs = hom.images.copy()
         imgs[[m, n]] *= 1.01
         bad = Homomorphism(hom.domain, hom.codomain_dim, imgs)
-        ref_res, ref_want = _dense_product_residuals(bad)
-        bound = 100.0 * 1e-9 * np.maximum(1.0, np.linalg.norm(ref_want, axis=2))
+        ref_res, ref_want = dense_product_residuals(bad.domain, bad.images)
+        bound = 100.0 * 1e-9 * np.maximum(1.0, ref_want)
         i = next(i for i in range(len(ref_res))
                  if ref_res[i].max() > bound[i, np.argmax(ref_res[i])])
         j = int(np.argmax(ref_res[i]))
@@ -819,9 +834,9 @@ def _standard_frame(blocks):
     return WedderburnFrame(left, left, np.inf, np.zeros(k), 0.0)
 
 
-def _loop_max(hom, tol=1e-9):
-    """The largest residual of the product loop."""
-    return max(float(res.max()) for res, _ in hom._product_residuals(tol))
+def _loop_max(hom):
+    """The largest residual of the kernel."""
+    return float(_kernel_residuals(hom).max())
 
 
 def _haar_amplified(A, m, seed):
@@ -854,7 +869,7 @@ class TestMatrixUnitRoute:
 
     def test_matrix_unit_bound_covers_the_loops_rounding(self):
         # C 1_5 on its exact frame: the unit's image is exactly 1, so R = G
-        # = 0 and delta = eps = 0, while the product loop reads about 1e-16
+        # = 0 and delta = eps = 0, while the kernel reads about 1e-16
         # (1/sqrt(5) is not exact); only the rounding terms cover it
         A = build_algebra([(1, 5)])
         hom = _amplified(A, 2)
@@ -927,14 +942,14 @@ class TestMatrixUnitRoute:
         coeffs = np.einsum("lij,uij->ul", mats.conj(), units)
         hom = Homomorphism(Z, 3, np.linalg.solve(coeffs, units.reshape(5, 9)).reshape(5, 3, 3))
         assert np.abs(hom.apply_many(units, 100 * t) - units).max() <= 1e-15
-        loop = _loop_max(hom, 100 * t)
+        loop = _loop_max(hom)
         assert loop > 1e-12
         assert loop <= hom._matrix_unit_bound(frame, 100 * t)
 
     def test_a_corrupted_image_falls_back_to_the_product_loop(self, monkeypatch):
         # the images of an adjoint pair of traceless elements scaled by
         # 1 + 1e-6 keep theta unital and *-preserving but not multiplicative:
-        # the bound is above the rule, and the product loop names the pair
+        # the bound is above the rule, and the kernel names the pair
         # the dense check names, with the message it has always had
         A = _haar_conjugated([(6, 1), (4, 1)], 3)
         assert cstar._held_frame(A, 1e-9) is not None
@@ -943,8 +958,8 @@ class TestMatrixUnitRoute:
         imgs[m] *= 1 + 1e-6
         imgs[n] *= 1 + 1e-6
         bad = Homomorphism(A, 20, imgs)
-        ref_res, ref_want = _dense_product_residuals(bad)
-        rule = 100.0 * 1e-9 * np.maximum(1.0, np.linalg.norm(ref_want, axis=2))
+        ref_res, ref_want = dense_product_residuals(bad.domain, bad.images)
+        rule = 100.0 * 1e-9 * np.maximum(1.0, ref_want)
         i = next(i for i in range(len(ref_res)) if ref_res[i].max() > rule[i, np.argmax(ref_res[i])])
         j = int(np.argmax(ref_res[i]))
         bounds = []
@@ -960,22 +975,17 @@ class TestMatrixUnitRoute:
     def test_theta_of_instance_a_reads_no_structure_constants(self, tmp_path, monkeypatch):
         # one parse and verify: theta's domain K(E) holds its frame from
         # validation, so theta takes the matrix-unit route, K(E)'s identity
-        # reads the frame's closure bound, and neither fills the domain's
-        # structure constants or runs a product loop on it; the route builds
+        # reads the frame's closure bound, and the kernel never runs on the
+        # domain, for its closure or for theta's images; the route builds
         # no frame
         import traceback
 
         from modfactor.harness import parse_instance, run_verification, save_instance
         path = tmp_path / "a.json"
         save_instance(instance_a(), str(path))
-        fills, loops, frames = [], [], []
-        real_fill, real_loop, real_frame = (cstar._structure_constants,
-                                            Homomorphism._product_residuals,
-                                            cstar.wedderburn_frame)
-        monkeypatch.setattr(cstar, "_structure_constants",
-                            lambda A, tol, bound: fills.append(A) or real_fill(A, tol, bound))
-        monkeypatch.setattr(Homomorphism, "_product_residuals",
-                            lambda hom, tol: loops.append(hom.domain) or real_loop(hom, tol))
+        frames = []
+        passes = spy_product_residuals(monkeypatch)
+        real_frame = cstar.wedderburn_frame
 
         def frame_spy(*args):
             frames.append({f.name for f in traceback.extract_stack()})
@@ -986,11 +996,33 @@ class TestMatrixUnitRoute:
         assert run_verification(inst).passed
         dom = inst.theta.domain
         assert cstar._held_frame(dom, 1e-9) is not None
+        fills = [A for A, stacks in passes if stacks[0] is A.basis]
+        maps = [stacks[-1] for A, stacks in passes if stacks[-1] is not A.basis]
         assert fills and not any(A is dom for A in fills)
-        assert loops and not any(D is dom for D in loops)
+        assert maps and not any(A is dom for A, _ in passes)
+        assert not any(images is inst.theta.images for images in maps)
         assert inst.theta._validated_at == 1e-9 and 0.0 < inst.theta._defect <= 100 * 1e-9
         assert frames and not any({"_matrix_unit_bound", "identity_homomorphism", "bounds"} & f
                                   for f in frames)
+
+    def test_a_failed_certificate_falls_back_to_the_kernel(self, monkeypatch):
+        # a valid map whose certificate is patched above the rule, as a
+        # construction's bound and as the matrix-unit bound: validate
+        # measures its residuals in one kernel pass and keeps their largest
+        A = _haar_conjugated([(6, 1), (4, 1)], 3)
+        assert cstar._held_frame(A, 1e-9) is not None
+        passes = spy_product_residuals(monkeypatch)
+        hom = _amplified(A, 2)
+        hom._product_bounds = lambda tol: 1.0
+        hom.validate()
+        monkeypatch.setattr(Homomorphism, "_matrix_unit_bound", lambda hom, frame, tol: 1.0)
+        route = _amplified(A, 3)
+        route.validate()
+        assert len(passes) == 2
+        assert all(len(stacks) == 1 and stacks[0] is h.images
+                   for (_, stacks), h in zip(passes, (hom, route)))
+        for h in (hom, route):
+            assert h._validated_at == 1e-9 and h._defect == _loop_max(h) <= 1e-13
 
 
 class TestCorrespondenceValidate:
@@ -1022,7 +1054,58 @@ def _one_shot_left_residuals(corr):
     return space.span_residual(moved).max(axis=1)
 
 
+def _one_shot_module_check(E, tol=1e-9):
+    """_validate_module before row blocks: every x b and every x* y at once."""
+    X = E.basis
+    moved = E.space.span_residual(np.matmul(X[:, None], E.base.basis[None]))
+    bad = np.flatnonzero(moved.max(axis=1) > 100.0 * tol)
+    if bad.size:
+        raise ValidationError(f"right action moves basis element {bad[0]} out of the span")
+    inner = E.base.space.span_residual(np.matmul(X.conj().transpose(0, 2, 1)[:, None], X[None]))
+    bad = np.flatnonzero(inner.max(axis=1) > 100.0 * tol)
+    if bad.size:
+        raise ValidationError(
+            f"an inner product against basis element {bad[0]} leaves the base algebra")
+
+
+def _unit_module(base, units, n):
+    """The span of matrix units (i, j) on C^n as a module over base, unchecked."""
+    mats = np.stack([matrix_unit(i, j, n) for i, j in units])
+    return HilbertModule(base, OperatorSpace(n, n, mats))
+
+
 class TestRowBlockedChecks:
+    @pytest.mark.parametrize("budget", [1, 2**18])
+    def test_module_check_names_what_the_one_shot_check_names(self, block_budget, budget):
+        # over C (+) M_2, E_21 b stays in the span but E_33 b and E_22 b do
+        # not; over the diagonal algebra every x d stays, but E_11* E_12 and
+        # E_12* E_11 leave it while E_33 and E_22 pair into it.  One element
+        # a block names the first failing element in a later block
+        block_budget(budget)
+        cases = [(build_algebra([(1, 1), (2, 1)]), [(2, 1), (2, 2), (3, 3)],
+                  "right action moves basis element 1 out of the span"),
+                 (build_algebra([(1, 1)] * 3), [(3, 3), (2, 2), (1, 1), (1, 2)],
+                  "an inner product against basis element 2 leaves the base algebra")]
+        for base, units, message in cases:
+            E = _unit_module(base, units, 3)
+            with pytest.raises(ValidationError) as ref:
+                _one_shot_module_check(E)
+            assert str(ref.value) == message
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                hilbmod._validate_module(E, 1e-9)
+
+    def test_module_check_peak_stays_below_the_one_shot_stacks(self, block_budget):
+        # all of B(C^7, C^12) over M_7: k = 84, and each one-shot stack (the
+        # x b and the x* y) takes 5.5 MB
+        base = build_algebra([(7, 1)])
+        mats = np.eye(84, dtype=complex).reshape(84, 12, 7)
+        E = HilbertModule(base, OperatorSpace(12, 7, mats))
+        stack = 16 * 84 * 49 * 84
+        _one_shot_module_check(E)
+        block_budget(2**16)
+        _, peak = traced_peak(hilbmod._validate_module, E, 1e-9)
+        assert peak < stack / 4, (peak, stack)
+
     def test_adjointable_residual_matches_the_one_shot_check(self, block_budget, rng):
         # theta's domain K(E) of instance a and three operators outside it
         inst = instance_a()

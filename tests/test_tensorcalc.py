@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from modfactor import cstar
 from modfactor.cstar import build_algebra
 from modfactor.errors import ValidationError
 from modfactor.hilbmod import (
@@ -31,10 +32,12 @@ from modfactor.tensorcalc import (
 )
 from conftest import (
     batch_instances,
+    dense_product_residuals,
     haar_conjugated,
     haar_unitary,
     instance_a,
     matrix_unit,
+    spy_product_residuals,
     traced_peak,
 )
 
@@ -441,16 +444,11 @@ class TestRepresentationInverter:
 # the induced-action certificate
 
 
-def _reference_product_residuals(hom, tol=1e-9):
-    """The product loop the certificate replaces, kept as the reference:
+def _reference_product_residuals(hom):
+    """The product check the certificate replaces, kept as the reference:
     residuals (k, k) of theta(b_i) theta(b_j) - sum_l c[i, j, l] theta(b_l)
     and the norms (k, k) of those sums."""
-    k = hom.domain.dim
-    c = hom.domain.structure_constants(tol)
-    imflat = hom.images.reshape(k, -1)
-    want = np.stack([c[i] @ imflat for i in range(k)])
-    got = np.matmul(hom.images[:, None], hom.images[None]).reshape(k, k, -1)
-    return np.linalg.norm(want - got, axis=2), np.linalg.norm(want, axis=2)
+    return dense_product_residuals(hom.domain, hom.images)
 
 
 def _spy_induced_actions(monkeypatch):
@@ -478,11 +476,10 @@ class TestInducedActionCertificate:
             assert run_verification(inst).passed
         assert len(made) >= 11 * 6
         for hom in made:
-            bounds = hom._product_bounds(1e-9)
-            res, want = _reference_product_residuals(hom)
-            assert (res <= bounds).all()
-            assert (bounds <= 100 * 1e-9 * np.maximum(1.0, want)).all()
-            assert hom._validated_at == 1e-9 and hom._defect == bounds.max()
+            bound = hom._product_bounds(1e-9)
+            res, _ = _reference_product_residuals(hom)
+            assert res.max() <= bound <= 100 * 1e-9
+            assert hom._validated_at == 1e-9 and hom._defect == bound
 
     def test_bound_is_the_docstring_formula(self, golden_module):
         # the bound spelled out with Kronecker products on the golden
@@ -507,8 +504,11 @@ class TestInducedActionCertificate:
                 np.linalg.norm(acts, axis=(1, 2)), R_X))) \
             + 2 * len(S) * np.finfo(float).eps * np.outer(norm_pi, norm_pi)
         got = _induced_action(rho, X.module.space, S, Sp, 1e-9)._product_bounds(1e-9)
-        assert np.allclose(got, want, rtol=1e-6, atol=1e-30)
-        assert np.array_equal(tp.result.left_action._product_bounds(1e-9), got)
+        assert np.isclose(got, want.max(), rtol=1e-6, atol=1e-30)
+        assert tp.result.left_action._product_bounds(1e-9) == got
+        # the formula bounds each pair's residual
+        res, _ = _reference_product_residuals(tp.result.left_action)
+        assert (res <= want).all()
 
     @staticmethod
     def _golden_fixture_tensor():
@@ -529,29 +529,35 @@ class TestInducedActionCertificate:
         assert len(got) == X.left.dim >= 2
         assert np.abs(got - want).max() <= 1e-12
 
-    def test_ill_conditioned_coordinates_measure_an_a_priori_defect(self):
+    def test_ill_conditioned_coordinates_measure_an_a_priori_defect(self, monkeypatch):
         # rho, Haar-conjugated M_6 (+) M_4 amplified twice, takes the
         # matrix-unit route, so its defect mu is the route's bound, far above
-        # its product loop's.  With S = 1_20 (x) diag(1, 2^-13) on C^20 (x)
+        # its measured residuals.  With S = 1_20 (x) diag(1, 2^-13) on C^20 (x)
         # C^2 (sigma_max / sigma_min = 8192, which the rank cut keeps), pi(a)
-        # = rho(a) (x) 1 and ||S+|| ~ 3.7e4 multiplies mu: the bound would
-        # fail the certificate, so mu is measured by the product loop and pi
-        # passes; rho keeps its certified bound
+        # = rho(a) (x) 1 and ||S+|| ~ 3.7e4 multiplies mu: pi's certificate
+        # is above the rule, so validate measures pi's residuals in one
+        # kernel pass and pi passes with them; rho keeps its certified bound
         from modfactor.cstar import algebra_from_basis
         from modfactor.tensorcalc import _induced_action
         A = algebra_from_basis(haar_conjugated([(6, 1), (4, 1)], np.random.default_rng(3)))
         rho = Homomorphism(A, 20, np.stack([np.kron(b, np.eye(2)) for b in A.basis]))
+        passes = spy_product_residuals(monkeypatch)
         rho.validate()
-        loop = max(float(res.max()) for res, _ in rho._product_residuals(1e-9))
-        assert rho._measure_defect is not None and rho._defect > 1e3 * loop
+        assert not passes
+        loop = float(cstar.product_residuals(A, rho.images)[0].max())
+        assert rho._defect > 1e3 * loop
         space = OperatorSpace(20, 1, np.eye(20, dtype=complex)[:, :, None])
         s = 2.0 ** -13
         S, S_pinv = (np.kron(np.eye(20), np.diag([1.0, v])).astype(complex) for v in (s, 1 / s))
         route = rho._defect
         assert route * np.linalg.norm(S_pinv) > 100 * 1e-9
+        passes.clear()
         pi = _induced_action(rho, space, S, S_pinv, 1e-9)
+        assert pi._product_bounds(1e-9) > 100 * 1e-9
+        assert len(passes) == 1 and passes[0][1][0] is pi.images
         assert rho._defect == route
-        assert pi._validated_at == 1e-9 and pi._defect <= 1e-9
+        assert pi._validated_at == 1e-9
+        assert pi._defect == cstar.product_residuals(A, pi.images)[0].max() <= 1e-14
         want = np.stack([np.kron(m, np.eye(2)) for m in rho.images])
         assert np.abs(pi.images - want).max() <= 1e-14
 
