@@ -9,7 +9,10 @@ cross-method comparison residuals and the commutant method's flip
 residual (``chain.flip_residual``).  It also prints the closest decision
 of every Wedderburn frame built in the sweep (each intertwiner solve): the
 smallest distance of a cluster separation and of a coupling from its cut,
-in decades (a decision under one decade raises ToleranceAmbiguity).  Last,
+in decades (a decision under one decade raises ToleranceAmbiguity), and
+its spread decision, the one cut that is not a ``_decide`` call: the
+largest spread of a cluster kept whole and the smallest of a cluster split,
+each over cut / 10 (a cluster splits at 1 or more).  Last,
 per certificate kind of a homomorphism check (an identity's closure bound,
 an induced action's product bound, the matrix-unit bound on a domain
 holding its frame), how many checks were settled by it (at most 100 tol)
@@ -46,8 +49,13 @@ SPECS = [
 
 def _record_frame_margins(margins: dict) -> None:
     """Wrap numkernel._decide so that every frame cut records its smallest
-    distance from the cut, in decades, under "cluster" or "coupling"."""
-    decide = numkernel._decide
+    distance from the cut, in decades, under "cluster" or "coupling"; and
+    numkernel._spreads so that every spread decision records its largest
+    whole-cluster spread and smallest splitting spread over cut / 10, under
+    "whole" and "split" (the cut is the frame's cluster cut, which _decide
+    sees first)."""
+    decide, spreads = numkernel._decide, numkernel._spreads
+    cluster_cut = [np.nan]
 
     def recording(v, cut, what, *args, **kwargs):
         kind = what.rpartition(": ")[2]
@@ -55,9 +63,19 @@ def _record_frame_margins(margins: dict) -> None:
             with np.errstate(divide="ignore"):
                 dist = float(np.abs(np.log10(np.asarray(v) / cut)).min())
             margins[kind] = min(margins.get(kind, np.inf), dist)
+        if kind == "cluster":
+            cluster_cut[0] = cut
         return decide(v, cut, what, *args, **kwargs)
 
+    def recording_spreads(comps, dims):
+        out = spreads(comps, dims)
+        ratio = out / (cluster_cut[0] / 10)
+        margins["whole"] = max(margins.get("whole", 0.0), ratio[ratio < 1].max(initial=0.0))
+        margins["split"] = min(margins.get("split", np.inf), ratio[ratio >= 1].min(initial=np.inf))
+        return out
+
     numkernel._decide = recording
+    numkernel._spreads = recording_spreads
 
 
 def _certificate_kind(bounds) -> str:
@@ -176,6 +194,9 @@ def main() -> int:
     print(f"closest frame decision: cluster separation "
           f"{margins.get('cluster', np.inf):.2f} decades, coupling "
           f"{margins.get('coupling', np.inf):.2f} decades from their cuts")
+    print(f"frame spread decision: largest whole-cluster spread "
+          f"{margins.get('whole', 0.0):.2e}, smallest splitting spread "
+          f"{margins.get('split', np.inf):.2e} of cut / 10")
     for kind, (checks, fallbacks, ratio) in sorted(certificates.items()):
         if kind == "none":
             print(f"no certificate: {checks} homomorphism checks measured by the kernel")

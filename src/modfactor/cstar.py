@@ -212,7 +212,8 @@ def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
 def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
     """Wrap an already-orthonormal basis verbatim (no re-orthonormalization,
     so index alignment with external data survives) and validate closure."""
-    arr = as_stack(mats).copy()  # OperatorSpace freezes it, not the caller's
+    arr = as_stack(mats)  # OperatorSpace freezes it: copy the caller's own array
+    arr = arr.copy() if isinstance(mats, np.ndarray) and np.may_share_memory(arr, mats) else arr
     if arr.shape[1] != arr.shape[2]:
         raise DimensionMismatch("algebra elements must be square")
     k = arr.shape[0]

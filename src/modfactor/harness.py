@@ -95,7 +95,8 @@ __all__ = [
 
 
 def _encode_matrix(m: np.ndarray):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+    m = np.ascontiguousarray(m, dtype=np.complex128)  # rows of [re, im], one tolist()
+    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
 
 
 def _decode_complex(v, where: str) -> complex:

@@ -139,11 +139,26 @@ def norm_exceeds(x: np.ndarray, bound: float):
     return out
 
 
+@functools.lru_cache(maxsize=256)
+def _evr(dtype: np.dtype, n: int):
+    """LAPACK's MRRR driver (?heevr, ?syevr) for n x n ``dtype`` and its workspace."""
+    pfx = "he" if dtype.kind == "c" else "sy"
+    keys = ("lwork", "lrwork", "liwork") if pfx == "he" else ("lwork", "liwork")
+    drv, query = scipy.linalg.get_lapack_funcs((pfx + "evr", pfx + "evr_lwork"), dtype=dtype)
+    return drv, {key: int(x.real) for key, x in zip(keys, query(n, lower=1))}
+
+
 def eigh_desc(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues in descending order, eigenvectors as columns) of the
-    Hermitian part of h, from one MRRR (LAPACK zheevr) decomposition."""
+    """(eigenvalues in descending order, eigenvectors as columns) of the Hermitian
+    part of h: one call of LAPACK's MRRR driver, bitwise scipy's driver="evr"."""
     h = np.asarray(h)
-    w, V = scipy.linalg.eigh((h + h.conj().T) / 2.0, driver="evr", check_finite=False)
+    a = (h + h.conj().T) / 2.0
+    if not len(a):
+        return np.zeros(0), np.zeros((0, 0), dtype=a.dtype)
+    drv, work = _evr(a.dtype, len(a))
+    w, V, _, _, info = drv(a, lower=1, overwrite_a=1, **work)
+    if info:
+        raise np.linalg.LinAlgError(f"eigh_desc: {drv.__name__} failed (info {info})")
     return w[::-1], V[:, ::-1]
 
 
@@ -180,13 +195,13 @@ def _decide(v: np.ndarray, cut: float, what: str, floor: float, residual: float 
     """(v > cut, gap) of one cut, the gap the least value above it over the
     largest below (floored, plus ``residual``; inf when none is above).
     ToleranceAmbiguity when a value lies within a factor of ten of the cut."""
-    near = (v > cut / 10.0) & (v < cut * 10.0)
-    if near.any():
+    above = v > cut
+    least, most = v[above].min(initial=np.inf), v[~above].max(initial=0.0)
+    if most > cut / 10.0 or least < cut * 10.0:
+        near = (v > cut / 10.0) & (v < cut * 10.0)
         raise ToleranceAmbiguity(f"{what}: value {v[near].max():.6e} lies within a "
                                  f"factor 10 of the cut {cut:.6e}")
-    above = v > cut
-    return above, np.inf if not above.any() else float(
-        v[above].min() / (max(v[~above].max(initial=0.0), floor) + residual))
+    return above, np.inf if least == np.inf else float(least / (max(most, floor) + residual))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,19 +393,30 @@ class WedderburnFrame:
 
 def _clusters(eig, cut: float, floor: float, what: str):
     """Clusters of per-side eigenpairs [(values descending, vectors)]: the
-    merged values are cut where sorted neighbours differ by more than
-    ``cut``.  Returns per cluster its per-side vectors, and the cut's gap."""
+    merged values are cut where sorted neighbours differ by more than ``cut``.
+    Per cluster its per-side vectors, their widths (clusters, sides), the gap."""
     vals = np.sort(np.concatenate([w for w, _ in eig]))[::-1]
-    split, gap = _decide(-np.diff(vals), cut, f"{what}: cluster", floor)
+    split, gap = _decide(vals[:-1] - vals[1:], cut, f"{what}: cluster", floor)
     t = (vals[:-1][split] + vals[1:][split]) / 2  # thresholds between clusters
-    return list(zip(*(np.split(U, np.searchsorted(-w, -t), axis=1) for w, U in eig))), gap
+    at = np.array([[0, *np.searchsorted(-w, -t).tolist(), len(w)] for w, _ in eig])
+    return [tuple(U[:, i:j] for (_, U), i, j in zip(eig, at[:, c], at[:, c + 1]))
+            for c in range(len(t) + 1)], (at[:, 1:] - at[:, :-1]).T, gap
 
 
-def _spread(comps) -> float:
-    """An upper bound on the spread of the eigenvalues of Hermitian matrices."""
-    mid = [np.trace(C).real / len(C) for C in comps if len(C)]
-    return max(mid) - min(mid) + 2 * max(
-        hs_norm(C - np.trace(C).real / len(C) * np.eye(len(C))) for C in comps if len(C))
+def _spreads(comps, dims) -> np.ndarray:
+    """Per cluster, a bound on the eigenvalue spread of its compressions C,
+    the diagonal blocks of widths dims[:, s] of comps[s] (empty C skipped):
+    the spread of mid = tr C / dim C plus twice the largest ||C - mid 1||,
+    by segment sums taken after mid is subtracted (before, they cancel)."""
+    nc = len(dims)
+    hi, lo, dev = np.full(nc, -np.inf), np.full(nc, np.inf), np.zeros(nc)
+    for C, d in zip(comps, dims.T):
+        at = np.repeat(np.arange(nc), d)
+        mid = np.bincount(at, C.diagonal().real, nc) / np.maximum(d, 1)
+        sq = np.where(at[:, None] == at, np.abs(C - np.diag(mid[at])) ** 2, 0.0)
+        dev = np.maximum(dev, np.sqrt(np.bincount(at, sq.sum(axis=1), nc)))
+        hi, lo = np.where(d > 0, np.maximum(hi, mid), hi), np.where(d > 0, np.minimum(lo, mid), lo)
+    return hi - lo + 2 * dev
 
 
 def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame:
@@ -402,17 +428,18 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
     given as an (HS-orthonormal) OperatorSpace are fitted by one GEMM,
     v_ri = <rights[i], h_r>, other families by least squares; delta is the
     larger of the fit residual and ||h_L - h_L*||.  Each h_r, compressed to
-    each cluster, splits it where its sorted eigenvalues on both sides
-    differ by more than max(tol ||h||, 10 delta).  Clusters coupled through
-    g_1 (|Q_c* g_1 Q_d| normalised, cut at tol times the largest) form a
-    block, aligned to its first by those couplings.  Certificate, else
-    ToleranceAmbiguity: each cut clears a decade, the frame is unitary and
-    each pair in it is (+)_p a_p (x) 1, the rights' a_p on both sides, within
-    bound = 100 * tol * max_i (||lefts[i]|| + ||rights[i]||), HS norms.
-    PreconditionError when delta exceeds the bound, before a frame-coordinate
-    stack over MAX_SYSTEM_BYTES (16 k n^2 bytes), and unless the blocks
-    where the rights act hold sum n_p^2 = dim span(rights): then the a_p are
-    full, independent matrix algebras."""
+    each cluster, splits it where its sorted eigenvalues on both sides differ
+    by more than cut = max(tol ||h||, 10 delta); h_1 is compressed once per
+    side, and solved only on a cluster that spreads by cut / 10 (``_spreads``).
+    Clusters coupled through g_1 (|Q_c* g_1 Q_d| normalised, cut at tol times
+    the largest) form a block, aligned to its first by those couplings.
+    Certificate, else ToleranceAmbiguity: each cut clears a decade, the frame
+    is unitary and each pair in it is (+)_p a_p (x) 1, the rights' a_p on both
+    sides, within bound = 100 tol max_i (||lefts[i]|| + ||rights[i]||), HS
+    norms.  PreconditionError when delta exceeds the bound, before a
+    frame-coordinate stack over MAX_SYSTEM_BYTES (16 k n^2 bytes), and unless
+    the blocks where the rights act hold sum n_p^2 = dim span(rights): then
+    the a_p are full, independent matrix algebras."""
     orthonormal = isinstance(rights, OperatorSpace)
     if orthonormal:
         rights = rights.mats
@@ -427,8 +454,8 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
     what = "solve_intertwiners"
     _check_system_bytes(16 * k * max(n1, n2) ** 2, f"{what}: the frame-coordinate stack")
     pairs = (A,) if same else (A, B)
-    bound = 100.0 * tol * max(1e-30, float(
-        (np.linalg.norm(A, axis=(1, 2)) + np.linalg.norm(B, axis=(1, 2))).max()))
+    norms = _fro_norms(A)
+    bound = 100.0 * tol * max(1e-30, float((norms + (norms if same else _fro_norms(B))).max()))
     w = _stage1_weights(k)
     g = _combine(w, B)
     g += g.conj().transpose(0, 2, 1)
@@ -444,21 +471,18 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
                                 f"(defect {delta:.3e} above {bound:.3e})")
     scale = max(hs_norm(h) for h in hs)
     cut, floor = max(tol * scale, 10.0 * delta), (n1 + n2) * np.finfo(float).eps * scale
-    clusters, gap = _clusters([eigh_desc(h[0]) for h in hs], cut, floor, what)
-    gaps, refined = [gap], []
-    for c in clusters:  # h_1 compressed to each cluster splits what h_0 merged
-        comp = [V.conj().T @ h[1] @ V for V, h in zip(c, hs)]
-        if _spread(comp) < cut / 10:
-            refined.append(c)  # every eigenvalue within cut / 10: c stays whole
-            continue
-        sub, gap = _clusters([(w, V @ U) for V, (w, U) in zip(c, map(eigh_desc, comp))],
-                             cut, floor, what)
-        refined += sub
+    eig = [eigh_desc(h[0]) for h in hs]
+    clusters, dims, gap = _clusters(eig, cut, floor, what)
+    whole = _spreads([U.conj().T @ h[1] @ U for (_, U), h in zip(eig, hs)], dims) < cut / 10
+    gaps = [gap]
+    for i in np.flatnonzero(~whole)[::-1]:  # h_1 compressed to cluster i alone splits it
+        comp = [V.conj().T @ h[1] @ V for V, h in zip(clusters[i], hs)]
+        clusters[i:i + 1], d, gap = _clusters(
+            [(w, V @ U) for V, (w, U) in zip(clusters[i], map(eigh_desc, comp))], cut, floor, what)
+        dims = np.concatenate([dims[:i], d, dims[i + 1:]])
         gaps.append(gap)
-    clusters = refined
     # couplings through g_1, normalised so that those within block p are |(g_p)_cd|
     nc = len(clusters)
-    dims = np.array([[V.shape[1] for V in c] for c in clusters])  # (clusters, sides)
     offs = np.vstack([np.zeros(len(pairs), dtype=int), np.cumsum(dims, axis=0)])
     G = [F.conj().T @ _combine(w[1], M) @ F for F, M in zip(map(np.hstack, zip(*clusters)), pairs)]
     one_hot = [np.repeat(np.eye(nc), d, axis=0) for d in dims.T]
@@ -476,8 +500,8 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
         C = G[s][offs[ref[d], s]:offs[ref[d] + 1, s], offs[d, s]:offs[d + 1, s]]
         V = clusters[d][s]
         return V if ref[d] == d or not C.size else V @ C.conj().T * (len(C) ** 0.5 / hs_norm(C))
-    sides = [[np.stack([aligned(d, s) for d in np.flatnonzero(ref == b)], axis=1)
-              for b in np.unique(ref)] for s in range(len(pairs))]
+    sides = [[np.stack([aligned(d, s) for d, r in enumerate(ref) if r == b], axis=1)
+              for b in dict.fromkeys(ref.tolist())] for s in range(len(pairs))]
     a = {}  # block p -> its a_p of every pair: the rights' where they act
     residuals, defect = np.zeros(k), 0.0
     for s in reversed(range(len(pairs))):
@@ -488,9 +512,9 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
         T, o = np.matmul(np.matmul(F.conj().T, pairs[s]), F), 0
         for p, (_, n, m) in enumerate(L.shape for L in sides[s]):
             d = np.einsum("kajbj->kabj", T[:, o:o + n * m, o:o + n * m].reshape(k, n, m, n, m))
-            d -= a.setdefault(p, d.mean(axis=-1))[..., None] if m else 0.0
+            d -= a.setdefault(p, np.einsum("kabj->kab", d) / m)[..., None] if m else 0.0
             o += n * m
-        res = np.linalg.norm(T.reshape(k, -1), axis=1)
+        res = _fro_norms(T)
         if res.max() > bound:
             raise ToleranceAmbiguity(f"{what}: pair {int(np.argmax(res))} lies {res.max():.3e} "
                                      f"from the frame's blocks (bound {bound:.3e})")

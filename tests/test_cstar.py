@@ -301,6 +301,28 @@ def test_algebra_from_basis_leaves_the_callers_array_writeable():
     assert A.basis[0, 0, 0] != 0.0
 
 
+@pytest.mark.parametrize("strided", [False, True])
+def test_an_array_is_copied_and_a_list_is_converted_once(strided, monkeypatch):
+    # the caller's array (or a view of it) is copied once, so it stays
+    # writeable and unshared; a list is stacked into a new array, kept as is
+    basis = build_algebra([(1, 1), (2, 1)]).basis
+    stacked = []
+
+    def spy(mats):
+        stacked.append(numkernel.as_stack(mats))
+        return stacked[-1]
+
+    monkeypatch.setattr(cstar, "as_stack", spy)
+    caller = np.repeat(basis, 2, axis=0)[::2] if strided else basis.copy()
+    A = algebra_from_basis(caller)
+    assert caller.flags.writeable and not np.shares_memory(A.basis, caller)
+    assert not np.shares_memory(A.basis, stacked[-1])
+    rows = [b.copy() for b in basis]
+    A = algebra_from_basis(rows)
+    assert A.basis is stacked[-1]
+    assert all(r.flags.writeable and not np.shares_memory(A.basis, r) for r in rows)
+
+
 def test_one_frame_per_algebra_and_tol(monkeypatch):
     frames = []
     real = numkernel.wedderburn_frame

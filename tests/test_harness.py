@@ -671,3 +671,36 @@ class TestChangeOfBasis:
         report = run_verification(_rotated_golden(seed))
         assert report.passed
         assert _dims(report.body) == want
+
+
+def _encode_matrix_reference(m):
+    """The former per-entry encoder of harness._encode_matrix."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+
+
+class TestEncodeMatrix:
+    """One tolist() of the float view gives the per-entry encoder's JSON."""
+
+    def _assert_same_json(self, inst, monkeypatch):
+        new = json.dumps(instance_to_json(inst), sort_keys=True, separators=(",", ":"))
+        with monkeypatch.context() as mp:
+            mp.setattr(harness, "_encode_matrix", _encode_matrix_reference)
+            old = json.dumps(instance_to_json(inst), sort_keys=True, separators=(",", ":"))
+        assert new == old
+
+    def test_golden_fixture(self, monkeypatch):
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "golden.json"
+        self._assert_same_json(parse_instance(str(fixture)), monkeypatch)
+        self._assert_same_json(golden_instance(), monkeypatch)
+
+    def test_batch_instance_with_signed_zeros_and_subnormals(self, monkeypatch):
+        inst = generate_random_instance(SPEC, 1002)  # theta's images are 13 5 x 5
+        images = inst.theta.images.copy()
+        special = [complex(-0.0, -0.0), complex(0.0, -0.0), complex(5e-324, -2.5e-310),
+                   complex(-1e-308 / 3, 1e-320)]
+        images.reshape(-1)[:len(special)] = special
+        theta = Homomorphism(inst.theta.domain, inst.theta.codomain_dim, images)
+        self._assert_same_json(Instance_with(inst, theta), monkeypatch)
+        encoded = json.dumps([harness._encode_matrix(m) for m in images])
+        assert encoded == json.dumps([_encode_matrix_reference(m) for m in images])
+        assert "-0.0" in encoded and "5e-324" in encoded

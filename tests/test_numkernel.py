@@ -399,6 +399,70 @@ class TestTwoStageSolve:
         assert out.space.decompose(expected)[1].max() < 1e-12
 
 
+def _spread_reference(comps) -> float:
+    """The frame's former per-cluster spread bound: comps are a cluster's
+    Hermitian compressions, one per side (empty ones skipped)."""
+    mid = [np.trace(C).real / len(C) for C in comps if len(C)]
+    return max(mid) - min(mid) + 2 * max(
+        np.linalg.norm(C - np.trace(C).real / len(C) * np.eye(len(C))) for C in comps if len(C))
+
+
+class TestSpreads:
+    """The spreads read off one compression per side against the per-cluster
+    reference on each cluster's diagonal blocks, within 1e-13 times the
+    compressions' norm (a whole cluster's spread is roundoff)."""
+
+    @pytest.fixture
+    def spreads(self, monkeypatch):
+        seen = []
+        spreads = numkernel._spreads
+
+        def spy(comps, dims):
+            seen.append((comps, dims, spreads(comps, dims)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(numkernel, "_spreads", spy)
+        return seen
+
+    @staticmethod
+    def _assert_match(seen):
+        assert seen
+        for comps, dims, out in seen:
+            offs = np.vstack([np.zeros(len(comps), dtype=int), np.cumsum(dims, axis=0)]).T
+            ref = [_spread_reference([C[o[c]:o[c + 1], o[c]:o[c + 1]] for C, o in zip(comps, offs)])
+                   for c in range(len(dims))]
+            scale = max(np.linalg.norm(C, 2) for C in comps)
+            assert np.abs(out - ref).max() <= 1e-13 * scale, (dims, out, ref)
+
+    @pytest.mark.parametrize("blocks", LADDER)
+    def test_ladder_rungs(self, blocks, spreads, rng):
+        mats = haar_conjugated(blocks, rng)
+        solve_intertwiners(mats, mats)
+        self._assert_match(spreads)
+        # a rung's clusters stay whole: their spreads are roundoff
+        assert max(out.max() for _, _, out in spreads) < 1e-12
+
+    def test_two_sided_random_representations(self, spreads, rng):
+        for m in (1, 2, 2, 3):
+            lefts, rights = _random_star_representation(rng, m=m)
+            solve_intertwiners(lefts, rights)
+        self._assert_match(spreads)
+        assert all(len(comps) == 2 for comps, _, _ in spreads)
+
+    def test_forced_split_draws(self, spreads, monkeypatch, rng):
+        # the draws of test_poor_stage1_draw_is_refused_or_exact: h_0 a
+        # multiple of the unit, h_1 generic (split) or a multiple too (refused)
+        mats = haar_conjugated([(2, 3), (3, 2)], rng)
+        monkeypatch.setattr(numkernel, "_stage1_weights",
+                            _unit_weights(mats, generic_second_row=True))
+        solve_intertwiners(mats, mats)
+        assert spreads[-1][2].min() > 0.1  # the one cluster must split
+        monkeypatch.setattr(numkernel, "_stage1_weights", _unit_weights(mats))
+        with pytest.raises(ToleranceAmbiguity):
+            solve_intertwiners(mats, mats)
+        self._assert_match(spreads)
+
+
 class TestWedderburnFrame:
     def test_pairs_in_frame_coordinates(self, rng):
         # lefts: the algebra amplified twice, rights: the algebra, both
@@ -796,6 +860,21 @@ class TestEighDesc:
 
     def test_non_hermitian_input_uses_the_hermitian_part(self, rng):
         self._check(random_complex(rng, 7, 7))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 24, 52, 130])
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_bitwise_equal_to_scipy_evr(self, n, dtype, rng):
+        h = random_complex(rng, n, n) if dtype is np.complex128 else rng.standard_normal((n, n))
+        h = h + h.conj().T
+        w, V = eigh_desc(h)
+        ref_w, ref_V = scipy.linalg.eigh((h + h.conj().T) / 2.0, driver="evr")
+        assert (w.dtype, V.dtype) == (ref_w.dtype, ref_V.dtype) == (np.float64, dtype)
+        assert w.tobytes() == ref_w[::-1].tobytes()
+        assert np.ascontiguousarray(V).tobytes() == np.ascontiguousarray(ref_V[:, ::-1]).tobytes()
+
+    def test_empty(self):
+        w, V = eigh_desc(np.zeros((0, 0), dtype=np.complex128))
+        assert w.shape == (0,) and V.shape == (0, 0) and V.dtype == np.complex128
 
 
 class TestNormExceeds:
