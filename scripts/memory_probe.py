@@ -6,7 +6,12 @@ Usage: python scripts/memory_probe.py [a b c d algebra]
 
 Each named probe (all five by default) runs in a fresh process at one BLAS
 thread.  An instance probe generates the uncompressed instance at seed 1,
-saves it to a temporary file, parses it back and verifies it.  The
+saves it to a temporary file, saves it twice more over the same path (the
+``resave`` phase), parses it back and verifies it.  ``resave`` is the
+rewrite every seeded-batch op makes.  On ext4 a rewrite that truncates the
+file starts its writeback at close, and the next truncating rewrite waits
+for it: such a writer shows as a ``resave`` tens of milliseconds longer
+than two ``save`` phases.  The
 ``algebra`` probe conjugates M_10 (x) 1_10 on C^100 (k = n = 100) by a Haar
 unitary drawn from seed 1, validates it with ``algebra_from_basis`` and
 takes its ``commutant``.  After each phase the process prints the phase's
@@ -42,15 +47,21 @@ NAMES = list(PROBES) + ["algebra"]
 
 
 def _instance_phases(name: str, tmp: str):
-    """(phases, passed) of an instance probe: generate, save, parse, verify."""
+    """(phases, passed) of an instance probe: generate, save, resave, parse, verify."""
     from modfactor.harness import (
         GenSpec, generate_random_instance, parse_instance, run_verification, save_instance)
 
     blocks_B, blocks_C = PROBES[name]
     spec = GenSpec(blocks_B=blocks_B, blocks_C=blocks_C, compress=False)
     path = os.path.join(tmp, f"probe_{name}.json")
+
+    def resave(inst):
+        for _ in range(2):
+            save_instance(inst, path)
+
     return [("generate", lambda _: generate_random_instance(spec, SEED)),
             ("save", lambda inst: save_instance(inst, path)),
+            ("resave", resave),
             ("parse", lambda _: parse_instance(path)),
             ("verify", run_verification)], lambda report: report.passed
 

@@ -15,6 +15,7 @@ from .errors import ModfactorError
 from .harness import (
     GenSpec,
     VerifyConfig,
+    _write_file,
     factorize,
     generate_random_instance,
     golden_instance,
@@ -33,8 +34,7 @@ def _write_json(obj, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as f:
-            f.write(text)
+        _write_file(path, text)
 
 
 def cmd_validate(args) -> int:
@@ -77,8 +77,7 @@ def cmd_verify(args) -> int:
                           emit_unitaries=args.emit_unitaries)
     report = run_verification(inst, config)
     if args.report:
-        with open(args.report, "w") as f:
-            f.write(report.to_canonical_json())
+        _write_file(args.report, report.to_canonical_json())
     sys.stdout.write(report.to_text())
     if args.timings:
         for k, v in report.timings.items():

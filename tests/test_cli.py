@@ -83,6 +83,35 @@ def test_verify_reports_are_byte_identical(golden_path, tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_verify_report_over_a_longer_file_is_exactly_the_new_report(golden_path, tmp_path):
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    reused.write_bytes(b" " * 1_000_000)
+    for p in (fresh, reused):
+        assert run_cli("verify", "--instance", str(golden_path),
+                       "--report", str(p)).returncode == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_no_file_write_opens_with_o_trunc(tmp_path, monkeypatch):
+    # truncating on open waits for the writeback of the file's old contents
+    calls, real_open = [], os.open
+
+    def spy(path, flags, *args, **kw):
+        calls.append((str(path), flags))
+        return real_open(path, flags, *args, **kw)
+
+    monkeypatch.setattr(os, "open", spy)
+    inst, out = str(tmp_path / "i.json"), str(tmp_path / "out.json")
+    for argv in (["random", "--golden", "--out", inst],
+                 ["random", "--golden", "--out", inst],
+                 ["verify", "--instance", inst, "--report", out],
+                 ["factorize", "--method", "dual", "--instance", inst, "--report", out],
+                 ["product-system", "--instance", inst, "--steps", "2", "--report", out]):
+        assert main(argv) == 0, argv
+    assert [path for path, _ in calls if path in (inst, out)] == [inst, inst, out, out, out]
+    assert not any(flags & os.O_TRUNC for _, flags in calls)
+
+
 def test_factorize_runs_a_method_as_verify_does(block_algebra, tmp_path):
     # E is not full, so verify factors its fullification; factorize must too
     E = corner_module("random_corner", block_algebra)

@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import json
+import os
+import stat
 import sys
 import weakref
 from pathlib import Path
@@ -99,6 +101,47 @@ class TestParsing:
             parse_instance(str(p))
         msg = str(exc.value)
         assert "basis" in msg and ("pair" in msg or "element" in msg)
+
+
+def _file_bytes(inst):
+    """The bytes of an instance file: compact sorted JSON and a newline."""
+    return (json.dumps(instance_to_json(inst), sort_keys=True, separators=(",", ":"))
+            + "\n").encode()
+
+
+class TestInstanceFile:
+    def test_saving_over_a_longer_or_shorter_file_leaves_exactly_the_new_bytes(self, tmp_path):
+        small, large = generate_random_instance(SPEC, 5), golden_instance()
+        p = tmp_path / "i.json"
+        save_instance(large, str(p))
+        assert p.read_bytes() == _file_bytes(large)
+        assert len(_file_bytes(small)) < p.stat().st_size
+        save_instance(small, str(p))
+        assert p.read_bytes() == _file_bytes(small)
+        save_instance(large, str(p))
+        assert p.read_bytes() == _file_bytes(large)
+
+    def test_a_new_file_gets_the_mode_open_w_gives(self, tmp_path):
+        old = os.umask(0o002)
+        try:
+            save_instance(golden_instance(), str(tmp_path / "new.json"))
+            with open(tmp_path / "ref.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("new.json", "ref.json")]
+        assert modes == [0o664, 0o664]
+
+    def test_saving_through_a_symlink_rewrites_its_target(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"x" * 100_000)
+        link.symlink_to(target)
+        save_instance(golden_instance(), str(link))
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == _file_bytes(golden_instance())
+
+    def test_saving_to_a_device_that_cannot_be_truncated(self):
+        save_instance(golden_instance(), os.devnull)
 
 
 NAN, INF = float("nan"), float("inf")
