@@ -13,12 +13,12 @@ in decades (a decision under one decade raises ToleranceAmbiguity), and
 its spread decision, the one cut that is not a ``_decide`` call: the
 largest spread of a cluster kept whole and the smallest of a cluster split,
 each over cut / 10 (a cluster splits at 1 or more).  Last,
-per certificate kind of a homomorphism check (an identity's closure bound,
-an induced action's product bound, the matrix-unit bound on a domain
-holding its frame), how many checks were settled by it (at most 100 tol)
-and how many fell back to the product-residual kernel, with the largest
-certificate / (100 tol); and how many checks had no certificate and went
-to the kernel directly.
+per kind of a homomorphism check's ``certificate`` (an identity's closure
+bound, an induced action's product bound, the matrix-unit bound where
+``cstar._frame_pays`` picks a domain's held frame), how many checks were
+offered it and how many fell back to the product-residual kernel, with the
+largest accepted certificate / (100 tol); and how many checks had no
+certificate and went to the kernel directly.
 """
 
 import argparse
@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from modfactor import numkernel
+from modfactor import cstar, numkernel
 from modfactor.errors import ModfactorError
 from modfactor.harness import GenSpec, generate_random_instance, run_verification
 from modfactor.hilbmod import Homomorphism
@@ -78,57 +78,34 @@ def _record_frame_margins(margins: dict) -> None:
     numkernel._spreads = recording_spreads
 
 
-def _certificate_kind(bounds) -> str:
-    """The kind of a map's ``_product_bounds``, from where it was built."""
-    return "identity" if bounds.__qualname__.startswith("identity_homomorphism") \
-        else "induced action"
-
-
 def _record_certificates(stats: dict) -> None:
     """Wrap Homomorphism.validate so that every check of a map's products
-    records, under its certificate's kind, [checks, fallbacks to the kernel,
-    largest certificate / (100 tol)]; maps without one under "none"."""
+    records, under the kind of its certificate, [checks, fallbacks to the
+    kernel, largest accepted certificate / (100 tol)]: a fallback is a check
+    whose construction handed in a bound, or whose domain's held frame the
+    rule picks, that the kernel settled.  An identity's closure bound is
+    certified at most 100 tol, so it never falls back."""
     validate = Homomorphism.validate
-    measured = Homomorphism._measured_defect
-    route = Homomorphism._matrix_unit_bound
-    open_checks = []  # per check in progress: [kind, ratio, fell back]
-
-    def recording_route(hom, frame, tol):
-        out = route(hom, frame, tol)
-        open_checks[-1][:2] = ["matrix units", out / (100.0 * tol)]
-        return out
-
-    def recording_measured(hom, tol):
-        open_checks[-1][2] = True
-        return measured(hom, tol)
 
     def recording_validate(hom, tol=numkernel.DEFAULT_TOL):
-        if hom._validated_at is not None and hom._validated_at <= tol:
+        handed = hom.certificate
+        if handed is not None and handed.tol is not None and handed.tol <= tol:
             return validate(hom, tol)
-        bounds, entry = hom._product_bounds, ["none", 0.0, False]
-        if bounds is not None:
-            entry[0] = _certificate_kind(bounds)
-
-            def certificate(t):
-                out = bounds(t)
-                entry[1] = out / (100.0 * t)
-                return out
-
-            hom._product_bounds = certificate
-        open_checks.append(entry)
-        try:
-            return validate(hom, tol)
-        finally:
-            hom._product_bounds = bounds
-            open_checks.pop()
-            row = stats.setdefault(entry[0], [0, 0, 0.0])
-            row[0] += 1
-            row[1] += entry[2]
-            row[2] = max(row[2], entry[1])
+        validate(hom, tol)
+        cert, dom = hom.certificate, hom.domain
+        kind = cert.kind
+        if kind == "kernel" and handed is not None and handed.tol is None:
+            kind = handed.kind
+        elif kind == "kernel" and cstar._frame_pays(dom, hom.codomain_dim) \
+                and cstar._held_frame(dom, tol) is not None:
+            kind = "matrix units"
+        row = stats.setdefault(kind, [0, 0, 0.0])
+        row[0] += 1
+        row[1] += cert.kind != kind
+        if cert.kind == kind:
+            row[2] = max(row[2], cert.value / (100.0 * tol))
 
     Homomorphism.validate = recording_validate
-    Homomorphism._measured_defect = recording_measured
-    Homomorphism._matrix_unit_bound = recording_route
 
 
 def main() -> int:
@@ -197,8 +174,9 @@ def main() -> int:
     print(f"frame spread decision: largest whole-cluster spread "
           f"{margins.get('whole', 0.0):.2e}, smallest splitting spread "
           f"{margins.get('split', np.inf):.2e} of cut / 10")
-    for kind, (checks, fallbacks, ratio) in sorted(certificates.items()):
-        if kind == "none":
+    for kind in sorted(certificates, key=lambda kind: (kind == "kernel", kind)):
+        checks, fallbacks, ratio = certificates[kind]
+        if kind == "kernel":
             print(f"no certificate: {checks} homomorphism checks measured by the kernel")
         else:
             print(f"{kind} certificate: {checks} homomorphism checks, {fallbacks} fell back "

@@ -24,6 +24,7 @@ from .harness import (
     run_verification,
     save_instance,
 )
+from .numkernel import DEFAULT_TOL
 from .prodsys import discrete_product_system, verify_associativity
 
 METHOD_CHOICES = ("dual", "unit-vector", "qons", "commutant")
@@ -133,10 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, certified=True):
-        sp.add_argument("--tol", type=float, default=1e-9,
-                        help="relative tolerance for rank decisions (default 1e-9)")
+        sp.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                        help="relative tolerance for rank decisions (default %(default)s)")
         if certified:
-            sp.add_argument("--cert-tol", type=float, default=1e-8,
+            sp.add_argument("--cert-tol", type=float, default=VerifyConfig.cert_tol,
                             help="acceptance threshold for certification residuals")
 
     sp = sub.add_parser("validate", help="validate an instance file")

@@ -128,14 +128,21 @@ def _certify_closure(A: FiniteCStarAlgebra, tol: float, bound: float,
     A._cache[("closure", tol)] = closure
 
 
-# Validation certifies closure from the frame when the direct check's work
-# k^2 n^2 (n + k) is above this.  A frame costs about 0.7 ms at any of these
-# sizes and pays only when it is read later; below 5e5 the direct check costs
-# under 0.25 ms.  Set from end-to-end runs (CHANGES.md): with no threshold
-# seeded-batch, whose algebras are mostly below 5e5 and mostly never read a
-# frame, ran 8% slower; at 4e6 algebra-structure's n = 12 and 17 rungs, which
-# read their frames right after validation, paid for both checks.
+# A frame certificate replaces ``product_residuals``, for an algebra's closure
+# and a map's products alike, when the kernel's work k^2 (n^2 (n + k) + sum
+# d^3), d each image stack's size, is above this.  A frame costs about 0.7 ms
+# at these sizes and pays only when it is read later; below 5e5 the direct
+# check costs under 0.25 ms.  Set from end-to-end runs (CHANGES.md): with no
+# threshold seeded-batch, whose algebras are mostly below 5e5 and mostly never
+# read a frame, ran 8% slower; at 4e6 algebra-structure's n = 12 and 17 rungs,
+# which read their frames right after validation, paid for both checks.
 _FRAME_CLOSURE_WORK = 5e5
+
+
+def _frame_pays(A: FiniteCStarAlgebra, *dims: int) -> bool:
+    """The rule above, for A and image stacks of sizes dims (none for closure)."""
+    k, n = A.dim, A.ambient_dim
+    return k * k * (n * n * (n + k) + sum(d ** 3 for d in dims)) > _FRAME_CLOSURE_WORK
 
 
 def _frame_closure_bound(A: FiniteCStarAlgebra, tol: float) -> float:
@@ -193,8 +200,8 @@ def _held_closure_bound(A: FiniteCStarAlgebra, tol: float):
 
 def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
     """A, after checking *-closure and multiplicative closure within tol
-    (``_from_space`` has checked the identity).  Closure of a basis above
-    ``_FRAME_CLOSURE_WORK`` is accepted when ``_frame_closure_bound`` is at
+    (``_from_space`` has checked the identity).  Closure of a basis where
+    ``_frame_pays`` is accepted when ``_frame_closure_bound`` is at
     most tol, leaving the frame cached for ``commutant``, ``center`` and
     ``block_decomposition``; every other basis, and every rejection, goes
     through the direct check, ``product_residuals`` on A's own basis."""
@@ -203,8 +210,7 @@ def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
         raise ValidationError(
             f"adjoint of basis element {int(np.argmax(rnorm))} leaves the span"
         )
-    k, n = A.dim, A.ambient_dim
-    if k * k * n * n * (n + k) <= _FRAME_CLOSURE_WORK or _frame_closure_bound(A, tol) > tol:
+    if not _frame_pays(A) or _frame_closure_bound(A, tol) > tol:
         _certify_closure(A, tol, tol, *product_residuals(A, A.basis))
     return A
 

@@ -444,6 +444,9 @@ class GenSpec:
     def from_json(obj) -> "GenSpec":
         if not isinstance(obj, dict) or "blocks_B" not in obj or "blocks_C" not in obj:
             raise ParseError("generator spec needs blocks_B and blocks_C")
+        unknown = sorted(obj.keys() - GenSpec.__dataclass_fields__.keys())
+        if unknown:
+            raise ParseError(f"generator spec: unknown key {unknown[0]!r}")
         return GenSpec(
             blocks_B=_decode_blocks(obj["blocks_B"], "blocks_B"),
             blocks_C=_decode_blocks(obj["blocks_C"], "blocks_C"),

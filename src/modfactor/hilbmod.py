@@ -8,13 +8,14 @@ commutant lifting, and the module <-> representation dictionary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .cstar import (
     FiniteCStarAlgebra,
     _certify_closure,
+    _frame_pays,
     _from_space,
     _held_closure_bound,
     _held_frame,
@@ -47,6 +48,7 @@ from .numkernel import (
 )
 
 __all__ = [
+    "Certificate",
     "HilbertModule",
     "Correspondence",
     "Homomorphism",
@@ -76,6 +78,18 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """How ``Homomorphism.validate`` certified a map's products (``identity``,
+    ``induced action``, ``matrix units`` or ``kernel``): ``value`` bounds every
+    residual (HS; the largest, for ``kernel``), accepted at ``tol``, which is
+    None on a construction's bound (inf on an identity's, read off its domain)."""
+
+    kind: str
+    value: float
+    tol: float | None = None
+
+
 @dataclass(eq=False)
 class Homomorphism:
     """A linear map given on the orthonormal basis of its domain algebra.
@@ -86,6 +100,7 @@ class Homomorphism:
     domain: FiniteCStarAlgebra
     codomain_dim: int
     images: np.ndarray  # (domain.dim, d, d)
+    certificate: Certificate | None = None  # validate's last verdict, or a construction's bound
 
     def __post_init__(self):
         self.images = np.ascontiguousarray(self.images, dtype=np.complex128)
@@ -95,12 +110,6 @@ class Homomorphism:
                 f"({self.domain.dim}, {self.codomain_dim}, {self.codomain_dim})"
             )
         self.images.setflags(write=False)
-        self._validated_at: float | None = None
-        # the largest product residual (HS) certified by the last pass
-        self._defect: float | None = None
-        # tol -> an upper bound on every product residual, set where the map
-        # is built when its construction certifies them; see validate
-        self._product_bounds = None
         # (E, F, tol, E_corr) of the last passed validate_theta
         self._theta_verdict: tuple | None = None
 
@@ -139,19 +148,21 @@ class Homomorphism:
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Unitality, *-preservation and multiplicativity on the basis, in HS
-        norms, cached per tolerance.  Each product residual must stay under
-        100 * tol * max(1, ||want||); the largest certified is kept as
-        ``_defect``.  A certificate bounding them all (``_product_bounds``
-        where the construction certifies them, else ``_matrix_unit_bound``
-        when the domain holds its frame) is accepted when at most 100 * tol;
-        otherwise ``_measured_defect`` measures them and makes every
-        rejection."""
-        if self._validated_at is not None and self._validated_at <= tol:
+        norms, once per tolerance, the verdict kept as ``certificate``.  Each
+        product residual must stay under 100 * tol * max(1, ||want||), want =
+        sum_l c_ijl theta(b_l).  A bound on them all is accepted when at most
+        100 * tol: a construction's (the domain's closure bound, for
+        ``identity``), else ``_matrix_unit_bound`` on the domain's held frame
+        where ``cstar._frame_pays``.  Otherwise ``cstar.product_residuals``
+        measures them (``kernel``), with the domain's closure unless held, and
+        names the first row i whose worst pair j breaks the rule."""
+        cert = self.certificate
+        if cert is not None and cert.tol is not None and cert.tol <= tol:
             return
-        dom = self.domain
+        dom, bound = self.domain, 100.0 * tol
         k, d = dom.dim, self.codomain_dim
         unit_img = self.apply(dom.unit, tol)
-        if norm_exceeds(unit_img - np.eye(d), 100.0 * tol):
+        if norm_exceeds(unit_img - np.eye(d), bound):
             raise ValidationError("homomorphism is not unital")
         cadj, imflat = dom.adjoint_coefficients(), self.images.reshape(k, -1)
         star_res = np.empty(k)
@@ -162,35 +173,29 @@ class Homomorphism:
             adj = diff.transpose(0, 2, 1)
             adj -= self.images[s]
             star_res[s] = _fro_norms(diff)
-        if star_res.max() > 100.0 * tol * np.sqrt(d):
+        if star_res.max() > bound * np.sqrt(d):
             i = int(np.argmax(star_res))
             raise ValidationError(f"homomorphism not *-preserving at basis element {i}")
-        if self._product_bounds is not None:
-            defect = self._product_bounds(tol)
-        else:
-            frame = _held_frame(dom, tol)
-            defect = np.inf if frame is None else self._matrix_unit_bound(frame, tol)
-        if defect > 100.0 * tol:
-            defect = self._measured_defect(tol)
-        self._defect, self._validated_at = defect, tol
-
-    def _measured_defect(self, tol: float) -> float:
-        """The largest residual from ``cstar.product_residuals``, with the
-        domain's closure checked in the same pass unless already certified.
-        ValidationError on the first row i whose worst residual, at j, is
-        above 100 * tol * max(1, ||want||), want = sum_l c_ijl theta(b_l)."""
-        dom, bound = self.domain, 100.0 * tol
-        if _held_closure_bound(dom, tol) is not None:
-            res, = product_residuals(dom, self.images)
-        else:
-            closure, res = product_residuals(dom, dom.basis, self.images)
-            _certify_closure(dom, tol, bound, closure)
-        for i in np.flatnonzero(res.max(axis=1) > bound):
-            j = int(np.argmax(res[i]))
-            want = np.tensordot(dom.space.coeffs(dom.basis[i] @ dom.basis[j]), self.images, 1)
-            if res[i, j] > bound * max(1.0, float(np.linalg.norm(want))):
-                raise ValidationError(f"homomorphism not multiplicative on basis pair ({i}, {j})")
-        return float(res.max())
+        if cert is not None and cert.kind == "identity":
+            r = _held_closure_bound(dom, tol)
+            cert = Certificate("identity", dom.closure_residuals(tol).max() if r is None else r)
+        elif cert is None or cert.kind in ("matrix units", "kernel"):
+            frame = _held_frame(dom, tol) if _frame_pays(dom, d) else None
+            cert = frame and Certificate("matrix units", self._matrix_unit_bound(frame, tol))
+        if cert is None or cert.value > bound:
+            if _held_closure_bound(dom, tol) is not None:
+                res, = product_residuals(dom, self.images)
+            else:
+                closure, res = product_residuals(dom, dom.basis, self.images)
+                _certify_closure(dom, tol, bound, closure)
+            for i in np.flatnonzero(res.max(axis=1) > bound):
+                j = int(np.argmax(res[i]))
+                want = np.tensordot(dom.space.coeffs(dom.basis[i] @ dom.basis[j]), self.images, 1)
+                if res[i, j] > bound * max(1.0, float(np.linalg.norm(want))):
+                    raise ValidationError(
+                        f"homomorphism not multiplicative on basis pair ({i}, {j})")
+            cert = Certificate("kernel", float(res.max()))
+        self.certificate = replace(cert, tol=tol)
 
     def _matrix_unit_bound(self, frame, tol: float) -> float:
         """An upper bound on every residual ||theta(b_i) theta(b_j) - theta(b_i
@@ -307,13 +312,7 @@ def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
     residuals ||b_i b_j - sum_l c_ijl b_l||, so ``validate`` reads a bound on
     them instead of forming the k^2 products again (``cstar._held_closure_bound``,
     else the largest of A's closure residuals, computed once)."""
-    def bounds(tol):
-        r = _held_closure_bound(A, tol)
-        return float(A.closure_residuals(tol).max()) if r is None else r
-
-    hom = Homomorphism(A, A.ambient_dim, A.basis.copy())
-    hom._product_bounds = bounds
-    return hom
+    return Homomorphism(A, A.ambient_dim, A.basis.copy(), Certificate("identity", np.inf))
 
 
 def intertwiner_space(rho: Homomorphism, tol: float = DEFAULT_TOL) -> OperatorSpace:

@@ -27,6 +27,7 @@ import scipy.linalg
 
 from .errors import DimensionMismatch, PreconditionError, ValidationError
 from .hilbmod import (
+    Certificate,
     Correspondence,
     HilbertModule,
     Homomorphism,
@@ -280,7 +281,7 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
         ||S|| ||C_a|| ||D_b|| + ||S|| ||S+|| (mu + ||rho(a)|| R_X(b))
             + 2 r eps ||pi(a)|| ||pi(b)||,
 
-    mu being rho's certified ``_defect`` and the last term the rounding of
+    mu being rho's certificate value and the last term the rounding of
     ``cstar.product_residuals`` on r x r images (all that is left where the
     rest is exactly 0).  ``validate`` takes the largest bound as pi's
     certificate and runs its own unit and star checks; where a large ||S||
@@ -316,7 +317,7 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
     norm_S = float(_fro_norms(S).max())  # S S* is diagonal
     norm_pi = _fro_norms(images)
     bound = float((norm_S * (np.outer(_fro_norms(C), R_inv) + np.linalg.norm(S_pinv)
-                             * (rho._defect + np.outer(_fro_norms(acts), R_X)))
+                             * (rho.certificate.value + np.outer(_fro_norms(acts), R_X)))
                    + 2 * r * np.finfo(float).eps * np.outer(norm_pi, norm_pi)).max())
     cadj = A.adjoint_coefficients()
     star_C = np.empty(m)
@@ -330,8 +331,7 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
         raise ValidationError(
             f"induced left action fails its range-invariance certificate at basis "
             f"element {bad[0]} (bound {span[bad[0]]:.3e})")
-    hom = Homomorphism(A, r, images)
-    hom._product_bounds = lambda _tol: bound
+    hom = Homomorphism(A, r, images, Certificate("induced action", bound))
     hom.validate(tol)
     return hom
 

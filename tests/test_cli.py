@@ -10,8 +10,9 @@ import pytest
 
 import modfactor
 from modfactor.cli import build_parser, main
-from modfactor.harness import Instance, save_instance
+from modfactor.harness import Instance, VerifyConfig, save_instance
 from modfactor.hilbmod import Homomorphism, finite_rank_algebra
+from modfactor.numkernel import DEFAULT_TOL
 from conftest import corner_module
 
 CLI = [sys.executable, "-m", "modfactor.cli"]
@@ -197,6 +198,13 @@ def test_cert_tol_only_where_residuals_are_certified():
     for argv in (["verify", "--instance", "x.json"], ["product-system", "--instance", "x.json"],
                  ["factorize", "--method", "dual", "--instance", "x.json"]):
         assert p.parse_args(argv + ["--cert-tol", "1e-6"]).cert_tol == 1e-6
+
+
+def test_tolerance_defaults_are_the_library_defaults():
+    p = build_parser()
+    assert p.parse_args(["validate", "x.json"]).tol == DEFAULT_TOL
+    args = p.parse_args(["verify", "--instance", "x.json"])
+    assert (args.tol, args.cert_tol) == (DEFAULT_TOL, VerifyConfig().cert_tol)
 
 
 def test_failed_stages_print_their_errors(golden_path):

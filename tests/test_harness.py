@@ -205,10 +205,13 @@ def test_hostile_input_is_a_parse_error(name, tmp_path):
         parse_instance(str(p))
 
 
-@pytest.mark.parametrize("blocks", [[[1, "a"]], [[1]], 3, [[1, True]]])
+# blocks_B, or keys misspelled beside a valid one, which must not be ignored
+@pytest.mark.parametrize("blocks", [[[1, "a"]], [[1]], 3, [[1, True]],
+                                    {"compres": False}, {"module_multiplicty": 3}])
 def test_hostile_generator_spec_is_a_parse_error(blocks):
-    with pytest.raises(ParseError):
-        GenSpec.from_json({"blocks_B": blocks, "blocks_C": [[1, 1]]})
+    spec = {"blocks_B": [[1, 1]], **blocks} if isinstance(blocks, dict) else {"blocks_B": blocks}
+    with pytest.raises(ParseError, match="|".join(blocks) if isinstance(blocks, dict) else None):
+        GenSpec.from_json({**spec, "blocks_C": [[1, 1]]})
 
 
 @pytest.mark.parametrize("flag", ["compress", "with_unit_vector"])
@@ -646,18 +649,9 @@ class TestCertifiedConstructions:
                 runs.append((stacks[-1], {f.name for f in traceback.extract_stack()}))
             return real_kernel(A, *stacks)
 
-        routed = []
-        real_route = Homomorphism._matrix_unit_bound
-
-        def route_spy(hom, frame, tol):
-            bound = real_route(hom, frame, tol)
-            routed.append((hom, bound <= 100 * tol))
-            return bound
-
         monkeypatch.setattr(hilbmod, "identity_homomorphism", identity_spy)
         monkeypatch.setattr(cstar, "product_residuals", kernel_spy)
         monkeypatch.setattr(hilbmod, "product_residuals", kernel_spy)
-        monkeypatch.setattr(Homomorphism, "_matrix_unit_bound", route_spy)
         inst = parse_instance(str(path))
         assert run_verification(inst).passed
         assert identities
@@ -669,7 +663,7 @@ class TestCertifiedConstructions:
         assert {"_decode_correspondence", "commutant_lifting"} <= callers
         # theta takes the matrix-unit route instead of the kernel
         assert "_decode_hom" not in callers
-        assert [ok for hom, ok in routed if hom is inst.theta] == [True]
+        assert inst.theta.certificate.kind == "matrix units"
 
 
 def _dims(obj):

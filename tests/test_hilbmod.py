@@ -20,6 +20,7 @@ from modfactor.errors import (
     ValidationError,
 )
 from modfactor.hilbmod import (
+    Certificate,
     Correspondence,
     HilbertModule,
     Homomorphism,
@@ -639,7 +640,7 @@ class TestStructureConstants:
         for _ in range(2):
             with pytest.raises(ValidationError, match="not multiplicatively closed"):
                 identity_homomorphism(A).validate()
-        assert len(fills) == 4 and hom._validated_at is None
+        assert len(fills) == 4 and hom.certificate is None
 
     def test_validated_algebra_is_filled_once_by_its_closure_check(self, monkeypatch):
         fills = self._spy(monkeypatch)
@@ -653,7 +654,7 @@ class TestStructureConstants:
     def test_identity_reads_the_closure_residuals(self, monkeypatch):
         # the identity's product residuals are the closure residuals, so its
         # validate forms no products of its own and keeps their largest as
-        # its defect
+        # its certificate
         A = _haar_conjugated([(2, 1), (1, 2)], 3)
         passes = spy_product_residuals(monkeypatch)
         hom = identity_homomorphism(A)
@@ -662,7 +663,8 @@ class TestStructureConstants:
         assert all(stacks == (A.basis,) for _, stacks in passes)
         ref, _ = dense_product_residuals(A, A.basis)
         assert np.allclose(closure, ref, atol=1e-15)
-        assert hom._defect == closure.max() <= 1e-13
+        assert hom.certificate.kind == "identity"
+        assert hom.certificate.value == closure.max() <= 1e-13
 
     def test_identity_reads_the_frame_closure_bound(self, monkeypatch):
         # an algebra validated through its frame: the identity's certificate
@@ -674,8 +676,8 @@ class TestStructureConstants:
         hom = identity_homomorphism(A)
         hom.validate()
         r = cstar._frame_closure_bound(A, 1e-9)
-        assert hom._product_bounds(1e-9) == r
-        assert hom._defect == r <= 1e-9
+        assert hom.certificate.kind == "identity"
+        assert hom.certificate.value == r <= 1e-9
         assert module_over_itself(A).space is A.space
         algebra_bimodule(A).validate()
         assert not fills and not passes
@@ -949,10 +951,12 @@ class TestMatrixUnitRoute:
     def test_a_corrupted_image_falls_back_to_the_product_loop(self, monkeypatch):
         # the images of an adjoint pair of traceless elements scaled by
         # 1 + 1e-6 keep theta unital and *-preserving but not multiplicative:
-        # the bound is above the rule, and the kernel names the pair
-        # the dense check names, with the message it has always had
+        # the rule picks the held frame, the bound is above the rule, and the
+        # kernel names the pair the dense check names, with the message it
+        # has always had
         A = _haar_conjugated([(6, 1), (4, 1)], 3)
-        assert cstar._held_frame(A, 1e-9) is not None
+        frame = cstar._held_frame(A, 1e-9)
+        assert frame is not None and cstar._frame_pays(A, 20)
         m, n = _adjoint_pair(A)
         imgs = _amplified(A, 2).images.copy()
         imgs[m] *= 1 + 1e-6
@@ -962,15 +966,11 @@ class TestMatrixUnitRoute:
         rule = 100.0 * 1e-9 * np.maximum(1.0, ref_want)
         i = next(i for i in range(len(ref_res)) if ref_res[i].max() > rule[i, np.argmax(ref_res[i])])
         j = int(np.argmax(ref_res[i]))
-        bounds = []
-        real = Homomorphism._matrix_unit_bound
-        monkeypatch.setattr(Homomorphism, "_matrix_unit_bound",
-                            lambda hom, frame, tol: bounds.append(real(hom, frame, tol)) or bounds[-1])
+        assert bad._matrix_unit_bound(frame, 1e-9) > 100 * 1e-9
         with pytest.raises(ValidationError,
                            match=rf"^homomorphism not multiplicative on basis pair \({i}, {j}\)$"):
             bad.validate()
-        assert len(bounds) == 1 and bounds[0] > 100 * 1e-9
-        assert bad._validated_at is None
+        assert bad.certificate is None
 
     def test_theta_of_instance_a_reads_no_structure_constants(self, tmp_path, monkeypatch):
         # one parse and verify: theta's domain K(E) holds its frame from
@@ -1001,7 +1001,8 @@ class TestMatrixUnitRoute:
         assert fills and not any(A is dom for A in fills)
         assert maps and not any(A is dom for A, _ in passes)
         assert not any(images is inst.theta.images for images in maps)
-        assert inst.theta._validated_at == 1e-9 and 0.0 < inst.theta._defect <= 100 * 1e-9
+        cert = inst.theta.certificate
+        assert cert.kind == "matrix units" and cert.tol == 1e-9 and 0.0 < cert.value <= 100 * 1e-9
         assert frames and not any({"_matrix_unit_bound", "identity_homomorphism", "bounds"} & f
                                   for f in frames)
 
@@ -1013,7 +1014,7 @@ class TestMatrixUnitRoute:
         assert cstar._held_frame(A, 1e-9) is not None
         passes = spy_product_residuals(monkeypatch)
         hom = _amplified(A, 2)
-        hom._product_bounds = lambda tol: 1.0
+        hom.certificate = Certificate("induced action", 1.0)
         hom.validate()
         monkeypatch.setattr(Homomorphism, "_matrix_unit_bound", lambda hom, frame, tol: 1.0)
         route = _amplified(A, 3)
@@ -1022,7 +1023,67 @@ class TestMatrixUnitRoute:
         assert all(len(stacks) == 1 and stacks[0] is h.images
                    for (_, stacks), h in zip(passes, (hom, route)))
         for h in (hom, route):
-            assert h._validated_at == 1e-9 and h._defect == _loop_max(h) <= 1e-13
+            assert h.certificate.kind == "kernel" and h.certificate.tol == 1e-9
+            assert h.certificate.value == _loop_max(h) <= 1e-13
+
+
+class TestFrameOrKernelRule:
+    """One work rule, ``cstar._frame_pays``, picks a frame certificate or the
+    product-residual kernel, for an algebra's closure and for a map's
+    products alike."""
+
+    def test_theta_of_instance_a_settles_on_matrix_units(self):
+        # parsed, so theta is built from data; k = 52, n = 10, d = 20: the
+        # kernel's work is 3.8e7
+        from modfactor.harness import instance_from_json, instance_to_json
+        theta = instance_from_json(instance_to_json(instance_a())).theta
+        assert cstar._frame_pays(theta.domain, theta.codomain_dim)
+        assert theta.certificate.kind == "matrix units"
+
+    def test_small_maps_settle_on_the_kernel_even_on_a_held_frame(self, tmp_path,
+                                                                    monkeypatch):
+        # a parse and verify of the seeded batch: a map whose kernel work is
+        # at most the threshold never takes the matrix-unit route, also where
+        # its domain already holds its frame
+        from modfactor.harness import parse_instance, run_verification, save_instance
+        instances = batch_instances(50)
+        settled = []
+        real = Homomorphism.validate
+
+        def spy(hom, tol=1e-9):
+            real(hom, tol)
+            settled.append((hom.certificate.kind, cstar._held_frame(hom.domain, tol) is not None,
+                            cstar._frame_pays(hom.domain, hom.codomain_dim)))
+
+        monkeypatch.setattr(Homomorphism, "validate", spy)
+        for i, inst in enumerate(instances):
+            path = tmp_path / f"{i}.json"
+            save_instance(inst, str(path))
+            assert run_verification(parse_instance(str(path))).passed
+        small = [(kind, held) for kind, held, pays in settled if not pays]
+        assert {kind for kind, _ in small} <= {"kernel", "identity", "induced action"}
+        assert any(kind == "kernel" and held for kind, held in small)
+
+    def test_closure_and_maps_switch_at_the_same_work(self, monkeypatch):
+        # C (+) M_2 (x) 1_2 on C^4 (k = 5, n = 4) and its amplification by 2 (d
+        # = 8): with the threshold one below the kernel's work k^2 (n^2 (n +
+        # k) + sum d^3) the frame certifies, at the work itself the kernel
+        basis = haar_conjugated([(1, 2), (2, 1)], np.random.default_rng(4))
+
+        def work(*dims):
+            return 25 * (16 * 9 + sum(d ** 3 for d in dims))
+
+        for limit, framed in [(work() - 1, True), (work(), False)]:
+            monkeypatch.setattr(cstar, "_FRAME_CLOSURE_WORK", limit)
+            A = algebra_from_basis(basis)
+            assert (cstar._held_frame(A, 1e-9) is not None) is framed
+            assert (("closure", 1e-9) in A._cache) is not framed
+        cstar._frame(A, 1e-9)
+        for limit, kind in [(work(8) - 1, "matrix units"), (work(8), "kernel")]:
+            monkeypatch.setattr(cstar, "_FRAME_CLOSURE_WORK", limit)
+            hom = _amplified(A, 2)
+            hom.validate()
+            assert hom.certificate.kind == kind
 
 
 class TestCorrespondenceValidate:

@@ -482,10 +482,10 @@ class TestInducedActionCertificate:
             assert run_verification(inst).passed
         assert len(made) >= 11 * 6
         for hom in made:
-            bound = hom._product_bounds(1e-9)
+            cert = hom.certificate
             res, _ = _reference_product_residuals(hom)
-            assert res.max() <= bound <= 100 * 1e-9
-            assert hom._validated_at == 1e-9 and hom._defect == bound
+            assert cert.kind == "induced action" and cert.tol == 1e-9
+            assert res.max() <= cert.value <= 100 * 1e-9
 
     def test_bound_is_the_docstring_formula(self, golden_module):
         # the bound spelled out with Kronecker products on the golden
@@ -506,12 +506,13 @@ class TestInducedActionCertificate:
         norm_pi = np.linalg.norm(images, axis=(1, 2))
         want = np.linalg.norm(S, 2) * (
             np.outer(np.linalg.norm(C, axis=(1, 2)), np.linalg.norm(D, axis=(1, 2)))
-            + np.linalg.norm(Sp) * (rho._defect + np.outer(
+            + np.linalg.norm(Sp) * (rho.certificate.value + np.outer(
                 np.linalg.norm(acts, axis=(1, 2)), R_X))) \
             + 2 * len(S) * np.finfo(float).eps * np.outer(norm_pi, norm_pi)
-        got = _induced_action(rho, X.module.space, S, Sp, 1e-9)._product_bounds(1e-9)
-        assert np.isclose(got, want.max(), rtol=1e-6, atol=1e-30)
-        assert tp.result.left_action._product_bounds(1e-9) == got
+        cert = _induced_action(rho, X.module.space, S, Sp, 1e-9).certificate
+        assert cert.kind == "induced action"
+        assert np.isclose(cert.value, want.max(), rtol=1e-6, atol=1e-30)
+        assert tp.result.left_action.certificate == cert
         # the formula bounds each pair's residual
         res, _ = _reference_product_residuals(tp.result.left_action)
         assert (res <= want).all()
@@ -551,19 +552,19 @@ class TestInducedActionCertificate:
         rho.validate()
         assert not passes
         loop = float(cstar.product_residuals(A, rho.images)[0].max())
-        assert rho._defect > 1e3 * loop
+        assert rho.certificate.kind == "matrix units"
+        assert rho.certificate.value > 1e3 * loop
         space = OperatorSpace(20, 1, np.eye(20, dtype=complex)[:, :, None])
         s = 2.0 ** -13
         S, S_pinv = (np.kron(np.eye(20), np.diag([1.0, v])).astype(complex) for v in (s, 1 / s))
-        route = rho._defect
+        route = rho.certificate.value
         assert route * np.linalg.norm(S_pinv) > 100 * 1e-9
         passes.clear()
         pi = _induced_action(rho, space, S, S_pinv, 1e-9)
-        assert pi._product_bounds(1e-9) > 100 * 1e-9
         assert len(passes) == 1 and passes[0][1][0] is pi.images
-        assert rho._defect == route
-        assert pi._validated_at == 1e-9
-        assert pi._defect == cstar.product_residuals(A, pi.images)[0].max() <= 1e-14
+        assert rho.certificate.value == route
+        assert pi.certificate.kind == "kernel" and pi.certificate.tol == 1e-9
+        assert pi.certificate.value == cstar.product_residuals(A, pi.images)[0].max() <= 1e-14
         want = np.stack([np.kron(m, np.eye(2)) for m in rho.images])
         assert np.abs(pi.images - want).max() <= 1e-14
 
@@ -651,7 +652,8 @@ class TestRowBlockedInducedAction:
         hom = _induced_action(_fresh(rho), space, tp.S, tp.S_pinv, 1e-9)
         assert np.abs(hom.images - images).max() <= 1e-12
         assert np.abs(hom.images - ref.images).max() <= 1e-12
-        assert np.abs(hom._product_bounds(1e-9) - ref._product_bounds(1e-9)).max() <= 1e-12
+        assert hom.certificate.kind == ref.certificate.kind == "induced action"
+        assert np.abs(hom.certificate.value - ref.certificate.value) <= 1e-12
 
     def test_a_later_block_names_the_same_element(self, block_budget):
         from modfactor.tensorcalc import _induced_action
