@@ -3,10 +3,14 @@
 
 Usage: python scripts/random_sweep.py [--count 50] [--base-seed 0] [--json out.json]
 
-Every instance carries its oracle, so the sweep reports how far each
-construction lands from the seeded ground truth, together with
-cross-method comparison residuals and the commutant method's flip
-residual (``chain.flip_residual``).  It also prints the closest decision
+The instances rotate over the acceptance suite's five seeded-batch specs
+(``perfbench/workloads.BATCH_SPECS``) and ROADMAP instance ``a``'s spec
+(``LARGE_SPEC``, H_F = 20), the one whose homomorphism takes the
+matrix-unit route.  Each is generated, written to JSON and parsed back, the
+path of ``modfactor verify``, and then verified.  Every instance carries
+its oracle, so the sweep reports how far each construction lands from the
+seeded ground truth, together with cross-method comparison residuals and
+the commutant method's flip residual (``chain.flip_residual``).  It also prints the closest decision
 of every Wedderburn frame built in the sweep (each intertwiner solve): the
 smallest distance of a cluster separation and of a coupling from its cut,
 in decades (a decision under one decade raises ToleranceAmbiguity), and
@@ -17,7 +21,8 @@ per kind of a homomorphism check's ``certificate`` (an identity's closure
 bound, an induced action's product bound, the matrix-unit bound where
 ``cstar._frame_pays`` picks a domain's held frame), how many checks were
 offered it and how many fell back to the product-residual kernel, with the
-largest accepted certificate / (100 tol); and how many checks had no
+largest accepted certificate over the bound ``Homomorphism.validate``
+accepts (``numkernel.DEFECT_FACTOR`` tol); and how many checks had no
 certificate and went to the kernel directly.
 """
 
@@ -25,26 +30,25 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from modfactor import cstar, numkernel
-from modfactor.errors import ModfactorError
-from modfactor.harness import GenSpec, generate_random_instance, run_verification
-from modfactor.hilbmod import Homomorphism
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-SPECS = [
-    GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(2, 1)],
-            module_multiplicity=2, corr_multiplicity=1),
-    GenSpec(blocks_B=[(2, 1)], blocks_C=[(1, 1), (1, 1)],
-            module_multiplicity=2, corr_multiplicity=2),
-    GenSpec(blocks_B=[(1, 1), (1, 1)], blocks_C=[(2, 1)],
-            module_multiplicity=3, corr_multiplicity=1, with_unit_vector=True),
-    GenSpec(blocks_B=[(2, 2)], blocks_C=[(2, 1)],
-            module_multiplicity=1, corr_multiplicity=1),
-    GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(1, 2)],
-            module_multiplicity=2, corr_multiplicity=1, with_unit_vector=True),
-]
+from modfactor import cstar, numkernel  # noqa: E402
+from modfactor.errors import ModfactorError  # noqa: E402
+from modfactor.harness import (  # noqa: E402
+    generate_random_instance,
+    instance_from_json,
+    instance_to_json,
+    run_verification,
+)
+from modfactor.hilbmod import Homomorphism  # noqa: E402
+from workloads import BATCH_SPECS, LARGE_SPEC  # noqa: E402
+
+SPECS = BATCH_SPECS + [LARGE_SPEC]
 
 
 def _record_frame_margins(margins: dict) -> None:
@@ -81,10 +85,11 @@ def _record_frame_margins(margins: dict) -> None:
 def _record_certificates(stats: dict) -> None:
     """Wrap Homomorphism.validate so that every check of a map's products
     records, under the kind of its certificate, [checks, fallbacks to the
-    kernel, largest accepted certificate / (100 tol)]: a fallback is a check
-    whose construction handed in a bound, or whose domain's held frame the
-    rule picks, that the kernel settled.  An identity's closure bound is
-    certified at most 100 tol, so it never falls back."""
+    kernel, largest accepted certificate / bound], the bound DEFECT_FACTOR
+    tol: a fallback is a check whose construction handed in a bound, or
+    whose domain's held frame the rule picks, that the kernel settled.  An
+    identity's closure bound is certified at most the bound, so it never
+    falls back."""
     validate = Homomorphism.validate
 
     def recording_validate(hom, tol=numkernel.DEFAULT_TOL):
@@ -103,7 +108,7 @@ def _record_certificates(stats: dict) -> None:
         row[0] += 1
         row[1] += cert.kind != kind
         if cert.kind == kind:
-            row[2] = max(row[2], cert.value / (100.0 * tol))
+            row[2] = max(row[2], cert.value / (numkernel.DEFECT_FACTOR * tol))
 
     Homomorphism.validate = recording_validate
 
@@ -125,7 +130,9 @@ def main() -> int:
         spec = SPECS[i % len(SPECS)]
         seed = args.base_seed + i
         try:
-            inst = generate_random_instance(spec, seed)
+            # verified as parsed back from its JSON, the path of ``modfactor
+            # verify``: theta is then data, with no construction's certificate
+            inst = instance_from_json(instance_to_json(generate_random_instance(spec, seed)))
             report = run_verification(inst)
         except ModfactorError as exc:
             print(f"seed {seed}: {type(exc).__name__}: {exc}")
@@ -180,7 +187,7 @@ def main() -> int:
             print(f"no certificate: {checks} homomorphism checks measured by the kernel")
         else:
             print(f"{kind} certificate: {checks} homomorphism checks, {fallbacks} fell back "
-                  f"to the kernel; largest certificate / (100 tol) {ratio:.2e}")
+                  f"to the kernel; largest certificate / bound {ratio:.2e}")
     if args.json:
         with open(args.json, "w") as f:
             json.dump({"rows": rows, "elapsed_s": elapsed}, f, indent=1)

@@ -12,7 +12,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, PreconditionError, ToleranceAmbiguity, ValidationError
 from .numkernel import (
+    BASIS_TOL,
+    CLOSURE_FACTOR,
     DEFAULT_TOL,
+    HELD_CLOSURE_FACTOR,
     OperatorSpace,
     WedderburnFrame,
     _check_system_bytes,
@@ -72,11 +75,12 @@ class FiniteCStarAlgebra:
 
     def closure_residuals(self, tol: float = DEFAULT_TOL) -> np.ndarray:
         """HS distances (k, k) of the products b_i b_j from the span, computed
-        once per tolerance with every product within 100 * tol of the span
-        (an algebra validated by the direct check holds them from it)."""
+        once per tolerance with every product within HELD_CLOSURE_FACTOR * tol
+        of the span (an algebra validated by the direct check holds them from it)."""
         key = ("closure", tol)
         if key not in self._cache:
-            _certify_closure(self, tol, 100.0 * tol, *product_residuals(self, self.basis))
+            _certify_closure(self, tol, HELD_CLOSURE_FACTOR * tol,
+                             *product_residuals(self, self.basis))
         return self._cache[key]
 
 
@@ -192,7 +196,7 @@ def _held_closure_bound(A: FiniteCStarAlgebra, tol: float):
     bound validation accepts), else the largest of its cached closure
     residuals; else None."""
     bound = np.inf if _held_frame(A, tol) is None else _frame_closure_bound(A, tol)
-    if bound <= tol:
+    if bound <= CLOSURE_FACTOR * tol:
         return bound
     closure = A._cache.get(("closure", tol))
     return None if closure is None else float(closure.max())
@@ -210,8 +214,8 @@ def _validate_algebra(A: FiniteCStarAlgebra, tol: float) -> FiniteCStarAlgebra:
         raise ValidationError(
             f"adjoint of basis element {int(np.argmax(rnorm))} leaves the span"
         )
-    if not _frame_pays(A) or _frame_closure_bound(A, tol) > tol:
-        _certify_closure(A, tol, tol, *product_residuals(A, A.basis))
+    if not _frame_pays(A) or _frame_closure_bound(A, tol) > CLOSURE_FACTOR * tol:
+        _certify_closure(A, tol, CLOSURE_FACTOR * tol, *product_residuals(A, A.basis))
     return A
 
 
@@ -225,7 +229,7 @@ def algebra_from_basis(mats, tol: float = DEFAULT_TOL) -> FiniteCStarAlgebra:
     k = arr.shape[0]
     flat = arr.reshape(k, -1)
     gram = flat @ flat.conj().T
-    if np.abs(gram - np.eye(k)).max() > 1e-8:
+    if np.abs(gram - np.eye(k)).max() > BASIS_TOL:
         raise ValidationError("stored algebra basis is not HS-orthonormal")
     return _validate_algebra(_from_space(OperatorSpace(arr.shape[1], arr.shape[2], arr), tol), tol)
 

@@ -47,7 +47,10 @@ from .hilbmod import (
     verify_unit_vector,
 )
 from .numkernel import (
+    AGREE_TOL,
     DEFAULT_TOL,
+    OMEGA_TOL,
+    QONS_TOL,
     OperatorSpace,
     as_matrix,
     column_support,
@@ -134,9 +137,9 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
         raise ValidationError("theta's images do not act on F's total space")
     dom = theta.domain
     spans = dom.space.span_residual(finite_rank_products(E)).max()
-    if adjointable_residual(E, dom.basis, tol, "E").max() > 1e-6 or spans > 1e-6:
+    if adjointable_residual(E, dom.basis, tol, "E").max() > AGREE_TOL or spans > AGREE_TOL:
         raise ValidationError("theta's domain is not the adjointable algebra of E")
-    bad = np.flatnonzero(adjointable_residual(F, theta.images, tol, "F") > 1e-6)
+    bad = np.flatnonzero(adjointable_residual(F, theta.images, tol, "F") > AGREE_TOL)
     if bad.size:
         raise ValidationError(
             f"theta image of basis element {bad[0]} leaves the adjointable algebra of F")
@@ -221,7 +224,7 @@ def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
 def _range_isometry(P: np.ndarray, tol: float) -> np.ndarray:
     """Columns spanning the range of a projection (eigenvalues ~0 or ~1)."""
     w, V = eigh_desc(P)
-    if np.any((w > 1e-6) & (w < 1.0 - 1e-6)):
+    if np.any((w > AGREE_TOL) & (w < 1.0 - AGREE_TOL)):
         raise ValidationError("matrix is not a projection within tolerance")
     return V[:, :int((w > 0.5).sum())]
 
@@ -293,7 +296,7 @@ def factor_qons(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if not family:
         raise PreconditionError("empty quasi-orthonormal family")
     fam_res = check_qons_family(E, family, tol)
-    if fam_res > 1e-7:
+    if fam_res > QONS_TOL:
         raise PreconditionError(
             f"family violates the quasi-orthonormal conditions (residual {fam_res:.3e})"
         )
@@ -418,7 +421,7 @@ def _require_same_theta(ra: FactorizationResult, rb: FactorizationResult) -> Non
     if ta is tb:
         return
     if ta.images.shape != tb.images.shape or \
-            float(np.abs(ta.images - tb.images).max()) > 1e-6:
+            float(np.abs(ta.images - tb.images).max()) > AGREE_TOL:
         raise PreconditionError("results do not factor the same homomorphism")
 
 
@@ -526,7 +529,7 @@ def hilbert_space_compression(theta: Homomorphism, omega, tol: float = DEFAULT_T
     omega, with h (x) x -> theta(h omega*) x the certified unitary."""
     n = _require_full_matrix_domain(theta)
     omega = np.asarray(omega, dtype=np.complex128).reshape(n, 1)
-    if abs(np.linalg.norm(omega) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(omega) - 1.0) > OMEGA_TOL:
         raise PreconditionError("omega must be a unit column")
     theta.validate(tol)
     k = theta.codomain_dim
@@ -599,7 +602,7 @@ def is_morita_equivalence(M: Correspondence, tol: float = DEFAULT_TOL) -> bool:
         return False
     if not M.left_action.is_faithful(tol):
         return False
-    if adjointable_residual(M.module, M.left_action.images, tol).max() > 1e-6:
+    if adjointable_residual(M.module, M.left_action.images, tol).max() > AGREE_TOL:
         return False
     img = M.left_action.image_space(tol)
-    return bool(img.span_residual(finite_rank_products(M.module)).max() <= 1e-6)
+    return bool(img.span_residual(finite_rank_products(M.module)).max() <= AGREE_TOL)

@@ -46,8 +46,14 @@ from .hilbmod import (
     verify_unit_vector,
 )
 from .numkernel import (
+    AGREE_TOL,
+    BASIS_TOL,
+    CERT_TOL,
     DEFAULT_TOL,
+    DRAW_GAP,
+    DRAW_TOL,
     OperatorSpace,
+    _check_system_bytes,
     _combine,
     _stage1_weights,
     eigh_desc,
@@ -181,7 +187,7 @@ def _decode_module(obj, where: str, tol: float) -> HilbertModule:
     arr = np.stack(gens)
     flat = arr.reshape(len(gens), -1)
     gram = flat @ flat.conj().T
-    if np.abs(gram - np.eye(len(gens))).max() <= 1e-8:
+    if np.abs(gram - np.eye(len(gens))).max() <= BASIS_TOL:
         # a stored orthonormal basis is kept verbatim, so recomputations on
         # a reloaded instance reproduce the original coordinates exactly
         space = OperatorSpace(arr.shape[1], arr.shape[2], arr)
@@ -352,7 +358,7 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
     build).  Else U is the polar part of a seeded generic member of the
     intertwiners T (theta(a) T = T theta2(a), one ``solve_intertwiners``)
     with T F2 inside span F (one null space).  Either is certified by
-    ``certify_module_unitary`` at 1e-6.  Returns the tensor realizing
+    ``certify_module_unitary`` at AGREE_TOL.  Returns the tensor realizing
     F = E (.) oracle in F's coordinates: S -> U S and S+ -> S+ U*.
     """
     F2, theta2, tp = induced_homomorphism(E, oracle, tol)
@@ -365,9 +371,9 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
 
     def failure(U):
         """The error U fails with, or None when U F2 = F and U theta2 U* = theta."""
-        if certify_module_unitary(F2, F, U).residual > 1e-6:
+        if certify_module_unitary(F2, F, U).residual > AGREE_TOL:
             return not_F
-        return not_theta if norm_exceeds(U @ imgs2 - imgs @ U, 1e-6).any() else None
+        return not_theta if norm_exceeds(U @ imgs2 - imgs @ U, AGREE_TOL).any() else None
 
     U = np.eye(F.dim_H, dtype=np.complex128)
     if failure(U) is not None:
@@ -489,16 +495,33 @@ def _random_projection_in(span_mats, rng) -> np.ndarray:
     ident = np.eye(n, dtype=np.complex128)
     ev, V = eigh_desc(h)
     spread = float(ev[0] - ev[-1])
-    if spread < 1e-8:
+    if spread < DRAW_TOL:
         return ident
     gaps = -np.diff(ev)
     cut = int(np.argmax(gaps)) + 1
-    if gaps[cut - 1] < 1e-6 * spread:
+    if gaps[cut - 1] < DRAW_GAP * spread:
         return ident
     P = V[:, :cut] @ V[:, :cut].conj().T
-    if not space.contains(P, 1e-8):
+    if not space.contains(P, DRAW_TOL):
         return ident
     return P
+
+
+def _spec_stacks(spec: GenSpec) -> list:
+    """(what, bytes) of each complex stack that generation forms at a size
+    the spec alone fixes: the bases of B and C, the m^2 k_B candidates for q
+    and the pair commutant's candidates.  The last is taken over the spec's
+    B; a fullified B is a sum of some of its blocks, so it forms no more."""
+    def dims(blocks):  # ambient dimension, algebra's dimension, commutant's dimension
+        blocks = [(int(n), int(m)) for n, m in blocks]
+        return (sum(n * m for n, m in blocks), sum(n * n for n, _ in blocks),
+                sum(m * m for _, m in blocks))
+    (G, k_B, k_Bp), (L, k_C, _) = dims(spec.blocks_B), dims(spec.blocks_C)
+    m, mc = spec.module_multiplicity, spec.corr_multiplicity
+    return [("the basis of B", 16 * k_B * G ** 2), ("the basis of C", 16 * k_C * L ** 2),
+            ("the candidate stack for q", 16 * m * m * k_B * (m * G) ** 2),
+            ("the pair commutant's candidate stack",
+             16 * mc * mc * k_Bp * k_C * (mc * G * L) ** 2)]
 
 
 def generate_random_instance(spec: GenSpec, seed: int,
@@ -518,6 +541,8 @@ def generate_random_instance(spec: GenSpec, seed: int,
         raise InfeasibleSpec("multiplicities must be positive")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InfeasibleSpec(f"seed must be a nonnegative integer, got {seed!r}")
+    for what, nbytes in _spec_stacks(spec):
+        _check_system_bytes(nbytes, what, InfeasibleSpec)
     rng = np.random.default_rng(seed)
     notes = {"seed": seed}
 
@@ -643,7 +668,7 @@ def factorize(inst: Instance, method: str, tol: float = DEFAULT_TOL,
 @dataclass
 class VerifyConfig:
     tol: float = DEFAULT_TOL
-    cert_tol: float = 1e-8
+    cert_tol: float = CERT_TOL
     emit_unitaries: bool = False
 
 

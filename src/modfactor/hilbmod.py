@@ -30,7 +30,12 @@ from .errors import (
     ValidationError,
 )
 from .numkernel import (
+    AGREE_TOL,
     DEFAULT_TOL,
+    DEFECT_FACTOR,
+    HELD_CLOSURE_FACTOR,
+    QONS_TOL,
+    UNIT_FACTOR,
     OperatorSpace,
     _fro_norms,
     as_matrix,
@@ -149,9 +154,10 @@ class Homomorphism:
     def validate(self, tol: float = DEFAULT_TOL) -> None:
         """Unitality, *-preservation and multiplicativity on the basis, in HS
         norms, once per tolerance, the verdict kept as ``certificate``.  Each
-        product residual must stay under 100 * tol * max(1, ||want||), want =
+        product residual must stay under DEFECT_FACTOR * tol * max(1, ||want||),
+        want =
         sum_l c_ijl theta(b_l).  A bound on them all is accepted when at most
-        100 * tol: a construction's (the domain's closure bound, for
+        DEFECT_FACTOR * tol: a construction's (the domain's closure bound, for
         ``identity``), else ``_matrix_unit_bound`` on the domain's held frame
         where ``cstar._frame_pays``.  Otherwise ``cstar.product_residuals``
         measures them (``kernel``), with the domain's closure unless held, and
@@ -159,7 +165,7 @@ class Homomorphism:
         cert = self.certificate
         if cert is not None and cert.tol is not None and cert.tol <= tol:
             return
-        dom, bound = self.domain, 100.0 * tol
+        dom, bound = self.domain, DEFECT_FACTOR * tol
         k, d = dom.dim, self.codomain_dim
         unit_img = self.apply(dom.unit, tol)
         if norm_exceeds(unit_img - np.eye(d), bound):
@@ -187,7 +193,7 @@ class Homomorphism:
                 res, = product_residuals(dom, self.images)
             else:
                 closure, res = product_residuals(dom, dom.basis, self.images)
-                _certify_closure(dom, tol, bound, closure)
+                _certify_closure(dom, tol, HELD_CLOSURE_FACTOR * tol, closure)
             for i in np.flatnonzero(res.max(axis=1) > bound):
                 j = int(np.argmax(res[i]))
                 want = np.tensordot(dom.space.coeffs(dom.basis[i] @ dom.basis[j]), self.images, 1)
@@ -391,13 +397,13 @@ class Correspondence:
         if self.left_action.codomain_dim != self.module.dim_H:
             raise DimensionMismatch("left action must act on the module's codomain space")
         if self.left_action.domain is not self.left and \
-                not subspace_equal(self.left_action.domain.space, self.left.space, 1e-6)[0]:
+                not subspace_equal(self.left_action.domain.space, self.left.space, AGREE_TOL)[0]:
             raise ValidationError("left_action domain differs from the left algebra")
         self.left_action.validate(tol)
         space, images = self.module.space, self.left_action.images
         for s in row_blocks(len(images), 16 * space.mats.size):
             moved = np.matmul(images[s, None], space.mats[None])
-            bad = np.flatnonzero(space.span_residual(moved).max(axis=1) > 100.0 * tol)
+            bad = np.flatnonzero(space.span_residual(moved).max(axis=1) > DEFECT_FACTOR * tol)
             if bad.size:
                 raise ValidationError(
                     f"left action of basis element {s.start + bad[0]} leaves the module span")
@@ -453,13 +459,13 @@ def _validate_module(E: HilbertModule, tol: float) -> None:
     X, B = E.basis, E.base.basis
     for s in row_blocks(E.dim, 16 * len(B) * X[0].size):
         bad = np.flatnonzero(E.space.span_residual(np.matmul(X[s, None], B[None]))
-                             .max(axis=1) > 100.0 * tol)
+                             .max(axis=1) > DEFECT_FACTOR * tol)
         if bad.size:
             raise ValidationError(
                 f"right action moves basis element {s.start + bad[0]} out of the span")
     for s in row_blocks(E.dim, 16 * E.dim * B[0].size):
         inner = np.matmul(_adjoints(X[s])[:, None], X[None])
-        bad = np.flatnonzero(E.base.space.span_residual(inner).max(axis=1) > 100.0 * tol)
+        bad = np.flatnonzero(E.base.space.span_residual(inner).max(axis=1) > DEFECT_FACTOR * tol)
         if bad.size:
             raise ValidationError(f"an inner product against basis element "
                                   f"{s.start + bad[0]} leaves the base algebra")
@@ -500,7 +506,7 @@ def inner_product(E: HilbertModule, x, y, tol: float = DEFAULT_TOL) -> np.ndarra
     E.coeffs(x, tol)
     E.coeffs(y, tol)
     p = x.conj().T @ y
-    if not E.base.space.contains(p, 100.0 * tol):
+    if not E.base.space.contains(p, DEFECT_FACTOR * tol):
         raise ValidationError("inner product leaves the base algebra")
     return p
 
@@ -562,7 +568,7 @@ def commutant_lifting(E: HilbertModule, tol: float = DEFAULT_TOL) -> Homomorphis
         Bp.dim, E.dim_H, X.shape[1])
     R = Y @ np.linalg.pinv(X)
     resid = op_norm(R @ X - Y)
-    bad = np.flatnonzero(resid > 100.0 * tol * np.maximum(1.0, op_norm(Y)))
+    bad = np.flatnonzero(resid > DEFECT_FACTOR * tol * np.maximum(1.0, op_norm(Y)))
     if bad.size:
         raise ValidationError(
             f"commutant lifting relation failed (residual {resid[bad[0]]:.3e})")
@@ -580,7 +586,7 @@ def adjointable_algebra(E: HilbertModule, tol: float = DEFAULT_TOL) -> FiniteCSt
         return E._cache[key]
     rho_p = commutant_lifting(E, tol)
     Ba = commutant(_from_space(rho_p.image_space(tol), tol), tol)
-    if Ba.space.span_residual(finite_rank_products(E)).max() > 1e-6:
+    if Ba.space.span_residual(finite_rank_products(E)).max() > AGREE_TOL:
         raise ValidationError("adjointable algebra does not contain the finite-rank algebra")
     E._cache[key] = Ba
     return Ba
@@ -629,7 +635,7 @@ def is_full(E: HilbertModule, tol: float = DEFAULT_TOL):
     """(full?, ideal): the ideal generated by the inner products, returned as
     an algebra on its support space."""
     span, _, ideal = _ideal_data(E, tol)
-    eq, _ = subspace_equal(span, E.base.space, 1e-6)
+    eq, _ = subspace_equal(span, E.base.space, AGREE_TOL)
     return eq, ideal
 
 
@@ -653,7 +659,7 @@ def verify_unit_vector(E: HilbertModule, xi, tol: float = DEFAULT_TOL) -> bool:
     """Whether <xi, xi> is the unit of the base algebra."""
     xi = as_matrix(xi)
     E.coeffs(xi, tol)  # NotInModule if outside the span
-    return op_norm(xi.conj().T @ xi - E.base.unit) <= 1000.0 * tol
+    return op_norm(xi.conj().T @ xi - E.base.unit) <= UNIT_FACTOR * tol
 
 
 def quasi_orthonormal_system(E: HilbertModule, tol: float = DEFAULT_TOL) -> QuasiONS:
@@ -667,12 +673,12 @@ def quasi_orthonormal_system(E: HilbertModule, tol: float = DEFAULT_TOL) -> Quas
     q = np.eye(E.dim_H, dtype=np.complex128)
     members = []
     for _ in range(E.dim_H + 1):
-        if op_norm(q) <= 1000.0 * tol:
+        if op_norm(q) <= UNIT_FACTOR * tol:
             break
         qX = q @ E.basis
         norms = op_norm(qX)
         best = int(np.flatnonzero(norms >= (1.0 - tol) * norms.max())[0])
-        if norms[best] <= 1000.0 * tol:
+        if norms[best] <= UNIT_FACTOR * tol:
             raise StallError("no generator reduces the residual projection")
         qx = qX[best]
         m = qx.conj().T @ qx
@@ -684,12 +690,12 @@ def quasi_orthonormal_system(E: HilbertModule, tol: float = DEFAULT_TOL) -> Quas
         raise StallError("quasi-orthonormalization exceeded dim_H steps")
     es = np.stack([e for e, _ in members])
     ps = np.stack([p for _, p in members])
-    if (E.space.span_residual(es) > 1e-6).any():
+    if (E.space.span_residual(es) > AGREE_TOL).any():
         raise ValidationError("quasi-orthonormal element left the module span")
-    if (E.base.space.span_residual(ps) > 1e-6).any():
+    if (E.base.space.span_residual(ps) > AGREE_TOL).any():
         raise ValidationError("quasi-orthonormal projection left the base algebra")
     residual = _qons_residual(E, es, ps)
-    if residual > 1e-7:
+    if residual > QONS_TOL:
         raise ValidationError(f"quasi-orthonormal invariants failed ({residual:.3e})")
     return QuasiONS(members, residual)
 
@@ -738,7 +744,7 @@ def dual_qons_family(E: HilbertModule, tol: float = DEFAULT_TOL) -> list[np.ndar
     qons = quasi_orthonormal_system(dual.module, tol)
     family = [u.conj().T for (u, _) in qons.members]
     res = check_qons_family(E, family, tol)
-    if res > 1e-7:
+    if res > QONS_TOL:
         raise ValidationError(f"dual family postconditions failed ({res:.3e})")
     return family
 
@@ -750,7 +756,7 @@ def module_from_representation(B: FiniteCStarAlgebra, rho_p: Homomorphism,
     are trimmed and reported via ``trimmed_from``."""
     Bp = commutant(B, tol)
     if rho_p.domain.ambient_dim != B.ambient_dim or \
-            not subspace_equal(rho_p.domain.space, Bp.space, 1e-6)[0]:
+            not subspace_equal(rho_p.domain.space, Bp.space, AGREE_TOL)[0]:
         raise PreconditionError("rho' must be defined on the commutant of B")
     return module_from_parts(B, intertwiner_space(rho_p, tol), tol)
 
@@ -763,7 +769,7 @@ def commutant_bimodule(X: Correspondence, tol: float = DEFAULT_TOL) -> Correspon
     commutant lifting of the right structure of X.
     """
     A, rho = X.left, X.left_action
-    if op_norm(rho.apply(A.unit) - np.eye(X.module.dim_H)) > 1e-6:
+    if op_norm(rho.apply(A.unit) - np.eye(X.module.dim_H)) > AGREE_TOL:
         raise PreconditionError("left action must be unital")
     mod = module_from_parts(commutant(A, tol), intertwiner_space(rho, tol), tol)
     rho_p = commutant_lifting(X.module, tol)

@@ -25,7 +25,44 @@ from .errors import (
     ToleranceAmbiguity,
 )
 
+# Tolerance policy: every accept/reject threshold of the package, named once.
+# Relative tiers scale with the run's tol (``--tol``): rank cuts and an
+# algebra's validation cut at tol itself, and each factor below is the
+# multiple of tol that one kind of decision allows.  The absolute tiers,
+# AGREE_TOL onward, do not move with tol.
 DEFAULT_TOL = 1e-9
+# hs_orthonormalize rotates onto R's singular vectors when its dropped pivots
+# lie farther than this * tol * s_0 * sqrt(k) from the span.
+PIVOT_FACTOR = 10.0
+# A construction's defect: a map's unit, star and product residuals, actions
+# and inner products leaving their spans, the commutant lifting relation, an
+# induced action's range, a PSD matrix's Hermitian part, a frame's residuals.
+DEFECT_FACTOR = 100.0
+# An algebra's multiplicative closure when the algebra is validated ...
+CLOSURE_FACTOR = 1.0
+# ... and when its residuals are measured alongside a map's products
+# (``closure_residuals``, ``Homomorphism.validate``): a looser strictness.
+HELD_CLOSURE_FACTOR = 100.0
+# A unit vector's ||<xi, xi> - 1||, and the remainder that ends a
+# quasi-orthonormal system.
+UNIT_FACTOR = 1000.0
+# Two computed structures agree: equal spans, computed elements inside a
+# computed span, the same theta, a module unitary, a projection's spectrum.
+AGREE_TOL = 1e-6
+# A quasi-orthonormal family's conditions, given, built or dual.
+QONS_TOL = 1e-7
+# A stored basis is kept verbatim when HS-orthonormal within this.
+BASIS_TOL = 1e-8
+# A report passes when every certified residual is at most this
+# (``VerifyConfig.cert_tol``, ``--cert-tol``).
+CERT_TOL = 1e-8
+# The generator's draw falls back to the identity for a spectrum narrower
+# than this or a projection farther than this from the span ...
+DRAW_TOL = 1e-8
+# ... or for a largest spectral gap below this fraction of the spread.
+DRAW_GAP = 1e-6
+# hilbert_space_compression's omega is a unit column within this.
+OMEGA_TOL = 1e-9
 # Seed of the weights of wedderburn_frame's generic elements.
 STAGE1_SEED = 2010
 # wedderburn_frame refuses to allocate a stack larger than this, and
@@ -328,7 +365,7 @@ def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
         return OperatorSpace(r, c, np.zeros((0, r, c), dtype=np.complex128), gap)
     # ||R[rank:, rank:]|| is A's distance from the span of the leading pivots;
     # if they miss the span, rotate Q by R's left singular vectors
-    if np.linalg.norm(R[rank:, rank:]) > 10.0 * tol * s[0] * max(1.0, np.sqrt(k)):
+    if np.linalg.norm(R[rank:, rank:]) > PIVOT_FACTOR * tol * s[0] * max(1.0, np.sqrt(k)):
         Q = Q @ np.linalg.svd(R)[0]
     # each basis matrix is unvec of a column of Q, kept column-major in memory
     basis = np.ascontiguousarray(Q[:, :rank].T).reshape(rank, c, r).transpose(0, 2, 1)
@@ -347,9 +384,9 @@ def _stage1_weights(k: int) -> np.ndarray:
     return w
 
 
-def _check_system_bytes(nbytes: int, what: str) -> None:
+def _check_system_bytes(nbytes: int, what: str, error=PreconditionError) -> None:
     if nbytes > MAX_SYSTEM_BYTES:
-        raise PreconditionError(
+        raise error(
             f"{what} needs {nbytes / 2**20:.0f} MiB, "
             f"above the {MAX_SYSTEM_BYTES / 2**20:.0f} MiB limit")
 
@@ -435,7 +472,7 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
     the largest) form a block, aligned to its first by those couplings.
     Certificate, else ToleranceAmbiguity: each cut clears a decade, the frame
     is unitary and each pair in it is (+)_p a_p (x) 1, the rights' a_p on both
-    sides, within bound = 100 tol max_i (||lefts[i]|| + ||rights[i]||), HS
+    sides, within bound = DEFECT_FACTOR tol max_i (||lefts[i]|| + ||rights[i]||), HS
     norms.  PreconditionError when delta exceeds the bound, before a
     frame-coordinate stack over MAX_SYSTEM_BYTES (16 k n^2 bytes), and unless
     the blocks where the rights act hold sum n_p^2 = dim span(rights): then
@@ -455,7 +492,9 @@ def wedderburn_frame(lefts, rights, tol: float = DEFAULT_TOL) -> WedderburnFrame
     _check_system_bytes(16 * k * max(n1, n2) ** 2, f"{what}: the frame-coordinate stack")
     pairs = (A,) if same else (A, B)
     norms = _fro_norms(A)
-    bound = 100.0 * tol * max(1e-30, float((norms + (norms if same else _fro_norms(B))).max()))
+    # the 1e-30 floor keeps the bound positive for an all-zero family
+    bound = DEFECT_FACTOR * tol * max(
+        1e-30, float((norms + (norms if same else _fro_norms(B))).max()))
     w = _stage1_weights(k)
     g = _combine(w, B)
     g += g.conj().transpose(0, 2, 1)
@@ -548,7 +587,7 @@ def psd_sqrt_pinv(m, tol: float = DEFAULT_TOL):
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch("psd_sqrt_pinv expects a square matrix")
     scale = max(1.0, op_norm(a))
-    if norm_exceeds(a - a.conj().T, 100.0 * tol * scale):
+    if norm_exceeds(a - a.conj().T, DEFECT_FACTOR * tol * scale):
         raise NotPSD("matrix is not Hermitian within tolerance")
     w, V = eigh_desc(a)
     if w.size and w[-1] < -tol * scale:

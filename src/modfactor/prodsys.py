@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import PreconditionError, ValidationError
 from .hilbmod import Correspondence, HilbertModule, Homomorphism, _adjoints, as_bimodule
-from .numkernel import DEFAULT_TOL, op_norm
+from .numkernel import AGREE_TOL, DEFAULT_TOL, op_norm
 from .tensorcalc import (
     ModuleUnitary,
     TensorProduct,
@@ -99,7 +99,7 @@ def discrete_product_system(E: HilbertModule, theta: Homomorphism, n: int,
         raise PreconditionError("need at least one step")
     if theta.codomain_dim != E.dim_H:
         raise ValidationError("theta must be an endomorphism of the operators on E's total space")
-    bad = np.flatnonzero(theta.domain.space.span_residual(theta.images) > 1e-6)
+    bad = np.flatnonzero(theta.domain.space.span_residual(theta.images) > AGREE_TOL)
     if bad.size:
         raise ValidationError(
             f"theta image of basis element {bad[0]} leaves the adjointable algebra")

@@ -42,7 +42,9 @@ from .hilbmod import (
     module_from_parts,
 )
 from .numkernel import (
+    AGREE_TOL,
     DEFAULT_TOL,
+    DEFECT_FACTOR,
     OperatorSpace,
     _fro_norms,
     _fro_settles,
@@ -285,10 +287,10 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
     ``cstar.product_residuals`` on r x r images (all that is left where the
     rest is exactly 0).  ``validate`` takes the largest bound as pi's
     certificate and runs its own unit and star checks; where a large ||S||
-    ||S+|| lifts it above 100 * tol, it measures pi's residuals instead.  On
+    ||S+|| lifts it above DEFECT_FACTOR * tol, it measures pi's residuals instead.  On
     the elementary tensors S (e_x (x) y), pi(a) leaves the module span by at
     most ||S (C_a (x) 1)(1 - S+ S)|| <= ||S||^2 ||D_(a*)|| + ||S|| ||C_a* - C_(a*)||,
-    which must stay under 100 * tol (ValidationError naming the certificate).
+    which must stay under DEFECT_FACTOR * tol (ValidationError naming the certificate).
     C and R_X, the (C_a (x) 1) S+ and D_a, and the star residuals are formed
     in row blocks over a.
     """
@@ -326,7 +328,7 @@ def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
         diff -= C[s].conj().transpose(0, 2, 1).reshape(len(diff), -1)
         star_C[s] = _fro_norms(diff)
     span = norm_S ** 2 * (np.abs(cadj) @ R_inv) + norm_S * star_C
-    bad = np.flatnonzero(span > 100.0 * tol)
+    bad = np.flatnonzero(span > DEFECT_FACTOR * tol)
     if bad.size:
         raise ValidationError(
             f"induced left action fails its range-invariance certificate at basis "
@@ -473,7 +475,7 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
     cols = hstack_blocks(np.matmul(W.mats[None], E.basis[:, None]))
     S, S_pinv, gap = _factor_coordinates(cols, tol)
     # ||cols* cols|| = sigma_0^2 = ||S[0]||^2, from the thin factor
-    bound = 1e-6 * max(1.0, np.linalg.norm(S[0]) ** 2)
+    bound = AGREE_TOL * max(1.0, np.linalg.norm(S[0]) ** 2)
     # Gram - cols* cols screened by its Frobenius norm and S+* Gram S+, both
     # summed over row panels
     colsh = cols.conj().T

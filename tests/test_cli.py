@@ -237,10 +237,13 @@ def test_hostile_input_is_one_line_parse_error(golden_path, spec_path, tmp_path)
     bad.write_text(json.dumps(inst))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"blocks_B": [[1, "a"]], "blocks_C": [[1, 1]]}))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"blocks_B": [[200, 1]], "blocks_C": [[1, 1]]}))
     for args, error in ((("validate", str(bad)), "ParseError"),
                         (("random", "--spec", str(spec)), "ParseError"),
                         (("random", "--spec", str(spec_path), "--seed", "-1"),
-                         "InfeasibleSpec")):
+                         "InfeasibleSpec"),
+                        (("random", "--spec", str(huge)), "InfeasibleSpec")):
         r = run_cli(*args)
         assert r.returncode == 1, (args, r.stderr)
         assert error in r.stderr and "Traceback" not in r.stderr

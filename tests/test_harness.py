@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -275,6 +276,21 @@ class TestGenerator:
         for seed in (-1, 1.5, "3", True):
             with pytest.raises(InfeasibleSpec):
                 generate_random_instance(SPEC, seed)
+
+    @pytest.mark.parametrize("blocks_B, stack, mib", [
+        ([(200, 1)], "the basis of B", 24414),  # 16 * 200^2 * 200^2 bytes
+        ([(60, 1)], "the candidate stack for q", 3164),  # 16 * 2^2 * 60^2 * 120^2
+        ([(1, 100)], "the pair commutant's candidate stack", 1526),  # 16 * 100^2 * 100^2
+    ])
+    def test_oversized_spec_is_refused_before_any_allocation(self, blocks_B, stack, mib):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InfeasibleSpec, match=f"{stack} needs {mib} MiB"):
+                generate_random_instance(GenSpec(blocks_B=blocks_B, blocks_C=[(1, 1)]), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 class TestSeededDrawIsBasisIndependent:
