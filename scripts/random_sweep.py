@@ -5,25 +5,25 @@ Usage: python scripts/random_sweep.py [--count 50] [--base-seed 0] [--json out.j
 
 The instances rotate over the acceptance suite's five seeded-batch specs
 (``perfbench/workloads.BATCH_SPECS``) and ROADMAP instance ``a``'s spec
-(``LARGE_SPEC``, H_F = 20), the one whose homomorphism takes the
-matrix-unit route.  Each is generated, written to JSON and parsed back, the
-path of ``modfactor verify``, and then verified.  Every instance carries
-its oracle, so the sweep reports how far each construction lands from the
-seeded ground truth, together with cross-method comparison residuals and
-the commutant method's flip residual (``chain.flip_residual``).  It also prints the closest decision
-of every Wedderburn frame built in the sweep (each intertwiner solve): the
-smallest distance of a cluster separation and of a coupling from its cut,
-in decades (a decision under one decade raises ToleranceAmbiguity), and
-its spread decision, the one cut that is not a ``_decide`` call: the
-largest spread of a cluster kept whole and the smallest of a cluster split,
-each over cut / 10 (a cluster splits at 1 or more).  Last,
-per kind of a homomorphism check's ``certificate`` (an identity's closure
-bound, an induced action's product bound, the matrix-unit bound where
-``cstar._frame_pays`` picks a domain's held frame), how many checks were
-offered it and how many fell back to the product-residual kernel, with the
-largest accepted certificate over the bound ``Homomorphism.validate``
-accepts (``numkernel.DEFECT_FACTOR`` tol); and how many checks had no
-certificate and went to the kernel directly.
+(``LARGE_SPEC``, H_F = 20), the one whose homomorphism takes the matrix-unit
+route.  Each is generated, written to JSON and parsed back, the path of
+``modfactor verify``, and then verified.  Every instance carries its oracle,
+so the sweep reports how far each construction lands from the seeded ground
+truth, together with cross-method comparison residuals and the commutant
+method's flip residual (``chain.flip_residual``).  It also prints the
+closest decision of every Wedderburn frame built in the sweep (each
+intertwiner solve): the smallest distance of a cluster separation and of a
+coupling from its cut, in decades (a decision under one decade raises
+ToleranceAmbiguity), and its spread decision, the one cut that is not a
+``_decide`` call: the largest spread of a cluster kept whole and the
+smallest of a cluster split, each over cut / 10 (a cluster splits at 1 or
+more).  Last, per kind of a homomorphism check's ``certificate`` (an
+identity's closure bound, an induced action's product bound, the matrix-unit
+bound where ``cstar._frame_pays`` picks a domain's held frame), how many
+checks were offered it and how many fell back to the product-residual
+kernel, with the largest accepted certificate over the bound
+``Homomorphism.validate`` accepts (``numkernel.DEFECT_FACTOR`` tol); and how
+many checks had no certificate and went to the kernel directly.
 """
 
 import argparse

@@ -155,9 +155,8 @@ class Homomorphism:
         """Unitality, *-preservation and multiplicativity on the basis, in HS
         norms, once per tolerance, the verdict kept as ``certificate``.  Each
         product residual must stay under DEFECT_FACTOR * tol * max(1, ||want||),
-        want =
-        sum_l c_ijl theta(b_l).  A bound on them all is accepted when at most
-        DEFECT_FACTOR * tol: a construction's (the domain's closure bound, for
+        want = sum_l c_ijl theta(b_l).  A bound on them all is accepted when at
+        most DEFECT_FACTOR * tol: a construction's (the domain's closure bound, for
         ``identity``), else ``_matrix_unit_bound`` on the domain's held frame
         where ``cstar._frame_pays``.  Otherwise ``cstar.product_residuals``
         measures them (``kernel``), with the domain's closure unless held, and
