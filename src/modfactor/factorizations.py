@@ -57,22 +57,18 @@ from .numkernel import (
     eigh_desc,
     hs_orthonormalize,
     op_norm,
-    row_blocks,
 )
 from .tensorcalc import (
     ModuleUnitary,
     TensorProduct,
     _column_blocks,
-    _factored_rows,
     _gram_coordinates,
     _induced_action,
-    _map_from_factored,
     _representation_inverter,
     adjoint_unitary,
     certify_module_unitary,
     compose_unitaries,
     flip_unitary,
-    hstack_blocks,
     identity_unitary,
     interior_tensor,
     intertwining_residual,
@@ -202,12 +198,11 @@ def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     Ftheta = tp1.result
 
     tp2 = _unit_tensor(E_corr, F, Ftheta, "dual", tol)
-    # theta(x_i x_j*) for every pair (i, j), i major
+    # x_i (x) coord(x_j* (x) f) -> theta(x_i x_j*) f, for every pair (i, j)
     k, d = E.dim, F.dim_H
     pairs = np.matmul(E.basis[:, None], _adjoints(E.basis)[None])
     imgs = theta.apply_many(pairs.reshape(k * k, E.dim_H, E.dim_H), tol)
-    N = imgs.reshape(k, k, d, d).transpose(0, 2, 1, 3).reshape(k, d, k * d)
-    U = np.hstack(list(N @ tp1.S_pinv)) @ tp2.S_pinv
+    U = tp2.realize(imgs.reshape(k, k, d, d), inner=tp1.S_pinv)
     unitary, residuals = _certify("dual", tp2, F_corr, theta, U)
     report = {
         "dims": {"correspondence": Ftheta.module.dim,
@@ -261,10 +256,9 @@ def _compressions(method: str, E: HilbertModule, F: HilbertModule,
     corr.validate(tol)
 
     tp = _unit_tensor(E_corr, F, corr, method, tol)
-    M = np.hstack(list(np.concatenate(
-        [theta.apply_many(E.basis @ e.conj().T, tol) @ V
-         for e, V in zip(family, isometries)], axis=2)))
-    unitary, residuals = _certify(method, tp, F_corr, theta, M @ tp.S_pinv)
+    U = tp.realize(np.concatenate([theta.apply_many(E.basis @ e.conj().T, tol) @ V
+                                   for e, V in zip(family, isometries)], axis=2))
+    unitary, residuals = _certify(method, tp, F_corr, theta, U)
     report = {
         "dims": {"correspondence": mod.dim, "correspondence_total": H_B,
                  "F_total": F.dim_H},
@@ -361,7 +355,7 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
 
     tp = _unit_tensor(E_corr, F, Fpp, "commutant", tol)
     # x_i (x) S_P (w_j (x) g) -> w_j x_i g, blocks (i, j)
-    U = _map_from_factored(np.matmul(W.mats[None], E.basis[:, None]), S_P_pinv, tp.S_pinv)
+    U = tp.realize(np.matmul(W.mats[None], E.basis[:, None]), inner=S_P_pinv)
     unitary, residuals = _certify("commutant", tp, F_corr, theta, U)
     report = {
         "dims": {"correspondence": Fpp_mod.dim, "correspondence_total": rP,
@@ -431,10 +425,8 @@ def _cmp_dual_to_qons(ra, rb, tol):
     family = rb.aux["family"]
     isometries = rb.aux["isometries"]
     xstars = _adjoints(ra.aux["E"].basis)
-    M = np.hstack(list(np.concatenate(
-        [V.conj().T @ theta.apply_many(e @ xstars, tol)
-         for e, V in zip(family, isometries)], axis=1)))
-    U = M @ tp1.S_pinv
+    U = tp1.realize(np.concatenate([V.conj().T @ theta.apply_many(e @ xstars, tol)
+                                    for e, V in zip(family, isometries)], axis=1))
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", rb.method)})
 
@@ -451,18 +443,15 @@ def _cmp_unit_vector_to_unit_vector(ra, rb, tol):
 
 
 def _cmp_dual_to_commutant(ra, rb, tol):
-    """Through the flip chain: x* (x) (w y g) -> w (x) <x, y> g, on domain
-    columns S1 (1 (x) [w_l y_m]), whose right inverse the flip keeps.  The
-    stack T of blocks (j, m, l) = S_P,l (x_j* y_m), in the flip's (m, l)
-    order, is formed and contracted in row blocks over j."""
-    S_P = _column_blocks(rb.aux["S_P"], rb.aux["W"].dim)[None, None]
-    inner = _pairwise_inner(ra.aux["E"].basis)[:, :, None]
-    R = rb.aux["flip"].meta["right_inverse"]
-    k = len(inner)
-    rows = np.empty((k, S_P.shape[-2], R.shape[1]), dtype=np.complex128)
-    for s in row_blocks(k, 16 * k * S_P.size):
-        rows[s] = _factored_rows(S_P @ inner[s], R)
-    U = hstack_blocks(rows) @ ra.aux["tp_corr"].S_pinv
+    """Through the flip chain: x* (x) (w y g) -> w (x) <x, y> g, on the
+    flip's concrete vectors [w_l y_m], whose right inverse the flip keeps.
+    The stack of blocks (j, m, l) = S_P,l (x_j* y_m), in the flip's (m, l)
+    order, is handed over as a function of j, so that it is formed in row
+    blocks over j."""
+    S_P = _column_blocks(rb.aux["S_P"], rb.aux["W"].dim)[None]
+    pairs = _pairwise_inner(ra.aux["E"].basis)[:, :, None]
+    U = ra.aux["tp_corr"].realize(lambda s: S_P @ pairs[s],
+                                  inner=rb.aux["flip"].meta["right_inverse"])
     return certify_module_unitary(ra.correspondence, rb.correspondence, U,
                                   {"pair": ("dual", "commutant")})
 

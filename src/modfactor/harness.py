@@ -79,7 +79,6 @@ from .tensorcalc import (
     adjoint_unitary,
     certify_module_unitary,
     compose_unitaries,
-    _map_from_factored,
     unit_identities,
 )
 
@@ -323,9 +322,10 @@ def instance_from_json(obj, tol: float = DEFAULT_TOL) -> Instance:
     C = _decode_algebra(obj.get("C"), "instance.C", tol)
     E = _decode_module(obj.get("E"), "instance.E", tol)
     F = _decode_module(obj.get("F"), "instance.F", tol)
-    if not np.allclose(E.base.basis, B.basis):
+    # shapes first: a base of another dimension cannot be broadcast
+    if E.base.basis.shape != B.basis.shape or not np.allclose(E.base.basis, B.basis):
         E = build_module(B, list(E.basis), tol)
-    if not np.allclose(F.base.basis, C.basis):
+    if F.base.basis.shape != C.basis.shape or not np.allclose(F.base.basis, C.basis):
         F = build_module(C, list(F.basis), tol)
     theta = _decode_hom(obj.get("theta"), "instance.theta", tol)
     validate_theta(E, F, theta, tol)
@@ -623,11 +623,11 @@ def oracle_unitary(res_dual: FactorizationResult, M: Correspondence, tp_F,
                    tol: float = DEFAULT_TOL):
     """Certified unitary from the dual-method correspondence onto a seeded
     oracle M, via x* (x) coord_F(y (x) h) -> rho_M(<x, y>) h, where the
-    tensor product ``tp_F`` realizes F = E (.) M, on domain columns S_corr (1 (x) S_F)."""
+    tensor product ``tp_F`` realizes F = E (.) M."""
     E: HilbertModule = res_dual.aux["E"]
     T = M.left_action.apply_many(_pairwise_inner(E.basis).reshape(-1, E.dim_G, E.dim_G), tol)
-    U = _map_from_factored(T.reshape(E.dim, E.dim, *T.shape[1:]), tp_F.S_pinv,
-                           res_dual.aux["tp_corr"].S_pinv)
+    U = res_dual.aux["tp_corr"].realize(T.reshape(E.dim, E.dim, *T.shape[1:]),
+                                        inner=tp_F.S_pinv)
     return certify_module_unitary(res_dual.correspondence, M, U,
                                   {"kind": "oracle link"})
 

@@ -23,9 +23,7 @@ from .tensorcalc import (
     _module_of,
     associator,
     certify_module_unitary,
-    hstack_blocks,
     interior_tensor,
-    map_from_spanning,
 )
 from .factorizations import (
     FactorizationResult,
@@ -66,26 +64,24 @@ def _chain_unitary(res_left: FactorizationResult, res_right: FactorizationResult
 
     All three are dual-method results: corr_left factors theta_left:
     Ba(E) -> Ba(F), corr_right factors theta_right: Ba(F) -> Ba(G), and
-    corr_comp factors theta_right o theta_left.  The map is built in the
-    coordinates of corr_comp's own Gram quotient and certified against the
-    same correspondence.
+    corr_comp factors theta_right o theta_left.  Basis element z_i of
+    corr_left is sum_j x_j* . eta_ij (``pullback``); the map is built in
+    the coordinates of corr_comp's own Gram quotient and certified against
+    the same correspondence.
     """
     theta_right: Homomorphism = res_right.aux["theta"]
     tp = interior_tensor(res_left.correspondence, res_right.correspondence, tol)
-    y = res_left.aux["F"].basis
-    # c[j, m]: coefficients of x_j* . y_m in corr_left
-    c = res_left.correspondence.module.coeffs(
-        res_left.aux["tp_corr"].blocks()[:, None] @ y[None])
-    # column blocks (j, m, l), u over the right factor's target total space:
-    # (x_j* . y_m) (x) coord_t(x_l* (x) e_u) -> x_j* . theta_right(y_m x_l*) e_u,
-    # the latter in corr_comp's coordinates
-    D = np.tensordot(c, tp.blocks(), axes=1)[:, :, None] @ \
-        res_right.aux["tp_corr"].blocks()[None, None]
-    pairs = np.matmul(y[:, None], _adjoints(res_right.aux["E"].basis)[None])
+    # d[i, j, m]: coefficients of eta_ij along y_m
+    d = res_left.aux["tp_corr"].pullback(res_left.correspondence.module.basis, tol)
+    pairs = np.matmul(res_left.aux["F"].basis[:, None],
+                      _adjoints(res_right.aux["E"].basis)[None])
     imgs = theta_right.apply_many(pairs.reshape(-1, *pairs.shape[2:]), tol)
-    T = res_comp.aux["tp_corr"].blocks()[:, None, None] @ \
-        imgs.reshape(*pairs.shape[:2], *imgs.shape[1:])[None]
-    U = map_from_spanning(hstack_blocks(D), hstack_blocks(T))
+    # z_i (x) coord_t(x_l* (x) g) -> sum_j x_j* . theta_right(eta_ij x_l*) g,
+    # in corr_comp's coordinates S_comp [theta_right(eta_ij x_l*)]_j: blocks (i, l)
+    moved = np.tensordot(d, imgs.reshape(*pairs.shape[:2], *imgs.shape[1:]), axes=1)
+    n, k, l, g, _ = moved.shape
+    blocks = res_comp.aux["tp_corr"].S @ moved.swapaxes(1, 2).reshape(n, l, k * g, g)
+    U = tp.realize(blocks, inner=res_right.aux["tp_corr"].S_pinv)
     unit = certify_module_unitary(tp.result, res_comp.correspondence, U,
                                   {"kind": "tensor multiplication"})
     return unit, tp
@@ -154,12 +150,11 @@ def verify_associativity(ps: ProductSystem, tol: float = DEFAULT_TOL) -> dict:
 def _lifted_total_map(tp_from: TensorProduct, tp_to: TensorProduct,
                       w: ModuleUnitary, side: str) -> np.ndarray:
     """Total-space matrix of (w (.) id) or (id (.) w) between two tensors."""
-    if side == "right":  # id on the left factor, w on the right factor
-        k = tp_from.k_left
-        return tp_to.S @ np.kron(np.eye(k), w.map) @ tp_from.S_pinv
-    C = _module_of(w.target).space.coeffs(w.map @ _module_of(w.source).basis).T
-    wtot = tp_from.right_total
-    return tp_to.S @ np.kron(C, np.eye(wtot)) @ tp_from.S_pinv
+    if side == "right":  # x_i (x) kappa -> x_i (x) w kappa
+        return tp_from.realize(tp_to.blocks() @ w.map)
+    # x_i (x) kappa -> (w x_i) (x) kappa, with w x_i = sum_c C[i, c] x'_c
+    C = _module_of(w.target).space.coeffs(w.map @ _module_of(w.source).basis)
+    return tp_from.realize(np.tensordot(C, tp_to.blocks(), axes=1))
 
 
 def _triple_residual(ps: ProductSystem, r: int, s: int, t: int, tol: float) -> float:

@@ -15,7 +15,8 @@ data model.
 "Canonical identification" is operationalized as: construct the specific
 map given by its defining formula on elementary tensors and certify
 unitarity plus intertwining; the library never searches for an arbitrary
-isomorphism.
+isomorphism.  ``TensorProduct.realize`` turns such a formula into a matrix
+with no least-squares fit and no Kronecker product.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ __all__ = [
     "compose_unitaries",
     "adjoint_unitary",
     "identity_unitary",
-    "hstack_blocks",
-    "map_from_spanning",
 ]
 
 
@@ -157,28 +156,10 @@ def identity_unitary(obj) -> ModuleUnitary:
     return certify_module_unitary(obj, obj, np.eye(mod.dim_H, dtype=np.complex128))
 
 
-def hstack_blocks(blocks: np.ndarray) -> np.ndarray:
+def _hstack(blocks: np.ndarray) -> np.ndarray:
     """[b_0 | b_1 | ...] of a stack of blocks (..., r, w), in C order of the
     leading indices."""
     return np.moveaxis(blocks, -2, 0).reshape(blocks.shape[-2], -1)
-
-
-def map_from_spanning(domain_vecs: np.ndarray, target_vecs: np.ndarray) -> np.ndarray:
-    """Least-squares linear map sending spanning columns to target columns."""
-    return target_vecs @ np.linalg.pinv(domain_vecs)
-
-
-def _map_from_factored(T: np.ndarray, R: np.ndarray, S_pinv: np.ndarray) -> np.ndarray:
-    """T (1 (x) R) S+, the map sending the columns of S (1 (x) D) to T's, for
-    right inverses R of D and S+ of S, with no Kronecker product.  T is the
-    stack (k, ..., r, w) of its column blocks in C order; 1 acts on k."""
-    return hstack_blocks(_factored_rows(T, R)) @ S_pinv
-
-
-def _factored_rows(T: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """The blocks (k, r, c) of T (1 (x) R), one per index of T's first axis,
-    so that a caller may form T in row blocks over it."""
-    return np.moveaxis(T, -2, 1).reshape(len(T), T.shape[-2], -1) @ R
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +201,37 @@ class TensorProduct:
         c = _module_of(self.left).coeffs(as_matrix(x))
         d = _module_of(self.right).coeffs(as_matrix(y))
         ymat = np.tensordot(d, _module_of(self.right).basis, axes=1)
-        return self.S @ np.kron(c[:, None], ymat)
+        return np.tensordot(c, self.blocks(), axes=1) @ ymat
+
+    def realize(self, blocks, inner: np.ndarray | None = None) -> np.ndarray:
+        """The map on the result's total space given on elementary tensors by
+        x_i (x) kappa -> blocks[i] kappa: [blocks[0] | blocks[1] | ...] S+.
+
+        ``blocks`` is a stack (k_left, ..., n, w), its inner leading indices
+        side by side in C order.  With ``inner``, the right inverse R of the
+        coordinates of a tensor that is the right factor, blocks[i] acts on
+        kappa = R kappa'; the rows blocks[i] R are formed in row blocks over
+        i, from a function of a slice of i where ``blocks`` is one."""
+        if inner is None:
+            return _hstack(blocks) @ self.S_pinv
+        at = blocks if callable(blocks) else blocks.__getitem__
+        k, head = self.k_left, at(slice(0, 1))
+        rows = np.empty((k, head.shape[-2], inner.shape[1]), dtype=np.complex128)
+        for s in row_blocks(k, head.nbytes):
+            part = at(s)
+            rows[s] = np.moveaxis(part, -2, 1).reshape(len(part), part.shape[-2], -1) @ inner
+        return _hstack(rows) @ self.S_pinv
+
+    def pullback(self, elems: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Coefficients d (n, k_left, dim Y) of result elements z (n, r, .)
+        with z_n = sum_a x_a (x) eta_na, eta_na = sum_b d[n, a, b] y_b: the
+        blocks of S+ z_n against Y's basis (NotInModule off its span).  Exact:
+        z = S S+ z, and S+ S, a spectral projection of the Gram, keeps the
+        elementary coefficients of z in Y^k, as the Gram's blocks
+        rho(<x_a, x_b>) keep Y."""
+        Y = _module_of(self.right)
+        eta = (self.S_pinv @ elems).reshape(len(elems), self.k_left, Y.dim_H, Y.dim_G)
+        return Y.coeffs(eta, tol)
 
 
 def _column_blocks(S: np.ndarray, k: int) -> np.ndarray:
@@ -407,8 +418,7 @@ def unit_identities(E: HilbertModule, tol: float = DEFAULT_TOL):
     tp1 = interior_tensor(Ecorr, Estar, tol)
     target1 = algebra_bimodule(K, tol)
     # U sends coord(x_i (x) g~) to x_i (V_d g~) in H
-    M1 = np.hstack(list(E.basis @ V_d))
-    u1 = certify_module_unitary(tp1.result, target1, M1 @ tp1.S_pinv,
+    u1 = certify_module_unitary(tp1.result, target1, tp1.realize(E.basis @ V_d),
                                 {"identity": "module-times-dual"})
 
     # u2: E* (.) E  ->  B_E as a B-B correspondence: the inner-product ideal
@@ -428,8 +438,8 @@ def unit_identities(E: HilbertModule, tol: float = DEFAULT_TOL):
     target2.validate(tol)
     tp2 = interior_tensor(Estar, Ecorr, tol)
     # U sends coord(x_j* (x) h) to V* x_j* h in the ideal's support space
-    M2 = np.hstack(list(V.conj().T @ _adjoints(E.basis)))
-    u2 = certify_module_unitary(tp2.result, target2, M2 @ tp2.S_pinv,
+    u2 = certify_module_unitary(tp2.result, target2,
+                                tp2.realize(V.conj().T @ _adjoints(E.basis)),
                                 {"identity": "dual-times-module"})
     return u1, u2
 
@@ -472,7 +482,7 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
         return blocks.transpose(0, 3, 1, 2, 4).reshape(-1, n)
 
     # concrete vectors w_j x_i, columns in the same (i, j, s) order
-    cols = hstack_blocks(np.matmul(W.mats[None], E.basis[:, None]))
+    cols = _hstack(np.matmul(W.mats[None], E.basis[:, None]))
     S, S_pinv, gap = _factor_coordinates(cols, tol)
     # ||cols* cols|| = sigma_0^2 = ||S[0]||^2, from the thin factor
     bound = AGREE_TOL * max(1.0, np.linalg.norm(S[0]) ** 2)
@@ -508,19 +518,19 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
 def associator(tp_left: TensorProduct, tp_xy: TensorProduct,
                tp_right: TensorProduct, tp_yz: TensorProduct,
                tol: float = DEFAULT_TOL) -> ModuleUnitary:
-    """Canonical unitary (X (.) Y) (.) Z -> X (.) (Y (.) Z) from embeddings.
+    """Canonical unitary (X (.) Y) (.) Z -> X (.) (Y (.) Z) from its formula
+    (x (x) y) (x) kappa -> x (x) (y (x) kappa).
 
     tp_xy = X (.) Y, tp_left = (X (.) Y) (.) Z, tp_yz = Y (.) Z,
-    tp_right = X (.) (Y (.) Z).
+    tp_right = X (.) (Y (.) Z).  Basis element z_i of X (.) Y is
+    sum_a x_a (x) eta_ia (``pullback``), so z_i (x) kappa goes to
+    sum_a x_a (x) (eta_ia (x) kappa), S_right [S_yz (eta_ia (x) kappa)]_a.
     """
-    Y = _module_of(tp_xy.right)
-    # (x_a (x) y_b) (x) e_u -> x_a (x) (y_b (x) e_u), columns in (a, b, u) order;
-    # c[a, b] are the coefficients of x_a (x) y_b in X (.) Y
-    c = _module_of(tp_xy.result).coeffs(tp_xy.blocks()[:, None] @ Y.basis[None])
-    D = hstack_blocks(np.tensordot(c, tp_left.blocks(), axes=1))
-    # T = S_right (1 (x) S_yz)
-    T = hstack_blocks(tp_right.blocks() @ tp_yz.S)
-    U = map_from_spanning(D, T)
+    d = tp_xy.pullback(_module_of(tp_left.left).basis, tol)
+    # (1 (x) S_yz) on the eta_ia of each z_i: blocks (i, a) stacked over a
+    into_yz = np.tensordot(d, tp_yz.blocks(), axes=1)
+    n, k, r, w = into_yz.shape
+    U = tp_left.realize(tp_right.S @ into_yz.reshape(n, k * r, w))
     return certify_module_unitary(tp_left.result, tp_right.result, U,
                                   {"associator": True})
 

@@ -6,7 +6,7 @@ import pytest
 
 from modfactor import numkernel
 from modfactor.cstar import build_algebra
-from modfactor.hilbmod import build_module
+from modfactor.hilbmod import Homomorphism, build_module
 from modfactor.numkernel import OperatorSpace, as_stack, op_norm, rank_cut
 
 
@@ -14,6 +14,20 @@ def matrix_unit(i, j, n=3):
     m = np.zeros((n, n), dtype=np.complex128)
     m[i - 1, j - 1] = 1.0
     return m
+
+
+def column_module(n):
+    """C^n as a module over the scalars."""
+    cols = [np.zeros((n, 1), dtype=complex) for _ in range(n)]
+    for i, c in enumerate(cols):
+        c[i, 0] = 1.0
+    return build_module(build_algebra([(1, 1)]), cols)
+
+
+def amplification(n, m):
+    """a -> a (x) 1_m as a homomorphism M_n -> M_{n m}."""
+    Mn = build_algebra([(n, 1)])
+    return Homomorphism(Mn, n * m, np.stack([np.kron(b, np.eye(m)) for b in Mn.basis]))
 
 
 def kronecker_intertwiners(lefts, rights, tol=1e-9):

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import modfactor
+from modfactor import harness
 from modfactor.cli import build_parser, main
+from modfactor.cstar import build_algebra
 from modfactor.harness import Instance, VerifyConfig, save_instance
 from modfactor.hilbmod import Homomorphism, finite_rank_algebra
 from modfactor.numkernel import DEFAULT_TOL
@@ -239,11 +241,19 @@ def test_hostile_input_is_one_line_parse_error(golden_path, spec_path, tmp_path)
     spec.write_text(json.dumps({"blocks_B": [[1, "a"]], "blocks_C": [[1, 1]]}))
     huge = tmp_path / "huge.json"
     huge.write_text(json.dumps({"blocks_B": [[200, 1]], "blocks_C": [[1, 1]]}))
+    # a base algebra of another dimension than the module's: diagonal on
+    # C^3 for B, on C^2 for C
+    for side, blocks in (("B", [(1, 1)] * 3), ("C", [(1, 1)] * 2)):
+        inst = json.loads(golden_path.read_text())
+        inst[side] = harness._encode_algebra(build_algebra(blocks))
+        (tmp_path / f"base_{side}.json").write_text(json.dumps(inst))
     for args, error in ((("validate", str(bad)), "ParseError"),
                         (("random", "--spec", str(spec)), "ParseError"),
                         (("random", "--spec", str(spec_path), "--seed", "-1"),
                          "InfeasibleSpec"),
-                        (("random", "--spec", str(huge)), "InfeasibleSpec")):
+                        (("random", "--spec", str(huge)), "InfeasibleSpec"),
+                        (("validate", str(tmp_path / "base_B.json")), "ValidationError"),
+                        (("validate", str(tmp_path / "base_C.json")), "DimensionMismatch")):
         r = run_cli(*args)
         assert r.returncode == 1, (args, r.stderr)
         assert error in r.stderr and "Traceback" not in r.stderr

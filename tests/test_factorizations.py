@@ -44,22 +44,14 @@ from modfactor.hilbmod import (
     verify_unit_vector,
 )
 from modfactor.numkernel import OperatorSpace, op_norm
-from conftest import corner_module, instance_a, matrix_unit, traced_peak
-
-
-def column_module(n):
-    C1 = build_algebra([(1, 1)])
-    cols = [np.zeros((n, 1), dtype=complex) for _ in range(n)]
-    for i, c in enumerate(cols):
-        c[i, 0] = 1.0
-    return build_module(C1, cols)
-
-
-def amplification(n, m):
-    """a -> a (x) 1_m as a homomorphism M_n -> M_{n m}."""
-    Mn = build_algebra([(n, 1)])
-    imgs = np.stack([np.kron(b, np.eye(m)) for b in Mn.basis])
-    return Homomorphism(Mn, n * m, imgs)
+from conftest import (
+    amplification,
+    column_module,
+    corner_module,
+    instance_a,
+    matrix_unit,
+    traced_peak,
+)
 
 
 def golden_identity(golden_module):
@@ -568,8 +560,7 @@ def _one_shot_dual_to_commutant_map(ra, rb):
     bytes."""
     T = tensorcalc._column_blocks(rb.aux["S_P"], rb.aux["W"].dim)[None, None] @ \
         hilbmod._pairwise_inner(ra.aux["E"].basis)[:, :, None]
-    U = tensorcalc._map_from_factored(T, rb.aux["flip"].meta["right_inverse"],
-                                      ra.aux["tp_corr"].S_pinv)
+    U = ra.aux["tp_corr"].realize(T, inner=rb.aux["flip"].meta["right_inverse"])
     return U, T.nbytes
 
 

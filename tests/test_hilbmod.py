@@ -55,6 +55,7 @@ from modfactor.numkernel import (
 )
 from conftest import (
     batch_instances,
+    column_module,
     corner_module,
     dense_product_residuals,
     haar_conjugated,
@@ -69,14 +70,6 @@ from conftest import (
 
 def scalars(n=1):
     return build_algebra([(1, 1)] * n) if n > 1 else build_algebra([(1, 1)])
-
-
-def column_module(n):
-    """C^n as a module over the scalars."""
-    cols = [np.zeros((n, 1), dtype=complex) for _ in range(n)]
-    for i, c in enumerate(cols):
-        c[i, 0] = 1.0
-    return build_module(scalars(), cols)
 
 
 def seeded_module(seed, blocks=((1, 1), (2, 1)), mult=2):

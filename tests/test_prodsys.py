@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from modfactor.cstar import build_algebra, hermitian_basis
+from modfactor.cstar import hermitian_basis
 from modfactor.errors import ValidationError
 from modfactor.factorizations import factor_dual
 from modfactor.harness import generate_random_instance
 from modfactor.hilbmod import (
     Homomorphism,
     as_bimodule,
-    build_module,
     dual_module,
     finite_rank_algebra,
 )
@@ -20,16 +19,9 @@ from modfactor.prodsys import (
     discrete_product_system,
     verify_associativity,
 )
-from modfactor.tensorcalc import _module_of, associator, interior_tensor, map_from_spanning
+from modfactor.tensorcalc import _module_of, associator, interior_tensor
+from conftest import amplification, column_module
 from test_acceptance import BATCH_SPECS
-
-
-def column_module(n):
-    C1 = build_algebra([(1, 1)])
-    cols = [np.zeros((n, 1), dtype=complex) for _ in range(n)]
-    for i, c in enumerate(cols):
-        c[i, 0] = 1.0
-    return build_module(C1, cols)
 
 
 def identity_endo(E):
@@ -46,11 +38,6 @@ def inner_endo(E, seed):
     u = scipy.linalg.expm(1j * h)
     imgs = np.stack([u @ b @ u.conj().T for b in K.basis])
     return Homomorphism(K, E.dim_H, imgs)
-
-
-def amplification(n, m):
-    Mn = build_algebra([(n, 1)])
-    return Homomorphism(Mn, n * m, np.stack([np.kron(b, np.eye(m)) for b in Mn.basis]))
 
 
 def test_identity_endomorphism_members_are_the_base(golden_module, block_algebra):
@@ -158,7 +145,12 @@ def test_report_lists_member_dimensions(golden_module):
 
 # The per-element constructions that the batched _chain_unitary and
 # associator replace, kept as references: one coefficient solve,
-# homomorphism image and Kronecker product per column.
+# homomorphism image and Kronecker product per column, and the
+# least-squares map through those columns.
+
+
+def map_from_spanning(domain_vecs, target_vecs):
+    return target_vecs @ np.linalg.pinv(domain_vecs)
 
 
 def _block(tp, i):

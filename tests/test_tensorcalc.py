@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from modfactor import cstar
 from modfactor.cstar import build_algebra
-from modfactor.errors import ValidationError
+from modfactor.errors import NotInModule, ValidationError
 from modfactor.hilbmod import (
     Correspondence,
     Homomorphism,
@@ -27,7 +27,6 @@ from modfactor.tensorcalc import (
     certify_module_unitary,
     flip_unitary,
     interior_tensor,
-    map_from_spanning,
     unit_identities,
 )
 from conftest import (
@@ -40,6 +39,12 @@ from conftest import (
     spy_product_residuals,
     traced_peak,
 )
+
+
+def map_from_spanning(domain_vecs, target_vecs):
+    """The least-squares map sending spanning columns to target columns, as
+    a reference."""
+    return target_vecs @ np.linalg.pinv(domain_vecs)
 
 
 def scalar_correspondence(n):
@@ -78,6 +83,20 @@ class TestInteriorTensor:
             C = np.stack([E.space.coeffs(X.act(a) @ x) for x in E.basis], axis=1)
             want = tp.S @ np.kron(C, np.eye(w)) @ tp.S_pinv
             assert np.abs(img - want).max() <= 1e-12
+
+    def test_pullback_writes_result_elements_on_elementary_tensors(self, rng):
+        E = seeded_module(3)
+        X, Y = as_bimodule(E), algebra_bimodule(E.base)
+        tp = interior_tensor(X, Y)
+        Z = tp.result.module.basis
+        d = tp.pullback(Z)
+        # z_n = sum_a S_a eta_na, eta_na = sum_b d[n, a, b] y_b
+        eta = np.tensordot(d, Y.module.basis, axes=1)
+        rebuilt = np.einsum("arw,nawg->nrg", tp.blocks(), eta)
+        assert np.abs(rebuilt - Z).max() <= 1e-12
+        off = rng.standard_normal(Z.shape[1:]) + 1j * rng.standard_normal(Z.shape[1:])
+        with pytest.raises(NotInModule):
+            tp.pullback(off[None])
 
     def test_tol_reaches_every_homomorphism_application(self, golden_module,
                                                        block_algebra, monkeypatch):
