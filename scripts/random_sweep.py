@@ -18,7 +18,7 @@ ToleranceAmbiguity), and its spread decision, the one cut that is not a
 ``_decide`` call: the largest spread of a cluster kept whole and the
 smallest of a cluster split, each over cut / 10 (a cluster splits at 1 or
 more).  Last, per kind of a homomorphism check's ``certificate`` (an
-identity's closure bound, an induced action's product bound, the matrix-unit
+identity's closure bound, an amplified action's product bound, the matrix-unit
 bound where ``cstar._frame_pays`` picks a domain's held frame), how many
 checks were offered it and how many fell back to the product-residual
 kernel, with the largest accepted certificate over the bound

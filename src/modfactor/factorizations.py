@@ -61,10 +61,13 @@ from .numkernel import (
 from .tensorcalc import (
     ModuleUnitary,
     TensorProduct,
+    _amplified,
+    _amplified_action,
+    _amplifier,
     _column_blocks,
-    _gram_coordinates,
-    _induced_action,
-    _representation_inverter,
+    _factor_coordinates,
+    _hstack,
+    _representation_frame,
     adjoint_unitary,
     certify_module_unitary,
     compose_unitaries,
@@ -125,8 +128,8 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     acting and F with theta acting.  The verdict is kept with theta, so a
     repeat on the same E, F and tol returns them at once (F's rebuilt: it
     holds theta, and kept it would make a reference cycle)."""
-    if (theta._theta_verdict or ())[:3] == (E, F, tol):  # modules compare by identity
-        return theta._theta_verdict[3], Correspondence(F, theta.domain, theta)
+    if theta._cache.get("theta", ())[:3] == (E, F, tol):  # modules compare by identity
+        return theta._cache["theta"][3], Correspondence(F, theta.domain, theta)
     if theta.domain.ambient_dim != E.dim_H:
         raise ValidationError("theta's domain does not act on E's total space")
     if theta.codomain_dim != F.dim_H:
@@ -144,8 +147,8 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     F_corr.validate(tol)
     if spans <= tol:
         E._cache.setdefault(("finite_rank", tol), dom)
-    theta._theta_verdict = (E, F, tol, as_bimodule(E, dom, tol))
-    return theta._theta_verdict[3], F_corr
+    theta._cache["theta"] = (E, F, tol, as_bimodule(E, dom, tol))
+    return theta._cache["theta"][3], F_corr
 
 
 def _unit_tensor(E_corr: Correspondence, F: HilbertModule, corr: Correspondence,
@@ -198,11 +201,11 @@ def factor_dual(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     Ftheta = tp1.result
 
     tp2 = _unit_tensor(E_corr, F, Ftheta, "dual", tol)
-    # x_i (x) coord(x_j* (x) f) -> theta(x_i x_j*) f, for every pair (i, j)
-    k, d = E.dim, F.dim_H
-    pairs = np.matmul(E.basis[:, None], _adjoints(E.basis)[None])
-    imgs = theta.apply_many(pairs.reshape(k * k, E.dim_H, E.dim_H), tol)
-    U = tp2.realize(imgs.reshape(k, k, d, d), inner=tp1.S_pinv)
+    # x_i (x) coord(x_j* (x) f) -> theta(x_i x_j*) f, the k^2 images in row blocks over i
+    k, n, d = E.dim, E.dim_H, F.dim_H
+    pairs = np.matmul(E.basis[:, None], _adjoints(E.basis)[None]).reshape(k * k, n, n)
+    c, images = theta.coefficients(pairs, tol).reshape(k, k, -1), theta.images.reshape(-1, d * d)
+    U = tp2.realize(lambda s: (c[s] @ images).reshape(-1, k, d, d), inner=tp1.S_pinv)
     unitary, residuals = _certify("dual", tp2, F_corr, theta, U)
     report = {
         "dims": {"correspondence": Ftheta.module.dim,
@@ -323,23 +326,22 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
         )
     rho_p = commutant_lifting(E, tol)
     sigma_p = commutant_lifting(F, tol)
-    inv = _representation_inverter(rho_p)
-    conditioning = inv(np.eye(E.dim_H, dtype=np.complex128))[1]
 
-    # re-concretize prime over the base commutant on G
-    kw = W.dim
-    G = E.dim_G
-    gram = inv(_pairwise_inner(W.mats))[0].transpose(0, 2, 1, 3).reshape(kw * G, kw * G)
-    S_P, S_P_pinv, gap_P = _gram_coordinates(gram, tol)
+    # re-concretize prime over the base commutant on G: W over rho'(B')
+    # tensored with G, where rho'^-1(c) = V* (c (x) 1_m) V (inverse ``_amplifier``)
+    V, residual = _amplifier(rho_p, tol, inverse=True)
+    S_P, S_P_pinv, gap_P, Q = _factor_coordinates(_hstack(_amplified(W.mats, V)), tol, residual)
     rP = S_P.shape[0]
-    Bp = rho_p.domain
-    prime_space = hs_orthonormalize(_column_blocks(S_P, kw), tol)
-    prime_mod = module_from_parts(Bp, prime_space, tol)
+    prime_space = hs_orthonormalize(_column_blocks(S_P, W.dim), tol)
+    prime_mod = module_from_parts(rho_p.domain, prime_space, tol)
     if prime_mod.dim_H != rP:
         raise ValidationError("re-concretized intertwiner module is degenerate")
-    Cp = sigma_p.domain
-    prime = Correspondence(prime_mod, Cp, _induced_action(sigma_p, W, S_P, S_P_pinv, tol))
+    prime = Correspondence(prime_mod, sigma_p.domain,
+                           _amplified_action(sigma_p, Q, V.shape[1], tol))
     prime.validate(tol)
+    # rho''s singular values, as a map on HS norms, are (nu_p / mu_p)^(1/2)
+    ratios = [nu / mu for _, nu, mu in _representation_frame(rho_p, tol).blocks if mu]
+    conditioning = float(np.sqrt(max(ratios) / min(ratios) if min(ratios) else np.inf))
 
     # flip-chain link: the abstract E (.) W (.) G Gram equals the concrete one
     flip = flip_unitary(E, W, rho_p, tol)

@@ -86,7 +86,7 @@ __all__ = [
 @dataclass(frozen=True)
 class Certificate:
     """How ``Homomorphism.validate`` certified a map's products (``identity``,
-    ``induced action``, ``matrix units`` or ``kernel``): ``value`` bounds every
+    ``amplified action``, ``matrix units`` or ``kernel``): ``value`` bounds every
     residual (HS; the largest, for ``kernel``), accepted at ``tol``, which is
     None on a construction's bound (inf on an identity's, read off its domain)."""
 
@@ -115,16 +115,14 @@ class Homomorphism:
                 f"({self.domain.dim}, {self.codomain_dim}, {self.codomain_dim})"
             )
         self.images.setflags(write=False)
-        # (E, F, tol, E_corr) of the last passed validate_theta
-        self._theta_verdict: tuple | None = None
+        # what is read off the map once: its frame and amplifiers per tol, and
+        # "theta", the (E, F, tol, E_corr) of the last passed validate_theta
+        self._cache: dict = {}
 
-    def apply_many(self, mats, tol: float = DEFAULT_TOL) -> np.ndarray:
-        """Images of a batch (m, n, n) of domain elements, shape (m, d, d).
-
-        The domain's ``decompose`` gives the coefficients and the span
-        residuals, one GEMM against the flattened images the results.
-        ValidationError if an element lies farther than tol * max(1, ||m||)
-        from the domain span.
+    def coefficients(self, mats, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Coefficients (m, k) of a batch (m, n, n) of domain elements against
+        the domain's basis, from its ``decompose``.  ValidationError if an
+        element lies farther than tol * max(1, ||m||) from the domain span.
         """
         dom = self.domain
         arr = np.asarray(mats, dtype=np.complex128)
@@ -137,8 +135,13 @@ class Homomorphism:
         if excess.size and excess.max() > 0.0:
             raise ValidationError(
                 f"element leaves the algebra span (residual {resid[np.argmax(excess)]:.3e})")
+        return c
+
+    def apply_many(self, mats, tol: float = DEFAULT_TOL) -> np.ndarray:
+        """Images (m, d, d) of a batch: their ``coefficients`` times the images."""
         d = self.codomain_dim
-        return (c @ self.images.reshape(dom.dim, d * d)).reshape(-1, d, d)
+        return (self.coefficients(mats, tol) @ self.images.reshape(self.domain.dim, d * d)
+                ).reshape(-1, d, d)
 
     def apply(self, a: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
         return self.apply_many(np.asarray(a)[None], tol)[0]

@@ -36,7 +36,7 @@ DEFAULT_TOL = 1e-9
 PIVOT_FACTOR = 10.0
 # A construction's defect: a map's unit, star and product residuals, actions
 # and inner products leaving their spans, the commutant lifting relation, an
-# induced action's range, a PSD matrix's Hermitian part, a frame's residuals.
+# amplified action's range, a PSD matrix's Hermitian part, a frame's residuals.
 DEFECT_FACTOR = 100.0
 # An algebra's multiplicative closure when the algebra is validated ...
 CLOSURE_FACTOR = 1.0

@@ -66,7 +66,7 @@ def _chain_unitary(res_left: FactorizationResult, res_right: FactorizationResult
     Ba(E) -> Ba(F), corr_right factors theta_right: Ba(F) -> Ba(G), and
     corr_comp factors theta_right o theta_left.  Basis element z_i of
     corr_left is sum_j x_j* . eta_ij (``pullback``); the map is built in
-    the coordinates of corr_comp's own Gram quotient and certified against
+    the coordinates of corr_comp's own tensor product and certified against
     the same correspondence.
     """
     theta_right: Homomorphism = res_right.aux["theta"]

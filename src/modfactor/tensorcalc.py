@@ -1,16 +1,17 @@
 """Interior tensor products of correspondences and canonical identifications.
 
-A tensor product is built as a Gram quotient: the algebraic tensor of the
-left factor's basis with the standard basis of the right factor's total
-space carries the semi-inner product
+A tensor product is built from a thin factor of its Gram: the algebraic
+tensor of the left factor's basis with the standard basis of the right
+factor's total space carries the semi-inner product
 
     <x (x) k, x' (x) k'> = <k, rho(<x, x'>) k'>,
 
-whose Gram matrix is factored by a pivoted Cholesky and the factor's thin
-SVD; the support defines coordinates S: elementary vectors -> C^r with S+
-a right inverse.  The resulting module is re-concretized on the right
-factor's base space, so iterated constructions stay inside one uniform
-data model.
+and rho(b) = V* (b (x) 1_m) V (the Stinespring form of rho) makes x (x) k
+-> (x (x) 1_m) V k isometric: Z = [(x_i (x) 1_m) V]_i has Z* Z = Gram, and
+Z's thin SVD gives coordinates S: elementary vectors -> C^r with S+ a right
+inverse, with no Gram formed.  The resulting module is re-concretized on
+the right factor's base space, so iterated constructions stay inside one
+uniform data model.
 
 "Canonical identification" is operationalized as: construct the specific
 map given by its defining formula on elementary tensors and certify
@@ -24,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
+from .cstar import _frame
 from .errors import DimensionMismatch, PreconditionError, ValidationError
 from .hilbmod import (
     Certificate,
@@ -50,11 +51,13 @@ from .numkernel import (
     _fro_norms,
     _fro_settles,
     as_matrix,
+    eigh_desc,
     hs_orthonormalize,
     norm_exceeds,
     op_norm,
     rank_cut,
     row_blocks,
+    wedderburn_frame,
 )
 
 __all__ = [
@@ -241,110 +244,132 @@ def _column_blocks(S: np.ndarray, k: int) -> np.ndarray:
 
 
 def _factor_coordinates(Z: np.ndarray, tol: float, residual: float = 0.0):
-    """(S, S_pinv, gap) of a Gram matrix within ``residual`` (in norm) of
-    Z* Z, from the thin SVD Z = U Sigma V*: S = Sigma V* and S+ = V Sigma^-1
-    on the singular values that the cut on sigma^2 keeps.
-
-    By Weyl every eigenvalue of the Gram lies within ``residual`` of the
-    matching sigma^2 (or of 0), which ``rank_cut`` takes into account, and
-    ||Gram - S* S|| <= sigma_(r+1)^2 + residual, the denominator of the gap.
-    """
-    _, s, Vh = np.linalg.svd(Z, full_matrices=False)
+    """(S, S_pinv, gap, Q) of a Gram within ``residual`` (in norm) of Z* Z,
+    from the thin SVD Z = U Sigma V* on the values the cut on sigma^2 keeps:
+    S = Sigma V*, S+ = V Sigma^-1 and Q = U, an isometry onto Z's range.  By
+    Weyl each Gram eigenvalue lies within ``residual`` of its sigma^2, which
+    ``rank_cut`` takes into account, and ||Gram - S* S|| <= sigma_(r+1)^2 +
+    residual, the gap's denominator.  No Gram is formed."""
+    U, s, Vh = np.linalg.svd(Z, full_matrices=False)
     r, gap = rank_cut(s ** 2, tol, "tensor Gram cut", residual=residual)
     if r == 0:
         raise ValidationError("tensor product collapsed to zero")
-    return s[:r, None] * Vh[:r], Vh[:r].conj().T / s[:r], gap
+    return s[:r, None] * Vh[:r], Vh[:r].conj().T / s[:r], gap, U[:, :r]
 
 
-def _gram_coordinates(gram: np.ndarray, tol: float):
-    """(S, S_pinv, gap) with S* S the Gram on its support and S S* diagonal.
-
-    A pivoted Cholesky (LAPACK zpstrf at its default stop, n eps max_i
-    gram_ii; it reads the upper triangle) gives a factor Z with as many rows
-    as pivots, in O(n r^2) instead of a full eigensolve.  The residual
-    ||gram - Z* Z||_F is measured and the coordinates come from Z's thin
-    SVD (``_factor_coordinates``), so noise pivots above the stop are cut
-    there.
-    """
-    n = len(gram)
-    c, piv, r0, _ = scipy.linalg.lapack.zpstrf(gram)
-    Z = np.zeros((r0, n), dtype=np.complex128)
-    Z[:, piv - 1] = np.triu(c[:r0])
-    # ||gram - Z* Z||_F in row panels, without a second n x n array
-    Zh = Z.conj().T
-    sq = sum(np.linalg.norm(gram[i:i + 512] - Zh[i:i + 512] @ Z) ** 2
-             for i in range(0, n, 512))
-    return _factor_coordinates(Z, tol, float(np.sqrt(sq)))
+_gram_coordinates = _factor_coordinates  # the name the benchmark's tracer times it by
 
 
-def _induced_action(rho: Homomorphism, space: OperatorSpace, S: np.ndarray,
-                    S_pinv: np.ndarray, tol: float) -> Homomorphism:
-    """pi(a) = S (C_a (x) 1_w) S+ on a Gram quotient of span(space) (x) C^w,
-    certified as a unital *-homomorphism without forming its k^2 products.
+def _amplified(mats: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The stack (x_i (x) 1_m) V, (k, H m, d) with rows (h, s), of a stack
+    x (k, H, n) and V (n, m, d): one GEMM, no Kronecker product."""
+    n, m, d = V.shape
+    return (mats @ V.reshape(n, m * d)).reshape(len(mats), -1, d)
 
-    C_a[c, x] is the coefficient of rho(a) x_x along x_c, R_X(a) the norm of
-    rho(a) x_x minus that expansion over x, and D_b = (C_b (x) 1) S+ - S+ pi(b)
-    the range-invariance residual.  With Delta_ab = C_a C_b - C_ab,
 
-        pi(a) pi(b) - pi(ab) = S (Delta_ab (x) 1) S+ - S (C_a (x) 1) D_b,
-        ||Delta_ab|| <= ||rho(a) rho(b) - rho(ab)|| + ||rho(a)|| R_X(b),
+def _amplifier(rho: Homomorphism, tol: float, inverse: bool = False):
+    """(V, residual), cached on rho, for a map rho of B (on C^n) into B(C^d):
+    rho(b) = V* (b (x) 1_m) V, V (n, m, d) with rows (g, s), on B's
+    Wedderburn frame; with ``inverse``, for a faithful representation, b =
+    V* (rho(b) (x) 1_m) V, V (d, m, n), on the frame of rho's pairs.
 
-    so each product residual on A's basis is at most (norms bounded by HS)
+    Per block p of the target frame (columns R_p[:, c, t], multiplicity mu_p,
+    units e_cd = sum_t R_p[:, c, t] R_p[:, d, t]*), f = rho or rho^-1 has
+    f(e_00) = sum_k lambda_k u_k u_k* above the cut, and v_kc = f(e_c0) u_k
+    lambda_k^(-1/2) gives sum_k v_kc v_kd* = f(e_cd) for a representation
+    and every completely positive f whose Kraus operators have independent
+    0-th rows (Stinespring).  Kraus operator [v_kc*]_c goes to copy k mod
+    mu_p, slot k div mu_p: for nu_p copies of each block, m = max_p
+    ceil(nu_p / mu_p) and V is a partial isometry.  The identity is V = 1.
 
-        ||S|| ||C_a|| ||D_b|| + ||S|| ||S+|| (mu + ||rho(a)|| R_X(b))
-            + 2 r eps ||pi(a)|| ||pi(b)||,
+    With x_i HS-orthonormal and closed under right multiplication by the d_l
+    = b_l (rho(b_l) with ``inverse``), x_i* x_j = sum_l gamma^l_ij d_l with
+    ||gamma^l|| <= w (1, or max_p mu_p / nu_p in the inner product tr f(x*
+    y)), so ``residual`` = w sum_l ||V* (d_l (x) 1) V - f(d_l)|| (V's
+    defect) bounds ||[f(x_i* x_j)] - Z* Z||, Z = [(x_i (x) 1_m) V]_i."""
+    key = ("amplifier", tol, inverse)
+    if key in rho._cache:
+        return rho._cache[key]
+    B, w = rho.domain, 1.0
+    if rho.certificate is not None and rho.certificate.kind == "identity":  # rho(b) = b
+        return rho._cache.setdefault(key, (np.eye(B.ambient_dim)[:, None] + 0j, 0.0))
+    if inverse:
+        frame = _representation_frame(rho, tol)
+        targets, col0 = frame.left, [_units_c0(R) for R in frame.right]
+        src, dst = B.basis, rho.images
+        w = max(mu / nu if nu else np.inf for _, nu, mu in frame.blocks if mu)
+    else:
+        targets = _frame(B, tol).left
+        col0 = [rho.apply_many(_units_c0(R), tol) for R in targets]
+        src, dst = rho.images, B.basis
+    kraus = []
+    for M in col0:
+        lam, U = eigh_desc(M[0])
+        r, _ = rank_cut(lam, tol, "Stinespring rank")
+        kraus.append((M @ (U[:, :r] / np.sqrt(lam[:r]))).transpose(2, 0, 1).conj())
+    m = max((-(-len(K) // R.shape[2]) for K, R in zip(kraus, targets) if R.shape[2]), default=1)
+    V = np.zeros((len(targets[0]), m, src.shape[1]), dtype=np.complex128)
+    for K, R in zip(kraus, targets):
+        if mu := R.shape[2]:
+            pad = np.zeros((m * mu,) + K.shape[1:], dtype=np.complex128)
+            pad[:len(K)] = K
+            V += np.tensordot(R, pad.reshape(m, mu, *K.shape[1:]), ([1, 2], [2, 1]))
+    Vh = V.reshape(-1, V.shape[2]).conj().T
+    defect = sum(_fro_norms(Vh @ _amplified(dst[s], V) - src[s]).sum()
+                 for s in row_blocks(len(src), 2 * V.nbytes))
+    return rho._cache.setdefault(key, (V, float(w * defect)))
 
-    mu being rho's certificate value and the last term the rounding of
-    ``cstar.product_residuals`` on r x r images (all that is left where the
-    rest is exactly 0).  ``validate`` takes the largest bound as pi's
-    certificate and runs its own unit and star checks; where a large ||S||
-    ||S+|| lifts it above DEFECT_FACTOR * tol, it measures pi's residuals instead.  On
-    the elementary tensors S (e_x (x) y), pi(a) leaves the module span by at
-    most ||S (C_a (x) 1)(1 - S+ S)|| <= ||S||^2 ||D_(a*)|| + ||S|| ||C_a* - C_(a*)||,
-    which must stay under DEFECT_FACTOR * tol (ValidationError naming the certificate).
-    C and R_X, the (C_a (x) 1) S+ and D_a, and the star residuals are formed
-    in row blocks over a.
-    """
-    rho.validate(tol)
-    A = rho.domain
-    acts = rho.apply_many(A.basis, tol)
-    m, k = len(acts), space.dim
-    r, w = S.shape[0], S.shape[1] // k
-    xflat = space.mats.reshape(k, -1)
-    xconj = xflat.conj().T
-    C, R_X = np.empty((m, k, k), dtype=np.complex128), np.empty(m)
-    for s in row_blocks(m, 16 * xflat.size):
-        moved = np.matmul(acts[s, None], space.mats[None]).reshape(-1, xflat.shape[1])
-        C[s] = (moved @ xconj).reshape(-1, k, k)
-        moved -= C[s].reshape(-1, k) @ xflat
-        R_X[s] = _fro_norms(moved.reshape(len(C[s]), -1))
-    Sp = S_pinv.reshape(k, w * r)
-    images, R_inv = np.empty((m, r, r), dtype=np.complex128), np.empty(m)
-    for s in row_blocks(m, 16 * k * w * r):
-        # (C_a (x) 1_w) S+ without a Kronecker product (C[a] is C_a^T); pi(a) is S times it
-        CS = (C[s].transpose(0, 2, 1) @ Sp).reshape(-1, k * w, r)
-        images[s] = S @ CS
-        CS -= S_pinv @ images[s]
-        R_inv[s] = _fro_norms(CS)
 
-    norm_S = float(_fro_norms(S).max())  # S S* is diagonal
-    norm_pi = _fro_norms(images)
-    bound = float((norm_S * (np.outer(_fro_norms(C), R_inv) + np.linalg.norm(S_pinv)
-                             * (rho.certificate.value + np.outer(_fro_norms(acts), R_X)))
-                   + 2 * r * np.finfo(float).eps * np.outer(norm_pi, norm_pi)).max())
-    cadj = A.adjoint_coefficients()
-    star_C = np.empty(m)
-    for s in row_blocks(m, 16 * k * k):
-        diff = cadj[s] @ C.reshape(m, -1)
-        diff -= C[s].conj().transpose(0, 2, 1).reshape(len(diff), -1)
-        star_C[s] = _fro_norms(diff)
-    span = norm_S ** 2 * (np.abs(cadj) @ R_inv) + norm_S * star_C
-    bad = np.flatnonzero(span > DEFECT_FACTOR * tol)
+def _units_c0(R: np.ndarray) -> np.ndarray:
+    """The units e_c0 = sum_t R[:, c, t] R[:, 0, t]* of a frame block R."""
+    return np.einsum("xct,yt->cxy", R, R[:, 0].conj())
+
+
+def _representation_frame(rho: Homomorphism, tol: float):
+    """The certified Wedderburn frame of rho's pairs (rho(b_l), b_l), cached
+    on rho."""
+    key = ("frame", tol)
+    if key not in rho._cache:
+        rho._cache[key] = wedderburn_frame(rho.images, rho.domain.space, tol)
+    return rho._cache[key]
+
+
+def _amplified_action(lam: Homomorphism, Q: np.ndarray, m: int, tol: float) -> Homomorphism:
+    """pi(a) = Q* (lam(a) (x) 1_m) Q on the range of an isometry Q ((n m) x
+    r, rows (h, s)), certified without forming its products.  With W_a =
+    (lam(a) (x) 1_m) Q and iota_a >= ||(1 - Q Q*) W_a|| (measured, plus 2 n
+    m eps ||lam(a)|| for its GEMMs), exactly
+
+        pi(a) pi(b) - pi(ab) = Q* (lam(a) (x) 1)(Q Q* - 1) W_b
+                               + Q* ((lam(a) lam(b) - lam(ab)) (x) 1_m) Q,
+
+    so every product residual (HS) is at most max ||lam(a)|| max iota +
+    sqrt(m) mu + 2 n m eps max ||pi(a)||^2, mu lam's certificate value and
+    the last term the rounding of pi's GEMMs and of the product kernel.
+    ``validate`` takes that as pi's certificate (above DEFECT_FACTOR * tol it
+    measures pi's residuals instead).  Q spanning the range of Z = [(x_i (x)
+    1_m) V]_i, that range is invariant as lam(a) x_i lies in X; an iota_a
+    above DEFECT_FACTOR * tol raises ValidationError.  The W_a are formed in
+    row blocks over a."""
+    lam.validate(tol)
+    acts = lam.images
+    k, n, r = len(acts), acts.shape[1], Q.shape[1]
+    Q3, Qh = Q.reshape(n, m * r), Q.conj().T
+    images, iota = np.empty((k, r, r), dtype=np.complex128), np.empty(k)
+    for s in row_blocks(k, 16 * n * m * r):
+        moved = (acts[s] @ Q3).reshape(-1, n * m, r)
+        images[s] = Qh @ moved
+        moved -= Q @ images[s]
+        iota[s] = _fro_norms(moved)
+    iota += 2 * n * m * np.finfo(float).eps * _fro_norms(acts)
+    bad = np.flatnonzero(iota > DEFECT_FACTOR * tol)
     if bad.size:
         raise ValidationError(
             f"induced left action fails its range-invariance certificate at basis "
-            f"element {bad[0]} (bound {span[bad[0]]:.3e})")
-    hom = Homomorphism(A, r, images, Certificate("induced action", bound))
+            f"element {bad[0]} (residual {iota[bad[0]]:.3e})")
+    bound = float(_fro_norms(acts).max() * iota.max() + np.sqrt(m) * lam.certificate.value
+                  + 2 * n * m * np.finfo(float).eps * _fro_norms(images).max() ** 2)
+    hom = Homomorphism(lam.domain, r, images, Certificate("amplified action", bound))
     hom.validate(tol)
     return hom
 
@@ -353,12 +378,15 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
     """Interior tensor product X (.) Y of a module/correspondence over B with
     a correspondence whose left algebra is B.
 
-    The result is a module by construction and is not re-validated: it is
-    spanned by the S_i y (block i of S, y in Y's basis), so the right action
-    comes from Y's, and (S_i y)* (S_j y') = y* rho(<x_i, x_j>) y' - y* E_ij y'
-    with E = Gram - S* S, ||E|| at most sigma_(r+1)^2 plus the measured
-    Cholesky residual (``_gram_coordinates``).  X's left action induces the
-    certified ``_induced_action``.
+    Y's left action is rho(b) = V* (b (x) 1_m) V (``_amplifier``), so the
+    thin factor Z = [(x_i (x) 1_m) V]_i, (H_X m) x (k w), has Z* Z within
+    V's defect of the Gram <x_i (x) kappa, x_j (x) kappa'> = kappa* rho(<x_i,
+    x_j>) kappa', and the coordinates S come from Z (``_factor_coordinates``)
+    with no Gram formed.  The result is a module by construction, spanned by
+    the S_i y (y in Y's basis): the right action is Y's, and (S_i y)* (S_j
+    y') = y* rho(<x_i, x_j>) y' - y* E_ij y' with ||E|| = ||Gram - S* S||
+    at most sigma_(r+1)^2 plus V's defect.  X's left action lambda(a) (x)
+    1_m, compressed to Z's range, is the certified ``_amplified_action``.
     """
     Xm = _module_of(X)
     Ym = _module_of(Y)
@@ -368,34 +396,17 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
         raise DimensionMismatch(
             "left algebra of the right factor must live on the left factor's base space"
         )
-    k = Xm.dim
-    w = Ym.dim_H
-    # blocks rho(<x_i, x_j>) for i <= j, the lower triangle by adjoints
-    iu, ju = np.triu_indices(k)
-    B = Xm.basis
-    blocks = Y.left_action.apply_many(
-        np.matmul(B[iu].conj().transpose(0, 2, 1), B[ju]), tol)
-    # written in place in the (k, w, k, w) layout of the (k w)^2 Gram; blocks
-    # is conjugated in place and back for the lower triangle
-    gram = np.empty((k, w, k, w), dtype=np.complex128)
-    gram[ju, :, iu] = np.conjugate(blocks, out=blocks).transpose(0, 2, 1)
-    gram[iu, :, ju] = np.conjugate(blocks, out=blocks)
-    gram = gram.reshape(k * w, k * w)
-    S, S_pinv, gap = _gram_coordinates(gram, tol)
+    V, residual = _amplifier(Y.left_action, tol)
+    S, S_pinv, gap, Q = _factor_coordinates(_hstack(_amplified(Xm.basis, V)), tol, residual)
     r = S.shape[0]
     # x_i (x) y for every pair, i major
-    elements = _column_blocks(S, k)[:, None] @ Ym.basis[None]
+    elements = _column_blocks(S, Xm.dim)[:, None] @ Ym.basis[None]
     space = hs_orthonormalize(elements.reshape(-1, r, Ym.dim_G), tol)
     mod = _trimmed_module(Ym.base, space, tol)
     if mod.dim_H != r:
         raise ValidationError("tensor module is degenerate on its own total space")
-
-    result: object
-    if isinstance(X, Correspondence):
-        action = _induced_action(X.left_action, Xm.space, S, S_pinv, tol)
-        result = Correspondence(mod, X.left, action)
-    else:
-        result = mod
+    result = Correspondence(mod, X.left, _amplified_action(X.left_action, Q, V.shape[1], tol)) \
+        if isinstance(X, Correspondence) else mod
     return TensorProduct(X, Y, result, S, S_pinv, gap)
 
 
@@ -454,9 +465,10 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
 
     W is an operator space composing with E's elements on the right of H and
     carrying a right action of the base's commutant through rho'.  The
-    abstract Gram (computed through rho'^{-1} inner products) must equal the
-    concrete Gram of the vectors w x g; their equality is exactly the flip
-    identification, verified rather than assumed.
+    abstract Gram (computed through rho'^{-1} inner products, read off the
+    inverse ``_amplifier``) must equal the concrete Gram of the vectors w x
+    g; their equality is exactly the flip identification, verified rather
+    than assumed.
 
     The coordinates S+ = V Sigma^{-1} come from the thin SVD of the concrete
     factor (rank cut on sigma^2), so U = cols S+ is isometric by
@@ -470,7 +482,8 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
         raise DimensionMismatch("W must compose with module elements on H")
     k, kw, g = E.dim, W.dim, E.dim_G
     n = k * kw * g
-    bprime = _representation_inverter(rho_p)(_pairwise_inner(W.mats))[0]
+    # rho'^-1(w_j* w_l) = V* (w_j* w_l (x) 1) V, V the inverse amplifier of rho'
+    bprime = _pairwise_inner(_amplified(W.mats, _amplifier(rho_p, tol, inverse=True)[0]))
     inner = _pairwise_inner(E.basis)
 
     def panel(pairs: slice) -> np.ndarray:
@@ -483,7 +496,7 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
 
     # concrete vectors w_j x_i, columns in the same (i, j, s) order
     cols = _hstack(np.matmul(W.mats[None], E.basis[:, None]))
-    S, S_pinv, gap = _factor_coordinates(cols, tol)
+    S, S_pinv, gap, U = _factor_coordinates(cols, tol)
     # ||cols* cols|| = sigma_0^2 = ||S[0]||^2, from the thin factor
     bound = AGREE_TOL * max(1.0, np.linalg.norm(S[0]) ** 2)
     # Gram - cols* cols screened by its Frobenius norm and S+* Gram S+, both
@@ -504,7 +517,6 @@ def flip_unitary(E: HilbertModule, W: OperatorSpace, rho_p: Homomorphism,
             "abstract and concrete Gram matrices differ: the factors are not "
             "a compatible module/commutant-module pair"
         )
-    U = cols @ S_pinv
     eye = np.eye(len(S))
     ru = max(op_norm(U.conj().T @ U - eye), op_norm(gram_S - eye))
     return ModuleUnitary(("abstract tensor", "E.W.G"), ("concrete span", "W L_E G"),
@@ -534,23 +546,3 @@ def associator(tp_left: TensorProduct, tp_xy: TensorProduct,
     return certify_module_unitary(tp_left.result, tp_right.result, U,
                                   {"associator": True})
 
-
-def _representation_inverter(rho: Homomorphism):
-    """Least-squares inverse of a faithful representation, with conditioning.
-
-    One SVD of the stacked images gives both: the pseudo-inverse keeps the
-    singular values above 1e-15 times the largest (``np.linalg.pinv``'s
-    default cutoff).  Returns a callable m -> (preimage, conditioning) that
-    takes a matrix or a stack (..., d, d).
-    """
-    P = np.stack([img.reshape(-1) for img in rho.images], axis=1)
-    U, s, Vh = np.linalg.svd(P, full_matrices=False)
-    inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s[0])
-    Pp = (Vh.conj().T * inv_s) @ U.conj().T
-    cond = float(s[0] / s[-1]) if s[-1] > 0 else np.inf
-
-    def inv(m: np.ndarray):
-        c = m.reshape(m.shape[:-2] + (-1,)) @ Pp.T
-        return np.tensordot(c, rho.domain.basis, axes=1), cond
-
-    return inv

@@ -674,7 +674,7 @@ class TestCertifiedConstructions:
         assert identities
         assert 1 <= len(runs) <= 9
         for images, frames in runs:
-            assert "interior_tensor" not in frames and "_induced_action" not in frames
+            assert "interior_tensor" not in frames and "_amplified_action" not in frames
             assert not any(images is h.images for h in identities)
         callers = set().union(*(frames for _, frames in runs))
         assert {"_decode_correspondence", "commutant_lifting"} <= callers

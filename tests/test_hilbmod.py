@@ -1007,7 +1007,7 @@ class TestMatrixUnitRoute:
         assert cstar._held_frame(A, 1e-9) is not None
         passes = spy_product_residuals(monkeypatch)
         hom = _amplified(A, 2)
-        hom.certificate = Certificate("induced action", 1.0)
+        hom.certificate = Certificate("amplified action", 1.0)
         hom.validate()
         monkeypatch.setattr(Homomorphism, "_matrix_unit_bound", lambda hom, frame, tol: 1.0)
         route = _amplified(A, 3)
@@ -1054,7 +1054,7 @@ class TestFrameOrKernelRule:
             save_instance(inst, str(path))
             assert run_verification(parse_instance(str(path))).passed
         small = [(kind, held) for kind, held, pays in settled if not pays]
-        assert {kind for kind, _ in small} <= {"kernel", "identity", "induced action"}
+        assert {kind for kind, _ in small} <= {"kernel", "identity", "amplified action"}
         assert any(kind == "kernel" and held for kind, held in small)
 
     def test_closure_and_maps_switch_at_the_same_work(self, monkeypatch):

@@ -1,7 +1,9 @@
 """Static guards on how canonical maps are built: every map given on
 elementary tensors goes through ``TensorProduct.realize``, so no module fits
 a least-squares map and the tensor modules form no Kronecker product.  The
-one pseudo-inverse left is ``hilbmod.commutant_lifting``'s.
+one pseudo-inverse left is ``hilbmod.commutant_lifting``'s, and no module
+takes a reciprocal under a cutoff of its own.  Tensor products take their
+coordinates from a thin factor: no tensor module factors a Gram.
 """
 
 import ast
@@ -12,18 +14,21 @@ import modfactor
 SRC = Path(modfactor.__file__).resolve().parent
 PINV_ALLOWED = {("hilbmod.py", "commutant_lifting")}
 NO_KRON = ("tensorcalc.py", "prodsys.py")
+NO_GRAM = ("tensorcalc.py", "factorizations.py")
 
 
 def _references(path: Path, name: str) -> list:
-    """(module, function, line) of each reference to numpy's ``name`` in a
-    module: an attribute ``<...>.name`` or a name imported from numpy."""
+    """(module, function, line) of each reference to numpy's or scipy's
+    ``name`` in a module: an attribute ``<...>.name`` or a name imported
+    from numpy or scipy."""
     found = []
 
     def visit(node, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
         if isinstance(node, ast.Attribute) and node.attr == name or \
-                isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy") \
+                isinstance(node, ast.ImportFrom) \
+                and (node.module or "").split(".")[0] in ("numpy", "scipy") \
                 and any(alias.name == name for alias in node.names):
             found.append((path.name, function, node.lineno))
         for child in ast.iter_child_nodes(node):
@@ -33,11 +38,69 @@ def _references(path: Path, name: str) -> list:
     return found
 
 
+def _cutoff_reciprocals(path: Path) -> list:
+    """(module, function, line) of each reciprocal taken under a cutoff, the
+    body of a hand-rolled pseudo-inverse: ``divide`` or ``reciprocal`` with a
+    ``where=`` mask, or ``where(cond, 1 / x, ...)``."""
+    found = []
+
+    def divides(node):
+        return any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.Div)
+                   for n in ast.walk(node))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "attr", getattr(node.func, "id", None))
+            masked = callee in ("divide", "reciprocal", "true_divide") and \
+                any(k.arg == "where" for k in node.keywords)
+            if masked or callee == "where" and any(map(divides, node.args[1:])):
+                found.append((path.name, function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
 def test_the_one_pseudo_inverse_is_commutant_lifting():
-    found = [ref for path in sorted(SRC.glob("*.py")) for ref in _references(path, "pinv")]
+    found = [ref for path in sorted(SRC.glob("*.py"))
+             for name in ("pinv", "pinvh") for ref in _references(path, name)]
     assert {ref[:2] for ref in found} >= PINV_ALLOWED  # the scan sees the kept one
     assert [ref for ref in found if ref[:2] not in PINV_ALLOWED] == []
+    assert [ref for path in sorted(SRC.glob("*.py")) for ref in _cutoff_reciprocals(path)] == []
+
+
+def test_the_cutoff_scan_sees_a_hand_rolled_pseudo_inverse(tmp_path):
+    path = tmp_path / "inverter.py"
+    path.write_text(
+        "import numpy as np\n"
+        "def inverter(s):\n"
+        "    return np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-15 * s[0])\n"
+        "def masked(s):\n"
+        "    return np.where(s > 0, 1.0 / s, 0.0)\n"
+        "def kept(s, r):\n"
+        "    return 1.0 / s[:r]\n")
+    assert [ref[1] for ref in _cutoff_reciprocals(path)] == ["inverter", "masked"]
 
 
 def test_tensor_modules_form_no_kronecker_product():
     assert [ref for name in NO_KRON for ref in _references(SRC / name, "kron")] == []
+
+
+def test_tensor_modules_factor_no_gram():
+    # no Cholesky of a Gram, and no Gram routine under the coordinate step's
+    # old name: the name is bound only to _factor_coordinates
+    assert [ref for module in NO_GRAM for name in ("zpstrf", "cho_factor", "cholesky")
+            for ref in _references(SRC / module, name)] == []
+    for module in NO_GRAM:
+        tree = ast.parse((SRC / module).read_text())
+        imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names]
+        assert "_gram_coordinates" not in imported
+        assert not [node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == "_gram_coordinates"]
+        bound = [ast.unparse(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "_gram_coordinates" for t in node.targets)]
+        assert bound in ([], ["_factor_coordinates"])

@@ -29,7 +29,6 @@ SRC = Path(modfactor.__file__).resolve().parent
 NUMERICAL = {
     ("numkernel.py", "_fro_settles", 1e-10),  # roundoff margin between two norms
     ("numkernel.py", "wedderburn_frame", 1e-30),  # keeps a zero family's bound positive
-    ("tensorcalc.py", "_representation_inverter", 1e-15),  # np.linalg.pinv's cutoff
 }
 
 
