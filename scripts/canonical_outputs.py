@@ -54,6 +54,7 @@ from modfactor.factorizations import (  # noqa: E402
 )
 from modfactor.harness import (  # noqa: E402
     GenSpec,
+    _write_file,
     generate_random_instance,
     golden_instance,
     parse_instance,
@@ -98,7 +99,7 @@ ALGEBRA_SEEDS = range(10)
 
 
 def _dump(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_file(str(path), json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _instance_outputs(out: Path, name: str, inst, parsed: bool = False) -> None:
@@ -106,10 +107,10 @@ def _instance_outputs(out: Path, name: str, inst, parsed: bool = False) -> None:
     report of the instance parsed back from that file."""
     path = out / f"{name}.instance.json"
     save_instance(inst, str(path))
-    (out / f"{name}.report.json").write_text(run_verification(inst).to_canonical_json())
+    _write_file(str(out / f"{name}.report.json"), run_verification(inst).to_canonical_json())
     if parsed:
-        (out / f"{name}.parsed.report.json").write_text(
-            run_verification(parse_instance(str(path))).to_canonical_json())
+        _write_file(str(out / f"{name}.parsed.report.json"),
+                    run_verification(parse_instance(str(path))).to_canonical_json())
 
 
 def _dictionary(E) -> dict:

@@ -5,8 +5,7 @@ Usage: python scripts/random_sweep.py [--count 50] [--base-seed 0] [--json out.j
 
 The instances rotate over the acceptance suite's five seeded-batch specs
 (``perfbench/workloads.BATCH_SPECS``) and ROADMAP instance ``a``'s spec
-(``LARGE_SPEC``, H_F = 20), the one whose homomorphism takes the matrix-unit
-route.  Each is generated, written to JSON and parsed back, the path of
+(``LARGE_SPEC``, H_F = 20).  Each is generated, written to JSON and parsed back, the path of
 ``modfactor verify``, and then verified.  Every instance carries its oracle,
 so the sweep reports how far each construction lands from the seeded ground
 truth, together with cross-method comparison residuals and the commutant
@@ -18,10 +17,10 @@ ToleranceAmbiguity), and its spread decision, the one cut that is not a
 ``_decide`` call: the largest spread of a cluster kept whole and the
 smallest of a cluster split, each over cut / 10 (a cluster splits at 1 or
 more).  Last, per kind of a homomorphism check's ``certificate`` (an
-identity's closure bound, an amplified action's product bound, the matrix-unit
-bound where ``cstar._frame_pays`` picks a domain's held frame), how many
-checks were offered it and how many fell back to the product-residual
-kernel, with the largest accepted certificate over the bound
+identity's closure bound, an amplified action's product bound, theta's
+factorization bound from its oracle link), how many checks were offered it
+and how many fell back to the product-residual kernel, with the largest
+accepted certificate over the bound
 ``Homomorphism.validate`` accepts (``numkernel.DEFECT_FACTOR`` tol); and how
 many checks had no certificate and went to the kernel directly.
 """
@@ -37,7 +36,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
-from modfactor import cstar, numkernel  # noqa: E402
+from modfactor import numkernel  # noqa: E402
 from modfactor.errors import ModfactorError  # noqa: E402
 from modfactor.harness import (  # noqa: E402
     generate_random_instance,
@@ -86,10 +85,9 @@ def _record_certificates(stats: dict) -> None:
     """Wrap Homomorphism.validate so that every check of a map's products
     records, under the kind of its certificate, [checks, fallbacks to the
     kernel, largest accepted certificate / bound], the bound DEFECT_FACTOR
-    tol: a fallback is a check whose construction handed in a bound, or
-    whose domain's held frame the rule picks, that the kernel settled.  An
-    identity's closure bound is certified at most the bound, so it never
-    falls back."""
+    tol: a fallback is a check whose construction handed in a bound that
+    the kernel settled.  An identity's closure bound is certified at most
+    the bound, so it never falls back."""
     validate = Homomorphism.validate
 
     def recording_validate(hom, tol=numkernel.DEFAULT_TOL):
@@ -97,13 +95,10 @@ def _record_certificates(stats: dict) -> None:
         if handed is not None and handed.tol is not None and handed.tol <= tol:
             return validate(hom, tol)
         validate(hom, tol)
-        cert, dom = hom.certificate, hom.domain
+        cert = hom.certificate
         kind = cert.kind
         if kind == "kernel" and handed is not None and handed.tol is None:
             kind = handed.kind
-        elif kind == "kernel" and cstar._frame_pays(dom, hom.codomain_dim) \
-                and cstar._held_frame(dom, tol) is not None:
-            kind = "matrix units"
         row = stats.setdefault(kind, [0, 0, 0.0])
         row[0] += 1
         row[1] += cert.kind != kind

@@ -132,21 +132,21 @@ def _certify_closure(A: FiniteCStarAlgebra, tol: float, bound: float,
     A._cache[("closure", tol)] = closure
 
 
-# A frame certificate replaces ``product_residuals``, for an algebra's closure
-# and a map's products alike, when the kernel's work k^2 (n^2 (n + k) + sum
-# d^3), d each image stack's size, is above this.  A frame costs about 0.7 ms
-# at these sizes and pays only when it is read later; below 5e5 the direct
-# check costs under 0.25 ms.  Set from end-to-end runs (CHANGES.md): with no
-# threshold seeded-batch, whose algebras are mostly below 5e5 and mostly never
-# read a frame, ran 8% slower; at 4e6 algebra-structure's n = 12 and 17 rungs,
-# which read their frames right after validation, paid for both checks.
+# A frame certificate replaces ``product_residuals`` for an algebra's closure
+# when the kernel's work k^2 n^2 (n + k) is above this.  A frame costs about
+# 0.7 ms at these sizes and pays only when it is read later; below 5e5 the
+# direct check costs under 0.25 ms.  Set from end-to-end runs (CHANGES.md):
+# with no threshold seeded-batch, whose algebras are mostly below 5e5 and
+# mostly never read a frame, ran 8% slower; at 4e6 algebra-structure's n =
+# 12 and 17 rungs, which read their frames right after validation, paid for
+# both checks.
 _FRAME_CLOSURE_WORK = 5e5
 
 
-def _frame_pays(A: FiniteCStarAlgebra, *dims: int) -> bool:
-    """The rule above, for A and image stacks of sizes dims (none for closure)."""
+def _frame_pays(A: FiniteCStarAlgebra) -> bool:
+    """The rule above, for A's closure."""
     k, n = A.dim, A.ambient_dim
-    return k * k * (n * n * (n + k) + sum(d ** 3 for d in dims)) > _FRAME_CLOSURE_WORK
+    return k * k * n * n * (n + k) > _FRAME_CLOSURE_WORK
 
 
 def _frame_closure_bound(A: FiniteCStarAlgebra, tol: float) -> float:

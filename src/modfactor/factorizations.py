@@ -52,6 +52,7 @@ from .numkernel import (
     OMEGA_TOL,
     QONS_TOL,
     OperatorSpace,
+    _fro_norms,
     as_matrix,
     column_support,
     eigh_desc,
@@ -120,16 +121,28 @@ class FactorizationResult:
 def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
                    tol: float = DEFAULT_TOL) -> tuple[Correspondence, Correspondence]:
     """theta must be a unital *-homomorphism from B^a(E) into B^a(F), for
-    nondegenerate E and F.  Membership is tested by invariance
-    (``adjointable_residual``): the domain must lie in B^a(E) = K(E) and
-    contain every x y* of E, and becomes E's ``finite_rank_algebra`` (if E
-    has none) when they lie within tol of it.  Returns the correspondences
-    every method factors theta through, validated: E with theta's domain
-    acting and F with theta acting.  The verdict is kept with theta, so a
-    repeat on the same E, F and tol returns them at once (F's rebuilt: it
-    holds theta, and kept it would make a reference cycle)."""
+    nondegenerate E and F (``_theta_in_adjointables``, ``theta.validate``).
+    Returns E with theta's domain acting and F with theta acting, validated,
+    the correspondences every method factors theta through; kept with theta
+    per E, F and tol (F's rebuilt: it holds theta, a reference cycle)."""
     if theta._cache.get("theta", ())[:3] == (E, F, tol):  # modules compare by identity
         return theta._cache["theta"][3], Correspondence(F, theta.domain, theta)
+    _theta_in_adjointables(E, F, theta, tol)
+    theta.validate(tol)
+    F_corr = Correspondence(F, theta.domain, theta)
+    F_corr.validate(tol)
+    theta._cache["theta"] = (E, F, tol, as_bimodule(E, theta.domain, tol))
+    return theta._cache["theta"][3], F_corr
+
+
+def _theta_in_adjointables(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
+                          tol: float = DEFAULT_TOL) -> None:
+    """Membership by invariance (``adjointable_residual``), reading no product
+    of theta: its domain lies in B^a(E) = K(E) and holds every x y* of E (it
+    becomes E's ``finite_rank_algebra`` when they lie within tol of it), and
+    its images lie in B^a(F).  Kept with theta per E, F and tol."""
+    if theta._cache.get("adjointables") == (E, F, tol):
+        return
     if theta.domain.ambient_dim != E.dim_H:
         raise ValidationError("theta's domain does not act on E's total space")
     if theta.codomain_dim != F.dim_H:
@@ -142,13 +155,47 @@ def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     if bad.size:
         raise ValidationError(
             f"theta image of basis element {bad[0]} leaves the adjointable algebra of F")
-    theta.validate(tol)
-    F_corr = Correspondence(F, dom, theta)
-    F_corr.validate(tol)
     if spans <= tol:
         E._cache.setdefault(("finite_rank", tol), dom)
-    theta._cache["theta"] = (E, F, tol, as_bimodule(E, dom, tol))
-    return theta._cache["theta"][3], F_corr
+    theta._cache["adjointables"] = (E, F, tol)
+
+
+def _factorization_bound(theta: Homomorphism, pi: Homomorphism, U: np.ndarray,
+                         defect: float) -> float:
+    """A bound on theta's product residuals as ``cstar.product_residuals``
+    computes them, from a unitary U carrying a certified *-homomorphism pi on
+    the same domain basis b_i onto theta (the structure theorem's theta(a) =
+    u (a (.) id) u*).  HS norms ||.||, op norms |.|, e the machine epsilon;
+    T_i = theta(b_i), P_i = pi(b_i), mu pi's certificate value, delta >=
+    |U*U - 1|, |UU* - 1| (``defect``; |U|^2 <= 1 + delta) and eps_i = ||T_i
+    U - U P_i||.  D_i = T_i - U P_i U* = T_i (1 - UU*) + (T_i U - U P_i) U*
+    has ||D_i|| <= eta_i = eps_i |U| + ||T_i|| delta, and exactly
+
+        T_i T_j - sum_l c_ijl T_l = U P_i (U*U - 1) P_j U* + T_i D_j + D_i U P_j U*
+            + U (P_i P_j - sum_l c_ijl P_l) U* - sum_l c_ijl D_l.
+
+    With |U P_j U*| <= ||T_j|| + eta_j and ||(c_ijl)_l|| <= |B|^3, |B| the op
+    norm of the basis as a k x n^2 matrix, the pair (i, j) is at most eta_i
+    ||T_j|| + ||T_i|| eta_j + eta_i eta_j + (1 + delta) (||P_i|| ||P_j||
+    delta + mu) + |B|^3 ||eta||_2.  Rounding: delta and eps_i add d e ||U||^2
+    and d e ||U|| (||T_i|| + ||P_i||) for their GEMMs; mu and the bound add
+    the kernel's own, (d w^2 + ||w||_2 (n + n^2 sqrt(k) + 2 k)) e for image
+    norms w (its products, coefficients and sums); every computed norm
+    takes the factor 1 + (d^2 + 2) e."""
+    T, P, e = theta.images, pi.images, np.finfo(float).eps
+    k, d, n = len(T), theta.codomain_dim, theta.domain.ambient_dim
+    kappa, t, p, u = 1.0 + (d * d + 2) * e, _fro_norms(T), _fro_norms(P), np.linalg.norm(U)
+
+    def rounding(w):
+        return (d * w.max() ** 2 + np.linalg.norm(w) * (n + n * n * np.sqrt(k) + 2 * k)) * e
+
+    delta = kappa * (defect + d * e * u * u)
+    eta = kappa * (_fro_norms(T @ U - U @ P) + d * e * u * (t + p)) * np.sqrt(1.0 + delta) \
+        + t * delta
+    pairs = np.outer(eta, t) + np.outer(t + eta, eta) \
+        + (1.0 + delta) * (delta * np.outer(p, p) + pi.certificate.value + rounding(p))
+    basis = op_norm(theta.domain.basis.reshape(k, -1))
+    return float(kappa * (pairs.max() + basis ** 3 * np.linalg.norm(eta) + rounding(t)))
 
 
 def _unit_tensor(E_corr: Correspondence, F: HilbertModule, corr: Correspondence,

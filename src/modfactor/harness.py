@@ -33,6 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .hilbmod import (
+    Certificate,
     Correspondence,
     HilbertModule,
     Homomorphism,
@@ -65,6 +66,8 @@ from .numkernel import (
 from .factorizations import (
     METHODS,
     FactorizationResult,
+    _factorization_bound,
+    _theta_in_adjointables,
     _through_dual,
     compare,
     factor_commutant,
@@ -215,9 +218,7 @@ def _decode_hom(obj, where: str, tol: float) -> Homomorphism:
     imgs = _decode_matrices(obj["images"], f"{where}.images", (d, d))
     if len(imgs) != dom.dim:
         raise ParseError(f"{where}: {len(imgs)} images for a basis of size {dom.dim}")
-    hom = Homomorphism(dom, d, np.stack(imgs))
-    hom.validate(tol)
-    return hom
+    return Homomorphism(dom, d, np.stack(imgs))  # validated with E and F
 
 
 def _encode_correspondence(X: Correspondence):
@@ -328,11 +329,16 @@ def instance_from_json(obj, tol: float = DEFAULT_TOL) -> Instance:
     if F.base.basis.shape != C.basis.shape or not np.allclose(F.base.basis, C.basis):
         F = build_module(C, list(F.basis), tol)
     theta = _decode_hom(obj.get("theta"), "instance.theta", tol)
-    validate_theta(E, F, theta, tol)
+    _theta_in_adjointables(E, F, theta, tol)
     oracle, kept = obj.get("oracle"), None
     if oracle is not None:
         oracle = _decode_correspondence(oracle, "instance.oracle", tol)
-        kept = ((E, F, theta, oracle, tol), _check_oracle_consistency(E, F, theta, oracle, tol))
+        try:
+            kept = ((E, F, theta, oracle, tol), _check_oracle_consistency(E, F, theta, oracle, tol))
+        except ModfactorError:
+            theta.validate(tol)  # a map that is no homomorphism is named by its basis pair
+            raise
+    validate_theta(E, F, theta, tol)  # kept by the oracle check
     shape = (E.dim_H, E.dim_G)
     xi = obj.get("unit_vector")
     if xi is not None:
@@ -358,7 +364,9 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
     build).  Else U is the polar part of a seeded generic member of the
     intertwiners T (theta(a) T = T theta2(a), one ``solve_intertwiners``)
     with T F2 inside span F (one null space).  Either is certified by
-    ``certify_module_unitary`` at AGREE_TOL.  Returns the tensor realizing
+    ``certify_module_unitary`` at AGREE_TOL.  A theta with no certificate
+    on theta2's own domain (E's K(E), which ``_theta_in_adjointables`` makes
+    it) then gets the ``factorization`` bound.  Returns the tensor realizing
     F = E (.) oracle in F's coordinates: S -> U S and S+ -> S+ U*.
     """
     F2, theta2, tp = induced_homomorphism(E, oracle, tol)
@@ -369,14 +377,18 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
     basis = theta.domain.basis
     imgs, imgs2 = theta.apply_many(basis, tol), theta2.apply_many(basis, tol)
 
-    def failure(U):
-        """The error U fails with, or None when U F2 = F and U theta2 U* = theta."""
-        if certify_module_unitary(F2, F, U).residual > AGREE_TOL:
-            return not_F
-        return not_theta if norm_exceeds(U @ imgs2 - imgs @ U, AGREE_TOL).any() else None
+    def certified(U):
+        """U's certificate when U F2 = F and U theta2 U* = theta; else raises."""
+        unitary = certify_module_unitary(F2, F, U)
+        if unitary.residual > AGREE_TOL:
+            raise not_F
+        if norm_exceeds(U @ imgs2 - imgs @ U, AGREE_TOL).any():
+            raise not_theta
+        return unitary
 
-    U = np.eye(F.dim_H, dtype=np.complex128)
-    if failure(U) is not None:
+    try:
+        link = certified(np.eye(F.dim_H, dtype=np.complex128))
+    except ValidationError:
         T = solve_intertwiners(imgs, imgs2, tol).mats
         if not len(T):
             raise not_theta
@@ -394,9 +406,11 @@ def _check_oracle_consistency(E, F, theta, oracle, tol):
         # polar part of a seeded generic member
         X = _combine(_stage1_weights(len(T) - rank)[0] @ Vh[rank:].conj(), T)
         W, _, Vx = np.linalg.svd(X)
-        U = W @ Vx
-        if (err := failure(U)) is not None:
-            raise err
+        link = certified(W @ Vx)
+    U = link.map
+    if theta.certificate is None and theta2.domain is theta.domain:
+        theta.certificate = Certificate("factorization", _factorization_bound(
+            theta, theta2, U, link.residual_unitary))
     F_corr = validate_theta(E, F, theta, tol)[1]
     return TensorProduct(tp.left, tp.right, F_corr, U @ tp.S, tp.S_pinv @ U.conj().T, tp.gap)
 

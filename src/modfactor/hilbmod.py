@@ -15,10 +15,8 @@ import numpy as np
 from .cstar import (
     FiniteCStarAlgebra,
     _certify_closure,
-    _frame_pays,
     _from_space,
     _held_closure_bound,
-    _held_frame,
     commutant,
     product_residuals,
 )
@@ -86,9 +84,9 @@ __all__ = [
 @dataclass(frozen=True)
 class Certificate:
     """How ``Homomorphism.validate`` certified a map's products (``identity``,
-    ``amplified action``, ``matrix units`` or ``kernel``): ``value`` bounds every
-    residual (HS; the largest, for ``kernel``), accepted at ``tol``, which is
-    None on a construction's bound (inf on an identity's, read off its domain)."""
+    ``amplified action``, ``factorization`` or ``kernel``): ``value`` bounds
+    every residual (HS; the largest, for ``kernel``), accepted at ``tol``, None
+    on a construction's bound (inf on an identity's, read off its domain)."""
 
     kind: str
     value: float
@@ -115,7 +113,8 @@ class Homomorphism:
                 f"({self.domain.dim}, {self.codomain_dim}, {self.codomain_dim})"
             )
         self.images.setflags(write=False)
-        # what is read off the map once: its frame and amplifiers per tol, and
+        # what is read off the map once: its frame and amplifiers per tol,
+        # "adjointables", the (E, F, tol) of its last membership check, and
         # "theta", the (E, F, tol, E_corr) of the last passed validate_theta
         self._cache: dict = {}
 
@@ -158,12 +157,11 @@ class Homomorphism:
         """Unitality, *-preservation and multiplicativity on the basis, in HS
         norms, once per tolerance, the verdict kept as ``certificate``.  Each
         product residual must stay under DEFECT_FACTOR * tol * max(1, ||want||),
-        want = sum_l c_ijl theta(b_l).  A bound on them all is accepted when at
-        most DEFECT_FACTOR * tol: a construction's (the domain's closure bound, for
-        ``identity``), else ``_matrix_unit_bound`` on the domain's held frame
-        where ``cstar._frame_pays``.  Otherwise ``cstar.product_residuals``
-        measures them (``kernel``), with the domain's closure unless held, and
-        names the first row i whose worst pair j breaks the rule."""
+        want = sum_l c_ijl theta(b_l).  A construction's bound on them all (the
+        domain's closure bound, for ``identity``) is accepted when at most
+        DEFECT_FACTOR * tol.  Otherwise ``cstar.product_residuals`` measures
+        them (``kernel``), with the domain's closure unless held, and names
+        the first row i whose worst pair j breaks the rule."""
         cert = self.certificate
         if cert is not None and cert.tol is not None and cert.tol <= tol:
             return
@@ -187,10 +185,7 @@ class Homomorphism:
         if cert is not None and cert.kind == "identity":
             r = _held_closure_bound(dom, tol)
             cert = Certificate("identity", dom.closure_residuals(tol).max() if r is None else r)
-        elif cert is None or cert.kind in ("matrix units", "kernel"):
-            frame = _held_frame(dom, tol) if _frame_pays(dom, d) else None
-            cert = frame and Certificate("matrix units", self._matrix_unit_bound(frame, tol))
-        if cert is None or cert.value > bound:
+        if cert is None or cert.kind == "kernel" or cert.value > bound:  # kernel: from a looser tol
             if _held_closure_bound(dom, tol) is not None:
                 res, = product_residuals(dom, self.images)
             else:
@@ -205,114 +200,10 @@ class Homomorphism:
             cert = Certificate("kernel", float(res.max()))
         self.certificate = replace(cert, tol=tol)
 
-    def _matrix_unit_bound(self, frame, tol: float) -> float:
-        """An upper bound on every residual ||theta(b_i) theta(b_j) - theta(b_i
-        b_j)|| as ``cstar.product_residuals`` computes it (theta(x) = sum_l
-        <b_l, x> theta(b_l)), read off the domain's frame F = [L_p] without
-        forming the k^2 products.  HS norms; e is the machine epsilon, and a
-        GEMM of inner length m errs by at most m e |A| |B| (Higham, Thm 3.5,
-        as in ``cstar._frame_closure_bound``).
-
-        The units e_cd = L_c L_d* (block p, L_c = L_p[:, c]) are mapped as
-        ``apply_many`` maps them (no unit need lie in the span) to T_cd.  Per
-        block V_c = T_c1 and R_cd = T_cd - V_c V_d*; G is W* W minus (+)_p 1
-        (x) T_11, for W = [V_c] over all blocks.  As R_c1 = V_c - V_c V_1* and
-        V_1 V_1* = V_1 - R_11 is Hermitian, exactly, for units u = cd and v =
-        c'd' ([d = c'] is 0 across blocks):
-
-            T_u T_v - [d = c'] T_cd' = [d = c'] (V_c (R_11 - R_11*) V_d'*
-                - R_c1 V_d'* - R_cd') + V_c G_dc' V_d'* + V_c V_d* R_v + R_u T_v.
-
-        Let U be the unitary nearest F (eps = ||F* F - 1||, the frame's
-        defect), f_u the exact matrix units of D = U (+)_p (M_n_p (x) 1) U*,
-        and psi linear on D with psi(f_u) = T_u.  Summing the terms in l2
-        over (u, v) (Cauchy-Schwarz; x = sum x_u f_u has ||x|| >= ||(x_u)||),
-        ||psi(x) psi(y) - psi(xy)|| <= M ||x|| ||y|| for x, y in D, with
-
-            M = r (sqrt(m) + m nu + 2 m^1.5 nu^2 + sqrt(k) (2 nu^2 + r)) + m nu^2 g:
-
-        r and g the l2 norms of all R and G plus d e ||W||^2 for their GEMMs,
-        m the largest block, nu^2 >= ||W||_op^2 the largest row sum of |W*
-        W| (which bounds its largest eigenvalue) plus its rounding d e
-        sqrt(N) ||W||^2 (N columns of blocks), and ||T_v||_op <= nu^2 + r.
-        With tau >= ||theta|| (tau^2 the largest row sum of the images'
-        |Gram| plus its rounding d^2 e omega sqrt(k) ||Theta||, Theta all
-        the images, omega = max_j ||theta(b_j)||), ||e_u - f_u|| <= gamma =
-        eps (2 + eps) + 2 n^2 e and the rounding alpha = 2 sqrt(n) e (n^2
-        sqrt(k) tau + k ||Theta||) of mapping e_u, theta differs from psi on
-        D by at most H ||x||, H = sqrt(k) (tau gamma + alpha).  Each b_i
-        lies within delta = max_i delta_i + 3 eps + 5 n^2 e of D
-        (``cstar._frame_closure_bound``): b_i = x_i + s_i.  So theta(b_i) =
-        psi(x_i) + r_i with ||r_i|| <= beta = H (1 + delta) + tau delta, and
-
-            theta(b_i) theta(b_j) - theta(b_i b_j) = psi(x_i) psi(x_j) - psi(x_i x_j)
-                - (theta - psi)(x_i x_j) - theta(s_i b_j + x_i s_j) + psi(x_i) r_j + r_i theta(b_j)
-
-        is at most (M + H)(1 + delta)^2 + tau delta (2 + delta) + (2 omega +
-        beta) beta.  The kernel's own rounding adds (d omega^2 + tau (n + n^2
-        sqrt k) + 2 k ||Theta||) e (its product, the coefficients c_ijl and
-        their sum), and every computed norm and difference the factor 1 +
-        (d^2 + 2) e.  The k products V_c V_d* and the Gram of W are formed in
-        row blocks."""
-        dom, d = self.domain, self.codomain_dim
-        k, n, e = dom.dim, dom.ambient_dim, np.finfo(float).eps
-        coeffs, c_of, d_of, v_of, t11, m = _matrix_units(dom, frame)
-        imflat = self.images.reshape(k, -1)
-        T = (coeffs @ imflat).reshape(k, d, d)
-        V, N = T[v_of], len(v_of)
-        r2 = g2 = row_sum = 0.0
-        for s in row_blocks(k, 3 * 16 * d * d):
-            R = T[s] - V[c_of[s]] @ V[d_of[s]].conj().transpose(0, 2, 1)
-            r2 += np.vdot(R, R).real
-        W = V.transpose(1, 0, 2).reshape(d, N * d)
-        for s in row_blocks(N, 16 * N * d * d):
-            G = V[s].conj().transpose(0, 2, 1) @ W  # rows of W* W
-            row_sum = max(row_sum, np.abs(G).sum(axis=2).max())
-            a = np.arange(s.start, s.stop)
-            G.reshape(len(a), d, N, d)[a - s.start, :, a, :] -= T[t11[a]]
-            g2 += np.vdot(G, G).real
-        im2, w2 = np.vdot(imflat, imflat).real, np.vdot(V, V).real
-        omega = float(_fro_norms(imflat).max())
-        tau = np.sqrt(np.abs(imflat @ imflat.conj().T).sum(axis=1).max()
-                      + d * d * e * omega * np.sqrt(k * im2))
-        nu2 = row_sum + d * e * np.sqrt(N) * w2
-        kappa = 1.0 + (d * d + 2) * e
-        r = kappa * (np.sqrt(r2) + d * e * w2)
-        g = kappa * (np.sqrt(g2) + d * e * w2)
-        M = r * (np.sqrt(m) + m * np.sqrt(nu2) + 2 * m ** 1.5 * nu2 + np.sqrt(k) * (2 * nu2 + r)) \
-            + m * nu2 * g
-        eps = frame.defect
-        gamma = eps * (2 + eps) + 2 * n * n * e
-        alpha = 2 * np.sqrt(n) * e * (n * n * np.sqrt(k) * tau + k * np.sqrt(im2))
-        H = np.sqrt(k) * (tau * gamma + alpha)
-        delta = float(frame.residuals.max()) + 3 * eps + 5 * n * n * e
-        beta = H * (1 + delta) + tau * delta
-        own = (d * omega ** 2 + tau * (n + n * n * np.sqrt(k)) + 2 * k * np.sqrt(im2)) * e
-        return float(kappa * ((M + H) * (1 + delta) ** 2 + tau * delta * (2 + delta)
-                              + (2 * omega + beta) * beta + own))
-
     def compose(self, inner: "Homomorphism", tol: float = DEFAULT_TOL) -> "Homomorphism":
         """self after inner."""
         return Homomorphism(inner.domain, self.codomain_dim,
                             self.apply_many(inner.images, tol))
-
-
-def _matrix_units(A: FiniteCStarAlgebra, frame):
-    """For ``Homomorphism._matrix_unit_bound``: the coefficients (k, k) of
-    the frame's units e_cd = L_c L_d* against A's basis (A's frame holds
-    every block, so sum n_p^2 = k); per unit, the indices of V_c and V_d
-    among all blocks' V; per V, the indices of its unit c1 and of its
-    block's unit 11; and the largest block."""
-    sizes = np.array([L.shape[1] for L in frame.left])
-    n = A.ambient_dim
-    units = np.concatenate([np.matmul(L[:, None], L.conj().transpose(0, 2, 1)[None])
-                            .reshape(-1, n * n) for L in (L.transpose(1, 0, 2) for L in frame.left)])
-    first, unit0 = np.cumsum(sizes) - sizes, np.cumsum(sizes ** 2) - sizes ** 2
-    return (units @ A.basis.reshape(A.dim, -1).conj().T,
-            np.concatenate([a + np.repeat(np.arange(s), s) for a, s in zip(first, sizes)]),
-            np.concatenate([a + np.tile(np.arange(s), s) for a, s in zip(first, sizes)]),
-            np.concatenate([o + s * np.arange(s) for o, s in zip(unit0, sizes)]),
-            np.repeat(unit0, sizes), int(sizes.max()))
 
 
 def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:

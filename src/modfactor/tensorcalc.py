@@ -275,7 +275,8 @@ def _amplifier(rho: Homomorphism, tol: float, inverse: bool = False):
 
     Per block p of the target frame (columns R_p[:, c, t], multiplicity mu_p,
     units e_cd = sum_t R_p[:, c, t] R_p[:, d, t]*), f = rho or rho^-1 has
-    f(e_00) = sum_k lambda_k u_k u_k* above the cut, and v_kc = f(e_c0) u_k
+    f(e_00) = sum_k lambda_k u_k u_k* above tol (a projection's scale, so a
+    block f kills has no Kraus operator), and v_kc = f(e_c0) u_k
     lambda_k^(-1/2) gives sum_k v_kc v_kd* = f(e_cd) for a representation
     and every completely positive f whose Kraus operators have independent
     0-th rows (Stinespring).  Kraus operator [v_kc*]_c goes to copy k mod
@@ -305,7 +306,7 @@ def _amplifier(rho: Homomorphism, tol: float, inverse: bool = False):
     kraus = []
     for M in col0:
         lam, U = eigh_desc(M[0])
-        r, _ = rank_cut(lam, tol, "Stinespring rank")
+        r, _ = rank_cut(lam, tol, "Stinespring rank", floor=1.0)
         kraus.append((M @ (U[:, :r] / np.sqrt(lam[:r]))).transpose(2, 0, 1).conj())
     m = max((-(-len(K) // R.shape[2]) for K, R in zip(kraus, targets) if R.shape[2]), default=1)
     V = np.zeros((len(targets[0]), m, src.shape[1]), dtype=np.complex128)

@@ -163,3 +163,24 @@ def dense_product_residuals(A, images):
     want = np.tensordot(c, images, axes=1).reshape(k, k, -1)
     got = np.matmul(images[:, None], images[None]).reshape(k, k, -1)
     return np.linalg.norm(got - want, axis=2), np.linalg.norm(want, axis=2)
+
+
+def dense_failing_pair(A, images, tol=1e-9):
+    """The basis pair (i, j) the dense check names: the first row i whose
+    worst pair j breaks 100 tol max(1, ||want||)."""
+    res, want = dense_product_residuals(A, images)
+    bound = 100.0 * tol * np.maximum(1.0, want)
+    i = next(i for i in range(len(res)) if res[i].max() > bound[i, np.argmax(res[i])])
+    return i, int(np.argmax(res[i]))
+
+
+def adjoint_pair(A):
+    """Basis indices (m, n), m != n, with b_m* = b_n and b_m traceless (no
+    unit component)."""
+    b = A.basis
+    overlap = np.abs(np.einsum("kij,lji->kl", b, b))  # |<b_l, b_k*>|
+    for m in range(A.dim):
+        n = int(np.argmax(overlap[m]))
+        if n != m and overlap[m, n] > 1 - 1e-12 and abs(np.trace(b[m])) < 1e-12:
+            return m, n
+    raise AssertionError("no traceless adjoint pair in the basis")

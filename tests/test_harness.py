@@ -19,6 +19,7 @@ from modfactor.harness import (
     GenSpec,
     generate_random_instance,
     golden_instance,
+    instance_from_json,
     instance_to_json,
     parse_instance,
     run_verification,
@@ -26,7 +27,16 @@ from modfactor.harness import (
 )
 from modfactor.hilbmod import Correspondence, Homomorphism, is_full
 from modfactor.numkernel import OperatorSpace, hs_orthonormalize
-from conftest import haar_unitary
+from conftest import (
+    adjoint_pair,
+    batch_instances,
+    dense_failing_pair,
+    dense_product_residuals,
+    haar_unitary,
+    instance_a,
+    instance_b,
+    spy_product_residuals,
+)
 
 
 SPEC = GenSpec(blocks_B=[(1, 1), (2, 1)], blocks_C=[(2, 1)],
@@ -641,8 +651,8 @@ class TestCertifiedConstructions:
         # kernel on a map's images only for the parsed oracle left action,
         # the commutant liftings and the other maps built from data; induced
         # actions and identity representations are certified where they are
-        # built, and theta, whose domain holds its frame from validation, on
-        # its matrix units
+        # built, and theta by its factorization through the oracle's
+        # induced map
         import traceback
 
         from modfactor import hilbmod
@@ -678,9 +688,115 @@ class TestCertifiedConstructions:
             assert not any(images is h.images for h in identities)
         callers = set().union(*(frames for _, frames in runs))
         assert {"_decode_correspondence", "commutant_lifting"} <= callers
-        # theta takes the matrix-unit route instead of the kernel
+        # theta settles on its oracle link instead of the kernel
         assert "_decode_hom" not in callers
-        assert inst.theta.certificate.kind == "matrix units"
+        assert not any(images is inst.theta.images for images, _ in runs)
+        cert = inst.theta.certificate
+        assert cert.kind == "factorization" and cert.tol == 1e-9 and 0.0 < cert.value <= 100 * 1e-9
+
+
+def _with_theta_images(inst, images) -> dict:
+    """inst's JSON with theta's images replaced."""
+    obj = instance_to_json(inst)
+    obj["theta"] = harness._encode_hom(
+        Homomorphism(inst.theta.domain, inst.theta.codomain_dim, images))
+    return obj
+
+
+class TestFactorizationCertificate:
+    """A parsed theta is certified by its oracle link: theta(b_i) U = U
+    theta2(b_i) with theta2 the oracle's induced map
+    (``factorizations._factorization_bound``)."""
+
+    def test_the_bound_dominates_the_kernel(self):
+        # instances a and b and the seeded batch, parsed: theta2 shares
+        # theta's domain, and the bound is at least the kernel's largest
+        # measured residual and at most the rule
+        for i, made in enumerate([instance_a(), instance_b()] + batch_instances(50)):
+            theta = instance_from_json(instance_to_json(made)).theta
+            cert = theta.certificate
+            assert cert.kind == "factorization" and cert.tol == 1e-9, i
+            measured = cstar.product_residuals(theta.domain, theta.images)[0].max()
+            assert measured <= cert.value <= 100 * 1e-9, i
+
+    def test_a_tilted_parse_is_bounded_by_the_docstring_formula(self, monkeypatch):
+        # F and theta rewritten by a Haar unitary of H_F: U is the polar
+        # part of an intertwiner, so eps and delta are nonzero
+        links = _count_calls(monkeypatch, harness, "_factorization_bound")
+        inst = instance_a()
+        u = haar_unitary(inst.F.dim_H, np.random.default_rng(2))
+        theta = instance_from_json(instance_to_json(_rotated_F(inst, u))).theta
+        (same, pi, U, measured_defect), = links
+        assert same is theta and pi.domain is theta.domain
+        T, P, B = theta.images, pi.images, theta.domain.basis
+        k, d, n = len(T), len(T[0]), len(B[0])
+        e, eye = np.finfo(float).eps, np.eye(d)
+        kappa = 1 + (d * d + 2) * e
+
+        def norms(S):
+            return np.linalg.norm(S, axis=(1, 2))
+
+        def rounding(S):
+            w = norms(S)
+            return (d * w.max() ** 2 + np.linalg.norm(S) * (n + n * n * np.sqrt(k) + 2 * k)) * e
+
+        defect = max(np.linalg.norm(U.conj().T @ U - eye, 2),
+                     np.linalg.norm(U @ U.conj().T - eye, 2))
+        assert measured_defect == defect
+        eps = norms(T @ U - U @ P)
+        assert defect > 0 and eps.min() > 0
+        t, p, hs = norms(T), norms(P), np.linalg.norm(U)
+        delta = kappa * (defect + d * e * hs ** 2)
+        eta = kappa * (eps + d * e * hs * (t + p)) * np.sqrt(1 + delta) + t * delta
+        mu = pi.certificate.value + rounding(P)
+        pairs = eta[:, None] * t + (t + eta)[:, None] * eta \
+            + (1 + delta) * (delta * p[:, None] * p + mu)
+        c3 = np.linalg.norm(B.reshape(k, -1), 2) ** 3
+        want = kappa * (pairs + c3 * np.linalg.norm(eta) + rounding(T))
+        cert = theta.certificate
+        assert cert.kind == "factorization"
+        assert np.isclose(cert.value, want.max(), rtol=1e-6, atol=0)
+        # the pairwise formula bounds each pair's residual
+        res, _ = dense_product_residuals(theta.domain, T)
+        assert (res <= want).all() and res.max() > 0
+
+    @pytest.mark.parametrize("scale", [1 + 1e-6, 1 + 1e-3])
+    def test_a_map_that_is_not_multiplicative_is_named_by_its_pair(self, scale):
+        # the images of an adjoint pair of traceless elements scaled by one
+        # real factor keep theta unital and *-preserving: the oracle link
+        # fails, and the kernel names the pair the dense check names
+        inst = instance_a()
+        m, n = adjoint_pair(inst.theta.domain)
+        imgs = inst.theta.images.copy()
+        imgs[[m, n]] *= scale
+        i, j = dense_failing_pair(inst.theta.domain, imgs)
+        with pytest.raises(ValidationError,
+                           match=rf"^homomorphism not multiplicative on basis pair \({i}, {j}\)$"):
+            instance_from_json(_with_theta_images(inst, imgs))
+
+    def test_a_homomorphism_that_is_not_the_oracles_is_rejected(self, monkeypatch):
+        # over C (+) C, theta has multiplicities (2, 2) on C^4 and the map
+        # diag(x, y) -> diag(x, x, x, y) has (3, 1): a unital *-homomorphism
+        # into B^a(F) = M_4, measured by the kernel, that no unitary carries
+        # onto the induced map
+        spec = GenSpec(blocks_B=[(1, 1), (1, 1)], blocks_C=[(1, 1)], compress=False,
+                       module_multiplicity=1, corr_multiplicity=2)
+        inst = generate_random_instance(spec, 0)
+        imgs = np.stack([np.diag([b[0, 0]] * 3 + [b[1, 1]]) for b in inst.theta.domain.basis])
+        passes = spy_product_residuals(monkeypatch)
+        with pytest.raises(ValidationError,
+                           match="^instance theta is not induced by the recorded oracle$"):
+            instance_from_json(_with_theta_images(inst, imgs))
+        assert any(np.array_equal(stacks[-1], imgs) for _, stacks in passes)
+
+    def test_theta_on_another_domain_object_is_measured(self):
+        # theta2 acts on E's K(E); a theta on an equal but distinct algebra
+        # gets no factorization bound, and validate_theta runs the kernel
+        inst = instance_from_json(instance_to_json(instance_a()))
+        dom = cstar.algebra_from_basis(inst.theta.domain.basis)
+        theta = Homomorphism(dom, inst.theta.codomain_dim, inst.theta.images)
+        harness._check_oracle_consistency(inst.E, inst.F, theta, inst.oracle, 1e-9)
+        assert theta.certificate.kind == "kernel"
 
 
 def _dims(obj):

@@ -3,7 +3,9 @@ elementary tensors goes through ``TensorProduct.realize``, so no module fits
 a least-squares map and the tensor modules form no Kronecker product.  The
 one pseudo-inverse left is ``hilbmod.commutant_lifting``'s, and no module
 takes a reciprocal under a cutoff of its own.  Tensor products take their
-coordinates from a thin factor: no tensor module factors a Gram.
+coordinates from a thin factor: no tensor module factors a Gram.  A map's
+products are certified by a construction's bound or by the kernel, so
+``hilbmod`` reads no algebra's frame.
 """
 
 import ast
@@ -15,6 +17,7 @@ SRC = Path(modfactor.__file__).resolve().parent
 PINV_ALLOWED = {("hilbmod.py", "commutant_lifting")}
 NO_KRON = ("tensorcalc.py", "prodsys.py")
 NO_GRAM = ("tensorcalc.py", "factorizations.py")
+FRAME_HELPERS = {"_frame", "_held_frame", "_frame_pays"}
 
 
 def _references(path: Path, name: str) -> list:
@@ -104,3 +107,16 @@ def test_tensor_modules_factor_no_gram():
         bound = [ast.unparse(node.value) for node in ast.walk(tree) if isinstance(node, ast.Assign)
                  and any(getattr(t, "id", None) == "_gram_coordinates" for t in node.targets)]
         assert bound in ([], ["_factor_coordinates"])
+
+
+def _imported_from(path: Path, module: str) -> set:
+    """The names a module imports from the package's ``module``."""
+    tree = ast.parse(path.read_text())
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            and node.module in (module, f"modfactor.{module}") for alias in node.names}
+
+
+def test_hilbmod_imports_no_frame_helper():
+    names = _imported_from(SRC / "hilbmod.py", "cstar")
+    assert "_held_closure_bound" in names  # the scan sees hilbmod's cstar imports
+    assert names & FRAME_HELPERS == set()

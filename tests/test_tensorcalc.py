@@ -10,6 +10,7 @@ from modfactor import cstar
 from modfactor.cstar import build_algebra
 from modfactor.errors import NotInModule, ValidationError
 from modfactor.hilbmod import (
+    Certificate,
     Correspondence,
     Homomorphism,
     algebra_bimodule,
@@ -536,6 +537,30 @@ class TestAmplifier:
         else:
             assert rho.certificate is None  # no multiplicativity was asked of rho
 
+    def test_a_block_the_map_kills_has_no_kraus_operator(self):
+        # B = C (+) M_2 on C^3 in a Haar basis and rho(b) = w* b w + t <e, b
+        # e> diag(1, 1/2), w an isometry onto the M_2 block's range and e a
+        # unit vector of C's: the image of C's unit has eigenvalues t and t/2.
+        # At t = 1e-12 both are below tol at a unit's scale, so the rank cut
+        # anchored there keeps no Kraus operator for C, and V's defect
+        # carries t (anchored at t itself, the cut kept both, and V took two
+        # copies)
+        from modfactor.cstar import algebra_from_basis
+        from modfactor.tensorcalc import _amplified, _amplifier
+        u = haar_unitary(3, np.random.default_rng(6))
+        B = algebra_from_basis(np.stack([u @ b @ u.conj().T
+                                         for b in build_algebra([(1, 1), (2, 1)]).basis]))
+        w, e = u[:, 1:], u[:, 0]
+        killed = np.einsum("i,kij,j->k", e.conj(), B.basis, e)[:, None, None] * np.diag([1.0, 0.5])
+        t = 1e-12
+        rho = Homomorphism(B, 2, w.conj().T @ B.basis @ w + t * killed)
+        V, residual = _amplifier(rho, 1e-9)
+        assert V.shape == (3, 1, 2)
+        Vm = V.reshape(3, 2)
+        missed = np.linalg.norm(Vm.conj().T @ _amplified(B.basis, V) - rho.images, axis=(1, 2))
+        assert t / 2 <= missed.max() <= 2 * t and missed.sum() <= residual <= 2 * missed.sum()
+        assert np.abs(Vm.conj().T @ Vm - np.eye(2)).max() <= 1e-14
+
     def test_the_identity_representation_is_its_own(self, block_algebra):
         from modfactor.hilbmod import identity_homomorphism
         from modfactor.tensorcalc import _amplifier
@@ -671,11 +696,11 @@ class TestInducedActionCertificate:
         assert np.abs(got - want).max() <= 1e-12
 
     def test_ill_conditioned_coordinates_measure_an_a_priori_defect(self, monkeypatch):
-        # rho, Haar-conjugated M_6 (+) M_4 amplified twice, takes the
-        # matrix-unit route, so its defect mu is the route's bound, far above
-        # its measured residuals.  An ill-conditioned factor Z = 1_20 (x)
-        # diag(1, 2^-13) (sigma_max / sigma_min = 8192, which the rank cut
-        # keeps) still gives an isometry Q = Z S+, so pi(a) = Q* (rho(a) (x)
+        # rho, Haar-conjugated M_6 (+) M_4 amplified twice, is handed a
+        # construction's bound mu far above its measured residuals.  An
+        # ill-conditioned factor Z = 1_20 (x) diag(1, 2^-13) (sigma_max /
+        # sigma_min = 8192, which the rank cut keeps) still gives an
+        # isometry Q = Z S+, so pi(a) = Q* (rho(a) (x)
         # 1_2) Q carries sqrt(2) mu and no factor of ||S+||.  Where that
         # a-priori defect is above the rule, validate measures pi's
         # residuals in one kernel pass and pi passes with them; rho keeps
@@ -685,15 +710,16 @@ class TestInducedActionCertificate:
         from modfactor.cstar import algebra_from_basis
         from modfactor.tensorcalc import _amplified_action, _factor_coordinates
         A = algebra_from_basis(haar_conjugated([(6, 1), (4, 1)], np.random.default_rng(3)))
-        rho = Homomorphism(A, 20, np.stack([np.kron(b, np.eye(2)) for b in A.basis]))
+        rho = Homomorphism(A, 20, np.stack([np.kron(b, np.eye(2)) for b in A.basis]),
+                           Certificate("factorization", 7.1e-11))
         passes = spy_product_residuals(monkeypatch)
         rho.validate()
         assert not passes
         loop = float(cstar.product_residuals(A, rho.images)[0].max())
         passes.clear()
-        assert rho.certificate.kind == "matrix units"
-        route = rho.certificate.value
-        assert route > 1e3 * loop
+        assert rho.certificate.kind == "factorization"
+        mu = rho.certificate.value
+        assert mu > 1e3 * loop
         S, S_pinv, _, Q = _factor_coordinates(
             np.kron(np.eye(20), np.diag([1.0, 2.0 ** -13])).astype(complex), 1e-9)
         assert np.linalg.norm(S_pinv) > 3e4 and len(S) == 40
@@ -701,7 +727,7 @@ class TestInducedActionCertificate:
         pi = _amplified_action(rho, Q, 2, 1e-9)
         assert not passes
         assert pi.certificate.kind == "amplified action"
-        assert np.sqrt(2) * route <= pi.certificate.value <= np.sqrt(2) * route + 1e-12
+        assert np.sqrt(2) * mu <= pi.certificate.value <= np.sqrt(2) * mu + 1e-12
         assert np.abs(pi.images - want).max() <= 1e-14
         rho.certificate = replace(rho.certificate, value=0.9e-7)  # within the rule
         pi = _amplified_action(rho, Q, 2, 1e-9)
