@@ -33,22 +33,27 @@ from .hilbmod import (
     Correspondence,
     HilbertModule,
     Homomorphism,
+    _adjointable_parts,
     _adjoints,
+    _first_failure,
     _pairwise_inner,
+    _representation_frame,
+    _trimmed_module,
     adjointable_residual,
     as_bimodule,
     check_qons_family,
     commutant_lifting,
     dual_module,
     finite_rank_products,
+    identity_homomorphism,
     intertwiner_space,
     is_full,
-    module_from_parts,
     verify_unit_vector,
 )
 from .numkernel import (
     AGREE_TOL,
     DEFAULT_TOL,
+    DEFECT_FACTOR,
     OMEGA_TOL,
     QONS_TOL,
     OperatorSpace,
@@ -62,13 +67,9 @@ from .numkernel import (
 from .tensorcalc import (
     ModuleUnitary,
     TensorProduct,
-    _amplified,
-    _amplified_action,
     _amplifier,
     _column_blocks,
-    _factor_coordinates,
-    _hstack,
-    _representation_frame,
+    _tensor,
     adjoint_unitary,
     certify_module_unitary,
     compose_unitaries,
@@ -121,43 +122,49 @@ class FactorizationResult:
 def validate_theta(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
                    tol: float = DEFAULT_TOL) -> tuple[Correspondence, Correspondence]:
     """theta must be a unital *-homomorphism from B^a(E) into B^a(F), for
-    nondegenerate E and F (``_theta_in_adjointables``, ``theta.validate``).
-    Returns E with theta's domain acting and F with theta acting, validated,
+    nondegenerate E and F (``_theta_in_adjointables``, ``theta.validate``),
+    whose images theta(b) y and domain b x stay within DEFECT_FACTOR * tol of
+    F and E.  Returns E with theta's domain acting and F with theta acting,
     the correspondences every method factors theta through; kept with theta
     per E, F and tol (F's rebuilt: it holds theta, a reference cycle)."""
     if theta._cache.get("theta", ())[:3] == (E, F, tol):  # modules compare by identity
         return theta._cache["theta"][3], Correspondence(F, theta.domain, theta)
-    _theta_in_adjointables(E, F, theta, tol)
+    left_parts = _theta_in_adjointables(E, F, theta, tol)
     theta.validate(tol)
-    F_corr = Correspondence(F, theta.domain, theta)
-    F_corr.validate(tol)
-    theta._cache["theta"] = (E, F, tol, as_bimodule(E, theta.domain, tol))
-    return theta._cache["theta"][3], F_corr
+    for res in left_parts:
+        _first_failure(res, DEFECT_FACTOR * tol,
+                       "left action of basis element {} leaves the module span")
+    E_corr = Correspondence(E, theta.domain, identity_homomorphism(theta.domain))
+    theta._cache["theta"] = (E, F, tol, E_corr)
+    return E_corr, Correspondence(F, theta.domain, theta)
 
 
 def _theta_in_adjointables(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
-                          tol: float = DEFAULT_TOL) -> None:
-    """Membership by invariance (``adjointable_residual``), reading no product
+                          tol: float = DEFAULT_TOL):
+    """Membership by invariance (``_adjointable_parts``), reading no product
     of theta: its domain lies in B^a(E) = K(E) and holds every x y* of E (it
-    becomes E's ``finite_rank_algebra`` when they lie within tol of it), and
-    its images lie in B^a(F).  Kept with theta per E, F and tol."""
-    if theta._cache.get("adjointables") == (E, F, tol):
-        return
+    becomes E's ``finite_rank_algebra`` when they lie within tol of it and
+    each b x passes ``validate_theta``), and its images lie in B^a(F).
+    Returns the residuals of theta(b) y and b x, kept per E, F and tol."""
+    kept = theta._cache.get("adjointables", ())
+    if kept[:3] == (E, F, tol):
+        return kept[3]
     if theta.domain.ambient_dim != E.dim_H:
         raise ValidationError("theta's domain does not act on E's total space")
     if theta.codomain_dim != F.dim_H:
         raise ValidationError("theta's images do not act on F's total space")
     dom = theta.domain
     spans = dom.space.span_residual(finite_rank_products(E)).max()
-    if adjointable_residual(E, dom.basis, tol, "E").max() > AGREE_TOL or spans > AGREE_TOL:
+    on_E = _adjointable_parts(E, dom.basis, tol, "E")
+    if on_E.max() > AGREE_TOL or spans > AGREE_TOL:
         raise ValidationError("theta's domain is not the adjointable algebra of E")
-    bad = np.flatnonzero(adjointable_residual(F, theta.images, tol, "F") > AGREE_TOL)
-    if bad.size:
-        raise ValidationError(
-            f"theta image of basis element {bad[0]} leaves the adjointable algebra of F")
-    if spans <= tol:
+    on_F = _adjointable_parts(F, theta.images, tol, "F")
+    _first_failure(on_F.max(axis=0), AGREE_TOL,
+                   "theta image of basis element {} leaves the adjointable algebra of F")
+    if spans <= tol and on_E[0].max() <= DEFECT_FACTOR * tol:
         E._cache.setdefault(("finite_rank", tol), dom)
-    theta._cache["adjointables"] = (E, F, tol)
+    theta._cache["adjointables"] = (E, F, tol, (on_F[0], on_E[0]))
+    return on_F[0], on_E[0]
 
 
 def _factorization_bound(theta: Homomorphism, pi: Homomorphism, U: np.ndarray,
@@ -293,7 +300,8 @@ def _compressions(method: str, E: HilbertModule, F: HilbertModule,
     mats = np.concatenate([np.pad(c.mats, ((0, 0), (offs[b], H_B - offs[b + 1]), (0, 0)))
                            for b, c in enumerate(comps)])
     space = OperatorSpace(H_B, F.dim_G, mats, min(c.gap for c in comps))
-    mod = module_from_parts(F.base, space, tol)
+    # a module by V_b* y c = V_b* (y c) and (V_b* y)* (V_b* y') = <y, theta(e_b e_b*) y'>
+    mod = _trimmed_module(F.base, space, tol)
     if mod.h_embed is not None:
         raise ValidationError("compressed submodule is degenerate")
 
@@ -302,8 +310,9 @@ def _compressions(method: str, E: HilbertModule, F: HilbertModule,
         for bj, (ej, Vj) in enumerate(zip(family, isometries)):
             imgs[:, offs[bi]:offs[bi + 1], offs[bj]:offs[bj + 1]] = \
                 Vi.conj().T @ theta.apply_many(ei @ E.base.basis @ ej.conj().T, tol) @ Vj
+    # theta(e_b' b e_b*) F lies in theta(e_b' e_b'*) F, as e_b' e_b'* e_b' = e_b'
     corr = Correspondence(mod, E.base, Homomorphism(E.base, H_B, imgs))
-    corr.validate(tol)
+    corr.left_action.validate(tol)
 
     tp = _unit_tensor(E_corr, F, corr, method, tol)
     U = tp.realize(np.concatenate([theta.apply_many(E.basis @ e.conj().T, tol) @ V
@@ -374,18 +383,13 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     rho_p = commutant_lifting(E, tol)
     sigma_p = commutant_lifting(F, tol)
 
-    # re-concretize prime over the base commutant on G: W over rho'(B')
-    # tensored with G, where rho'^-1(c) = V* (c (x) 1_m) V (inverse ``_amplifier``)
-    V, residual = _amplifier(rho_p, tol, inverse=True)
-    S_P, S_P_pinv, gap_P, Q = _factor_coordinates(_hstack(_amplified(W.mats, V)), tol, residual)
-    rP = S_P.shape[0]
-    prime_space = hs_orthonormalize(_column_blocks(S_P, W.dim), tol)
-    prime_mod = module_from_parts(rho_p.domain, prime_space, tol)
-    if prime_mod.dim_H != rP:
-        raise ValidationError("re-concretized intertwiner module is degenerate")
-    prime = Correspondence(prime_mod, sigma_p.domain,
-                           _amplified_action(sigma_p, Q, V.shape[1], tol))
-    prime.validate(tol)
+    # re-concretize prime over the base commutant: W over rho'(B') tensored
+    # with G (basis 1_G), where rho'^-1(c) = V* (c (x) 1_m) V (inverse ``_amplifier``)
+    G = HilbertModule(rho_p.domain, OperatorSpace(E.dim_G, E.dim_G, np.eye(E.dim_G)[None] + 0j))
+    prime, S_P, S_P_pinv, gap_P = _tensor(W.mats, G, _amplifier(rho_p, tol, inverse=True), tol,
+                                          "re-concretized intertwiner module",
+                                          sigma_p.domain, sigma_p)
+    prime_mod, rP = prime.module, S_P.shape[0]
     # rho''s singular values, as a map on HS norms, are (nu_p / mu_p)^(1/2)
     ratios = [nu / mu for _, nu, mu in _representation_frame(rho_p, tol).blocks if mu]
     conditioning = float(np.sqrt(max(ratios) / min(ratios) if min(ratios) else np.inf))
@@ -393,14 +397,15 @@ def factor_commutant(E: HilbertModule, F: HilbertModule, theta: Homomorphism,
     # flip-chain link: the abstract E (.) W (.) G Gram equals the concrete one
     flip = flip_unitary(E, W, rho_p, tol)
 
-    # the bimodule commutant of prime, concretely over F's base
-    Fpp_mod = module_from_parts(F.base, intertwiner_space(prime.left_action, tol), tol)
+    # the bimodule commutant of prime over F's base C: a module by pi(c') Y b =
+    # Y b c' and Y* Z in C'' = C, pi prime's left action; tau(b) commutes with pi
+    Fpp_mod = _trimmed_module(F.base, intertwiner_space(prime.left_action, tol), tol)
     if Fpp_mod.h_embed is not None:
         raise ValidationError("factorizing correspondence is degenerate on its total space")
     lifted = commutant_lifting(prime_mod, tol)
     tau = Homomorphism(E.base, rP, lifted.apply_many(E.base.basis, tol))
+    tau.validate(tol)
     Fpp = Correspondence(Fpp_mod, E.base, tau)
-    Fpp.validate(tol)
 
     tp = _unit_tensor(E_corr, F, Fpp, "commutant", tol)
     # x_i (x) S_P (w_j (x) g) -> w_j x_i g, blocks (i, j)

@@ -46,8 +46,8 @@ from .numkernel import (
     rank_cut,
     require_finite,
     row_blocks,
-    solve_intertwiners,
     subspace_equal,
+    wedderburn_frame,
 )
 
 __all__ = [
@@ -214,11 +214,19 @@ def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
     return Homomorphism(A, A.ambient_dim, A.basis.copy(), Certificate("identity", np.inf))
 
 
+def _representation_frame(rho: Homomorphism, tol: float):
+    """The certified Wedderburn frame of rho's pairs (rho(b_l), b_l), cached on rho."""
+    key = ("frame", tol)
+    if key not in rho._cache:
+        rho._cache[key] = wedderburn_frame(rho.images, rho.domain.space, tol)
+    return rho._cache[key]
+
+
 def intertwiner_space(rho: Homomorphism, tol: float = DEFAULT_TOL) -> OperatorSpace:
-    """HS-orthonormal basis of {X : rho(a) X = X a for a in rho's domain},
-    the one intertwiner solve of every representation (the identity
-    representation's is ``cstar.commutant``)."""
-    return solve_intertwiners(rho.images, rho.domain.space, tol)
+    """HS-orthonormal basis of {X : rho(a) X = X a for a in rho's domain}, off
+    rho's frame: the one intertwiner solve of every representation (the
+    identity representation's is ``cstar.commutant``)."""
+    return _representation_frame(rho, tol).intertwiners()
 
 
 @dataclass(eq=False)
@@ -287,19 +295,16 @@ class Correspondence:
         return self.left_action.apply(a, tol)
 
     def validate(self, tol: float = DEFAULT_TOL) -> None:
+        """The left action, a *-homomorphism, keeps the span (``_invariance``)."""
         if self.left_action.codomain_dim != self.module.dim_H:
             raise DimensionMismatch("left action must act on the module's codomain space")
         if self.left_action.domain is not self.left and \
                 not subspace_equal(self.left_action.domain.space, self.left.space, AGREE_TOL)[0]:
             raise ValidationError("left_action domain differs from the left algebra")
         self.left_action.validate(tol)
-        space, images = self.module.space, self.left_action.images
-        for s in row_blocks(len(images), 16 * space.mats.size):
-            moved = np.matmul(images[s, None], space.mats[None])
-            bad = np.flatnonzero(space.span_residual(moved).max(axis=1) > DEFECT_FACTOR * tol)
-            if bad.size:
-                raise ValidationError(
-                    f"left action of basis element {s.start + bad[0]} leaves the module span")
+        res = _invariance(self.module.space, self.left_action.images, self.module.basis)
+        _first_failure(res, DEFECT_FACTOR * tol,
+                       "left action of basis element {} leaves the module span")
 
 
 @dataclass(eq=False)
@@ -320,8 +325,8 @@ class QuasiONS:
 
 def module_from_parts(base: FiniteCStarAlgebra, space: OperatorSpace,
                       tol: float = DEFAULT_TOL) -> HilbertModule:
-    """Wrap an orthonormal operator space as a module, validating invariants
-    and trimming H to the nondegenerate part (trim is reported, not fatal)."""
+    """Wrap an orthonormal operator space from data as a module, validating
+    invariants and trimming H to the nondegenerate part (trim is reported)."""
     mod = _trimmed_module(base, space, tol)
     _validate_module(mod, tol)
     return mod
@@ -330,7 +335,7 @@ def module_from_parts(base: FiniteCStarAlgebra, space: OperatorSpace,
 def _trimmed_module(base: FiniteCStarAlgebra, space: OperatorSpace,
                     tol: float) -> HilbertModule:
     """The nondegeneracy trim of ``module_from_parts`` without its invariant
-    checks, for spans that are modules by construction."""
+    checks, for spans that are modules by the identity each caller names."""
     if space.dim_in != base.ambient_dim:
         raise DimensionMismatch("module domain must be the base algebra's ambient space")
     if space.dim == 0:
@@ -347,21 +352,37 @@ def _trimmed_module(base: FiniteCStarAlgebra, space: OperatorSpace,
 
 
 def _validate_module(E: HilbertModule, tol: float) -> None:
-    """x b and x* y stay in their spans, in row blocks over the basis x; the
-    first x failing is named."""
-    X, B = E.basis, E.base.basis
-    for s in row_blocks(E.dim, 16 * len(B) * X[0].size):
-        bad = np.flatnonzero(E.space.span_residual(np.matmul(X[s, None], B[None]))
-                             .max(axis=1) > DEFECT_FACTOR * tol)
-        if bad.size:
-            raise ValidationError(
-                f"right action moves basis element {s.start + bad[0]} out of the span")
-    for s in row_blocks(E.dim, 16 * E.dim * B[0].size):
-        inner = np.matmul(_adjoints(X[s])[:, None], X[None])
-        bad = np.flatnonzero(E.base.space.span_residual(inner).max(axis=1) > DEFECT_FACTOR * tol)
-        if bad.size:
-            raise ValidationError(f"an inner product against basis element "
-                                  f"{s.start + bad[0]} leaves the base algebra")
+    """x b and x* y stay in their spans (``_invariance``); the first x
+    failing is named."""
+    X, bound = E.basis, DEFECT_FACTOR * tol
+    _first_failure(_invariance(E.space, X, E.base.basis), bound,
+                   "right action moves basis element {} out of the span")
+    _first_failure(_invariance(E.base.space, _adjoints(X), X), bound,
+                   "an inner product against basis element {} leaves the base algebra")
+
+
+def _invariance(span: OperatorSpace, T: np.ndarray, R: np.ndarray,
+                adjoints: bool = False) -> np.ndarray:
+    """Per T_i of a stack (m, p, q), the largest ``span_residual`` of the T_i
+    r_j over a family r (k, q, c); with ``adjoints``, rows (2, m) for T_i r_j
+    and T_i* r_j.  In row blocks over i, one GEMM each with [r_1 | ... | r_k]."""
+    (m, p, q), (k, _, c), sides = T.shape, R.shape, 1 + adjoints
+    stacked = R.transpose(1, 0, 2).reshape(q, k * c)
+    out = np.empty((sides, m))
+    for s in row_blocks(m, 16 * sides * p * k * c):
+        ops = np.concatenate([T[s], _adjoints(T[s])]) if adjoints else T[s]
+        prods = (ops.reshape(-1, q) @ stacked).reshape(sides, -1, p, k, c)
+        out[:, s] = span.span_residual(
+            np.ascontiguousarray(prods.transpose(0, 1, 3, 2, 4))).max(axis=2)
+    return out if adjoints else out[0]
+
+
+def _first_failure(res: np.ndarray, bound, message: str) -> None:
+    """Raise ValidationError(message.format(i, res[i])) for the first i with
+    res[i] > bound: a check names its first failing element."""
+    bad = np.flatnonzero(res > bound)
+    if bad.size:
+        raise ValidationError(message.format(bad[0], res[bad[0]]))
 
 
 def _adjoints(mats: np.ndarray) -> np.ndarray:
@@ -426,12 +447,16 @@ def adjointable_residual(E: HilbertModule, mats, tol: float = DEFAULT_TOL,
                          what: str = "module") -> np.ndarray:
     """For each operator T of a batch (m, dim_H, dim_H), the largest relative
     residual ||y - P y|| / max(1, ||y||) from E's span of y = T x and T* x
-    over E's basis x: one GEMM and one span decomposition.
+    over E's basis x (``_adjointable_parts``).
 
     For a nondegenerate E, K(E) = B^a(E) holds exactly those T with T E and
     T* E inside E.  ValidationError if E's columns do not span H, where a
-    projection onto the complement of their span would pass.  The products
-    are formed in row blocks over T, T and T* together."""
+    projection onto the complement of their span would pass."""
+    return _adjointable_parts(E, mats, tol, what).max(axis=0)
+
+
+def _adjointable_parts(E: HilbertModule, mats, tol: float, what: str) -> np.ndarray:
+    """The residuals (2, m) of T x and of T* x, one ``_invariance`` pass."""
     T = as_stack(mats)
     d = E.dim_H
     if T.shape[1:] != (d, d):
@@ -440,12 +465,7 @@ def adjointable_residual(E: HilbertModule, mats, tol: float = DEFAULT_TOL,
     if rank != d:
         raise ValidationError(
             f"{what} is degenerate: its columns span {rank} of {d} dimensions")
-    X, out = E.stacked(), np.empty(len(T))
-    for s in row_blocks(len(T), 2 * 16 * d * X.shape[1]):
-        both = np.concatenate([T[s], _adjoints(T[s])]).reshape(-1, d)
-        prods = (both @ X).reshape(2, -1, d, E.dim, E.dim_G).transpose(0, 1, 3, 2, 4)
-        out[s] = E.space.span_residual(np.ascontiguousarray(prods)).max(axis=(0, 2))
-    return out
+    return _invariance(E.space, T, E.basis, adjoints=True)
 
 
 def commutant_lifting(E: HilbertModule, tol: float = DEFAULT_TOL) -> Homomorphism:
@@ -492,15 +512,14 @@ def dual_module(E: HilbertModule, tol: float = DEFAULT_TOL) -> Correspondence:
     if key in E._cache:
         return E._cache[key]
     K = finite_rank_algebra(E, tol)
-    adj = np.stack([x.conj().T for x in E.basis])
-    space = OperatorSpace(E.dim_G, E.dim_H, adj)
-    mod = module_from_parts(K, space, tol)
+    adj = np.ascontiguousarray(_adjoints(E.basis))
+    # a module by x* (y z*) = (z <y, x>)* and <x*, y*> = x y*, with b x* = (x b*)*
+    mod = _trimmed_module(K, OperatorSpace(E.dim_G, E.dim_H, adj), tol)
     V = mod.h_embed
     action = identity_homomorphism(E.base) if V is None else \
         Homomorphism(E.base, mod.dim_H, V.conj().T @ E.base.basis @ V)
-    corr = Correspondence(mod, E.base, action)
-    corr.validate(tol)
-    E._cache[key] = corr
+    action.validate(tol)
+    corr = E._cache[key] = Correspondence(mod, E.base, action)
     return corr
 
 
@@ -544,7 +563,8 @@ def fullification(E: HilbertModule, tol: float = DEFAULT_TOL):
     else:
         mats = np.einsum("kij,jl->kil", E.basis, V)
     space = OperatorSpace(E.dim_H, base.ambient_dim, np.ascontiguousarray(mats))
-    mod = module_from_parts(base, space, tol)
+    # a module by x V V* = x (x* x in the ideal) and (x V)* (y V) = V* <x, y> V
+    mod = _trimmed_module(base, space, tol)
     return mod, (np.eye(E.dim_G, dtype=np.complex128) if V is None else V)
 
 
@@ -695,17 +715,12 @@ def algebra_bimodule(B: FiniteCStarAlgebra, tol: float = DEFAULT_TOL) -> Corresp
 def as_bimodule(E: HilbertModule, left: FiniteCStarAlgebra | None = None,
                 tol: float = DEFAULT_TOL) -> Correspondence:
     """E as a correspondence with a concrete algebra on H acting by
-    multiplication from the left; defaults to the finite-rank algebra K(E).
-    K(E)'s validated identity action is kept on E, so E is checked as a
-    K(E)-bimodule once per tolerance (the action, not the correspondence,
-    is kept: a correspondence holds E and would make a reference cycle)."""
-    key = ("bimodule", tol)
+    multiplication from the left; defaults to E's ``finite_rank_algebra``,
+    which is not measured: K(E) keeps E by x y* z = x <y, z>, and theta's
+    domain is installed there once ``_theta_in_adjointables`` measured it."""
     if left is None:
         left = finite_rank_algebra(E, tol)
-    if key in E._cache and E._cache[key].domain is left:
-        return Correspondence(E, left, E._cache[key])
     corr = Correspondence(E, left, identity_homomorphism(left))
-    corr.validate(tol)
-    if left is E._cache.get(("finite_rank", tol)):
-        E._cache[key] = corr.left_action
+    if left is not E._cache.get(("finite_rank", tol)):
+        corr.validate(tol)
     return corr

@@ -34,14 +34,15 @@ from .hilbmod import (
     HilbertModule,
     Homomorphism,
     _adjoints,
+    _first_failure,
     _ideal_data,
     _pairwise_inner,
+    _representation_frame,
     _trimmed_module,
     algebra_bimodule,
     as_bimodule,
     dual_module,
     finite_rank_algebra,
-    module_from_parts,
 )
 from .numkernel import (
     AGREE_TOL,
@@ -57,7 +58,6 @@ from .numkernel import (
     op_norm,
     rank_cut,
     row_blocks,
-    wedderburn_frame,
 )
 
 __all__ = [
@@ -326,15 +326,6 @@ def _units_c0(R: np.ndarray) -> np.ndarray:
     return np.einsum("xct,yt->cxy", R, R[:, 0].conj())
 
 
-def _representation_frame(rho: Homomorphism, tol: float):
-    """The certified Wedderburn frame of rho's pairs (rho(b_l), b_l), cached
-    on rho."""
-    key = ("frame", tol)
-    if key not in rho._cache:
-        rho._cache[key] = wedderburn_frame(rho.images, rho.domain.space, tol)
-    return rho._cache[key]
-
-
 def _amplified_action(lam: Homomorphism, Q: np.ndarray, m: int, tol: float) -> Homomorphism:
     """pi(a) = Q* (lam(a) (x) 1_m) Q on the range of an isometry Q ((n m) x
     r, rows (h, s)), certified without forming its products.  With W_a =
@@ -363,11 +354,8 @@ def _amplified_action(lam: Homomorphism, Q: np.ndarray, m: int, tol: float) -> H
         moved -= Q @ images[s]
         iota[s] = _fro_norms(moved)
     iota += 2 * n * m * np.finfo(float).eps * _fro_norms(acts)
-    bad = np.flatnonzero(iota > DEFECT_FACTOR * tol)
-    if bad.size:
-        raise ValidationError(
-            f"induced left action fails its range-invariance certificate at basis "
-            f"element {bad[0]} (residual {iota[bad[0]]:.3e})")
+    _first_failure(iota, DEFECT_FACTOR * tol, "induced left action fails its range-invariance "
+                   "certificate at basis element {} (residual {:.3e})")
     bound = float(_fro_norms(acts).max() * iota.max() + np.sqrt(m) * lam.certificate.value
                   + 2 * n * m * np.finfo(float).eps * _fro_norms(images).max() ** 2)
     hom = Homomorphism(lam.domain, r, images, Certificate("amplified action", bound))
@@ -390,25 +378,33 @@ def interior_tensor(X, Y: Correspondence, tol: float = DEFAULT_TOL) -> TensorPro
     1_m, compressed to Z's range, is the certified ``_amplified_action``.
     """
     Xm = _module_of(X)
-    Ym = _module_of(Y)
     if not isinstance(Y, Correspondence):
         raise PreconditionError("right factor must be a correspondence")
     if Y.left.ambient_dim != Xm.dim_G:
         raise DimensionMismatch(
             "left algebra of the right factor must live on the left factor's base space"
         )
-    V, residual = _amplifier(Y.left_action, tol)
-    S, S_pinv, gap, Q = _factor_coordinates(_hstack(_amplified(Xm.basis, V)), tol, residual)
+    action = (X.left, X.left_action) if isinstance(X, Correspondence) else ()
+    return TensorProduct(X, Y, *_tensor(Xm.basis, Y.module, _amplifier(Y.left_action, tol), tol,
+                                        "tensor module", *action))
+
+
+def _tensor(basis: np.ndarray, Y: HilbertModule, amplifier, tol: float, what: str,
+            left=None, action: Homomorphism | None = None):
+    """(result, S, S_pinv, gap) of interior_tensor's construction for a stack
+    x (k, H, n), Y and ``amplifier`` = (V, defect) of Y's left action; the
+    result is a correspondence from ``left`` when x carries ``action``."""
+    V, residual = amplifier
+    S, S_pinv, gap, Q = _factor_coordinates(_hstack(_amplified(basis, V)), tol, residual)
     r = S.shape[0]
-    # x_i (x) y for every pair, i major
-    elements = _column_blocks(S, Xm.dim)[:, None] @ Ym.basis[None]
-    space = hs_orthonormalize(elements.reshape(-1, r, Ym.dim_G), tol)
-    mod = _trimmed_module(Ym.base, space, tol)
+    # x_i (x) y for every pair, i major: a module by S_i (y b) and y* rho(<x_i, x_j>) y'
+    elements = _column_blocks(S, len(basis))[:, None] @ Y.basis[None]
+    mod = _trimmed_module(Y.base, hs_orthonormalize(elements.reshape(-1, r, Y.dim_G), tol), tol)
     if mod.dim_H != r:
-        raise ValidationError("tensor module is degenerate on its own total space")
-    result = Correspondence(mod, X.left, _amplified_action(X.left_action, Q, V.shape[1], tol)) \
-        if isinstance(X, Correspondence) else mod
-    return TensorProduct(X, Y, result, S, S_pinv, gap)
+        raise ValidationError(f"{what} is degenerate on its own total space")
+    result = mod if action is None else \
+        Correspondence(mod, left, _amplified_action(action, Q, V.shape[1], tol))
+    return result, S, S_pinv, gap
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +435,16 @@ def unit_identities(E: HilbertModule, tol: float = DEFAULT_TOL):
     if V is None:
         V = np.eye(E.dim_G, dtype=np.complex128)
     rank = V.shape[1]
-    ideal_mod = module_from_parts(
+    # a module by V* i b = V* (i b) and (V* i)* (V* j) = i* j (a two-sided ideal)
+    ideal_mod = _trimmed_module(
         E.base,
         OperatorSpace(rank, E.dim_G,
                       np.ascontiguousarray(
                           np.einsum("ij,kjl->kil", V.conj().T, ideal_span.mats))),
         tol)
-    target2 = Correspondence(ideal_mod, E.base,
-                             Homomorphism(E.base, rank, V.conj().T @ E.base.basis @ V))
-    target2.validate(tol)
+    action = Homomorphism(E.base, rank, V.conj().T @ E.base.basis @ V)
+    action.validate(tol)
+    target2 = Correspondence(ideal_mod, E.base, action)
     tp2 = interior_tensor(Estar, Ecorr, tol)
     # U sends coord(x_j* (x) h) to V* x_j* h in the ideal's support space
     u2 = certify_module_unitary(tp2.result, target2,

@@ -184,3 +184,31 @@ def adjoint_pair(A):
         if n != m and overlap[m, n] > 1 - 1e-12 and abs(np.trace(b[m])) < 1e-12:
             return m, n
     raise AssertionError("no traceless adjoint pair in the basis")
+
+
+def spy_invariance(monkeypatch):
+    """Record every call of ``hilbmod._invariance``, the one span-invariance
+    kernel, as (span, T, R, adjoints); returns the list."""
+    from modfactor import hilbmod
+    calls, real = [], hilbmod._invariance
+
+    def spy(span, T, R, adjoints=False):
+        calls.append((span, T, R, adjoints))
+        return real(span, T, R, adjoints)
+
+    monkeypatch.setattr(hilbmod, "_invariance", spy)
+    return calls
+
+
+def measured_twice(calls) -> list:
+    """The (span, operators, factors) measured more than once among a kernel
+    spy's calls, compared by content; a pass with adjoints also measures
+    the operators' own products, so the flag is not part of the key."""
+    import hashlib
+
+    def digest(a):
+        data = np.ascontiguousarray(a).tobytes() + repr(a.shape).encode()
+        return hashlib.sha1(data).hexdigest()
+
+    keys = [(digest(span.mats), digest(T), digest(R)) for span, T, R, _ in calls]
+    return [k for i, k in enumerate(keys) if k in keys[:i]]

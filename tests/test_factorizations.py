@@ -50,6 +50,8 @@ from conftest import (
     corner_module,
     instance_a,
     matrix_unit,
+    measured_twice,
+    spy_invariance,
     traced_peak,
 )
 
@@ -183,38 +185,31 @@ class TestValidateTheta:
                 validate_theta(golden_module, golden_module, theta)
 
     def test_the_verdict_is_kept_for_the_same_modules_only(self, golden_module, monkeypatch):
-        calls = []
-        real = factorizations.adjointable_residual
-
-        def spy(E, mats, tol=numkernel.DEFAULT_TOL, what="module"):
-            calls.append(what)
-            return real(E, mats, tol, what)
-
-        monkeypatch.setattr(factorizations, "adjointable_residual", spy)
+        calls = spy_invariance(monkeypatch)
         theta = golden_identity(golden_module)
+
+        def on_F():
+            return sum(T is theta.images for _, T, _, _ in calls)
+
         validate_theta(golden_module, golden_module, theta)
         validate_theta(golden_module, golden_module, theta)
-        assert calls.count("F") == 1
+        assert on_F() == 1
         validate_theta(golden_module, golden_module, theta, tol=1e-10)
         copy = HilbertModule(golden_module.base, golden_module.space)
         validate_theta(golden_module, copy, theta)
-        assert calls.count("F") == 3
+        assert on_F() == 3
 
     def test_one_verify_performs_one_invariance_check(self, tmp_path, monkeypatch):
-        checked = []
-        real = factorizations.adjointable_residual
-
-        def spy(E, mats, tol=numkernel.DEFAULT_TOL, what="module"):
-            if what == "F":
-                checked.append(E)
-            return real(E, mats, tol, what)
-
-        monkeypatch.setattr(factorizations, "adjointable_residual", spy)
+        # theta's images are measured on F once, T y and T* y in one pass,
+        # and no pair is measured twice over the parse and verify
         path = tmp_path / "instance.json"
         harness.save_instance(seeded_instance(1001, blocks_C=((2, 1), (1, 1))), str(path))
+        calls = spy_invariance(monkeypatch)
         parsed = harness.parse_instance(str(path))
         assert harness.run_verification(parsed).passed
-        assert checked == [parsed.F]
+        on_images = [(span, adj) for span, T, _, adj in calls if T is parsed.theta.images]
+        assert on_images == [(parsed.F.space, True)]
+        assert measured_twice(calls) == []
 
 
     def test_a_domain_spanning_K_within_tol_becomes_K(self, block_algebra):
@@ -505,17 +500,32 @@ class TestFactorCommutant:
         assert shapes  # the spy sees the SVDs
         assert all(min(s) < n for s in shapes), n
 
+    def test_prime_is_the_span_of_its_coordinate_blocks(self):
+        # prime is the tensor of W with G on the basis 1_G, and S_i 1 = S_i
+        # in value (a -0.0 of S_i comes back +0.0, which can flip the sign of
+        # a QR basis element): prime spans S_P's column blocks
+        for seed in (5, 17):
+            inst = seeded_instance(seed)
+            prime, res = factor_commutant(inst.E, inst.F, inst.theta)
+            blocks = tensorcalc._column_blocks(res.aux["S_P"], res.aux["W"].dim)
+            ref = numkernel.hs_orthonormalize(blocks)
+            assert prime.module.dim == ref.dim
+            assert numkernel.subspace_equal(prime.module.space, ref)[1] <= 1e-13
+            assert prime.left is res.aux["sigma_p"].domain
+            assert prime.left_action.certificate.kind == "amplified action"
+
     def test_tol_reaches_every_intertwiner_solve(self, monkeypatch):
+        # every Wedderburn frame built, the intertwiners' and the algebras'
         inst = seeded_instance(5)
         theta = amplification(2, 3)
         seen = []
-        real = numkernel.solve_intertwiners
+        real = numkernel.wedderburn_frame
 
         def spy(lefts, rights, tol=numkernel.DEFAULT_TOL):
             seen.append(tol)
             return real(lefts, rights, tol)
 
-        _patch_every_binding(monkeypatch, spy)
+        _patch_every_binding(monkeypatch, "wedderburn_frame", spy)
         factor_commutant(inst.E, inst.F, inst.theta, tol=1e-10)
         hilbert_space_intertwiners(theta, tol=1e-10)
         E = inst.E
@@ -525,33 +535,49 @@ class TestFactorCommutant:
         assert seen and set(seen) == {1e-10}
 
 
-def _patch_every_binding(monkeypatch, spy):
-    """Replace solve_intertwiners in every modfactor module that binds it."""
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("modfactor") and hasattr(mod, "solve_intertwiners"):
-            monkeypatch.setattr(mod, "solve_intertwiners", spy)
+def _patch_every_binding(monkeypatch, name, spy):
+    """Replace ``name`` in every modfactor module that binds it."""
+    for key, mod in list(sys.modules.items()):
+        if key.startswith("modfactor") and hasattr(mod, name):
+            monkeypatch.setattr(mod, name, spy)
 
 
 def test_every_intertwiner_solve_goes_through_one_entry_point(monkeypatch):
-    """Every solve_intertwiners call, bound in any modfactor module, is made
-    by hilbmod.intertwiner_space or by cstar.commutant."""
-    callers = set()
-    real = numkernel.solve_intertwiners
+    """Every Wedderburn frame, bound in any modfactor module, is built by
+    cstar._frame (an algebra's), by hilbmod._representation_frame (a map's
+    pairs, whose intertwiners intertwiner_space reads), at most once per
+    map and tol, or by solve_intertwiners, which only the oracle check of
+    the harness calls."""
+    frames, solvers = [], set()
+    real_frame, real_solve = numkernel.wedderburn_frame, numkernel.solve_intertwiners
 
-    def spy(lefts, rights, tol=numkernel.DEFAULT_TOL):
-        code = sys._getframe(1).f_code
-        callers.add((Path(code.co_filename).stem, code.co_name))
-        return real(lefts, rights, tol)
+    def caller():
+        code = sys._getframe(2).f_code
+        return Path(code.co_filename).stem, code.co_name
 
-    _patch_every_binding(monkeypatch, spy)
+    def frame_spy(lefts, rights, tol=numkernel.DEFAULT_TOL):
+        frames.append((caller(), lefts, tol))
+        return real_frame(lefts, rights, tol)
+
+    def solve_spy(lefts, rights, tol=numkernel.DEFAULT_TOL):
+        solvers.add(caller())
+        return real_solve(lefts, rights, tol)
+
+    _patch_every_binding(monkeypatch, "wedderburn_frame", frame_spy)
+    _patch_every_binding(monkeypatch, "solve_intertwiners", solve_spy)
     inst = seeded_instance(5)
     assert harness.run_verification(inst).passed
     E = inst.E
     module_from_representation(E.base, commutant_lifting(E))
     commutant_bimodule(as_bimodule(E))
     adjointable_algebra(E)
-    assert ("hilbmod", "intertwiner_space") in callers
-    assert callers <= {("hilbmod", "intertwiner_space"), ("cstar", "commutant")}, callers
+    callers = {c for c, _, _ in frames}
+    assert ("hilbmod", "_representation_frame") in callers
+    assert callers <= {("cstar", "_frame"), ("hilbmod", "_representation_frame"),
+                       ("numkernel", "solve_intertwiners")}, callers
+    assert solvers <= {("harness", "_check_oracle_consistency")}, solvers
+    maps = [(id(lefts), tol) for c, lefts, tol in frames if c[0] == "hilbmod"]
+    assert len(set(maps)) == len(maps)
 
 
 def _one_shot_dual_to_commutant_map(ra, rb):

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import stat
 import sys
 import tracemalloc
@@ -10,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modfactor import cstar, factorizations, harness, hilbmod
-from modfactor.errors import InfeasibleSpec, ParseError, ValidationError
+from modfactor.errors import InfeasibleSpec, ModfactorError, ParseError, ValidationError
 from modfactor.harness import (
     GenSpec,
     generate_random_instance,
@@ -35,6 +37,8 @@ from conftest import (
     haar_unitary,
     instance_a,
     instance_b,
+    measured_twice,
+    spy_invariance,
     spy_product_residuals,
 )
 
@@ -559,12 +563,16 @@ class TestEachFactCheckedOnce:
         assert calls == []
 
     def test_theta_acting_on_F_is_validated_once(self, monkeypatch):
+        # measured once, by validate_theta's membership pass: T y and T* y
+        # together; F with theta acting is never validated as a correspondence
         inst = generate_random_instance(UV_SPEC, 7)
         calls = _count_calls(monkeypatch, Correspondence, "validate")
+        checks = spy_invariance(monkeypatch)
         rep = run_verification(inst)
         assert rep.passed and rep.body["methods"]["unit_vector"]["status"] == "ok"
-        on_F = [c for c in calls if c[0].module is inst.F and c[0].left_action is inst.theta]
-        assert len(on_F) == 1
+        on_F = [(span, adj) for span, T, _, adj in checks if T is inst.theta.images]
+        assert on_F == [(inst.F.space, True)]
+        assert not [c for c in calls if c[0].left_action is inst.theta]
 
     def test_each_direct_comparison_runs_once(self, monkeypatch):
         counts = {}
@@ -595,7 +603,7 @@ class TestEachFactCheckedOnce:
         E_corr, F_corr = factorizations.validate_theta(inst.E, inst.F, inst.theta)
         assert E_corr.module is inst.E and E_corr.left is inst.theta.domain
         assert F_corr.module is inst.F and F_corr.left_action is inst.theta
-        checks = _count_calls(monkeypatch, factorizations, "adjointable_residual")
+        checks = spy_invariance(monkeypatch)
         validations = _count_calls(monkeypatch, Correspondence, "validate")
         again = factorizations.validate_theta(inst.E, inst.F, inst.theta)
         assert again[0] is E_corr
@@ -636,13 +644,106 @@ class TestCertifyOnceReuse:
             assert hilbmod.dual_module(inst.E).base is inst.theta.domain
 
     def test_E_is_checked_as_a_K_bimodule_once(self, tmp_path, monkeypatch):
+        # E is measured over theta's domain once, by the membership pass that
+        # installs it as K(E); no correspondence on E is validated again
         for path in self._parsed(tmp_path):
             calls = _count_calls(monkeypatch, Correspondence, "validate")
+            checks = spy_invariance(monkeypatch)
             inst = parse_instance(path)
             assert run_verification(inst).passed
-            on_E = [c for c in calls if c[0].module is inst.E]
-            assert len(on_E) == 1 and on_E[0][0].left is inst.theta.domain
+            over_K = [adj for span, T, _, adj in checks
+                      if span is inst.E.space and T is inst.theta.domain.basis]
+            assert over_K == [True]
+            assert not [c for c in calls if c[0].module is inst.E]
             monkeypatch.undo()
+
+
+class TestEachInvarianceMeasuredOnce:
+    """Every span-invariance check runs through ``hilbmod._invariance``, and
+    a parse and verify measure each (span, operators, factors) once."""
+
+    @pytest.mark.parametrize("make", [instance_a, lambda: generate_random_instance(SPEC, 23)],
+                             ids=["a", "seeded"])
+    def test_parse_and_verify_measure_each_pair_once(self, make, tmp_path, monkeypatch):
+        path = tmp_path / "i.json"
+        save_instance(make(), str(path))
+        checks = spy_invariance(monkeypatch)
+        inst = parse_instance(str(path))
+        assert run_verification(inst).passed
+        assert measured_twice(checks) == []
+        # theta's images on F and theta's domain on E, once each, T and T* together
+        for span, ops in [(inst.F.space, inst.theta.images),
+                          (inst.E.space, inst.theta.domain.basis)]:
+            assert [adj for s, T, _, adj in checks if s is span and T is ops] == [True]
+
+    @staticmethod
+    def _leaking(inst, side, target):
+        """theta conjugated by w = exp(i eps H) on H_F (side "F": its images
+        leave F) or theta's domain conjugated by it on H_E (side "E": the
+        domain leaves K(E)), H a seeded Hermitian matrix: an exact unital
+        *-homomorphism whose largest relative span residual of b x (or
+        theta(b) y) is about ``target``."""
+        from modfactor.cstar import algebra_from_basis
+        mod = inst.F if side == "F" else inst.E
+        rng = np.random.default_rng(5)
+        h = rng.standard_normal((mod.dim_H,) * 2) + 1j * rng.standard_normal((mod.dim_H,) * 2)
+
+        def conjugated(eps):
+            w = scipy.linalg.expm(1j * eps * (h + h.conj().T))
+            if side == "F":
+                theta = Homomorphism(inst.theta.domain, inst.theta.codomain_dim,
+                                     w @ inst.theta.images @ w.conj().T)
+                ops = theta.images
+            else:
+                dom = algebra_from_basis(w @ inst.theta.domain.basis @ w.conj().T)
+                theta = Homomorphism(dom, inst.theta.codomain_dim, inst.theta.images)
+                ops = dom.basis
+            leak = mod.space.span_residual(np.matmul(ops[:, None], mod.basis[None])).max()
+            return theta, leak
+
+        theta, leak = conjugated(target * 1e-4 / conjugated(1e-4)[1])
+        assert 0.9 * target < leak < 1.1 * target
+        return theta
+
+    # the verdicts of the parent commit, whose parse measured theta's images
+    # on F twice and E over theta's domain twice
+    PINNED = {
+        ("F", 5e-7, False, 1e-9): "ValidationError: left action of basis element 0 leaves "
+                                  "the module span",
+        ("F", 5e-7, True, 1e-9): "ValidationError: left action of basis element 0 leaves "
+                                 "the module span",
+        ("F", 5e-6): "ValidationError: theta image of basis element 0 leaves the adjointable "
+                     "algebra of F",
+        ("E", 5e-7, False, 1e-9): "ValidationError: left action of basis element 0 leaves "
+                                  "the module span",
+        ("E", 5e-7, True, 1e-9): r"ValidationError: element leaves the algebra span "
+                                 r"\(residual 7\.071e-07\)",
+        ("E", 5e-6): "ValidationError: theta's domain is not the adjointable algebra of E",
+    }
+
+    @pytest.mark.parametrize("side", ["F", "E"])
+    @pytest.mark.parametrize("target", [5e-7, 5e-6])
+    def test_a_conjugated_theta_keeps_the_accept_set(self, side, target, tmp_path):
+        # two blocks in C, so that F is not all of B(G_F, H_F); with and
+        # without the oracle, at tol 1e-9 and 1e-6
+        inst = generate_random_instance(dataclasses.replace(SPEC, blocks_C=[(2, 1), (1, 1)]), 11)
+        theta = self._leaking(inst, side, target)
+        for oracle in (False, True):
+            path = tmp_path / f"{oracle}.json"
+            save_instance(dataclasses.replace(inst, theta=theta,
+                                              oracle=inst.oracle if oracle else None), str(path))
+            for tol in (1e-9, 1e-6):
+                want = self.PINNED.get((side, target)) or \
+                    self.PINNED.get((side, target, oracle, tol))
+                try:
+                    parse_instance(str(path), tol)
+                    got = None
+                except ModfactorError as e:
+                    got = f"{type(e).__name__}: {e}"
+                if want is None:
+                    assert got is None, (oracle, tol, got)
+                else:
+                    assert got is not None and re.fullmatch(want, got), (oracle, tol, got)
 
 
 class TestCertifiedConstructions:

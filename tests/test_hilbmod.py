@@ -61,6 +61,7 @@ from conftest import (
     haar_conjugated,
     instance_a,
     matrix_unit,
+    spy_invariance,
     spy_product_residuals,
     traced_peak,
 )
@@ -708,21 +709,24 @@ class TestStructureConstants:
                                                                   monkeypatch):
         import gc
         import weakref
+        # K(E) keeps E by x y* z = x <y, z>: measured zero times, at every
+        # tol; any other left algebra is measured once per call
         E = build_module(golden_module.base, list(golden_module.basis))
+        checks = spy_invariance(monkeypatch)
         X = as_bimodule(E)
-        checks = []
-        real = Correspondence.validate
-        monkeypatch.setattr(Correspondence, "validate",
-                            lambda corr, tol=1e-9: checks.append(corr) or real(corr, tol))
-        again = as_bimodule(E, finite_rank_algebra(E))
-        assert again.left_action is X.left_action and not checks
-        other = algebra_from_basis(list(finite_rank_algebra(E).basis))
-        assert as_bimodule(E, other).left is other and len(checks) == 1
-        assert as_bimodule(E, None, 1e-10).left_action is not X.left_action
-        assert as_bimodule(E).left_action is X.left_action and len(checks) == 2
-        # the cache keeps no reference cycle through E
+        K = finite_rank_algebra(E)
+        again = as_bimodule(E, K)
+        assert X.left is K and again.left is K and not checks
+        assert as_bimodule(E, None, 1e-10).left is finite_rank_algebra(E, 1e-10) is not K
+        assert not checks
+        other = algebra_from_basis(list(K.basis))
+        for n in (1, 2):
+            assert as_bimodule(E, other).left is other
+            assert len(checks) == n and all(span is E.space and np.array_equal(T, other.basis)
+                                            for span, T, _, _ in checks)
+        # nothing on E refers back to E
         ref = weakref.ref(E)
-        del E, X, again, checks[:]
+        del E, X, again, K, checks[:]
         gc.disable()
         try:
             assert ref() is None

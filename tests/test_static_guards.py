@@ -5,7 +5,9 @@ one pseudo-inverse left is ``hilbmod.commutant_lifting``'s, and no module
 takes a reciprocal under a cutoff of its own.  Tensor products take their
 coordinates from a thin factor: no tensor module factors a Gram.  A map's
 products are certified by a construction's bound or by the kernel, so
-``hilbmod`` reads no algebra's frame.
+``hilbmod`` reads no algebra's frame.  The constructions of ``tensorcalc``
+and ``factorizations`` are modules by their defining identities, so
+neither measures a span's invariants through ``module_from_parts``.
 """
 
 import ast
@@ -17,13 +19,16 @@ SRC = Path(modfactor.__file__).resolve().parent
 PINV_ALLOWED = {("hilbmod.py", "commutant_lifting")}
 NO_KRON = ("tensorcalc.py", "prodsys.py")
 NO_GRAM = ("tensorcalc.py", "factorizations.py")
+# modules whose spans are modules by construction: no invariance pass
+BY_CONSTRUCTION = ("tensorcalc.py", "factorizations.py")
 FRAME_HELPERS = {"_frame", "_held_frame", "_frame_pays"}
 
 
-def _references(path: Path, name: str) -> list:
-    """(module, function, line) of each reference to numpy's or scipy's
-    ``name`` in a module: an attribute ``<...>.name`` or a name imported
-    from numpy or scipy."""
+def _references(path: Path, name: str, sources=("numpy", "scipy")) -> list:
+    """(module, function, line) of each reference to ``name`` of one of the
+    ``sources`` in a module: an attribute ``<...>.name`` or a name imported
+    from a source (numpy or scipy by default; a package module by its name,
+    as ``from .hilbmod import`` gives it)."""
     found = []
 
     def visit(node, function):
@@ -31,7 +36,7 @@ def _references(path: Path, name: str) -> list:
             function = node.name
         if isinstance(node, ast.Attribute) and node.attr == name or \
                 isinstance(node, ast.ImportFrom) \
-                and (node.module or "").split(".")[0] in ("numpy", "scipy") \
+                and (node.module or "").split(".")[0] in sources \
                 and any(alias.name == name for alias in node.names):
             found.append((path.name, function, node.lineno))
         for child in ast.iter_child_nodes(node):
@@ -120,3 +125,24 @@ def test_hilbmod_imports_no_frame_helper():
     names = _imported_from(SRC / "hilbmod.py", "cstar")
     assert "_held_closure_bound" in names  # the scan sees hilbmod's cstar imports
     assert names & FRAME_HELPERS == set()
+
+
+def test_constructions_measure_no_module_invariants():
+    def refs(path):
+        return _references(path, "module_from_parts", ("hilbmod", "modfactor"))
+
+    assert refs(SRC / "harness.py")  # the scan sees the parser's import
+    assert [ref for name in BY_CONSTRUCTION for ref in refs(SRC / name)] == []
+
+
+def test_the_module_scan_sees_an_import_and_a_call(tmp_path):
+    path = tmp_path / "construction.py"
+    path.write_text(
+        "from .hilbmod import _trimmed_module, module_from_parts\n"
+        "from modfactor import hilbmod\n"
+        "def built(B, S):\n"
+        "    return hilbmod.module_from_parts(B, S)\n"
+        "def trimmed(B, S, tol):\n"
+        "    return _trimmed_module(B, S, tol)\n")
+    found = _references(path, "module_from_parts", ("hilbmod", "modfactor"))
+    assert [ref[1:] for ref in found] == [(None, 1), ("built", 4)]

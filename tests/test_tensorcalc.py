@@ -406,7 +406,7 @@ class TestGramCoordinates:
         # a thin factor, at most H_F = 20 rows against k * w up to 520
         # columns, and eigendecompose no tensor Gram; the Hermitian solves
         # left are of H_F-sized matrices
-        from modfactor import factorizations, harness, tensorcalc
+        from modfactor import harness, tensorcalc
         spec = harness.GenSpec(blocks_B=[(2, 1), (3, 1)], blocks_C=[(2, 1)], compress=False)
         path = tmp_path / "a.json"
         harness.save_instance(harness.generate_random_instance(spec, 1), str(path))
@@ -424,7 +424,6 @@ class TestGramCoordinates:
             return spy
 
         monkeypatch.setattr(tensorcalc, "_factor_coordinates", factor_spy)
-        monkeypatch.setattr(factorizations, "_factor_coordinates", factor_spy)
         for owner, name in [(scipy.linalg, "eigh"), (scipy.linalg, "eigvalsh"),
                             (np.linalg, "eigh"), (np.linalg, "eigvalsh")]:
             monkeypatch.setattr(owner, name, solve_spy(getattr(owner, name)))
@@ -582,7 +581,7 @@ def _reference_product_residuals(hom):
 def _spy_induced_actions(monkeypatch):
     """Record every certified amplified action, from interior_tensor and from
     the commutant method's intertwiner module."""
-    from modfactor import factorizations, tensorcalc
+    from modfactor import tensorcalc
     made = []
     real = tensorcalc._amplified_action
 
@@ -592,7 +591,6 @@ def _spy_induced_actions(monkeypatch):
         return hom
 
     monkeypatch.setattr(tensorcalc, "_amplified_action", spy)
-    monkeypatch.setattr(factorizations, "_amplified_action", spy)
     return made
 
 
@@ -750,7 +748,7 @@ class TestInducedActionCertificate:
     @pytest.mark.parametrize("block", [0, 1])
     def test_perturbed_coordinates_fail_the_certificate(self, golden_module, monkeypatch,
                                                         block):
-        from modfactor import factorizations, harness, tensorcalc
+        from modfactor import harness, tensorcalc
         real = tensorcalc._factor_coordinates
 
         def perturbed(Z, tol, residual=0.0):
@@ -760,7 +758,6 @@ class TestInducedActionCertificate:
             return S, S_pinv, gap, Q
 
         monkeypatch.setattr(tensorcalc, "_factor_coordinates", perturbed)
-        monkeypatch.setattr(factorizations, "_factor_coordinates", perturbed)
         X, Y = as_bimodule(golden_module), dual_module(golden_module)
         with pytest.raises(ValidationError, match="range-invariance certificate"):
             interior_tensor(X, Y)
