@@ -199,6 +199,8 @@ class Homomorphism:
                         f"homomorphism not multiplicative on basis pair ({i}, {j})")
             cert = Certificate("kernel", float(res.max()))
         self.certificate = replace(cert, tol=tol)
+        if cert.kind == "identity":  # handed to every later identity action of dom
+            dom._cache["identity"] = self.certificate
 
     def compose(self, inner: "Homomorphism", tol: float = DEFAULT_TOL) -> "Homomorphism":
         """self after inner."""
@@ -210,8 +212,12 @@ def identity_homomorphism(A: FiniteCStarAlgebra) -> Homomorphism:
     """A acting on its ambient space.  Its product residuals are A's closure
     residuals ||b_i b_j - sum_l c_ijl b_l||, so ``validate`` reads a bound on
     them instead of forming the k^2 products again (``cstar._held_closure_bound``,
-    else the largest of A's closure residuals, computed once)."""
-    return Homomorphism(A, A.ambient_dim, A.basis.copy(), Certificate("identity", np.inf))
+    else the largest of A's closure residuals, computed once).  It is handed
+    the last verdict of an identity action of A, kept on A as a Certificate
+    (which refers to nothing), so A is validated once per tol and no cycle
+    runs through A."""
+    cert = A._cache.get("identity", Certificate("identity", np.inf))
+    return Homomorphism(A, A.ambient_dim, A.basis.copy(), cert)
 
 
 def _representation_frame(rho: Homomorphism, tol: float):

@@ -36,7 +36,8 @@ DEFAULT_TOL = 1e-9
 PIVOT_FACTOR = 10.0
 # A construction's defect: a map's unit, star and product residuals, actions
 # and inner products leaving their spans, the commutant lifting relation, an
-# amplified action's range, a PSD matrix's Hermitian part, a frame's residuals.
+# amplified action's range, a PSD matrix's Hermitian part, a frame's residuals;
+# and, over sqrt(k), the candidates hs_orthonormalize leaves out of its QR.
 DEFECT_FACTOR = 100.0
 # An algebra's multiplicative closure when the algebra is validated ...
 CLOSURE_FACTOR = 1.0
@@ -350,22 +351,40 @@ def column_support(mats: np.ndarray, tol: float, what: str):
 def hs_orthonormalize(mats, tol: float = DEFAULT_TOL) -> OperatorSpace:
     """HS-orthonormal basis of the span of ``mats``.
 
-    One column-pivoted QR, A P = Q R: the rank counts singular values of R
-    (which are A's) > tol * largest, and the basis is the leading columns of
-    Q, so that structured inputs (e.g. matrix units) stay structured instead
-    of being mixed inside degenerate singular subspaces.
+    One column-pivoted QR (Businger-Golub), A P = Q R: the rank counts
+    singular values of R > tol * largest, and the basis is the leading
+    columns of Q, so that structured inputs (e.g. matrix units) stay
+    structured instead of being mixed inside degenerate singular subspaces.
+
+    Candidates of HS norm at most tol * max_j ||m_j|| / (DEFECT_FACTOR *
+    sqrt(k)) stay out of the QR.  Deleting them perturbs A by delta, their
+    total HS norm, at most tol * max_j ||m_j|| / DEFECT_FACTOR <= cut / 100,
+    so by Weyl every singular value moves by at most delta, and the rank cut
+    takes delta as its ``residual``.  When none is that small, A is formed
+    from all of them, with no mask and no copy.
     """
     arr = as_stack(mats)
     k, r, c = arr.shape
-    A = arr.transpose(2, 1, 0).reshape(r * c, k)  # column j is vec(mats[j])
+    norms = _fro_norms(arr)
+    floor = tol * norms.max() / (DEFECT_FACTOR * math.sqrt(k))
+    delta = 0.0
+    if norms.min() <= floor:
+        small = norms <= floor
+        if small.all():  # every candidate is 0
+            return OperatorSpace(r, c, np.zeros((0, r, c), dtype=np.complex128), np.inf)
+        delta = float(np.linalg.norm(norms[small]))
+        arr = arr[~small]
+    A = arr.transpose(2, 1, 0).reshape(r * c, len(arr))  # column j is vec(mats[j])
     Q, R, _ = scipy.linalg.qr(A, mode="economic", pivoting=True)
     s = np.linalg.svd(R, compute_uv=False)
-    rank, gap = rank_cut(s, tol, "hs_orthonormalize")
+    rank, gap = rank_cut(s, tol, "hs_orthonormalize", residual=delta)
     if rank == 0:
         return OperatorSpace(r, c, np.zeros((0, r, c), dtype=np.complex128), gap)
-    # ||R[rank:, rank:]|| is A's distance from the span of the leading pivots;
-    # if they miss the span, rotate Q by R's left singular vectors
-    if np.linalg.norm(R[rank:, rank:]) > PIVOT_FACTOR * tol * s[0] * max(1.0, np.sqrt(k)):
+    # hypot(||R[rank:, rank:]||, delta) bounds A's distance from the span of
+    # the leading pivots; if they miss the span, rotate Q by R's left
+    # singular vectors
+    if math.hypot(np.linalg.norm(R[rank:, rank:]), delta) > \
+            PIVOT_FACTOR * tol * s[0] * max(1.0, np.sqrt(k)):
         Q = Q @ np.linalg.svd(R)[0]
     # each basis matrix is unvec of a column of Q, kept column-major in memory
     basis = np.ascontiguousarray(Q[:, :rank].T).reshape(rank, c, r).transpose(0, 2, 1)

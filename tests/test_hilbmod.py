@@ -733,6 +733,32 @@ class TestStructureConstants:
         finally:
             gc.enable()
 
+    def test_identity_action_is_validated_once_per_algebra_and_tol(self, golden_module,
+                                                                   monkeypatch):
+        import gc
+        import weakref
+        # every identity action of K(E) is handed the verdict kept on K(E):
+        # the closure bound is read once per tol, and nothing on E or K(E)
+        # refers back to either
+        E = build_module(golden_module.base, list(golden_module.basis))
+        reads, real = [], hilbmod._held_closure_bound
+        monkeypatch.setattr(hilbmod, "_held_closure_bound",
+                            lambda A, tol: reads.append(tol) or real(A, tol))
+        for tol in (1e-9, 1e-8, 1e-10, 1e-9):
+            for _ in range(2):
+                as_bimodule(E).left_action.validate(tol)
+        assert reads == [1e-9, 1e-10]
+        K = finite_rank_algebra(E)
+        held = as_bimodule(E).left_action.certificate
+        assert held is K._cache["identity"] and (held.kind, held.tol) == ("identity", 1e-10)
+        refs = [weakref.ref(E), weakref.ref(K)]
+        del E, K
+        gc.disable()
+        try:
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
     def test_closure_check_names_the_pair(self):
         e12 = np.array([[0, 1], [0, 0]], dtype=complex)
         mats = [np.eye(2, dtype=complex) / np.sqrt(2), e12, e12.T]

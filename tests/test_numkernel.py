@@ -136,6 +136,70 @@ class TestHsOrthonormalize:
         assert np.abs(v.conj() @ v.T - np.eye(n - 1)).max() <= 1e-12
         assert out.span_residual(mats).max() <= 1e-9
 
+    @staticmethod
+    def _with_negligible(mats, rng, scale):
+        """mats with exact zeros and candidates of HS norm about ``scale``
+        inserted at random places, the order of mats kept."""
+        k = len(mats)
+        out = np.concatenate([np.zeros((k,) + mats.shape[1:]),
+                              scale * random_complex(rng, k, *mats.shape[1:])])
+        out = out[rng.permutation(2 * k)]
+        where = np.sort(rng.choice(3 * k, k, replace=False))
+        out = np.insert(out, where - np.arange(k), mats, axis=0)
+        assert np.array_equal(out[where], mats)
+        return out
+
+    def test_negligible_candidates_leave_the_basis_unchanged(self, rng):
+        # every candidate of norm <= tol max / (DEFECT_FACTOR sqrt(k)) stays
+        # out of the QR: the result is the stack's own to the byte, but for
+        # the Weyl residual delta, the candidates' total norm, which joins the
+        # floored largest dropped value (9 eps) under the gap's least kept (1)
+        mats = np.stack([matrix_unit(i, j, 3) for i in (1, 2, 3) for j in (1, 2, 3)])
+        alone = hs_orthonormalize(mats)
+        assert alone.gap == 1.0 / (9 * np.finfo(float).eps)
+        for scale in (0.0, 1e-20):
+            stack = self._with_negligible(mats, rng, scale)
+            delta = np.linalg.norm(stack[np.linalg.norm(stack, axis=(1, 2)) < 1e-3])
+            out = hs_orthonormalize(stack)
+            assert out.dim == alone.dim == 9
+            assert out.mats.tobytes() == alone.mats.tobytes()
+            assert out.gap == pytest.approx(1.0 / (9 * np.finfo(float).eps + delta), rel=1e-12)
+            assert (out.gap == alone.gap) == (scale == 0.0)
+
+    def test_the_pivoted_qr_sees_only_the_kept_columns(self, rng, monkeypatch):
+        mats = random_complex(rng, 6, 3, 2)
+        mats[5] = mats[0] - mats[1]
+        seen = []
+
+        def spy(a, *args, **kwargs):
+            seen.append(np.array(a))
+            return qr(a, *args, **kwargs)
+
+        qr = scipy.linalg.qr
+        monkeypatch.setattr(scipy.linalg, "qr", spy)
+        alone = hs_orthonormalize(mats)
+        out = hs_orthonormalize(self._with_negligible(mats, rng, 1e-20))
+        ref = mats.transpose(2, 1, 0).reshape(6, 6)  # column j is vec(mats[j])
+        assert len(seen) == 2 and all(np.array_equal(a, ref) for a in seen)
+        assert out.dim == alone.dim == 5 and np.array_equal(out.mats, alone.mats)
+
+    def test_svd_fallback_survives_negligible_columns(self):
+        # the Kahan case above with 240 negligible columns appended: their
+        # norm enters the fallback test as hypot(||R22||, delta), and the
+        # leading pivots still miss the span, so Q is still rotated
+        n, c, tol = 120, 0.2, 1e-9
+        K = np.diag(np.sqrt(1 - c * c) ** np.arange(n)) @ \
+            (np.eye(n) - c * np.triu(np.ones((n, n)), 1))
+        K = K * (1.0 - 25.0 * np.finfo(float).eps * np.arange(n))
+        mats = K.T[:, :, None].astype(complex)
+        alone = hs_orthonormalize(mats, tol)
+        tiny = np.concatenate([np.zeros_like(mats), 1e-20 * mats[::-1]])
+        out = hs_orthonormalize(np.concatenate([mats, tiny]), tol)
+        assert out.dim == n - 1 and np.array_equal(out.mats, alone.mats)
+        Q = scipy.linalg.qr(K, mode="economic", pivoting=True)[0][:, :n - 1]
+        assert np.abs(out.vecs() - Q.T).max() > 1e-3  # rotated, not Q's columns
+        assert out.span_residual(mats).max() <= 1e-9
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(2, 4))
     def test_idempotent(self, seed, count, n):
