@@ -128,10 +128,11 @@ def _decode_matrix(m, where: str, shape: tuple | None = None) -> np.ndarray:
             raise ParseError(f"{where}[{i}]: ragged matrix row")
     entries = list(itertools.chain.from_iterable(m))
     out = None  # one type scan (numpy would coerce a string, None or bool), one conversion
-    if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2} \
-            and set(map(type, itertools.chain.from_iterable(entries))) <= {int, float}:
-        with contextlib.suppress(OverflowError):  # an integer beyond the float range
-            out = np.array(entries, dtype=np.float64).view(np.complex128)
+    if set(map(type, entries)) <= {list, tuple} and set(map(len, entries)) <= {2}:
+        numbers = list(itertools.chain.from_iterable(entries))  # re, im, re, im, ...
+        if set(map(type, numbers)) <= {int, float}:
+            with contextlib.suppress(OverflowError):  # an integer beyond the float range
+                out = np.array(numbers, dtype=np.float64).view(np.complex128)
     if out is None:  # entry by entry, naming the first that is not a pair of numbers
         out = np.array([_decode_complex(v, f"{where}[{n // width}][{n % width}]")
                         for n, v in enumerate(entries)], dtype=np.complex128)
@@ -166,14 +167,23 @@ def _encode_algebra(A: FiniteCStarAlgebra):
             "basis": [_encode_matrix(b) for b in A.basis]}
 
 
-def _decode_algebra(obj, where: str, tol: float) -> FiniteCStarAlgebra:
+def _decode_algebra(obj, where: str, tol: float, known: list) -> FiniteCStarAlgebra:
+    """The algebra stored at ``where``.  ``known`` lists the algebras decoded
+    so far: a copy whose decoded basis equals one of theirs byte for byte gets
+    that algebra, so a file's copies of B and C are validated and framed once
+    (every copy still goes through the type scan)."""
     if not isinstance(obj, dict) or "basis" not in obj or "ambient_dim" not in obj:
         raise ParseError(f"{where}: expected an algebra object")
     n = _decode_dim(obj["ambient_dim"], f"{where}.ambient_dim")
-    mats = _decode_matrices(obj["basis"], f"{where}.basis", (n, n))
+    mats = np.stack(_decode_matrices(obj["basis"], f"{where}.basis", (n, n)))
+    for A in known:
+        if A.basis.shape == mats.shape and A.basis.tobytes() == mats.tobytes():
+            return A
     # keep the stored basis verbatim so index-aligned data (homomorphism
     # images, left actions) survives the round trip
-    return algebra_from_basis(mats, tol)
+    A = algebra_from_basis(mats, tol)
+    known.append(A)
+    return A
 
 
 def _encode_module(E: HilbertModule):
@@ -181,10 +191,10 @@ def _encode_module(E: HilbertModule):
             "generators": [_encode_matrix(x) for x in E.basis]}
 
 
-def _decode_module(obj, where: str, tol: float) -> HilbertModule:
+def _decode_module(obj, where: str, tol: float, known: list) -> HilbertModule:
     if not isinstance(obj, dict) or "generators" not in obj:
         raise ParseError(f"{where}: expected a module object")
-    base = _decode_algebra(obj.get("base"), f"{where}.base", tol)
+    base = _decode_algebra(obj.get("base"), f"{where}.base", tol, known)
     gens = _decode_matrices(obj["generators"], f"{where}.generators")
     arr = np.stack(gens)
     flat = arr.reshape(len(gens), -1)
@@ -210,10 +220,10 @@ def _encode_hom(h: Homomorphism):
             "images": [_encode_matrix(m) for m in h.images]}
 
 
-def _decode_hom(obj, where: str, tol: float) -> Homomorphism:
+def _decode_hom(obj, where: str, tol: float, known: list) -> Homomorphism:
     if not isinstance(obj, dict) or "images" not in obj:
         raise ParseError(f"{where}: expected a homomorphism object")
-    dom = _decode_algebra(obj.get("domain"), f"{where}.domain", tol)
+    dom = _decode_algebra(obj.get("domain"), f"{where}.domain", tol, known)
     d = _decode_dim(obj.get("codomain_dim"), f"{where}.codomain_dim")
     imgs = _decode_matrices(obj["images"], f"{where}.images", (d, d))
     if len(imgs) != dom.dim:
@@ -228,9 +238,9 @@ def _encode_correspondence(X: Correspondence):
     return out
 
 
-def _decode_correspondence(obj, where: str, tol: float) -> Correspondence:
-    mod = _decode_module(obj, where, tol)
-    left = _decode_algebra(obj.get("left"), f"{where}.left", tol)
+def _decode_correspondence(obj, where: str, tol: float, known: list) -> Correspondence:
+    mod = _decode_module(obj, where, tol, known)
+    left = _decode_algebra(obj.get("left"), f"{where}.left", tol, known)
     imgs = _decode_matrices(obj.get("left_action"), f"{where}.left_action",
                             (mod.dim_H, mod.dim_H))
     if len(imgs) != left.dim:
@@ -319,20 +329,21 @@ def parse_instance(path: str, tol: float = DEFAULT_TOL) -> Instance:
 def instance_from_json(obj, tol: float = DEFAULT_TOL) -> Instance:
     if not isinstance(obj, dict):
         raise ParseError("instance: expected a JSON object")
-    B = _decode_algebra(obj.get("B"), "instance.B", tol)
-    C = _decode_algebra(obj.get("C"), "instance.C", tol)
-    E = _decode_module(obj.get("E"), "instance.E", tol)
-    F = _decode_module(obj.get("F"), "instance.F", tol)
+    known = []  # each distinct stored algebra is decoded once
+    B = _decode_algebra(obj.get("B"), "instance.B", tol, known)
+    C = _decode_algebra(obj.get("C"), "instance.C", tol, known)
+    E = _decode_module(obj.get("E"), "instance.E", tol, known)
+    F = _decode_module(obj.get("F"), "instance.F", tol, known)
     # shapes first: a base of another dimension cannot be broadcast
     if E.base.basis.shape != B.basis.shape or not np.allclose(E.base.basis, B.basis):
         E = build_module(B, list(E.basis), tol)
     if F.base.basis.shape != C.basis.shape or not np.allclose(F.base.basis, C.basis):
         F = build_module(C, list(F.basis), tol)
-    theta = _decode_hom(obj.get("theta"), "instance.theta", tol)
+    theta = _decode_hom(obj.get("theta"), "instance.theta", tol, known)
     _theta_in_adjointables(E, F, theta, tol)
     oracle, kept = obj.get("oracle"), None
     if oracle is not None:
-        oracle = _decode_correspondence(oracle, "instance.oracle", tol)
+        oracle = _decode_correspondence(oracle, "instance.oracle", tol, known)
         try:
             kept = ((E, F, theta, oracle, tol), _check_oracle_consistency(E, F, theta, oracle, tol))
         except ModfactorError:
@@ -567,8 +578,7 @@ def generate_random_instance(spec: GenSpec, seed: int,
 
     # E = q (free module B^m), q a projection in the matrix algebra over B
     m = spec.module_multiplicity
-    mmb = [np.kron(_eij(m, a, b), x)
-           for a in range(m) for b in range(m) for x in B.basis]
+    mmb = _kron_stack(_units(m), B.basis)
     q = _random_projection_in(mmb, rng) if spec.compress else \
         np.eye(m * G, dtype=np.complex128)
     xi = None
@@ -582,8 +592,7 @@ def generate_random_instance(spec: GenSpec, seed: int,
         xi = np.zeros((m * G, G), dtype=np.complex128)
         xi[(m - 1) * G:, :] = np.eye(G)
     cols = np.eye(m, dtype=np.complex128)[:, :, None]
-    gens = [q @ np.kron(col, x) for col in cols for x in B.basis]
-    E = build_module(B, gens, tol)
+    E = build_module(B, q @ _kron_stack(cols, B.basis), tol)
     if xi is not None and E.h_embed is not None:
         xi = E.h_embed.conj().T @ xi
     full, _ = is_full(E, tol)
@@ -601,20 +610,16 @@ def generate_random_instance(spec: GenSpec, seed: int,
     # M: compress the commuting pair b -> 1 (x) b (x) 1, c' -> 1 (x) 1 (x) c'
     mc = spec.corr_multiplicity
     Bp = commutant(B, tol)
-    pair_commutant = [np.kron(np.kron(_eij(mc, a, b), bp), c)
-                      for a in range(mc) for b in range(mc)
-                      for bp in Bp.basis for c in C.basis]
+    pair_commutant = _kron_stack(_kron_stack(_units(mc), Bp.basis), C.basis)
     qM = _random_projection_in(pair_commutant, rng) if spec.compress else \
         np.eye(mc * B.ambient_dim * L, dtype=np.complex128)
     # e_a (x) e_g (x) c for a < mc, g < dim G, in that order
     cols = np.eye(mc * B.ambient_dim, dtype=np.complex128)[:, :, None]
-    Mmod = build_module(C, [qM @ np.kron(col, c) for col in cols for c in C.basis], tol)
+    Mmod = build_module(C, qM @ _kron_stack(cols, C.basis), tol)
     VM = Mmod.h_embed if Mmod.h_embed is not None else \
         np.eye(mc * B.ambient_dim * L, dtype=np.complex128)
-    rho_imgs = np.stack([
-        VM.conj().T @ np.kron(np.kron(np.eye(mc), b), np.eye(L)) @ VM
-        for b in B.basis
-    ])
+    rho_imgs = VM.conj().T @ _kron_stack(_kron_stack(np.eye(mc)[None], B.basis),
+                                         np.eye(L)[None]) @ VM
     M = Correspondence(Mmod, B, Homomorphism(B, Mmod.dim_H, rho_imgs))
     M.validate(tol)
 
@@ -623,10 +628,18 @@ def generate_random_instance(spec: GenSpec, seed: int,
                     oracle_check=((E, F, theta, M, tol), tp_F))
 
 
-def _eij(n: int, i: int, j: int) -> np.ndarray:
-    m = np.zeros((n, n), dtype=np.complex128)
-    m[i, j] = 1.0
-    return m
+def _units(n: int) -> np.ndarray:
+    """The matrix units e_ab of M_n, a stack (n*n, n, n) in the order a, b."""
+    return np.eye(n * n, dtype=np.complex128).reshape(n * n, n, n)
+
+
+def _kron_stack(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Every Kronecker product a_i (x) x_j of two stacks (m, p, q) and
+    (k, r, s), a stack (m*k, p*r, q*s) in the order i, then j: one broadcast
+    product, entry for entry the one ``np.kron`` forms."""
+    (m, p, q), (k, r, s) = A.shape, X.shape
+    out = A[:, None, :, None, :, None] * X[None, :, None, :, None, :]
+    return out.reshape(m * k, p * r, q * s)
 
 
 # ---------------------------------------------------------------------------

@@ -371,10 +371,13 @@ def _invariance(span: OperatorSpace, T: np.ndarray, R: np.ndarray,
                 adjoints: bool = False) -> np.ndarray:
     """Per T_i of a stack (m, p, q), the largest ``span_residual`` of the T_i
     r_j over a family r (k, q, c); with ``adjoints``, rows (2, m) for T_i r_j
-    and T_i* r_j.  In row blocks over i, one GEMM each with [r_1 | ... | r_k]."""
+    and T_i* r_j.  In row blocks over i, one GEMM each with [r_1 | ... | r_k];
+    none when the span fills its space, where every residual is 0."""
     (m, p, q), (k, _, c), sides = T.shape, R.shape, 1 + adjoints
+    out = np.zeros((sides, m))
+    if span.fills:
+        return out if adjoints else out[0]
     stacked = R.transpose(1, 0, 2).reshape(q, k * c)
-    out = np.empty((sides, m))
     for s in row_blocks(m, 16 * sides * p * k * c):
         ops = np.concatenate([T[s], _adjoints(T[s])]) if adjoints else T[s]
         prods = (ops.reshape(-1, q) @ stacked).reshape(sides, -1, p, k, c)

@@ -281,17 +281,22 @@ class OperatorSpace:
     def _flat(self) -> np.ndarray:
         return self.mats.reshape(self.dim, self.dim_out * self.dim_in)
 
-    def decompose(self, mats) -> tuple[np.ndarray, np.ndarray]:
-        """(coefficients (..., dim), HS distances (...)) of a matrix or a batch
-        (..., out, in) against the orthonormal basis: per row block, one GEMM
-        gives the coefficients and one the residuals."""
+    def _rows(self, mats) -> tuple[np.ndarray, tuple]:
+        """(row stack (m, out*in), leading shape) of a matrix or a batch
+        (..., out, in)."""
         arr = np.asarray(mats)
         if arr.ndim < 2 or arr.shape[-2:] != (self.dim_out, self.dim_in):
             raise DimensionMismatch(
                 f"expected a batch of {self.dim_out}x{self.dim_in} matrices, "
                 f"got shape {arr.shape}")
         lead = arr.shape[:-2]
-        flat = arr.reshape(int(np.prod(lead)), self.dim_out * self.dim_in)
+        return arr.reshape(math.prod(lead), self.dim_out * self.dim_in), lead
+
+    def decompose(self, mats) -> tuple[np.ndarray, np.ndarray]:
+        """(coefficients (..., dim), HS distances (...)) of a matrix or a batch
+        (..., out, in) against the orthonormal basis: per row block, one GEMM
+        gives the coefficients and one the residuals."""
+        flat, lead = self._rows(mats)
         bflat = self._flat()
         bconj = bflat.conj().T
 
@@ -310,6 +315,16 @@ class OperatorSpace:
                 c[s], dist[s] = part(flat[s])
         return c.reshape(lead + (self.dim,)), dist.reshape(lead)
 
+    def distances(self, mats) -> np.ndarray:
+        """HS distances (...) of a matrix or a batch (..., out, in) from the
+        span: ``decompose``'s, or, when the span fills its space, 0 with no
+        product formed (NaN for a matrix with a NaN or Inf entry, as
+        ``decompose`` gives)."""
+        if not self.fills:
+            return self.decompose(mats)[1]
+        flat, lead = self._rows(mats)
+        return np.where(np.isfinite(flat).all(axis=1), 0.0, np.nan).reshape(lead)
+
     def coeffs(self, m: np.ndarray) -> np.ndarray:
         """Coefficients of m against the orthonormal basis (no residual check)."""
         return self.decompose(m)[0]
@@ -319,17 +334,22 @@ class OperatorSpace:
 
     def distance(self, m: np.ndarray) -> float:
         """HS distance of m from the span."""
-        return float(self.decompose(m)[1])
+        return float(self.distances(m))
 
     def contains(self, m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return bool(self.span_residual(m) <= tol)
 
     def span_residual(self, mats: np.ndarray) -> np.ndarray:
         """Relative HS distance ||m - P m|| / max(1, ||m||) of each matrix of
-        a batch (..., out, in) from the span."""
-        dist = self.decompose(mats)[1]
+        a batch (..., out, in) from the span (``distances``)."""
+        dist = self.distances(mats)
         flat = np.asarray(mats).reshape(dist.size, self.dim_out * self.dim_in)
         return dist / np.maximum(1.0, np.linalg.norm(flat, axis=1)).reshape(dist.shape)
+
+    @property
+    def fills(self) -> bool:
+        """The span is all of its out x in matrices: every distance is 0."""
+        return self.dim == self.dim_out * self.dim_in
 
     def projector(self) -> np.ndarray:
         """Orthogonal projection onto the span, acting on vec space."""

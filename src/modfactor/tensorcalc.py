@@ -132,7 +132,7 @@ def certify_module_unitary(source, target, U: np.ndarray,
             f"({tgt.dim_H}, {src.dim_H})"
         )
     ru = unitarity_residual(U)
-    ri = float(tgt.space.decompose(U @ src.basis)[1].max())
+    ri = float(tgt.space.distances(U @ src.basis).max())
     if isinstance(source, Correspondence) and isinstance(target, Correspondence):
         basis = source.left.basis
         ri = max(ri, intertwining_residual(U, source.left_action.apply_many(basis),

@@ -179,6 +179,19 @@ def _put(path, value):
     return mutate
 
 
+def _bool_in_copy(path, entry, value):
+    """Write ``value`` over the first ``entry`` of the algebra copy at
+    ``path``: a JSON bool equal (==) to the number that B's or C's own copy
+    holds there."""
+    def mutate(obj):
+        for key in path:
+            obj = obj[key]
+        cells = [(row, j) for m in obj["basis"] for row in m for j in range(len(row))]
+        row, j = next((row, j) for row, j in cells if row[j] == entry)
+        row[j] = value
+    return mutate
+
+
 # (source, mutation): each must give ParseError, never a bare numpy or
 # Python error and never a silent coercion
 HOSTILE = {
@@ -206,6 +219,13 @@ HOSTILE = {
     "qons_family_shape": (_golden_json, _put(["qons_family"], [[[[1.0, 0.0]] * 2] * 3])),
     "left_action_shape": (_seeded_json, _put(["oracle", "left_action", 1], [[[1.0, 0.0]]])),
     "nan_in_left_action": (_seeded_json, _put(["oracle", "left_action", 0, 0, 0], [NAN, 0.0])),
+    "three_element_entry": (_golden_json, _put(["E", "generators", 1, 2, 0], [1.0, 0.0, 0.0])),
+    # a copy of B or C that differs from the first copy only by bools
+    "bool_in_E_base": (_golden_json, _bool_in_copy(["E", "base"], [1.0, 0.0], [True, 0.0])),
+    "bool_in_F_base": (_golden_json, _bool_in_copy(["F", "base"], [0.0, 0.0], [False, False])),
+    "bool_in_oracle_left": (_seeded_json, _bool_in_copy(["oracle", "left"], [1.0, 0.0], [True, 0.0])),
+    "bool_in_oracle_base": (_seeded_json,
+                            _bool_in_copy(["oracle", "base"], [0.0, 0.0], [False, False])),
 }
 
 
@@ -218,6 +238,77 @@ def test_hostile_input_is_a_parse_error(name, tmp_path):
     p.write_text(json.dumps(obj))
     with pytest.raises(ParseError):
         parse_instance(str(p))
+
+
+# (matrix, message) of each rejection of _decode_matrix: the flat conversion
+# names the same entry, in the same words, as the entry-by-entry one
+DECODE_REJECTIONS = {
+    "bool": ([[[1.0, 0.0], [True, 0.0]]],
+             "m[0][1]: expected a [re, im] pair of numbers, got [True, 0.0]"),
+    "string": ([[[1.0, 0.0]], [["1.0", 0.0]]],
+               "m[1][0]: expected a [re, im] pair of numbers, got ['1.0', 0.0]"),
+    "none": ([[[None, 0.0], [0.0, 0.0]]],
+             "m[0][0]: expected a [re, im] pair of numbers, got [None, 0.0]"),
+    "three_elements": ([[[0.0, 0.0]], [[1.0, 0.0, 0.0]]],
+                       "m[1][0]: expected a [re, im] pair of numbers, got [1.0, 0.0, 0.0]"),
+    "bare_number": ([[[0.0, 0.0], 1.0]],
+                    "m[0][1]: expected a [re, im] pair of numbers, got 1.0"),
+    "ragged_row": ([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], "m[1]: ragged matrix row"),
+    "huge_int": ([[[0.0, 0.0], [10 ** 400, 0.0]]],
+                 f"m[0][1]: expected a [re, im] pair of numbers, got [{10 ** 400}, 0.0]"),
+    "nan": ([[[0.0, 0.0]], [[NAN, 0.0]]], "m: NaN or Inf entry"),
+    "inf": ([[[0.0, INF]]], "m: NaN or Inf entry"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECODE_REJECTIONS))
+def test_decode_matrix_names_each_rejection(name):
+    matrix, message = DECODE_REJECTIONS[name]
+    with pytest.raises(ParseError) as exc:
+        harness._decode_matrix(matrix, "m")
+    assert str(exc.value) == message
+
+
+def test_decode_matrix_reads_the_floats_entry_by_entry():
+    rows = [[[1, -2], [0.5, -0.0]], [[1e308, 3], (-1e-320, 2.5)]]
+    out = harness._decode_matrix(rows, "m", (2, 2))
+    ref = np.array([[complex(*v) for v in row] for row in rows])
+    assert out.dtype == np.complex128 and out.shape == (2, 2)
+    assert out.view(np.float64).tobytes() == ref.view(np.float64).tobytes()
+    assert harness._decode_matrix([[]], "m").shape == (1, 0)
+
+
+def test_kron_stack_is_np_kron_entry_for_entry(rng):
+    A = np.stack([harness._units(2)[1], -harness._units(2)[2]])  # signed zeros
+    X = rng.standard_normal((3, 2, 3)) + 1j * rng.standard_normal((3, 2, 3))
+    for left, right in ((A, X), (np.eye(2)[None], X), (X, np.eye(3)[None])):
+        ref = np.stack([np.kron(a, x) for a in left for x in right])
+        out = harness._kron_stack(left, right)
+        assert out.shape == ref.shape and out.tobytes() == ref.tobytes()
+
+
+class TestAlgebraCopies:
+    """A file stores B as B, E.base and oracle.left, and C as C, F.base and
+    oracle.base: each distinct algebra is decoded and validated once."""
+
+    def test_equal_copies_are_one_algebra(self, monkeypatch):
+        obj = instance_to_json(generate_random_instance(SPEC, 5))
+        built, real = [], harness.algebra_from_basis
+        monkeypatch.setattr(harness, "algebra_from_basis",
+                            lambda mats, tol: built.append(len(mats)) or real(mats, tol))
+        inst = instance_from_json(obj)
+        assert inst.E.base is inst.B and inst.oracle.left is inst.B
+        assert inst.F.base is inst.C and inst.oracle.base is inst.C
+        distinct = list({id(A): A for A in (inst.B, inst.C, inst.theta.domain)}.values())
+        assert built == [A.dim for A in distinct]
+
+    def test_a_copy_that_differs_is_rebuilt_over_B(self):
+        obj = instance_to_json(generate_random_instance(SPEC, 5))
+        basis = obj["E"]["base"]["basis"]
+        basis[0], basis[1] = basis[1], basis[0]  # the same algebra, another basis order
+        inst = instance_from_json(obj)
+        assert inst.E.base is inst.B and inst.oracle.left is inst.B
+        assert run_verification(inst).passed
 
 
 # blocks_B, or keys misspelled beside a valid one, which must not be ignored
@@ -311,8 +402,7 @@ class TestSeededDrawIsBasisIndependent:
     def test_same_projection_from_a_rotated_basis(self):
         # the span the generator compresses E with: M_2 over C (+) M_2
         B = cstar.build_algebra([(1, 1), (2, 1)])
-        mats = [np.kron(harness._eij(2, a, b), x)
-                for a in range(2) for b in range(2) for x in B.basis]
+        mats = harness._kron_stack(harness._units(2), B.basis)
         space = hs_orthonormalize(mats)
         rotated = np.tensordot(haar_unitary(space.dim, np.random.default_rng(1)), space.mats, axes=1)
         for seed in range(5):

@@ -1065,6 +1065,45 @@ class TestRowBlockedChecks:
         _, peak = traced_peak(adjointable_residual, F, T)
         assert peak < stack / 4, (peak, stack)
 
+    def test_a_span_that_fills_its_space_forms_no_product(self, monkeypatch):
+        # M_2 on C^2 fills B(C^2): every residual is exactly 0, no row block is formed
+        def no_block(*args):
+            raise AssertionError("a span that fills its space forms no product")
+
+        monkeypatch.setattr(hilbmod, "row_blocks", no_block)
+        span = build_algebra([(2, 1)]).space
+        T = np.arange(12.0).reshape(3, 2, 2) + 0j
+        assert span.fills
+        assert np.array_equal(hilbmod._invariance(span, T, span.mats), np.zeros(3))
+        assert np.array_equal(hilbmod._invariance(span, T, span.mats, adjoints=True),
+                              np.zeros((2, 3)))
+
+    def test_checks_on_spans_short_of_their_space_stay_below_the_one_shot_stacks(
+            self, block_budget):
+        # the module, adjointable and correspondence checks above run on
+        # spans that fill their space and form no product; these do not, so
+        # their products are formed in row blocks and measured against the
+        # basis: B(C^7, C^12) over M_7 short of its last row, and
+        # instance a's E (N = 50, w = 26) for K(E)'s operators and left action
+        base = build_algebra([(7, 1)])
+        E = HilbertModule(base, OperatorSpace(12, 7, np.eye(84, dtype=complex)[:77]
+                                              .reshape(77, 12, 7)))
+        inst = instance_a()
+        K = inst.theta.domain
+        corr = Correspondence(inst.E, K, identity_homomorphism(K))
+        corr.left_action.validate()
+        assert _one_shot_left_residuals(corr).max() <= 1e-12
+        assert not (E.space.fills or inst.E.space.fills)
+        _one_shot_module_check(E)
+        cases = [(hilbmod._validate_module, (E, 1e-9), 16 * 77 * 49 * 84),
+                 (adjointable_residual, (inst.E, K.basis),
+                  2 * 16 * K.basis.size * inst.E.dim * inst.E.dim_G // inst.E.dim_H),
+                 (corr.validate, (), 16 * K.dim * inst.E.space.mats.size)]
+        block_budget(2**16)
+        for check, args, stack in cases:
+            _, peak = traced_peak(check, *args)
+            assert peak < stack / 4, (check, peak, stack)
+
     def test_left_action_in_a_later_row_block_is_named(self, block_budget):
         # as test_names_the_first_left_image_leaving_the_span, one image a block
         block_budget(1)

@@ -810,6 +810,64 @@ def _one_shot_decomposition(space, mats):
     return c, np.linalg.norm(flat - c @ bflat, axis=1)
 
 
+def _random_span(rng, w, out=3, inn=4):
+    """A random w-dimensional span of out x inn matrices (N = 12)."""
+    return hs_orthonormalize(random_complex(rng, w, out, inn))
+
+
+class TestDistances:
+    """``distances`` is ``decompose``'s, except on a span that fills its space
+    (w = N), where every distance is 0 and no product is formed."""
+
+    @pytest.mark.parametrize("w", [12, 9, 5, 4, 2])
+    def test_agree_with_decompose(self, w, rng):
+        space = _random_span(rng, w)  # N = 12
+        assert space.dim == w and space.fills == (w == 12)
+        inside = np.tensordot(random_complex(rng, 3, w), space.mats, axes=1)
+        mats = np.concatenate([space.mats, inside, random_complex(rng, 5, 3, 4)])
+        dist, ref = space.distances(mats), space.decompose(mats)[1]
+        assert dist.shape == (len(mats),)
+        assert np.abs(dist - ref).max() <= 1e-12
+        assert dist[:w + 3].max() <= 1e-12
+        if not space.fills:
+            assert np.array_equal(dist, ref) and dist[-5:].min() > 0.1
+        # the views read the same distances, with the batch's leading axes
+        assert np.array_equal(space.distances(mats[None]), dist[None])
+        assert abs(space.distance(mats[-1]) - dist[-1]) <= 1e-12
+        rel = space.span_residual(mats)
+        assert np.array_equal(rel, dist / np.maximum(1.0, np.linalg.norm(mats, axis=(1, 2))))
+        assert [space.contains(m) for m in mats] == list(rel <= 1e-9)
+
+    def test_a_span_that_fills_its_space_gives_exactly_zero(self, rng, monkeypatch):
+        space = _random_span(rng, 12)
+
+        def decompose(self, mats):
+            raise AssertionError("a span that fills its space forms no product")
+
+        monkeypatch.setattr(OperatorSpace, "decompose", decompose)
+        mats = 1e3 * random_complex(rng, 7, 3, 4)
+        assert space.fills
+        assert np.array_equal(space.distances(mats), np.zeros(7))
+        assert np.array_equal(space.span_residual(mats), np.zeros(7))
+        assert space.distance(mats[0]) == 0.0 and space.contains(mats[0], 0.0)
+
+    @pytest.mark.parametrize("w", [12, 5])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_matrix_that_is_not_finite_is_not_contained(self, w, bad, rng):
+        space = _random_span(rng, w)
+        mats = np.concatenate([space.mats[:2], space.mats[:1]])
+        mats[2, 1, 2] = bad
+        with np.errstate(invalid="ignore"):
+            dist = space.distances(mats)
+            assert [space.contains(m) for m in mats] == [True, True, False]
+        assert dist[:2].max() <= 1e-12 and np.isnan(dist[2])
+
+    def test_shape_mismatch(self, rng):
+        for w in (12, 9, 2):
+            with pytest.raises(DimensionMismatch):
+                _random_span(rng, w).distances(np.zeros((2, 4, 3)))
+
+
 class TestRowBlocks:
     def test_slices_cover_the_rows_in_order(self, block_budget):
         block_budget(100)

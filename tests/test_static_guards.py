@@ -7,7 +7,10 @@ coordinates from a thin factor: no tensor module factors a Gram.  A map's
 products are certified by a construction's bound or by the kernel, so
 ``hilbmod`` reads no algebra's frame.  The constructions of ``tensorcalc``
 and ``factorizations`` are modules by their defining identities, so
-neither measures a span's invariants through ``module_from_parts``.
+neither measures a span's invariants through ``module_from_parts``.  A
+distance to a span is read off ``OperatorSpace.distances``, which forms no
+product for a span that fills its space, never off ``decompose``'s
+residuals outside ``numkernel``.
 """
 
 import ast
@@ -17,7 +20,7 @@ import modfactor
 
 SRC = Path(modfactor.__file__).resolve().parent
 PINV_ALLOWED = {("hilbmod.py", "commutant_lifting")}
-NO_KRON = ("tensorcalc.py", "prodsys.py")
+NO_KRON = ("tensorcalc.py", "prodsys.py", "harness.py")
 NO_GRAM = ("tensorcalc.py", "factorizations.py")
 # modules whose spans are modules by construction: no invariance pass
 BY_CONSTRUCTION = ("tensorcalc.py", "factorizations.py")
@@ -95,6 +98,42 @@ def test_the_cutoff_scan_sees_a_hand_rolled_pseudo_inverse(tmp_path):
 
 def test_tensor_modules_form_no_kronecker_product():
     assert [ref for name in NO_KRON for ref in _references(SRC / name, "kron")] == []
+
+
+def _decompose_residuals(path: Path) -> list:
+    """(module, function, line) of each ``<...>.decompose(...)[1]``: a
+    distance read off the basis side."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Call) \
+                and getattr(node.value.func, "attr", None) == "decompose" \
+                and isinstance(node.slice, ast.Constant) and node.slice.value == 1:
+            found.append((path.name, function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_distances_are_read_off_the_distance_kernel():
+    assert _decompose_residuals(SRC / "numkernel.py")  # the scan sees the kernel's own
+    assert [ref for path in sorted(SRC.glob("*.py")) if path.name != "numkernel.py"
+            for ref in _decompose_residuals(path)] == []
+
+
+def test_the_residual_scan_sees_a_decompose_residual(tmp_path):
+    path = tmp_path / "certify.py"
+    path.write_text(
+        "def certify(space, U, X):\n"
+        "    return space.decompose(U @ X)[1].max()\n"
+        "def coefficients(space, X):\n"
+        "    c, resid = space.decompose(X)\n"
+        "    return space.decompose(X)[0], c\n")
+    assert [ref[1:] for ref in _decompose_residuals(path)] == [("certify", 2)]
 
 
 def test_tensor_modules_factor_no_gram():
