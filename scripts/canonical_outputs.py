@@ -31,9 +31,12 @@ the largest change of the residuals (absolute, with the largest changed
 residual) and of the gaps (in decades, with the smallest changed gap; a
 gap that goes to or from inf is counted on its own line);
 float changes elsewhere, such as instance entries re-expressed in another
-basis, are counted but do not fail.  Then it lists each key path where a
-float changed, with batch numbers and list indices folded to ``*``, and the
-number of files where it changed.
+basis, are counted but do not fail.  Each matrix of an instance file is
+read as its [re, im] floats first, whether it is stored packed (base64
+complex128) or as nested pairs, so a change of encoding alone changes no
+float, and every float is still compared exactly.  Then it lists each key
+path where a float changed, with batch numbers and list indices folded to
+``*``, and the number of files where it changed.
 """
 
 import argparse
@@ -54,6 +57,7 @@ from modfactor.factorizations import (  # noqa: E402
 )
 from modfactor.harness import (  # noqa: E402
     GenSpec,
+    _decode_matrix,
     _write_file,
     generate_random_instance,
     golden_instance,
@@ -144,6 +148,18 @@ def _kind(path: tuple) -> str:
     return "residual"
 
 
+def _as_floats(node):
+    """Instance JSON with each packed matrix as the nested [re, im] floats it holds."""
+    if isinstance(node, dict) and node.keys() == {"shape", "complex128_le"}:
+        z = _decode_matrix(node, "matrix")
+        return z.view(np.float64).reshape(z.shape + (2,)).tolist()
+    if isinstance(node, dict):
+        return {key: _as_floats(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [_as_floats(value) for value in node]
+    return node
+
+
 def _walk(old, new, path: tuple, faults: list, changes: list) -> None:
     where = "/".join(str(p) for p in path)
     if type(old) is not type(new):
@@ -193,6 +209,8 @@ def compare(old_dir: Path, new_dir: Path) -> int:
             for side, rep in (("old", old), ("new", new)):
                 if rep.get("passed") is not True:
                     faults.append(f"{name}: the {side} report did not pass")
+        if name.endswith(".instance.json"):
+            old, new = _as_floats(old), _as_floats(new)
         before = len(changes)
         _walk(old, new, (name,), faults, changes)
         changed += len(changes) > before

@@ -1,14 +1,17 @@
 """Instance I/O, seeded random generation with a built-in oracle, the golden
 fixture, and the verification orchestrator.
 
-JSON conventions: complex numbers as [re, im] pairs, matrices as row-major
-nested arrays.  Reports are serialized canonically (sorted keys, fixed
-separators) so identical input and seed give byte-identical output; timings
-are collected separately and never enter the canonical form.
+JSON conventions: a matrix is written as {"shape": [rows, cols],
+"complex128_le": base64 of its row-major little-endian complex128 bytes},
+and the reader also takes the older row-major nested arrays of [re, im]
+pairs.  Reports are serialized canonically (sorted keys, fixed separators)
+so identical input and seed give byte-identical output; timings are
+collected separately and never enter the canonical form.
 """
 
 from __future__ import annotations
 
+import base64
 import contextlib
 import itertools
 import json
@@ -105,8 +108,8 @@ __all__ = [
 
 
 def _encode_matrix(m: np.ndarray):
-    m = np.ascontiguousarray(m, dtype=np.complex128)  # rows of [re, im], one tolist()
-    return m.view(np.float64).reshape(m.shape + (2,)).tolist()
+    m = np.ascontiguousarray(m, dtype="<c16")  # exact: the float bytes themselves
+    return {"shape": list(m.shape), "complex128_le": base64.b64encode(m.data).decode()}
 
 
 def _decode_complex(v, where: str) -> complex:
@@ -119,7 +122,33 @@ def _decode_complex(v, where: str) -> complex:
     raise ParseError(f"{where}: expected a [re, im] pair of numbers, got {v!r}")
 
 
+def _decode_packed(m: dict, where: str) -> np.ndarray:
+    if m.keys() != {"shape", "complex128_le"}:
+        raise ParseError(f"{where}: expected the keys complex128_le and shape, got {sorted(m)}")
+    shape, data = m["shape"], m["complex128_le"]
+    if not isinstance(shape, list) or len(shape) != 2 or \
+            not all(type(s) is int and s > 0 for s in shape):
+        raise ParseError(f"{where}.shape: expected [rows, cols] of positive integers, got {shape!r}")
+    try:
+        raw = base64.b64decode(data, validate=True)
+    except (TypeError, ValueError) as e:  # not a string, binascii.Error, or beyond ASCII
+        raise ParseError(f"{where}.complex128_le: expected a base64 string ({e})") from None
+    if len(raw) != 16 * shape[0] * shape[1]:  # before any array is made
+        raise ParseError(f"{where}.complex128_le: {len(raw)} bytes for shape {shape}")
+    return np.frombuffer(raw, "<c16").reshape(shape).astype(np.complex128)  # owned, writable
+
+
 def _decode_matrix(m, where: str, shape: tuple | None = None) -> np.ndarray:
+    """A stored matrix, packed (an object) or nested [re, im] pairs (a list)."""
+    out = _decode_packed(m, where) if isinstance(m, dict) else _decode_nested(m, where)
+    if not np.isfinite(out).all():
+        raise ParseError(f"{where}: NaN or Inf entry")
+    if shape is not None and out.shape != shape:
+        raise ParseError(f"{where}: shape {out.shape} is not {shape}")
+    return out
+
+
+def _decode_nested(m, where: str) -> np.ndarray:
     if not isinstance(m, list) or not m or not all(isinstance(r, list) for r in m):
         raise ParseError(f"{where}: expected a nested array matrix")
     width = len(m[0])
@@ -136,12 +165,7 @@ def _decode_matrix(m, where: str, shape: tuple | None = None) -> np.ndarray:
     if out is None:  # entry by entry, naming the first that is not a pair of numbers
         out = np.array([_decode_complex(v, f"{where}[{n // width}][{n % width}]")
                         for n, v in enumerate(entries)], dtype=np.complex128)
-    out = out.reshape(len(m), width)
-    if not np.isfinite(out).all():
-        raise ParseError(f"{where}: NaN or Inf entry")
-    if shape is not None and out.shape != shape:
-        raise ParseError(f"{where}: shape {out.shape} is not {shape}")
-    return out
+    return out.reshape(len(m), width)
 
 
 def _decode_matrices(v, where: str, shape: tuple | None = None) -> list[np.ndarray]:

@@ -1,3 +1,4 @@
+import base64
 import sys
 import tracemalloc
 
@@ -8,6 +9,25 @@ from modfactor import numkernel
 from modfactor.cstar import build_algebra
 from modfactor.hilbmod import Homomorphism, build_module
 from modfactor.numkernel import OperatorSpace, as_stack, op_norm, rank_cut
+
+
+def unpack_matrix(m) -> np.ndarray:
+    """The matrix that a packed instance-file matrix {"shape": [rows, cols],
+    "complex128_le": base64} holds, read apart from harness."""
+    return np.frombuffer(base64.b64decode(m["complex128_le"]), "<c16").reshape(m["shape"])
+
+
+def nested_form(obj):
+    """Instance JSON ``obj`` with every packed matrix rewritten as nested
+    [re, im] pairs, the form older builds wrote (fixtures/golden.json)."""
+    if isinstance(obj, dict) and obj.keys() == {"shape", "complex128_le"}:
+        z = unpack_matrix(obj).astype(np.complex128)
+        return z.view(np.float64).reshape(z.shape + (2,)).tolist()
+    if isinstance(obj, dict):
+        return {key: nested_form(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [nested_form(value) for value in obj]
+    return obj
 
 
 def matrix_unit(i, j, n=3):

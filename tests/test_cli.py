@@ -1,5 +1,6 @@
 """Integration tests for the command-line interface."""
 
+import base64
 import json
 import os
 import subprocess
@@ -15,7 +16,7 @@ from modfactor.cstar import build_algebra
 from modfactor.harness import Instance, VerifyConfig, save_instance
 from modfactor.hilbmod import Homomorphism, finite_rank_algebra
 from modfactor.numkernel import DEFAULT_TOL
-from conftest import corner_module
+from conftest import corner_module, nested_form, unpack_matrix
 
 CLI = [sys.executable, "-m", "modfactor.cli"]
 # the subprocess imports the same package as the tests, installed or not
@@ -233,10 +234,16 @@ def test_tolerances_must_be_finite_and_positive():
 
 
 def test_hostile_input_is_one_line_parse_error(golden_path, spec_path, tmp_path):
-    inst = json.loads(golden_path.read_text())
+    inst = nested_form(json.loads(golden_path.read_text()))
     inst["theta"]["images"][0][0][0] = [float("nan"), 0.0]
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(inst))
+    inst = json.loads(golden_path.read_text())
+    image = unpack_matrix(inst["theta"]["images"][0]).copy()
+    image[0, 0] = float("nan")
+    inst["theta"]["images"][0]["complex128_le"] = base64.b64encode(image.tobytes()).decode()
+    packed = tmp_path / "packed_nan.json"
+    packed.write_text(json.dumps(inst))
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"blocks_B": [[1, "a"]], "blocks_C": [[1, 1]]}))
     huge = tmp_path / "huge.json"
@@ -248,6 +255,7 @@ def test_hostile_input_is_one_line_parse_error(golden_path, spec_path, tmp_path)
         inst[side] = harness._encode_algebra(build_algebra(blocks))
         (tmp_path / f"base_{side}.json").write_text(json.dumps(inst))
     for args, error in ((("validate", str(bad)), "ParseError"),
+                        (("validate", str(packed)), "ParseError"),
                         (("random", "--spec", str(spec)), "ParseError"),
                         (("random", "--spec", str(spec_path), "--seed", "-1"),
                          "InfeasibleSpec"),
@@ -315,3 +323,30 @@ def test_canonical_outputs_compare_lists_changed_paths(tmp_path):
     assert r.returncode == 0, r.stdout
     assert "batch_*.report.json/r/*: 2 files" in r.stdout
     assert "/s:" not in r.stdout
+
+
+def test_canonical_outputs_compare_reads_both_matrix_encodings(tmp_path):
+    """An instance file written nested on one side and packed on the other
+    compares float by float: the same floats change none, one moved entry
+    counts once."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "canonical_outputs.py"
+    old, new = tmp_path / "old", tmp_path / "new"
+    for d in (old, new):
+        d.mkdir()
+    packed = harness.instance_to_json(harness.golden_instance())
+    (old / "golden.instance.json").write_text(json.dumps(nested_form(packed)))
+
+    def compare():
+        (new / "golden.instance.json").write_text(json.dumps(packed))
+        return subprocess.run([sys.executable, str(script), "--compare", str(old), str(new)],
+                              capture_output=True, text=True, env=ENV)
+
+    r = compare()
+    assert r.returncode == 0 and "1 files, 0 with changed floats" in r.stdout, r.stdout
+    image = unpack_matrix(packed["theta"]["images"][1]).copy()
+    image[2, 1] += 2 ** -40
+    packed["theta"]["images"][1] = harness._encode_matrix(image)
+    r = compare()
+    assert r.returncode == 0 and "1 files, 1 with changed floats" in r.stdout, r.stdout
+    assert "other floats: 1 changed" in r.stdout
+    assert "golden.instance.json/theta/images/*/*/*/*: 1 file" in r.stdout

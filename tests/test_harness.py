@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import gc
 import json
@@ -38,8 +39,10 @@ from conftest import (
     instance_a,
     instance_b,
     measured_twice,
+    nested_form,
     spy_invariance,
     spy_product_residuals,
+    unpack_matrix,
 )
 
 
@@ -88,7 +91,7 @@ class TestParsing:
         assert loaded.theta.domain.dim == 5
 
     def test_malformed_complex_pair(self, tmp_path):
-        g = instance_to_json(golden_instance())
+        g = nested_form(instance_to_json(golden_instance()))
         g["E"]["generators"][0][0][0] = [1.0]  # not a [re, im] pair
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(g))
@@ -107,7 +110,7 @@ class TestParsing:
             parse_instance("/nonexistent/instance.json")
 
     def test_perturbed_theta_names_the_basis_pair(self, tmp_path):
-        g = instance_to_json(golden_instance())
+        g = nested_form(instance_to_json(golden_instance()))
         # corrupt one image so multiplicativity fails
         g["theta"]["images"][2][0][0] = [0.37, 0.0]
         p = tmp_path / "pert.json"
@@ -163,11 +166,11 @@ NAN, INF = float("nan"), float("inf")
 
 
 def _golden_json():
-    return instance_to_json(golden_instance())
+    return nested_form(instance_to_json(golden_instance()))
 
 
 def _seeded_json():
-    return instance_to_json(generate_random_instance(SPEC, 5))
+    return nested_form(instance_to_json(generate_random_instance(SPEC, 5)))
 
 
 def _put(path, value):
@@ -238,6 +241,114 @@ def test_hostile_input_is_a_parse_error(name, tmp_path):
     p.write_text(json.dumps(obj))
     with pytest.raises(ParseError):
         parse_instance(str(p))
+
+
+def _pack(z) -> str:
+    return base64.b64encode(np.ascontiguousarray(z, "<c16").tobytes()).decode()
+
+
+def _packed(z) -> dict:
+    return {"shape": list(np.shape(z)), "complex128_le": _pack(z)}
+
+
+def _entry(value):
+    """Write ``value`` over the first entry of a packed matrix's bytes."""
+    def change(m):
+        z = unpack_matrix(m).copy()
+        z.flat[0] = value
+        m["complex128_le"] = _pack(z)
+    return change
+
+
+def _set(key, value):
+    return lambda m: m.update({key: value})
+
+
+def _data(edit):
+    """Replace a packed matrix's base64 string s by edit(s)."""
+    return lambda m: m.update(complex128_le=edit(m["complex128_le"]))
+
+
+IMAGE_0 = ["theta", "images", 0]
+BAD_BASE64 = "instance.theta.images[0].complex128_le: expected a base64 string"
+BAD_SHAPE = "instance.theta.images[0].shape: expected [rows, cols] of positive integers"
+KEYS = "expected the keys complex128_le and shape, got"
+
+# (path, change, start of the message) of the packed twins of HOSTILE: the
+# change is made to the matrix at path, or a matrix object is put there.
+# Each message names the matrix, or its field, that it rejects.
+PACKED_HOSTILE = {
+    "nan_in_theta_image": (IMAGE_0, _entry(complex(NAN, 0)),
+                           "instance.theta.images[0]: NaN or Inf entry"),
+    "inf_in_theta_image": (["theta", "images", 1], _entry(complex(0, INF)),
+                           "instance.theta.images[1]: NaN or Inf entry"),
+    "inf_in_basis": (["B", "basis", 0], _entry(complex(INF, 0)),
+                     "instance.B.basis[0]: NaN or Inf entry"),
+    "nan_in_generator": (["E", "generators", 0], _entry(complex(0, NAN)),
+                         "instance.E.generators[0]: NaN or Inf entry"),
+    "nan_in_unit_vector": (["unit_vector"], _packed(np.full((3, 3), NAN)),
+                           "instance.unit_vector: NaN or Inf entry"),
+    "nan_in_left_action": (["oracle", "left_action", 0], _entry(complex(NAN, 0)),
+                           "instance.oracle.left_action[0]: NaN or Inf entry"),
+    # a lenient decoder would skip the inserted character and read the same bytes
+    "non_alphabet_character": (IMAGE_0, _data(lambda s: s[:4] + "!" + s[4:]), BAD_BASE64),
+    "non_ascii_character": (IMAGE_0, _data(lambda s: "\u00e9" + s[1:]), BAD_BASE64),
+    "bad_padding": (IMAGE_0, _data(lambda s: s[:-1]), BAD_BASE64),
+    "number_for_data": (IMAGE_0, _set("complex128_le", 0), BAD_BASE64),
+    "one_entry_short": (["C", "basis", 2], _set("complex128_le", _pack(np.zeros(8))),
+                        "instance.C.basis[2].complex128_le: 128 bytes for shape [3, 3]"),
+    "half_an_entry_more": (["C", "basis", 2],
+                           _set("complex128_le", base64.b64encode(bytes(152)).decode()),
+                           "instance.C.basis[2].complex128_le: 152 bytes for shape [3, 3]"),
+    "bool_in_shape": (IMAGE_0, _set("shape", [True, 3]), BAD_SHAPE),
+    "float_in_shape": (IMAGE_0, _set("shape", [3.0, 3]), BAD_SHAPE),
+    "zero_in_shape": (IMAGE_0, _set("shape", [0, 3]), BAD_SHAPE),
+    "negative_in_shape": (IMAGE_0, _set("shape", [-3, -3]), BAD_SHAPE),
+    "three_entry_shape": (IMAGE_0, _set("shape", [3, 3, 1]), BAD_SHAPE),
+    "string_shape": (IMAGE_0, _set("shape", "3x3"), BAD_SHAPE),
+    "missing_shape": (IMAGE_0, lambda m: m.pop("shape"),
+                      f"instance.theta.images[0]: {KEYS} ['complex128_le']"),
+    "missing_data": (["unit_vector"], {"shape": [3, 3]}, f"instance.unit_vector: {KEYS} ['shape']"),
+    "unknown_key": (["B", "basis", 1], _set("dtype", "complex128"),
+                    f"instance.B.basis[1]: {KEYS} ['complex128_le', 'dtype', 'shape']"),
+    "image_shape": (["theta", "images", 2], _packed(np.eye(2)),
+                    "instance.theta.images[2]: shape (2, 2) is not (3, 3)"),
+    "unit_vector_shape": (["unit_vector"], _packed(np.ones((2, 3))),
+                          "instance.unit_vector: shape (2, 3) is not (3, 3)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PACKED_HOSTILE))
+def test_packed_hostile_input_is_a_parse_error_naming_its_place(name, tmp_path):
+    (*keys, last), change, message = PACKED_HOSTILE[name]
+    # golden records no oracle: its matrices come from a seeded instance
+    inst = generate_random_instance(SPEC, 5) if keys[:1] == ["oracle"] else golden_instance()
+    obj = instance_to_json(inst)
+    parent = obj
+    for key in keys:
+        parent = parent[key]
+    if isinstance(change, dict):
+        parent[last] = change
+    else:
+        change(parent[last])
+    p = tmp_path / "hostile.json"
+    p.write_text(json.dumps(obj))
+    with pytest.raises(ParseError) as exc:
+        parse_instance(str(p))
+    assert str(exc.value).startswith(message), str(exc.value)
+
+
+def test_a_huge_packed_shape_fails_on_its_byte_count_before_any_allocation():
+    m = {"shape": [10 ** 9, 10 ** 9], "complex128_le": _pack(np.zeros(1))}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError,
+                           match=r"^m\.complex128_le: 16 bytes for shape \[1000000000, 1000000000\]$"):
+            harness._decode_matrix(m, "m")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16, peak
 
 
 # (matrix, message) of each rejection of _decode_matrix: the flat conversion
@@ -1035,15 +1146,17 @@ class TestChangeOfBasis:
 
 
 def _encode_matrix_reference(m):
-    """The former per-entry encoder of harness._encode_matrix."""
+    """The former per-entry encoder of harness._encode_matrix: nested [re, im] pairs."""
     return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
 
 
 class TestEncodeMatrix:
-    """One tolist() of the float view gives the per-entry encoder's JSON."""
+    """The packed form is exact: each matrix's bytes round-trip, the floats it
+    carries are those the per-entry nested encoder writes, and the nested
+    form decodes to the same bytes."""
 
     def _assert_same_json(self, inst, monkeypatch):
-        new = json.dumps(instance_to_json(inst), sort_keys=True, separators=(",", ":"))
+        new = json.dumps(nested_form(instance_to_json(inst)), sort_keys=True, separators=(",", ":"))
         with monkeypatch.context() as mp:
             mp.setattr(harness, "_encode_matrix", _encode_matrix_reference)
             old = json.dumps(instance_to_json(inst), sort_keys=True, separators=(",", ":"))
@@ -1054,6 +1167,20 @@ class TestEncodeMatrix:
         self._assert_same_json(parse_instance(str(fixture)), monkeypatch)
         self._assert_same_json(golden_instance(), monkeypatch)
 
+    def test_golden_fixture_and_its_packed_resave_give_the_same_report(self, tmp_path):
+        fixture = Path(__file__).resolve().parent.parent / "fixtures" / "golden.json"
+        nested = parse_instance(str(fixture))
+        resaved = tmp_path / "golden.json"
+        save_instance(nested, str(resaved))
+        assert isinstance(json.loads(fixture.read_text())["theta"]["images"][0], list)
+        assert set(json.loads(resaved.read_text())["theta"]["images"][0]) == {"shape", "complex128_le"}
+        packed = parse_instance(str(resaved))
+        for name in ("B", "C"):
+            assert getattr(packed, name).basis.tobytes() == getattr(nested, name).basis.tobytes()
+        assert packed.theta.images.tobytes() == nested.theta.images.tobytes()
+        assert run_verification(packed).to_canonical_json() == \
+            run_verification(nested).to_canonical_json()
+
     def test_batch_instance_with_signed_zeros_and_subnormals(self, monkeypatch):
         inst = generate_random_instance(SPEC, 1002)  # theta's images are 13 5 x 5
         images = inst.theta.images.copy()
@@ -1062,6 +1189,12 @@ class TestEncodeMatrix:
         images.reshape(-1)[:len(special)] = special
         theta = Homomorphism(inst.theta.domain, inst.theta.codomain_dim, images)
         self._assert_same_json(Instance_with(inst, theta), monkeypatch)
-        encoded = json.dumps([harness._encode_matrix(m) for m in images])
+        packed = [harness._encode_matrix(m) for m in images]
+        encoded = json.dumps([nested_form(m) for m in packed])
         assert encoded == json.dumps([_encode_matrix_reference(m) for m in images])
         assert "-0.0" in encoded and "5e-324" in encoded
+        for m, stored in zip(images, packed):
+            for form in (json.loads(json.dumps(stored)), _encode_matrix_reference(m)):
+                out = harness._decode_matrix(form, "m", m.shape)
+                assert out.dtype == np.complex128 and out.flags.writeable
+                assert out.tobytes() == m.tobytes()
